@@ -45,6 +45,7 @@ from .markov import (
     is_aperiodic,
     is_strongly_connected,
     stationary_distribution,
+    support_graph,
 )
 from .problem import NormalizedProblem, RankingProblem, is_regular, normalize_preferences
 from .solver import (
@@ -103,5 +104,6 @@ __all__ = [
     "solve_equilibrium",
     "solve_tatonnement",
     "stationary_distribution",
+    "support_graph",
     "verify_equilibrium",
 ]

@@ -4,7 +4,7 @@ Four subcommands:
 
 ``rank``     score the agents of a problem or graph (ces, pagerank, invariant)
 ``verify``   run executable axiom checks and emit machine-readable verdicts
-``compare``  cross-check the two equivalent pipelines on one graph
+``compare``  cross-check power iteration against the closed-form equilibrium
 ``convert``  dump a graph's damped chain as an equivalent problem document
 
 Results go to stdout; every diagnostic goes to stderr. Exit codes: 0 success,
@@ -35,7 +35,7 @@ from .diagnostics import ConvergenceError
 from .economy import build_economy, markov_to_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, dump_problem, problem_from_edge_list, sniff_and_load
-from .markov import DirectedGraph, TransitionMatrix, build_web_transition, is_strongly_connected, stationary_distribution, strongly_connected_component
+from .markov import TransitionMatrix, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
 from .problem import RankingProblem, normalize_preferences
 from .solver import SolverConfig, rank_problem, solve_cobb_douglas
 
@@ -56,12 +56,6 @@ def _configure_logging() -> None:
     if name and level is None:
         print(f"warning: unknown RANK_LOG level {name!r}, using WARNING", file=sys.stderr)
     logging.basicConfig(stream=sys.stderr, level=level if level is not None else logging.WARNING)
-
-
-def _support_graph(weights: np.ndarray) -> DirectedGraph:
-    n = weights.shape[0]
-    edges = frozenset((int(i), int(j)) for i, j in np.argwhere(weights > 0))
-    return DirectedGraph(n, edges)
 
 
 def _tie_groups(ids, scores, order) -> list[list[str]]:
@@ -132,16 +126,12 @@ def _cmd_rank(args) -> int:
     tol = args.tol if args.tol is not None else 1e-12
 
     if args.method == "pagerank":
-        graph = loaded_graph[0] if problem is None else _support_graph(weights)
+        graph = loaded_graph[0] if problem is None else support_graph(weights)
         chain = build_web_transition(graph, c=args.damping)
     else:  # invariant
-        graph = _support_graph(weights)
-        if not is_strongly_connected(graph):
-            component = strongly_connected_component(graph)
-            raise ValueError(
-                "the invariant method needs a strongly connected graph "
-                f"(one strongly connected component: {component})"
-            )
+        require_strongly_connected(
+            support_graph(weights), "the graph", "the invariant method needs a strongly connected graph"
+        )
         chain = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
     dist, report = stationary_distribution(chain, tolerance=tol)
     _emit_ranking(ids, dist.pi, report, args.method, args.format)
@@ -212,11 +202,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     problem, loaded_graph = sniff_and_load(args.input)
-    graph = loaded_graph[0] if problem is None else _support_graph(problem.alpha)
+    graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
     ids = problem.agent_ids if problem is not None else tuple(f"v{k}" for k in range(graph.n))
 
     chain = build_web_transition(graph, c=args.damping)
-    dist, chain_report = stationary_distribution(chain)
+    # power iteration on the chain versus the linear solve behind the closed
+    # form: two independent computations of the same vector
+    dist, chain_report = stationary_distribution(chain, method="power")
     economy = markov_to_economy(chain)
     prices, market_report = solve_cobb_douglas(economy)
 
@@ -242,7 +234,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_convert(args) -> int:
     problem, loaded_graph = sniff_and_load(args.input)
-    graph = loaded_graph[0] if problem is None else _support_graph(problem.alpha)
+    graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
     chain = build_web_transition(graph, c=args.damping)
     economy = markov_to_economy(chain)
     # beta=1: the damping is already baked into the transition matrix
@@ -310,7 +302,8 @@ def main(argv=None) -> int:
     except ConvergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
+        # MemoryError: a declared size too large to allocate is unusable input
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_BAD_INPUT
 

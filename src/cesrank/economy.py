@@ -1,17 +1,19 @@
-"""CES exchange economies and their explicit demand systems.
+"""CES exchange economies of the ranking model and their explicit demand system.
 
-An economy has ``n`` traders and ``n`` goods. Trader ``i`` has a CES utility
-``u_i(x) = (sum_j alpha[i][j] * x[j]**rho[i]) ** (1/rho[i])`` and an endowment
-row ``endowments[i]``. With ``q = 1 / (1 - rho)`` the utility-maximizing
-bundle at strictly positive prices ``p`` has the explicit form
+An economy has ``n`` traders and ``n`` goods, and trader ``i`` owns one unit
+of good ``i``: its income is the price ``p[i]`` of its own good, and every
+good's supply is 1. Trader ``i`` has a CES utility
+``u_i(x) = (sum_j alpha[i][j] * x[j]**rho[i]) ** (1/rho[i])``. With
+``q = 1 / (1 - rho)`` the utility-maximizing bundle at strictly positive
+prices ``p`` has the explicit form
 
-    x[i][j] = alpha[i][j]**q / p[j]**q * income_i
+    x[i][j] = alpha[i][j]**q / p[j]**q * p[i]
               / sum_k(alpha[i][k]**q * p[k]**(1 - q))
 
-where ``income_i = p . endowments[i]``. Equivalently the trader spends the
-budget share ``alpha[i][j]**q * p[j]**(1-q) / sum_k(...)`` on good ``j``.
-``rho == 0`` marks the unit-elasticity (Cobb-Douglas) limit, where the budget
-shares are just the normalized ``alpha`` row.
+Equivalently the trader spends the budget share
+``alpha[i][j]**q * p[j]**(1-q) / sum_k(...)`` on good ``j``.
+``rho == 0`` marks the unit-elasticity (Cobb-Douglas) limit, where ``q == 1``
+and the budget shares are just the normalized ``alpha`` row.
 
 Demand is homogeneous of degree zero in prices, so these functions accept any
 strictly positive price vector, normalized or not.
@@ -20,12 +22,12 @@ strictly positive price vector, normalized or not.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
-from .markov import DirectedGraph, TransitionMatrix, is_aperiodic, is_strongly_connected, strongly_connected_component
-from .problem import NormalizedProblem, _validate_rho
+from .markov import TransitionMatrix, is_aperiodic, require_strongly_connected, support_graph
+from .problem import NormalizedProblem, _validate_alpha, _validate_rho
 
 #: Traders with an exponent 1/(1-rho) above this are rejected: the demand
 #: powers become too steep to evaluate reliably near the linear-utility end.
@@ -43,7 +45,7 @@ def as_price_array(prices, n: int) -> np.ndarray:
     bad = ~np.isfinite(arr) | (arr <= 0.0)
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"price of good {j} is {arr[j]!r}; prices must be strictly positive")
+        raise ValueError(f"price of good {j} is {float(arr[j])!r}; prices must be strictly positive")
     return arr
 
 
@@ -60,9 +62,9 @@ class PriceVector:
         bad = ~np.isfinite(pi) | (pi <= 0.0)
         if np.any(bad):
             j = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"price of good {j} is {pi[j]!r}; must be strictly positive")
+            raise ValueError(f"price of good {j} is {float(pi[j])!r}; must be strictly positive")
         if abs(pi.sum() - 1.0) > 1e-10:
-            raise ValueError(f"prices sum to {pi.sum()!r}, not 1")
+            raise ValueError(f"prices sum to {float(pi.sum())!r}, not 1")
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
 
@@ -78,29 +80,25 @@ class PriceVector:
 
 @dataclass(frozen=True, eq=False)
 class CesEconomy:
-    """An exchange economy of ``n`` CES traders over ``n`` goods.
+    """The exchange economy of ``n`` CES traders over ``n`` goods, trader i owning good i.
 
-    ``alpha[i][j]`` is trader i's utility coefficient on good j, ``rho[i]``
-    the substitution parameter in [-1, RHO_MAX] (0 = unit elasticity), and
-    ``endowments[i][j]`` trader i's initial holding of good j. Every trader
-    must want something (a positive alpha entry) and every good must exist
-    (positive column total of endowments).
+    ``alpha[i][j]`` is trader i's utility coefficient on good j and ``rho[i]``
+    the substitution parameter in [-1, RHO_MAX] (0 = unit elasticity). Every
+    trader must want something (a positive alpha entry). ``endowments``, if
+    given, must be the identity matrix: the own-good endowment is the only
+    one this economy has.
 
     Immutable; demand evaluations are pure functions of (economy, prices).
     """
 
     alpha: np.ndarray
     rho: np.ndarray
-    endowments: np.ndarray
+    _: KW_ONLY
+    endowments: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, endowments):
         alpha = np.array(self.alpha, dtype=float)
-        if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
-            raise ValueError(f"alpha must be square, got shape {alpha.shape}")
-        if np.any(~np.isfinite(alpha) | (alpha < 0.0)):
-            bad = np.nonzero(~np.isfinite(alpha) | (alpha < 0.0))
-            i, j = int(bad[0][0]), int(bad[1][0])
-            raise ValueError(f"alpha[{i}][{j}] = {alpha[i, j]!r} is negative or not finite")
+        _validate_alpha(alpha)
         n = alpha.shape[0]
         dead = alpha.sum(axis=1) == 0.0
         if np.any(dead):
@@ -112,22 +110,14 @@ class CesEconomy:
         if rho.shape != (n,):
             raise ValueError(f"rho must have length {n}, got shape {rho.shape}")
         _validate_rho(rho, upper=RHO_MAX, inclusive=True)
-        w = np.array(self.endowments, dtype=float)
-        if w.shape != (n, n):
-            raise ValueError(f"endowments must be {n}x{n}, got shape {w.shape}")
-        if np.any(~np.isfinite(w) | (w < 0.0)):
-            bad = np.nonzero(~np.isfinite(w) | (w < 0.0))
-            i, j = int(bad[0][0]), int(bad[1][0])
-            raise ValueError(f"endowments[{i}][{j}] = {w[i, j]!r} is negative or not finite")
-        supply = w.sum(axis=0)
-        if np.any(supply <= 0.0):
-            j = int(np.flatnonzero(supply <= 0.0)[0])
-            raise ValueError(f"good {j} has zero total supply")
-        for a in (alpha, rho, w):
+        if endowments is not None:
+            w = np.asarray(endowments, dtype=float)
+            if w.shape != (n, n) or np.count_nonzero(w) != n or np.any(np.diagonal(w) != 1.0):
+                raise ValueError("endowments must be the identity: trader i owns one unit of good i")
+        for a in (alpha, rho):
             a.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "endowments", w)
 
     @property
     def n(self) -> int:
@@ -138,98 +128,64 @@ class CesEconomy:
         """Per-trader demand exponent 1 / (1 - rho), in [1/2, 20]."""
         return 1.0 / (1.0 - self.rho)
 
-    @property
-    def supply(self) -> np.ndarray:
-        return self.endowments.sum(axis=0)
 
-    def support_graph(self) -> DirectedGraph:
-        """Economy graph: edge i -> j wherever trader i wants good j."""
-        rows, cols = np.nonzero(self.alpha > 0.0)
-        return DirectedGraph(self.n, frozenset(zip(rows.tolist(), cols.tolist())))
-
-    def has_identity_endowments(self) -> bool:
-        return bool(np.array_equal(self.endowments, np.eye(self.n)))
-
-
-def _budget_shares_row(alpha_row: np.ndarray, q: float, prices: np.ndarray) -> np.ndarray:
-    """Fraction of income spent on each good: alpha**q * p**(1-q), normalized."""
-    if q <= LOG_SPACE_Q:
-        t = alpha_row**q * prices ** (1.0 - q)
-    else:
-        # Steep exponents: evaluate in log space and shift by the max so the
-        # largest term is exp(0). Zero coefficients map to exp(-inf) = 0.
-        with np.errstate(divide="ignore"):
-            m = q * np.log(alpha_row) + (1.0 - q) * np.log(prices)
-        t = np.exp(m - m.max())
-    return t / t.sum()
-
-
-def _budget_shares_matrix(economy: CesEconomy, prices: np.ndarray) -> np.ndarray:
-    q = economy.q
+def _demand_rows(economy: CesEconomy, rows: slice, prices: np.ndarray) -> np.ndarray:
+    """Demand of the traders in ``rows``: budget shares times own-good income, over prices."""
+    alpha = economy.alpha[rows]
+    q = economy.q[rows]
     r = 1.0 - q
-    t = np.empty_like(economy.alpha)
+    t = np.empty_like(alpha)
     direct = q <= LOG_SPACE_Q
     if direct.any():
-        t[direct] = economy.alpha[direct] ** q[direct, None] * prices[None, :] ** r[direct, None]
+        t[direct] = alpha[direct] ** q[direct, None] * prices[None, :] ** r[direct, None]
     steep = ~direct
     if steep.any():
+        # Steep exponents: evaluate in log space and shift by the row max so
+        # the largest term is exp(0). Zero coefficients map to exp(-inf) = 0.
         with np.errstate(divide="ignore"):
-            m = q[steep, None] * np.log(economy.alpha[steep]) + r[steep, None] * np.log(prices)[None, :]
+            m = q[steep, None] * np.log(alpha[steep]) + r[steep, None] * np.log(prices)[None, :]
         t[steep] = np.exp(m - m.max(axis=1, keepdims=True))
-    return t / t.sum(axis=1, keepdims=True)
+    shares = t / t.sum(axis=1, keepdims=True)
+    return shares * prices[rows, None] / prices[None, :]
 
 
 def cobb_douglas_demand(economy: CesEconomy, trader: int, prices) -> np.ndarray:
     """Demand of a unit-elasticity trader: income split in fixed shares.
 
-    ``x[j] = share[j] * income / p[j]`` where the shares are the trader's
+    ``x[j] = share[j] * p[trader] / p[j]`` where the shares are the trader's
     alpha row normalized to sum to 1 (the row typically already does). Spends
     the budget exactly; a zero coefficient buys zero regardless of prices.
     """
     if economy.rho[trader] != 0.0:
-        raise ValueError(f"trader {trader} has rho = {economy.rho[trader]!r}, not 0")
-    p = as_price_array(prices, economy.n)
-    income = float(economy.endowments[trader] @ p)
-    if income == 0.0:
-        return np.zeros(economy.n)
-    row = economy.alpha[trader]
-    return (row / row.sum()) * income / p
+        raise ValueError(f"trader {trader} has rho = {float(economy.rho[trader])!r}, not 0")
+    return ces_demand(economy, trader, prices)
 
 
 def ces_demand(economy: CesEconomy, trader: int, prices) -> np.ndarray:
     """Utility-maximizing bundle of one trader at the given prices.
 
-    Evaluates the explicit CES demand form; traders with ``rho == 0`` are
-    routed to `cobb_douglas_demand`. The bundle satisfies the budget identity
-    ``p . x == p . endowment`` to floating-point accuracy.
+    Row ``trader`` of `demand_matrix`, evaluated for that trader alone. The
+    bundle satisfies the budget identity ``p . x == p[trader]`` to
+    floating-point accuracy.
     """
     if not (0 <= trader < economy.n):
         raise ValueError(f"trader index {trader} out of range [0, {economy.n})")
-    if economy.rho[trader] == 0.0:
-        return cobb_douglas_demand(economy, trader, prices)
     p = as_price_array(prices, economy.n)
-    income = float(economy.endowments[trader] @ p)
-    if income == 0.0:
-        return np.zeros(economy.n)
-    shares = _budget_shares_row(economy.alpha[trader], float(economy.q[trader]), p)
-    return shares * income / p
+    return _demand_rows(economy, slice(trader, trader + 1), p)[0]
 
 
 def demand_matrix(economy: CesEconomy, prices) -> np.ndarray:
     """Demand of every trader at once; row ``i`` equals ``ces_demand(economy, i, prices)``."""
-    p = as_price_array(prices, economy.n)
-    incomes = economy.endowments @ p
-    shares = _budget_shares_matrix(economy, p)
-    return shares * incomes[:, None] / p[None, :]
+    return _demand_rows(economy, slice(None), as_price_array(prices, economy.n))
 
 
 def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
-    """Aggregate demand minus aggregate supply, per good.
+    """Aggregate demand minus the unit supply, per good.
 
     Zero everywhere exactly at an equilibrium price vector. The summation
     order is fixed, so results are bit-for-bit reproducible.
     """
-    return demand_matrix(economy, prices).sum(axis=0) - economy.supply
+    return demand_matrix(economy, prices).sum(axis=0) - 1.0
 
 
 def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
@@ -243,13 +199,8 @@ def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
     are accepted with a warning since their unique invariant distribution
     still clears the market.
     """
-    graph = p.support_graph()
-    if not is_strongly_connected(graph):
-        component = strongly_connected_component(graph)
-        raise ValueError(
-            "the chain's support graph is not strongly connected "
-            f"(one component: {component}); no strictly positive equilibrium"
-        )
+    graph = support_graph(p.matrix)
+    require_strongly_connected(graph, "the chain's support graph", "no strictly positive equilibrium")
     if not is_aperiodic(graph):
         warnings.warn(
             "the chain is periodic; its invariant distribution is still the "
@@ -257,28 +208,14 @@ def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
             "chain itself would not converge",
             stacklevel=2,
         )
-    n = p.n
-    return CesEconomy(alpha=p.matrix, rho=np.zeros(n), endowments=np.eye(n))
+    return CesEconomy(alpha=p.matrix, rho=np.zeros(p.n))
 
 
 def build_economy(normalized: NormalizedProblem) -> CesEconomy:
     """Economy of a preprocessed ranking problem: trader i owns good i.
 
-    The economy graph (edge i -> j iff ``alpha_hat[i][j] > 0``) must be
-    strongly connected for a strictly positive equilibrium to exist; damping
-    with ``beta < 1`` guarantees this, undamped problems are checked and
-    rejected with a witness component otherwise.
+    A strictly positive equilibrium needs the economy graph (edge i -> j iff
+    ``alpha_hat[i][j] > 0``) to be strongly connected. Damping with
+    ``beta < 1`` guarantees this; the solvers check it once, on entry.
     """
-    economy = CesEconomy(
-        alpha=normalized.alpha_hat,
-        rho=normalized.rho,
-        endowments=np.eye(normalized.n),
-    )
-    graph = economy.support_graph()
-    if not is_strongly_connected(graph):
-        component = strongly_connected_component(graph)
-        raise ValueError(
-            "economy graph is not strongly connected "
-            f"(one component: {component}); damp with beta < 1 to connect it"
-        )
-    return economy
+    return CesEconomy(alpha=normalized.alpha_hat, rho=normalized.rho)

@@ -210,7 +210,8 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
         raise DocumentError(f"vertex count must be >= 1, got {n}", f"line {lineno}")
 
     weights = np.zeros((n, n))
-    edges: set[tuple[int, int]] = set()
+    src: list[int] = []
+    dst: list[int] = []
     first_line: dict[tuple[int, int], int] = {}
     for lineno, line in lines[2:]:
         where = f"line {lineno}"
@@ -238,9 +239,10 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
             w = 1.0
         weights[i, j] = w
         if w > 0:
-            edges.add((i, j))
+            src.append(i)
+            dst.append(j)
 
-    return DirectedGraph(n, frozenset(edges)), weights
+    return DirectedGraph(n, src, dst), weights
 
 
 def problem_from_edge_list(weights: np.ndarray, rho=0.0, beta: float = 0.85) -> RankingProblem:

@@ -10,9 +10,7 @@ for column vectors.
 from __future__ import annotations
 
 import logging
-import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,36 +29,47 @@ LINEAR_SOLVE_MAX_N = 2_000
 
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """A directed graph on vertices ``0..n-1`` with a set of ordered edges.
+    """A directed graph on vertices ``0..n-1`` as two edge index arrays.
 
-    Self-loops are representable; the web-chain construction rejects them.
+    Edge ``k`` runs from ``src[k]`` to ``dst[k]``. Whatever order the edges
+    come in, the stored arrays are int64, read-only, free of duplicates and
+    sorted by ``(src, dst)``. Self-loops are representable; the web-chain
+    construction rejects them.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    src: np.ndarray
+    dst: np.ndarray
 
     def __post_init__(self):
         n = int(self.n)
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        edges = frozenset((int(i), int(j)) for i, j in self.edges)
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) has a vertex outside [0, {n})")
+        src = np.array(self.src, dtype=np.int64)
+        dst = np.array(self.dst, dtype=np.int64)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError(
+                f"src and dst must be vectors of one length, got shapes {src.shape} and {dst.shape}"
+            )
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ValueError(f"edge ({src[k]}, {dst[k]}) has a vertex outside [0, {n})")
+        key = src * n + dst
+        if np.any(key[1:] <= key[:-1]):
+            key = np.unique(key)
+            src, dst = key // n, key % n
+        src.flags.writeable = False
+        dst.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
 
-    def successors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-        return adj
 
-    def predecessors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[j].append(i)
-        return adj
+def support_graph(matrix: np.ndarray) -> DirectedGraph:
+    """Graph of a square matrix: an edge i -> j wherever ``matrix[i, j] > 0``."""
+    src, dst = np.nonzero(matrix > 0.0)
+    return DirectedGraph(matrix.shape[0], src, dst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,23 +85,18 @@ class TransitionMatrix:
         if np.any(~np.isfinite(p)) or np.any(p < 0.0):
             bad = np.nonzero(~np.isfinite(p) | (p < 0.0))
             i, j = int(bad[0][0]), int(bad[1][0])
-            raise ValueError(f"entry [{i}][{j}] = {p[i, j]!r} is negative or not finite")
+            raise ValueError(f"entry [{i}][{j}] = {float(p[i, j])!r} is negative or not finite")
         row_sums = p.sum(axis=1)
         off = np.abs(row_sums - 1.0)
         if np.any(off > 1e-12):
             i = int(np.argmax(off))
-            raise ValueError(f"row {i} sums to {row_sums[i]!r}, not 1")
+            raise ValueError(f"row {i} sums to {float(row_sums[i])!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "matrix", p)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def support_graph(self) -> DirectedGraph:
-        """Graph with an edge i -> j wherever the transition probability is positive."""
-        rows, cols = np.nonzero(self.matrix > 0.0)
-        return DirectedGraph(self.n, frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +111,9 @@ class Distribution:
             raise ValueError(f"distribution must be a vector, got shape {pi.shape}")
         if np.any(~np.isfinite(pi)) or np.any(pi < 0.0):
             i = int(np.flatnonzero(~np.isfinite(pi) | (pi < 0.0))[0])
-            raise ValueError(f"entry {i} = {pi[i]!r} is negative or not finite")
+            raise ValueError(f"entry {i} = {float(pi[i])!r} is negative or not finite")
         if abs(pi.sum() - 1.0) > 1e-10:
-            raise ValueError(f"entries sum to {pi.sum()!r}, not 1")
+            raise ValueError(f"entries sum to {float(pi.sum())!r}, not 1")
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
 
@@ -118,28 +122,43 @@ class Distribution:
         return self.pi.shape[0]
 
 
-def _reachable(n: int, adj: list[list[int]], start: int) -> np.ndarray:
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
+def _bfs_levels(n: int, heads: np.ndarray, tails: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first level of every vertex from ``start``, -1 where unreachable.
+
+    Edges run ``heads[k] -> tails[k]`` with ``heads`` sorted, so the out-edges
+    of each vertex are one slice of ``tails`` and each level costs one gather.
+    """
+    indptr = np.searchsorted(heads, np.arange(n + 1))
+    level = np.full(n, -1, dtype=np.int64)
+    level[start] = 0
+    frontier = np.array([start])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        lo = indptr[frontier]
+        counts = indptr[frontier + 1] - lo
+        # lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 for every frontier vertex k
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        reached = tails[np.repeat(lo, counts) + within]
+        frontier = np.unique(reached[level[reached] < 0])
+        level[frontier] = depth
+    return level
+
+
+def _reached_both_ways(graph: DirectedGraph, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the vertices reachable from ``vertex`` and of those reaching it."""
+    order = np.argsort(graph.dst, kind="stable")
+    forward = _bfs_levels(graph.n, graph.src, graph.dst, vertex) >= 0
+    backward = _bfs_levels(graph.n, graph.dst[order], graph.src[order], vertex) >= 0
+    return forward, backward
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:
     """True iff every vertex reaches every other vertex along directed edges."""
     if graph.n == 1:
         return True
-    fwd = _reachable(graph.n, graph.successors(), 0)
-    if not fwd.all():
-        return False
-    bwd = _reachable(graph.n, graph.predecessors(), 0)
-    return bool(bwd.all())
+    forward, backward = _reached_both_ways(graph, 0)
+    return bool(forward.all() and backward.all())
 
 
 def strongly_connected_component(graph: DirectedGraph, vertex: int = 0) -> list[int]:
@@ -148,9 +167,19 @@ def strongly_connected_component(graph: DirectedGraph, vertex: int = 0) -> list[
     Useful as a witness when strong connectivity fails: the returned component
     is a proper subset of the vertices in that case.
     """
-    fwd = _reachable(graph.n, graph.successors(), vertex)
-    bwd = _reachable(graph.n, graph.predecessors(), vertex)
-    return np.flatnonzero(fwd & bwd).tolist()
+    forward, backward = _reached_both_ways(graph, vertex)
+    return np.flatnonzero(forward & backward).tolist()
+
+
+def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: str) -> None:
+    """Raise ``ValueError`` with a witness component unless ``graph`` is strongly connected.
+
+    The message reads "<subject> is not strongly connected (one component:
+    [...]); <consequence>".
+    """
+    if not is_strongly_connected(graph):
+        component = strongly_connected_component(graph)
+        raise ValueError(f"{subject} is not strongly connected (one component: {component}); {consequence}")
 
 
 def is_aperiodic(graph: DirectedGraph) -> bool:
@@ -163,24 +192,10 @@ def is_aperiodic(graph: DirectedGraph) -> bool:
     """
     if not is_strongly_connected(graph):
         raise ValueError("aperiodicity is only defined here for strongly connected graphs")
-    if not graph.edges:
+    if graph.src.size == 0:
         return True  # single isolated vertex; no cycle structure to constrain
-    adj = graph.successors()
-    level = np.full(graph.n, -1, dtype=int)
-    level[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for i, j in graph.edges:
-        g = math.gcd(g, level[i] + 1 - level[j])
-        if g == 1:
-            return True
-    return g == 1
+    level = _bfs_levels(graph.n, graph.src, graph.dst, 0)
+    return int(np.gcd.reduce(level[graph.src] + 1 - level[graph.dst])) == 1
 
 
 def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> TransitionMatrix:
@@ -197,13 +212,12 @@ def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> TransitionMat
     c = float(c)
     if not (0.0 < c < 1.0):
         raise ValueError(f"damping c must be in (0, 1), got {c!r}")
-    for i, j in graph.edges:
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i} is not allowed here")
+    loops = graph.src[graph.src == graph.dst]
+    if loops.size:
+        raise ValueError(f"self-loop at vertex {int(loops[0])} is not allowed here")
     n = graph.n
     t = np.zeros((n, n))
-    for i, j in graph.edges:
-        t[i, j] = 1.0
+    t[graph.src, graph.dst] = 1.0
     out = t.sum(axis=1)
     dangling = out == 0.0
     t[dangling] = 1.0
@@ -236,8 +250,14 @@ def _stationary_power(
     )
 
 
-def _stationary_solve(p: np.ndarray) -> np.ndarray:
-    # (P^T - I) pi = 0 with the last equation replaced by sum(pi) = 1.
+def stationary_solve(p: np.ndarray) -> np.ndarray:
+    """Solve ``pi = P.T @ pi``, ``sum(pi) == 1`` for a row-stochastic array ``p``.
+
+    One dense linear solve: the last equation of ``(P.T - I) pi = 0`` is
+    replaced by the normalization. Raises ``ValueError`` when the system is
+    singular (no unique stationary distribution). The result is not
+    clipped, renormalized or residual-checked.
+    """
     n = p.shape[0]
     a = p.T - np.eye(n)
     a[-1, :] = 1.0
@@ -280,7 +300,7 @@ def stationary_distribution(
     if method == "power":
         pi, iterations = _stationary_power(p.matrix, tolerance, max_iters)
     elif method == "solve":
-        pi, iterations = _stationary_solve(p.matrix), 1
+        pi, iterations = stationary_solve(p.matrix), 1
     else:
         raise ValueError(f"unknown method {method!r}; expected 'power', 'solve' or 'auto'")
     residual = float(np.abs(p.matrix.T @ pi - pi).max())

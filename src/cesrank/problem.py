@@ -32,12 +32,12 @@ def _validate_rho(rho: np.ndarray, upper: float, inclusive: bool = False) -> Non
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         bracket = "]" if inclusive else ")"
-        raise ValueError(f"rho[{i}] = {rho[i]!r} outside [-1, {upper}{bracket}")
+        raise ValueError(f"rho[{i}] = {float(rho[i])!r} outside [-1, {upper}{bracket}")
     in_band = (rho != 0.0) & (np.abs(rho) < RHO_ZERO_BAND)
     if np.any(in_band):
         i = int(np.flatnonzero(in_band)[0])
         raise ValueError(
-            f"rho[{i}] = {rho[i]!r} is inside the open band (0, {RHO_ZERO_BAND:g}) "
+            f"rho[{i}] = {float(rho[i])!r} is inside the open band (0, {RHO_ZERO_BAND:g}) "
             "around zero; use exactly 0 for unit elasticity"
         )
 
@@ -48,7 +48,7 @@ def _validate_alpha(alpha: np.ndarray) -> None:
     bad = ~np.isfinite(alpha) | (alpha < 0.0)
     if np.any(bad):
         i, j = (int(k[0]) for k in np.nonzero(bad))
-        raise ValueError(f"alpha[{i}][{j}] = {alpha[i, j]!r} is negative or not finite")
+        raise ValueError(f"alpha[{i}][{j}] = {float(alpha[i, j])!r} is negative or not finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +124,7 @@ class NormalizedProblem:
         off = np.abs(row_sums - 1.0)
         if np.any(off > 1e-12):
             i = int(np.argmax(off))
-            raise ValueError(f"row {i} of alpha_hat sums to {row_sums[i]!r}, not 1")
+            raise ValueError(f"row {i} of alpha_hat sums to {float(row_sums[i])!r}, not 1")
         rho = np.array(self.rho, dtype=float)
         if rho.shape != (len(ids),):
             raise ValueError(f"rho must have length {len(ids)}, got shape {rho.shape}")

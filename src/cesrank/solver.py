@@ -2,11 +2,12 @@
 
 All-Cobb-Douglas economies reduce to one linear system (market clearing at
 positive prices reads ``sum_i alpha_hat[i][j] * pi[i] = pi[j]``, the invariant
-condition of a stochastic matrix), so they are solved exactly. Everything else
-runs damped multiplicative price adjustment: raise the price of over-demanded
-goods, lower the price of over-supplied ones, renormalize. The result is never
-trusted on faith; `verify_equilibrium` certifies the excess-demand residual
-independently of how the prices were found.
+condition of a stochastic matrix), so they are solved exactly by the Markov
+module's stationary solve. Everything else runs damped multiplicative price
+adjustment: raise the price of over-demanded goods, lower the price of
+over-supplied ones, renormalize. The result is never trusted on faith;
+`verify_equilibrium` certifies the excess-demand residual independently of how
+the prices were found.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
 from .economy import CesEconomy, PriceVector, as_price_array, build_economy, demand_matrix, excess_demand
-from .markov import is_strongly_connected, strongly_connected_component
+from .markov import require_strongly_connected, stationary_solve, support_graph
 from .problem import RankingProblem, normalize_preferences
 
 logger = logging.getLogger(__name__)
@@ -34,7 +35,7 @@ class SolverConfig:
     """Knobs for equilibrium computation.
 
     ``method`` is one of ``"auto"`` (closed form when every trader has unit
-    elasticity and endowments are the identity, tatonnement otherwise),
+    elasticity, tatonnement otherwise),
     ``"closed_form"``, or ``"tatonnement"``. ``tolerance`` bounds the max-norm
     of excess demand at the returned prices. ``gamma`` is the tatonnement step
     exponent; it is halved up to four times when the residual stops improving.
@@ -59,38 +60,28 @@ class SolverConfig:
 
 
 def _require_connected_economy(economy: CesEconomy) -> None:
-    graph = economy.support_graph()
-    if not is_strongly_connected(graph):
-        component = strongly_connected_component(graph)
-        raise ValueError(
-            "economy graph is not strongly connected "
-            f"(one component: {component}); no strictly positive equilibrium is guaranteed"
-        )
+    require_strongly_connected(
+        support_graph(economy.alpha),
+        "economy graph",
+        "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it",
+    )
 
 
 def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[PriceVector, SolverReport]:
-    """Exact equilibrium of an all-unit-elasticity economy with identity endowments.
+    """Exact equilibrium of an all-unit-elasticity economy.
 
-    Solves the linear invariant system of the row-normalized alpha matrix.
-    The report's residual is the max-norm excess demand at the returned
-    prices, computed through the demand functions as an independent check on
-    the linear algebra.
+    Solves the linear invariant system of the row-normalized alpha matrix
+    with `cesrank.markov.stationary_solve`. The report's residual is the
+    max-norm excess demand at the returned prices, computed through the demand
+    functions as an independent check on the linear algebra.
     """
     start = time.perf_counter()
     if np.any(economy.rho != 0.0):
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
-        raise ValueError(f"trader {i} has rho = {economy.rho[i]!r}; closed form needs all zeros")
-    if not economy.has_identity_endowments():
-        raise ValueError("closed form is implemented for identity endowments only")
+        raise ValueError(f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros")
     _require_connected_economy(economy)
     shares = economy.alpha / economy.alpha.sum(axis=1, keepdims=True)
-    n = economy.n
-    a = shares.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    prices = PriceVector.from_unnormalized(pi)
+    prices = PriceVector.from_unnormalized(stationary_solve(shares))
     residual = float(np.abs(excess_demand(economy, prices)).max())
     report = SolverReport(
         method="closed_form",
@@ -113,7 +104,7 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Damped multiplicative price adjustment until the market clears.
 
-    Each round updates ``p[j] <- p[j] * (demand_j / supply_j) ** gamma`` and
+    Each round updates ``p[j] <- p[j] * demand_j ** gamma`` (supply is 1) and
     renormalizes onto the simplex, which keeps every price strictly positive.
     Convergence is declared when the max-norm excess demand falls below the
     configured tolerance. When traders have nonnegative rho the economy
@@ -122,10 +113,9 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     than a wrong answer.
     """
     cfg = config or SolverConfig()
-    _require_connected_economy(economy)
     start = time.perf_counter()
+    _require_connected_economy(economy)
     n = economy.n
-    supply = economy.supply
     if cfg.initial_prices is not None:
         p = as_price_array(cfg.initial_prices, n)
         p = p / p.sum()
@@ -138,7 +128,7 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     residual = np.inf
     for it in range(cfg.max_iters + 1):
         demand = demand_matrix(economy, p).sum(axis=0)
-        z = demand - supply
+        z = demand - 1.0  # every good's supply is one unit
         if not np.all(np.isfinite(z)):
             j = int(np.flatnonzero(~np.isfinite(z))[0])
             raise ConvergenceError(
@@ -173,7 +163,7 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
             halvings += 1
             last_halving = it
             logger.info("residual rising over %d iterations; gamma halved to %g", OSCILLATION_WINDOW, gamma)
-        p = p * (demand / supply) ** gamma
+        p = p * demand**gamma
         p /= p.sum()
     raise ConvergenceError(
         f"tatonnement did not clear the market in {cfg.max_iters} iterations, "
@@ -190,15 +180,17 @@ def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -
     cfg = config or SolverConfig()
     method = cfg.method
     if method == "auto":
-        closed = bool(np.all(economy.rho == 0.0)) and economy.has_identity_endowments()
-        method = "closed_form" if closed else "tatonnement"
+        method = "closed_form" if np.all(economy.rho == 0.0) else "tatonnement"
     if method == "closed_form":
         return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
     return solve_tatonnement(economy, cfg)
 
 
 def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Full ranking pipeline: normalize, build the economy, solve for prices."""
+    """Full ranking pipeline: normalize, build the economy, solve for prices.
+
+    Strong connectivity of the economy graph is checked once, by the solver.
+    """
     normalized = normalize_preferences(problem)
     economy = build_economy(normalized)
     return solve_equilibrium(economy, config)

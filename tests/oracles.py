@@ -7,6 +7,8 @@ defining equations alone, so agreement with the package is meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -59,26 +61,83 @@ def grid_search_demand(alpha_row, rho, prices, income, points=200_001):
     return np.array([x1[k], x2[k]])
 
 
-def random_strongly_connected_graph(rng, n, extra_edge_prob=0.15):
-    """Random digraph on n vertices, strongly connected by construction.
-
-    A random Hamiltonian cycle guarantees strong connectivity; extra edges
-    are sprinkled on top. No self-loops.
-    """
+def _random_edges(rng, n, extra_edge_prob):
     order = rng.permutation(n)
     edges = {(int(order[k]), int(order[(k + 1) % n])) for k in range(n)}
     mask = rng.random((n, n)) < extra_edge_prob
     np.fill_diagonal(mask, False)
     edges.update((int(i), int(j)) for i, j in np.argwhere(mask))
-    return n, frozenset(edges)
+    return edges
+
+
+def _split(edges):
+    edges = sorted(edges)
+    return [i for i, _ in edges], [j for _, j in edges]
+
+
+def random_strongly_connected_graph(rng, n, extra_edge_prob=0.15):
+    """Random digraph on n vertices, strongly connected by construction.
+
+    A random Hamiltonian cycle guarantees strong connectivity; extra edges
+    are sprinkled on top. No self-loops. Returns ``(n, src, dst)`` with edge
+    k running from ``src[k]`` to ``dst[k]``.
+    """
+    return (n, *_split(_random_edges(rng, n, extra_edge_prob)))
 
 
 def with_dangling_vertices(rng, n, n_dangling):
-    """Random digraph where n_dangling chosen vertices have no out-edges."""
-    _, edges = random_strongly_connected_graph(rng, n)
-    dangling = rng.choice(n, size=n_dangling, replace=False)
-    kept = frozenset(e for e in edges if e[0] not in set(int(d) for d in dangling))
-    return n, kept, sorted(int(d) for d in dangling)
+    """Random digraph where n_dangling chosen vertices have no out-edges.
+
+    Returns ``(n, src, dst, dangling)``.
+    """
+    edges = _random_edges(rng, n, 0.15)
+    dangling = sorted(int(d) for d in rng.choice(n, size=n_dangling, replace=False))
+    return (n, *_split(e for e in edges if e[0] not in dangling), dangling)
+
+
+def _successor_sets(n, edges):
+    adj = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+    return adj
+
+
+def _reachable_from(n, edges, start):
+    """Vertices reachable from ``start`` by plain breadth-first search over (i, j) pairs."""
+    adj = _successor_sets(n, edges)
+    seen = {start}
+    queue = [start]
+    while queue:
+        u = queue.pop(0)
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def component_of(n, edges, vertex):
+    """Sorted strongly connected component of ``vertex``: reached from it and reaching it."""
+    reversed_edges = [(j, i) for i, j in edges]
+    return sorted(_reachable_from(n, edges, vertex) & _reachable_from(n, reversed_edges, vertex))
+
+
+def closed_walk_period(n, edges):
+    """gcd of the lengths k <= 3n for which a closed walk of length k passes vertex 0.
+
+    For a strongly connected graph this is its period: every simple cycle C
+    is the difference of two closed walks through 0 of length at most 3n (out
+    to C and back, with and without one turn around C). A lone vertex with
+    no edges has no closed walk and gets 0.
+    """
+    adj = _successor_sets(n, edges)
+    period = 0
+    at = {0}
+    for k in range(1, 3 * n + 1):
+        at = {v for u in at for v in adj[u]}
+        if 0 in at:
+            period = math.gcd(period, k)
+    return period
 
 
 def random_problem_arrays(rng, n, rho_low=-0.5, rho_high=0.5, zero_prob=0.3, common_rho=False):

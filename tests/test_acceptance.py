@@ -49,10 +49,11 @@ def test_criterion_1_dual_pipeline_agreement():
     started = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        n, edges = random_strongly_connected_graph(rng, int(rng.integers(3, 51)))
-        chain = build_web_transition(DirectedGraph(n, edges), c=0.85)
+        n, src, dst = random_strongly_connected_graph(rng, int(rng.integers(3, 51)))
+        chain = build_web_transition(DirectedGraph(n, src, dst), c=0.85)
 
-        dist, _ = stationary_distribution(chain)
+        # power iteration is independent of the linear solve behind the closed form
+        dist, _ = stationary_distribution(chain, method="power")
         prices, _ = solve_cobb_douglas(markov_to_economy(chain))
 
         worst = max(worst, float(np.abs(dist.pi - prices.pi).max()))
@@ -171,7 +172,7 @@ def test_criterion_7_numerical_hygiene():
     for trial in range(1000):
         n = int(rng.integers(2, 7))
         alpha, rho = random_problem_arrays(rng, n, -0.5, 0.5, zero_prob=0.0)
-        economy = CesEconomy(alpha, rho, np.eye(n))
+        economy = CesEconomy(alpha, rho)
         p = rng.dirichlet(np.ones(n)).clip(1e-4)
         prices = PriceVector(p / p.sum())
 
@@ -188,7 +189,7 @@ def test_criterion_7_numerical_hygiene():
         alpha_row = rng.uniform(0.1, 1.0, size=2)
         p = rng.uniform(0.2, 0.8)
         prices = PriceVector(np.array([p, 1.0 - p]))
-        economy = CesEconomy(np.vstack([alpha_row, alpha_row]), rho, np.eye(2))
+        economy = CesEconomy(np.vstack([alpha_row, alpha_row]), rho)
 
         x = ces_demand(economy, 0, prices)
         income = float(prices.pi[0])
@@ -202,14 +203,14 @@ def test_criterion_8_dangling_rule():
     for trial in range(25):
         size = int(rng.integers(4, 30))
         n_dangling = int(rng.integers(1, max(2, size // 3)))
-        n, edges, dangling = with_dangling_vertices(rng, size, n_dangling)
+        n, src, dst, dangling = with_dangling_vertices(rng, size, n_dangling)
         assert len(dangling) == n_dangling
-        chain = build_web_transition(DirectedGraph(n, edges), c=0.85)
+        chain = build_web_transition(DirectedGraph(n, src, dst), c=0.85)
 
         row_sums = chain.matrix.sum(axis=1)
         assert np.abs(row_sums - 1.0).max() <= 1e-12, trial
         assert np.all(chain.matrix > 0)
 
-        dist, _ = stationary_distribution(chain)
+        dist, _ = stationary_distribution(chain, method="power")
         prices, _ = solve_cobb_douglas(markov_to_economy(chain))
         assert float(np.abs(dist.pi - prices.pi).max()) <= 1e-8, trial

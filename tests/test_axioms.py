@@ -174,33 +174,33 @@ class TestGrossSubstitutes:
 
     def test_unit_elasticity_economy(self):
         rng = np.random.default_rng(0)
-        economy = CesEconomy(0.1 + rng.random((4, 4)), 0.0, np.eye(4))
+        economy = CesEconomy(0.1 + rng.random((4, 4)), 0.0)
         for l in range(4):
             assert gs_spot_check(economy, l, 0.1, self.probe(4)).passed
 
     def test_negative_rho_not_applicable(self):
-        economy = CesEconomy(np.ones((2, 2)), -0.5, np.eye(2))
+        economy = CesEconomy(np.ones((2, 2)), -0.5)
         v = gs_spot_check(economy, 0, 0.05, self.probe(2))
         assert v.status == "not_applicable"
 
     def test_zero_alpha_entry_not_applicable(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
-        economy = CesEconomy(alpha, 0.5, np.eye(2))
+        economy = CesEconomy(alpha, 0.5)
         v = gs_spot_check(economy, 0, 0.05, self.probe(2))
         assert v.status == "not_applicable"
         assert "alpha[0][1]" in v.witness["reason"]
 
     def test_bad_delta_not_applicable(self):
-        economy = CesEconomy(np.ones((2, 2)), 0.5, np.eye(2))
+        economy = CesEconomy(np.ones((2, 2)), 0.5)
         assert gs_spot_check(economy, 0, 0.0, self.probe(2)).status == "not_applicable"
         assert gs_spot_check(economy, 0, -1.0, self.probe(2)).status == "not_applicable"
 
     def test_no_probes_not_applicable(self):
-        economy = CesEconomy(np.ones((2, 2)), 0.5, np.eye(2))
+        economy = CesEconomy(np.ones((2, 2)), 0.5)
         assert gs_spot_check(economy, 0, 0.05, []).status == "not_applicable"
 
     def test_good_index_validated(self):
-        economy = CesEconomy(np.ones((2, 2)), 0.5, np.eye(2))
+        economy = CesEconomy(np.ones((2, 2)), 0.5)
         with pytest.raises(ValueError, match="good index"):
             gs_spot_check(economy, 4, 0.05, self.probe(2))
 

@@ -149,6 +149,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    def test_unallocatable_declared_size(self, graph_file, capsys):
+        # 10^7 x 10^7 float64 is 728 TiB: numpy refuses before touching memory
+        code = main(["rank", "--input", graph_file("format: 1\nn 10000000\n0 1\n")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["rank", "--input", str(tmp_path / "absent.json")])
         assert code == 2
@@ -232,6 +240,8 @@ class TestCompare:
         assert code == 0
         assert doc["passed"] is True
         assert doc["max_difference"] <= 1e-8
+        assert doc["reports"]["stationary"]["method"] == "power"
+        assert doc["reports"]["equilibrium"]["method"] == "closed_form"
         np.testing.assert_allclose(sum(doc["stationary"]), 1.0, atol=1e-9)
 
     def test_dangling_vertex_graph(self, graph_file, capsys):

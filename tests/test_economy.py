@@ -20,12 +20,6 @@ from cesrank import (
 from oracles import grid_search_demand
 
 
-def toy_economy(alpha, rho, endowments=None):
-    alpha = np.asarray(alpha, dtype=float)
-    n = alpha.shape[0]
-    return CesEconomy(alpha, rho, np.eye(n) if endowments is None else endowments)
-
-
 class TestPriceVector:
     def test_must_be_simplex(self):
         with pytest.raises(ValueError, match="sum"):
@@ -49,91 +43,86 @@ class TestPriceVector:
 class TestCesEconomyValidation:
     def test_all_zero_alpha_row(self):
         with pytest.raises(ValueError, match="trader 1"):
-            toy_economy([[1.0, 1.0], [0.0, 0.0]], 0.0)
+            CesEconomy([[1.0, 1.0], [0.0, 0.0]], 0.0)
 
     def test_rho_above_cap(self):
         with pytest.raises(ValueError, match=r"rho\[0\]"):
-            toy_economy(np.ones((2, 2)), 0.96)
+            CesEconomy(np.ones((2, 2)), 0.96)
 
     def test_rho_at_cap_accepted(self):
-        toy_economy(np.ones((2, 2)), 0.95)
-
-    def test_zero_supply_good(self):
-        w = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="good 1"):
-            toy_economy(np.ones((2, 2)), 0.0, endowments=w)
+        CesEconomy(np.ones((2, 2)), 0.95)
 
     def test_endowment_shape(self):
         with pytest.raises(ValueError, match="endowments"):
-            toy_economy(np.ones((2, 2)), 0.0, endowments=np.ones(2))
+            CesEconomy(np.ones((2, 2)), 0.0, endowments=np.ones(2))
 
     def test_q_exponent(self):
-        e = toy_economy(np.ones((3, 3)), np.array([0.0, 0.5, -1.0]))
+        e = CesEconomy(np.ones((3, 3)), np.array([0.0, 0.5, -1.0]))
         np.testing.assert_allclose(e.q, [1.0, 2.0, 0.5])
 
     def test_identity_endowment_probe(self):
-        assert toy_economy(np.ones((2, 2)), 0.0).has_identity_endowments()
-        w = np.array([[1.0, 0.5], [0.0, 1.0]])
-        assert not toy_economy(np.ones((2, 2)), 0.0, endowments=w).has_identity_endowments()
+        # the own-good endowment is the only one; passing it changes nothing
+        p = np.array([0.3, 0.7])
+        given = CesEconomy(np.ones((2, 2)), 0.0, endowments=np.eye(2))
+        implied = CesEconomy(np.ones((2, 2)), 0.0)
+        np.testing.assert_array_equal(demand_matrix(given, p), demand_matrix(implied, p))
+        for w in (np.array([[1.0, 0.5], [0.0, 1.0]]), 2.0 * np.eye(2)):
+            with pytest.raises(ValueError, match="identity"):
+                CesEconomy(np.ones((2, 2)), 0.0, endowments=w)
 
 
 class TestCobbDouglasDemand:
     def test_fixed_budget_shares(self):
         # shares (0.3, 0.7), income = price of own good = 0.6
-        e = toy_economy([[0.3, 0.7], [0.5, 0.5]], 0.0)
+        e = CesEconomy([[0.3, 0.7], [0.5, 0.5]], 0.0)
         x = cobb_douglas_demand(e, 0, np.array([0.6, 0.4]))
         np.testing.assert_allclose(x, [0.30, 1.05])
 
     def test_rejects_non_unit_elasticity_trader(self):
-        e = toy_economy(np.ones((2, 2)), 0.5)
+        e = CesEconomy(np.ones((2, 2)), 0.5)
         with pytest.raises(ValueError, match="trader 0"):
             cobb_douglas_demand(e, 0, np.array([0.5, 0.5]))
 
     def test_budget_exhausted(self):
-        e = toy_economy([[0.2, 0.8], [0.6, 0.4]], 0.0)
+        e = CesEconomy([[0.2, 0.8], [0.6, 0.4]], 0.0)
         p = np.array([0.3, 0.7])
         for i in range(2):
             x = cobb_douglas_demand(e, i, p)
-            assert x @ p == pytest.approx(e.endowments[i] @ p, abs=1e-15)
-
-    def test_zero_income_trader_demands_nothing(self):
-        w = np.array([[0.0, 0.0], [1.0, 1.0]])
-        e = toy_economy(np.ones((2, 2)), 0.0, endowments=w)
-        np.testing.assert_array_equal(cobb_douglas_demand(e, 0, np.array([0.5, 0.5])), 0.0)
+            assert x @ p == pytest.approx(p[i], abs=1e-15)
 
 
 class TestCesDemand:
     def test_matches_grid_search_two_goods(self):
-        e = toy_economy([[0.3, 0.7], [0.5, 0.5]], 0.5)
+        e = CesEconomy([[0.3, 0.7], [0.5, 0.5]], 0.5)
         p = np.array([0.4, 0.6])
         x = ces_demand(e, 0, p)
         oracle = grid_search_demand([0.3, 0.7], 0.5, p, income=0.4)
         np.testing.assert_allclose(x, oracle, atol=1e-4)
 
     def test_matches_grid_search_negative_rho(self):
-        e = toy_economy([[0.6, 0.4], [0.5, 0.5]], -0.5)
+        e = CesEconomy([[0.6, 0.4], [0.5, 0.5]], -0.5)
         p = np.array([0.7, 0.3])
         x = ces_demand(e, 0, p)
         oracle = grid_search_demand([0.6, 0.4], -0.5, p, income=0.7)
         np.testing.assert_allclose(x, oracle, atol=1e-4)
 
     def test_rho_zero_routes_to_cobb_douglas(self):
-        e = toy_economy([[0.3, 0.7], [0.5, 0.5]], 0.0)
+        e = CesEconomy([[0.3, 0.7], [0.5, 0.5]], 0.0)
         p = np.array([0.6, 0.4])
         np.testing.assert_array_equal(ces_demand(e, 0, p), cobb_douglas_demand(e, 0, p))
 
     def test_trader_index_validated(self):
-        e = toy_economy(np.ones((2, 2)), 0.5)
+        e = CesEconomy(np.ones((2, 2)), 0.5)
         with pytest.raises(ValueError, match="trader index"):
             ces_demand(e, 2, np.array([0.5, 0.5]))
 
     def test_price_vector_input_accepted(self):
-        e = toy_economy(np.ones((2, 2)), 0.5)
+        e = CesEconomy(np.ones((2, 2)), 0.5)
         x = ces_demand(e, 0, PriceVector.from_unnormalized([1.0, 1.0]))
         np.testing.assert_allclose(x, [0.5, 0.5])  # income 0.5, equal shares
 
     def test_nonpositive_price_rejected(self):
-        e = toy_economy(np.ones((2, 2)), 0.5)
+        e = CesEconomy(np.ones((2, 2)), 0.5)
         with pytest.raises(ValueError, match="good 0"):
             ces_demand(e, 0, np.array([0.0, 1.0]))
 
@@ -141,7 +130,7 @@ class TestCesDemand:
         # q = 10: log-space path; compare against the plain formula where it
         # is still finite
         alpha = np.array([[0.8, 1.3, 0.5], [1.0, 1.0, 1.0], [0.4, 0.9, 1.7]])
-        e = toy_economy(alpha, 0.9)
+        e = CesEconomy(alpha, 0.9)
         p = np.array([0.5, 0.3, 0.2])
         q = 10.0
         t = alpha[0] ** q * p ** (1.0 - q)
@@ -149,7 +138,7 @@ class TestCesDemand:
         np.testing.assert_allclose(ces_demand(e, 0, p), expected, rtol=1e-12)
 
     def test_zero_coefficient_buys_zero(self):
-        e = toy_economy([[0.5, 0.0], [0.5, 0.5]], 0.5)
+        e = CesEconomy([[0.5, 0.0], [0.5, 0.5]], 0.5)
         x = ces_demand(e, 0, np.array([0.5, 0.5]))
         assert x[1] == 0.0
         assert x[0] > 0.0
@@ -158,23 +147,16 @@ class TestCesDemand:
 class TestDemandMatrixAndExcess:
     def test_rows_match_single_trader_calls(self):
         alpha = np.array([[0.2, 0.8, 0.3], [0.5, 0.5, 0.5], [0.9, 0.1, 0.2]])
-        e = toy_economy(alpha, np.array([0.0, 0.5, 0.9]))
+        e = CesEconomy(alpha, np.array([0.0, 0.5, 0.9]))
         p = np.array([0.3, 0.45, 0.25])
         full = demand_matrix(e, p)
         for i in range(3):
             np.testing.assert_allclose(full[i], ces_demand(e, i, p), rtol=1e-12, atol=1e-15)
 
     def test_excess_demand_zero_at_symmetric_equilibrium(self):
-        e = toy_economy(np.ones((3, 3)), 0.5)
+        e = CesEconomy(np.ones((3, 3)), 0.5)
         z = excess_demand(e, np.full(3, 1 / 3))
         np.testing.assert_allclose(z, 0.0, atol=1e-14)
-
-    def test_general_endowments_change_supply(self):
-        w = np.array([[2.0, 0.0], [0.0, 3.0]])
-        e = toy_economy(np.ones((2, 2)), 0.0, endowments=w)
-        np.testing.assert_array_equal(e.supply, [2.0, 3.0])
-        z = excess_demand(e, np.array([0.5, 0.5]))
-        assert z[0] > 0 and z[1] < 0  # symmetric wants, asymmetric supply
 
 
 @st.composite
@@ -184,14 +166,9 @@ def economies_and_prices(draw):
     rng = np.random.default_rng(seed)
     alpha = 0.05 + rng.random((n, n))
     rho = rng.choice([0.0, 0.5, -0.5, 0.9, -1.0, 0.25], size=n)
-    if draw(st.booleans()):
-        w = np.eye(n)
-    else:
-        w = rng.random((n, n)) * (rng.random((n, n)) > 0.5)
-        w += np.eye(n)  # keep every good supplied
     p = 0.05 + rng.random(n)
     p /= p.sum()
-    return CesEconomy(alpha, rho, w), p
+    return CesEconomy(alpha, rho), p
 
 
 @given(economies_and_prices())
@@ -199,7 +176,7 @@ def economies_and_prices(draw):
 def test_budget_identity(pair):
     economy, p = pair
     x = demand_matrix(economy, p)
-    np.testing.assert_allclose(x @ p, economy.endowments @ p, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(x @ p, p, atol=1e-12, rtol=0)  # trader i's income is p[i]
 
 
 @given(economies_and_prices())
@@ -225,7 +202,6 @@ class TestMarkovToEconomy:
         e = markov_to_economy(p)
         np.testing.assert_array_equal(e.alpha, p.matrix)
         np.testing.assert_array_equal(e.rho, 0.0)
-        assert e.has_identity_endowments()
 
     def test_disconnected_chain_rejected_with_witness(self):
         p = TransitionMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
@@ -246,8 +222,3 @@ class TestBuildEconomy:
         e = build_economy(normalize_preferences(problem))
         assert np.all(e.alpha > 0)
 
-    def test_undamped_disconnected_rejected(self):
-        alpha = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        problem = RankingProblem(("x", "y", "z"), alpha, 0.5, beta=1.0)
-        with pytest.raises(ValueError, match="beta < 1"):
-            build_economy(normalize_preferences(problem))

@@ -192,7 +192,7 @@ class TestLoadEdgeList:
     def test_happy_path(self):
         graph, weights = load_edge_list(io.StringIO(EDGES))
         assert graph.n == 3
-        assert graph.edges == {(0, 1), (1, 2), (2, 0)}
+        assert (graph.src.tolist(), graph.dst.tolist()) == ([0, 1, 2], [1, 2, 0])
         np.testing.assert_array_equal(
             weights, [[0, 1, 0], [0, 0, 2.5], [1, 0, 0]]
         )
@@ -206,7 +206,7 @@ class TestLoadEdgeList:
     def test_zero_weight_edge_kept_out_of_graph(self):
         text = "format: 1\nn 2\n0 1 0.0\n1 0\n"
         graph, weights = load_edge_list(io.StringIO(text))
-        assert (0, 1) not in graph.edges
+        assert (graph.src.tolist(), graph.dst.tolist()) == ([1], [0])
         assert weights[0, 1] == 0.0 and weights[1, 0] == 1.0
 
     def test_missing_header(self):

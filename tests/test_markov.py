@@ -12,95 +12,160 @@ from cesrank import (
     is_aperiodic,
     is_strongly_connected,
     stationary_distribution,
+    support_graph,
 )
 from cesrank.markov import strongly_connected_component
 
-from oracles import random_strongly_connected_graph
+from oracles import closed_walk_period, component_of, random_strongly_connected_graph
 
 
 class TestDirectedGraph:
     def test_edge_out_of_range(self):
         with pytest.raises(ValueError, match=r"edge \(0, 5\)"):
-            DirectedGraph(3, frozenset({(0, 5)}))
+            DirectedGraph(3, [0], [5])
 
     def test_adjacency_views(self):
-        g = DirectedGraph(3, frozenset({(0, 1), (0, 2), (2, 0)}))
-        assert sorted(g.successors()[0]) == [1, 2]
-        assert g.predecessors()[0] == [2]
-        assert g.successors()[1] == []
+        # stored sorted by (src, dst) and deduplicated, whatever the input order
+        g = DirectedGraph(3, [2, 0, 0, 2], [0, 2, 1, 0])
+        assert g.src.tolist() == [0, 0, 2]
+        assert g.dst.tolist() == [1, 2, 0]
+        assert g.src.dtype == np.int64
+        with pytest.raises(ValueError):
+            g.src[0] = 1
+
+    def test_edge_arrays_must_match(self):
+        with pytest.raises(ValueError, match="one length"):
+            DirectedGraph(3, [0, 1], [1])
 
     def test_needs_a_vertex(self):
         with pytest.raises(ValueError, match="vertex count"):
-            DirectedGraph(0, frozenset())
+            DirectedGraph(0, [], [])
 
 
 class TestConnectivity:
     def test_cycle_is_strongly_connected(self):
-        g = DirectedGraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
+        g = DirectedGraph(3, [0, 1, 2], [1, 2, 0])
         assert is_strongly_connected(g)
 
     def test_chain_is_not(self):
-        g = DirectedGraph(3, frozenset({(0, 1), (1, 2)}))
+        g = DirectedGraph(3, [0, 1], [1, 2])
         assert not is_strongly_connected(g)
 
     def test_single_vertex(self):
-        assert is_strongly_connected(DirectedGraph(1, frozenset()))
+        assert is_strongly_connected(DirectedGraph(1, [], []))
 
     def test_component_witness(self):
-        g = DirectedGraph(4, frozenset({(0, 1), (1, 0), (1, 2), (2, 3)}))
+        g = DirectedGraph(4, [0, 1, 1, 2], [1, 0, 2, 3])
         assert strongly_connected_component(g) == [0, 1]
         assert strongly_connected_component(g, vertex=3) == [3]
 
 
+def _cycle(n):
+    return {(k, (k + 1) % n) for k in range(n)}
+
+
+def _complete(n, loops):
+    return {(i, j) for i in range(n) for j in range(n) if loops or i != j}
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.sets(st.tuples(vertex, vertex), max_size=3 * n))
+    if draw(st.booleans()):
+        edges |= _cycle(n)  # make strongly connected graphs common
+    return n, edges
+
+
+GRAPH_CASES = {
+    "lone vertex": (1, set()),
+    "lone vertex with a loop": (1, {(0, 0)}),
+    "complete without loops": (5, _complete(5, loops=False)),
+    "complete with loops": (4, _complete(4, loops=True)),
+    "two-cycle": (2, _cycle(2)),
+    "six-cycle": (6, _cycle(6)),
+    "six-cycle with a loop": (6, _cycle(6) | {(3, 3)}),
+    "six-cycle with a chord, period 3": (6, _cycle(6) | {(0, 4)}),
+    "bipartite": (4, {(0, 1), (1, 0), (0, 3), (3, 2), (2, 1)}),
+    "one-way bridge": (4, _cycle(2) | {(1, 2)} | {(2, 3), (3, 2)}),
+}
+
+
+def _check_against_oracle(n, edges):
+    g = DirectedGraph(n, [i for i, _ in edges], [j for _, j in edges])
+    connected = component_of(n, edges, 0) == list(range(n))
+    assert is_strongly_connected(g) == connected
+    for v in range(n):
+        assert strongly_connected_component(g, v) == component_of(n, edges, v)
+    if connected:
+        # a lone vertex without a loop has no cycle at all and counts as aperiodic
+        assert is_aperiodic(g) == (closed_walk_period(n, edges) in (0, 1))
+    else:
+        with pytest.raises(ValueError, match="strongly connected"):
+            is_aperiodic(g)
+
+
+class TestConnectivityOracle:
+    @pytest.mark.parametrize("name", sorted(GRAPH_CASES))
+    def test_named_graphs(self, name):
+        _check_against_oracle(*GRAPH_CASES[name])
+
+    @given(small_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, graph):
+        _check_against_oracle(*graph)
+
+
 class TestAperiodicity:
     def test_two_cycle_is_periodic(self):
-        g = DirectedGraph(2, frozenset({(0, 1), (1, 0)}))
+        g = DirectedGraph(2, [0, 1], [1, 0])
         assert not is_aperiodic(g)
 
     def test_two_two_cycles_sharing_a_vertex(self):
-        g = DirectedGraph(3, frozenset({(0, 1), (1, 0), (0, 2), (2, 0)}))
+        g = DirectedGraph(3, [0, 0, 1, 2], [1, 2, 0, 0])
         assert not is_aperiodic(g)  # every cycle has even length
 
     def test_triangle_with_chord(self):
-        g = DirectedGraph(3, frozenset({(0, 1), (1, 2), (2, 0), (0, 2)}))
+        g = DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0])
         assert is_aperiodic(g)  # cycle lengths 3 and 2, gcd 1
 
     def test_requires_strong_connectivity(self):
-        g = DirectedGraph(2, frozenset({(0, 1)}))
+        g = DirectedGraph(2, [0], [1])
         with pytest.raises(ValueError, match="strongly connected"):
             is_aperiodic(g)
 
     def test_isolated_vertex(self):
-        assert is_aperiodic(DirectedGraph(1, frozenset()))
+        assert is_aperiodic(DirectedGraph(1, [], []))
 
 
 class TestWebTransition:
     def test_three_vertex_example(self):
-        g = DirectedGraph(3, frozenset({(0, 1), (0, 2), (1, 2), (2, 0)}))
+        g = DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0])
         p = build_web_transition(g, c=0.85).matrix
         np.testing.assert_allclose(p[0], [0.05, 0.475, 0.475])
         np.testing.assert_allclose(p[1], [0.05, 0.05, 0.90])
         np.testing.assert_allclose(p[2], [0.90, 0.05, 0.05])
 
     def test_dangling_vertex_spreads_uniformly(self):
-        g = DirectedGraph(3, frozenset({(0, 1), (1, 0)}))  # vertex 2 dangles
+        g = DirectedGraph(3, [0, 1], [1, 0])  # vertex 2 dangles
         p = build_web_transition(g, c=0.85).matrix
         np.testing.assert_allclose(p[2], 1 / 3)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15, rtol=0)
 
     def test_self_loop_rejected(self):
-        g = DirectedGraph(2, frozenset({(0, 0), (0, 1), (1, 0)}))
+        g = DirectedGraph(2, [0, 0, 1], [0, 1, 0])
         with pytest.raises(ValueError, match="self-loop at vertex 0"):
             build_web_transition(g)
 
     @pytest.mark.parametrize("c", [0.0, 1.0, -0.2, 1.7])
     def test_damping_range(self, c):
-        g = DirectedGraph(2, frozenset({(0, 1), (1, 0)}))
+        g = DirectedGraph(2, [0, 1], [1, 0])
         with pytest.raises(ValueError, match="damping"):
             build_web_transition(g, c=c)
 
     def test_entries_bounded_below(self):
-        g = DirectedGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)}))
+        g = DirectedGraph(4, [0, 1, 2, 3], [1, 2, 3, 0])
         p = build_web_transition(g, c=0.85).matrix
         assert np.all(p >= 0.15 / 4 - 1e-15)
 
@@ -110,7 +175,7 @@ class TestWebTransition:
         rng = np.random.default_rng(seed)
         mask = rng.random((n, n)) < 0.3
         np.fill_diagonal(mask, False)
-        g = DirectedGraph(n, frozenset((int(i), int(j)) for i, j in np.argwhere(mask)))
+        g = DirectedGraph(n, *np.nonzero(mask))
         p = build_web_transition(g, c=0.85).matrix
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
@@ -125,8 +190,8 @@ class TestTransitionMatrixType:
             TransitionMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
     def test_support_graph(self):
-        p = TransitionMatrix(np.array([[0.0, 1.0], [0.5, 0.5]]))
-        assert p.support_graph().edges == frozenset({(0, 1), (1, 0), (1, 1)})
+        g = support_graph(TransitionMatrix(np.array([[0.0, 1.0], [0.5, 0.5]])).matrix)
+        assert (g.n, g.src.tolist(), g.dst.tolist()) == (2, [0, 1, 1], [1, 0, 1])
 
 
 class TestDistributionType:
@@ -151,8 +216,7 @@ class TestStationaryDistribution:
     def test_power_matches_solve_on_random_chains(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            n, edges = random_strongly_connected_graph(rng, int(rng.integers(2, 9)))
-            p = build_web_transition(DirectedGraph(n, edges), c=0.85)
+            p = build_web_transition(DirectedGraph(*random_strongly_connected_graph(rng, int(rng.integers(2, 9)))), c=0.85)
             a, _ = stationary_distribution(p, method="power")
             b, _ = stationary_distribution(p, method="solve")
             np.testing.assert_allclose(a.pi, b.pi, atol=1e-10, rtol=0)
@@ -177,8 +241,7 @@ class TestStationaryDistribution:
 
     def test_residual_is_certified(self):
         rng = np.random.default_rng(11)
-        n, edges = random_strongly_connected_graph(rng, 20)
-        p = build_web_transition(DirectedGraph(n, edges), c=0.85)
+        p = build_web_transition(DirectedGraph(*random_strongly_connected_graph(rng, 20)), c=0.85)
         dist, report = stationary_distribution(p)
         direct = float(np.abs(p.matrix.T @ dist.pi - dist.pi).max())
         assert direct <= 2 * report.tolerance

@@ -3,7 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesrank import NormalizedProblem, RankingProblem, is_regular, normalize_preferences
+from cesrank import (
+    CesEconomy,
+    Distribution,
+    NormalizedProblem,
+    PriceVector,
+    RankingProblem,
+    TransitionMatrix,
+    cobb_douglas_demand,
+    demand_matrix,
+    is_regular,
+    normalize_preferences,
+    solve_cobb_douglas,
+)
 
 
 def ids(n):
@@ -194,3 +206,31 @@ class TestIsRegular:
         out = NormalizedProblem(ids(2), alpha, np.zeros(2))
         assert is_regular(out)
         assert not is_regular(out, tol=1e-14)
+
+
+_MESSAGE_CASES = {
+    "rho range": (lambda: RankingProblem(ids(1), np.ones((1, 1)), 1.5), "rho[0] = 1.5 outside"),
+    "rho cap": (lambda: CesEconomy(np.ones((2, 2)), 0.97), "rho[0] = 0.97 outside [-1, 0.95]"),
+    "rho band": (lambda: RankingProblem(ids(1), np.ones((1, 1)), 1e-12), "rho[0] = 1e-12 is inside"),
+    "alpha": (lambda: RankingProblem(ids(2), -np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
+    "economy alpha": (lambda: CesEconomy(-np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
+    "alpha_hat rows": (lambda: NormalizedProblem(ids(2), np.ones((2, 2)), np.zeros(2)), "sums to 2.0"),
+    "price array": (lambda: demand_matrix(CesEconomy(np.ones((2, 2)), 0.0), np.array([0.0, 1.0])), "is 0.0;"),
+    "price vector entry": (lambda: PriceVector(np.array([1.0, -1.0])), "is -1.0;"),
+    "price vector sum": (lambda: PriceVector(np.array([0.75, 0.75])), "sum to 1.5"),
+    "transition entry": (lambda: TransitionMatrix(np.array([[1.5, -0.5], [0.5, 0.5]])), "= -0.5"),
+    "transition row": (lambda: TransitionMatrix(np.array([[0.5, 0.5], [0.75, 0.5]])), "sums to 1.25"),
+    "distribution entry": (lambda: Distribution(np.array([1.5, -0.5])), "= -0.5"),
+    "distribution sum": (lambda: Distribution(np.array([0.5, 0.25])), "sum to 0.75"),
+    "closed form rho": (lambda: solve_cobb_douglas(CesEconomy(np.ones((2, 2)), 0.5)), "rho = 0.5;"),
+    "unit elasticity": (lambda: cobb_douglas_demand(CesEconomy(np.ones((2, 2)), 0.5), 0, [0.5, 0.5]), "rho = 0.5,"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MESSAGE_CASES))
+def test_validation_messages_print_plain_floats(case):
+    build, expected = _MESSAGE_CASES[case]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert expected in str(info.value)
+    assert "np.float64" not in str(info.value)

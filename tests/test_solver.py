@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cesrank.markov
 from cesrank import (
     CesEconomy,
     ConvergenceError,
@@ -58,7 +59,7 @@ class TestSolverConfig:
 class TestSolveCobbDouglas:
     def test_matches_stationary_distribution(self):
         p = build_web_transition(
-            DirectedGraph(3, frozenset({(0, 1), (0, 2), (1, 2), (2, 0)})), c=0.85
+            DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]), c=0.85
         )
         dist, _ = stationary_distribution(p)
         prices, report = solve_cobb_douglas(markov_to_economy(p))
@@ -75,26 +76,20 @@ class TestSolveCobbDouglas:
         np.testing.assert_allclose(prices.pi, [0.4, 0.2, 0.4], atol=1e-12, rtol=0)
 
     def test_rejects_non_unit_elasticity(self):
-        e = CesEconomy(np.ones((2, 2)), 0.5, np.eye(2))
+        e = CesEconomy(np.ones((2, 2)), 0.5)
         with pytest.raises(ValueError, match="closed form"):
-            solve_cobb_douglas(e)
-
-    def test_rejects_general_endowments(self):
-        w = np.array([[1.0, 1.0], [0.0, 1.0]])
-        e = CesEconomy(np.ones((2, 2)), 0.0, w)
-        with pytest.raises(ValueError, match="identity endowments"):
             solve_cobb_douglas(e)
 
     def test_rejects_disconnected(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
-        e = CesEconomy(alpha, 0.0, np.eye(2))
+        e = CesEconomy(alpha, 0.0)
         with pytest.raises(ValueError, match="strongly connected"):
             solve_cobb_douglas(e)
 
     def test_residual_certified_through_demand(self):
         rng = np.random.default_rng(3)
         alpha = 0.1 + rng.random((8, 8))
-        e = CesEconomy(alpha, np.zeros(8), np.eye(8))
+        e = CesEconomy(alpha, np.zeros(8))
         prices, report = solve_cobb_douglas(e)
         clearing = verify_equilibrium(e, prices)
         assert clearing.passed
@@ -114,7 +109,7 @@ class TestSolveTatonnement:
         np.testing.assert_allclose(oracle, NONUNIFORM3_EQUILIBRIUM, atol=1e-12, rtol=0)
 
     def test_symmetric_economy_converges_immediately(self):
-        e = CesEconomy(np.ones((4, 4)), 0.5, np.eye(4))
+        e = CesEconomy(np.ones((4, 4)), 0.5)
         prices, report = solve_tatonnement(e)
         np.testing.assert_allclose(prices.pi, 0.25, atol=1e-12)
         assert report.iterations == 0
@@ -140,57 +135,43 @@ class TestSolveTatonnement:
     def test_negative_rho_still_clears(self):
         rng = np.random.default_rng(5)
         alpha = 0.2 + rng.random((4, 4))
-        e = CesEconomy(alpha, -0.5, np.eye(4))
+        e = CesEconomy(alpha, -0.5)
         prices, report = solve_tatonnement(e)
         assert verify_equilibrium(e, prices).passed
         assert report.converged
 
-    def test_general_endowments(self):
-        rng = np.random.default_rng(9)
-        alpha = 0.2 + rng.random((3, 3))
-        w = np.eye(3) + rng.random((3, 3))
-        e = CesEconomy(alpha, 0.5, w)
-        prices, _ = solve_tatonnement(e)
-        assert verify_equilibrium(e, prices).passed
-
     def test_disconnected_rejected_before_iterating(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
-        e = CesEconomy(alpha, 0.5, np.eye(2))
+        e = CesEconomy(alpha, 0.5)
         with pytest.raises(ValueError, match="strongly connected"):
             solve_tatonnement(e)
 
 
 class TestSolveEquilibrium:
     def test_auto_uses_closed_form_for_unit_elasticity(self):
-        e = CesEconomy(np.ones((3, 3)), 0.0, np.eye(3))
+        e = CesEconomy(np.ones((3, 3)), 0.0)
         _, report = solve_equilibrium(e)
         assert report.method == "closed_form"
 
     def test_auto_falls_back_to_tatonnement(self):
-        e = CesEconomy(np.ones((3, 3)), 0.5, np.eye(3))
+        e = CesEconomy(np.ones((3, 3)), 0.5)
         _, report = solve_equilibrium(e)
         assert report.method == "tatonnement"
 
     def test_mixed_rho_uses_tatonnement(self):
-        e = CesEconomy(np.ones((3, 3)), np.array([0.0, 0.5, 0.0]), np.eye(3))
+        e = CesEconomy(np.ones((3, 3)), np.array([0.0, 0.5, 0.0]))
         _, report = solve_equilibrium(e)
         assert report.method == "tatonnement"
 
     def test_explicit_method_respected(self):
-        e = CesEconomy(np.ones((3, 3)), 0.0, np.eye(3))
+        e = CesEconomy(np.ones((3, 3)), 0.0)
         _, report = solve_equilibrium(e, SolverConfig(method="tatonnement"))
-        assert report.method == "tatonnement"
-
-    def test_general_endowments_never_closed_form(self):
-        w = np.eye(3) + 0.5
-        e = CesEconomy(np.ones((3, 3)), 0.0, w)
-        _, report = solve_equilibrium(e)
         assert report.method == "tatonnement"
 
 
 class TestVerifyEquilibrium:
     def test_accepts_true_equilibrium(self):
-        e = CesEconomy(np.ones((3, 3)), 0.5, np.eye(3))
+        e = CesEconomy(np.ones((3, 3)), 0.5)
         report = verify_equilibrium(e, np.full(3, 1 / 3))
         assert report.passed
         assert report.residual <= 1e-14
@@ -204,7 +185,7 @@ class TestVerifyEquilibrium:
         assert report.residual > 1e-3
 
     def test_tolerance_parameter(self):
-        e = CesEconomy(np.ones((2, 2)), 0.0, np.eye(2))
+        e = CesEconomy(np.ones((2, 2)), 0.0)
         report = verify_equilibrium(e, np.array([0.5 + 1e-6, 0.5 - 1e-6]), tolerance=1e-3)
         assert report.passed
 
@@ -223,13 +204,13 @@ class TestMultistartProbe:
     def test_negative_rho_reports_without_judgement(self):
         rng = np.random.default_rng(2)
         alpha = 0.2 + rng.random((3, 3))
-        economy = CesEconomy(alpha, -0.5, np.eye(3))
+        economy = CesEconomy(alpha, -0.5)
         report = multistart_probe(economy, k_starts=3)
         assert report.within_bound is None
         assert np.isfinite(report.spread)
 
     def test_needs_two_starts(self):
-        e = CesEconomy(np.ones((2, 2)), 0.0, np.eye(2))
+        e = CesEconomy(np.ones((2, 2)), 0.0)
         with pytest.raises(ValueError, match="at least 2"):
             multistart_probe(e, k_starts=1)
 
@@ -256,6 +237,26 @@ class TestRankProblem:
         a, _ = rank_problem(problem)
         b, _ = rank_problem(damped)
         assert np.abs(a.pi - b.pi).max() > 1e-4
+
+    def test_undamped_disconnected_rejected(self):
+        alpha = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        problem = RankingProblem(("x", "y", "z"), alpha, 0.5, beta=1.0)
+        with pytest.raises(ValueError, match=r"component: \[0, 1\]\); .*damp with beta < 1"):
+            rank_problem(problem)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_connectivity_checked_once(self, rho, monkeypatch):
+        calls = []
+        original = cesrank.markov.is_strongly_connected
+
+        def counted(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        problem = load_fixture("nonuniform3")
+        rank_problem(RankingProblem(problem.agent_ids, problem.alpha, rho, beta=0.85))
+        assert calls == [3]
 
     def test_zero_row_agent_handled(self):
         alpha = np.array([[0.0, 0.0], [1.0, 0.0]])
