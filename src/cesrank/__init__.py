@@ -47,7 +47,7 @@ from .markov import (
     stationary_distribution,
     support_graph,
 )
-from .problem import NormalizedProblem, RankingProblem, is_regular, normalize_preferences
+from .problem import RankingProblem, is_regular, normalize_preferences
 from .solver import (
     SolverConfig,
     multistart_probe,
@@ -70,7 +70,6 @@ __all__ = [
     "DocumentError",
     "FIXTURE_NAMES",
     "MultistartReport",
-    "NormalizedProblem",
     "PriceVector",
     "RankingProblem",
     "SolverConfig",

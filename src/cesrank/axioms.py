@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import CesEconomy, as_price_array, build_economy, excess_demand
+from .economy import CesEconomy, as_price_array, excess_demand
 from .problem import RankingProblem, is_regular, normalize_preferences
 from .solver import rank_problem, solve_equilibrium
 
@@ -124,8 +124,7 @@ def check_strict_monotonicity(problem: RankingProblem, i: int, j: int) -> AxiomV
             "agents have heterogeneous rho; the claim is scoped to a common elasticity",
             rho=problem.rho.tolist(),
         )
-    normalized = normalize_preferences(problem)
-    dominated, why = _column_dominance(normalized.alpha_hat, i, j)
+    dominated, why = _column_dominance(normalize_preferences(problem).matrix, i, j)
     if not dominated:
         return _not_applicable("strict_monotonicity", why.pop("reason"), **why)
     prices, report = rank_problem(problem)
@@ -194,15 +193,13 @@ def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> Ax
     undamped = replace(problem, beta=1.0)
     normalized = normalize_preferences(undamped)
     if not is_regular(normalized):
-        row_sums = normalized.alpha_hat.sum(axis=1)
-        col_sums = normalized.alpha_hat.sum(axis=0)
         return _not_applicable(
             "uniformity",
             "problem is not regular (row and column sums must all agree)",
-            row_sums=row_sums.tolist(),
-            column_sums=col_sums.tolist(),
+            row_sums=normalized.matrix.sum(axis=1).tolist(),
+            column_sums=normalized.matrix.sum(axis=0).tolist(),
         )
-    economy = build_economy(normalized)
+    economy = CesEconomy(normalized.matrix, undamped.rho)
     prices, report = solve_equilibrium(economy)
     deviation = float(np.abs(prices.pi - 1.0 / problem.n).max())
     witness = {

@@ -10,7 +10,7 @@ Four subcommands:
 Results go to stdout; every diagnostic goes to stderr. Exit codes: 0 success,
 1 a check or comparison failed, 2 unusable input, 3 solver non-convergence.
 Set RANK_LOG=debug|info|warning|error to adjust stderr verbosity. Output is
-deterministic: the same input, flags, and seed produce identical bytes.
+deterministic: the same input and flags produce identical bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .economy import build_economy, markov_to_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, dump_problem, problem_from_edge_list, sniff_and_load
 from .markov import TransitionMatrix, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
-from .problem import RankingProblem, normalize_preferences
 from .solver import SolverConfig, rank_problem, solve_cobb_douglas
 
 logger = logging.getLogger(__name__)
@@ -101,14 +101,14 @@ def _cmd_rank(args) -> int:
                 rho=args.rho if args.rho is not None else 0.0,
                 beta=args.beta if args.beta is not None else 0.85,
             )
-        else:
-            if args.rho is not None:
-                problem = RankingProblem(problem.agent_ids, problem.alpha, args.rho, beta=problem.beta)
-            if args.beta is not None:
-                problem = RankingProblem(problem.agent_ids, problem.alpha, problem.rho, beta=args.beta)
+        elif args.rho is not None or args.beta is not None:
+            problem = replace(
+                problem,
+                rho=problem.rho if args.rho is None else args.rho,
+                beta=problem.beta if args.beta is None else args.beta,
+            )
         tol = args.tol if args.tol is not None else 1e-10
-        config = SolverConfig(tolerance=tol, seed=args.seed)
-        prices, report = rank_problem(problem, config)
+        prices, report = rank_problem(problem, SolverConfig(tolerance=tol))
         _emit_ranking(problem.agent_ids, prices.pi, report, "ces", args.format)
         return _EXIT_OK
 
@@ -132,7 +132,13 @@ def _cmd_rank(args) -> int:
         require_strongly_connected(
             support_graph(weights), "the graph", "the invariant method needs a strongly connected graph"
         )
-        chain = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
+        sums = weights.sum(axis=1)
+        if np.any(sums == 0.0):
+            raise ValueError(
+                f"agent {ids[int(np.argmin(sums))]} has no positive weight; "
+                "the invariant method needs one in every row"
+            )
+        chain = TransitionMatrix(weights / sums[:, None])
     dist, report = stationary_distribution(chain, tolerance=tol)
     _emit_ranking(ids, dist.pi, report, args.method, args.format)
     return _EXIT_OK
@@ -188,7 +194,7 @@ def _cmd_verify(args) -> int:
                 note = "uniform" if verdict.passed else "non-uniform"
         else:  # gs
             problem = custom if custom is not None else load_fixture("nonuniform3")
-            economy = build_economy(normalize_preferences(problem))
+            economy = build_economy(problem)
             probe = np.full(economy.n, 1.0 / economy.n)
             verdict = gs_spot_check(economy, args.good, args.delta, [probe])
             ok, note = verdict.status != "fail", None
@@ -236,9 +242,8 @@ def _cmd_convert(args) -> int:
     problem, loaded_graph = sniff_and_load(args.input)
     graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
     chain = build_web_transition(graph, c=args.damping)
-    economy = markov_to_economy(chain)
     # beta=1: the damping is already baked into the transition matrix
-    document = problem_from_edge_list(economy.alpha, rho=0.0, beta=1.0)
+    document = problem_from_edge_list(chain.matrix, rho=0.0, beta=1.0)
     text = dump_problem(document)
     if args.output is None:
         sys.stdout.write(text)
@@ -255,12 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="score the agents of a problem document or edge list")
     rank.add_argument("--method", choices=("ces", "pagerank", "invariant"), default="ces")
     rank.add_argument("--input", required=True, help="problem document (.json) or edge list")
-    rank.add_argument("--rho", type=float, default=None, help="override rho for every agent (ces)")
+    rank.add_argument("--rho", type=float, default=None, help="override rho for every agent, in [-1, 0.95] (ces)")
     rank.add_argument("--beta", type=float, default=None, help="override damping weight (ces)")
     rank.add_argument("--damping", type=float, default=0.85, help="link-following probability (pagerank)")
     rank.add_argument("--tol", type=float, default=None, help="solver tolerance")
     rank.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    rank.add_argument("--seed", type=int, default=0)
     rank.set_defaults(func=_cmd_rank)
 
     verify = sub.add_parser("verify", help="run axiom checks against a fixture or your own problem")

@@ -26,12 +26,8 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
-from .markov import TransitionMatrix, is_aperiodic, require_strongly_connected, support_graph
-from .problem import NormalizedProblem, _validate_alpha, _validate_rho
-
-#: Traders with an exponent 1/(1-rho) above this are rejected: the demand
-#: powers become too steep to evaluate reliably near the linear-utility end.
-RHO_MAX = 0.95
+from .markov import TransitionMatrix, _period, require_strongly_connected, support_graph
+from .problem import RankingProblem, _validate_alpha, _validate_rho, normalize_preferences
 
 #: Exponent size beyond which power terms are evaluated in log space.
 LOG_SPACE_Q = 4.0
@@ -83,10 +79,10 @@ class CesEconomy:
     """The exchange economy of ``n`` CES traders over ``n`` goods, trader i owning good i.
 
     ``alpha[i][j]`` is trader i's utility coefficient on good j and ``rho[i]``
-    the substitution parameter in [-1, RHO_MAX] (0 = unit elasticity). Every
-    trader must want something (a positive alpha entry). ``endowments``, if
-    given, must be the identity matrix: the own-good endowment is the only
-    one this economy has.
+    the substitution parameter in [-1, RHO_MAX] (0 = unit elasticity), the
+    range a `RankingProblem` accepts. Every trader must want something (a
+    positive alpha entry). ``endowments``, if given, must be the identity
+    matrix: the own-good endowment is the only one this economy has.
 
     Immutable; demand evaluations are pure functions of (economy, prices).
     """
@@ -109,7 +105,7 @@ class CesEconomy:
             rho = np.full(n, float(rho))
         if rho.shape != (n,):
             raise ValueError(f"rho must have length {n}, got shape {rho.shape}")
-        _validate_rho(rho, upper=RHO_MAX, inclusive=True)
+        _validate_rho(rho)
         if endowments is not None:
             w = np.asarray(endowments, dtype=float)
             if w.shape != (n, n) or np.count_nonzero(w) != n or np.any(np.diagonal(w) != 1.0):
@@ -201,7 +197,7 @@ def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
     """
     graph = support_graph(p.matrix)
     require_strongly_connected(graph, "the chain's support graph", "no strictly positive equilibrium")
-    if not is_aperiodic(graph):
+    if _period(graph) != 1:
         warnings.warn(
             "the chain is periodic; its invariant distribution is still the "
             "unique market-clearing price vector, but power iteration on the "
@@ -211,11 +207,12 @@ def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
     return CesEconomy(alpha=p.matrix, rho=np.zeros(p.n))
 
 
-def build_economy(normalized: NormalizedProblem) -> CesEconomy:
-    """Economy of a preprocessed ranking problem: trader i owns good i.
+def build_economy(problem: RankingProblem) -> CesEconomy:
+    """Economy of a ranking problem: trader i owns good i and has rho[i].
 
-    A strictly positive equilibrium needs the economy graph (edge i -> j iff
+    Trader i values the goods by row i of the damped preference matrix
+    ``alpha_hat = normalize_preferences(problem).matrix``. A strictly positive equilibrium needs the economy graph (edge i -> j iff
     ``alpha_hat[i][j] > 0``) to be strongly connected. Damping with
     ``beta < 1`` guarantees this; the solvers check it once, on entry.
     """
-    return CesEconomy(alpha=normalized.alpha_hat, rho=normalized.rho)
+    return CesEconomy(normalize_preferences(problem).matrix, problem.rho)

@@ -182,20 +182,50 @@ def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: 
         raise ValueError(f"{subject} is not strongly connected (one component: {component}); {consequence}")
 
 
+def _period(graph: DirectedGraph) -> int:
+    """Gcd of the cycle lengths of a strongly connected graph; 1 for a lone vertex.
+
+    Computed from breadth-first levels: the period equals the gcd of
+    ``level[u] + 1 - level[v]`` over all edges (u, v). Connectivity is the
+    caller's to check.
+    """
+    if graph.src.size == 0:
+        return 1  # single isolated vertex; no cycle structure to constrain
+    level = _bfs_levels(graph.n, graph.src, graph.dst, 0)
+    return int(np.gcd.reduce(level[graph.src] + 1 - level[graph.dst]))
+
+
 def is_aperiodic(graph: DirectedGraph) -> bool:
     """True iff the gcd of directed cycle lengths is 1.
 
-    Computed from breadth-first levels: for a strongly connected graph the
-    period equals gcd of ``level[u] + 1 - level[v]`` over all edges (u, v).
     Raises if the graph is not strongly connected, where the period is not a
     single well-defined number.
     """
     if not is_strongly_connected(graph):
         raise ValueError("aperiodicity is only defined here for strongly connected graphs")
-    if graph.src.size == 0:
-        return True  # single isolated vertex; no cycle structure to constrain
-    level = _bfs_levels(graph.n, graph.src, graph.dst, 0)
-    return int(np.gcd.reduce(level[graph.src] + 1 - level[graph.dst])) == 1
+    return _period(graph) == 1
+
+
+def _damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix:
+    """Row-normalize nonnegative ``weights`` and damp them towards the uniform row.
+
+    All-zero (dangling) rows become the uniform row ``1/n``, every row is
+    divided by its sum, and when ``beta < 1`` every entry is mixed as
+    ``beta * w + (1 - beta) / n`` (Langville & Meyer, "Deeper Inside
+    PageRank", 2004). This one rule builds both the web-surfer chain and the
+    damped preference matrix of a ranking problem. ``weights`` must be a
+    writable float array the caller gives up: it is overwritten in place.
+    """
+    n = weights.shape[0]
+    sums = weights.sum(axis=1)
+    dangling = sums == 0.0
+    weights[dangling] = 1.0
+    sums[dangling] = n
+    weights /= sums[:, None]
+    if beta < 1.0:
+        weights *= beta
+        weights += (1.0 - beta) / n
+    return TransitionMatrix(weights)
 
 
 def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> TransitionMatrix:
@@ -215,15 +245,9 @@ def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> TransitionMat
     loops = graph.src[graph.src == graph.dst]
     if loops.size:
         raise ValueError(f"self-loop at vertex {int(loops[0])} is not allowed here")
-    n = graph.n
-    t = np.zeros((n, n))
+    t = np.zeros((graph.n, graph.n))
     t[graph.src, graph.dst] = 1.0
-    out = t.sum(axis=1)
-    dangling = out == 0.0
-    t[dangling] = 1.0
-    t /= t.sum(axis=1)[:, None]
-    p = c * t + (1.0 - c) / n
-    return TransitionMatrix(p)
+    return _damped_chain(t, c)
 
 
 def _stationary_power(

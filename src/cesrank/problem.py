@@ -3,9 +3,10 @@
 A ranking problem is a set of agents, a nonnegative preference-intensity
 matrix ``alpha`` (``alpha[i, j]`` is how strongly agent ``i`` endorses agent
 ``j``), a per-agent substitution parameter ``rho``, and a damping weight
-``beta``. Preprocessing turns ``alpha`` into a strictly positive row-stochastic
-matrix in three steps: fill all-zero rows with the uniform row, divide each row
-by its sum, then mix each row with the uniform row at weight ``1 - beta``.
+``beta``. Preprocessing turns ``alpha`` into the damped preference matrix, a
+row-stochastic `TransitionMatrix`, by the same rule that builds the damped
+web-surfer chain: fill all-zero rows with the uniform row, divide each row by
+its sum, then mix each row with the uniform row at weight ``1 - beta``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .markov import TransitionMatrix, _damped_chain
+
+#: Largest accepted rho. Above it the demand exponent 1/(1-rho) exceeds 20 and
+#: the demand powers become too steep to evaluate reliably near the
+#: linear-utility end. Every rho lies in [-1, RHO_MAX].
+RHO_MAX = 0.95
 
 #: Smallest nonzero |rho| accepted. rho == 0 is the unit-elasticity
 #: (Cobb-Douglas) sentinel handled in closed form; values closer to zero than
@@ -24,15 +32,14 @@ RHO_ZERO_BAND = 1e-9
 REGULARITY_TOL = 1e-9
 
 
-def _validate_rho(rho: np.ndarray, upper: float, inclusive: bool = False) -> None:
+def _validate_rho(rho: np.ndarray) -> None:
     if np.any(~np.isfinite(rho)):
         i = int(np.flatnonzero(~np.isfinite(rho))[0])
         raise ValueError(f"rho[{i}] is not finite")
-    bad = (rho < -1.0) | (rho > upper if inclusive else rho >= upper)
+    bad = (rho < -1.0) | (rho > RHO_MAX)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        bracket = "]" if inclusive else ")"
-        raise ValueError(f"rho[{i}] = {float(rho[i])!r} outside [-1, {upper}{bracket}")
+        raise ValueError(f"rho[{i}] = {float(rho[i])!r} outside [-1, {RHO_MAX}]")
     in_band = (rho != 0.0) & (np.abs(rho) < RHO_ZERO_BAND)
     if np.any(in_band):
         i = int(np.flatnonzero(in_band)[0])
@@ -58,8 +65,9 @@ class RankingProblem:
     Attributes:
         agent_ids: ordered distinct string identifiers, one per agent.
         alpha: n x n nonnegative finite preference intensities.
-        rho: per-agent substitution parameter in [-1, 1); exactly 0 selects
-            the unit-elasticity (Cobb-Douglas) case.
+        rho: per-agent substitution parameter in [-1, RHO_MAX] = [-1, 0.95],
+            the range `CesEconomy` accepts too; exactly 0 selects the
+            unit-elasticity (Cobb-Douglas) case.
         beta: damping weight in (0, 1]; rows are mixed with the uniform row
             at weight ``1 - beta`` during normalization.
 
@@ -88,7 +96,7 @@ class RankingProblem:
             rho = np.full(len(ids), float(rho))
         if rho.shape != (len(ids),):
             raise ValueError(f"rho must have length {len(ids)}, got shape {rho.shape}")
-        _validate_rho(rho, upper=1.0)
+        _validate_rho(rho)
         beta = float(self.beta)
         if not (0.0 < beta <= 1.0):
             raise ValueError(f"beta must be in (0, 1], got {beta!r}")
@@ -104,74 +112,29 @@ class RankingProblem:
         return len(self.agent_ids)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedProblem:
-    """A preprocessed ranking problem: every row of ``alpha_hat`` sums to 1.
-
-    Produced by `normalize_preferences`; rows are strictly positive whenever
-    the source problem had ``beta < 1``.
-    """
-
-    agent_ids: tuple[str, ...]
-    alpha_hat: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        ids = tuple(str(a) for a in self.agent_ids)
-        alpha_hat = np.array(self.alpha_hat, dtype=float)
-        _validate_alpha(alpha_hat)
-        row_sums = alpha_hat.sum(axis=1)
-        off = np.abs(row_sums - 1.0)
-        if np.any(off > 1e-12):
-            i = int(np.argmax(off))
-            raise ValueError(f"row {i} of alpha_hat sums to {float(row_sums[i])!r}, not 1")
-        rho = np.array(self.rho, dtype=float)
-        if rho.shape != (len(ids),):
-            raise ValueError(f"rho must have length {len(ids)}, got shape {rho.shape}")
-        _validate_rho(rho, upper=1.0)
-        alpha_hat.flags.writeable = False
-        rho.flags.writeable = False
-        object.__setattr__(self, "agent_ids", ids)
-        object.__setattr__(self, "alpha_hat", alpha_hat)
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def n(self) -> int:
-        return len(self.agent_ids)
-
-
-def normalize_preferences(problem: RankingProblem) -> NormalizedProblem:
-    """Row-normalize and damp a problem's preference matrix.
+def normalize_preferences(problem: RankingProblem) -> TransitionMatrix:
+    """The damped preference matrix of a problem, as a row-stochastic matrix.
 
     All-zero rows are replaced by the uniform row 1/n, every row is divided by
     its sum, and each entry is then mixed as
-    ``alpha_hat[i][j] = alpha_norm[i][j] * beta + (1 - beta) / n``.
+    ``alpha_hat[i][j] = alpha_norm[i][j] * beta + (1 - beta) / n``: the rule
+    of `cesrank.markov.build_web_transition`, applied to weights.
 
-    The result has rows summing to 1, with every entry at least
-    ``(1 - beta) / n`` (strictly positive when ``beta < 1``). Scaling a whole
-    row of the input by any positive constant does not change the output.
+    Every entry is at least ``(1 - beta) / n`` (strictly positive when
+    ``beta < 1``). Scaling a whole row of the input by any positive constant
+    does not change the output.
     """
-    n = problem.n
-    alpha = np.array(problem.alpha)
-    row_sums = alpha.sum(axis=1)
-    zero_rows = row_sums == 0.0
-    if np.any(zero_rows):
-        alpha[zero_rows] = 1.0 / n
-        row_sums = alpha.sum(axis=1)
-    alpha /= row_sums[:, None]
-    if problem.beta < 1.0:
-        alpha = alpha * problem.beta + (1.0 - problem.beta) / n
-    return NormalizedProblem(problem.agent_ids, alpha, problem.rho)
+    return _damped_chain(np.array(problem.alpha), problem.beta)
 
 
-def is_regular(problem: NormalizedProblem, tol: float = REGULARITY_TOL) -> bool:
+def is_regular(matrix: TransitionMatrix, tol: float = REGULARITY_TOL) -> bool:
     """True iff all row sums are equal and all column sums are equal.
 
-    Sums are compared with absolute tolerance ``tol``. Normalized problems
-    always have equal row sums, so in practice this tests the columns.
+    Sums are compared with absolute tolerance ``tol``. A row-stochastic matrix
+    always has equal row sums, so in practice this tests the columns.
     """
-    row_sums = problem.alpha_hat.sum(axis=1)
-    col_sums = problem.alpha_hat.sum(axis=0)
+    row_sums = matrix.matrix.sum(axis=1)
+    col_sums = matrix.matrix.sum(axis=0)
     return bool(
         np.all(np.abs(row_sums - row_sums[0]) <= tol)
         and np.all(np.abs(col_sums - col_sums[0]) <= tol)

@@ -1,7 +1,7 @@
 """Equilibrium computation: closed form, tatonnement, verification, probing.
 
 All-Cobb-Douglas economies reduce to one linear system (market clearing at
-positive prices reads ``sum_i alpha_hat[i][j] * pi[i] = pi[j]``, the invariant
+positive prices reads ``sum_i alpha[i][j] * pi[i] = pi[j]``, the invariant
 condition of a stochastic matrix), so they are solved exactly by the Markov
 module's stationary solve. Everything else runs damped multiplicative price
 adjustment: raise the price of over-demanded goods, lower the price of
@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
 from .economy import CesEconomy, PriceVector, as_price_array, build_economy, demand_matrix, excess_demand
 from .markov import require_strongly_connected, stationary_solve, support_graph
-from .problem import RankingProblem, normalize_preferences
+from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
 
@@ -105,12 +105,12 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     """Damped multiplicative price adjustment until the market clears.
 
     Each round updates ``p[j] <- p[j] * demand_j ** gamma`` (supply is 1) and
-    renormalizes onto the simplex, which keeps every price strictly positive.
-    Convergence is declared when the max-norm excess demand falls below the
-    configured tolerance. When traders have nonnegative rho the economy
-    satisfies gross substitutes and the iteration is reliable in practice;
-    negative rho may fail to converge, which is reported as an error rather
-    than a wrong answer.
+    renormalizes onto the simplex. Convergence is declared when the max-norm
+    excess demand falls below the configured tolerance. When traders have
+    nonnegative rho the economy satisfies gross substitutes and the iteration
+    is reliable in practice; steep exponents (rho near its upper end) can
+    overshoot until a price underflows to 0, and negative rho may fail to
+    converge. Both are reported as `ConvergenceError`, not as a wrong answer.
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
@@ -165,6 +165,16 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
             logger.info("residual rising over %d iterations; gamma halved to %g", OSCILLATION_WINDOW, gamma)
         p = p * demand**gamma
         p /= p.sum()
+        bad = ~np.isfinite(p) | (p <= 0.0)
+        if np.any(bad):
+            j = int(np.flatnonzero(bad)[0])
+            raise ConvergenceError(
+                f"price of good {j} is {float(p[j])!r} after iteration {it}; tatonnement diverged",
+                last_iterate=p,
+                residual=residual,
+                residual_tail=trace[-10:],
+                hint="reduce gamma",
+            )
     raise ConvergenceError(
         f"tatonnement did not clear the market in {cfg.max_iters} iterations, "
         f"residual {residual:.3e}",
@@ -191,9 +201,7 @@ def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) ->
 
     Strong connectivity of the economy graph is checked once, by the solver.
     """
-    normalized = normalize_preferences(problem)
-    economy = build_economy(normalized)
-    return solve_equilibrium(economy, config)
+    return solve_equilibrium(build_economy(problem), config)
 
 
 def verify_equilibrium(economy: CesEconomy, prices, tolerance: float = 1e-10) -> ClearingReport:

@@ -95,6 +95,16 @@ def with_dangling_vertices(rng, n, n_dangling):
     return (n, *_split(e for e in edges if e[0] not in dangling), dangling)
 
 
+def out_regular_edges(rng, n, out_degree=5):
+    """Edges ``(i, j)`` where every vertex links to ``out_degree`` distinct others."""
+    edges = []
+    for i in range(n):
+        targets = rng.choice(n - 1, size=out_degree, replace=False)
+        targets[targets >= i] += 1
+        edges += [(i, int(j)) for j in sorted(targets)]
+    return edges
+
+
 def _successor_sets(n, edges):
     adj = [set() for _ in range(n)]
     for i, j in edges:

@@ -27,7 +27,6 @@ from cesrank import (
     load_fixture,
     markov_to_economy,
     multistart_probe,
-    normalize_preferences,
     rank_problem,
     solve_cobb_douglas,
     stationary_distribution,
@@ -66,7 +65,7 @@ def test_criterion_1_dual_pipeline_agreement():
 def test_criterion_2_nonuniform_fixture():
     started = time.perf_counter()
     problem = load_fixture("nonuniform3")
-    economy = build_economy(normalize_preferences(problem))
+    economy = build_economy(problem)
 
     uniform = PriceVector(np.full(3, 1.0 / 3.0))
     z = excess_demand(economy, uniform)
@@ -149,7 +148,7 @@ def test_criterion_6_uniqueness_under_gs():
         n = int(rng.integers(2, 9))
         alpha, rho = random_problem_arrays(rng, n, 0.0, 0.5)
         problem = RankingProblem(tuple(f"a{k}" for k in range(n)), alpha, rho, beta=0.85)
-        economy = build_economy(normalize_preferences(problem))
+        economy = build_economy(problem)
 
         report = multistart_probe(economy, SolverConfig(seed=trial), k_starts=5)
         assert report.spread <= 1e-8, (trial, report.spread)

@@ -12,7 +12,6 @@ from cesrank import (
     check_uniformity,
     gs_spot_check,
     load_fixture,
-    normalize_preferences,
 )
 
 
@@ -167,7 +166,7 @@ class TestGrossSubstitutes:
         return [np.full(n, 1.0 / n)]
 
     def test_bundled_fixture_passes(self):
-        economy = build_economy(normalize_preferences(load_fixture("nonuniform3")))
+        economy = build_economy(load_fixture("nonuniform3"))
         v = gs_spot_check(economy, 0, 0.05, self.probe(3))
         assert v.passed
         assert v.witness["comparisons"] == 2
@@ -205,7 +204,7 @@ class TestGrossSubstitutes:
             gs_spot_check(economy, 4, 0.05, self.probe(2))
 
     def test_multiple_probes_all_checked(self):
-        economy = build_economy(normalize_preferences(load_fixture("nonuniform3")))
+        economy = build_economy(load_fixture("nonuniform3"))
         probes = [np.full(3, 1 / 3), np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.2, 0.2])]
         v = gs_spot_check(economy, 1, 0.07, probes)
         assert v.passed

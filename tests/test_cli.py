@@ -2,12 +2,16 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import cesrank.markov
 from cesrank import RankingProblem, dump_problem, load_fixture, load_problem
 from cesrank.cli import main
+
+from oracles import out_regular_edges
 
 TWO_CYCLE = "format: 1\nn 2\n0 1\n1 0\n"
 TRIANGLE = "format: 1\nn 3\n0 1\n1 2\n2 0\n2 1\n"
@@ -92,7 +96,7 @@ class TestRankCes:
 
     def test_output_is_byte_identical(self, problem_file, capsys):
         path = problem_file(load_fixture("nonuniform3"))
-        argv = ["rank", "--format", "json", "--seed", "7", "--input", path]
+        argv = ["rank", "--format", "json", "--input", path]
         main(argv)
         first = capsys.readouterr().out
         main(argv)
@@ -131,6 +135,16 @@ class TestRankInvariant:
         scores = [float(line.split("\t")[2]) for line in out.splitlines()]
         assert abs(sum(scores) - 1.0) <= 1e-9
 
+    def test_agent_without_weight_named(self, graph_file, capsys):
+        # one vertex, no edges: connected, but its row cannot be normalized
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rank", "--method", "invariant", "--input", graph_file("format: 1\nn 1\n")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: agent v0 has no positive weight; the invariant method needs one in every row\n"
+
     def test_disconnected_graph_rejected(self, graph_file, capsys):
         code = main(["rank", "--method", "invariant", "--input", graph_file(NOT_CONNECTED)])
         captured = capsys.readouterr()
@@ -156,6 +170,16 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_price_underflow_is_no_convergence(self, graph_file, capsys):
+        edges = out_regular_edges(np.random.default_rng(1), 20)
+        text = "format: 1\nn 20\n" + "".join(f"{i} {j}\n" for i, j in edges)
+        code = main(["rank", "--rho", "0.9", "--input", graph_file(text)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: price of good ")
+        assert "tatonnement diverged" in captured.err
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["rank", "--input", str(tmp_path / "absent.json")])
@@ -288,6 +312,19 @@ class TestConvert:
         for line in ces_out.splitlines():
             _, agent, score = line.split("\t")
             assert abs(float(score) - reference[agent]) <= 1e-8
+
+    def test_no_connectivity_check(self, graph_file, capsys, monkeypatch):
+        # a damped chain is complete, so there is nothing to check
+        calls = []
+        original = cesrank.markov.is_strongly_connected
+
+        def counted(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        assert main(["convert", "--input", graph_file(DANGLING)]) == 0
+        assert calls == []
 
     def test_stdout_document_is_loadable(self, graph_file, capsys):
         code = main(["convert", "--input", graph_file(TRIANGLE)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cesrank.markov
 from cesrank import (
     CesEconomy,
     PriceVector,
@@ -14,7 +15,6 @@ from cesrank import (
     demand_matrix,
     excess_demand,
     markov_to_economy,
-    normalize_preferences,
 )
 
 from oracles import grid_search_demand
@@ -208,6 +208,20 @@ class TestMarkovToEconomy:
         with pytest.raises(ValueError, match=r"component: \[0\]"):
             markov_to_economy(p)
 
+    def test_connectivity_checked_once(self, monkeypatch):
+        calls = []
+        original = cesrank.markov.is_strongly_connected
+
+        def counted(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        with pytest.warns(UserWarning, match="periodic"):
+            markov_to_economy(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        markov_to_economy(TransitionMatrix(np.array([[0.0, 1.0], [0.6, 0.4]])))
+        assert calls == [2, 2]
+
     def test_periodic_chain_warns(self):
         p = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.warns(UserWarning, match="periodic"):
@@ -219,6 +233,6 @@ class TestBuildEconomy:
         alpha = np.zeros((3, 3))
         alpha[0, 1] = 1.0
         problem = RankingProblem(("x", "y", "z"), alpha, 0.5, beta=0.85)
-        e = build_economy(normalize_preferences(problem))
+        e = build_economy(problem)
         assert np.all(e.alpha > 0)
 

@@ -138,6 +138,10 @@ class TestLoadProblem:
             load_problem(doc(rho=1.5))
 
 
+    def test_rho_above_cap_rejected(self):
+        with pytest.raises(DocumentError, match=r"rho\[0\] = 0.97 outside \[-1, 0.95\]"):
+            load_problem(doc(rho=0.97))
+
 class TestDumpProblem:
     def test_round_trip_fixture(self):
         problem = load_problem(doc(beta=0.9, rho=[0.5, -0.25]))

@@ -185,6 +185,14 @@ class TestTransitionMatrixType:
         with pytest.raises(ValueError, match="row 1"):
             TransitionMatrix(np.array([[0.5, 0.5], [0.6, 0.5]]))
 
+    def test_rejects_rows_not_summing_to_one(self):
+        with pytest.raises(ValueError, match="row 0"):
+            TransitionMatrix(np.array([[0.6, 0.5], [0.5, 0.5]]))
+
+    def test_accepts_tiny_rounding(self):
+        row = np.array([1 / 3, 1 / 3, 1 / 3])
+        TransitionMatrix(np.vstack([row, row, row]))
+
     def test_rejects_negative_entry(self):
         with pytest.raises(ValueError, match=r"\[0\]\[1\]"):
             TransitionMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]))

@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 
 from cesrank import (
     CesEconomy,
+    DirectedGraph,
     Distribution,
-    NormalizedProblem,
     PriceVector,
     RankingProblem,
     TransitionMatrix,
+    build_economy,
+    build_web_transition,
     cobb_douglas_demand,
     demand_matrix,
     is_regular,
     normalize_preferences,
+    problem_from_edge_list,
     solve_cobb_douglas,
 )
 
@@ -64,7 +67,7 @@ class TestRankingProblemValidation:
 
     def test_rho_boundaries_accepted(self):
         RankingProblem(ids(2), np.ones((2, 2)), -1.0)
-        RankingProblem(ids(2), np.ones((2, 2)), 0.999)
+        RankingProblem(ids(2), np.ones((2, 2)), 0.95)
         RankingProblem(ids(2), np.ones((2, 2)), 1e-9)
 
     @pytest.mark.parametrize("beta", [0.0, -0.1, 1.5])
@@ -90,26 +93,40 @@ class TestNormalize:
     def test_zero_matrix_fills_uniform(self):
         p = RankingProblem(ids(2), np.zeros((2, 2)), 0.0, beta=0.85)
         out = normalize_preferences(p)
-        np.testing.assert_allclose(out.alpha_hat, 0.5)
+        np.testing.assert_allclose(out.matrix, 0.5)
 
     def test_stochastic_rows_with_beta_one_unchanged(self):
         alpha = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
         p = RankingProblem(ids(3), alpha, 0.5, beta=1.0)
         out = normalize_preferences(p)
-        np.testing.assert_array_equal(out.alpha_hat, alpha)
+        np.testing.assert_array_equal(out.matrix, alpha)
 
     def test_damped_two_agent_example(self):
         # rows [3,1] and [0,2]: normalize to (0.75,0.25), (0,1); then mix
         # with the uniform row at weight 0.2
         p = RankingProblem(ids(2), np.array([[3.0, 1.0], [0.0, 2.0]]), 0.0, beta=0.8)
         out = normalize_preferences(p)
-        np.testing.assert_allclose(out.alpha_hat, [[0.70, 0.30], [0.10, 0.90]])
+        np.testing.assert_allclose(out.matrix, [[0.70, 0.30], [0.10, 0.90]])
 
     def test_preserves_rho_and_ids(self):
-        p = RankingProblem(("x", "y"), np.ones((2, 2)), np.array([0.5, -0.5]))
+        # the damped matrix carries neither: the problem keeps its ids and
+        # the economy takes rho from the problem
+        p = RankingProblem(("x", "y"), np.array([[1.0, 3.0], [0.0, 0.0]]), np.array([0.5, -0.5]))
         out = normalize_preferences(p)
-        assert out.agent_ids == ("x", "y")
-        np.testing.assert_array_equal(out.rho, [0.5, -0.5])
+        assert isinstance(out, TransitionMatrix)
+        assert p.agent_ids == ("x", "y")
+        np.testing.assert_array_equal(p.alpha, [[1.0, 3.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(build_economy(p).rho, [0.5, -0.5])
+
+    def test_same_matrix_as_the_web_chain(self):
+        # one damping rule: a dangling vertex at n = 6, where filling the row
+        # with 1/n before dividing would round differently from filling it with 1
+        src, dst = [0, 0, 1, 2, 2, 3, 4, 4], [1, 2, 2, 0, 3, 4, 0, 1]  # vertex 5 dangles
+        weights = np.zeros((6, 6))
+        weights[src, dst] = 1.0
+        chain = build_web_transition(DirectedGraph(6, src, dst), 0.85).matrix
+        damped = normalize_preferences(problem_from_edge_list(weights, beta=0.85)).matrix
+        assert chain.tobytes() == damped.tobytes()
 
 
 @st.composite
@@ -131,7 +148,7 @@ def problems(draw, max_n=6):
 @settings(max_examples=150, deadline=None)
 def test_normalized_rows_sum_to_one(problem):
     out = normalize_preferences(problem)
-    np.testing.assert_allclose(out.alpha_hat.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(out.matrix.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
 
 @given(problems())
@@ -139,9 +156,9 @@ def test_normalized_rows_sum_to_one(problem):
 def test_normalized_entries_bounded_below(problem):
     out = normalize_preferences(problem)
     floor = (1.0 - problem.beta) / problem.n
-    assert np.all(out.alpha_hat >= floor - 1e-15)
+    assert np.all(out.matrix >= floor - 1e-15)
     if problem.beta < 1.0:
-        assert np.all(out.alpha_hat > 0.0)
+        assert np.all(out.matrix > 0.0)
 
 
 @given(problems())
@@ -151,9 +168,9 @@ def test_normalize_idempotent_when_undamped(problem):
         RankingProblem(problem.agent_ids, problem.alpha, problem.rho, beta=1.0)
     )
     twice = normalize_preferences(
-        RankingProblem(once.agent_ids, once.alpha_hat, once.rho, beta=1.0)
+        RankingProblem(problem.agent_ids, once.matrix, problem.rho, beta=1.0)
     )
-    np.testing.assert_allclose(twice.alpha_hat, once.alpha_hat, atol=1e-15, rtol=0)
+    np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-15, rtol=0)
 
 
 @given(problems(), st.integers(min_value=0, max_value=5), st.floats(min_value=1e-3, max_value=1e3))
@@ -163,19 +180,9 @@ def test_row_scaling_is_invisible(problem, row, lam):
     scaled_alpha = np.array(problem.alpha)
     scaled_alpha[row] *= lam
     scaled = RankingProblem(problem.agent_ids, scaled_alpha, problem.rho, beta=problem.beta)
-    a = normalize_preferences(problem).alpha_hat
-    b = normalize_preferences(scaled).alpha_hat
+    a = normalize_preferences(problem).matrix
+    b = normalize_preferences(scaled).matrix
     np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
-
-
-class TestNormalizedProblemInvariants:
-    def test_rejects_rows_not_summing_to_one(self):
-        with pytest.raises(ValueError, match="row 0"):
-            NormalizedProblem(ids(2), np.array([[0.6, 0.5], [0.5, 0.5]]), np.zeros(2))
-
-    def test_accepts_tiny_rounding(self):
-        row = np.array([1 / 3, 1 / 3, 1 / 3])
-        NormalizedProblem(ids(3), np.vstack([row, row, row]), np.zeros(3))
 
 
 class TestIsRegular:
@@ -203,7 +210,7 @@ class TestIsRegular:
 
     def test_tolerance_parameter(self):
         alpha = np.array([[0.5, 0.5], [0.5 + 1e-12, 0.5 - 1e-12]])
-        out = NormalizedProblem(ids(2), alpha, np.zeros(2))
+        out = TransitionMatrix(alpha)
         assert is_regular(out)
         assert not is_regular(out, tol=1e-14)
 
@@ -211,10 +218,11 @@ class TestIsRegular:
 _MESSAGE_CASES = {
     "rho range": (lambda: RankingProblem(ids(1), np.ones((1, 1)), 1.5), "rho[0] = 1.5 outside"),
     "rho cap": (lambda: CesEconomy(np.ones((2, 2)), 0.97), "rho[0] = 0.97 outside [-1, 0.95]"),
+    # one rho contract: a problem accepts exactly what its economy accepts
+    "problem rho cap": (lambda: RankingProblem(ids(2), np.ones((2, 2)), 0.97), "rho[0] = 0.97 outside [-1, 0.95]"),
     "rho band": (lambda: RankingProblem(ids(1), np.ones((1, 1)), 1e-12), "rho[0] = 1e-12 is inside"),
     "alpha": (lambda: RankingProblem(ids(2), -np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
     "economy alpha": (lambda: CesEconomy(-np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
-    "alpha_hat rows": (lambda: NormalizedProblem(ids(2), np.ones((2, 2)), np.zeros(2)), "sums to 2.0"),
     "price array": (lambda: demand_matrix(CesEconomy(np.ones((2, 2)), 0.0), np.array([0.0, 1.0])), "is 0.0;"),
     "price vector entry": (lambda: PriceVector(np.array([1.0, -1.0])), "is -1.0;"),
     "price vector sum": (lambda: PriceVector(np.array([0.75, 0.75])), "sum to 1.5"),

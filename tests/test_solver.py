@@ -15,7 +15,7 @@ from cesrank import (
     load_fixture,
     markov_to_economy,
     multistart_probe,
-    normalize_preferences,
+    problem_from_edge_list,
     rank_problem,
     solve_cobb_douglas,
     solve_equilibrium,
@@ -24,7 +24,7 @@ from cesrank import (
     verify_equilibrium,
 )
 
-from oracles import fixed_point_equilibrium
+from oracles import fixed_point_equilibrium, out_regular_edges
 
 # Equilibrium of the bundled nonuniform3 fixture, frozen from an independent
 # fixed-point iteration (see oracles.fixed_point_equilibrium).
@@ -99,7 +99,7 @@ class TestSolveCobbDouglas:
 class TestSolveTatonnement:
     def test_nonuniform3_matches_independent_fixed_point(self):
         problem = load_fixture("nonuniform3")
-        economy = build_economy(normalize_preferences(problem))
+        economy = build_economy(problem)
         prices, report = solve_tatonnement(economy)
         np.testing.assert_allclose(prices.pi, NONUNIFORM3_EQUILIBRIUM, atol=1e-9, rtol=0)
         assert report.converged
@@ -116,14 +116,14 @@ class TestSolveTatonnement:
 
     def test_initial_prices_honored(self):
         problem = load_fixture("nonuniform3")
-        economy = build_economy(normalize_preferences(problem))
+        economy = build_economy(problem)
         start = PriceVector.from_unnormalized([0.6, 0.1, 0.3])
         prices, _ = solve_tatonnement(economy, SolverConfig(initial_prices=start))
         np.testing.assert_allclose(prices.pi, NONUNIFORM3_EQUILIBRIUM, atol=1e-9, rtol=0)
 
     def test_iteration_budget_exhaustion(self):
         problem = load_fixture("nonuniform3")
-        economy = build_economy(normalize_preferences(problem))
+        economy = build_economy(problem)
         with pytest.raises(ConvergenceError) as exc_info:
             solve_tatonnement(economy, SolverConfig(max_iters=2))
         err = exc_info.value
@@ -139,6 +139,15 @@ class TestSolveTatonnement:
         prices, report = solve_tatonnement(e)
         assert verify_equilibrium(e, prices).passed
         assert report.converged
+
+    def test_price_underflow_is_a_convergence_error(self):
+        # steep demand (rho 0.9) at the default step overshoots until a price
+        # underflows to 0: the solver failed, the input was fine
+        weights = np.zeros((20, 20))
+        weights[tuple(zip(*out_regular_edges(np.random.default_rng(1), 20)))] = 1.0
+        with pytest.raises(ConvergenceError, match=r"price of good \d+ is 0\.0 after iteration \d+; tatonnement diverged") as info:
+            rank_problem(problem_from_edge_list(weights, rho=0.9))
+        assert info.value.residual_tail
 
     def test_disconnected_rejected_before_iterating(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -179,7 +188,7 @@ class TestVerifyEquilibrium:
 
     def test_rejects_wrong_prices(self):
         problem = load_fixture("nonuniform3")
-        e = build_economy(normalize_preferences(problem))
+        e = build_economy(problem)
         report = verify_equilibrium(e, np.full(3, 1 / 3))
         assert not report.passed
         assert report.residual > 1e-3
@@ -193,7 +202,7 @@ class TestVerifyEquilibrium:
 class TestMultistartProbe:
     def test_unique_regime_tight_spread(self):
         problem = load_fixture("nonuniform3")
-        economy = build_economy(normalize_preferences(problem))
+        economy = build_economy(problem)
         report = multistart_probe(economy, k_starts=5)
         assert report.within_bound is True
         assert report.spread <= report.bound
@@ -216,7 +225,7 @@ class TestMultistartProbe:
 
     def test_seed_reproducible(self):
         problem = load_fixture("nonuniform3")
-        economy = build_economy(normalize_preferences(problem))
+        economy = build_economy(problem)
         a = multistart_probe(economy, SolverConfig(seed=42), k_starts=3)
         b = multistart_probe(economy, SolverConfig(seed=42), k_starts=3)
         assert a.spread == b.spread
