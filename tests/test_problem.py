@@ -222,6 +222,8 @@ _MESSAGE_CASES = {
     "problem rho cap": (lambda: RankingProblem(ids(2), np.ones((2, 2)), 0.97), "rho[0] = 0.97 outside [-1, 0.95]"),
     "rho band": (lambda: RankingProblem(ids(1), np.ones((1, 1)), 1e-12), "rho[0] = 1e-12 is inside"),
     "alpha": (lambda: RankingProblem(ids(2), -np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
+    # alpha_hat, the damped preference matrix, is a TransitionMatrix
+    "alpha_hat rows": (lambda: TransitionMatrix(np.ones((2, 2))), "sums to 2.0"),
     "economy alpha": (lambda: CesEconomy(-np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
     "price array": (lambda: demand_matrix(CesEconomy(np.ones((2, 2)), 0.0), np.array([0.0, 1.0])), "is 0.0;"),
     "price vector entry": (lambda: PriceVector(np.array([1.0, -1.0])), "is -1.0;"),
