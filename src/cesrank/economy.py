@@ -22,6 +22,7 @@ strictly positive price vector, normalized or not.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
@@ -130,19 +131,24 @@ def _demand_rows(economy: CesEconomy, rows: slice, prices: np.ndarray) -> np.nda
     alpha = economy.alpha[rows]
     q = economy.q[rows]
     r = 1.0 - q
-    t = np.empty_like(alpha)
     direct = q <= LOG_SPACE_Q
-    if direct.any():
-        t[direct] = alpha[direct] ** q[direct, None] * prices[None, :] ** r[direct, None]
-    steep = ~direct
-    if steep.any():
+    if direct.all():
+        t = alpha ** q[:, None]
+        t *= prices ** r[:, None]
+    else:
+        t = np.empty_like(alpha)
+        if direct.any():
+            t[direct] = alpha[direct] ** q[direct, None] * prices[None, :] ** r[direct, None]
+        steep = ~direct
         # Steep exponents: evaluate in log space and shift by the row max so
         # the largest term is exp(0). Zero coefficients map to exp(-inf) = 0.
         with np.errstate(divide="ignore"):
             m = q[steep, None] * np.log(alpha[steep]) + r[steep, None] * np.log(prices)[None, :]
         t[steep] = np.exp(m - m.max(axis=1, keepdims=True))
-    shares = t / t.sum(axis=1, keepdims=True)
-    return shares * prices[rows, None] / prices[None, :]
+    t /= t.sum(axis=1, keepdims=True)
+    t *= prices[rows, None]
+    t /= prices[None, :]
+    return t
 
 
 def cobb_douglas_demand(economy: CesEconomy, trader: int, prices) -> np.ndarray:
@@ -182,6 +188,52 @@ def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
     order is fixed, so results are bit-for-bit reproducible.
     """
     return demand_matrix(economy, prices).sum(axis=0) - 1.0
+
+
+def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
+    """Aggregate demand ``demand_matrix(economy, p).sum(axis=0)`` in O(nnz + n·G) per call.
+
+    Each alpha row is split once into its floor ``c_i = min_j alpha[i][j]``
+    and the excess entries where ``alpha[i][j] > c_i``, with
+    ``delta_ij = alpha[i][j]**q_i - c_i**q_i``. This is exact for every
+    economy; a damped preference row is its constant ``(1 - beta) / n`` plus
+    the input graph's edges, so nnz is the edge count. With ``r = 1 - q``,
+    ``w_i = p_i / T_i`` and ``g`` running over the G distinct exponents:
+
+        T_i = c_i**q_i * sum_j p_j**r_i + sum_{j in E_i} delta_ij * p_j**r_i
+        d_j = (sum_g p_j**r_g * sum_{i in g} c_i**q_i * w_i
+               + sum_{(i, j) in E} delta_ij * p_j**r_i * w_i) / p_j
+
+    Returns a function of a strictly positive price array (not validated:
+    this is the solver's inner loop). `demand_matrix` stays the reference
+    this kernel is tested against and the certificate the solver reports.
+    """
+    n = economy.n
+    q = economy.q
+    q_values, group = np.unique(q, return_inverse=True)
+    r = 1.0 - q_values
+    # Shares are invariant to the scale of a row. Dividing it by the power of
+    # two at or below its max is exact and keeps alpha**q from over- or
+    # underflowing for q up to 20.
+    top = np.ldexp(1.0, np.frexp(economy.alpha.max(axis=1))[1] - 1)
+    floor = economy.alpha.min(axis=1)
+    rows, cols = np.nonzero(economy.alpha > floor[:, None])
+    floor_q = (floor / top) ** q
+    delta = (economy.alpha[rows, cols] / top[rows]) ** q[rows] - floor_q[rows]
+    entry = group[rows] * n + cols  # flat index into the (G, n) table of price powers
+
+    def demand(prices: np.ndarray) -> np.ndarray:
+        # p_j**r_g in log space, shifted per group so that its largest value
+        # is exp(0) = 1; the shift cancels between T_i and d_j.
+        m = r[:, None] * np.log(prices)
+        powers = np.exp(m - m.max(axis=1, keepdims=True))
+        spend = delta * powers.ravel()[entry]
+        totals = floor_q * powers.sum(axis=1)[group] + np.bincount(rows, spend, minlength=n)
+        w = prices / totals
+        floor_spend = np.bincount(group, floor_q * w, minlength=len(r)) @ powers
+        return (floor_spend + np.bincount(cols, spend * w[rows], minlength=n)) / prices
+
+    return demand
 
 
 def markov_to_economy(p: TransitionMatrix) -> CesEconomy:

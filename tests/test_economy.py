@@ -16,6 +16,7 @@ from cesrank import (
     excess_demand,
     markov_to_economy,
 )
+from cesrank.economy import aggregate_demand
 
 from oracles import grid_search_demand
 
@@ -194,6 +195,64 @@ def test_demand_homogeneous_degree_zero(pair, lam):
     a = demand_matrix(economy, p)
     b = demand_matrix(economy, lam * p)
     np.testing.assert_allclose(a, b, atol=1e-10, rtol=0)
+
+
+@st.composite
+def damped_economies_and_prices(draw):
+    """Damped preference rows mixing constant, fully dense and sparse rows.
+
+    ``beta = 1`` leaves sparse rows with a zero floor; ``beta = 0.85`` gives
+    every row the floor ``0.15 / n``. Constant rows (a dangling vertex) have no
+    excess entries; fully dense rows have one at nearly every good; nearly
+    constant rows put entries a hair above the floor next to entries on it.
+    Prices span twelve decades.
+    """
+    n = draw(st.integers(min_value=2, max_value=12))
+    beta = draw(st.sampled_from([1.0, 0.85]))
+    kinds = draw(st.lists(st.sampled_from(["constant", "nearly constant", "dense", "sparse"]), min_size=n, max_size=n))
+    rho = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 0.8, 0.95]), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    rows = np.ones((n, n))
+    for i, kind in enumerate(kinds):
+        if kind == "nearly constant":
+            rows[i] = 1.0 + 1e-6 * rng.random(n) * (rng.random(n) < 0.5)
+        elif kind == "dense":
+            rows[i] = 0.05 + rng.random(n)
+        elif kind == "sparse":
+            rows[i] = rng.random(n) * (rng.random(n) < 0.4)
+            rows[i, rng.integers(n)] = 1.0
+    alpha = beta * rows / rows.sum(axis=1, keepdims=True) + (1.0 - beta) / n
+    prices = 10.0 ** rng.uniform(-12.0, 0.0, n)
+    return CesEconomy(alpha, np.array(rho)), prices
+
+
+@given(damped_economies_and_prices())
+@settings(max_examples=300, deadline=None)
+def test_aggregate_demand_matches_dense_column_sums(pair):
+    economy, p = pair
+    dense = demand_matrix(economy, p).sum(axis=0)
+    fast = aggregate_demand(economy)(p)
+    assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+class TestAggregateDemand:
+    def test_common_rho_on_a_damped_graph(self):
+        # one exponent group, the shape every rank_problem economy has
+        alpha = np.full((4, 4), 0.15 / 4)
+        alpha[[0, 1, 2, 3], [1, 2, 3, 0]] += 0.85
+        e = CesEconomy(alpha, 0.5)
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_allclose(aggregate_demand(e)(p), demand_matrix(e, p).sum(axis=0), rtol=1e-14)
+
+    def test_rescaled_rows_give_the_same_demand(self):
+        # row scale cancels in the shares; rows of 1e-30 or 1e30 must not
+        # under- or overflow alpha**q at q = 20
+        rng = np.random.default_rng(4)
+        alpha = 0.1 + rng.random((3, 3))
+        p = np.array([0.5, 0.3, 0.2])
+        reference = aggregate_demand(CesEconomy(alpha, 0.95))(p)
+        scaled = aggregate_demand(CesEconomy(alpha * np.array([[1e-30], [1.0], [1e30]]), 0.95))(p)
+        np.testing.assert_allclose(scaled, reference, rtol=1e-14)
 
 
 class TestMarkovToEconomy:

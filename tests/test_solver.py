@@ -1,7 +1,12 @@
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import cesrank.markov
+import cesrank.solver
 from cesrank import (
     CesEconomy,
     ConvergenceError,
@@ -12,11 +17,13 @@ from cesrank import (
     TransitionMatrix,
     build_economy,
     build_web_transition,
+    demand_matrix,
     load_fixture,
     markov_to_economy,
     multistart_probe,
     problem_from_edge_list,
     rank_problem,
+    sniff_and_load,
     solve_cobb_douglas,
     solve_equilibrium,
     solve_tatonnement,
@@ -24,7 +31,7 @@ from cesrank import (
     verify_equilibrium,
 )
 
-from oracles import fixed_point_equilibrium, out_regular_edges
+from oracles import dense_tatonnement, fixed_point_equilibrium, out_regular_edges, with_dangling_vertices
 
 # Equilibrium of the bundled nonuniform3 fixture, frozen from an independent
 # fixed-point iteration (see oracles.fixed_point_equilibrium).
@@ -154,6 +161,108 @@ class TestSolveTatonnement:
         e = CesEconomy(alpha, 0.5)
         with pytest.raises(ValueError, match="strongly connected"):
             solve_tatonnement(e)
+
+
+def _golden_problem(source, rho):
+    if source == "dangling":
+        _, (_, weights) = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
+        return problem_from_edge_list(weights, rho=rho)
+    return replace(load_fixture(source), rho=rho)
+
+
+def _random_weighted_problem(seed, rho):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 201))
+    _, src, dst, _ = with_dangling_vertices(rng, n, max(1, n // 10))
+    weights = np.zeros((n, n))
+    weights[src, dst] = rng.uniform(0.5, 3.0, len(src))
+    return problem_from_edge_list(weights, rho=rho)
+
+
+class TestTatonnementTrajectory:
+    """The aggregate kernel leaves the iteration where the dense kernel had it."""
+
+    @staticmethod
+    def assert_same_trajectory(economy, gamma=0.5):
+        reference, reference_iters = dense_tatonnement(demand_matrix, economy, gamma=gamma)
+        config = SolverConfig(gamma=gamma)
+        if reference is None:
+            with pytest.raises(ConvergenceError) as info:
+                solve_tatonnement(economy, config)
+            failed_at = int(re.search(r"iteration (\d+)", str(info.value)).group(1))
+            assert abs(failed_at - reference_iters) <= 1
+            return
+        prices, report = solve_tatonnement(economy, config)
+        assert np.abs(prices.pi - reference).max() <= 1e-12
+        assert abs(report.iterations - reference_iters) <= 1
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    @pytest.mark.parametrize("source", ["nonuniform3", "monotone3", "dangling"])
+    def test_golden_inputs(self, source, rho):
+        self.assert_same_trajectory(build_economy(_golden_problem(source, rho)))
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.5, 0.8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_weighted_graphs(self, seed, rho):
+        # rho 0.8 diverges at the default step on these graphs: both loops
+        # must fail at the same iteration
+        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, rho)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_weighted_graphs_small_step(self, seed):
+        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, 0.8)), gamma=0.2)
+
+
+class TestTatonnementCertificate:
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_report_residual_is_the_certificate(self, rho):
+        economy = build_economy(_random_weighted_problem(7, rho))
+        prices, report = solve_tatonnement(economy)
+        clearing = verify_equilibrium(economy, prices)
+        assert clearing.passed
+        assert clearing.residual == report.residual
+
+    def test_uncertified_convergence_iterates_on(self, monkeypatch):
+        economy = build_economy(load_fixture("nonuniform3"))
+        _, plain = solve_tatonnement(economy)
+        certificate = cesrank.solver.excess_demand
+        residuals = []
+
+        def first_check_fails(e, prices):
+            z = certificate(e, prices)
+            residuals.append(float(np.abs(z).max()))
+            return z + 1.0 if len(residuals) == 1 else z
+
+        monkeypatch.setattr(cesrank.solver, "excess_demand", first_check_fails)
+        prices, report = solve_tatonnement(economy)
+        assert len(residuals) == 2
+        assert report.iterations == plain.iterations + 1
+        assert report.residual == residuals[1]
+        assert report.converged
+
+    def test_never_certified_never_converges(self, monkeypatch):
+        economy = build_economy(load_fixture("nonuniform3"))
+        _, plain = solve_tatonnement(economy)
+        certificate = cesrank.solver.excess_demand
+        monkeypatch.setattr(cesrank.solver, "excess_demand", lambda e, prices: certificate(e, prices) + 1.0)
+        with pytest.raises(ConvergenceError, match="did not clear the market"):
+            solve_tatonnement(economy, SolverConfig(max_iters=plain.iterations + 5))
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.5, 0.5, 0.8, 0.9, 0.95])
+@pytest.mark.parametrize("n", [20, 300])
+def test_rho_sweep_certifies_or_reports_no_convergence(n, rho):
+    # every accepted rho either gives a certified ranking or a
+    # ConvergenceError (exit 3), never a ValueError (exit 2)
+    weights = np.zeros((n, n))
+    weights[tuple(zip(*out_regular_edges(np.random.default_rng(1), n)))] = 1.0
+    problem = problem_from_edge_list(weights, rho=rho)
+    try:
+        prices, report = rank_problem(problem, SolverConfig(max_iters=2000))
+    except ConvergenceError:
+        return
+    assert report.converged
+    assert verify_equilibrium(build_economy(problem), prices).passed
 
 
 class TestSolveEquilibrium:
