@@ -30,10 +30,6 @@ import numpy as np
 from .markov import TransitionMatrix, _period, require_strongly_connected, support_graph
 from .problem import RankingProblem, _validate_alpha, _validate_rho, normalize_preferences
 
-#: Exponent size beyond which power terms are evaluated in log space.
-LOG_SPACE_Q = 4.0
-
-
 def as_price_array(prices, n: int) -> np.ndarray:
     """Coerce a price input (PriceVector or array-like) to a validated array."""
     arr = np.asarray(getattr(prices, "pi", prices), dtype=float)
@@ -127,24 +123,20 @@ class CesEconomy:
 
 
 def _demand_rows(economy: CesEconomy, rows: slice, prices: np.ndarray) -> np.ndarray:
-    """Demand of the traders in ``rows``: budget shares times own-good income, over prices."""
-    alpha = economy.alpha[rows]
-    q = economy.q[rows]
-    r = 1.0 - q
-    direct = q <= LOG_SPACE_Q
-    if direct.all():
-        t = alpha ** q[:, None]
-        t *= prices ** r[:, None]
-    else:
-        t = np.empty_like(alpha)
-        if direct.any():
-            t[direct] = alpha[direct] ** q[direct, None] * prices[None, :] ** r[direct, None]
-        steep = ~direct
-        # Steep exponents: evaluate in log space and shift by the row max so
-        # the largest term is exp(0). Zero coefficients map to exp(-inf) = 0.
-        with np.errstate(divide="ignore"):
-            m = q[steep, None] * np.log(alpha[steep]) + r[steep, None] * np.log(prices)[None, :]
-        t[steep] = np.exp(m - m.max(axis=1, keepdims=True))
+    """Demand of the traders in ``rows``: budget shares times own-good income, over prices.
+
+    The shares are evaluated in log space, ``q*log(alpha) + (1-q)*log(p)``,
+    shifted by the row max so that the largest term is exp(0): no power of
+    alpha or p is formed, so nothing over- or underflows for any exponent or
+    scale of alpha. Zero coefficients map to exp(-inf) = 0.
+    """
+    q = economy.q[rows, None]
+    with np.errstate(divide="ignore"):
+        t = np.log(economy.alpha[rows])
+    t *= q
+    t += (1.0 - q) * np.log(prices)
+    t -= t.max(axis=1, keepdims=True)
+    np.exp(t, out=t)
     t /= t.sum(axis=1, keepdims=True)
     t *= prices[rows, None]
     t /= prices[None, :]
@@ -247,15 +239,16 @@ def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
     are accepted with a warning since their unique invariant distribution
     still clears the market.
     """
-    graph = support_graph(p.matrix)
-    require_strongly_connected(graph, "the chain's support graph", "no strictly positive equilibrium")
-    if _period(graph) != 1:
-        warnings.warn(
-            "the chain is periodic; its invariant distribution is still the "
-            "unique market-clearing price vector, but power iteration on the "
-            "chain itself would not converge",
-            stacklevel=2,
-        )
+    if p.matrix.min() <= 0.0:  # else the graph is complete and aperiodic
+        graph = support_graph(p.matrix)
+        require_strongly_connected(graph, "the chain's support graph", "no strictly positive equilibrium")
+        if _period(graph) != 1:
+            warnings.warn(
+                "the chain is periodic; its invariant distribution is still the "
+                "unique market-clearing price vector, but power iteration on the "
+                "chain itself would not converge",
+                stacklevel=2,
+            )
     return CesEconomy(alpha=p.matrix, rho=np.zeros(p.n))
 
 

@@ -34,14 +34,11 @@ MAX_STEP_HALVINGS = 4
 class SolverConfig:
     """Knobs for equilibrium computation.
 
-    ``method`` is one of ``"auto"`` (closed form when every trader has unit
-    elasticity, tatonnement otherwise),
-    ``"closed_form"``, or ``"tatonnement"``. ``tolerance`` bounds the max-norm
-    of excess demand at the returned prices. ``gamma`` is the tatonnement step
-    exponent; it is halved up to four times when the residual stops improving.
+    ``tolerance`` bounds the max-norm of excess demand at the returned prices.
+    ``gamma`` is the tatonnement step exponent; it is halved up to four times
+    when the residual stops improving.
     """
 
-    method: str = "auto"
     tolerance: float = 1e-10
     gamma: float = 0.5
     max_iters: int = 200_000
@@ -49,8 +46,6 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("auto", "closed_form", "tatonnement"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if not (0.0 < self.gamma <= 1.0):
@@ -60,6 +55,8 @@ class SolverConfig:
 
 
 def _require_connected_economy(economy: CesEconomy) -> None:
+    if economy.alpha.min() > 0.0:
+        return  # no zero entry: the graph is complete, with self-loops
     require_strongly_connected(
         support_graph(economy.alpha),
         "economy graph",
@@ -71,9 +68,9 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     """Exact equilibrium of an all-unit-elasticity economy.
 
     Solves the linear invariant system of the row-normalized alpha matrix
-    with `cesrank.markov.stationary_solve`. The report's residual is the
-    max-norm excess demand at the returned prices, computed through the demand
-    functions as an independent check on the linear algebra.
+    with `cesrank.markov.stationary_solve`. The report's residual and
+    convergence come from `verify_equilibrium` at the returned prices, an
+    independent check on the linear algebra.
     """
     start = time.perf_counter()
     if np.any(economy.rho != 0.0):
@@ -82,21 +79,21 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     _require_connected_economy(economy)
     shares = economy.alpha / economy.alpha.sum(axis=1, keepdims=True)
     prices = PriceVector.from_unnormalized(stationary_solve(shares))
-    residual = float(np.abs(excess_demand(economy, prices)).max())
+    check = verify_equilibrium(economy, prices, tolerance)
     report = SolverReport(
         method="closed_form",
         iterations=1,
-        residual=residual,
-        converged=residual <= tolerance,
+        residual=check.residual,
+        converged=check.passed,
         tolerance=tolerance,
         wall_time=time.perf_counter() - start,
     )
     if not report.converged:
         raise ConvergenceError(
-            f"closed-form solution has residual {residual:.3e} above tolerance "
+            f"closed-form solution has residual {check.residual:.3e} above tolerance "
             f"{tolerance:.3e}; the linear system is badly conditioned",
             last_iterate=prices.pi,
-            residual=residual,
+            residual=check.residual,
         )
     return prices, report
 
@@ -108,8 +105,8 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     renormalizes onto the simplex. Aggregate demand comes from
     `cesrank.economy.aggregate_demand`, O(nnz) per round on a damped graph.
     Convergence is declared when its max-norm excess demand falls below the
-    configured tolerance and `excess_demand`, the dense certificate, is within
-    tolerance too at the returned prices; the report carries the certificate's
+    configured tolerance and `verify_equilibrium`, the dense certificate,
+    passes too at the returned prices; the report carries the certificate's
     residual, and a failed certificate means iterating on. When traders have
     nonnegative rho the economy satisfies gross substitutes and the iteration
     is reliable in practice; steep exponents (rho near its upper end) can
@@ -147,19 +144,19 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
         trace.append(residual)
         if residual <= cfg.tolerance:
             prices = PriceVector.from_unnormalized(p)
-            certified = float(np.abs(excess_demand(economy, prices)).max())
-            if certified <= cfg.tolerance:
+            check = verify_equilibrium(economy, prices, cfg.tolerance)
+            if check.passed:
                 report = SolverReport(
                     method="tatonnement",
                     iterations=it,
-                    residual=certified,
+                    residual=check.residual,
                     converged=True,
                     tolerance=cfg.tolerance,
                     wall_time=time.perf_counter() - start,
                 )
                 logger.debug("tatonnement converged: %s", report)
                 return prices, report
-            logger.info("residual %.3e certified as %.3e; iterating on", residual, certified)
+            logger.info("residual %.3e certified as %.3e; iterating on", residual, check.residual)
         if it == cfg.max_iters:
             break
         if (
@@ -195,12 +192,9 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
 
 
 def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Dispatch to the closed form when available, tatonnement otherwise."""
+    """Closed form when every trader has unit elasticity (rho 0), tatonnement otherwise."""
     cfg = config or SolverConfig()
-    method = cfg.method
-    if method == "auto":
-        method = "closed_form" if np.all(economy.rho == 0.0) else "tatonnement"
-    if method == "closed_form":
+    if np.all(economy.rho == 0.0):
         return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
     return solve_tatonnement(economy, cfg)
 

@@ -283,6 +283,19 @@ class TestCompare:
         assert code == 0
         assert doc["agents"] == ["a", "b", "c"]
 
+    def test_no_connectivity_check(self, graph_file, capsys, monkeypatch):
+        # a damped chain is complete, so there is nothing to check
+        calls = []
+        original = cesrank.markov.is_strongly_connected
+
+        def counted(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        assert main(["compare", "--input", graph_file(DANGLING)]) == 0
+        assert calls == []
+
     def test_self_preference_cannot_become_a_chain(self, problem_file, capsys):
         # a positive diagonal has no counterpart in the link graph
         code = main(["compare", "--input", problem_file(load_fixture("nonuniform3"))])

@@ -8,6 +8,7 @@ from cesrank import (
     CesEconomy,
     PriceVector,
     RankingProblem,
+    SolverConfig,
     TransitionMatrix,
     build_economy,
     ces_demand,
@@ -15,6 +16,8 @@ from cesrank import (
     demand_matrix,
     excess_demand,
     markov_to_economy,
+    solve_equilibrium,
+    verify_equilibrium,
 )
 from cesrank.economy import aggregate_demand
 
@@ -128,8 +131,8 @@ class TestCesDemand:
             ces_demand(e, 0, np.array([0.0, 1.0]))
 
     def test_steep_exponent_matches_direct_formula(self):
-        # q = 10: log-space path; compare against the plain formula where it
-        # is still finite
+        # q = 10: compare the log-space kernel against the plain formula
+        # where it is still finite
         alpha = np.array([[0.8, 1.3, 0.5], [1.0, 1.0, 1.0], [0.4, 0.9, 1.7]])
         e = CesEconomy(alpha, 0.9)
         p = np.array([0.5, 0.3, 0.2])
@@ -158,6 +161,25 @@ class TestDemandMatrixAndExcess:
         e = CesEconomy(np.ones((3, 3)), 0.5)
         z = excess_demand(e, np.full(3, 1 / 3))
         np.testing.assert_allclose(z, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("rho", [0.5, -1.0, 0.0, 0.9])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_scaled_alpha_neither_overflows_nor_underflows(self, scale, rho):
+        # shares do not depend on the scale of alpha, so neither may demand
+        rng = np.random.default_rng(7)
+        alpha = 0.1 + rng.random((5, 5))
+        alpha[0, 3] = 0.0
+        reference = CesEconomy(alpha, rho)
+        scaled = CesEconomy(alpha * scale, rho)
+        p = np.array([0.3, 0.1, 0.25, 0.15, 0.2])
+        d = demand_matrix(scaled, p)
+        expected = demand_matrix(reference, p)
+        assert np.all(np.isfinite(d))
+        np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12 * expected.max())
+        np.testing.assert_allclose(aggregate_demand(scaled)(p), d.sum(axis=0), rtol=0, atol=1e-12 * d.max())
+        # a step of 1/q keeps tatonnement stable at q = 10
+        prices, _ = solve_equilibrium(reference, SolverConfig(gamma=0.1))
+        assert verify_equilibrium(scaled, prices).passed
 
 
 @st.composite

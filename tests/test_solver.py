@@ -43,7 +43,6 @@ NONUNIFORM3_EQUILIBRIUM = np.array(
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.method == "auto"
         assert cfg.tolerance == 1e-10
         assert cfg.gamma == 0.5
         assert cfg.max_iters == 200_000
@@ -51,7 +50,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"method": "newton"},
+            {"tolerance": float("nan")},
             {"tolerance": 0.0},
             {"gamma": 0.0},
             {"gamma": 1.5},
@@ -282,9 +281,12 @@ class TestSolveEquilibrium:
         assert report.method == "tatonnement"
 
     def test_explicit_method_respected(self):
-        e = CesEconomy(np.ones((3, 3)), 0.0)
-        _, report = solve_equilibrium(e, SolverConfig(method="tatonnement"))
+        # the iterative path for a rho-0 economy is a direct call, not a config knob
+        e = CesEconomy(load_fixture("nonuniform3").alpha, 0.0)
+        closed, _ = solve_equilibrium(e)
+        prices, report = solve_tatonnement(e)
         assert report.method == "tatonnement"
+        np.testing.assert_allclose(prices.pi, closed.pi, atol=1e-9, rtol=0)
 
 
 class TestVerifyEquilibrium:
@@ -373,7 +375,13 @@ class TestRankProblem:
 
         monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
         problem = load_fixture("nonuniform3")
+        # damped: every alpha entry is positive, so the graph is complete
         rank_problem(RankingProblem(problem.agent_ids, problem.alpha, rho, beta=0.85))
+        assert calls == []
+        # undamped with zero entries: the exact check runs once
+        alpha = problem.alpha.copy()
+        alpha[0, 2] = 0.0
+        rank_problem(RankingProblem(problem.agent_ids, alpha, rho, beta=1.0))
         assert calls == [3]
 
     def test_zero_row_agent_handled(self):
