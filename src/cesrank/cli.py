@@ -36,7 +36,7 @@ from .diagnostics import ConvergenceError
 from .economy import build_economy, markov_to_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, dump_problem, problem_from_edge_list, sniff_and_load
-from .markov import TransitionMatrix, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
+from .markov import _damped_chain, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
 from .solver import SolverConfig, rank_problem, solve_cobb_douglas
 
 logger = logging.getLogger(__name__)
@@ -132,13 +132,13 @@ def _cmd_rank(args) -> int:
         require_strongly_connected(
             support_graph(weights), "the graph", "the invariant method needs a strongly connected graph"
         )
-        sums = weights.sum(axis=1)
-        if np.any(sums == 0.0):
+        empty = weights.max(axis=1) == 0.0
+        if np.any(empty):
             raise ValueError(
-                f"agent {ids[int(np.argmin(sums))]} has no positive weight; "
+                f"agent {ids[int(np.argmax(empty))]} has no positive weight; "
                 "the invariant method needs one in every row"
             )
-        chain = TransitionMatrix(weights / sums[:, None])
+        chain = _damped_chain(np.array(weights), 1.0)
     dist, report = stationary_distribution(chain, tolerance=tol)
     _emit_ranking(ids, dist.pi, report, args.method, args.format)
     return _EXIT_OK

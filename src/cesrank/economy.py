@@ -93,7 +93,7 @@ class CesEconomy:
         alpha = np.array(self.alpha, dtype=float)
         _validate_alpha(alpha)
         n = alpha.shape[0]
-        dead = alpha.sum(axis=1) == 0.0
+        dead = alpha.max(axis=1) == 0.0
         if np.any(dead):
             i = int(np.flatnonzero(dead)[0])
             raise ValueError(f"trader {i} has an all-zero alpha row; demand is undefined")

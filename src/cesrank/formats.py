@@ -45,7 +45,10 @@ def _require_number(value, where: str, minimum: float | None = None) -> float:
     # bool is an int subclass; JSON "true" must not pass as 1.0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"expected a number, got {value!r}", where)
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise DocumentError(f"number must be finite, got {value!r}", where)
     if minimum is not None and x < minimum:
@@ -103,15 +106,19 @@ def load_problem(source) -> RankingProblem:
 
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
+    except DocumentError:
+        raise
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON: {e.msg}", f"line {e.lineno}") from e
+    except (ValueError, RecursionError) as e:  # an integer over the digit limit, or nesting too deep
+        raise DocumentError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
 
     version = doc.get("format")
     if version is None:
         raise DocumentError("missing 'format' version key")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}", "format")
 
     agents = doc.get("agents")

@@ -213,11 +213,18 @@ def _damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix:
     divided by its sum, and when ``beta < 1`` every entry is mixed as
     ``beta * w + (1 - beta) / n`` (Langville & Meyer, "Deeper Inside
     PageRank", 2004). This one rule builds both the web-surfer chain and the
-    damped preference matrix of a ranking problem. ``weights`` must be a
-    writable float array the caller gives up: it is overwritten in place.
+    damped preference matrix of a ranking problem. A row whose sum overflows
+    is first divided by its max, which leaves its normalized row unchanged.
+    ``weights`` must be a writable float array the caller gives up: it is
+    overwritten in place.
     """
     n = weights.shape[0]
-    sums = weights.sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = weights.sum(axis=1)
+    huge = ~np.isfinite(sums)
+    if np.any(huge):
+        weights[huge] /= weights[huge].max(axis=1, keepdims=True)
+        sums[huge] = weights[huge].sum(axis=1)
     dangling = sums == 0.0
     weights[dangling] = 1.0
     sums[dangling] = n

@@ -20,14 +20,10 @@ import numpy as np
 
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand
-from .markov import require_strongly_connected, stationary_solve, support_graph
+from .markov import LINEAR_SOLVE_MAX_N, require_strongly_connected, stationary_solve, support_graph
 from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
-
-#: Oscillation detection window (iterations) for automatic step halving.
-OSCILLATION_WINDOW = 50
-MAX_STEP_HALVINGS = 4
 
 
 @dataclass(frozen=True)
@@ -35,12 +31,11 @@ class SolverConfig:
     """Knobs for equilibrium computation.
 
     ``tolerance`` bounds the max-norm of excess demand at the returned prices.
-    ``gamma`` is the tatonnement step exponent; it is halved up to four times
-    when the residual stops improving.
+    ``max_iters`` and ``initial_prices`` apply to tatonnement, whose step is
+    derived from the economy, and ``seed`` to `multistart_probe`.
     """
 
     tolerance: float = 1e-10
-    gamma: float = 0.5
     max_iters: int = 200_000
     initial_prices: PriceVector | None = None
     seed: int = 0
@@ -48,8 +43,6 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
@@ -102,16 +95,17 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     """Damped multiplicative price adjustment until the market clears.
 
     Each round updates ``p[j] <- p[j] * demand_j ** gamma`` (supply is 1) and
-    renormalizes onto the simplex. Aggregate demand comes from
+    renormalizes onto the simplex, with ``gamma = min(0.5, 1 / max(q))``: the
+    step shrinks as demand grows more price-elastic, as in bounded-elasticity
+    tatonnement (Cole & Fleischer, STOC 2008), and the cap keeps undamped
+    periodic graphs at rho <= 0 from cycling. Aggregate demand comes from
     `cesrank.economy.aggregate_demand`, O(nnz) per round on a damped graph.
     Convergence is declared when its max-norm excess demand falls below the
     configured tolerance and `verify_equilibrium`, the dense certificate,
     passes too at the returned prices; the report carries the certificate's
-    residual, and a failed certificate means iterating on. When traders have
-    nonnegative rho the economy satisfies gross substitutes and the iteration
-    is reliable in practice; steep exponents (rho near its upper end) can
-    overshoot until a price underflows to 0, and negative rho may fail to
-    converge. Both are reported as `ConvergenceError`, not as a wrong answer.
+    residual, and a failed certificate means iterating on. A demand or price
+    that stops being finite and positive, or an exhausted budget, is a
+    `ConvergenceError`, not a wrong answer.
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
@@ -122,9 +116,7 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
         p = p / p.sum()
     else:
         p = np.full(n, 1.0 / n)
-    gamma = cfg.gamma
-    halvings = 0
-    last_halving = 0
+    gamma = min(0.5, 1.0 - float(economy.rho.max()))  # 1 - rho = 1 / q
     trace: list[float] = []
     residual = np.inf
     demand_at = aggregate_demand(economy)
@@ -138,7 +130,6 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
                 last_iterate=p,
                 residual=float("nan"),
                 residual_tail=trace[-10:],
-                hint="reduce gamma or loosen the price scale",
             )
         residual = float(np.abs(z).max())
         trace.append(residual)
@@ -159,16 +150,6 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
             logger.info("residual %.3e certified as %.3e; iterating on", residual, check.residual)
         if it == cfg.max_iters:
             break
-        if (
-            len(trace) > OSCILLATION_WINDOW
-            and halvings < MAX_STEP_HALVINGS
-            and it - last_halving > OSCILLATION_WINDOW
-            and trace[-1] > trace[-1 - OSCILLATION_WINDOW]
-        ):
-            gamma *= 0.5
-            halvings += 1
-            last_halving = it
-            logger.info("residual rising over %d iterations; gamma halved to %g", OSCILLATION_WINDOW, gamma)
         p = p * demand**gamma
         p /= p.sum()
         bad = ~np.isfinite(p) | (p <= 0.0)
@@ -179,7 +160,6 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
                 last_iterate=p,
                 residual=residual,
                 residual_tail=trace[-10:],
-                hint="reduce gamma",
             )
     raise ConvergenceError(
         f"tatonnement did not clear the market in {cfg.max_iters} iterations, "
@@ -187,14 +167,14 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
         last_iterate=p,
         residual=residual,
         residual_tail=trace[-10:],
-        hint="reduce gamma",
     )
 
 
 def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Closed form when every trader has unit elasticity (rho 0), tatonnement otherwise."""
+    """Closed form when every rho is 0 and n <= `LINEAR_SOLVE_MAX_N` (the size
+    rule of `stationary_distribution`: the solve is O(n^3)), tatonnement otherwise."""
     cfg = config or SolverConfig()
-    if np.all(economy.rho == 0.0):
+    if economy.n <= LINEAR_SOLVE_MAX_N and np.all(economy.rho == 0.0):
         return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
     return solve_tatonnement(economy, cfg)
 

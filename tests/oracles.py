@@ -177,36 +177,28 @@ def dominance_instance(rng, n, rho, i, j):
     return alpha
 
 
-def dense_tatonnement(demand_matrix, economy, gamma=0.5):
+def dense_tatonnement(demand_matrix, economy):
     """The tatonnement loop as it ran on the dense n x n demand kernel.
 
-    Same start (uniform), step rule ``p <- p * d**gamma`` renormalized, step
-    halving (at most 4 times) when the residual rose over 50 iterations,
-    stopping test (1e-10) and budget (200 000) as the package's solver with
-    default settings, but aggregate demand is the column sum of
-    ``demand_matrix(economy, p)``. Returns ``(prices, iterations)``, with
-    ``prices`` None when a price or a demand stops being finite and positive
-    or the budget runs out.
+    Same start (uniform), step rule ``p <- p * d**gamma`` renormalized with
+    ``gamma = min(0.5, 1 - max(rho))``, stopping test (1e-10) and budget
+    (200 000) as the package's solver with default settings, but aggregate
+    demand is the column sum of ``demand_matrix(economy, p)``. Returns
+    ``(prices, iterations)``, with ``prices`` None when a price or a demand
+    stops being finite and positive or the budget runs out.
     """
-    tolerance, max_iters, window, max_halvings = 1e-10, 200_000, 50, 4
+    tolerance, max_iters = 1e-10, 200_000
+    gamma = min(0.5, 1.0 - float(economy.rho.max()))
     n = economy.n
     p = np.full(n, 1.0 / n)
-    halvings = last_halving = 0
-    trace = []
     for it in range(max_iters + 1):
         demand = demand_matrix(economy, p).sum(axis=0)
         if not np.all(np.isfinite(demand)):
             return None, it
-        trace.append(float(np.abs(demand - 1.0).max()))
-        if trace[-1] <= tolerance:
+        if float(np.abs(demand - 1.0).max()) <= tolerance:
             return p / p.sum(), it
         if it == max_iters:
             break
-        if (len(trace) > window and halvings < max_halvings and it - last_halving > window
-                and trace[-1] > trace[-1 - window]):
-            gamma *= 0.5
-            halvings += 1
-            last_halving = it
         p = p * demand**gamma
         p /= p.sum()
         if not np.all(np.isfinite(p) & (p > 0.0)):

@@ -126,6 +126,27 @@ class TestRankCes:
         assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("method", ["ces", "invariant"])
+def test_row_sum_overflow_ranks_as_rescaled_row(problem_file, capsys, method):
+    # invariance to reference intensity: a row whose sum overflows ranks
+    # like the same row scaled to 1
+    alpha = np.array([[1.0, 1.0, 0.5], [0.2, 0.0, 0.8], [0.5, 0.5, 0.0]])
+    huge = alpha.copy()
+    huge[0] *= 1e308
+    scores = []
+    for weights, name in ((alpha, "unit.json"), (huge, "huge.json")):
+        path = problem_file(RankingProblem(("a", "b", "c"), weights, 0.5), name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rank", "--method", method, "--format", "json", "--input", path])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        scores.append({r["agent"]: r["score"] for r in json.loads(captured.out)["ranking"]})
+    for agent, score in scores[0].items():
+        assert abs(scores[1][agent] - score) <= 1e-12
+
+
 class TestRankInvariant:
     def test_weighted_invariant_ranking(self, graph_file, capsys):
         text = "format: 1\nn 3\n0 1 2.0\n0 2 1.0\n1 0\n1 2\n2 0\n2 1 3.0\n"
@@ -171,15 +192,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_price_underflow_is_no_convergence(self, graph_file, capsys):
+    def test_steep_rho_certifies(self, graph_file, capsys):
+        # rho 0.9 once overshot at a fixed step of 0.5 until a price
+        # underflowed (exit 3); the derived step 1 - rho = 0.1 certifies it
         edges = out_regular_edges(np.random.default_rng(1), 20)
         text = "format: 1\nn 20\n" + "".join(f"{i} {j}\n" for i, j in edges)
-        code = main(["rank", "--rho", "0.9", "--input", graph_file(text)])
+        code = main(["rank", "--rho", "0.9", "--format", "json", "--input", graph_file(text)])
         captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("error: price of good ")
-        assert "tatonnement diverged" in captured.err
+        assert code == 0
+        assert captured.err == ""
+        report = json.loads(captured.out)["report"]
+        assert report["converged"] is True
+        assert report["residual"] <= 1e-10
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["rank", "--input", str(tmp_path / "absent.json")])

@@ -8,7 +8,6 @@ from cesrank import (
     CesEconomy,
     PriceVector,
     RankingProblem,
-    SolverConfig,
     TransitionMatrix,
     build_economy,
     ces_demand,
@@ -48,6 +47,11 @@ class TestCesEconomyValidation:
     def test_all_zero_alpha_row(self):
         with pytest.raises(ValueError, match="trader 1"):
             CesEconomy([[1.0, 1.0], [0.0, 0.0]], 0.0)
+
+    def test_huge_alpha_row_is_not_dead(self):
+        # the row sum overflows, but the trader wants both goods
+        e = CesEconomy([[1e308, 1e308], [1.0, 0.0]], 0.5)
+        assert np.all(np.isfinite(demand_matrix(e, [0.5, 0.5])))
 
     def test_rho_above_cap(self):
         with pytest.raises(ValueError, match=r"rho\[0\]"):
@@ -177,8 +181,7 @@ class TestDemandMatrixAndExcess:
         assert np.all(np.isfinite(d))
         np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12 * expected.max())
         np.testing.assert_allclose(aggregate_demand(scaled)(p), d.sum(axis=0), rtol=0, atol=1e-12 * d.max())
-        # a step of 1/q keeps tatonnement stable at q = 10
-        prices, _ = solve_equilibrium(reference, SolverConfig(gamma=0.1))
+        prices, _ = solve_equilibrium(reference)
         assert verify_equilibrium(scaled, prices).passed
 
 

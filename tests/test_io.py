@@ -142,6 +142,20 @@ class TestLoadProblem:
         with pytest.raises(DocumentError, match=r"rho\[0\] = 0.97 outside \[-1, 0.95\]"):
             load_problem(doc(rho=0.97))
 
+
+@st.composite
+def problems(draw):
+    """Problems over the whole accepted input space: any ids, any finite weights, every rho."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True))
+    entry = st.floats(min_value=0.0, max_value=1.7976931348623157e308) | st.sampled_from([0.0, 5e-324, 1e308])
+    alpha = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    rho_value = st.floats(-1.0, 0.95).map(lambda r: 0.0 if abs(r) < 1e-9 else r)
+    rho = draw(rho_value | st.lists(rho_value, min_size=n, max_size=n))
+    beta = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return RankingProblem(tuple(ids), alpha, rho, beta=beta)
+
+
 class TestDumpProblem:
     def test_round_trip_fixture(self):
         problem = load_problem(doc(beta=0.9, rho=[0.5, -0.25]))
@@ -161,20 +175,9 @@ class TestDumpProblem:
         assert out.getvalue() == text
         assert text.endswith("\n")
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(2, 5),
-        seed=st.integers(0, 2**31),
-        scalar_rho=st.booleans(),
-    )
-    def test_round_trip_is_exact(self, n, seed, scalar_rho):
-        rng = np.random.default_rng(seed)
-        alpha = rng.random((n, n))
-        alpha[rng.random((n, n)) < 0.3] = 0.0
-        rho = 0.25 if scalar_rho else rng.uniform(-0.5, 0.5, n)
-        problem = RankingProblem(
-            tuple(f"a{i}" for i in range(n)), alpha, rho, beta=float(rng.uniform(0.5, 1.0))
-        )
+    @settings(max_examples=200, deadline=None)
+    @given(problem=problems())
+    def test_round_trip_is_exact(self, problem):
         again = load_problem(io.StringIO(dump_problem(problem)))
         np.testing.assert_array_equal(again.alpha, problem.alpha)
         np.testing.assert_array_equal(again.rho, problem.rho)

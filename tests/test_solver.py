@@ -1,5 +1,4 @@
-import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +43,18 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.tolerance == 1e-10
-        assert cfg.gamma == 0.5
         assert cfg.max_iters == 200_000
+        # the tatonnement step is derived from the economy, not configured
+        assert [f.name for f in fields(cfg)] == ["tolerance", "max_iters", "initial_prices", "seed"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"tolerance": float("nan")},
             {"tolerance": 0.0},
-            {"gamma": 0.0},
-            {"gamma": 1.5},
+            {"tolerance": -1e-10},
             {"max_iters": 0},
+            {"max_iters": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -146,14 +146,23 @@ class TestSolveTatonnement:
         assert verify_equilibrium(e, prices).passed
         assert report.converged
 
-    def test_price_underflow_is_a_convergence_error(self):
-        # steep demand (rho 0.9) at the default step overshoots until a price
-        # underflows to 0: the solver failed, the input was fine
-        weights = np.zeros((20, 20))
-        weights[tuple(zip(*out_regular_edges(np.random.default_rng(1), 20)))] = 1.0
-        with pytest.raises(ConvergenceError, match=r"price of good \d+ is 0\.0 after iteration \d+; tatonnement diverged") as info:
-            rank_problem(problem_from_edge_list(weights, rho=0.9))
-        assert info.value.residual_tail
+    def test_price_underflow_is_a_convergence_error(self, monkeypatch):
+        # a kernel that reports no demand for good 1 drives its price to 0:
+        # the solver failed, the input was fine
+        def no_demand_for_good_1(economy):
+            def demand(prices):
+                d = np.ones_like(prices)
+                d[1] = 0.0
+                return d
+
+            return demand
+
+        monkeypatch.setattr(cesrank.solver, "aggregate_demand", no_demand_for_good_1)
+        economy = build_economy(load_fixture("nonuniform3"))
+        with pytest.raises(ConvergenceError, match=r"price of good 1 is 0\.0 after iteration 0; tatonnement diverged") as info:
+            solve_tatonnement(economy)
+        assert info.value.residual_tail == [1.0]
+        assert "gamma" not in str(info.value)
 
     def test_disconnected_rejected_before_iterating(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -182,16 +191,10 @@ class TestTatonnementTrajectory:
     """The aggregate kernel leaves the iteration where the dense kernel had it."""
 
     @staticmethod
-    def assert_same_trajectory(economy, gamma=0.5):
-        reference, reference_iters = dense_tatonnement(demand_matrix, economy, gamma=gamma)
-        config = SolverConfig(gamma=gamma)
-        if reference is None:
-            with pytest.raises(ConvergenceError) as info:
-                solve_tatonnement(economy, config)
-            failed_at = int(re.search(r"iteration (\d+)", str(info.value)).group(1))
-            assert abs(failed_at - reference_iters) <= 1
-            return
-        prices, report = solve_tatonnement(economy, config)
+    def assert_same_trajectory(economy):
+        reference, reference_iters = dense_tatonnement(demand_matrix, economy)
+        assert reference is not None  # every case certifies at the derived step
+        prices, report = solve_tatonnement(economy)
         assert np.abs(prices.pi - reference).max() <= 1e-12
         assert abs(report.iterations - reference_iters) <= 1
 
@@ -203,13 +206,12 @@ class TestTatonnementTrajectory:
     @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.5, 0.8])
     @pytest.mark.parametrize("seed", range(3))
     def test_random_weighted_graphs(self, seed, rho):
-        # rho 0.8 diverges at the default step on these graphs: both loops
-        # must fail at the same iteration
         self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, rho)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_weighted_graphs_small_step(self, seed):
-        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, 0.8)), gamma=0.2)
+        # the largest accepted rho derives the smallest step, 1 - 0.95
+        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, 0.95)))
 
 
 class TestTatonnementCertificate:
@@ -264,6 +266,52 @@ def test_rho_sweep_certifies_or_reports_no_convergence(n, rho):
     assert verify_equilibrium(build_economy(problem), prices).passed
 
 
+SWEEP_RHO = [-1.0, -0.5, 0.5, 0.8, 0.9, 0.95]
+
+
+def _assert_certified(problem):
+    prices, report = rank_problem(problem, SolverConfig(max_iters=2000))
+    assert report.converged
+    assert verify_equilibrium(build_economy(problem), prices).passed
+
+
+@pytest.mark.parametrize("rho", SWEEP_RHO)
+@pytest.mark.parametrize("n", [20, 300])
+def test_rho_sweep_certifies(n, rho):
+    # the step derived from the steepest trader certifies every accepted rho
+    weights = np.zeros((n, n))
+    weights[tuple(zip(*out_regular_edges(np.random.default_rng(1), n)))] = 1.0
+    _assert_certified(problem_from_edge_list(weights, rho=rho))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [20, 300])
+def test_mixed_rho_sweep_certifies(n, seed):
+    # one step, set by the steepest trader, serves the whole economy
+    rng = np.random.default_rng(seed)
+    weights = np.zeros((n, n))
+    weights[tuple(zip(*out_regular_edges(rng, n)))] = 1.0
+    _assert_certified(problem_from_edge_list(weights, rho=rng.choice(SWEEP_RHO, size=n)))
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.5])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)],  # star 0 <-> {1, 2, 3}
+        [(a, b) for a in (0, 1) for b in (2, 3, 4)] + [(b, a) for a in (0, 1) for b in (2, 3, 4)],  # 2 x 3
+    ],
+    ids=["star", "bipartite"],
+)
+def test_undamped_periodic_graph_certifies(edges, rho):
+    # period 2 and beta = 1: a step of 1 cycles forever here, the cap of
+    # 0.5 on the derived step does not
+    n = 1 + max(max(e) for e in edges)
+    weights = np.zeros((n, n))
+    weights[tuple(zip(*edges))] = 1.0
+    _assert_certified(problem_from_edge_list(weights, rho=rho, beta=1.0))
+
+
 class TestSolveEquilibrium:
     def test_auto_uses_closed_form_for_unit_elasticity(self):
         e = CesEconomy(np.ones((3, 3)), 0.0)
@@ -286,6 +334,19 @@ class TestSolveEquilibrium:
         closed, _ = solve_equilibrium(e)
         prices, report = solve_tatonnement(e)
         assert report.method == "tatonnement"
+        np.testing.assert_allclose(prices.pi, closed.pi, atol=1e-9, rtol=0)
+
+    def test_unit_elasticity_above_linear_solve_limit_iterates(self, monkeypatch):
+        # the closed form is a dense O(n^3) solve: above the size limit that
+        # stationary_distribution honours, rho 0 iterates too
+        weights = np.zeros((20, 20))
+        weights[tuple(zip(*out_regular_edges(np.random.default_rng(4), 20)))] = 1.0
+        economy = build_economy(problem_from_edge_list(weights, rho=0.0))
+        closed, _ = solve_cobb_douglas(economy)
+        monkeypatch.setattr(cesrank.solver, "LINEAR_SOLVE_MAX_N", 10)
+        prices, report = solve_equilibrium(economy)
+        assert report.method == "tatonnement"
+        assert report.converged
         np.testing.assert_allclose(prices.pi, closed.pi, atol=1e-9, rtol=0)
 
 
@@ -383,6 +444,17 @@ class TestRankProblem:
         alpha[0, 2] = 0.0
         rank_problem(RankingProblem(problem.agent_ids, alpha, rho, beta=1.0))
         assert calls == [3]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_row_sum_overflow_ranks_as_rescaled_row(self, rho):
+        # invariance to reference intensity holds up to the largest float
+        alpha = np.array([[1.0, 1.0, 0.5], [0.2, 0.0, 0.8], [0.5, 0.5, 0.0]])
+        huge = alpha.copy()
+        huge[0] *= 1e308
+        reference, _ = rank_problem(RankingProblem(("a", "b", "c"), alpha, rho))
+        prices, report = rank_problem(RankingProblem(("a", "b", "c"), huge, rho))
+        assert report.converged
+        np.testing.assert_allclose(prices.pi, reference.pi, atol=1e-12, rtol=0)
 
     def test_zero_row_agent_handled(self):
         alpha = np.array([[0.0, 0.0], [1.0, 0.0]])
