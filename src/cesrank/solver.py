@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand
-from .markov import LINEAR_SOLVE_MAX_N, require_strongly_connected, stationary_solve, support_graph
+from .markov import _damped_chain, require_strongly_connected, stationary_solve, support_graph
 from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
         raise ValueError(f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros")
     _require_connected_economy(economy)
-    shares = economy.alpha / economy.alpha.sum(axis=1, keepdims=True)
+    shares = _damped_chain(np.array(economy.alpha), 1.0).matrix
     prices = PriceVector.from_unnormalized(stationary_solve(shares))
     check = verify_equilibrium(economy, prices, tolerance)
     report = SolverReport(
@@ -171,10 +171,9 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
 
 
 def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Closed form when every rho is 0 and n <= `LINEAR_SOLVE_MAX_N` (the size
-    rule of `stationary_distribution`: the solve is O(n^3)), tatonnement otherwise."""
+    """Closed form when every trader has unit elasticity (rho 0), tatonnement otherwise."""
     cfg = config or SolverConfig()
-    if economy.n <= LINEAR_SOLVE_MAX_N and np.all(economy.rho == 0.0):
+    if np.all(economy.rho == 0.0):
         return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
     return solve_tatonnement(economy, cfg)
 

@@ -52,6 +52,10 @@ class TestCesEconomyValidation:
         # the row sum overflows, but the trader wants both goods
         e = CesEconomy([[1e308, 1e308], [1.0, 0.0]], 0.5)
         assert np.all(np.isfinite(demand_matrix(e, [0.5, 0.5])))
+        # the closed form normalizes it like the row scaled to 1
+        prices, report = solve_equilibrium(CesEconomy([[1e308, 1e308], [1.0, 0.0]], 0.0))
+        assert report.method == "closed_form" and report.converged
+        np.testing.assert_allclose(prices.pi, [2 / 3, 1 / 3], atol=1e-12, rtol=0)
 
     def test_rho_above_cap(self):
         with pytest.raises(ValueError, match=r"rho\[0\]"):
