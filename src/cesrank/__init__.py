@@ -36,11 +36,13 @@ from .formats import (
     load_problem,
     problem_from_edge_list,
     sniff_and_load,
+    weight_matrix,
 )
 from .markov import (
     DirectedGraph,
     Distribution,
     TransitionMatrix,
+    WebTransition,
     build_web_transition,
     is_aperiodic,
     is_strongly_connected,
@@ -75,6 +77,7 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "TransitionMatrix",
+    "WebTransition",
     "build_economy",
     "build_web_transition",
     "ces_demand",
@@ -105,4 +108,5 @@ __all__ = [
     "stationary_distribution",
     "support_graph",
     "verify_equilibrium",
+    "weight_matrix",
 ]

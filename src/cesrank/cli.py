@@ -35,7 +35,7 @@ from .axioms import (
 from .diagnostics import ConvergenceError
 from .economy import build_economy, markov_to_economy
 from .fixtures import load_fixture
-from .formats import DocumentError, dump_problem, problem_from_edge_list, sniff_and_load
+from .formats import DocumentError, dump_problem, problem_from_edge_list, sniff_and_load, weight_matrix
 from .markov import _damped_chain, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
 from .solver import SolverConfig, rank_problem, solve_cobb_douglas
 
@@ -95,9 +95,8 @@ def _cmd_rank(args) -> int:
 
     if args.method == "ces":
         if problem is None:
-            _, weights = loaded_graph
             problem = problem_from_edge_list(
-                weights,
+                weight_matrix(*loaded_graph),
                 rho=args.rho if args.rho is not None else 0.0,
                 beta=args.beta if args.beta is not None else 0.85,
             )
@@ -117,29 +116,28 @@ def _cmd_rank(args) -> int:
     if args.beta is not None:
         print("warning: --beta only applies to --method ces; ignored", file=sys.stderr)
 
-    if problem is not None:
-        ids = problem.agent_ids
-        weights = problem.alpha
-    else:
-        _, weights = loaded_graph
-        ids = tuple(f"v{k}" for k in range(weights.shape[0]))
     tol = args.tol if args.tol is not None else 1e-12
 
     if args.method == "pagerank":
-        graph = loaded_graph[0] if problem is None else support_graph(weights)
+        # an edge list stays edges: the chain is O(n + edges), never n x n
+        graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
         chain = build_web_transition(graph, c=args.damping)
     else:  # invariant
+        weights = problem.alpha if problem is not None else weight_matrix(*loaded_graph)
         require_strongly_connected(
             support_graph(weights), "the graph", "the invariant method needs a strongly connected graph"
         )
         empty = weights.max(axis=1) == 0.0
         if np.any(empty):
+            k = int(np.argmax(empty))
             raise ValueError(
-                f"agent {ids[int(np.argmax(empty))]} has no positive weight; "
+                f"agent {problem.agent_ids[k] if problem is not None else f'v{k}'} has no positive weight; "
                 "the invariant method needs one in every row"
             )
         chain = _damped_chain(np.array(weights), 1.0)
     dist, report = stationary_distribution(chain, tolerance=tol)
+    # named only now: a declared vertex count too large to rank fails above, in numpy
+    ids = problem.agent_ids if problem is not None else tuple(f"v{k}" for k in range(dist.n))
     _emit_ranking(ids, dist.pi, report, args.method, args.format)
     return _EXIT_OK
 
@@ -162,8 +160,7 @@ def _cmd_verify(args) -> int:
     if args.input is not None:
         custom, loaded_graph = sniff_and_load(args.input)
         if custom is None:
-            _, weights = loaded_graph
-            custom = problem_from_edge_list(weights, rho=0.0, beta=1.0)
+            custom = problem_from_edge_list(weight_matrix(*loaded_graph), rho=0.0, beta=1.0)
     bundled = custom is None
 
     axioms = ("fairness", "monotone", "invariance", "uniformity", "gs") if args.axiom == "all" else (args.axiom,)

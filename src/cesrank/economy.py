@@ -27,7 +27,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
-from .markov import TransitionMatrix, _period, require_strongly_connected, support_graph
+from .markov import TransitionMatrix, WebTransition, _period, require_strongly_connected, support_graph
 from .problem import RankingProblem, _validate_alpha, _validate_rho, normalize_preferences
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -228,13 +228,13 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
     return demand
 
 
-def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
+def markov_to_economy(p: TransitionMatrix | WebTransition) -> CesEconomy:
     """Economy whose equilibrium prices reproduce a chain's stationary distribution.
 
     State ``i`` becomes a unit-elasticity trader owning one unit of good ``i``
-    and valuing good ``j`` with coefficient ``p[i][j]``. Market clearing at
-    positive prices then reads ``sum_i p[i][j] * pi[i] = pi[j]``, the
-    stationary condition. Requires the chain's support graph to be strongly
+    and valuing good ``j`` with coefficient ``p[i][j]`` of the dense
+    ``p.matrix``. Market clearing at positive prices then reads
+    ``sum_i p[i][j] * pi[i] = pi[j]``, the stationary condition. Requires the chain's support graph to be strongly
     connected so that a strictly positive equilibrium exists; periodic chains
     are accepted with a warning since their unique invariant distribution
     still clears the market.

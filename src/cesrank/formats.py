@@ -172,7 +172,7 @@ def dump_problem(problem: RankingProblem, stream=None) -> str:
 
 
 def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
-    """Parse an edge-list document into a graph and its weight matrix.
+    """Parse an edge-list document into a graph and its edge weights.
 
     Expected layout, with '#' lines and blank lines ignored::
 
@@ -182,9 +182,11 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
         1 2 2.5
         2 0
 
-    Indices are 0-based and a missing weight means 1.0. The returned graph
-    contains an edge wherever the weight is strictly positive; the full
-    weight matrix (including explicit zeros) comes back alongside it.
+    Indices are 0-based and a missing weight means 1.0. The graph holds an
+    edge wherever the weight is strictly positive, and the weight vector is
+    aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
+    of both. Nothing of size n x n is built: ``weight_matrix`` does that for
+    the callers that need it.
     """
     text = _read_text(source)
     lines: list[tuple[int, str]] = []
@@ -215,10 +217,12 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
         raise DocumentError(f"vertex count {tokens[1]!r} is not an integer", f"line {lineno}") from e
     if n < 1:
         raise DocumentError(f"vertex count must be >= 1, got {n}", f"line {lineno}")
+    if n > np.iinfo(np.int64).max:
+        raise DocumentError(f"vertex count {n} does not fit a 64-bit index", f"line {lineno}")
 
-    weights = np.zeros((n, n))
     src: list[int] = []
     dst: list[int] = []
+    weights: list[float] = []
     first_line: dict[tuple[int, int], int] = {}
     for lineno, line in lines[2:]:
         where = f"line {lineno}"
@@ -244,16 +248,26 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
                 raise DocumentError(f"weight must be finite and >= 0, got {tokens[2]}", where)
         else:
             w = 1.0
-        weights[i, j] = w
         if w > 0:
             src.append(i)
             dst.append(j)
+            weights.append(w)
 
-    return DirectedGraph(n, src, dst), weights
+    # sorted by (src, dst) here, so the graph keeps the arrays as they are
+    src_a, dst_a = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    order = np.lexsort((dst_a, src_a))
+    return DirectedGraph(n, src_a[order], dst_a[order]), np.array(weights)[order]
+
+
+def weight_matrix(graph: DirectedGraph, weights: np.ndarray) -> np.ndarray:
+    """The n x n weight matrix of an edge list: ``weights`` on the graph's edges, 0 elsewhere."""
+    matrix = np.zeros((graph.n, graph.n))
+    matrix[graph.src, graph.dst] = weights
+    return matrix
 
 
 def problem_from_edge_list(weights: np.ndarray, rho=0.0, beta: float = 0.85) -> RankingProblem:
-    """Wrap an edge-list weight matrix as a ranking problem.
+    """Wrap an n x n weight matrix (see ``weight_matrix``) as a ranking problem.
 
     Agents are named ``v0 .. v{n-1}`` in index order, so rankings stay
     traceable back to the vertices of the source graph.
@@ -267,7 +281,8 @@ def sniff_and_load(source) -> tuple[RankingProblem | None, tuple[DirectedGraph, 
     """Load a path or stream as either document kind, by inspecting content.
 
     JSON documents start with '{'; anything else is treated as an edge list.
-    Returns ``(problem, None)`` or ``(None, (graph, weights))``.
+    Returns ``(problem, None)`` or ``(None, (graph, weights))``, with
+    ``weights`` aligned with the graph's edges as ``load_edge_list`` gives them.
     """
     text = _read_text(source)
     if text.lstrip().startswith("{"):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +56,13 @@ class DirectedGraph:
         if np.any(bad):
             k = int(np.argmax(bad))
             raise ValueError(f"edge ({src[k]}, {dst[k]}) has a vertex outside [0, {n})")
-        key = src * n + dst
-        if np.any(key[1:] <= key[:-1]):
-            key = np.unique(key)
-            src, dst = key // n, key % n
+        # compared pairwise, not through src * n + dst, which overflows int64 past n = 3e9
+        if np.any((src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))):
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
+            first = np.ones(src.size, dtype=bool)
+            first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+            src, dst = src[first], dst[first]
         src.flags.writeable = False
         dst.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -97,6 +101,10 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    def step(self, pi: np.ndarray) -> np.ndarray:
+        """One power-iteration step, ``P.T @ pi``."""
+        return self.matrix.T @ pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +243,54 @@ def _damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix:
     return TransitionMatrix(weights)
 
 
-def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> TransitionMatrix:
+@dataclass(frozen=True, eq=False)
+class WebTransition:
+    """Damped random-surfer chain of a directed graph, held as the graph's edges.
+
+    Row ``i`` puts ``c / outdeg[i]`` on each out-edge of ``i`` plus the floor
+    ``(1 - c) / n`` everywhere; a dangling row (no out-edge) is the uniform
+    row ``1 / n``. Memory and one step ``P.T @ pi`` cost O(n + edges). The
+    dense ``matrix`` is built on first access, by the rule of
+    ``_damped_chain``, for callers that need every entry.
+
+    ``c`` must be in (0, 1) and the graph must have no self-loop.
+    """
+
+    graph: DirectedGraph
+    c: float
+    outdeg: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = float(self.c)
+        if not (0.0 < c < 1.0):
+            raise ValueError(f"damping c must be in (0, 1), got {c!r}")
+        g = self.graph
+        loops = g.src[g.src == g.dst]
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {int(loops[0])} is not allowed here")
+        outdeg = np.bincount(g.src, minlength=g.n).astype(float)
+        outdeg.flags.writeable = False
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "outdeg", outdeg)
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        t = np.zeros((self.n, self.n))
+        t[self.graph.src, self.graph.dst] = 1.0
+        return _damped_chain(t, self.c).matrix
+
+    def step(self, pi: np.ndarray) -> np.ndarray:
+        """One power-iteration step, ``P.T @ pi``, in O(n + edges)."""
+        g, c = self.graph, self.c
+        flow = np.bincount(g.dst, weights=pi[g.src] / self.outdeg[g.src], minlength=g.n)
+        return c * flow + (c * pi[self.outdeg == 0.0].sum() + (1.0 - c) * pi.sum()) / g.n
+
+
+def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> WebTransition:
     """Damped random-surfer chain of a directed graph.
 
     Each vertex spreads probability uniformly over its out-neighbors; vertices
@@ -244,34 +299,25 @@ def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> TransitionMat
     makes every entry at least ``(1 - c) / n`` and the chain ergodic.
 
     Self-loops are rejected: the construction is defined for link graphs
-    without them.
+    without them. The chain keeps the graph's edges, not an n x n array.
     """
-    c = float(c)
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"damping c must be in (0, 1), got {c!r}")
-    loops = graph.src[graph.src == graph.dst]
-    if loops.size:
-        raise ValueError(f"self-loop at vertex {int(loops[0])} is not allowed here")
-    t = np.zeros((graph.n, graph.n))
-    t[graph.src, graph.dst] = 1.0
-    return _damped_chain(t, c)
+    return WebTransition(graph, c)
 
 
 def _stationary_power(
-    p: np.ndarray, tolerance: float, max_iters: int
+    chain: TransitionMatrix | WebTransition, tolerance: float, max_iters: int
 ) -> tuple[np.ndarray, int]:
     # The L1 step between successive iterates bounds the max-norm fixed-point
     # defect of the current iterate, so returning `pi` (not `nxt`) guarantees
     # the advertised residual.
-    n = p.shape[0]
-    pt = p.T
+    n = chain.n
     pi = np.full(n, 1.0 / n)
     for it in range(max_iters):
-        nxt = pt @ pi
+        nxt = chain.step(pi)
         if np.abs(nxt - pi).sum() <= tolerance:
             return pi, it
         pi = nxt / nxt.sum()
-    residual = float(np.abs(pt @ pi - pi).max())
+    residual = float(np.abs(chain.step(pi) - pi).max())
     raise ConvergenceError(
         f"power iteration did not converge in {max_iters} iterations, "
         f"residual {residual:.3e}",
@@ -305,21 +351,23 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(
-    p: TransitionMatrix,
+    p: TransitionMatrix | WebTransition,
     method: str = "auto",
     tolerance: float = POWER_TOL,
     max_iters: int = POWER_MAX_ITERS,
 ) -> tuple[Distribution, SolverReport]:
-    """Stationary distribution ``pi = P.T @ pi`` of a row-stochastic matrix.
+    """Stationary distribution ``pi = P.T @ pi`` of a row-stochastic chain.
 
-    Methods: ``"power"`` iterates from the uniform vector and requires an
-    ergodic chain to converge; ``"solve"`` solves the singular linear system
-    directly (one normalization equation replaces a redundant one) and also
-    handles irreducible periodic chains. ``"auto"`` picks the linear solve up
-    to ``LINEAR_SOLVE_MAX_N`` states and power iteration beyond.
+    Methods: ``"power"`` iterates ``pi <- P.T @ pi`` from the uniform vector,
+    through the chain's own ``step`` (O(n + edges) for a ``WebTransition``),
+    and requires an ergodic chain to converge; ``"solve"`` solves the singular
+    linear system on the dense matrix (one normalization equation replaces a
+    redundant one) and also handles irreducible periodic chains. ``"auto"``
+    picks the linear solve up to ``LINEAR_SOLVE_MAX_N`` states and power
+    iteration beyond.
 
     Returns the distribution together with a report whose residual is
-    ``max |P.T @ pi - pi|``.
+    ``max |P.T @ pi - pi|``, computed the way the method stepped.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
@@ -329,12 +377,14 @@ def stationary_distribution(
         method = "solve" if p.n <= LINEAR_SOLVE_MAX_N else "power"
     start = time.perf_counter()
     if method == "power":
-        pi, iterations = _stationary_power(p.matrix, tolerance, max_iters)
+        pi, iterations = _stationary_power(p, tolerance, max_iters)
+        image = p.step(pi)
     elif method == "solve":
         pi, iterations = stationary_solve(p.matrix), 1
+        image = p.matrix.T @ pi
     else:
         raise ValueError(f"unknown method {method!r}; expected 'power', 'solve' or 'auto'")
-    residual = float(np.abs(p.matrix.T @ pi - pi).max())
+    residual = float(np.abs(image - pi).max())
     if residual > tolerance:
         raise ConvergenceError(
             f"stationary residual {residual:.3e} exceeds tolerance {tolerance:.3e}",

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,42 @@ class TestRankPagerank:
         main(["rank", "--method", "pagerank", "--damping", "0.5", "--input", path])
         weak = capsys.readouterr().out
         assert strong != weak
+
+    def test_power_on_the_edges_above_the_solve_limit(self, graph_file, capsys, monkeypatch):
+        # vertices 0 and 7 dangle; above the lowered limit the chain is
+        # iterated on its edges instead of solved on its dense matrix
+        edges = [(i, j) for i, j in out_regular_edges(np.random.default_rng(3), 20) if i not in (0, 7)]
+        path = graph_file("format: 1\nn 20\n" + "".join(f"{i} {j}\n" for i, j in edges))
+        argv = ["rank", "--method", "pagerank", "--format", "json", "--input", path]
+
+        def run():
+            assert main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            return doc["report"], {r["agent"]: r["score"] for r in doc["ranking"]}
+
+        solved_report, solved = run()
+        monkeypatch.setattr(cesrank.markov, "LINEAR_SOLVE_MAX_N", 10)
+        report, scores = run()
+        assert solved_report["method"] == "solve"
+        assert report["method"] == "power"
+        assert report["residual"] <= 1e-12
+        assert max(abs(scores[agent] - score) for agent, score in solved.items()) <= 1e-12
+
+    def test_memory_is_linear_in_the_edges(self, graph_file, capsys):
+        # one 3000 x 3000 float array is 69 MiB; the edge list and the chain
+        # on its 15 000 edges fit in a few
+        n = 3000
+        edges = out_regular_edges(np.random.default_rng(5), n)
+        path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+        tracemalloc.start()
+        try:
+            code = main(["rank", "--method", "pagerank", "--input", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == n
+        assert peak < 24 * 2**20
 
 
 class TestRankCes:

@@ -14,6 +14,7 @@ from cesrank import (
     load_problem,
     problem_from_edge_list,
     sniff_and_load,
+    weight_matrix,
 )
 
 MINIMAL = {
@@ -200,9 +201,16 @@ class TestLoadEdgeList:
         graph, weights = load_edge_list(io.StringIO(EDGES))
         assert graph.n == 3
         assert (graph.src.tolist(), graph.dst.tolist()) == ([0, 1, 2], [1, 2, 0])
+        assert weights.tolist() == [1.0, 2.5, 1.0]
         np.testing.assert_array_equal(
-            weights, [[0, 1, 0], [0, 0, 2.5], [1, 0, 0]]
+            weight_matrix(graph, weights), [[0, 1, 0], [0, 0, 2.5], [1, 0, 0]]
         )
+
+    def test_weights_follow_the_sorted_edges(self):
+        text = "format: 1\nn 3\n2 0 3.0\n0 2 2.0\n1 0\n0 1 0.5\n"
+        graph, weights = load_edge_list(io.StringIO(text))
+        assert (graph.src.tolist(), graph.dst.tolist()) == ([0, 0, 1, 2], [1, 2, 0, 0])
+        assert weights.tolist() == [0.5, 2.0, 1.0, 3.0]
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -214,7 +222,7 @@ class TestLoadEdgeList:
         text = "format: 1\nn 2\n0 1 0.0\n1 0\n"
         graph, weights = load_edge_list(io.StringIO(text))
         assert (graph.src.tolist(), graph.dst.tolist()) == ([1], [0])
-        assert weights[0, 1] == 0.0 and weights[1, 0] == 1.0
+        assert weights.tolist() == [1.0]
 
     def test_missing_header(self):
         with pytest.raises(DocumentError, match="empty document"):
@@ -239,6 +247,10 @@ class TestLoadEdgeList:
     def test_non_integer_count(self):
         with pytest.raises(DocumentError, match="not an integer"):
             load_edge_list(io.StringIO("format: 1\nn two\n"))
+
+    def test_count_beyond_the_index_type(self):
+        with pytest.raises(DocumentError, match="line 2: vertex count 9{20} does not fit a 64-bit index"):
+            load_edge_list(io.StringIO("format: 1\nn " + "9" * 20 + "\n0 1\n"))
 
     def test_duplicate_edge_cites_first_line(self):
         text = "format: 1\nn 2\n0 1\n1 0\n0 1 3.0\n"
@@ -273,15 +285,13 @@ class TestLoadEdgeList:
 
 class TestProblemFromEdgeList:
     def test_generated_ids_and_defaults(self):
-        _, weights = load_edge_list(io.StringIO(EDGES))
-        problem = problem_from_edge_list(weights)
+        problem = problem_from_edge_list(weight_matrix(*load_edge_list(io.StringIO(EDGES))))
         assert problem.agent_ids == ("v0", "v1", "v2")
         assert problem.beta == 0.85
         np.testing.assert_array_equal(problem.rho, 0.0)
 
     def test_overrides(self):
-        _, weights = load_edge_list(io.StringIO(EDGES))
-        problem = problem_from_edge_list(weights, rho=0.5, beta=1.0)
+        problem = problem_from_edge_list(weight_matrix(*load_edge_list(io.StringIO(EDGES))), rho=0.5, beta=1.0)
         assert problem.beta == 1.0
         np.testing.assert_array_equal(problem.rho, 0.5)
 
@@ -295,7 +305,7 @@ class TestSniffAndLoad:
         problem, pair = sniff_and_load(io.StringIO(EDGES))
         assert problem is None and pair is not None
         graph, weights = pair
-        assert graph.n == 3 and weights.shape == (3, 3)
+        assert graph.n == 3 and weights.shape == graph.src.shape == (3,)
 
     def test_leading_whitespace_still_json(self):
         problem, _ = sniff_and_load(io.StringIO("\n  " + doc().getvalue()))

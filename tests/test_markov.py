@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesrank import (
@@ -32,6 +32,13 @@ class TestDirectedGraph:
         assert g.src.dtype == np.int64
         with pytest.raises(ValueError):
             g.src[0] = 1
+
+    def test_order_past_the_int64_key_range(self):
+        # src * n + dst would wrap here; the order and the duplicates still come out right
+        n = 10**10
+        g = DirectedGraph(n, [n - 1, 1, n - 1, 1], [1, 0, 1, n - 1])
+        assert g.src.tolist() == [1, 1, n - 1]
+        assert g.dst.tolist() == [0, n - 1, 1]
 
     def test_edge_arrays_must_match(self):
         with pytest.raises(ValueError, match="one length"):
@@ -265,3 +272,51 @@ class TestStationaryDistribution:
         p = TransitionMatrix(np.eye(1))
         with pytest.raises(ValueError, match="unknown method"):
             stationary_distribution(p, method="qr")
+
+
+@st.composite
+def link_graphs(draw):
+    """Graphs without self-loops on 1..12 vertices, some vertices dangling."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    # (i, d) is the edge i -> i + d mod n with 0 < d < n, never a loop
+    pairs = draw(st.sets(st.tuples(vertex, st.integers(min_value=1, max_value=max(n - 1, 1))), max_size=3 * (n - 1)))
+    dangling = draw(st.sets(vertex, max_size=n))
+    edges = [(i, (i + d) % n) for i, d in pairs if i not in dangling]
+    return DirectedGraph(n, [i for i, _ in edges], [j for _, j in edges])
+
+
+class TestWebTransitionPower:
+    """Power iteration on the chain's edges against the same chain held dense."""
+
+    @given(link_graphs())
+    @example(DirectedGraph(1, [], []))
+    @example(DirectedGraph(7, [], []))
+    @example(DirectedGraph(4, [0, 1, 2], [1, 2, 0]))  # vertex 3 dangles
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_dense_step(self, graph):
+        chain = build_web_transition(graph)
+        sparse, report = stationary_distribution(chain, method="power")
+        dense, dense_report = stationary_distribution(TransitionMatrix(chain.matrix), method="power")
+        assert report.residual <= report.tolerance
+        # Rounding can put one L1 step on either side of the tolerance (about
+        # one graph in 10^4), and then the two stop one step apart, at most
+        # that one sub-tolerance step from each other.
+        gap = np.abs(sparse.pi - dense.pi).max()
+        if report.iterations == dense_report.iterations:
+            assert gap <= 1e-13
+        else:
+            assert abs(report.iterations - dense_report.iterations) == 1
+            assert gap <= report.tolerance
+
+    def test_step_is_the_dense_product(self):
+        rng = np.random.default_rng(4)
+        chain = build_web_transition(DirectedGraph(*random_strongly_connected_graph(rng, 30)), c=0.7)
+        pi = rng.random(30)
+        np.testing.assert_allclose(chain.step(pi), chain.matrix.T @ pi, rtol=1e-14, atol=0)
+
+    def test_dense_matrix_only_on_demand(self):
+        chain = build_web_transition(DirectedGraph(3, [0, 1, 2], [1, 2, 0]))
+        stationary_distribution(chain, method="power")
+        assert "matrix" not in vars(chain)
+        assert chain.matrix is chain.matrix

@@ -28,6 +28,7 @@ from cesrank import (
     solve_tatonnement,
     stationary_distribution,
     verify_equilibrium,
+    weight_matrix,
 )
 
 from oracles import dense_tatonnement, fixed_point_equilibrium, out_regular_edges, with_dangling_vertices
@@ -173,8 +174,8 @@ class TestSolveTatonnement:
 
 def _golden_problem(source, rho):
     if source == "dangling":
-        _, (_, weights) = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
-        return problem_from_edge_list(weights, rho=rho)
+        _, edges = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
+        return problem_from_edge_list(weight_matrix(*edges), rho=rho)
     return replace(load_fixture(source), rho=rho)
 
 
