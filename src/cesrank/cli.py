@@ -16,11 +16,13 @@ deterministic: the same input and flags produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .axioms import (
 from .diagnostics import ConvergenceError
 from .economy import build_economy, markov_to_economy
 from .fixtures import load_fixture
-from .formats import DocumentError, dump_problem, problem_from_edge_list, sniff_and_load, weight_matrix
+from .formats import DocumentError, dump_problem, json_document, problem_from_edge_list, sniff_and_load, weight_matrix
 from .markov import _damped_chain, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
 from .solver import SolverConfig, rank_problem, solve_cobb_douglas
 
@@ -59,35 +61,38 @@ def _configure_logging() -> None:
 
 
 def _tie_groups(ids, scores, order) -> list[list[str]]:
+    """Agents tied with the highest score of their group, walked in ``order`` (high to low).
+
+    A group is its first agent (the anchor) and the agents after it that score
+    within TIE_TOL of the anchor.
+    """
     groups: list[list[int]] = []
     anchor = None
-    for k in order:
-        if anchor is not None and abs(scores[k] - scores[anchor]) <= TIE_TOL:
+    for k, score in zip(order.tolist(), scores[order].tolist()):
+        if anchor is not None and abs(score - anchor) <= TIE_TOL:
             groups[-1].append(k)
         else:
             groups.append([k])
-            anchor = k
+            anchor = score
     return [[ids[k] for k in sorted(g)] for g in groups if len(g) > 1]
 
 
+#: One ``--format json`` ranking entry, as ``json.dumps(..., indent=2)`` writes it in the document.
+_JSON_ENTRY = '    {{\n      "rank": {},\n      "agent": {},\n      "score": {}\n    }}'.format
+
+
 def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
-    n = len(ids)
-    order = sorted(range(n), key=lambda k: (-scores[k], k))
+    order = np.argsort(-scores, kind="stable")
+    ranks = range(1, len(ids) + 1)
+    ranked_ids = list(map(ids.__getitem__, order.tolist()))
+    ranked_scores = scores[order].tolist()
     if fmt == "tsv":
-        for rank, k in enumerate(order, start=1):
-            sys.stdout.write(f"{rank}\t{ids[k]}\t{scores[k]:.12g}\n")
+        sys.stdout.write("".join(map("{}\t{}\t{:.12g}\n".format, ranks, ranked_ids, ranked_scores)))
         return
-    doc = {
-        "format": 1,
-        "method": method,
-        "ranking": [
-            {"rank": rank, "agent": ids[k], "score": float(scores[k])}
-            for rank, k in enumerate(order, start=1)
-        ],
-        "ties": _tie_groups(ids, scores, order),
-        "report": report.to_dict(include_wall_time=False),
-    }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    entries = list(map(_JSON_ENTRY, ranks, map(encode_basestring_ascii, ranked_ids), map(float.__repr__, ranked_scores)))
+    head = {"format": 1, "method": method}
+    tail = {"ties": _tie_groups(ids, scores, order), "report": report.to_dict(include_wall_time=False)}
+    sys.stdout.write(json_document(head, "ranking", entries, tail) + "\n")
 
 
 def _cmd_rank(args) -> int:
@@ -250,6 +255,7 @@ def _cmd_convert(args) -> int:
     return _EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cesrank", description="Elasticity-aware agent ranking.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -90,7 +90,12 @@ class CesEconomy:
     endowments: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, endowments):
-        alpha = np.array(self.alpha, dtype=float)
+        alpha = self.alpha
+        # an owned float64 array already frozen (a TransitionMatrix's, say) is
+        # kept as is; anything else is copied, so the caller cannot change it
+        if not (isinstance(alpha, np.ndarray) and alpha.dtype == np.float64 and alpha.base is None
+                and not alpha.flags.writeable):
+            alpha = np.array(alpha, dtype=float)
         _validate_alpha(alpha)
         n = alpha.shape[0]
         dead = alpha.max(axis=1) == 0.0

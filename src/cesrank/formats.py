@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,18 @@ def load_problem(source) -> RankingProblem:
         raise DocumentError(str(e)) from e
 
 
+def json_document(head: dict, key: str, entries: list[str], tail: dict) -> str:
+    """``json.dumps({**head, key: [...], **tail}, indent=2)``, with the list under ``key`` encoded by the caller.
+
+    ``entries`` holds each item of that list as ``json.dumps`` writes it there:
+    four spaces in, its inner lines deeper. A long list of numbers or records
+    so skips the pure-Python encoder that ``indent`` selects; ``head`` and
+    ``tail`` are short and go through ``json.dumps``. All three are non-empty.
+    """
+    items = ",\n".join(entries)
+    return json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: [\n{items}\n  ]," + json.dumps(tail, indent=2)[1:]
+
+
 def dump_problem(problem: RankingProblem, stream=None) -> str:
     """Serialize a problem to its JSON document form.
 
@@ -158,17 +171,31 @@ def dump_problem(problem: RankingProblem, stream=None) -> str:
     agent shares the value.
     """
     rho = problem.rho
-    doc = {
-        "format": FORMAT_VERSION,
-        "agents": list(problem.agent_ids),
-        "alpha": [[float(x) for x in row] for row in problem.alpha],
+    head = {"format": FORMAT_VERSION, "agents": list(problem.agent_ids)}
+    rows = ["    [\n      " + ",\n      ".join(map(repr, row)) + "\n    ]" for row in problem.alpha.tolist()]
+    tail = {
         "rho": float(rho[0]) if np.unique(rho).size == 1 else [float(r) for r in rho],
         "beta": float(problem.beta),
     }
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json_document(head, "alpha", rows, tail) + "\n"
     if stream is not None:
         stream.write(text)
     return text
+
+
+def _convert_prefix(convert, tokens) -> tuple[list, int | None]:
+    """``convert`` mapped over ``tokens`` up to the first token it rejects with ValueError.
+
+    Returns the converted prefix and the index of the rejected token, or None
+    when every token converts. ``list.extend`` keeps what it appended before
+    the iterator raised, so that index is the length of the prefix.
+    """
+    values: list = []
+    try:
+        values.extend(map(convert, tokens))
+    except ValueError:
+        return values, len(values)
+    return values, None
 
 
 def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
@@ -187,27 +214,40 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
     of both. Nothing of size n x n is built: ``weight_matrix`` does that for
     the callers that need it.
+
+    A malformed document is reported at its first offending line in file
+    order. Each check runs over all edge lines at once, and on one line the
+    checks rank as: token count, index syntax, index range, duplicate edge,
+    weight syntax, weight value.
     """
     text = _read_text(source)
-    lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
-    if not lines:
+    lines = text.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    # a comment is a line that starts with '#' once stripped
+    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
+    content = (counts > 0) & ~comment
+    at = np.flatnonzero(content).tolist()
+    # only the two header lines are kept as text: the edge lines live on as
+    # tokens, and one that is quoted in an error is cut from the text again
+    head = [lines[k].strip() for k in at[:2]]
+    del lines
+    # every line break is whitespace to str.split, so the tokens of line k
+    # are flat[starts[k] : starts[k] + counts[k]]
+    flat = text.split()
+    starts = np.cumsum(counts) - counts
+    if not at:
         raise DocumentError("empty document, expected a 'format: 1' header")
 
-    lineno, header = lines[0]
+    lineno, header = at[0] + 1, head[0]
     parts = [p.strip() for p in header.split(":", 1)]
     if len(parts) != 2 or parts[0] != "format":
         raise DocumentError(f"expected 'format: {FORMAT_VERSION}' header, got {header!r}", f"line {lineno}")
     if parts[1] != str(FORMAT_VERSION):
         raise DocumentError(f"unsupported format version {parts[1]!r}, expected {FORMAT_VERSION}", f"line {lineno}")
 
-    if len(lines) < 2:
+    if len(at) < 2:
         raise DocumentError("missing 'n <count>' line after the header")
-    lineno, size_line = lines[1]
+    lineno, size_line = at[1] + 1, head[1]
     tokens = size_line.split()
     if len(tokens) != 2 or tokens[0] != "n":
         raise DocumentError(f"expected 'n <count>', got {size_line!r}", f"line {lineno}")
@@ -220,43 +260,71 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     if n > np.iinfo(np.int64).max:
         raise DocumentError(f"vertex count {n} does not fit a 64-bit index", f"line {lineno}")
 
-    src: list[int] = []
-    dst: list[int] = []
-    weights: list[float] = []
-    first_line: dict[tuple[int, int], int] = {}
-    for lineno, line in lines[2:]:
-        where = f"line {lineno}"
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise DocumentError(f"expected 'i j [weight]', got {line!r}", where)
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError as e:
-            raise DocumentError(f"malformed vertex index in {line!r}", where) from e
-        for idx in (i, j):
-            if not (0 <= idx < n):
-                raise DocumentError(f"vertex {idx} out of range [0, {n})", where)
-        if (i, j) in first_line:
-            raise DocumentError(f"duplicate edge ({i}, {j}), first seen on line {first_line[i, j]}", where)
-        first_line[i, j] = lineno
-        if len(tokens) == 3:
-            try:
-                w = float(tokens[2])
-            except ValueError as e:
-                raise DocumentError(f"malformed weight {tokens[2]!r}", where) from e
-            if not math.isfinite(w) or w < 0:
-                raise DocumentError(f"weight must be finite and >= 0, got {tokens[2]}", where)
-        else:
-            w = 1.0
-        if w > 0:
-            src.append(i)
-            dst.append(j)
-            weights.append(w)
+    # edge line k is line at[k] of the text; its tokens start at flat[starts[k]]
+    at = at[2:]
+    counts, starts = counts[at], starts[at]
+    # ``stop`` is the first offending edge line found so far and ``error`` its
+    # message. Each check looks only at the lines before ``stop``, so it can
+    # only move it earlier, and on one line the check made first wins.
+    stop, error = len(at), None
 
+    bad = (counts < 2) | (counts > 3)
+    if bad.any():
+        stop = int(np.argmax(bad))
+        error = f"expected 'i j [weight]', got {text.splitlines()[at[stop]].strip()!r}"
+
+    # indices as Python ints, i and j of each line in turn; ranges are checked
+    # before the cast to int64, so a huge index is reported, not overflowed
+    ij, bad_at = _convert_prefix(int, map(flat.__getitem__, (starts[:stop, None] + [0, 1]).ravel().tolist()))
+    # the weight tokens are cut out here too, so the token list is freed
+    # before any array of the edges is built
+    weight_at = np.flatnonzero(counts[:stop] == 3)
+    raw_weights = list(map(flat.__getitem__, (starts[weight_at] + 2).tolist()))
+    del flat
+    if bad_at is not None:
+        stop = bad_at // 2
+        error = f"malformed vertex index in {text.splitlines()[at[stop]].strip()!r}"
+    del ij[2 * stop :]
+    if ij and not (min(ij) >= 0 and max(ij) < n):
+        t = int(np.argmin(np.fromiter(map(range(n).__contains__, ij), bool, len(ij))))
+        stop, error = t // 2, f"vertex {ij[t]} out of range [0, {n})"
+        del ij[2 * stop :]
+    pairs = np.array(ij, dtype=np.int64).reshape(-1, 2)
+    del ij
+    src, dst = pairs[:, 0], pairs[:, 1]
+
+    # the one sort keeps equal pairs in file order, so the earliest repeat
+    # follows the line it repeats
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    repeats = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if repeats.any():
+        later, earlier = order[1:][repeats], order[:-1][repeats]
+        r = int(np.argmin(later))
+        stop = int(later[r])
+        error = f"duplicate edge ({pairs[stop, 0]}, {pairs[stop, 1]}), first seen on line {at[earlier[r]] + 1}"
+
+    # only the weights of the lines before ``stop`` are read
+    before = int(np.searchsorted(weight_at, stop))
+    weight_at, raw_weights = weight_at[:before], raw_weights[:before]
+    values, bad_at = _convert_prefix(float, raw_weights)
+    if bad_at is not None:
+        stop, error = int(weight_at[bad_at]), f"malformed weight {raw_weights[bad_at]!r}"
+    values = np.array(values, dtype=float)
+    bad = ~np.isfinite(values) | (values < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        stop, error = int(weight_at[k]), f"weight must be finite and >= 0, got {raw_weights[k]}"
+
+    if error is not None:
+        raise DocumentError(error, f"line {at[stop] + 1}")
+
+    weights = np.ones(len(at))
+    weights[weight_at] = values
+    weights = weights[order]
     # sorted by (src, dst) here, so the graph keeps the arrays as they are
-    src_a, dst_a = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-    order = np.lexsort((dst_a, src_a))
-    return DirectedGraph(n, src_a[order], dst_a[order]), np.array(weights)[order]
+    keep = weights > 0
+    return DirectedGraph(n, src[keep], dst[keep]), weights[keep]
 
 
 def weight_matrix(graph: DirectedGraph, weights: np.ndarray) -> np.ndarray:

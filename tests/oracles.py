@@ -2,14 +2,21 @@
 
 Nothing here imports solver internals: the fixed point iteration, the
 grid-search maximizer, and the instance generators are written from the
-defining equations alone, so agreement with the package is meaningful.
+defining equations alone, so agreement with the package is meaningful. The
+text formats are checked against the straightforward per-line and per-agent
+code they replaced.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
+
+from cesrank.cli import TIE_TOL
+from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text
+from cesrank.markov import DirectedGraph
 
 
 def fixed_point_equilibrium(alpha_hat, q, iters=500_000, tol=5e-16):
@@ -204,3 +211,126 @@ def dense_tatonnement(demand_matrix, economy):
         if not np.all(np.isfinite(p) & (p > 0.0)):
             return None, it
     return None, max_iters
+
+
+def reference_load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
+    """``load_edge_list`` as one loop over the lines, checking each in turn.
+
+    This was the package's parser; it is kept as the reference for the bulk
+    one. It parses an edge-list document into a graph and its edge weights.
+
+    Expected layout, with '#' lines and blank lines ignored::
+
+        format: 1
+        n 3
+        0 1
+        1 2 2.5
+        2 0
+
+    Indices are 0-based and a missing weight means 1.0. The graph holds an
+    edge wherever the weight is strictly positive, and the weight vector is
+    aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
+    of both. Nothing of size n x n is built: ``weight_matrix`` does that for
+    the callers that need it.
+    """
+    text = _read_text(source)
+    lines: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        lines.append((lineno, stripped))
+    if not lines:
+        raise DocumentError("empty document, expected a 'format: 1' header")
+
+    lineno, header = lines[0]
+    parts = [p.strip() for p in header.split(":", 1)]
+    if len(parts) != 2 or parts[0] != "format":
+        raise DocumentError(f"expected 'format: {FORMAT_VERSION}' header, got {header!r}", f"line {lineno}")
+    if parts[1] != str(FORMAT_VERSION):
+        raise DocumentError(f"unsupported format version {parts[1]!r}, expected {FORMAT_VERSION}", f"line {lineno}")
+
+    if len(lines) < 2:
+        raise DocumentError("missing 'n <count>' line after the header")
+    lineno, size_line = lines[1]
+    tokens = size_line.split()
+    if len(tokens) != 2 or tokens[0] != "n":
+        raise DocumentError(f"expected 'n <count>', got {size_line!r}", f"line {lineno}")
+    try:
+        n = int(tokens[1])
+    except ValueError as e:
+        raise DocumentError(f"vertex count {tokens[1]!r} is not an integer", f"line {lineno}") from e
+    if n < 1:
+        raise DocumentError(f"vertex count must be >= 1, got {n}", f"line {lineno}")
+    if n > np.iinfo(np.int64).max:
+        raise DocumentError(f"vertex count {n} does not fit a 64-bit index", f"line {lineno}")
+
+    src: list[int] = []
+    dst: list[int] = []
+    weights: list[float] = []
+    first_line: dict[tuple[int, int], int] = {}
+    for lineno, line in lines[2:]:
+        where = f"line {lineno}"
+        tokens = line.split()
+        if len(tokens) not in (2, 3):
+            raise DocumentError(f"expected 'i j [weight]', got {line!r}", where)
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+        except ValueError as e:
+            raise DocumentError(f"malformed vertex index in {line!r}", where) from e
+        for idx in (i, j):
+            if not (0 <= idx < n):
+                raise DocumentError(f"vertex {idx} out of range [0, {n})", where)
+        if (i, j) in first_line:
+            raise DocumentError(f"duplicate edge ({i}, {j}), first seen on line {first_line[i, j]}", where)
+        first_line[i, j] = lineno
+        if len(tokens) == 3:
+            try:
+                w = float(tokens[2])
+            except ValueError as e:
+                raise DocumentError(f"malformed weight {tokens[2]!r}", where) from e
+            if not math.isfinite(w) or w < 0:
+                raise DocumentError(f"weight must be finite and >= 0, got {tokens[2]}", where)
+        else:
+            w = 1.0
+        if w > 0:
+            src.append(i)
+            dst.append(j)
+            weights.append(w)
+
+    # sorted by (src, dst) here, so the graph keeps the arrays as they are
+    src_a, dst_a = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    order = np.lexsort((dst_a, src_a))
+    return DirectedGraph(n, src_a[order], dst_a[order]), np.array(weights)[order]
+
+
+def reference_tie_groups(ids, scores, order) -> list[list[str]]:
+    """``cli._tie_groups`` as a walk over every agent in ``order``."""
+    groups: list[list[int]] = []
+    anchor = None
+    for k in order:
+        if anchor is not None and abs(scores[k] - scores[anchor]) <= TIE_TOL:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+            anchor = k
+    return [[ids[k] for k in sorted(g)] for g in groups if len(g) > 1]
+
+
+def reference_ranking_text(ids, scores, report, method: str, fmt: str) -> str:
+    """What ``cli._emit_ranking`` writes, built as one dict and encoded by ``json.dumps``."""
+    n = len(ids)
+    order = sorted(range(n), key=lambda k: (-scores[k], k))
+    if fmt == "tsv":
+        return "".join(f"{rank}\t{ids[k]}\t{scores[k]:.12g}\n" for rank, k in enumerate(order, start=1))
+    doc = {
+        "format": 1,
+        "method": method,
+        "ranking": [
+            {"rank": rank, "agent": ids[k], "score": float(scores[k])}
+            for rank, k in enumerate(order, start=1)
+        ],
+        "ties": reference_tie_groups(ids, scores, order),
+        "report": report.to_dict(include_wall_time=False),
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,5 +1,6 @@
 """End-to-end command tests driven through ``main(argv)``."""
 
+import contextlib
 import io
 import json
 import tracemalloc
@@ -7,12 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cesrank.markov
 from cesrank import RankingProblem, dump_problem, load_fixture, load_problem
-from cesrank.cli import main
+from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
 
-from oracles import out_regular_edges
+from oracles import out_regular_edges, reference_ranking_text, reference_tie_groups
 
 TWO_CYCLE = "format: 1\nn 2\n0 1\n1 0\n"
 TRIANGLE = "format: 1\nn 3\n0 1\n1 2\n2 0\n2 1\n"
@@ -423,3 +426,43 @@ class TestLogging:
         captured = capsys.readouterr()
         assert code == 0
         assert "unknown RANK_LOG" not in captured.err
+
+
+class _Report:
+    def to_dict(self, include_wall_time):
+        return {"method": "power", "iterations": 7, "residual": 1.5e-13, "trace": [0.5, 1e-300]}
+
+
+#: Scores that tie, or miss a tie by one ulp, with each other and with 0: a gap
+#: of exactly TIE_TOL ties, and chains of 0.4e-9 steps run past TIE_TOL end to end.
+_SCORES = [0.0, 5e-324, 2.2e-308, 4e-10, 8e-10, TIE_TOL, np.nextafter(TIE_TOL, 1.0), 1.2e-9, 1.6e-9, 2.4e-9,
+           0.25, 0.25 + 4e-10, 0.25 + 8e-10, 0.25 + 1.2e-9, 0.5, 1.0]
+
+
+@st.composite
+def rankings(draw):
+    """Agent ids that JSON must escape, and scores with ties, near-ties and zeros."""
+    n = draw(st.integers(1, 12))
+    char = st.characters(exclude_categories=()) | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\ud800", "\U0001f600"])
+    ids = tuple(draw(st.lists(st.text(char, max_size=4), min_size=n, max_size=n)))
+    score = st.sampled_from(_SCORES) | st.floats(0.0, 1.0)
+    scores = np.array(draw(st.lists(score, min_size=n, max_size=n)))
+    return ids, scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking=rankings(), fmt=st.sampled_from(["tsv", "json"]))
+def test_emitted_bytes_match_the_dict_encoder(ranking, fmt):
+    ids, scores = ranking
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_ranking(ids, scores, _Report(), "pagerank", fmt)
+    assert out.getvalue() == reference_ranking_text(ids, scores, _Report(), "pagerank", fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking=rankings())
+def test_tie_groups_match_the_anchor_walk(ranking):
+    ids, scores = ranking
+    order = np.argsort(-scores, kind="stable")
+    assert _tie_groups(ids, scores, order) == reference_tie_groups(ids, scores, order.tolist())

@@ -82,6 +82,12 @@ class TestCesEconomyValidation:
             with pytest.raises(ValueError, match="identity"):
                 CesEconomy(np.ones((2, 2)), 0.0, endowments=w)
 
+    def test_writable_alpha_is_copied(self):
+        alpha = np.array([[0.5, 0.5], [0.25, 0.75]])
+        economy = CesEconomy(alpha, 0.5)
+        alpha[0, 0] = 9.0
+        np.testing.assert_array_equal(economy.alpha, [[0.5, 0.5], [0.25, 0.75]])
+
 
 class TestCobbDouglasDemand:
     def test_fixed_budget_shares(self):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesrank import (
@@ -16,6 +16,8 @@ from cesrank import (
     sniff_and_load,
     weight_matrix,
 )
+
+from oracles import reference_load_edge_list
 
 MINIMAL = {
     "format": 1,
@@ -281,6 +283,53 @@ class TestLoadEdgeList:
         text = "# prologue\nformat: 1\n# note\nn 2\n0 1\n0 1\n"
         with pytest.raises(DocumentError, match="line 6: duplicate edge"):
             load_edge_list(io.StringIO(text))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list documents, valid or not, in every line-break and token spelling ``int``/``float`` take."""
+    n = draw(st.integers(1, 9))
+    malformed = draw(st.booleans())
+    index = st.integers(0, n - 1).map(str) | st.sampled_from(["+1", "0_2", "\u0663", "00"])
+    weight = st.sampled_from(["", "", "1", "2.5", "0", "0.0", "-0", "1_0.5", "5e-324", "1e308"])
+    separator = st.sampled_from([" ", " ", "\t", "\x1f", "\u3000"])
+    line_break = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x85", "\x1c", "\x0b", "\u2028"])
+    junk = st.sampled_from(["", "   ", "# note", "  #\u00e9 \u2603 comment"])
+    if malformed:
+        index |= st.sampled_from(["-1", str(n), "99999999999999999999", "x", "1.0", "#"])
+        weight = st.sampled_from(["-1", "1e400", "nan", "inf", "heavy", "0x1", "1 2"]) | weight
+        junk |= st.sampled_from(["0", "0 1 2 3", "n 2", "format: 1"])
+    edge = st.tuples(index, separator, index, separator, weight).map(lambda t: "".join(t).rstrip())
+    body = draw(st.lists(edge | junk, max_size=8))
+    header = ["format: 1", f"n {n}"]
+    if malformed:
+        header = draw(st.sampled_from([header] * 4 + [["format: 2", f"n {n}"], ["format:1", "n 0"], ["format: 1"], []]))
+    return draw(line_break).join(header + body) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def parsed(load, text):
+    """``load`` on ``text``: the graph and weights bit for bit, or the DocumentError message."""
+    try:
+        graph, weights = load(io.StringIO(text))
+    except DocumentError as e:
+        return "error", str(e)
+    return graph.n, graph.src.dtype, graph.src.tolist(), graph.dst.tolist(), weights.dtype, weights.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=edge_list_texts())
+@example(text="format: 1\nn 3\n0 99999999999999999999\n")
+@example(text="format: 1\nn 4\n+1 0_2\n\u0663 +1 2\n")
+@example(text="format: 1\nn 2\n0 1 -0\n1 0 1_0.5\n")
+@example(text="format: 1\nn 2\n0 1 1e400\n")
+@example(text="format: 1\nn 2\n1 0\n0 1 nan\n")
+@example(text="format: 1\x85n 2\x1c0 1\x0b1 0 2\r\n")
+@example(text="# \u00e9t\u00e9 \u2603\nformat: 1\nn 2\n0 1\n")
+@example(text="format: 1\nn 2\n0 1 0\n1 0\n0 1\n")
+@example(text="format: 1\nn 2\n0 1\n0 1 heavy\n")
+@example(text="format: 1\nn 2\n0 5\n0 1 2 3\n")
+def test_bulk_parser_matches_the_line_loop(text):
+    assert parsed(load_edge_list, text) == parsed(reference_load_edge_list, text)
 
 
 class TestProblemFromEdgeList:
