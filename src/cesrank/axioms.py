@@ -118,7 +118,7 @@ def check_strict_monotonicity(problem: RankingProblem, i: int, j: int) -> AxiomV
             raise ValueError(f"agent index {name}={idx} out of range for n={n}")
     if i == j:
         return _not_applicable("strict_monotonicity", "i == j leaves no room for a strict inequality")
-    if np.unique(problem.rho).size > 1:
+    if not (problem.rho == problem.rho[0]).all():
         return _not_applicable(
             "strict_monotonicity",
             "agents have heterogeneous rho; the claim is scoped to a common elasticity",

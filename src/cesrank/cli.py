@@ -123,15 +123,13 @@ def _cmd_rank(args) -> int:
 
     tol = args.tol if args.tol is not None else 1e-12
 
+    graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
     if args.method == "pagerank":
         # an edge list stays edges: the chain is O(n + edges), never n x n
-        graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
         chain = build_web_transition(graph, c=args.damping)
     else:  # invariant
         weights = problem.alpha if problem is not None else weight_matrix(*loaded_graph)
-        require_strongly_connected(
-            support_graph(weights), "the graph", "the invariant method needs a strongly connected graph"
-        )
+        require_strongly_connected(graph, "the graph", "the invariant method needs a strongly connected graph")
         empty = weights.max(axis=1) == 0.0
         if np.any(empty):
             k = int(np.argmax(empty))

@@ -20,15 +20,11 @@ class ConvergenceError(RuntimeError):
         last_iterate: np.ndarray | None = None,
         residual: float = float("nan"),
         residual_tail: list[float] | None = None,
-        hint: str | None = None,
     ):
-        if hint:
-            message = f"{message} ({hint})"
         super().__init__(message)
         self.last_iterate = None if last_iterate is None else np.array(last_iterate)
         self.residual = float(residual)
         self.residual_tail = list(residual_tail or [])
-        self.hint = hint
 
 
 @dataclass(frozen=True, eq=False)

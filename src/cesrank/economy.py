@@ -21,13 +21,12 @@ strictly positive price vector, normalized or not.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
-from .markov import TransitionMatrix, WebTransition, _period, require_strongly_connected, support_graph
+from .markov import TransitionMatrix, WebTransition, require_strongly_connected, support_graph
 from .problem import RankingProblem, _validate_alpha, _validate_rho, normalize_preferences
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -239,21 +238,15 @@ def markov_to_economy(p: TransitionMatrix | WebTransition) -> CesEconomy:
     State ``i`` becomes a unit-elasticity trader owning one unit of good ``i``
     and valuing good ``j`` with coefficient ``p[i][j]`` of the dense
     ``p.matrix``. Market clearing at positive prices then reads
-    ``sum_i p[i][j] * pi[i] = pi[j]``, the stationary condition. Requires the chain's support graph to be strongly
-    connected so that a strictly positive equilibrium exists; periodic chains
-    are accepted with a warning since their unique invariant distribution
-    still clears the market.
+    ``sum_i p[i][j] * pi[i] = pi[j]``, the stationary condition. Requires the
+    chain's support graph to be strongly connected so that a strictly positive
+    equilibrium exists; a periodic chain's unique invariant distribution
+    clears the market too.
     """
-    if p.matrix.min() <= 0.0:  # else the graph is complete and aperiodic
-        graph = support_graph(p.matrix)
-        require_strongly_connected(graph, "the chain's support graph", "no strictly positive equilibrium")
-        if _period(graph) != 1:
-            warnings.warn(
-                "the chain is periodic; its invariant distribution is still the "
-                "unique market-clearing price vector, but power iteration on the "
-                "chain itself would not converge",
-                stacklevel=2,
-            )
+    if p.matrix.min() <= 0.0:  # else the graph is complete
+        require_strongly_connected(
+            support_graph(p.matrix), "the chain's support graph", "no strictly positive equilibrium"
+        )
     return CesEconomy(alpha=p.matrix, rho=np.zeros(p.n))
 
 

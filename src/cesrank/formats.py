@@ -174,7 +174,7 @@ def dump_problem(problem: RankingProblem, stream=None) -> str:
     head = {"format": FORMAT_VERSION, "agents": list(problem.agent_ids)}
     rows = ["    [\n      " + ",\n      ".join(map(repr, row)) + "\n    ]" for row in problem.alpha.tolist()]
     tail = {
-        "rho": float(rho[0]) if np.unique(rho).size == 1 else [float(r) for r in rho],
+        "rho": float(rho[0]) if (rho == rho[0]).all() else [float(r) for r in rho],
         "beta": float(problem.beta),
     }
     text = json_document(head, "alpha", rows, tail) + "\n"

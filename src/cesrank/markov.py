@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 100_000
 
-#: Largest state count for which the auto method picks the direct linear solve.
+#: Largest web chain that the auto method solves directly; every dense chain is solved.
 LINEAR_SOLVE_MAX_N = 2_000
 
 
@@ -101,10 +101,6 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def step(self, pi: np.ndarray) -> np.ndarray:
-        """One power-iteration step, ``P.T @ pi``."""
-        return self.matrix.T @ pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,9 +300,7 @@ def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> WebTransition
     return WebTransition(graph, c)
 
 
-def _stationary_power(
-    chain: TransitionMatrix | WebTransition, tolerance: float, max_iters: int
-) -> tuple[np.ndarray, int]:
+def _stationary_power(chain: WebTransition, tolerance: float, max_iters: int) -> tuple[np.ndarray, int]:
     # The L1 step between successive iterates bounds the max-norm fixed-point
     # defect of the current iterate, so returning `pi` (not `nxt`) guarantees
     # the advertised residual.
@@ -323,7 +317,6 @@ def _stationary_power(
         f"residual {residual:.3e}",
         last_iterate=pi,
         residual=residual,
-        hint="the chain may be periodic; try method='solve'",
     )
 
 
@@ -358,13 +351,16 @@ def stationary_distribution(
 ) -> tuple[Distribution, SolverReport]:
     """Stationary distribution ``pi = P.T @ pi`` of a row-stochastic chain.
 
-    Methods: ``"power"`` iterates ``pi <- P.T @ pi`` from the uniform vector,
-    through the chain's own ``step`` (O(n + edges) for a ``WebTransition``),
-    and requires an ergodic chain to converge; ``"solve"`` solves the singular
-    linear system on the dense matrix (one normalization equation replaces a
-    redundant one) and also handles irreducible periodic chains. ``"auto"``
-    picks the linear solve up to ``LINEAR_SOLVE_MAX_N`` states and power
-    iteration beyond.
+    Methods: ``"power"`` iterates ``pi <- P.T @ pi`` from the uniform vector
+    on the edges of a ``WebTransition``, in O(n + edges) per step; the chain
+    is damped, so the iteration contracts at rate ``c`` (Langville & Meyer,
+    "Deeper Inside PageRank", 2004). A dense ``TransitionMatrix`` may be
+    periodic, where iteration never converges, so ``"power"`` rejects it.
+    ``"solve"`` solves the singular linear system on the dense matrix (one
+    normalization equation replaces a redundant one) and handles every
+    irreducible chain, periodic ones included. ``"auto"`` solves every
+    ``TransitionMatrix`` and every ``WebTransition`` up to
+    ``LINEAR_SOLVE_MAX_N`` states, and iterates larger web chains.
 
     Returns the distribution together with a report whose residual is
     ``max |P.T @ pi - pi|``, computed the way the method stepped.
@@ -373,10 +369,13 @@ def stationary_distribution(
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
+    web = isinstance(p, WebTransition)
     if method == "auto":
-        method = "solve" if p.n <= LINEAR_SOLVE_MAX_N else "power"
+        method = "power" if web and p.n > LINEAR_SOLVE_MAX_N else "solve"
     start = time.perf_counter()
     if method == "power":
+        if not web:
+            raise ValueError("method 'power' iterates only a damped WebTransition; solve a TransitionMatrix")
         pi, iterations = _stationary_power(p, tolerance, max_iters)
         image = p.step(pi)
     elif method == "solve":

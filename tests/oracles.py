@@ -157,6 +157,23 @@ def closed_walk_period(n, edges):
     return period
 
 
+def dense_power_iteration(matrix, tolerance=1e-12, max_iters=100_000):
+    """Stationary vector of a row-stochastic array by power iteration on every entry.
+
+    Iterates ``pi <- matrix.T @ pi`` from the uniform vector and returns the
+    iterate before the first L1 step of at most ``tolerance``, with the number
+    of steps taken: the stop rule of the package's iteration on edges.
+    """
+    n = matrix.shape[0]
+    pi = np.full(n, 1.0 / n)
+    for it in range(max_iters):
+        nxt = matrix.T @ pi
+        if np.abs(nxt - pi).sum() <= tolerance:
+            return pi, it
+        pi = nxt / nxt.sum()
+    raise RuntimeError(f"dense power iteration did not converge in {max_iters} iterations")
+
+
 def random_problem_arrays(rng, n, rho_low=-0.5, rho_high=0.5, zero_prob=0.3, common_rho=False):
     """Random preference matrix (with zero entries, possibly zero rows) and rho."""
     alpha = rng.random((n, n)) * (rng.random((n, n)) > zero_prob)

@@ -3,14 +3,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cesrank.cli
 import cesrank.markov
 from cesrank import RankingProblem, dump_problem, load_fixture, load_problem
 from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
@@ -213,6 +218,36 @@ class TestRankInvariant:
         assert captured.out == ""
         assert "strongly connected" in captured.err
 
+    def test_large_periodic_graph_is_solved(self, graph_file, capsys, monkeypatch):
+        # a star 0 <-> 1..19 has period 2; above the lowered limit it is
+        # still solved exactly, and ranks like its Cobb-Douglas economy
+        path = graph_file("format: 1\nn 20\n" + "".join(f"0 {k}\n{k} 0\n" for k in range(1, 20)))
+        monkeypatch.setattr(cesrank.markov, "LINEAR_SOLVE_MAX_N", 10)
+
+        def scores(*flags):
+            assert main(["rank", *flags, "--format", "json", "--input", path]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            return doc["report"], {r["agent"]: r["score"] for r in doc["ranking"]}
+
+        report, invariant = scores("--method", "invariant")
+        _, market = scores("--rho", "0", "--beta", "1")
+        assert report["method"] == "solve"
+        assert abs(invariant["v0"] - 0.5) <= 1e-12
+        assert max(abs(invariant[agent] - score) for agent, score in market.items()) <= 1e-12
+
+    def test_edge_list_graph_reused(self, graph_file, capsys, monkeypatch):
+        # the parser's graph is checked; the weight matrix is not scanned again
+        calls = []
+        original = cesrank.cli.support_graph
+
+        def counted(matrix):
+            calls.append(matrix.shape[0])
+            return original(matrix)
+
+        monkeypatch.setattr(cesrank.cli, "support_graph", counted)
+        assert main(["rank", "--method", "invariant", "--input", graph_file(TRIANGLE)]) == 0
+        assert calls == []
+
 
 class TestExitCodes:
     def test_malformed_document(self, tmp_path, capsys):
@@ -402,6 +437,20 @@ class TestConvert:
         monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
         assert main(["convert", "--input", graph_file(DANGLING)]) == 0
         assert calls == []
+
+    def test_does_not_import_numpy_ma(self, graph_file, tmp_path):
+        # asking whether every rho is equal needs no np.unique, whose first
+        # call imports numpy.ma
+        script = (
+            "import sys\n"
+            "from cesrank.cli import main\n"
+            f"assert main(['convert', '--input', {graph_file(TRIANGLE)!r}, '--output', {str(tmp_path / 'out.json')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout == "False\n"
 
     def test_stdout_document_is_loadable(self, graph_file, capsys):
         code = main(["convert", "--input", graph_file(TRIANGLE)])

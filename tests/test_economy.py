@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from cesrank import (
     demand_matrix,
     excess_demand,
     markov_to_economy,
+    solve_cobb_douglas,
     solve_equilibrium,
     verify_equilibrium,
 )
@@ -311,15 +314,18 @@ class TestMarkovToEconomy:
             return original(graph)
 
         monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
-        with pytest.warns(UserWarning, match="periodic"):
-            markov_to_economy(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        markov_to_economy(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         markov_to_economy(TransitionMatrix(np.array([[0.0, 1.0], [0.6, 0.4]])))
         assert calls == [2, 2]
 
-    def test_periodic_chain_warns(self):
+    def test_periodic_chain_accepted_silently(self):
+        # the 2-cycle's invariant distribution still clears the market
         p = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.warns(UserWarning, match="periodic"):
-            markov_to_economy(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            economy = markov_to_economy(p)
+        prices, _ = solve_cobb_douglas(economy)
+        np.testing.assert_allclose(prices.pi, [0.5, 0.5], atol=1e-15, rtol=0)
 
 
 class TestBuildEconomy:

@@ -16,7 +16,7 @@ from cesrank import (
 )
 from cesrank.markov import strongly_connected_component
 
-from oracles import closed_walk_period, component_of, random_strongly_connected_graph
+from oracles import closed_walk_period, component_of, dense_power_iteration, random_strongly_connected_graph
 
 
 class TestDirectedGraph:
@@ -222,11 +222,13 @@ class TestDistributionType:
 class TestStationaryDistribution:
     def test_known_three_state_chain(self):
         p = TransitionMatrix(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-        for method in ("power", "solve"):
-            dist, report = stationary_distribution(p, method=method)
-            np.testing.assert_allclose(dist.pi, [0.4, 0.2, 0.4], atol=1e-11, rtol=0)
-            assert report.converged
-            assert report.residual <= report.tolerance
+        dist, report = stationary_distribution(p, method="solve")
+        np.testing.assert_allclose(dist.pi, [0.4, 0.2, 0.4], atol=1e-11, rtol=0)
+        assert report.converged
+        assert report.residual <= report.tolerance
+        # a dense chain may be periodic; only the damped web chain is iterated
+        with pytest.raises(ValueError, match="WebTransition"):
+            stationary_distribution(p, method="power")
 
     def test_power_matches_solve_on_random_chains(self):
         rng = np.random.default_rng(7)
@@ -239,10 +241,21 @@ class TestStationaryDistribution:
     def test_periodic_chain_power_fails_solve_succeeds(self):
         # bipartite: 0 <-> {1, 2}; period 2, stationary (0.5, 0.25, 0.25)
         p = TransitionMatrix(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        with pytest.raises(ConvergenceError, match="periodic"):
+        with pytest.raises(ValueError, match="WebTransition"):
             stationary_distribution(p, method="power", max_iters=500)
         dist, _ = stationary_distribution(p, method="solve")
         np.testing.assert_allclose(dist.pi, [0.5, 0.25, 0.25], atol=1e-12, rtol=0)
+
+    def test_large_periodic_chain_is_solved(self):
+        # star 0 <-> 1..2000, period 2, above LINEAR_SOLVE_MAX_N: iterating
+        # it would never converge, the exact solve certifies it
+        n = 2001
+        star = np.zeros((n, n))
+        star[0, 1:] = 1.0 / (n - 1)
+        star[1:, 0] = 1.0
+        dist, report = stationary_distribution(TransitionMatrix(star), max_iters=50)
+        assert report.method == "solve"
+        assert abs(dist.pi[0] - 0.5) <= 1e-12
 
     def test_auto_picks_solve_for_small_chains(self):
         p = TransitionMatrix(np.array([[0.1, 0.9], [0.5, 0.5]]))
@@ -297,17 +310,23 @@ class TestWebTransitionPower:
     def test_agrees_with_the_dense_step(self, graph):
         chain = build_web_transition(graph)
         sparse, report = stationary_distribution(chain, method="power")
-        dense, dense_report = stationary_distribution(TransitionMatrix(chain.matrix), method="power")
+        dense, dense_iterations = dense_power_iteration(chain.matrix, report.tolerance)
         assert report.residual <= report.tolerance
         # Rounding can put one L1 step on either side of the tolerance (about
         # one graph in 10^4), and then the two stop one step apart, at most
         # that one sub-tolerance step from each other.
-        gap = np.abs(sparse.pi - dense.pi).max()
-        if report.iterations == dense_report.iterations:
+        gap = np.abs(sparse.pi - dense).max()
+        if report.iterations == dense_iterations:
             assert gap <= 1e-13
         else:
-            assert abs(report.iterations - dense_report.iterations) == 1
+            assert abs(report.iterations - dense_iterations) == 1
             assert gap <= report.tolerance
+
+    def test_out_of_iterations_raises(self):
+        chain = build_web_transition(DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]))
+        with pytest.raises(ConvergenceError, match=r"did not converge in 2 iterations, residual [0-9.e+-]+$") as info:
+            stationary_distribution(chain, method="power", max_iters=2)
+        assert info.value.residual > 0.0
 
     def test_step_is_the_dense_product(self):
         rng = np.random.default_rng(4)
