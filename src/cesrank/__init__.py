@@ -23,7 +23,7 @@ from .economy import (
     PriceVector,
     build_economy,
     ces_demand,
-    cobb_douglas_demand,
+    damped_economy,
     demand_matrix,
     excess_demand,
     markov_to_economy,
@@ -44,7 +44,6 @@ from .markov import (
     TransitionMatrix,
     WebTransition,
     build_web_transition,
-    is_aperiodic,
     is_strongly_connected,
     stationary_distribution,
     support_graph,
@@ -85,12 +84,11 @@ __all__ = [
     "check_minimal_fairness",
     "check_strict_monotonicity",
     "check_uniformity",
-    "cobb_douglas_demand",
+    "damped_economy",
     "demand_matrix",
     "dump_problem",
     "excess_demand",
     "gs_spot_check",
-    "is_aperiodic",
     "is_regular",
     "is_strongly_connected",
     "load_edge_list",

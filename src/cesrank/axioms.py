@@ -238,11 +238,14 @@ def gs_spot_check(
             "some trader has rho < 0; gross substitutes is only claimed for rho >= 0",
             rho=economy.rho.tolist(),
         )
-    if np.any(economy.alpha <= 0.0):
-        where = np.argwhere(economy.alpha <= 0.0)[0]
+    if economy.floor.min() <= 0.0:
+        # the first row with a zero floor, at its first good that is not an entry
+        i = int(np.argmax(economy.floor <= 0.0))
+        wanted = np.zeros(economy.n, dtype=bool)
+        wanted[economy.cols[economy.rows == i]] = True
         return _not_applicable(
             "gross_substitutes",
-            f"alpha[{where[0]}][{where[1]}] is not strictly positive",
+            f"alpha[{i}][{int(np.argmin(wanted))}] is not strictly positive",
         )
     if not (np.isfinite(delta) and delta > 0):
         return _not_applicable("gross_substitutes", f"price bump must be positive, got {delta!r}")

@@ -35,15 +35,15 @@ from .axioms import (
     gs_spot_check,
 )
 from .diagnostics import ConvergenceError
-from .economy import build_economy, markov_to_economy
+from .economy import build_economy, damped_economy, markov_to_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, dump_problem, json_document, problem_from_edge_list, sniff_and_load, weight_matrix
 from .markov import _damped_chain, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
-from .solver import SolverConfig, rank_problem, solve_cobb_douglas
+from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium
 
 logger = logging.getLogger(__name__)
 
-#: Scores closer than this are reported as tied.
+#: Scores within this fraction of the higher one are reported as tied.
 TIE_TOL = 1e-9
 
 _EXIT_OK = 0
@@ -63,13 +63,14 @@ def _configure_logging() -> None:
 def _tie_groups(ids, scores, order) -> list[list[str]]:
     """Agents tied with the highest score of their group, walked in ``order`` (high to low).
 
-    A group is its first agent (the anchor) and the agents after it that score
-    within TIE_TOL of the anchor.
+    A group is its first agent (the anchor) and the agents after it whose
+    score is within TIE_TOL times the anchor's score of it. Scores sum to 1,
+    so a typical score is 1/n: a relative rule means the same at every n.
     """
     groups: list[list[int]] = []
     anchor = None
     for k, score in zip(order.tolist(), scores[order].tolist()):
-        if anchor is not None and abs(score - anchor) <= TIE_TOL:
+        if anchor is not None and abs(score - anchor) <= TIE_TOL * anchor:
             groups[-1].append(k)
         else:
             groups.append([k])
@@ -100,20 +101,24 @@ def _cmd_rank(args) -> int:
 
     if args.method == "ces":
         if problem is None:
-            problem = problem_from_edge_list(
-                weight_matrix(*loaded_graph),
+            # an edge list stays edges: at rho != 0 nothing of size n x n is built
+            economy = damped_economy(
+                *loaded_graph,
                 rho=args.rho if args.rho is not None else 0.0,
                 beta=args.beta if args.beta is not None else 0.85,
             )
-        elif args.rho is not None or args.beta is not None:
-            problem = replace(
-                problem,
-                rho=problem.rho if args.rho is None else args.rho,
-                beta=problem.beta if args.beta is None else args.beta,
-            )
+        else:
+            if args.rho is not None or args.beta is not None:
+                problem = replace(
+                    problem,
+                    rho=problem.rho if args.rho is None else args.rho,
+                    beta=problem.beta if args.beta is None else args.beta,
+                )
+            economy = build_economy(problem)
         tol = args.tol if args.tol is not None else 1e-10
-        prices, report = rank_problem(problem, SolverConfig(tolerance=tol))
-        _emit_ranking(problem.agent_ids, prices.pi, report, "ces", args.format)
+        prices, report = solve_equilibrium(economy, SolverConfig(tolerance=tol))
+        ids = problem.agent_ids if problem is not None else tuple(f"v{k}" for k in range(economy.n))
+        _emit_ranking(ids, prices.pi, report, "ces", args.format)
         return _EXIT_OK
 
     if args.rho is not None:

@@ -22,12 +22,13 @@ strictly positive price vector, normalized or not.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .markov import TransitionMatrix, WebTransition, require_strongly_connected, support_graph
-from .problem import RankingProblem, _validate_alpha, _validate_rho, normalize_preferences
+from .markov import DirectedGraph, TransitionMatrix, WebTransition, require_strongly_connected, support_graph
+from .problem import RankingProblem, _rho_array, _validate_alpha, _validate_beta
 
 def as_price_array(prices, n: int) -> np.ndarray:
     """Coerce a price input (PriceVector or array-like) to a validated array."""
@@ -70,7 +71,7 @@ class PriceVector:
         return self.pi.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CesEconomy:
     """The exchange economy of ``n`` CES traders over ``n`` goods, trader i owning good i.
 
@@ -80,16 +81,24 @@ class CesEconomy:
     positive alpha entry). ``endowments``, if given, must be the identity
     matrix: the own-good endowment is the only one this economy has.
 
+    The economy holds each alpha row as its floor ``floor[i] = min_j
+    alpha[i][j]`` plus the entries strictly above it, ``alpha[rows[k]][cols[k]]
+    = values[k]``, sorted by ``(row, col)``; every other entry of row i equals
+    ``floor[i]``. A damped preference row is its floor ``(1 - beta) / n`` plus
+    the graph's out-edges, so `damped_economy` builds these arrays in
+    O(n + edges). The dense ``alpha`` is a constructor input for library
+    callers and tests, and a read-only property built on first access.
+
     Immutable; demand evaluations are pure functions of (economy, prices).
     """
 
-    alpha: np.ndarray
     rho: np.ndarray
-    _: KW_ONLY
-    endowments: InitVar[np.ndarray | None] = None
+    floor: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self, endowments):
-        alpha = self.alpha
+    def __init__(self, alpha, rho, *, endowments=None):
         # an owned float64 array already frozen (a TransitionMatrix's, say) is
         # kept as is; anything else is copied, so the caller cannot change it
         if not (isinstance(alpha, np.ndarray) and alpha.dtype == np.float64 and alpha.base is None
@@ -101,29 +110,51 @@ class CesEconomy:
         if np.any(dead):
             i = int(np.flatnonzero(dead)[0])
             raise ValueError(f"trader {i} has an all-zero alpha row; demand is undefined")
-        rho = np.array(self.rho, dtype=float)
-        if rho.ndim == 0:
-            rho = np.full(n, float(rho))
-        if rho.shape != (n,):
-            raise ValueError(f"rho must have length {n}, got shape {rho.shape}")
-        _validate_rho(rho)
+        rho = _rho_array(rho, n)
         if endowments is not None:
             w = np.asarray(endowments, dtype=float)
             if w.shape != (n, n) or np.count_nonzero(w) != n or np.any(np.diagonal(w) != 1.0):
                 raise ValueError("endowments must be the identity: trader i owns one unit of good i")
-        for a in (alpha, rho):
+        floor = alpha.min(axis=1)
+        rows, cols = np.nonzero(alpha > floor[:, None])
+        self._freeze(floor, rows, cols, alpha[rows, cols], rho)
+        alpha.flags.writeable = False
+        self.__dict__["alpha"] = alpha  # the cached dense form is the input itself
+
+    @classmethod
+    def _from_entries(cls, floor, rows, cols, values, rho) -> "CesEconomy":
+        """Economy of the alpha matrix with row floors ``floor`` and ``values`` above them at ``(rows, cols)``.
+
+        The entries are sorted by ``(row, col)``, each strictly above its
+        row's floor, every row has a positive floor or an entry, and ``rho``
+        is a validated array; `damped_economy` builds them so. Nothing of
+        size n x n is built.
+        """
+        economy = cls.__new__(cls)
+        economy._freeze(floor, rows, cols, values, rho)
+        return economy
+
+    def _freeze(self, floor, rows, cols, values, rho) -> None:
+        for name, a in (("floor", floor), ("rows", rows), ("cols", cols), ("values", values), ("rho", rho)):
             a.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "rho", rho)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
-        return self.alpha.shape[0]
+        return self.floor.shape[0]
 
     @property
     def q(self) -> np.ndarray:
         """Per-trader demand exponent 1 / (1 - rho), in [1/2, 20]."""
         return 1.0 / (1.0 - self.rho)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """The dense n x n coefficient matrix, built from the floors and entries on first access."""
+        alpha = np.repeat(self.floor[:, None], self.n, axis=1)
+        alpha[self.rows, self.cols] = self.values
+        alpha.flags.writeable = False
+        return alpha
 
 
 def _demand_rows(economy: CesEconomy, rows: slice, prices: np.ndarray) -> np.ndarray:
@@ -147,18 +178,6 @@ def _demand_rows(economy: CesEconomy, rows: slice, prices: np.ndarray) -> np.nda
     return t
 
 
-def cobb_douglas_demand(economy: CesEconomy, trader: int, prices) -> np.ndarray:
-    """Demand of a unit-elasticity trader: income split in fixed shares.
-
-    ``x[j] = share[j] * p[trader] / p[j]`` where the shares are the trader's
-    alpha row normalized to sum to 1 (the row typically already does). Spends
-    the budget exactly; a zero coefficient buys zero regardless of prices.
-    """
-    if economy.rho[trader] != 0.0:
-        raise ValueError(f"trader {trader} has rho = {float(economy.rho[trader])!r}, not 0")
-    return ces_demand(economy, trader, prices)
-
-
 def ces_demand(economy: CesEconomy, trader: int, prices) -> np.ndarray:
     """Utility-maximizing bundle of one trader at the given prices.
 
@@ -178,22 +197,52 @@ def demand_matrix(economy: CesEconomy, prices) -> np.ndarray:
 
 
 def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
-    """Aggregate demand minus the unit supply, per good.
+    """Aggregate demand minus the unit supply, per good: the equilibrium certificate.
 
-    Zero everywhere exactly at an equilibrium price vector. The summation
-    order is fixed, so results are bit-for-bit reproducible.
+    Zero everywhere exactly at an equilibrium price vector. Evaluated trader
+    by trader from the floors and entries in O(nnz + n·G) (nnz entries, G
+    distinct rho values), with nothing of size n x n. With ``r = 1 - q``,
+    trader i's log-space terms are ``t_ij = q_i*log(alpha[i][j]) +
+    r_i*log(p_j)``, shifted by their row max ``m_i`` so that the largest is
+    exp(0), as `_demand_rows` does per dense row; no scale of alpha or p over-
+    or underflows. An entry lies above its row's floor, so ``m_i`` is the
+    larger of the entries' max and the floor's largest term. The floor's term
+    at good j factors as ``a_i * u_g[j]``, with ``top_g = max_j r_g*log(p_j)``,
+    ``a_i = exp(q_i*log(floor_i) + top_g - m_i)`` and ``u_g[j] =
+    exp(r_g*log(p_j) - top_g)``, and an entry adds ``exp(t_ij - m_i) - a_i *
+    u_g[j]`` to it. So trader i's normalizer is ``T_i = a_i * sum_j u_g[j]``
+    plus its entries' excess, it spends ``w_i = p_i / T_i`` per unit of share,
+    and good j receives one rank-one floor term per group, ``u_g[j] *
+    sum_{i in g} a_i * w_i``, plus the entries' spending, scattered with one
+    bincount. This shares no arithmetic with `aggregate_demand`, the kernel it
+    certifies; the column sums of `demand_matrix` are its dense reference.
     """
-    return demand_matrix(economy, prices).sum(axis=0) - 1.0
+    n = economy.n
+    p = as_price_array(prices, n)
+    q, rows, cols = economy.q, economy.rows, economy.cols
+    r, group = np.unique(1.0 - q, return_inverse=True)
+    log_p = r[:, None] * np.log(p)  # r_g * log(p_j), one row per group
+    top = log_p.max(axis=1)
+    with np.errstate(divide="ignore"):  # a zero floor has no term: exp(-inf) = 0
+        floor_top = q * np.log(economy.floor) + top[group]
+    t = q[rows] * np.log(economy.values) + log_p[group[rows], cols]
+    shift = floor_top.copy()
+    np.maximum.at(shift, rows, t)
+    a = np.exp(floor_top - shift)
+    u = np.exp(log_p - top[:, None])
+    excess = np.exp(t - shift[rows]) - a[rows] * u[group[rows], cols]
+    w = p / (a * u.sum(axis=1)[group] + np.bincount(rows, excess, minlength=n))
+    spend = np.bincount(group, a * w, minlength=r.size) @ u + np.bincount(cols, excess * w[rows], minlength=n)
+    return spend / p - 1.0
 
 
 def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
     """Aggregate demand ``demand_matrix(economy, p).sum(axis=0)`` in O(nnz + n·G) per call.
 
-    Each alpha row is split once into its floor ``c_i = min_j alpha[i][j]``
-    and the excess entries where ``alpha[i][j] > c_i``, with
-    ``delta_ij = alpha[i][j]**q_i - c_i**q_i``. This is exact for every
-    economy; a damped preference row is its constant ``(1 - beta) / n`` plus
-    the input graph's edges, so nnz is the edge count. With ``r = 1 - q``,
+    Reads each alpha row as the economy holds it, its floor ``c_i`` plus the
+    entries above it, with ``delta_ij = alpha[i][j]**q_i - c_i**q_i``. A
+    damped preference row is its constant ``(1 - beta) / n`` plus the input
+    graph's edges, so nnz is the edge count. With ``r = 1 - q``,
     ``w_i = p_i / T_i`` and ``g`` running over the G distinct exponents:
 
         T_i = c_i**q_i * sum_j p_j**r_i + sum_{j in E_i} delta_ij * p_j**r_i
@@ -202,20 +251,21 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
 
     Returns a function of a strictly positive price array (not validated:
     this is the solver's inner loop). `demand_matrix` stays the reference
-    this kernel is tested against and the certificate the solver reports.
+    this kernel is tested against; `excess_demand` certifies its result.
     """
     n = economy.n
     q = economy.q
     q_values, group = np.unique(q, return_inverse=True)
     r = 1.0 - q_values
+    rows, cols = economy.rows, economy.cols
     # Shares are invariant to the scale of a row. Dividing it by the power of
     # two at or below its max is exact and keeps alpha**q from over- or
     # underflowing for q up to 20.
-    top = np.ldexp(1.0, np.frexp(economy.alpha.max(axis=1))[1] - 1)
-    floor = economy.alpha.min(axis=1)
-    rows, cols = np.nonzero(economy.alpha > floor[:, None])
-    floor_q = (floor / top) ** q
-    delta = (economy.alpha[rows, cols] / top[rows]) ** q[rows] - floor_q[rows]
+    row_max = economy.floor.copy()
+    np.maximum.at(row_max, rows, economy.values)
+    top = np.ldexp(1.0, np.frexp(row_max)[1] - 1)
+    floor_q = (economy.floor / top) ** q
+    delta = (economy.values / top[rows]) ** q[rows] - floor_q[rows]
     entry = group[rows] * n + cols  # flat index into the (G, n) table of price powers
 
     def demand(prices: np.ndarray) -> np.ndarray:
@@ -230,6 +280,45 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
         return (floor_spend + np.bincount(cols, spend * w[rows], minlength=n)) / prices
 
     return demand
+
+
+def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) -> CesEconomy:
+    """Economy of a weighted graph's damped preference matrix, built from its edges in O(n + edges).
+
+    ``weights`` are positive and aligned with the graph's edges, as
+    `cesrank.formats.load_edge_list` returns them. Row i applies the rule of
+    `normalize_preferences` to vertex i's out-edges: a row whose sum
+    overflows is first divided by its max, a dangling row is the uniform row
+    ``1/n``, every row is divided by its sum, and each entry is mixed as
+    ``beta * w + (1 - beta) / n``. A row's floor is ``(1 - beta) / n`` unless
+    it has an edge to every vertex; the edges whose damped value rounds to
+    the floor are dropped, as the dense ``alpha > floor`` drops them. Row sums
+    run in edge order, so a row of three or more weights may round its last
+    bits differently from the dense ``sum(axis=1)``.
+    """
+    n, src, dst = graph.n, graph.src, graph.dst
+    rho = _rho_array(rho, n)
+    beta = _validate_beta(beta)
+    w = np.array(weights, dtype=float)
+    sums = np.bincount(src, w, minlength=n)
+    huge = ~np.isfinite(sums)
+    if np.any(huge):
+        on = huge[src]
+        row_max = np.zeros(n)
+        np.maximum.at(row_max, src[on], w[on])
+        w[on] /= row_max[src[on]]
+        sums[huge] = np.bincount(src[on], w[on], minlength=n)[huge]
+    floor = np.where(sums == 0.0, 1.0 / n, 0.0)
+    w /= sums[src]
+    if beta < 1.0:
+        for a in (w, floor):
+            a *= beta
+            a += (1.0 - beta) / n
+    if src.size >= n:  # a row with an edge to every vertex has no entry at the constant
+        full = np.bincount(src, minlength=n) == n
+        floor[full] = w[full[src]].reshape(-1, n).min(axis=1)
+    keep = w > floor[src]
+    return CesEconomy._from_entries(floor, src[keep], dst[keep], w[keep], rho)
 
 
 def markov_to_economy(p: TransitionMatrix | WebTransition) -> CesEconomy:
@@ -253,9 +342,12 @@ def markov_to_economy(p: TransitionMatrix | WebTransition) -> CesEconomy:
 def build_economy(problem: RankingProblem) -> CesEconomy:
     """Economy of a ranking problem: trader i owns good i and has rho[i].
 
-    Trader i values the goods by row i of the damped preference matrix
-    ``alpha_hat = normalize_preferences(problem).matrix``. A strictly positive equilibrium needs the economy graph (edge i -> j iff
-    ``alpha_hat[i][j] > 0``) to be strongly connected. Damping with
-    ``beta < 1`` guarantees this; the solvers check it once, on entry.
+    Trader i values the goods by row i of the damped preference matrix, the
+    rule of `normalize_preferences`, built by `damped_economy` from the
+    problem's positive alpha entries. A strictly positive equilibrium needs
+    the economy graph (edge i -> j iff ``alpha_hat[i][j] > 0``) to be
+    strongly connected. Damping with ``beta < 1`` guarantees this; the
+    solvers check it once, on entry.
     """
-    return CesEconomy(normalize_preferences(problem).matrix, problem.rho)
+    graph = support_graph(problem.alpha)
+    return damped_economy(graph, problem.alpha[graph.src, graph.dst], problem.rho, problem.beta)

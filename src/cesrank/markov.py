@@ -175,39 +175,23 @@ def strongly_connected_component(graph: DirectedGraph, vertex: int = 0) -> list[
     return np.flatnonzero(forward & backward).tolist()
 
 
-def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: str) -> None:
+def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: str, to_all=()) -> None:
     """Raise ``ValueError`` with a witness component unless ``graph`` is strongly connected.
 
     The message reads "<subject> is not strongly connected (one component:
-    [...]); <consequence>".
+    [...]); <consequence>". The vertices in ``to_all`` also have an edge to
+    every vertex. Those rows are checked in O(n) through one auxiliary vertex
+    that they point to and that points to every vertex, which keeps every
+    path between the graph's own vertices; it is left out of the witness.
     """
+    n = graph.n
+    if len(to_all):
+        src = np.concatenate([graph.src, to_all, np.full(n, n)])
+        dst = np.concatenate([graph.dst, np.full(len(to_all), n), np.arange(n)])
+        graph = DirectedGraph(n + 1, src, dst)
     if not is_strongly_connected(graph):
-        component = strongly_connected_component(graph)
+        component = [v for v in strongly_connected_component(graph) if v < n]
         raise ValueError(f"{subject} is not strongly connected (one component: {component}); {consequence}")
-
-
-def _period(graph: DirectedGraph) -> int:
-    """Gcd of the cycle lengths of a strongly connected graph; 1 for a lone vertex.
-
-    Computed from breadth-first levels: the period equals the gcd of
-    ``level[u] + 1 - level[v]`` over all edges (u, v). Connectivity is the
-    caller's to check.
-    """
-    if graph.src.size == 0:
-        return 1  # single isolated vertex; no cycle structure to constrain
-    level = _bfs_levels(graph.n, graph.src, graph.dst, 0)
-    return int(np.gcd.reduce(level[graph.src] + 1 - level[graph.dst]))
-
-
-def is_aperiodic(graph: DirectedGraph) -> bool:
-    """True iff the gcd of directed cycle lengths is 1.
-
-    Raises if the graph is not strongly connected, where the period is not a
-    single well-defined number.
-    """
-    if not is_strongly_connected(graph):
-        raise ValueError("aperiodicity is only defined here for strongly connected graphs")
-    return _period(graph) == 1
 
 
 def _damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix:

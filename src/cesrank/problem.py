@@ -49,6 +49,25 @@ def _validate_rho(rho: np.ndarray) -> None:
         )
 
 
+def _rho_array(rho, n: int) -> np.ndarray:
+    """``rho`` as a validated array of one value per agent; a scalar is shared by all ``n``."""
+    rho = np.array(rho, dtype=float)
+    if rho.ndim == 0:
+        rho = np.full(n, float(rho))
+    if rho.shape != (n,):
+        raise ValueError(f"rho must have length {n}, got shape {rho.shape}")
+    _validate_rho(rho)
+    return rho
+
+
+def _validate_beta(beta) -> float:
+    """``beta`` as a float, checked to lie in (0, 1]."""
+    beta = float(beta)
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must be in (0, 1], got {beta!r}")
+    return beta
+
+
 def _validate_alpha(alpha: np.ndarray) -> None:
     if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
         raise ValueError(f"alpha must be square, got shape {alpha.shape}")
@@ -91,15 +110,8 @@ class RankingProblem:
             raise ValueError(
                 f"alpha is {alpha.shape[0]}x{alpha.shape[1]} but there are {len(ids)} agents"
             )
-        rho = np.array(self.rho, dtype=float)
-        if rho.ndim == 0:
-            rho = np.full(len(ids), float(rho))
-        if rho.shape != (len(ids),):
-            raise ValueError(f"rho must have length {len(ids)}, got shape {rho.shape}")
-        _validate_rho(rho)
-        beta = float(self.beta)
-        if not (0.0 < beta <= 1.0):
-            raise ValueError(f"beta must be in (0, 1], got {beta!r}")
+        rho = _rho_array(self.rho, len(ids))
+        beta = _validate_beta(self.beta)
         alpha.flags.writeable = False
         rho.flags.writeable = False
         object.__setattr__(self, "agent_ids", ids)
@@ -122,7 +134,8 @@ def normalize_preferences(problem: RankingProblem) -> TransitionMatrix:
 
     Every entry is at least ``(1 - beta) / n`` (strictly positive when
     ``beta < 1``). Scaling a whole row of the input by any positive constant
-    does not change the output.
+    does not change the output. `cesrank.economy.damped_economy` builds the
+    same rows from a graph's edges, without the n x n matrix.
     """
     return _damped_chain(np.array(problem.alpha), problem.beta)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand
-from .markov import _damped_chain, require_strongly_connected, stationary_solve, support_graph
+from .markov import DirectedGraph, _damped_chain, require_strongly_connected, stationary_solve
 from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
@@ -48,12 +48,14 @@ class SolverConfig:
 
 
 def _require_connected_economy(economy: CesEconomy) -> None:
-    if economy.alpha.min() > 0.0:
+    if economy.floor.min() > 0.0:
         return  # no zero entry: the graph is complete, with self-loops
+    # edge i -> j iff alpha[i][j] > 0: every good for a positive floor, the entries otherwise
     require_strongly_connected(
-        support_graph(economy.alpha),
+        DirectedGraph(economy.n, economy.rows, economy.cols),
         "economy graph",
         "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it",
+        to_all=np.flatnonzero(economy.floor > 0.0),
     )
 
 
@@ -101,8 +103,8 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     periodic graphs at rho <= 0 from cycling. Aggregate demand comes from
     `cesrank.economy.aggregate_demand`, O(nnz) per round on a damped graph.
     Convergence is declared when its max-norm excess demand falls below the
-    configured tolerance and `verify_equilibrium`, the dense certificate,
-    passes too at the returned prices; the report carries the certificate's
+    configured tolerance and `verify_equilibrium`, the trader-side
+    certificate, passes too at the returned prices; the report carries the certificate's
     residual, and a failed certificate means iterating on. A demand or price
     that stops being finite and positive, or an exhausted budget, is a
     `ConvergenceError`, not a wrong answer.
@@ -192,6 +194,8 @@ def verify_equilibrium(economy: CesEconomy, prices, tolerance: float = 1e-10) ->
     Pure report: passes iff every good's excess demand is within ``tolerance``
     of zero. Since prices are strictly positive, clearing must hold with
     equality, so both surpluses and shortages count against the candidate.
+    The excess demand is `cesrank.economy.excess_demand`, evaluated trader
+    by trader in O(nnz + n·G) and apart from the solver's kernel.
     """
     z = excess_demand(economy, prices)
     residual = float(np.abs(z).max())

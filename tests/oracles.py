@@ -139,24 +139,6 @@ def component_of(n, edges, vertex):
     return sorted(_reachable_from(n, edges, vertex) & _reachable_from(n, reversed_edges, vertex))
 
 
-def closed_walk_period(n, edges):
-    """gcd of the lengths k <= 3n for which a closed walk of length k passes vertex 0.
-
-    For a strongly connected graph this is its period: every simple cycle C
-    is the difference of two closed walks through 0 of length at most 3n (out
-    to C and back, with and without one turn around C). A lone vertex with
-    no edges has no closed walk and gets 0.
-    """
-    adj = _successor_sets(n, edges)
-    period = 0
-    at = {0}
-    for k in range(1, 3 * n + 1):
-        at = {v for u in at for v in adj[u]}
-        if 0 in at:
-            period = math.gcd(period, k)
-    return period
-
-
 def dense_power_iteration(matrix, tolerance=1e-12, max_iters=100_000):
     """Stationary vector of a row-stochastic array by power iteration on every entry.
 
@@ -326,7 +308,7 @@ def reference_tie_groups(ids, scores, order) -> list[list[str]]:
     groups: list[list[int]] = []
     anchor = None
     for k in order:
-        if anchor is not None and abs(scores[k] - scores[anchor]) <= TIE_TOL:
+        if anchor is not None and abs(scores[k] - scores[anchor]) <= TIE_TOL * scores[anchor]:
             groups[-1].append(k)
         else:
             groups.append([k])

@@ -48,6 +48,23 @@ def problem_file(tmp_path):
     return write
 
 
+def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags):
+    # one 3000 x 3000 float array is 69 MiB; the edge list and the chain or
+    # economy on its 15 000 edges fit in a few
+    n = 3000
+    edges = out_regular_edges(np.random.default_rng(5), n)
+    path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    tracemalloc.start()
+    try:
+        code = main(["rank", *flags, "--input", path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == n
+    assert peak < 24 * 2**20
+
+
 class TestRankPagerank:
     def test_two_cycle_ties(self, graph_file, capsys):
         code = main(["rank", "--method", "pagerank", "--input", graph_file(TWO_CYCLE)])
@@ -102,20 +119,7 @@ class TestRankPagerank:
         assert max(abs(scores[agent] - score) for agent, score in solved.items()) <= 1e-12
 
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys):
-        # one 3000 x 3000 float array is 69 MiB; the edge list and the chain
-        # on its 15 000 edges fit in a few
-        n = 3000
-        edges = out_regular_edges(np.random.default_rng(5), n)
-        path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
-        tracemalloc.start()
-        try:
-            code = main(["rank", "--method", "pagerank", "--input", path])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert len(capsys.readouterr().out.splitlines()) == n
-        assert peak < 24 * 2**20
+        assert_memory_is_linear_in_the_edges(graph_file, capsys, "--method", "pagerank")
 
 
 class TestRankCes:
@@ -161,6 +165,27 @@ class TestRankCes:
         main(["rank", "--beta", "0.6", "--input", path])
         damped = capsys.readouterr().out
         assert base != damped
+
+    @pytest.mark.parametrize("rho", ["0.5", "-0.5"])
+    def test_memory_is_linear_in_the_edges(self, graph_file, capsys, rho):
+        assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho)
+
+    @pytest.mark.parametrize("rho", ["0", "0.5"])
+    @pytest.mark.parametrize(
+        "text",
+        [NOT_CONNECTED, "format: 1\nn 3\n1 0\n2 2\n"],
+        ids=["isolated dangling vertex", "dangling vertex in the component"],
+    )
+    def test_undamped_disconnected_edge_list_names_a_component(self, graph_file, capsys, text, rho):
+        # a dangling row wants every good; 2 cannot reach 0 either way
+        code = main(["rank", "--beta", "1", "--rho", rho, "--input", graph_file(text)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: economy graph is not strongly connected (one component: [0, 1]); "
+            "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it\n"
+        )
 
     def test_rho_above_economy_cap_is_bad_input(self, problem_file, capsys):
         path = problem_file(load_fixture("nonuniform3"))
@@ -482,10 +507,14 @@ class _Report:
         return {"method": "power", "iterations": 7, "residual": 1.5e-13, "trace": [0.5, 1e-300]}
 
 
-#: Scores that tie, or miss a tie by one ulp, with each other and with 0: a gap
-#: of exactly TIE_TOL ties, and chains of 0.4e-9 steps run past TIE_TOL end to end.
-_SCORES = [0.0, 5e-324, 2.2e-308, 4e-10, 8e-10, TIE_TOL, np.nextafter(TIE_TOL, 1.0), 1.2e-9, 1.6e-9, 2.4e-9,
-           0.25, 0.25 + 4e-10, 0.25 + 8e-10, 0.25 + 1.2e-9, 0.5, 1.0]
+#: The lowest score tied with 0.25: its gap to 0.25 is at most TIE_TOL * 0.25, one ulp lower misses.
+_EDGE = 0.25 - 0.25 * TIE_TOL
+
+#: Scores that tie, or miss a tie by one ulp, with each other and with 0: a
+#: relative gap of TIE_TOL ties, and chains of 0.4e-9 relative steps run past
+#: TIE_TOL end to end, at two scales.
+_SCORES = [0.0, 5e-324, 1e-323, 2.2e-308, np.nextafter(_EDGE, 0.0), _EDGE, 0.25 * (1 - 8e-10), 0.25 * (1 - 4e-10), 0.25,
+           1e-4 * (1 - 1.2e-9), 1e-4 * (1 - 8e-10), 1e-4 * (1 - 4e-10), 1e-4, 0.5, 1.0]
 
 
 @st.composite
@@ -515,3 +544,26 @@ def test_tie_groups_match_the_anchor_walk(ranking):
     ids, scores = ranking
     order = np.argsort(-scores, kind="stable")
     assert _tie_groups(ids, scores, order) == reference_tie_groups(ids, scores, order.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking=rankings(), exponent=st.integers(-60, 60))
+def test_tie_groups_ignore_the_scale_of_the_scores(ranking, exponent):
+    ids, scores = ranking
+    # kept clear of subnormals, where scaling by a power of two rounds
+    scores = np.where(scores < 2.0**-900, 0.0, scores)
+    scaled = np.ldexp(scores, exponent)
+    order = np.argsort(-scores, kind="stable")
+    assert _tie_groups(ids, scaled, np.argsort(-scaled, kind="stable")) == _tie_groups(ids, scores, order)
+
+
+def test_no_tie_among_ten_thousand_scores_a_relative_2e_6_apart():
+    # a typical score is 1e-4 here, so neighbours 2e-6 apart in relative
+    # terms differ by about 2e-10 in absolute terms
+    n = 10_000
+    scores = (1.0 - 2e-6) ** np.random.default_rng(0).permutation(n)
+    scores /= scores.sum()
+    gaps = -np.diff(np.sort(scores)[::-1])
+    assert np.all(gaps > 1e-6 * np.sort(scores)[::-1][:-1]) and gaps.max() < TIE_TOL
+    ids = tuple(f"v{k}" for k in range(n))
+    assert _tie_groups(ids, scores, np.argsort(-scores, kind="stable")) == []

@@ -5,23 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cesrank.economy
 import cesrank.markov
+import cesrank.solver
 from cesrank import (
     CesEconomy,
+    ConvergenceError,
+    DirectedGraph,
     PriceVector,
     RankingProblem,
+    SolverConfig,
     TransitionMatrix,
     build_economy,
     ces_demand,
-    cobb_douglas_demand,
+    damped_economy,
     demand_matrix,
     excess_demand,
+    is_strongly_connected,
     markov_to_economy,
+    normalize_preferences,
     solve_cobb_douglas,
     solve_equilibrium,
+    solve_tatonnement,
+    support_graph,
     verify_equilibrium,
+    weight_matrix,
 )
 from cesrank.economy import aggregate_demand
+from cesrank.markov import strongly_connected_component
 
 from oracles import grid_search_demand
 
@@ -93,22 +104,19 @@ class TestCesEconomyValidation:
 
 
 class TestCobbDouglasDemand:
+    """At rho 0 a trader splits its income in the fixed shares of its alpha row."""
+
     def test_fixed_budget_shares(self):
         # shares (0.3, 0.7), income = price of own good = 0.6
         e = CesEconomy([[0.3, 0.7], [0.5, 0.5]], 0.0)
-        x = cobb_douglas_demand(e, 0, np.array([0.6, 0.4]))
+        x = ces_demand(e, 0, np.array([0.6, 0.4]))
         np.testing.assert_allclose(x, [0.30, 1.05])
-
-    def test_rejects_non_unit_elasticity_trader(self):
-        e = CesEconomy(np.ones((2, 2)), 0.5)
-        with pytest.raises(ValueError, match="trader 0"):
-            cobb_douglas_demand(e, 0, np.array([0.5, 0.5]))
 
     def test_budget_exhausted(self):
         e = CesEconomy([[0.2, 0.8], [0.6, 0.4]], 0.0)
         p = np.array([0.3, 0.7])
         for i in range(2):
-            x = cobb_douglas_demand(e, i, p)
+            x = ces_demand(e, i, p)
             assert x @ p == pytest.approx(p[i], abs=1e-15)
 
 
@@ -128,9 +136,10 @@ class TestCesDemand:
         np.testing.assert_allclose(x, oracle, atol=1e-4)
 
     def test_rho_zero_routes_to_cobb_douglas(self):
+        # q = 1: the shares are the normalized alpha row, whatever the prices
         e = CesEconomy([[0.3, 0.7], [0.5, 0.5]], 0.0)
         p = np.array([0.6, 0.4])
-        np.testing.assert_array_equal(ces_demand(e, 0, p), cobb_douglas_demand(e, 0, p))
+        np.testing.assert_allclose(ces_demand(e, 0, p), np.array([0.3, 0.7]) * p[0] / p, rtol=1e-15)
 
     def test_trader_index_validated(self):
         e = CesEconomy(np.ones((2, 2)), 0.5)
@@ -194,6 +203,7 @@ class TestDemandMatrixAndExcess:
         assert np.all(np.isfinite(d))
         np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12 * expected.max())
         np.testing.assert_allclose(aggregate_demand(scaled)(p), d.sum(axis=0), rtol=0, atol=1e-12 * d.max())
+        assert_certificate_is_the_dense_column_sum(scaled, p)
         prices, _ = solve_equilibrium(reference)
         assert verify_equilibrium(scaled, prices).passed
 
@@ -273,6 +283,42 @@ def test_aggregate_demand_matches_dense_column_sums(pair):
     assert np.abs(fast - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+def assert_certificate_is_the_dense_column_sum(economy, p):
+    dense = demand_matrix(economy, p).sum(axis=0)
+    assert np.abs(excess_demand(economy, p) - (dense - 1.0)).max() <= 1e-12 * dense.max()
+
+
+@given(economies_and_prices() | damped_economies_and_prices())
+@settings(max_examples=400, deadline=None)
+def test_certificate_matches_dense_column_sums(pair):
+    assert_certificate_is_the_dense_column_sum(*pair)
+
+
+class TestCertificate:
+    """`excess_demand` is evaluated trader by trader, apart from the solver's kernel."""
+
+    def test_never_calls_the_solver_kernel(self, monkeypatch):
+        def kernel(economy):
+            raise AssertionError("the certificate called aggregate_demand")
+
+        for module in (cesrank.economy, cesrank.solver):
+            monkeypatch.setattr(module, "aggregate_demand", kernel)
+        economy = CesEconomy(np.ones((3, 3)), 0.5)
+        assert verify_equilibrium(economy, np.full(3, 1 / 3)).passed
+
+    def test_sees_the_demand_the_solver_kernel_drops(self):
+        # rho 0.95 and floors 2e-17 below the row max: the kernel's floor**20
+        # underflows to 0 and it loses good 4's demand, the dense rows keep it
+        graph = DirectedGraph(5, [0, 1, 2, 3, 4], [1, 2, 3, 4, 0])
+        economy = damped_economy(graph, np.ones(5), 0.95, 0.9999999999999999)
+        p = np.array([0.25, 0.25, 0.25, 0.25 - 1e-18, 1e-18])
+        dense = demand_matrix(economy, p).sum(axis=0)
+        with np.errstate(all="ignore"):
+            fast = aggregate_demand(economy)(p)
+        assert not np.all(np.abs(fast - dense) <= 1e-12 * dense.max())
+        assert_certificate_is_the_dense_column_sum(economy, p)
+
+
 class TestAggregateDemand:
     def test_common_rho_on_a_damped_graph(self):
         # one exponent group, the shape every rank_problem economy has
@@ -336,3 +382,89 @@ class TestBuildEconomy:
         e = build_economy(problem)
         assert np.all(e.alpha > 0)
 
+
+
+@st.composite
+def weighted_edge_lists(draw):
+    """Edge lists with dangling, sparse and complete rows, and the weights the damping rule must round alike.
+
+    Weights come from one palette per list: unit, random, spread over six
+    hundred decades, subnormal beside 1, 1e308 twice in a row (the sum
+    overflows), or 1e-30 beside 1 (at beta < 1 the damped value rounds to
+    the floor). Half the lists keep every row to at most two edges.
+    """
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = draw(st.sampled_from(["unit", "random", "wide", [1.0, 5e-324], [1e308, 1.0], [1e308], [1.0, 1e-30]]))
+    most = 2 if draw(st.booleans()) else n
+    src, dst = [], []
+    for i in range(n):
+        kind = rng.choice(["dangling", "sparse", "complete"])
+        if kind == "complete" and most == n:
+            cols = np.arange(n)
+        elif kind != "dangling":
+            cols = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, most, 6) + 1)), replace=False))
+        else:
+            continue
+        src += [i] * len(cols)
+        dst += cols.tolist()
+    if palette == "unit":
+        weights = np.ones(len(src))
+    elif palette == "random":
+        weights = rng.uniform(0.5, 3.0, len(src))
+    elif palette == "wide":
+        weights = 10.0 ** rng.uniform(-300.0, 300.0, len(src))
+    else:
+        weights = rng.choice(palette, len(src))
+    rho = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 0.8]))
+    beta = draw(st.sampled_from([1.0, 0.85, 0.5]))
+    return DirectedGraph(n, src, dst), weights, rho, beta
+
+
+@given(weighted_edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_damped_economy_matches_the_dense_path(case):
+    graph, weights, rho, beta = case
+    n = graph.n
+    dense = normalize_preferences(RankingProblem(tuple(map(str, range(n))), weight_matrix(graph, weights), rho, beta=beta)).matrix
+    economy = damped_economy(graph, weights, rho, beta)
+    degree = np.bincount(graph.src, minlength=n)
+    if not (np.all(weights == 1.0) or degree.max(initial=0) <= 2 or n < 8):
+        # rows of three or more weights are summed in edge order, not by
+        # sum(axis=1): each order is within (m - 1) half-ulps of the exact sum
+        # of m positive terms, and the division and the damping add three
+        bound = (degree[:, None] + 2) * np.finfo(float).eps * np.maximum(economy.alpha, dense)
+        assert np.all(np.abs(economy.alpha - dense) <= bound)
+        return
+    assert np.array_equal(economy.alpha, dense)
+    reference = CesEconomy(dense, rho)
+    for name in ("floor", "rows", "cols", "values"):
+        assert np.array_equal(getattr(economy, name), getattr(reference, name))
+    p = 0.05 + np.random.default_rng(n).random(n)
+    assert np.array_equal(aggregate_demand(economy)(p), aggregate_demand(reference)(p))
+    config = SolverConfig(max_iters=2000)
+    try:
+        expected, _ = solve_tatonnement(reference, config)
+    except (ConvergenceError, ValueError) as error:
+        with pytest.raises(type(error)):
+            solve_tatonnement(economy, config)
+        return
+    prices, _ = solve_tatonnement(economy, config)
+    assert np.array_equal(prices.pi, expected.pi)
+
+
+@given(weighted_edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_connectivity_check_matches_the_dense_support_graph(case):
+    # undamped, rows with a positive floor (dangling or complete ones) want
+    # every good; the check reads them off the floors
+    graph, weights, rho, _ = case
+    economy = damped_economy(graph, weights, rho, 1.0)
+    dense = support_graph(economy.alpha)
+    try:
+        cesrank.solver._require_connected_economy(economy)
+    except ValueError as error:
+        assert not is_strongly_connected(dense)
+        assert f"(one component: {strongly_connected_component(dense)})" in str(error)
+    else:
+        assert is_strongly_connected(dense)

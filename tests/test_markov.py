@@ -9,14 +9,13 @@ from cesrank import (
     Distribution,
     TransitionMatrix,
     build_web_transition,
-    is_aperiodic,
     is_strongly_connected,
     stationary_distribution,
     support_graph,
 )
 from cesrank.markov import strongly_connected_component
 
-from oracles import closed_walk_period, component_of, dense_power_iteration, random_strongly_connected_graph
+from oracles import component_of, dense_power_iteration, random_strongly_connected_graph
 
 
 class TestDirectedGraph:
@@ -105,12 +104,6 @@ def _check_against_oracle(n, edges):
     assert is_strongly_connected(g) == connected
     for v in range(n):
         assert strongly_connected_component(g, v) == component_of(n, edges, v)
-    if connected:
-        # a lone vertex without a loop has no cycle at all and counts as aperiodic
-        assert is_aperiodic(g) == (closed_walk_period(n, edges) in (0, 1))
-    else:
-        with pytest.raises(ValueError, match="strongly connected"):
-            is_aperiodic(g)
 
 
 class TestConnectivityOracle:
@@ -122,28 +115,6 @@ class TestConnectivityOracle:
     @settings(max_examples=300, deadline=None)
     def test_random_graphs(self, graph):
         _check_against_oracle(*graph)
-
-
-class TestAperiodicity:
-    def test_two_cycle_is_periodic(self):
-        g = DirectedGraph(2, [0, 1], [1, 0])
-        assert not is_aperiodic(g)
-
-    def test_two_two_cycles_sharing_a_vertex(self):
-        g = DirectedGraph(3, [0, 0, 1, 2], [1, 2, 0, 0])
-        assert not is_aperiodic(g)  # every cycle has even length
-
-    def test_triangle_with_chord(self):
-        g = DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0])
-        assert is_aperiodic(g)  # cycle lengths 3 and 2, gcd 1
-
-    def test_requires_strong_connectivity(self):
-        g = DirectedGraph(2, [0], [1])
-        with pytest.raises(ValueError, match="strongly connected"):
-            is_aperiodic(g)
-
-    def test_isolated_vertex(self):
-        assert is_aperiodic(DirectedGraph(1, [], []))
 
 
 class TestWebTransition:

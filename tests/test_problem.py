@@ -12,7 +12,6 @@ from cesrank import (
     TransitionMatrix,
     build_economy,
     build_web_transition,
-    cobb_douglas_demand,
     demand_matrix,
     is_regular,
     normalize_preferences,
@@ -233,7 +232,6 @@ _MESSAGE_CASES = {
     "distribution entry": (lambda: Distribution(np.array([1.5, -0.5])), "= -0.5"),
     "distribution sum": (lambda: Distribution(np.array([0.5, 0.25])), "sum to 0.75"),
     "closed form rho": (lambda: solve_cobb_douglas(CesEconomy(np.ones((2, 2)), 0.5)), "rho = 0.5;"),
-    "unit elasticity": (lambda: cobb_douglas_demand(CesEconomy(np.ones((2, 2)), 0.5), 0, [0.5, 0.5]), "rho = 0.5,"),
 }
 
 

@@ -427,11 +427,13 @@ class TestRankProblem:
         # damped: every alpha entry is positive, so the graph is complete
         rank_problem(RankingProblem(problem.agent_ids, problem.alpha, rho, beta=0.85))
         assert calls == []
-        # undamped with zero entries: the exact check runs once
+        # undamped with zero entries: the exact check runs once, on the three
+        # agents plus the one auxiliary vertex that stands for the edges of
+        # rows 1 and 2, which have no zero entry
         alpha = problem.alpha.copy()
         alpha[0, 2] = 0.0
         rank_problem(RankingProblem(problem.agent_ids, alpha, rho, beta=1.0))
-        assert calls == [3]
+        assert calls == [4]
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_row_sum_overflow_ranks_as_rescaled_row(self, rho):
