@@ -219,7 +219,7 @@ def _cmd_compare(args) -> int:
     chain = build_web_transition(graph, c=args.damping)
     # power iteration on the chain versus the linear solve behind the closed
     # form: two independent computations of the same vector
-    dist, chain_report = stationary_distribution(chain, method="power")
+    dist, chain_report = stationary_distribution(chain)
     economy = markov_to_economy(chain)
     prices, market_report = solve_cobb_douglas(economy)
 

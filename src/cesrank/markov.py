@@ -16,16 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import ConvergenceError, SolverReport
+from .diagnostics import ConvergenceError, SolverReport, require_tolerance
 
 logger = logging.getLogger(__name__)
 
 #: Default L1 step threshold for power iteration.
 POWER_TOL = 1e-12
 POWER_MAX_ITERS = 100_000
-
-#: Largest web chain that the auto method solves directly; every dense chain is solved.
-LINEAR_SOLVE_MAX_N = 2_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,44 +326,36 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
 
 def stationary_distribution(
     p: TransitionMatrix | WebTransition,
-    method: str = "auto",
     tolerance: float = POWER_TOL,
     max_iters: int = POWER_MAX_ITERS,
 ) -> tuple[Distribution, SolverReport]:
     """Stationary distribution ``pi = P.T @ pi`` of a row-stochastic chain.
 
-    Methods: ``"power"`` iterates ``pi <- P.T @ pi`` from the uniform vector
-    on the edges of a ``WebTransition``, in O(n + edges) per step; the chain
-    is damped, so the iteration contracts at rate ``c`` (Langville & Meyer,
-    "Deeper Inside PageRank", 2004). A dense ``TransitionMatrix`` may be
-    periodic, where iteration never converges, so ``"power"`` rejects it.
-    ``"solve"`` solves the singular linear system on the dense matrix (one
-    normalization equation replaces a redundant one) and handles every
-    irreducible chain, periodic ones included. ``"auto"`` solves every
-    ``TransitionMatrix`` and every ``WebTransition`` up to
-    ``LINEAR_SOLVE_MAX_N`` states, and iterates larger web chains.
+    The chain's type picks the method, at every size. A ``WebTransition`` is
+    damped, so ``pi <- P.T @ pi`` contracts at rate ``c`` (Langville & Meyer,
+    "Deeper Inside PageRank", 2004): it is iterated from the uniform vector
+    on the chain's edges, O(n + edges) per step, and needs about
+    ``log(tolerance) / log(c)`` of its at most ``max_iters`` steps. A dense
+    ``TransitionMatrix`` may be periodic, where iteration never converges, so
+    it is solved exactly by ``stationary_solve``, which handles every
+    irreducible chain.
 
-    Returns the distribution together with a report whose residual is
-    ``max |P.T @ pi - pi|``, computed the way the method stepped.
+    Returns the distribution together with a report whose method is
+    ``"power"`` or ``"solve"`` and whose residual is ``max |P.T @ pi - pi|``,
+    computed the way the method stepped.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    require_tolerance(tolerance)
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    web = isinstance(p, WebTransition)
-    if method == "auto":
-        method = "power" if web and p.n > LINEAR_SOLVE_MAX_N else "solve"
     start = time.perf_counter()
-    if method == "power":
-        if not web:
-            raise ValueError("method 'power' iterates only a damped WebTransition; solve a TransitionMatrix")
+    if isinstance(p, WebTransition):
+        method = "power"
         pi, iterations = _stationary_power(p, tolerance, max_iters)
         image = p.step(pi)
-    elif method == "solve":
+    else:
+        method = "solve"
         pi, iterations = stationary_solve(p.matrix), 1
         image = p.matrix.T @ pi
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'power', 'solve' or 'auto'")
     residual = float(np.abs(image - pi).max())
     if residual > tolerance:
         raise ConvergenceError(

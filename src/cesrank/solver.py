@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
+from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport, require_tolerance
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand
 from .markov import DirectedGraph, _damped_chain, require_strongly_connected, stationary_solve
 from .problem import RankingProblem
@@ -41,8 +41,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        require_tolerance(self.tolerance)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
@@ -67,6 +66,7 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     convergence come from `verify_equilibrium` at the returned prices, an
     independent check on the linear algebra.
     """
+    require_tolerance(tolerance)
     start = time.perf_counter()
     if np.any(economy.rho != 0.0):
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
@@ -93,6 +93,7 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     return prices, report
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Damped multiplicative price adjustment until the market clears.
 

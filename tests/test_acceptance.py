@@ -52,7 +52,7 @@ def test_criterion_1_dual_pipeline_agreement():
         chain = build_web_transition(DirectedGraph(n, src, dst), c=0.85)
 
         # power iteration is independent of the linear solve behind the closed form
-        dist, _ = stationary_distribution(chain, method="power")
+        dist, _ = stationary_distribution(chain)
         prices, _ = solve_cobb_douglas(markov_to_economy(chain))
 
         worst = max(worst, float(np.abs(dist.pi - prices.pi).max()))
@@ -210,6 +210,6 @@ def test_criterion_8_dangling_rule():
         assert np.abs(row_sums - 1.0).max() <= 1e-12, trial
         assert np.all(chain.matrix > 0)
 
-        dist, _ = stationary_distribution(chain, method="power")
+        dist, _ = stationary_distribution(chain)
         prices, _ = solve_cobb_douglas(markov_to_economy(chain))
         assert float(np.abs(dist.pi - prices.pi).max()) <= 1e-8, trial

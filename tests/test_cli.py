@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 
 import cesrank.cli
 import cesrank.markov
-from cesrank import RankingProblem, dump_problem, load_fixture, load_problem
+from cesrank import (
+    DirectedGraph,
+    RankingProblem,
+    TransitionMatrix,
+    build_web_transition,
+    dump_problem,
+    load_fixture,
+    load_problem,
+    stationary_distribution,
+)
 from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
 
 from oracles import out_regular_edges, reference_ranking_text, reference_tie_groups
@@ -48,10 +57,9 @@ def problem_file(tmp_path):
     return write
 
 
-def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags):
-    # one 3000 x 3000 float array is 69 MiB; the edge list and the chain or
-    # economy on its 15 000 edges fit in a few
-    n = 3000
+def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags, n=3000):
+    # one n x n float array is 8 n^2 bytes, 69 MiB at n = 3000; the edge list
+    # and the chain or economy on its 5 n edges fit in a few
     edges = out_regular_edges(np.random.default_rng(5), n)
     path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
     tracemalloc.start()
@@ -62,7 +70,7 @@ def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags):
         tracemalloc.stop()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == n
-    assert peak < 24 * 2**20
+    assert peak < min(24 * 2**20, 8 * n * n)
 
 
 class TestRankPagerank:
@@ -98,28 +106,27 @@ class TestRankPagerank:
         weak = capsys.readouterr().out
         assert strong != weak
 
-    def test_power_on_the_edges_above_the_solve_limit(self, graph_file, capsys, monkeypatch):
-        # vertices 0 and 7 dangle; above the lowered limit the chain is
-        # iterated on its edges instead of solved on its dense matrix
-        edges = [(i, j) for i, j in out_regular_edges(np.random.default_rng(3), 20) if i not in (0, 7)]
-        path = graph_file("format: 1\nn 20\n" + "".join(f"{i} {j}\n" for i, j in edges))
-        argv = ["rank", "--method", "pagerank", "--format", "json", "--input", path]
-
-        def run():
-            assert main(argv) == 0
-            doc = json.loads(capsys.readouterr().out)
-            return doc["report"], {r["agent"]: r["score"] for r in doc["ranking"]}
-
-        solved_report, solved = run()
-        monkeypatch.setattr(cesrank.markov, "LINEAR_SOLVE_MAX_N", 10)
-        report, scores = run()
-        assert solved_report["method"] == "solve"
-        assert report["method"] == "power"
-        assert report["residual"] <= 1e-12
-        assert max(abs(scores[agent] - score) for agent, score in solved.items()) <= 1e-12
+    def test_power_on_the_edges_at_twenty_vertices(self, graph_file, capsys):
+        # vertices 0 and 7 dangle; even a small chain is iterated on its
+        # edges, and agrees with the exact solve of its dense matrix
+        n = 20
+        edges = [(i, j) for i, j in out_regular_edges(np.random.default_rng(3), n) if i not in (0, 7)]
+        path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+        assert main(["rank", "--method", "pagerank", "--format", "json", "--input", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        chain = build_web_transition(DirectedGraph(n, *zip(*edges)))
+        solved, _ = stationary_distribution(TransitionMatrix(chain.matrix))
+        assert doc["report"]["method"] == "power"
+        assert doc["report"]["residual"] <= 1e-12
+        assert max(abs(r["score"] - solved.pi[int(r["agent"][1:])]) for r in doc["ranking"]) <= 1e-12
 
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys):
         assert_memory_is_linear_in_the_edges(graph_file, capsys, "--method", "pagerank")
+
+    def test_no_dense_matrix_below_two_thousand_vertices(self, graph_file, capsys):
+        # the chain is iterated on its edges at every size: at n = 1500 the
+        # peak stays under one 1500 x 1500 float array (17.2 MiB)
+        assert_memory_is_linear_in_the_edges(graph_file, capsys, "--method", "pagerank", n=1500)
 
 
 class TestRankCes:
@@ -243,11 +250,10 @@ class TestRankInvariant:
         assert captured.out == ""
         assert "strongly connected" in captured.err
 
-    def test_large_periodic_graph_is_solved(self, graph_file, capsys, monkeypatch):
-        # a star 0 <-> 1..19 has period 2; above the lowered limit it is
-        # still solved exactly, and ranks like its Cobb-Douglas economy
+    def test_large_periodic_graph_is_solved(self, graph_file, capsys):
+        # a star 0 <-> 1..19 has period 2; the dense chain is solved exactly,
+        # and ranks like its Cobb-Douglas economy
         path = graph_file("format: 1\nn 20\n" + "".join(f"0 {k}\n{k} 0\n" for k in range(1, 20)))
-        monkeypatch.setattr(cesrank.markov, "LINEAR_SOLVE_MAX_N", 10)
 
         def scores(*flags):
             assert main(["rank", *flags, "--format", "json", "--input", path]) == 0
@@ -309,6 +315,19 @@ class TestExitCodes:
         code = main(["rank", "--input", str(tmp_path / "absent.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "flags", [["--method", "ces", "--rho", "0.5"], ["--method", "pagerank"], ["--method", "invariant"]],
+        ids=["ces", "pagerank", "invariant"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, graph_file, capsys, flags, tol):
+        # a NaN tolerance certifies nothing and an infinite one anything
+        code = main(["rank", *flags, f"--tol={tol}", "--format", "json", "--input", graph_file(TRIANGLE)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance must be finite and positive, got {float(tol)!r}\n"
 
     def test_unreachable_tolerance(self, problem_file, capsys):
         base = load_fixture("monotone3")

@@ -16,6 +16,7 @@ from cesrank import (
     TransitionMatrix,
     build_economy,
     build_web_transition,
+    damped_economy,
     demand_matrix,
     load_fixture,
     markov_to_economy,
@@ -56,6 +57,7 @@ class TestSolverConfig:
             {"tolerance": -1e-10},
             {"max_iters": 0},
             {"max_iters": -1},
+            {"tolerance": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -73,6 +75,12 @@ class TestSolveCobbDouglas:
         np.testing.assert_allclose(prices.pi, dist.pi, atol=1e-12, rtol=0)
         assert report.method == "closed_form"
         assert report.converged
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        economy = markov_to_economy(build_web_transition(DirectedGraph(3, [0, 1, 2], [1, 2, 0])))
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            solve_cobb_douglas(economy, tolerance=tolerance)
 
     def test_plain_chain_equilibrium(self):
         # stationary distribution (0.4, 0.2, 0.4)
@@ -164,6 +172,22 @@ class TestSolveTatonnement:
             solve_tatonnement(economy)
         assert info.value.residual_tail == [1.0]
         assert "gamma" not in str(info.value)
+
+    def test_demand_overflow_is_a_convergence_error(self):
+        # weights over 600 decades at rho 0.8 drive a price so low that one
+        # trader's budget over its normalizer overflows at iteration 1278: a
+        # non-finite demand, reported as such and not as a numpy warning
+        graph = DirectedGraph(6, np.repeat([0, 1, 2, 3, 5], 6), np.tile(np.arange(6), 5))
+        weights = np.array([
+            2.31654349e026, 2.13327984e241, 1.95936030e-14, 1.98502800e-42, 2.33362209e173, 3.10312992e290,
+            6.84661002e-79, 2.28939953e281, 2.60514955e257, 4.12621123e-194, 2.04630378e065, 8.29559114e122,
+            4.81069117e265, 2.47999143e099, 1.09006720e-220, 5.25483727e-02, 1.48559481e-04, 1.36682719e000,
+            1.41049537e275, 9.17148993e-91, 1.83099883e-166, 1.78731593e013, 5.04143740e084, 2.91227280e263,
+            1.61987084e049, 5.01226674e-140, 7.32516117e257, 1.08435321e-05, 3.02356257e105, 4.20093813e-15,
+        ])
+        economy = damped_economy(graph, weights, 0.8, 1.0)
+        with pytest.raises(ConvergenceError, match="excess demand of good 0 is not finite at iteration 1278"):
+            solve_tatonnement(economy, SolverConfig(max_iters=2000))
 
     def test_disconnected_rejected_before_iterating(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
