@@ -27,6 +27,7 @@ from .economy import (
     demand_matrix,
     excess_demand,
     markov_to_economy,
+    normalize_preferences,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .formats import (
@@ -48,7 +49,7 @@ from .markov import (
     stationary_distribution,
     support_graph,
 )
-from .problem import RankingProblem, is_regular, normalize_preferences
+from .problem import RankingProblem, is_regular
 from .solver import (
     SolverConfig,
     multistart_probe,

@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import CesEconomy, as_price_array, excess_demand
-from .problem import RankingProblem, is_regular, normalize_preferences
+from .economy import CesEconomy, as_price_array, build_economy, excess_demand, normalize_preferences
+from .markov import TransitionMatrix
+from .problem import RankingProblem, is_regular
 from .solver import rank_problem, solve_equilibrium
 
 #: Separation required of "strict" inequalities, so rounding noise never
@@ -190,8 +191,8 @@ def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> Ax
     is not a defect, it is the interesting outcome: a regular problem whose
     equilibrium is demonstrably non-uniform.
     """
-    undamped = replace(problem, beta=1.0)
-    normalized = normalize_preferences(undamped)
+    economy = build_economy(replace(problem, beta=1.0))
+    normalized = TransitionMatrix(economy.alpha)
     if not is_regular(normalized):
         return _not_applicable(
             "uniformity",
@@ -199,7 +200,6 @@ def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> Ax
             row_sums=normalized.matrix.sum(axis=1).tolist(),
             column_sums=normalized.matrix.sum(axis=0).tolist(),
         )
-    economy = CesEconomy(normalized.matrix, undamped.rho)
     prices, report = solve_equilibrium(economy)
     deviation = float(np.abs(prices.pi - 1.0 / problem.n).max())
     witness = {

@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -35,10 +34,10 @@ from .axioms import (
     gs_spot_check,
 )
 from .diagnostics import ConvergenceError
-from .economy import build_economy, damped_economy, markov_to_economy
+from .economy import build_economy, damped_economy, markov_to_economy, problem_edges
 from .fixtures import load_fixture
 from .formats import DocumentError, dump_problem, json_document, problem_from_edge_list, sniff_and_load, weight_matrix
-from .markov import _damped_chain, build_web_transition, require_strongly_connected, stationary_distribution, support_graph
+from .markov import TransitionMatrix, build_web_transition, require_strongly_connected, stationary_distribution
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium
 
 logger = logging.getLogger(__name__)
@@ -96,29 +95,34 @@ def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
     sys.stdout.write(json_document(head, "ranking", entries, tail) + "\n")
 
 
+def _load_input(path):
+    """``(ids, graph, weights, rho, beta)`` of a document (support graph and alpha entries) or an edge list.
+
+    An edge list has rho 0, beta 0.85 and no ids: its agents are named ``v0 .. v{n-1}`` after the solve.
+    """
+    problem, loaded_graph = sniff_and_load(path)
+    if problem is None:
+        return None, *loaded_graph, 0.0, 0.85
+    return problem.agent_ids, *problem_edges(problem), problem.rho, problem.beta
+
+
+def _names(ids, n: int) -> tuple[str, ...]:
+    return ids if ids is not None else tuple(f"v{k}" for k in range(n))
+
+
 def _cmd_rank(args) -> int:
-    problem, loaded_graph = sniff_and_load(args.input)
+    ids, graph, weights, rho, beta = _load_input(args.input)
+    if args.damping is not None and args.method != "pagerank":
+        hint = "; use --beta to damp --method ces" if args.method == "ces" else ""
+        print(f"warning: --damping only applies to --method pagerank; ignored{hint}", file=sys.stderr)
 
     if args.method == "ces":
-        if problem is None:
-            # an edge list stays edges: at rho != 0 nothing of size n x n is built
-            economy = damped_economy(
-                *loaded_graph,
-                rho=args.rho if args.rho is not None else 0.0,
-                beta=args.beta if args.beta is not None else 0.85,
-            )
-        else:
-            if args.rho is not None or args.beta is not None:
-                problem = replace(
-                    problem,
-                    rho=problem.rho if args.rho is None else args.rho,
-                    beta=problem.beta if args.beta is None else args.beta,
-                )
-            economy = build_economy(problem)
+        rho, beta = (rho if args.rho is None else args.rho), (beta if args.beta is None else args.beta)
+        # the economy is built from the edges: at rho != 0 nothing of size n x n is built
+        economy = damped_economy(graph, weights, rho, beta)
         tol = args.tol if args.tol is not None else 1e-10
         prices, report = solve_equilibrium(economy, SolverConfig(tolerance=tol))
-        ids = problem.agent_ids if problem is not None else tuple(f"v{k}" for k in range(economy.n))
-        _emit_ranking(ids, prices.pi, report, "ces", args.format)
+        _emit_ranking(_names(ids, economy.n), prices.pi, report, "ces", args.format)
         return _EXIT_OK
 
     if args.rho is not None:
@@ -128,25 +132,20 @@ def _cmd_rank(args) -> int:
 
     tol = args.tol if args.tol is not None else 1e-12
 
-    graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
     if args.method == "pagerank":
         # an edge list stays edges: the chain is O(n + edges), never n x n
-        chain = build_web_transition(graph, c=args.damping)
+        chain = build_web_transition(graph, c=args.damping if args.damping is not None else 0.85)
     else:  # invariant
-        weights = problem.alpha if problem is not None else weight_matrix(*loaded_graph)
         require_strongly_connected(graph, "the graph", "the invariant method needs a strongly connected graph")
-        empty = weights.max(axis=1) == 0.0
+        empty = np.bincount(graph.src, minlength=graph.n) == 0
         if np.any(empty):
             k = int(np.argmax(empty))
-            raise ValueError(
-                f"agent {problem.agent_ids[k] if problem is not None else f'v{k}'} has no positive weight; "
-                "the invariant method needs one in every row"
-            )
-        chain = _damped_chain(np.array(weights), 1.0)
+            name = ids[k] if ids is not None else f"v{k}"
+            raise ValueError(f"agent {name} has no positive weight; the invariant method needs one in every row")
+        chain = TransitionMatrix(damped_economy(graph, weights, 0.0, 1.0).alpha)
     dist, report = stationary_distribution(chain, tolerance=tol)
     # named only now: a declared vertex count too large to rank fails above, in numpy
-    ids = problem.agent_ids if problem is not None else tuple(f"v{k}" for k in range(dist.n))
-    _emit_ranking(ids, dist.pi, report, args.method, args.format)
+    _emit_ranking(_names(ids, dist.n), dist.pi, report, args.method, args.format)
     return _EXIT_OK
 
 
@@ -212,9 +211,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    problem, loaded_graph = sniff_and_load(args.input)
-    graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
-    ids = problem.agent_ids if problem is not None else tuple(f"v{k}" for k in range(graph.n))
+    ids, graph, *_ = _load_input(args.input)
 
     chain = build_web_transition(graph, c=args.damping)
     # power iteration on the chain versus the linear solve behind the closed
@@ -228,7 +225,7 @@ def _cmd_compare(args) -> int:
     doc = {
         "format": 1,
         "damping": args.damping,
-        "agents": list(ids),
+        "agents": list(_names(ids, graph.n)),
         "stationary": dist.pi.tolist(),
         "equilibrium": prices.pi.tolist(),
         "max_difference": difference,
@@ -244,11 +241,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    problem, loaded_graph = sniff_and_load(args.input)
-    graph = loaded_graph[0] if problem is None else support_graph(problem.alpha)
+    _, graph, *_ = _load_input(args.input)
     chain = build_web_transition(graph, c=args.damping)
-    # beta=1: the damping is already baked into the transition matrix
-    document = problem_from_edge_list(chain.matrix, rho=0.0, beta=1.0)
+    # beta=1: the damping is already baked into the chain's economy
+    document = problem_from_edge_list(markov_to_economy(chain).alpha, rho=0.0, beta=1.0)
     text = dump_problem(document)
     if args.output is None:
         sys.stdout.write(text)
@@ -268,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--input", required=True, help="problem document (.json) or edge list")
     rank.add_argument("--rho", type=float, default=None, help="override rho for every agent, in [-1, 0.95] (ces)")
     rank.add_argument("--beta", type=float, default=None, help="override damping weight (ces)")
-    rank.add_argument("--damping", type=float, default=0.85, help="link-following probability (pagerank)")
+    rank.add_argument("--damping", type=float, default=None, help="link-following probability, default 0.85 (pagerank)")
     rank.add_argument("--tol", type=float, default=None, help="solver tolerance")
     rank.add_argument("--format", choices=("tsv", "json"), default="tsv")
     rank.set_defaults(func=_cmd_rank)

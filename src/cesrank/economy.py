@@ -285,21 +285,27 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
 def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) -> CesEconomy:
     """Economy of a weighted graph's damped preference matrix, built from its edges in O(n + edges).
 
-    ``weights`` are positive and aligned with the graph's edges, as
-    `cesrank.formats.load_edge_list` returns them. Row i applies the rule of
-    `normalize_preferences` to vertex i's out-edges: a row whose sum
-    overflows is first divided by its max, a dangling row is the uniform row
-    ``1/n``, every row is divided by its sum, and each entry is mixed as
-    ``beta * w + (1 - beta) / n``. A row's floor is ``(1 - beta) / n`` unless
-    it has an edge to every vertex; the edges whose damped value rounds to
-    the floor are dropped, as the dense ``alpha > floor`` drops them. Row sums
-    run in edge order, so a row of three or more weights may round its last
-    bits differently from the dense ``sum(axis=1)``.
+    The one damping rule (Langville & Meyer, "Deeper Inside PageRank", 2004)
+    of the web chain, of a problem's preference matrix and of the invariant
+    chain. ``weights`` are positive, finite and aligned with the graph's
+    edges, as `cesrank.formats.load_edge_list` returns them. Row i is vertex
+    i's out-edges: a row whose sum overflows is first divided by its max, a
+    dangling row is the uniform row ``1/n``, every row is divided by its sum
+    (in edge order), and each entry is mixed as ``beta * w + (1 - beta) / n``.
+    A row's floor is ``(1 - beta) / n`` unless it has an edge to every
+    vertex; the edges whose damped value rounds to the floor are dropped, as
+    the dense ``alpha > floor`` drops them.
     """
     n, src, dst = graph.n, graph.src, graph.dst
     rho = _rho_array(rho, n)
     beta = _validate_beta(beta)
     w = np.array(weights, dtype=float)
+    if w.shape != src.shape:
+        raise ValueError(f"weights must be one per edge: {src.size} edges, got shape {w.shape}")
+    bad = ~np.isfinite(w) | (w <= 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(f"edge ({src[k]}, {dst[k]}) has weight {float(w[k])!r}; weights must be positive and finite")
     sums = np.bincount(src, w, minlength=n)
     huge = ~np.isfinite(sums)
     if np.any(huge):
@@ -325,13 +331,15 @@ def markov_to_economy(p: TransitionMatrix | WebTransition) -> CesEconomy:
     """Economy whose equilibrium prices reproduce a chain's stationary distribution.
 
     State ``i`` becomes a unit-elasticity trader owning one unit of good ``i``
-    and valuing good ``j`` with coefficient ``p[i][j]`` of the dense
-    ``p.matrix``. Market clearing at positive prices then reads
-    ``sum_i p[i][j] * pi[i] = pi[j]``, the stationary condition. Requires the
-    chain's support graph to be strongly connected so that a strictly positive
-    equilibrium exists; a periodic chain's unique invariant distribution
-    clears the market too.
+    and valuing good ``j`` with coefficient ``p[i][j]``. Market clearing at
+    positive prices then reads ``sum_i p[i][j] * pi[i] = pi[j]``, the
+    stationary condition. A `WebTransition` is `damped_economy` of its graph
+    with unit weights and beta ``c``, built in O(n + edges). A dense chain's
+    support graph must be strongly connected so that a strictly positive
+    equilibrium exists; a periodic chain's invariant distribution clears too.
     """
+    if isinstance(p, WebTransition):
+        return damped_economy(p.graph, np.ones(p.graph.src.size), 0.0, p.c)
     if p.matrix.min() <= 0.0:  # else the graph is complete
         require_strongly_connected(
             support_graph(p.matrix), "the chain's support graph", "no strictly positive equilibrium"
@@ -339,15 +347,29 @@ def markov_to_economy(p: TransitionMatrix | WebTransition) -> CesEconomy:
     return CesEconomy(alpha=p.matrix, rho=np.zeros(p.n))
 
 
+def problem_edges(problem: RankingProblem) -> tuple[DirectedGraph, np.ndarray]:
+    """A problem's positive alpha entries as its support graph and the weights on its edges."""
+    graph = support_graph(problem.alpha)
+    return graph, problem.alpha[graph.src, graph.dst]
+
+
 def build_economy(problem: RankingProblem) -> CesEconomy:
     """Economy of a ranking problem: trader i owns good i and has rho[i].
 
-    Trader i values the goods by row i of the damped preference matrix, the
-    rule of `normalize_preferences`, built by `damped_economy` from the
-    problem's positive alpha entries. A strictly positive equilibrium needs
-    the economy graph (edge i -> j iff ``alpha_hat[i][j] > 0``) to be
-    strongly connected. Damping with ``beta < 1`` guarantees this; the
-    solvers check it once, on entry.
+    Trader i values the goods by row i of the damped preference matrix,
+    built by `damped_economy` from the problem's `problem_edges`. A strictly
+    positive equilibrium needs the economy graph (edge i -> j iff
+    ``alpha_hat[i][j] > 0``) to be strongly connected. Damping with
+    ``beta < 1`` guarantees this; the solvers check it once, on entry.
     """
-    graph = support_graph(problem.alpha)
-    return damped_economy(graph, problem.alpha[graph.src, graph.dst], problem.rho, problem.beta)
+    return damped_economy(*problem_edges(problem), problem.rho, problem.beta)
+
+
+def normalize_preferences(problem: RankingProblem) -> TransitionMatrix:
+    """The damped preference matrix of a problem, n x n: exactly `build_economy`'s alpha, the one the market consumes.
+
+    Every entry is at least ``(1 - beta) / n`` (strictly positive when
+    ``beta < 1``), and scaling a row of the input by a positive constant
+    does not change the output.
+    """
+    return TransitionMatrix(build_economy(problem).alpha)

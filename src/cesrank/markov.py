@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -191,44 +190,14 @@ def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: 
         raise ValueError(f"{subject} is not strongly connected (one component: {component}); {consequence}")
 
 
-def _damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix:
-    """Row-normalize nonnegative ``weights`` and damp them towards the uniform row.
-
-    All-zero (dangling) rows become the uniform row ``1/n``, every row is
-    divided by its sum, and when ``beta < 1`` every entry is mixed as
-    ``beta * w + (1 - beta) / n`` (Langville & Meyer, "Deeper Inside
-    PageRank", 2004). This one rule builds both the web-surfer chain and the
-    damped preference matrix of a ranking problem. A row whose sum overflows
-    is first divided by its max, which leaves its normalized row unchanged.
-    ``weights`` must be a writable float array the caller gives up: it is
-    overwritten in place.
-    """
-    n = weights.shape[0]
-    with np.errstate(over="ignore"):
-        sums = weights.sum(axis=1)
-    huge = ~np.isfinite(sums)
-    if np.any(huge):
-        weights[huge] /= weights[huge].max(axis=1, keepdims=True)
-        sums[huge] = weights[huge].sum(axis=1)
-    dangling = sums == 0.0
-    weights[dangling] = 1.0
-    sums[dangling] = n
-    weights /= sums[:, None]
-    if beta < 1.0:
-        weights *= beta
-        weights += (1.0 - beta) / n
-    return TransitionMatrix(weights)
-
-
 @dataclass(frozen=True, eq=False)
 class WebTransition:
     """Damped random-surfer chain of a directed graph, held as the graph's edges.
 
     Row ``i`` puts ``c / outdeg[i]`` on each out-edge of ``i`` plus the floor
     ``(1 - c) / n`` everywhere; a dangling row (no out-edge) is the uniform
-    row ``1 / n``. Memory and one step ``P.T @ pi`` cost O(n + edges). The
-    dense ``matrix`` is built on first access, by the rule of
-    ``_damped_chain``, for callers that need every entry.
+    row ``1 / n``. Memory and one step ``P.T @ pi`` cost O(n + edges); for
+    the entries, see `cesrank.economy.markov_to_economy`.
 
     ``c`` must be in (0, 1) and the graph must have no self-loop.
     """
@@ -253,12 +222,6 @@ class WebTransition:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        t = np.zeros((self.n, self.n))
-        t[self.graph.src, self.graph.dst] = 1.0
-        return _damped_chain(t, self.c).matrix
 
     def step(self, pi: np.ndarray) -> np.ndarray:
         """One power-iteration step, ``P.T @ pi``, in O(n + edges)."""
@@ -310,7 +273,8 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
     clipped, renormalized or residual-checked.
     """
     n = p.shape[0]
-    a = p.T - np.eye(n)
+    a = p.T.copy()
+    a.flat[:: n + 1] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0

@@ -3,10 +3,10 @@
 A ranking problem is a set of agents, a nonnegative preference-intensity
 matrix ``alpha`` (``alpha[i, j]`` is how strongly agent ``i`` endorses agent
 ``j``), a per-agent substitution parameter ``rho``, and a damping weight
-``beta``. Preprocessing turns ``alpha`` into the damped preference matrix, a
-row-stochastic `TransitionMatrix`, by the same rule that builds the damped
-web-surfer chain: fill all-zero rows with the uniform row, divide each row by
-its sum, then mix each row with the uniform row at weight ``1 - beta``.
+``beta``. `cesrank.economy.damped_economy` turns ``alpha`` into the damped
+preference matrix by the same rule that builds the damped web-surfer chain:
+fill all-zero rows with the uniform row, divide each row by its sum, then mix
+each row with the uniform row at weight ``1 - beta``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import TransitionMatrix, _damped_chain
+from .markov import TransitionMatrix
 
 #: Largest accepted rho. Above it the demand exponent 1/(1-rho) exceeds 20 and
 #: the demand powers become too steep to evaluate reliably near the
@@ -122,22 +122,6 @@ class RankingProblem:
     @property
     def n(self) -> int:
         return len(self.agent_ids)
-
-
-def normalize_preferences(problem: RankingProblem) -> TransitionMatrix:
-    """The damped preference matrix of a problem, as a row-stochastic matrix.
-
-    All-zero rows are replaced by the uniform row 1/n, every row is divided by
-    its sum, and each entry is then mixed as
-    ``alpha_hat[i][j] = alpha_norm[i][j] * beta + (1 - beta) / n``: the rule
-    of `cesrank.markov.build_web_transition`, applied to weights.
-
-    Every entry is at least ``(1 - beta) / n`` (strictly positive when
-    ``beta < 1``). Scaling a whole row of the input by any positive constant
-    does not change the output. `cesrank.economy.damped_economy` builds the
-    same rows from a graph's edges, without the n x n matrix.
-    """
-    return _damped_chain(np.array(problem.alpha), problem.beta)
 
 
 def is_regular(matrix: TransitionMatrix, tol: float = REGULARITY_TOL) -> bool:

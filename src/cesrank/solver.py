@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport, require_tolerance
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand
-from .markov import DirectedGraph, _damped_chain, require_strongly_connected, stationary_solve
+from .markov import DirectedGraph, TransitionMatrix, require_strongly_connected, stationary_solve
 from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,14 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
         raise ValueError(f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros")
     _require_connected_economy(economy)
-    shares = _damped_chain(np.array(economy.alpha), 1.0).matrix
+    alpha = economy.alpha
+    with np.errstate(over="ignore"):
+        sums = alpha.sum(axis=1)
+    shares = alpha / sums[:, None]
+    for i in np.flatnonzero(~np.isfinite(sums)):  # divided by its max first, which keeps its shares
+        row = alpha[i] / alpha[i].max()
+        shares[i] = row / row.sum()
+    shares = TransitionMatrix(shares).matrix
     prices = PriceVector.from_unnormalized(stationary_solve(shares))
     check = verify_equilibrium(economy, prices, tolerance)
     report = SolverReport(

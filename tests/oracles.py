@@ -16,7 +16,7 @@ import numpy as np
 
 from cesrank.cli import TIE_TOL
 from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text
-from cesrank.markov import DirectedGraph
+from cesrank.markov import DirectedGraph, TransitionMatrix
 
 
 def fixed_point_equilibrium(alpha_hat, q, iters=500_000, tol=5e-16):
@@ -137,6 +137,35 @@ def component_of(n, edges, vertex):
     """Sorted strongly connected component of ``vertex``: reached from it and reaching it."""
     reversed_edges = [(j, i) for i, j in edges]
     return sorted(_reachable_from(n, edges, vertex) & _reachable_from(n, reversed_edges, vertex))
+
+
+def reference_damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix:
+    """Row-normalize nonnegative ``weights`` and damp them towards the uniform row.
+
+    All-zero (dangling) rows become the uniform row ``1/n``, every row is
+    divided by its sum, and when ``beta < 1`` every entry is mixed as
+    ``beta * w + (1 - beta) / n`` (Langville & Meyer, "Deeper Inside
+    PageRank", 2004). This one rule builds both the web-surfer chain and the
+    damped preference matrix of a ranking problem. A row whose sum overflows
+    is first divided by its max, which leaves its normalized row unchanged.
+    ``weights`` must be a writable float array the caller gives up: it is
+    overwritten in place.
+    """
+    n = weights.shape[0]
+    with np.errstate(over="ignore"):
+        sums = weights.sum(axis=1)
+    huge = ~np.isfinite(sums)
+    if np.any(huge):
+        weights[huge] /= weights[huge].max(axis=1, keepdims=True)
+        sums[huge] = weights[huge].sum(axis=1)
+    dangling = sums == 0.0
+    weights[dangling] = 1.0
+    sums[dangling] = n
+    weights /= sums[:, None]
+    if beta < 1.0:
+        weights *= beta
+        weights += (1.0 - beta) / n
+    return TransitionMatrix(weights)
 
 
 def dense_power_iteration(matrix, tolerance=1e-12, max_iters=100_000):

@@ -206,9 +206,10 @@ def test_criterion_8_dangling_rule():
         assert len(dangling) == n_dangling
         chain = build_web_transition(DirectedGraph(n, src, dst), c=0.85)
 
-        row_sums = chain.matrix.sum(axis=1)
+        matrix = markov_to_economy(chain).alpha
+        row_sums = matrix.sum(axis=1)
         assert np.abs(row_sums - 1.0).max() <= 1e-12, trial
-        assert np.all(chain.matrix > 0)
+        assert np.all(matrix > 0)
 
         dist, _ = stationary_distribution(chain)
         prices, _ = solve_cobb_douglas(markov_to_economy(chain))

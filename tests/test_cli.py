@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cesrank.cli
+import cesrank.economy
 import cesrank.markov
 from cesrank import (
     DirectedGraph,
@@ -25,6 +26,7 @@ from cesrank import (
     dump_problem,
     load_fixture,
     load_problem,
+    markov_to_economy,
     stationary_distribution,
 )
 from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
@@ -57,9 +59,8 @@ def problem_file(tmp_path):
     return write
 
 
-def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags, n=3000):
-    # one n x n float array is 8 n^2 bytes, 69 MiB at n = 3000; the edge list
-    # and the chain or economy on its 5 n edges fit in a few
+def rank_peak_memory(graph_file, capsys, *flags, n):
+    """Peak traced bytes and stdout of one ``rank`` run on an n-vertex graph with 5 n edges."""
     edges = out_regular_edges(np.random.default_rng(5), n)
     path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
     tracemalloc.start()
@@ -69,7 +70,14 @@ def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags, n=3000):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert len(capsys.readouterr().out.splitlines()) == n
+    return peak, capsys.readouterr().out
+
+
+def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags, n=3000):
+    # one n x n float array is 8 n^2 bytes, 69 MiB at n = 3000; the edge list
+    # and the chain or economy on its 5 n edges fit in a few
+    peak, out = rank_peak_memory(graph_file, capsys, *flags, n=n)
+    assert len(out.splitlines()) == n
     assert peak < min(24 * 2**20, 8 * n * n)
 
 
@@ -115,7 +123,7 @@ class TestRankPagerank:
         assert main(["rank", "--method", "pagerank", "--format", "json", "--input", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         chain = build_web_transition(DirectedGraph(n, *zip(*edges)))
-        solved, _ = stationary_distribution(TransitionMatrix(chain.matrix))
+        solved, _ = stationary_distribution(TransitionMatrix(markov_to_economy(chain).alpha))
         assert doc["report"]["method"] == "power"
         assert doc["report"]["residual"] <= 1e-12
         assert max(abs(r["score"] - solved.pi[int(r["agent"][1:])]) for r in doc["ranking"]) <= 1e-12
@@ -177,6 +185,14 @@ class TestRankCes:
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys, rho):
         assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho)
 
+    def test_closed_form_holds_three_dense_arrays(self, graph_file, capsys):
+        # at rho 0 the closed form needs the n x n alpha, its shares and the
+        # linear system, each once: under 3.5 arrays of 1000 x 1000 (26.7 MiB)
+        n = 1000
+        peak, out = rank_peak_memory(graph_file, capsys, "--rho", "0", "--format", "json", n=n)
+        assert len(json.loads(out)["ranking"]) == n
+        assert peak < 3.5 * 8 * n * n
+
     @pytest.mark.parametrize("rho", ["0", "0.5"])
     @pytest.mark.parametrize(
         "text",
@@ -224,6 +240,18 @@ def test_row_sum_overflow_ranks_as_rescaled_row(problem_file, capsys, method):
         assert abs(scores[1][agent] - score) <= 1e-12
 
 
+@pytest.mark.parametrize("method, hint", [("ces", "; use --beta to damp --method ces"), ("invariant", "")])
+def test_damping_flag_warns_outside_pagerank(graph_file, capsys, method, hint):
+    path = graph_file(TRIANGLE)
+    assert main(["rank", "--method", method, "--format", "json", "--input", path]) == 0
+    plain = capsys.readouterr()
+    assert main(["rank", "--method", method, "--format", "json", "--damping", "0.5", "--input", path]) == 0
+    flagged = capsys.readouterr()
+    assert plain.err == ""
+    assert flagged.err == f"warning: --damping only applies to --method pagerank; ignored{hint}\n"
+    assert flagged.out == plain.out
+
+
 class TestRankInvariant:
     def test_weighted_invariant_ranking(self, graph_file, capsys):
         text = "format: 1\nn 3\n0 1 2.0\n0 2 1.0\n1 0\n1 2\n2 0\n2 1 3.0\n"
@@ -267,15 +295,15 @@ class TestRankInvariant:
         assert max(abs(invariant[agent] - score) for agent, score in market.items()) <= 1e-12
 
     def test_edge_list_graph_reused(self, graph_file, capsys, monkeypatch):
-        # the parser's graph is checked; the weight matrix is not scanned again
+        # the parser's graph is checked; no weight matrix is scanned again
         calls = []
-        original = cesrank.cli.support_graph
+        original = cesrank.economy.support_graph
 
         def counted(matrix):
             calls.append(matrix.shape[0])
             return original(matrix)
 
-        monkeypatch.setattr(cesrank.cli, "support_graph", counted)
+        monkeypatch.setattr(cesrank.economy, "support_graph", counted)
         assert main(["rank", "--method", "invariant", "--input", graph_file(TRIANGLE)]) == 0
         assert calls == []
 

@@ -34,7 +34,7 @@ from cesrank import (
 from cesrank.economy import aggregate_demand
 from cesrank.markov import strongly_connected_component
 
-from oracles import grid_search_demand
+from oracles import grid_search_demand, reference_damped_chain
 
 
 class TestPriceVector:
@@ -426,7 +426,7 @@ def weighted_edge_lists(draw):
 def test_damped_economy_matches_the_dense_path(case):
     graph, weights, rho, beta = case
     n = graph.n
-    dense = normalize_preferences(RankingProblem(tuple(map(str, range(n))), weight_matrix(graph, weights), rho, beta=beta)).matrix
+    dense = reference_damped_chain(weight_matrix(graph, weights), beta).matrix
     economy = damped_economy(graph, weights, rho, beta)
     degree = np.bincount(graph.src, minlength=n)
     if not (np.all(weights == 1.0) or degree.max(initial=0) <= 2 or n < 8):
@@ -451,6 +451,33 @@ def test_damped_economy_matches_the_dense_path(case):
         return
     prices, _ = solve_tatonnement(economy, config)
     assert np.array_equal(prices.pi, expected.pi)
+
+
+@given(weighted_edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_normalize_preferences_is_the_economy_alpha(case):
+    # one rule: the axioms read exactly the matrix the market consumes
+    graph, weights, rho, beta = case
+    problem = RankingProblem(tuple(map(str, range(graph.n))), weight_matrix(graph, weights), rho, beta=beta)
+    assert normalize_preferences(problem).matrix.tobytes() == build_economy(problem).alpha.tobytes()
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([np.nan, 1.0, 1.0, 1.0], r"edge \(0, 1\) has weight nan"),
+        ([np.inf, 1.0, 1.0, 1.0], r"edge \(0, 1\) has weight inf"),
+        ([-1.0, 1.0, 1.0, 1.0], r"edge \(0, 1\) has weight -1\.0"),
+        ([0.0, 1.0, 1.0, 1.0], r"edge \(0, 1\) has weight 0\.0"),
+        ([1.0, 1.0, 1.0], r"one per edge: 4 edges, got shape \(3,\)"),
+    ],
+    ids=["nan", "inf", "negative", "zero", "short"],
+)
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_damped_economy_rejects_bad_weights(weights, message, rho):
+    graph = DirectedGraph(3, [0, 1, 2, 2], [1, 2, 0, 1])
+    with pytest.raises(ValueError, match=message):
+        damped_economy(graph, np.array(weights), rho, 0.85)
 
 
 @given(weighted_edge_lists())

@@ -11,6 +11,7 @@ from cesrank import (
     WebTransition,
     build_web_transition,
     is_strongly_connected,
+    markov_to_economy,
     stationary_distribution,
     support_graph,
 )
@@ -121,14 +122,14 @@ class TestConnectivityOracle:
 class TestWebTransition:
     def test_three_vertex_example(self):
         g = DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0])
-        p = build_web_transition(g, c=0.85).matrix
+        p = markov_to_economy(build_web_transition(g, c=0.85)).alpha
         np.testing.assert_allclose(p[0], [0.05, 0.475, 0.475])
         np.testing.assert_allclose(p[1], [0.05, 0.05, 0.90])
         np.testing.assert_allclose(p[2], [0.90, 0.05, 0.05])
 
     def test_dangling_vertex_spreads_uniformly(self):
         g = DirectedGraph(3, [0, 1], [1, 0])  # vertex 2 dangles
-        p = build_web_transition(g, c=0.85).matrix
+        p = markov_to_economy(build_web_transition(g, c=0.85)).alpha
         np.testing.assert_allclose(p[2], 1 / 3)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-15, rtol=0)
 
@@ -145,7 +146,7 @@ class TestWebTransition:
 
     def test_entries_bounded_below(self):
         g = DirectedGraph(4, [0, 1, 2, 3], [1, 2, 3, 0])
-        p = build_web_transition(g, c=0.85).matrix
+        p = markov_to_economy(build_web_transition(g, c=0.85)).alpha
         assert np.all(p >= 0.15 / 4 - 1e-15)
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10_000))
@@ -155,7 +156,7 @@ class TestWebTransition:
         mask = rng.random((n, n)) < 0.3
         np.fill_diagonal(mask, False)
         g = DirectedGraph(n, *np.nonzero(mask))
-        p = build_web_transition(g, c=0.85).matrix
+        p = markov_to_economy(build_web_transition(g, c=0.85)).alpha
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
 
@@ -204,7 +205,7 @@ class TestStationaryDistribution:
         for _ in range(25):
             p = build_web_transition(DirectedGraph(*random_strongly_connected_graph(rng, int(rng.integers(2, 9)))), c=0.85)
             a, _ = stationary_distribution(p)
-            b, _ = stationary_distribution(TransitionMatrix(p.matrix))
+            b, _ = stationary_distribution(TransitionMatrix(markov_to_economy(p).alpha))
             np.testing.assert_allclose(a.pi, b.pi, atol=1e-10, rtol=0)
 
     def test_periodic_chain_is_solved(self):
@@ -238,7 +239,7 @@ class TestStationaryDistribution:
         rng = np.random.default_rng(11)
         p = build_web_transition(DirectedGraph(*random_strongly_connected_graph(rng, 20)), c=0.85)
         dist, report = stationary_distribution(p)
-        direct = float(np.abs(p.matrix.T @ dist.pi - dist.pi).max())
+        direct = float(np.abs(markov_to_economy(p).alpha.T @ dist.pi - dist.pi).max())
         assert direct <= 2 * report.tolerance
 
     def test_tolerance_validation(self):
@@ -273,7 +274,7 @@ class TestWebTransitionPower:
     def test_agrees_with_the_dense_step(self, graph):
         chain = build_web_transition(graph)
         sparse, report = stationary_distribution(chain)
-        dense, dense_iterations = dense_power_iteration(chain.matrix, report.tolerance)
+        dense, dense_iterations = dense_power_iteration(markov_to_economy(chain).alpha, report.tolerance)
         assert report.residual <= report.tolerance
         # Rounding can put one L1 step on either side of the tolerance (about
         # one graph in 10^4), and then the two stop one step apart, at most
@@ -303,11 +304,4 @@ class TestWebTransitionPower:
         rng = np.random.default_rng(4)
         chain = build_web_transition(DirectedGraph(*random_strongly_connected_graph(rng, 30)), c=0.7)
         pi = rng.random(30)
-        np.testing.assert_allclose(chain.step(pi), chain.matrix.T @ pi, rtol=1e-14, atol=0)
-
-    def test_dense_matrix_only_on_demand(self):
-        chain = build_web_transition(DirectedGraph(3, [0, 1, 2], [1, 2, 0]))
-        _, report = stationary_distribution(chain)
-        assert report.method == "power"
-        assert "matrix" not in vars(chain)
-        assert chain.matrix is chain.matrix
+        np.testing.assert_allclose(chain.step(pi), markov_to_economy(chain).alpha.T @ pi, rtol=1e-14, atol=0)
