@@ -28,6 +28,7 @@ from .economy import (
     excess_demand,
     markov_to_economy,
     normalize_preferences,
+    web_economy,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .formats import (
@@ -43,8 +44,6 @@ from .markov import (
     DirectedGraph,
     Distribution,
     TransitionMatrix,
-    WebTransition,
-    build_web_transition,
     is_strongly_connected,
     stationary_distribution,
     support_graph,
@@ -56,6 +55,7 @@ from .solver import (
     rank_problem,
     solve_cobb_douglas,
     solve_equilibrium,
+    solve_power,
     solve_tatonnement,
     verify_equilibrium,
 )
@@ -77,9 +77,7 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "TransitionMatrix",
-    "WebTransition",
     "build_economy",
-    "build_web_transition",
     "ces_demand",
     "check_invariance",
     "check_minimal_fairness",
@@ -103,9 +101,11 @@ __all__ = [
     "rank_problem",
     "solve_cobb_douglas",
     "solve_equilibrium",
+    "solve_power",
     "solve_tatonnement",
     "stationary_distribution",
     "support_graph",
     "verify_equilibrium",
     "weight_matrix",
+    "web_economy",
 ]

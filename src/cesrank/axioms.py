@@ -256,25 +256,24 @@ def gs_spot_check(
         bumped = np.array(p)
         bumped[l] += delta
         z_after = excess_demand(economy, bumped)
-        increase = z_after - z_before
-        for j in range(economy.n):
-            if j == l:
-                continue
-            checked += 1
-            if not increase[j] > STRICT_MARGIN:
-                return AxiomVerdict(
-                    axiom="gross_substitutes",
-                    status="fail",
-                    witness={
-                        "probe": probe_index,
-                        "good": j,
-                        "bumped_good": l,
-                        "delta": float(delta),
-                        "z_before": float(z_before[j]),
-                        "z_after": float(z_after[j]),
-                    },
-                    tolerances={"strict_margin": STRICT_MARGIN},
-                )
+        flagged = ~(z_after - z_before > STRICT_MARGIN)
+        flagged[l] = False
+        checked += economy.n - 1
+        if np.any(flagged):
+            j = int(np.argmax(flagged))
+            return AxiomVerdict(
+                axiom="gross_substitutes",
+                status="fail",
+                witness={
+                    "probe": probe_index,
+                    "good": j,
+                    "bumped_good": l,
+                    "delta": float(delta),
+                    "z_before": float(z_before[j]),
+                    "z_after": float(z_after[j]),
+                },
+                tolerances={"strict_margin": STRICT_MARGIN},
+            )
     if checked == 0:
         return _not_applicable("gross_substitutes", "no probe prices supplied")
     return AxiomVerdict(

@@ -34,11 +34,11 @@ from .axioms import (
     gs_spot_check,
 )
 from .diagnostics import ConvergenceError
-from .economy import build_economy, damped_economy, markov_to_economy, problem_edges
+from .economy import build_economy, damped_economy, problem_edges, web_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, dump_problem, json_document, problem_from_edge_list, sniff_and_load, weight_matrix
-from .markov import TransitionMatrix, build_web_transition, require_strongly_connected, stationary_distribution
-from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium
+from .markov import TransitionMatrix, require_strongly_connected, stationary_distribution
+from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
 
 logger = logging.getLogger(__name__)
 
@@ -133,8 +133,9 @@ def _cmd_rank(args) -> int:
     tol = args.tol if args.tol is not None else 1e-12
 
     if args.method == "pagerank":
-        # an edge list stays edges: the chain is O(n + edges), never n x n
-        chain = build_web_transition(graph, c=args.damping if args.damping is not None else 0.85)
+        # the web chain's market, iterated on its edges: O(n + edges), never n x n
+        c = args.damping if args.damping is not None else 0.85
+        scores, report = solve_power(web_economy(graph, c), tolerance=tol)
     else:  # invariant
         require_strongly_connected(graph, "the graph", "the invariant method needs a strongly connected graph")
         empty = np.bincount(graph.src, minlength=graph.n) == 0
@@ -143,9 +144,9 @@ def _cmd_rank(args) -> int:
             name = ids[k] if ids is not None else f"v{k}"
             raise ValueError(f"agent {name} has no positive weight; the invariant method needs one in every row")
         chain = TransitionMatrix(damped_economy(graph, weights, 0.0, 1.0).alpha)
-    dist, report = stationary_distribution(chain, tolerance=tol)
+        scores, report = stationary_distribution(chain, tolerance=tol)
     # named only now: a declared vertex count too large to rank fails above, in numpy
-    _emit_ranking(_names(ids, dist.n), dist.pi, report, args.method, args.format)
+    _emit_ranking(_names(ids, scores.n), scores.pi, report, args.method, args.format)
     return _EXIT_OK
 
 
@@ -213,26 +214,25 @@ def _cmd_verify(args) -> int:
 def _cmd_compare(args) -> int:
     ids, graph, *_ = _load_input(args.input)
 
-    chain = build_web_transition(graph, c=args.damping)
-    # power iteration on the chain versus the linear solve behind the closed
+    economy = web_economy(graph, c=args.damping)
+    # power iteration on the market versus the linear solve behind the closed
     # form: two independent computations of the same vector
-    dist, chain_report = stationary_distribution(chain)
-    economy = markov_to_economy(chain)
+    pagerank, power_report = solve_power(economy)
     prices, market_report = solve_cobb_douglas(economy)
 
-    difference = float(np.abs(dist.pi - prices.pi).max())
+    difference = float(np.abs(pagerank.pi - prices.pi).max())
     passed = difference <= 1e-8
     doc = {
         "format": 1,
         "damping": args.damping,
         "agents": list(_names(ids, graph.n)),
-        "stationary": dist.pi.tolist(),
+        "stationary": pagerank.pi.tolist(),
         "equilibrium": prices.pi.tolist(),
         "max_difference": difference,
         "bound": 1e-8,
         "passed": passed,
         "reports": {
-            "stationary": chain_report.to_dict(include_wall_time=False),
+            "stationary": power_report.to_dict(include_wall_time=False),
             "equilibrium": market_report.to_dict(include_wall_time=False),
         },
     }
@@ -242,9 +242,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_convert(args) -> int:
     _, graph, *_ = _load_input(args.input)
-    chain = build_web_transition(graph, c=args.damping)
     # beta=1: the damping is already baked into the chain's economy
-    document = problem_from_edge_list(markov_to_economy(chain).alpha, rho=0.0, beta=1.0)
+    document = problem_from_edge_list(web_economy(graph, c=args.damping).alpha, rho=0.0, beta=1.0)
     text = dump_problem(document)
     if args.output is None:
         sys.stdout.write(text)

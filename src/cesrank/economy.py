@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .markov import DirectedGraph, TransitionMatrix, WebTransition, require_strongly_connected, support_graph
+from .markov import DirectedGraph, TransitionMatrix, require_strongly_connected, support_graph
 from .problem import RankingProblem, _rho_array, _validate_alpha, _validate_beta
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -236,6 +236,13 @@ def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
     return spend / p - 1.0
 
 
+def row_tops(economy: CesEconomy) -> np.ndarray:
+    """The power of two at or below each alpha row's max: dividing the row by it is exact."""
+    row_max = economy.floor.copy()
+    np.maximum.at(row_max, economy.rows, economy.values)
+    return np.ldexp(1.0, np.frexp(row_max)[1] - 1)
+
+
 def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
     """Aggregate demand ``demand_matrix(economy, p).sum(axis=0)`` in O(nnz + n·G) per call.
 
@@ -258,12 +265,9 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
     q_values, group = np.unique(q, return_inverse=True)
     r = 1.0 - q_values
     rows, cols = economy.rows, economy.cols
-    # Shares are invariant to the scale of a row. Dividing it by the power of
-    # two at or below its max is exact and keeps alpha**q from over- or
-    # underflowing for q up to 20.
-    row_max = economy.floor.copy()
-    np.maximum.at(row_max, rows, economy.values)
-    top = np.ldexp(1.0, np.frexp(row_max)[1] - 1)
+    # Shares are invariant to the scale of a row; scaled to [1, 2), alpha**q
+    # neither over- nor underflows for q up to 20.
+    top = row_tops(economy)
     floor_q = (economy.floor / top) ** q
     delta = (economy.values / top[rows]) ** q[rows] - floor_q[rows]
     entry = group[rows] * n + cols  # flat index into the (G, n) table of price powers
@@ -286,12 +290,13 @@ def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) 
     """Economy of a weighted graph's damped preference matrix, built from its edges in O(n + edges).
 
     The one damping rule (Langville & Meyer, "Deeper Inside PageRank", 2004)
-    of the web chain, of a problem's preference matrix and of the invariant
-    chain. ``weights`` are positive, finite and aligned with the graph's
-    edges, as `cesrank.formats.load_edge_list` returns them. Row i is vertex
-    i's out-edges: a row whose sum overflows is first divided by its max, a
-    dangling row is the uniform row ``1/n``, every row is divided by its sum
-    (in edge order), and each entry is mixed as ``beta * w + (1 - beta) / n``.
+    of the web chain (`web_economy`), of a problem's preference matrix and of
+    the invariant chain. ``weights`` are positive, finite and aligned with
+    the graph's edges, as `cesrank.formats.load_edge_list` returns them. Row
+    i is vertex i's out-edges: a row whose sum overflows is first divided by
+    its max, a dangling row is the uniform row ``1/n``, every row is divided
+    by its sum (in edge order), and each entry is mixed as ``beta * w + (1 -
+    beta) / n``.
     A row's floor is ``(1 - beta) / n`` unless it has an edge to every
     vertex; the edges whose damped value rounds to the floor are dropped, as
     the dense ``alpha > floor`` drops them.
@@ -327,19 +332,34 @@ def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) 
     return CesEconomy._from_entries(floor, src[keep], dst[keep], w[keep], rho)
 
 
-def markov_to_economy(p: TransitionMatrix | WebTransition) -> CesEconomy:
+def web_economy(graph: DirectedGraph, c: float = 0.85) -> CesEconomy:
+    """Cobb-Douglas economy of a link graph's damped random-surfer chain: its prices are PageRank.
+
+    Row i puts ``c / outdeg[i]`` on each out-edge of vertex i plus the floor
+    ``(1 - c) / n`` everywhere; a dangling row is the uniform row ``1 / n``.
+    This is `damped_economy` with unit weights, rho 0 and beta ``c``, built
+    in O(n + edges). ``c`` must be in (0, 1) and the graph must have no
+    self-loop: the chain is defined for link graphs without them.
+    """
+    c = float(c)
+    if not (0.0 < c < 1.0):
+        raise ValueError(f"damping c must be in (0, 1), got {c!r}")
+    loops = graph.src[graph.src == graph.dst]
+    if loops.size:
+        raise ValueError(f"self-loop at vertex {int(loops[0])} is not allowed here")
+    return damped_economy(graph, np.ones(graph.src.size), 0.0, c)
+
+
+def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
     """Economy whose equilibrium prices reproduce a chain's stationary distribution.
 
     State ``i`` becomes a unit-elasticity trader owning one unit of good ``i``
     and valuing good ``j`` with coefficient ``p[i][j]``. Market clearing at
     positive prices then reads ``sum_i p[i][j] * pi[i] = pi[j]``, the
-    stationary condition. A `WebTransition` is `damped_economy` of its graph
-    with unit weights and beta ``c``, built in O(n + edges). A dense chain's
-    support graph must be strongly connected so that a strictly positive
-    equilibrium exists; a periodic chain's invariant distribution clears too.
+    stationary condition. The chain's support graph must be strongly
+    connected so that a strictly positive equilibrium exists; a periodic
+    chain's invariant distribution clears too.
     """
-    if isinstance(p, WebTransition):
-        return damped_economy(p.graph, np.ones(p.graph.src.size), 0.0, p.c)
     if p.matrix.min() <= 0.0:  # else the graph is complete
         require_strongly_connected(
             support_graph(p.matrix), "the chain's support graph", "no strictly positive equilibrium"

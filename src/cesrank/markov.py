@@ -1,4 +1,4 @@
-"""Finite Markov chains, the damped web-surfer chain, and graph checks.
+"""Finite Markov chains, their stationary distributions, and graph checks.
 
 Conventions: a transition matrix ``P`` is row-stochastic (``P[i, j]`` is the
 probability of moving from state ``i`` to state ``j``) and a stationary
@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import ConvergenceError, SolverReport, require_tolerance
 
 logger = logging.getLogger(__name__)
-
-#: Default L1 step threshold for power iteration.
-POWER_TOL = 1e-12
-POWER_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +26,8 @@ class DirectedGraph:
 
     Edge ``k`` runs from ``src[k]`` to ``dst[k]``. Whatever order the edges
     come in, the stored arrays are int64, read-only, free of duplicates and
-    sorted by ``(src, dst)``. Self-loops are representable; the web-chain
-    construction rejects them.
+    sorted by ``(src, dst)``. Self-loops are representable;
+    `cesrank.economy.web_economy` rejects them.
     """
 
     n: int
@@ -190,80 +186,6 @@ def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: 
         raise ValueError(f"{subject} is not strongly connected (one component: {component}); {consequence}")
 
 
-@dataclass(frozen=True, eq=False)
-class WebTransition:
-    """Damped random-surfer chain of a directed graph, held as the graph's edges.
-
-    Row ``i`` puts ``c / outdeg[i]`` on each out-edge of ``i`` plus the floor
-    ``(1 - c) / n`` everywhere; a dangling row (no out-edge) is the uniform
-    row ``1 / n``. Memory and one step ``P.T @ pi`` cost O(n + edges); for
-    the entries, see `cesrank.economy.markov_to_economy`.
-
-    ``c`` must be in (0, 1) and the graph must have no self-loop.
-    """
-
-    graph: DirectedGraph
-    c: float
-    outdeg: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        c = float(self.c)
-        if not (0.0 < c < 1.0):
-            raise ValueError(f"damping c must be in (0, 1), got {c!r}")
-        g = self.graph
-        loops = g.src[g.src == g.dst]
-        if loops.size:
-            raise ValueError(f"self-loop at vertex {int(loops[0])} is not allowed here")
-        outdeg = np.bincount(g.src, minlength=g.n).astype(float)
-        outdeg.flags.writeable = False
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "outdeg", outdeg)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def step(self, pi: np.ndarray) -> np.ndarray:
-        """One power-iteration step, ``P.T @ pi``, in O(n + edges)."""
-        g, c = self.graph, self.c
-        flow = np.bincount(g.dst, weights=pi[g.src] / self.outdeg[g.src], minlength=g.n)
-        return c * flow + (c * pi[self.outdeg == 0.0].sum() + (1.0 - c) * pi.sum()) / g.n
-
-
-def build_web_transition(graph: DirectedGraph, c: float = 0.85) -> WebTransition:
-    """Damped random-surfer chain of a directed graph.
-
-    Each vertex spreads probability uniformly over its out-neighbors; vertices
-    with no outgoing edge (dangling) spread uniformly over all vertices. The
-    result is then mixed with the uniform matrix at weight ``1 - c``, which
-    makes every entry at least ``(1 - c) / n`` and the chain ergodic.
-
-    Self-loops are rejected: the construction is defined for link graphs
-    without them. The chain keeps the graph's edges, not an n x n array.
-    """
-    return WebTransition(graph, c)
-
-
-def _stationary_power(chain: WebTransition, tolerance: float, max_iters: int) -> tuple[np.ndarray, int]:
-    # The L1 step between successive iterates bounds the max-norm fixed-point
-    # defect of the current iterate, so returning `pi` (not `nxt`) guarantees
-    # the advertised residual.
-    n = chain.n
-    pi = np.full(n, 1.0 / n)
-    for it in range(max_iters):
-        nxt = chain.step(pi)
-        if np.abs(nxt - pi).sum() <= tolerance:
-            return pi, it
-        pi = nxt / nxt.sum()
-    residual = float(np.abs(chain.step(pi) - pi).max())
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations, "
-        f"residual {residual:.3e}",
-        last_iterate=pi,
-        residual=residual,
-    )
-
-
 def stationary_solve(p: np.ndarray) -> np.ndarray:
     """Solve ``pi = P.T @ pi``, ``sum(pi) == 1`` for a row-stochastic array ``p``.
 
@@ -288,39 +210,19 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
     return pi
 
 
-def stationary_distribution(
-    p: TransitionMatrix | WebTransition,
-    tolerance: float = POWER_TOL,
-    max_iters: int = POWER_MAX_ITERS,
-) -> tuple[Distribution, SolverReport]:
-    """Stationary distribution ``pi = P.T @ pi`` of a row-stochastic chain.
+def stationary_distribution(p: TransitionMatrix, tolerance: float = 1e-12) -> tuple[Distribution, SolverReport]:
+    """Stationary distribution ``pi = P.T @ pi`` of a dense row-stochastic chain.
 
-    The chain's type picks the method, at every size. A ``WebTransition`` is
-    damped, so ``pi <- P.T @ pi`` contracts at rate ``c`` (Langville & Meyer,
-    "Deeper Inside PageRank", 2004): it is iterated from the uniform vector
-    on the chain's edges, O(n + edges) per step, and needs about
-    ``log(tolerance) / log(c)`` of its at most ``max_iters`` steps. A dense
-    ``TransitionMatrix`` may be periodic, where iteration never converges, so
-    it is solved exactly by ``stationary_solve``, which handles every
-    irreducible chain.
-
+    Solved exactly by ``stationary_solve``, which handles every irreducible
+    chain, periodic ones included, where iteration would never converge.
     Returns the distribution together with a report whose method is
-    ``"power"`` or ``"solve"`` and whose residual is ``max |P.T @ pi - pi|``,
-    computed the way the method stepped.
+    ``"solve"`` and whose residual is ``max |P.T @ pi - pi|``. A damped web
+    chain is iterated instead, as a market: see `cesrank.solver.solve_power`.
     """
     require_tolerance(tolerance)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     start = time.perf_counter()
-    if isinstance(p, WebTransition):
-        method = "power"
-        pi, iterations = _stationary_power(p, tolerance, max_iters)
-        image = p.step(pi)
-    else:
-        method = "solve"
-        pi, iterations = stationary_solve(p.matrix), 1
-        image = p.matrix.T @ pi
-    residual = float(np.abs(image - pi).max())
+    pi = stationary_solve(p.matrix)
+    residual = float(np.abs(p.matrix.T @ pi - pi).max())
     if residual > tolerance:
         raise ConvergenceError(
             f"stationary residual {residual:.3e} exceeds tolerance {tolerance:.3e}",
@@ -332,8 +234,8 @@ def stationary_distribution(
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
     pi = pi / pi.sum()
     report = SolverReport(
-        method=method,
-        iterations=iterations,
+        method="solve",
+        iterations=1,
         residual=residual,
         converged=True,
         tolerance=tolerance,

@@ -18,19 +18,18 @@ from cesrank import (
     RankingProblem,
     SolverConfig,
     build_economy,
-    build_web_transition,
     ces_demand,
     check_minimal_fairness,
     check_strict_monotonicity,
     excess_demand,
     gs_spot_check,
     load_fixture,
-    markov_to_economy,
     multistart_probe,
     rank_problem,
     solve_cobb_douglas,
-    stationary_distribution,
+    solve_power,
     verify_equilibrium,
+    web_economy,
 )
 
 from oracles import (
@@ -49,11 +48,11 @@ def test_criterion_1_dual_pipeline_agreement():
     worst = 0.0
     for _ in range(200):
         n, src, dst = random_strongly_connected_graph(rng, int(rng.integers(3, 51)))
-        chain = build_web_transition(DirectedGraph(n, src, dst), c=0.85)
+        economy = web_economy(DirectedGraph(n, src, dst), c=0.85)
 
         # power iteration is independent of the linear solve behind the closed form
-        dist, _ = stationary_distribution(chain)
-        prices, _ = solve_cobb_douglas(markov_to_economy(chain))
+        dist, _ = solve_power(economy)
+        prices, _ = solve_cobb_douglas(economy)
 
         worst = max(worst, float(np.abs(dist.pi - prices.pi).max()))
         assert worst <= 1e-8, f"pipelines disagree by {worst:.3e} on an n={n} graph"
@@ -204,13 +203,13 @@ def test_criterion_8_dangling_rule():
         n_dangling = int(rng.integers(1, max(2, size // 3)))
         n, src, dst, dangling = with_dangling_vertices(rng, size, n_dangling)
         assert len(dangling) == n_dangling
-        chain = build_web_transition(DirectedGraph(n, src, dst), c=0.85)
+        economy = web_economy(DirectedGraph(n, src, dst), c=0.85)
 
-        matrix = markov_to_economy(chain).alpha
+        matrix = economy.alpha
         row_sums = matrix.sum(axis=1)
         assert np.abs(row_sums - 1.0).max() <= 1e-12, trial
         assert np.all(matrix > 0)
 
-        dist, _ = stationary_distribution(chain)
-        prices, _ = solve_cobb_douglas(markov_to_economy(chain))
+        dist, _ = solve_power(economy)
+        prices, _ = solve_cobb_douglas(economy)
         assert float(np.abs(dist.pi - prices.pi).max()) <= 1e-8, trial

@@ -13,6 +13,7 @@ from cesrank import (
     gs_spot_check,
     load_fixture,
 )
+from cesrank.axioms import STRICT_MARGIN
 
 
 class TestAxiomVerdict:
@@ -202,6 +203,14 @@ class TestGrossSubstitutes:
         economy = CesEconomy(np.ones((2, 2)), 0.5)
         with pytest.raises(ValueError, match="good index"):
             gs_spot_check(economy, 4, 0.05, self.probe(2))
+
+    def test_fail_witness_is_the_first_good_within_the_margin(self):
+        # a bump too small to raise any excess demand by STRICT_MARGIN
+        economy = build_economy(load_fixture("nonuniform3"))
+        v = gs_spot_check(economy, 0, 1e-15, self.probe(3))
+        assert v.status == "fail"
+        assert (v.witness["probe"], v.witness["good"], v.witness["bumped_good"]) == (0, 1, 0)
+        assert v.witness["z_after"] - v.witness["z_before"] <= STRICT_MARGIN
 
     def test_multiple_probes_all_checked(self):
         economy = build_economy(load_fixture("nonuniform3"))

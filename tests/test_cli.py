@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -22,12 +23,11 @@ from cesrank import (
     DirectedGraph,
     RankingProblem,
     TransitionMatrix,
-    build_web_transition,
     dump_problem,
     load_fixture,
     load_problem,
-    markov_to_economy,
     stationary_distribution,
+    web_economy,
 )
 from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
 
@@ -122,8 +122,8 @@ class TestRankPagerank:
         path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
         assert main(["rank", "--method", "pagerank", "--format", "json", "--input", path]) == 0
         doc = json.loads(capsys.readouterr().out)
-        chain = build_web_transition(DirectedGraph(n, *zip(*edges)))
-        solved, _ = stationary_distribution(TransitionMatrix(markov_to_economy(chain).alpha))
+        economy = web_economy(DirectedGraph(n, *zip(*edges)))
+        solved, _ = stationary_distribution(TransitionMatrix(economy.alpha))
         assert doc["report"]["method"] == "power"
         assert doc["report"]["residual"] <= 1e-12
         assert max(abs(r["score"] - solved.pi[int(r["agent"][1:])]) for r in doc["ranking"]) <= 1e-12
@@ -250,6 +250,25 @@ def test_damping_flag_warns_outside_pagerank(graph_file, capsys, method, hint):
     assert plain.err == ""
     assert flagged.err == f"warning: --damping only applies to --method pagerank; ignored{hint}\n"
     assert flagged.out == plain.out
+
+
+def test_readme_quick_start(tmp_path, monkeypatch, capsys):
+    # each `$ cesrank ...` line of the README's Quick start prints the lines shown under it
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for command, shown in (chunk.split("\n", 1) for chunk in block.split("$ ")[1:]):
+        argv = shlex.split(command, comments=True)
+        shown = shown.rstrip("\n") + "\n"
+        if argv[0] == "cat":
+            (tmp_path / argv[1]).write_text(shown, encoding="utf-8")
+            continue
+        assert argv[0] == "cesrank"
+        assert main(argv[1:]) == 0
+        assert capsys.readouterr().out == shown, command
+        commands += 1
+    assert commands == 2
 
 
 class TestRankInvariant:

@@ -11,13 +11,12 @@ from cesrank import (
     RankingProblem,
     TransitionMatrix,
     build_economy,
-    build_web_transition,
     demand_matrix,
     is_regular,
-    markov_to_economy,
     normalize_preferences,
     problem_from_edge_list,
     solve_cobb_douglas,
+    web_economy,
 )
 
 from oracles import reference_damped_chain
@@ -126,7 +125,7 @@ class TestNormalize:
         src, dst = [0, 0, 1, 2, 2, 3, 4, 4], [1, 2, 2, 0, 3, 4, 0, 1]  # vertex 5 dangles
         weights = np.zeros((6, 6))
         weights[src, dst] = 1.0
-        chain = markov_to_economy(build_web_transition(DirectedGraph(6, src, dst), 0.85)).alpha
+        chain = web_economy(DirectedGraph(6, src, dst), 0.85).alpha
         damped = normalize_preferences(problem_from_edge_list(weights, beta=0.85)).matrix
         reference = reference_damped_chain(weights.copy(), 0.85).matrix
         assert chain.tobytes() == reference.tobytes()

@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from cesrank import (
     SolverConfig,
     TransitionMatrix,
     build_economy,
-    build_web_transition,
     damped_economy,
     demand_matrix,
     load_fixture,
@@ -26,9 +26,10 @@ from cesrank import (
     sniff_and_load,
     solve_cobb_douglas,
     solve_equilibrium,
+    solve_power,
     solve_tatonnement,
-    stationary_distribution,
     verify_equilibrium,
+    web_economy,
     weight_matrix,
 )
 
@@ -67,18 +68,16 @@ class TestSolverConfig:
 
 class TestSolveCobbDouglas:
     def test_matches_stationary_distribution(self):
-        p = build_web_transition(
-            DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]), c=0.85
-        )
-        dist, _ = stationary_distribution(p)
-        prices, report = solve_cobb_douglas(markov_to_economy(p))
+        economy = web_economy(DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]), c=0.85)
+        dist, _ = solve_power(economy)
+        prices, report = solve_cobb_douglas(economy)
         np.testing.assert_allclose(prices.pi, dist.pi, atol=1e-12, rtol=0)
         assert report.method == "closed_form"
         assert report.converged
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
-        economy = markov_to_economy(build_web_transition(DirectedGraph(3, [0, 1, 2], [1, 2, 0])))
+        economy = web_economy(DirectedGraph(3, [0, 1, 2], [1, 2, 0]))
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             solve_cobb_douglas(economy, tolerance=tolerance)
 
@@ -109,6 +108,33 @@ class TestSolveCobbDouglas:
         clearing = verify_equilibrium(e, prices)
         assert clearing.passed
         assert clearing.residual == report.residual
+
+
+def test_solve_power_matches_the_closed_form():
+    # the iteration and the linear solve share no arithmetic; rows scaled by
+    # 1e-100 or 1e100 keep their shares, so both must give the same prices
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        n, src, dst, _ = with_dangling_vertices(rng, int(rng.integers(3, 30)), 1)
+        weights = rng.uniform(0.5, 3.0, len(src))
+        damped = damped_economy(DirectedGraph(n, src, dst), weights, 0.0, float(rng.uniform(0.3, 0.85)))
+        scaled = CesEconomy(damped.alpha * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
+        for economy in (damped, scaled):
+            power, report = solve_power(economy)
+            closed, _ = solve_cobb_douglas(economy)
+            assert report.method == "power"
+            assert report.residual <= 1e-12
+            np.testing.assert_allclose(power.pi, closed.pi, atol=1e-12, rtol=0)
+    huge = CesEconomy(np.array([[1e308, 1e308, 5e307], [1.0, 2.0, 3.0], [3.0, 1.0, 1.0]]), 0.0)  # row 0 sums past max float
+    np.testing.assert_allclose(solve_power(huge)[0].pi, solve_cobb_douglas(huge)[0].pi, atol=1e-12, rtol=0)
+    # it contracts only at rho 0 with every floor positive
+    with pytest.raises(ValueError, match="trader 1 has rho = 0.5"):
+        solve_power(CesEconomy(np.ones((2, 2)), [0.0, 0.5]))
+    with pytest.raises(ValueError, match="trader 0 has rho = 0.0 and floor 0.0"):
+        solve_power(CesEconomy(np.array([[0.0, 1.0], [1.0, 1.0]]), 0.0))
+    for max_iters in (0, -1):
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            solve_power(CesEconomy(np.ones((2, 2)), 0.0), max_iters=max_iters)
 
 
 class TestSolveTatonnement:
@@ -391,6 +417,8 @@ class TestMultistartProbe:
         assert report.within_bound is True
         assert report.spread <= report.bound
         assert len(report.prices) == 5
+        # the widest coordinate gap over every pair of starts
+        assert report.spread == max(float(np.abs(a.pi - b.pi).max()) for a, b in combinations(report.prices, 2))
         for p in report.prices:
             np.testing.assert_allclose(p.pi, NONUNIFORM3_EQUILIBRIUM, atol=1e-8, rtol=0)
 
