@@ -65,16 +65,24 @@ def _tie_groups(ids, scores, order) -> list[list[str]]:
     A group is its first agent (the anchor) and the agents after it whose
     score is within TIE_TOL times the anchor's score of it. Scores sum to 1,
     so a typical score is 1/n: a relative rule means the same at every n.
+    An agent further than TIE_TOL times its own score below the agent above
+    it is further still below any anchor above (twice that covers rounding),
+    so it starts a group: only runs of close neighbours are walked.
     """
-    groups: list[list[int]] = []
-    anchor = None
-    for k, score in zip(order.tolist(), scores[order].tolist()):
-        if anchor is not None and abs(score - anchor) <= TIE_TOL * anchor:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-            anchor = score
-    return [[ids[k] for k in sorted(g)] for g in groups if len(g) > 1]
+    ranked = scores[order]
+    close = np.abs(np.diff(ranked)) <= 2.0 * TIE_TOL * ranked[:-1]
+    bounds = np.flatnonzero(np.diff(close.astype(np.int8), prepend=0, append=0))
+    groups: list[np.ndarray] = []
+    for lo, hi in zip(bounds[::2].tolist(), (bounds[1::2] + 1).tolist()):  # the run is ranked[lo:hi]
+        run = ranked[lo:hi].tolist()
+        anchor = 0
+        if abs(run[-1] - run[0]) > TIE_TOL * run[0]:  # else the last agent is tied, and so is every other
+            for k, score in enumerate(run):
+                if abs(score - run[anchor]) > TIE_TOL * run[anchor]:
+                    groups.append(order[lo + anchor : lo + k])
+                    anchor = k
+        groups.append(order[lo + anchor : hi])
+    return [[ids[k] for k in sorted(g.tolist())] for g in groups if len(g) > 1]
 
 
 #: One ``--format json`` ranking entry, as ``json.dumps(..., indent=2)`` writes it in the document.

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .markov import DirectedGraph, TransitionMatrix, require_strongly_connected, support_graph
+from .markov import DirectedGraph, TransitionMatrix, owned_frozen_floats, require_strongly_connected, support_graph
 from .problem import RankingProblem, _rho_array, _validate_alpha, _validate_beta
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -99,11 +99,8 @@ class CesEconomy:
     values: np.ndarray
 
     def __init__(self, alpha, rho, *, endowments=None):
-        # an owned float64 array already frozen (a TransitionMatrix's, say) is
-        # kept as is; anything else is copied, so the caller cannot change it
-        if not (isinstance(alpha, np.ndarray) and alpha.dtype == np.float64 and alpha.base is None
-                and not alpha.flags.writeable):
-            alpha = np.array(alpha, dtype=float)
+        # a TransitionMatrix's array is kept as is; anything writable is copied
+        alpha = owned_frozen_floats(alpha)
         _validate_alpha(alpha)
         n = alpha.shape[0]
         dead = alpha.max(axis=1) == 0.0

@@ -68,6 +68,17 @@ def support_graph(matrix: np.ndarray) -> DirectedGraph:
     return DirectedGraph(matrix.shape[0], src, dst)
 
 
+def owned_frozen_floats(a) -> np.ndarray:
+    """``a`` itself if it is an owned float64 array made read-only, else a float64 copy of it.
+
+    Keeping an array its owner has frozen spares an n x n copy; copying
+    anything else keeps the caller from changing the result afterwards.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
+        return a
+    return np.array(a, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic matrix of a finite Markov chain."""
@@ -75,7 +86,7 @@ class TransitionMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.matrix, dtype=float)
+        p = owned_frozen_floats(self.matrix)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {p.shape}")
         if np.any(~np.isfinite(p)) or np.any(p < 0.0):

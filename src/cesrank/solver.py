@@ -1,10 +1,10 @@
-"""Equilibrium computation: closed form, tatonnement, verification, probing.
+"""Equilibrium computation: closed form, power iteration, tatonnement, verification, probing.
 
 All-Cobb-Douglas economies reduce to one linear system (market clearing at
 positive prices reads ``sum_i alpha[i][j] * pi[i] = pi[j]``, the invariant
-condition of a stochastic matrix), so they are solved exactly by the Markov
-module's stationary solve, or, when every floor is positive, iterated as
-PageRank is. Everything else runs damped multiplicative price
+condition of a stochastic matrix), so they are iterated as PageRank is when
+their floors guarantee a short contraction, and otherwise solved exactly by
+the Markov module's stationary solve. Everything else runs damped multiplicative price
 adjustment: raise the price of over-demanded goods, lower the price of
 over-supplied ones, renormalize. The result is never trusted on faith;
 `verify_equilibrium` certifies the excess-demand residual independently of how
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,14 +73,15 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     if np.any(economy.rho != 0.0):
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
         raise ValueError(f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros")
+    alpha = economy.alpha  # first: a size too large for the dense solve fails before the connectivity check
     _require_connected_economy(economy)
-    alpha = economy.alpha
     with np.errstate(over="ignore"):
         sums = alpha.sum(axis=1)
     shares = alpha / sums[:, None]
     for i in np.flatnonzero(~np.isfinite(sums)):  # divided by its max first, which keeps its shares
         row = alpha[i] / alpha[i].max()
         shares[i] = row / row.sum()
+    shares.flags.writeable = False  # owned and frozen: TransitionMatrix keeps it without a copy
     shares = TransitionMatrix(shares).matrix
     prices = PriceVector.from_unnormalized(stationary_solve(shares))
     check = verify_equilibrium(economy, prices, tolerance)
@@ -99,6 +101,43 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
             residual=check.residual,
         )
     return prices, report
+
+
+def _power_step(economy: CesEconomy) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The rho-0 price map ``p -> S.T @ p`` on the floors and entries, and each trader's floor share.
+
+    Trader i spends the share ``S[i][j] = alpha[i][j] / sum_k alpha[i][k]``
+    of its income ``p[i]`` on good j: its floor share ``floor[i] / sum_k
+    alpha[i][k]`` on every good, plus the excess of its entries. Each row is
+    first divided by `row_tops`, which is exact, so no row total overflows.
+    The map costs O(n + nnz).
+    """
+    n, rows, cols = economy.n, economy.rows, economy.cols
+    top = row_tops(economy)
+    floor, excess = economy.floor / top, (economy.values - economy.floor[rows]) / top[rows]
+    totals = n * floor + np.bincount(rows, excess, minlength=n)
+    floor_share, excess_share = floor / totals, excess / totals[rows]
+
+    def step(p: np.ndarray) -> np.ndarray:
+        return floor_share @ p + np.bincount(cols, excess_share * p[rows], minlength=n)
+
+    return step, floor_share
+
+
+def _power_loop(step, n: int, stop, max_iters: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Iterate ``p <- step(p)``, renormalized, from the uniform vector.
+
+    Returns ``(it, p, step(p))`` for the first iterate ``p`` that ``stop(p,
+    step(p))`` accepts, ``it`` steps in. ``it == max_iters`` means that none
+    of the first ``max_iters`` iterates did; ``p`` is then the next one.
+    """
+    p = np.full(n, 1.0 / n)
+    for it in range(max_iters):
+        image = step(p)
+        if stop(p, image):
+            return it, p, image
+        p = image / image.sum()
+    return max_iters, p, step(p)
 
 
 def solve_power(economy: CesEconomy, tolerance: float = 1e-12, max_iters: int = 100_000) -> tuple[PriceVector, SolverReport]:
@@ -122,35 +161,79 @@ def solve_power(economy: CesEconomy, tolerance: float = 1e-12, max_iters: int = 
         rho, floor = float(economy.rho[i]), float(economy.floor[i])
         raise ValueError(f"trader {i} has rho = {rho!r} and floor {floor!r}; power iteration needs rho 0, floor > 0")
     start = time.perf_counter()
-    n, rows, cols = economy.n, economy.rows, economy.cols
-    top = row_tops(economy)  # exact, and no row total overflows
-    floor, excess = economy.floor / top, (economy.values - economy.floor[rows]) / top[rows]
-    totals = n * floor + np.bincount(rows, excess, minlength=n)
-    floor_share, excess_share = floor / totals, excess / totals[rows]
-
-    def step(p: np.ndarray) -> np.ndarray:
-        return floor_share @ p + np.bincount(cols, excess_share * p[rows], minlength=n)
-
-    p = np.full(n, 1.0 / n)
-    for it in range(max_iters):
-        image = step(p)
-        if np.abs(image - p).sum() <= tolerance:
-            report = SolverReport(
-                method="power",
-                iterations=it,
-                residual=float(np.abs(image - p).max()),
-                converged=True,
-                tolerance=tolerance,
-                wall_time=time.perf_counter() - start,
-            )
-            return PriceVector.from_unnormalized(p), report
-        p = image / image.sum()
-    residual = float(np.abs(step(p) - p).max())
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations, residual {residual:.3e}",
-        last_iterate=p,
+    step, _ = _power_step(economy)
+    it, p, image = _power_loop(step, economy.n, lambda p, image: np.abs(image - p).sum() <= tolerance, max_iters)
+    residual = float(np.abs(image - p).max())
+    if it == max_iters:
+        raise ConvergenceError(
+            f"power iteration did not converge in {max_iters} iterations, residual {residual:.3e}",
+            last_iterate=p,
+            residual=residual,
+        )
+    report = SolverReport(
+        method="power",
+        iterations=it,
         residual=residual,
+        converged=True,
+        tolerance=tolerance,
+        wall_time=time.perf_counter() - start,
     )
+    return PriceVector.from_unnormalized(p), report
+
+
+def _contraction_budget(floor_share: np.ndarray, tolerance: float) -> float:
+    """Steps of ``p <- S.T @ p`` that bring every good's excess demand within ``tolerance``.
+
+    Every entry of ``S`` is at least ``f = min(floor_share)``, so the map
+    contracts in L1 by at least ``delta = n*f`` and every iterate from the
+    uniform vector has ``p_j >= f``. After ``k`` steps the excess demand
+    ``(S.T @ p)_j / p_j - 1`` is therefore at most ``2*(1 - delta)**k / f``,
+    which is within ``tolerance`` from ``k = log(tolerance*f/2) / log(1 -
+    delta)`` on. Every floor must be positive.
+    """
+    least = float(floor_share.min())
+    delta = min(1.0, floor_share.size * least)
+    with np.errstate(divide="ignore"):  # delta = 1: one step is exact, and log(0) = -inf
+        return float(np.ceil(np.log(tolerance * least / 2.0) / np.log1p(-delta)))
+
+
+def _solve_contracting(
+    economy: CesEconomy, step, budget: int, tolerance: float, start: float
+) -> tuple[PriceVector, SolverReport]:
+    """Iterate a rho-0 economy's prices until `verify_equilibrium` certifies them, within ``budget`` steps.
+
+    At rho 0 good j's excess demand at prices ``p`` is ``(S.T @ p)_j / p_j -
+    1``, so the loop stops on its max-norm, which `_contraction_budget`
+    bounds. The certificate evaluates the same quantity by other arithmetic;
+    where its rounding puts it just above ``tolerance``, the loop iterates on.
+    The report's wall time runs from ``start``.
+    """
+    checks: list[ClearingReport] = []
+
+    def certified(p: np.ndarray, image: np.ndarray) -> bool:
+        if np.abs(image / p - 1.0).max() > tolerance:
+            return False
+        checks.append(verify_equilibrium(economy, p, tolerance))
+        return checks[-1].passed
+
+    it, p, image = _power_loop(step, economy.n, certified, budget + 1)
+    if it > budget:
+        residual = float(np.abs(image / p - 1.0).max())
+        raise ConvergenceError(
+            f"power iteration did not clear the market in its contraction budget of {budget} steps, "
+            f"residual {residual:.3e}",
+            last_iterate=p,
+            residual=residual,
+        )
+    report = SolverReport(
+        method="power",
+        iterations=it,
+        residual=checks[-1].residual,
+        converged=True,
+        tolerance=tolerance,
+        wall_time=time.perf_counter() - start,
+    )
+    return PriceVector(p), report  # the certified iterate itself, not renormalized
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
@@ -234,11 +317,25 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
 
 
 def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Closed form when every trader has unit elasticity (rho 0), tatonnement otherwise."""
+    """Equilibrium prices, by the method the economy calls for.
+
+    When every trader has unit elasticity (rho 0), the prices are iterated
+    (``method="power"``) if the contraction bound of `_contraction_budget`
+    guarantees a run of at most n steps, O(n·(n + nnz)) in all, and solved
+    exactly by `solve_cobb_douglas` otherwise: a zero floor (an undamped
+    chain, which may be periodic), weak damping or a small n. Any other
+    economy runs tatonnement.
+    """
     cfg = config or SolverConfig()
-    if np.all(economy.rho == 0.0):
-        return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
-    return solve_tatonnement(economy, cfg)
+    if np.any(economy.rho != 0.0):
+        return solve_tatonnement(economy, cfg)
+    if economy.floor.min() > 0.0:
+        start = time.perf_counter()
+        step, floor_share = _power_step(economy)
+        budget = _contraction_budget(floor_share, cfg.tolerance)
+        if budget <= economy.n:
+            return _solve_contracting(economy, step, int(budget), cfg.tolerance, start)
+    return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
 
 
 def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:

@@ -181,17 +181,38 @@ class TestRankCes:
         damped = capsys.readouterr().out
         assert base != damped
 
-    @pytest.mark.parametrize("rho", ["0.5", "-0.5"])
+    @pytest.mark.parametrize("rho", ["0.5", "-0.5", "0"])
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys, rho):
         assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho)
 
     def test_closed_form_holds_three_dense_arrays(self, graph_file, capsys):
-        # at rho 0 the closed form needs the n x n alpha, its shares and the
-        # linear system, each once: under 3.5 arrays of 1000 x 1000 (26.7 MiB)
+        # damped this weakly, the contraction bound asks for more than n
+        # steps, so rho 0 is the closed form: it needs the n x n alpha, its
+        # shares and the linear system, each once, under 3.5 arrays of
+        # 1000 x 1000 (26.7 MiB)
         n = 1000
-        peak, out = rank_peak_memory(graph_file, capsys, "--rho", "0", "--format", "json", n=n)
-        assert len(json.loads(out)["ranking"]) == n
+        peak, out = rank_peak_memory(graph_file, capsys, "--rho", "0", "--beta", "0.9999", "--format", "json", n=n)
+        doc = json.loads(out)
+        assert doc["report"]["method"] == "closed_form"
+        assert len(doc["ranking"]) == n
         assert peak < 3.5 * 8 * n * n
+
+    def test_huge_declared_size_ranks_at_rho_zero(self, graph_file, capsys):
+        # 10^5 vertices, three edges: an n x n array would be 74.5 GiB, the
+        # ranking needs a few hundred bytes a vertex, its output included
+        n = 100_000
+        path = graph_file(f"format: 1\nn {n}\n0 1\n1 2\n2 0\n")
+        tracemalloc.start()
+        try:
+            code = main(["rank", "--input", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == n
+        assert [line.split("\t")[1] for line in lines[:3]] == ["v0", "v1", "v2"]  # the cycle holds the weight
+        assert peak < 400 * n
 
     @pytest.mark.parametrize("rho", ["0", "0.5"])
     @pytest.mark.parametrize(
@@ -338,8 +359,10 @@ class TestExitCodes:
         assert "error:" in captured.err
 
     def test_unallocatable_declared_size(self, graph_file, capsys):
-        # 10^7 x 10^7 float64 is 728 TiB: numpy refuses before touching memory
-        code = main(["rank", "--input", graph_file("format: 1\nn 10000000\n0 1\n")])
+        # undamped, row 0 has a zero floor, so the solve is the dense closed
+        # form: 10^7 x 10^7 float64 is 728 TiB, and numpy refuses before
+        # touching memory (damped, the same input ranks in O(n))
+        code = main(["rank", "--beta", "1", "--input", graph_file("format: 1\nn 10000000\n0 1\n")])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -621,6 +644,26 @@ def test_tie_groups_ignore_the_scale_of_the_scores(ranking, exponent):
     scaled = np.ldexp(scores, exponent)
     order = np.argsort(-scores, kind="stable")
     assert _tie_groups(ids, scaled, np.argsort(-scaled, kind="stable")) == _tie_groups(ids, scores, order)
+
+
+@pytest.mark.parametrize("ratio", [1 - 3e-10, 1 - 6e-10, 1 - 9e-10, 1 - 1.1e-9])
+def test_tie_groups_in_long_runs_match_the_anchor_walk(ratio):
+    # every neighbour is close, so the whole ranking is one run that the
+    # anchor splits into groups of one to four; repeated scores add exact ties
+    scores = np.repeat(ratio ** np.arange(500), np.random.default_rng(1).integers(1, 3, size=500))
+    scores = np.random.default_rng(2).permutation(scores)
+    ids = tuple(f"v{k}" for k in range(scores.size))
+    order = np.argsort(-scores, kind="stable")
+    assert _tie_groups(ids, scores, order) == reference_tie_groups(ids, scores, order.tolist())
+
+
+def test_tie_groups_of_a_large_tied_block():
+    # 10^5 equal scores below three distinct ones: one group, as the walk finds it
+    scores = np.concatenate([[0.3, 0.2, 0.1], np.full(100_000, 0.4 / 100_000)])
+    ids = tuple(f"v{k}" for k in range(scores.size))
+    order = np.argsort(-scores, kind="stable")
+    assert _tie_groups(ids, scores, order) == [list(ids[3:])]
+    assert _tie_groups(ids, scores, order) == reference_tie_groups(ids, scores, order.tolist())
 
 
 def test_no_tie_among_ten_thousand_scores_a_relative_2e_6_apart():

@@ -176,6 +176,26 @@ class TestTransitionMatrixType:
         with pytest.raises(ValueError, match=r"\[0\]\[1\]"):
             TransitionMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
+    def test_keeps_an_owned_frozen_array_and_copies_anything_else(self):
+        frozen = np.array([[0.0, 1.0], [0.5, 0.5]])
+        frozen.flags.writeable = False
+        assert TransitionMatrix(frozen).matrix is frozen
+        # writable, a view, or not float64: copied, so the caller cannot change the chain
+        writable = frozen.copy()
+        view = np.array([[0.0, 1.0, 9.0], [0.5, 0.5, 9.0]])[:, :2]
+        view.flags.writeable = False
+        for source in (writable, view, frozen.astype(np.float32), frozen.tolist()):
+            chain = TransitionMatrix(source)
+            assert chain.matrix is not source and not chain.matrix.flags.writeable
+        chain = TransitionMatrix(writable)
+        writable[0] = [1.0, 0.0]
+        assert chain.matrix[0].tolist() == [0.0, 1.0]
+        # validation is the same either way
+        bad = np.array([[0.6, 0.5], [0.5, 0.5]])
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match="row 0"):
+            TransitionMatrix(bad)
+
     def test_support_graph(self):
         g = support_graph(TransitionMatrix(np.array([[0.0, 1.0], [0.5, 0.5]])).matrix)
         assert (g.n, g.src.tolist(), g.dst.tolist()) == (2, [0, 1, 1], [1, 0, 1])

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cesrank.markov
 import cesrank.solver
@@ -135,6 +137,32 @@ def test_solve_power_matches_the_closed_form():
     for max_iters in (0, -1):
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
             solve_power(CesEconomy(np.ones((2, 2)), 0.0), max_iters=max_iters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 150), beta=st.floats(0.05, 0.6), scaled=st.booleans())
+def test_power_branch_agrees_with_the_closed_form(seed, n, beta, scaled):
+    # damped random economies that the contraction bound lets iterate; rows
+    # scaled by 1e-100 or 1e100 keep their shares
+    rng = np.random.default_rng(seed)
+    n, src, dst, _ = with_dangling_vertices(rng, n, int(rng.integers(0, n // 5 + 1)))
+    economy = damped_economy(DirectedGraph(n, src, dst), rng.uniform(0.5, 3.0, len(src)), 0.0, beta)
+    if scaled:
+        economy = CesEconomy(economy.alpha * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
+    floor_share = cesrank.solver._power_step(economy)[1]
+    assume(cesrank.solver._contraction_budget(floor_share, 1e-12) <= n)
+    closed, _ = solve_cobb_douglas(economy)
+    assert verify_equilibrium(economy, closed, 1e-10).passed
+    # at the default tolerance the L1 error is within the contraction's bound, tolerance / delta
+    prices, report = solve_equilibrium(economy)
+    assert report.method == "power"
+    assert verify_equilibrium(economy, prices, 1e-10).passed
+    assert np.abs(prices.pi - closed.pi).sum() <= 1e-10 / (n * floor_share.min())
+    # and a tolerance of 1e-12 brings it within 1e-12 of the exact solve
+    prices, report = solve_equilibrium(economy, SolverConfig(tolerance=1e-12))
+    assert report.method == "power"
+    assert verify_equilibrium(economy, prices, 1e-10).passed
+    np.testing.assert_allclose(prices.pi, closed.pi, atol=1e-12, rtol=0)
 
 
 class TestSolveTatonnement:
@@ -363,11 +391,69 @@ def test_undamped_periodic_graph_certifies(edges, rho):
     _assert_certified(problem_from_edge_list(weights, rho=rho, beta=1.0))
 
 
+def _damped_random_economy(n=300):
+    """rho 0, beta 0.85, five unit out-edges per vertex: the contraction bound asks for 193 steps at n = 300."""
+    graph = DirectedGraph(n, *zip(*out_regular_edges(np.random.default_rng(2), n)))
+    return damped_economy(graph, np.ones(5 * n), 0.0, 0.85)
+
+
 class TestSolveEquilibrium:
-    def test_auto_uses_closed_form_for_unit_elasticity(self):
-        e = CesEconomy(np.ones((3, 3)), 0.0)
-        _, report = solve_equilibrium(e)
+    def test_undamped_unit_elasticity_uses_closed_form(self):
+        # a zero floor: the chain need not contract (this one has period 3)
+        e = CesEconomy(np.roll(np.eye(3), 1, axis=1), 0.0)
+        prices, report = solve_equilibrium(e)
         assert report.method == "closed_form"
+        np.testing.assert_allclose(prices.pi, 1.0 / 3.0, atol=1e-15, rtol=0)
+
+    def test_damped_unit_elasticity_iterates(self):
+        # beta 0.85 at n = 300 contracts by 0.15 a step: the bound asks for
+        # at most 193 steps, fewer than n, so the prices are iterated
+        e = _damped_random_economy()
+        assert cesrank.solver._contraction_budget(cesrank.solver._power_step(e)[1], 1e-10) == 193
+        prices, report = solve_equilibrium(e)
+        assert report.method == "power"
+        assert 0 < report.iterations <= 193
+        assert report.converged and report.residual <= 1e-10
+        assert verify_equilibrium(e, prices).residual == report.residual
+        np.testing.assert_allclose(prices.pi, solve_cobb_douglas(e)[0].pi, atol=1e-12, rtol=0)
+
+    def test_weakly_damped_cycle_uses_closed_form(self):
+        # floors of 1e-9 beside a unit cycle edge contract by 3e-7 a step:
+        # the bound asks for far more than n steps, so the solve is exact
+        n = 300
+        e = CesEconomy(np.roll(np.eye(n), 1, axis=1) + 1e-9, 0.0)
+        assert cesrank.solver._contraction_budget(cesrank.solver._power_step(e)[1], 1e-10) > n
+        prices, report = solve_equilibrium(e)
+        assert report.method == "closed_form"
+        assert report.converged
+        assert verify_equilibrium(e, prices).passed
+
+    def test_uniform_economy_is_exact_in_one_step(self):
+        # every share is 1/n: the contraction is total and the uniform start is the equilibrium
+        prices, report = solve_equilibrium(CesEconomy(np.ones((3, 3)), 0.0))
+        assert report.method == "power"
+        assert report.iterations == 0 and report.residual == 0.0
+        assert prices.pi.tolist() == [1.0 / 3.0] * 3
+
+    def test_uncertified_iterate_iterates_on(self, monkeypatch):
+        # the certificate has the last word: where it disagrees with the
+        # loop's own test the loop steps on, and past the budget it gives up
+        e = _damped_random_economy()
+        _, plain = solve_equilibrium(e)
+        certificate = cesrank.solver.excess_demand
+        calls = []
+
+        def late(economy, prices):
+            calls.append(None)
+            return certificate(economy, prices) + (1.0 if len(calls) <= 2 else 0.0)
+
+        monkeypatch.setattr(cesrank.solver, "excess_demand", late)
+        _, report = solve_equilibrium(e)
+        assert report.method == "power"
+        assert report.iterations == plain.iterations + 2
+        monkeypatch.setattr(cesrank.solver, "excess_demand", lambda economy, prices: certificate(economy, prices) + 1.0)
+        with pytest.raises(ConvergenceError, match="contraction budget of 193 steps"):
+            solve_equilibrium(e)
 
     def test_auto_falls_back_to_tatonnement(self):
         e = CesEconomy(np.ones((3, 3)), 0.5)
