@@ -26,7 +26,6 @@ from .economy import (
     damped_economy,
     demand_matrix,
     excess_demand,
-    markov_to_economy,
     normalize_preferences,
     web_economy,
 )
@@ -42,10 +41,7 @@ from .formats import (
 )
 from .markov import (
     DirectedGraph,
-    Distribution,
-    TransitionMatrix,
     is_strongly_connected,
-    stationary_distribution,
     support_graph,
 )
 from .problem import RankingProblem, is_regular
@@ -68,7 +64,6 @@ __all__ = [
     "ClearingReport",
     "ConvergenceError",
     "DirectedGraph",
-    "Distribution",
     "DocumentError",
     "FIXTURE_NAMES",
     "MultistartReport",
@@ -76,7 +71,6 @@ __all__ = [
     "RankingProblem",
     "SolverConfig",
     "SolverReport",
-    "TransitionMatrix",
     "build_economy",
     "ces_demand",
     "check_invariance",
@@ -94,7 +88,6 @@ __all__ = [
     "sniff_and_load",
     "load_fixture",
     "load_problem",
-    "markov_to_economy",
     "multistart_probe",
     "normalize_preferences",
     "problem_from_edge_list",
@@ -103,7 +96,6 @@ __all__ = [
     "solve_equilibrium",
     "solve_power",
     "solve_tatonnement",
-    "stationary_distribution",
     "support_graph",
     "verify_equilibrium",
     "weight_matrix",

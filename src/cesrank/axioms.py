@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .economy import CesEconomy, as_price_array, build_economy, excess_demand, normalize_preferences
-from .markov import TransitionMatrix
 from .problem import RankingProblem, is_regular
 from .solver import rank_problem, solve_equilibrium
 
@@ -125,7 +124,7 @@ def check_strict_monotonicity(problem: RankingProblem, i: int, j: int) -> AxiomV
             "agents have heterogeneous rho; the claim is scoped to a common elasticity",
             rho=problem.rho.tolist(),
         )
-    dominated, why = _column_dominance(normalize_preferences(problem).matrix, i, j)
+    dominated, why = _column_dominance(normalize_preferences(problem), i, j)
     if not dominated:
         return _not_applicable("strict_monotonicity", why.pop("reason"), **why)
     prices, report = rank_problem(problem)
@@ -192,13 +191,13 @@ def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> Ax
     equilibrium is demonstrably non-uniform.
     """
     economy = build_economy(replace(problem, beta=1.0))
-    normalized = TransitionMatrix(economy.alpha)
+    normalized = economy.alpha
     if not is_regular(normalized):
         return _not_applicable(
             "uniformity",
             "problem is not regular (row and column sums must all agree)",
-            row_sums=normalized.matrix.sum(axis=1).tolist(),
-            column_sums=normalized.matrix.sum(axis=0).tolist(),
+            row_sums=normalized.sum(axis=1).tolist(),
+            column_sums=normalized.sum(axis=0).tolist(),
         )
     prices, report = solve_equilibrium(economy)
     deviation = float(np.abs(prices.pi - 1.0 / problem.n).max())

@@ -37,7 +37,6 @@ from .diagnostics import ConvergenceError
 from .economy import build_economy, damped_economy, problem_edges, web_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, dump_problem, json_document, problem_from_edge_list, sniff_and_load, weight_matrix
-from .markov import TransitionMatrix, require_strongly_connected, stationary_distribution
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
 
 logger = logging.getLogger(__name__)
@@ -144,15 +143,16 @@ def _cmd_rank(args) -> int:
         # the web chain's market, iterated on its edges: O(n + edges), never n x n
         c = args.damping if args.damping is not None else 0.85
         scores, report = solve_power(web_economy(graph, c), tolerance=tol)
-    else:  # invariant
-        require_strongly_connected(graph, "the graph", "the invariant method needs a strongly connected graph")
+    else:  # invariant: the undamped Cobb-Douglas market, whose solver checks the graph's connectivity
         empty = np.bincount(graph.src, minlength=graph.n) == 0
         if np.any(empty):
             k = int(np.argmax(empty))
             name = ids[k] if ids is not None else f"v{k}"
-            raise ValueError(f"agent {name} has no positive weight; the invariant method needs one in every row")
-        chain = TransitionMatrix(damped_economy(graph, weights, 0.0, 1.0).alpha)
-        scores, report = stationary_distribution(chain, tolerance=tol)
+            # with another vertex, one without out-edges reaches none of them
+            need = "one in every row" if graph.n == 1 else "a strongly connected graph, where every agent has one"
+            raise ValueError(f"agent {name} has no positive weight; the invariant method needs {need}")
+        # solved, never iterated: an all-positive chain would pass solve_equilibrium's contraction budget
+        scores, report = solve_cobb_douglas(damped_economy(graph, weights, 0.0, 1.0), tol)
     # named only now: a declared vertex count too large to rank fails above, in numpy
     _emit_ranking(_names(ids, scores.n), scores.pi, report, args.method, args.format)
     return _EXIT_OK

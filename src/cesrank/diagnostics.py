@@ -1,4 +1,4 @@
-"""Solver diagnostics shared across the Markov and equilibrium solvers."""
+"""Solver diagnostics shared across the equilibrium solvers."""
 
 from __future__ import annotations
 
@@ -38,8 +38,9 @@ class ConvergenceError(RuntimeError):
 class SolverReport:
     """Convergence diagnostics of one solve.
 
-    ``residual`` is the max-norm of the excess demand (or of the fixed-point
-    defect, for stationary-distribution solves) at the returned vector.
+    ``residual`` is the max-norm of the excess demand at the returned
+    prices, except for ``method="power"`` from `cesrank.solver.solve_power`,
+    where it is the fixed-point defect ``max |S.T @ p - p|``.
     ``converged`` implies ``residual <= tolerance``.
     """
 

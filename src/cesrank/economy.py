@@ -27,8 +27,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .markov import DirectedGraph, TransitionMatrix, owned_frozen_floats, require_strongly_connected, support_graph
+from .markov import DirectedGraph, support_graph
 from .problem import RankingProblem, _rho_array, _validate_alpha, _validate_beta
+
+
+def _owned_frozen_floats(a) -> np.ndarray:
+    """``a`` itself if it is an owned float64 array made read-only, else a float64 copy of it.
+
+    Keeping an array its owner has frozen, such as another economy's
+    ``alpha``, spares an n x n copy; copying anything else keeps the caller
+    from changing the economy afterwards.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
+        return a
+    return np.array(a, dtype=float)
+
 
 def as_price_array(prices, n: int) -> np.ndarray:
     """Coerce a price input (PriceVector or array-like) to a validated array."""
@@ -99,8 +112,7 @@ class CesEconomy:
     values: np.ndarray
 
     def __init__(self, alpha, rho, *, endowments=None):
-        # a TransitionMatrix's array is kept as is; anything writable is copied
-        alpha = owned_frozen_floats(alpha)
+        alpha = _owned_frozen_floats(alpha)
         _validate_alpha(alpha)
         n = alpha.shape[0]
         dead = alpha.max(axis=1) == 0.0
@@ -347,23 +359,6 @@ def web_economy(graph: DirectedGraph, c: float = 0.85) -> CesEconomy:
     return damped_economy(graph, np.ones(graph.src.size), 0.0, c)
 
 
-def markov_to_economy(p: TransitionMatrix) -> CesEconomy:
-    """Economy whose equilibrium prices reproduce a chain's stationary distribution.
-
-    State ``i`` becomes a unit-elasticity trader owning one unit of good ``i``
-    and valuing good ``j`` with coefficient ``p[i][j]``. Market clearing at
-    positive prices then reads ``sum_i p[i][j] * pi[i] = pi[j]``, the
-    stationary condition. The chain's support graph must be strongly
-    connected so that a strictly positive equilibrium exists; a periodic
-    chain's invariant distribution clears too.
-    """
-    if p.matrix.min() <= 0.0:  # else the graph is complete
-        require_strongly_connected(
-            support_graph(p.matrix), "the chain's support graph", "no strictly positive equilibrium"
-        )
-    return CesEconomy(alpha=p.matrix, rho=np.zeros(p.n))
-
-
 def problem_edges(problem: RankingProblem) -> tuple[DirectedGraph, np.ndarray]:
     """A problem's positive alpha entries as its support graph and the weights on its edges."""
     graph = support_graph(problem.alpha)
@@ -382,11 +377,11 @@ def build_economy(problem: RankingProblem) -> CesEconomy:
     return damped_economy(*problem_edges(problem), problem.rho, problem.beta)
 
 
-def normalize_preferences(problem: RankingProblem) -> TransitionMatrix:
-    """The damped preference matrix of a problem, n x n: exactly `build_economy`'s alpha, the one the market consumes.
+def normalize_preferences(problem: RankingProblem) -> np.ndarray:
+    """The damped preference matrix of a problem, n x n and read-only: exactly `build_economy`'s alpha.
 
-    Every entry is at least ``(1 - beta) / n`` (strictly positive when
-    ``beta < 1``), and scaling a row of the input by a positive constant
-    does not change the output.
+    This is the matrix the market consumes. Its rows sum to 1, every entry
+    is at least ``(1 - beta) / n`` (strictly positive when ``beta < 1``), and
+    scaling a row of the input by a positive constant does not change it.
     """
-    return TransitionMatrix(build_economy(problem).alpha)
+    return build_economy(problem).alpha

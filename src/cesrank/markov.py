@@ -1,23 +1,16 @@
-"""Finite Markov chains, their stationary distributions, and graph checks.
+"""Directed graphs on edge arrays, and their strong connectivity.
 
-Conventions: a transition matrix ``P`` is row-stochastic (``P[i, j]`` is the
-probability of moving from state ``i`` to state ``j``) and a stationary
-distribution is a column vector fixed point of ``P.T``, i.e. ``pi = P.T @ pi``
-with ``sum(pi) == 1``. This is the usual left-eigenvector convention written
-for column vectors.
+A Markov chain's support graph, and an economy's (edge i -> j iff trader i
+values good j), are held here as sorted edge arrays. The chains themselves
+are economies: `cesrank.economy.damped_economy` builds them, and
+`cesrank.solver` finds their stationary distributions as equilibrium prices.
 """
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
-
-from .diagnostics import ConvergenceError, SolverReport, require_tolerance
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,75 +61,19 @@ def support_graph(matrix: np.ndarray) -> DirectedGraph:
     return DirectedGraph(matrix.shape[0], src, dst)
 
 
-def owned_frozen_floats(a) -> np.ndarray:
-    """``a`` itself if it is an owned float64 array made read-only, else a float64 copy of it.
-
-    Keeping an array its owner has frozen spares an n x n copy; copying
-    anything else keeps the caller from changing the result afterwards.
-    """
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
-        return a
-    return np.array(a, dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """Row-stochastic matrix of a finite Markov chain."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        p = owned_frozen_floats(self.matrix)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"transition matrix must be square, got shape {p.shape}")
-        if np.any(~np.isfinite(p)) or np.any(p < 0.0):
-            bad = np.nonzero(~np.isfinite(p) | (p < 0.0))
-            i, j = int(bad[0][0]), int(bad[1][0])
-            raise ValueError(f"entry [{i}][{j}] = {float(p[i, j])!r} is negative or not finite")
-        row_sums = p.sum(axis=1)
-        off = np.abs(row_sums - 1.0)
-        if np.any(off > 1e-12):
-            i = int(np.argmax(off))
-            raise ValueError(f"row {i} sums to {float(row_sums[i])!r}, not 1")
-        p.flags.writeable = False
-        object.__setattr__(self, "matrix", p)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """A probability vector over states."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        pi = np.array(self.pi, dtype=float)
-        if pi.ndim != 1:
-            raise ValueError(f"distribution must be a vector, got shape {pi.shape}")
-        if np.any(~np.isfinite(pi)) or np.any(pi < 0.0):
-            i = int(np.flatnonzero(~np.isfinite(pi) | (pi < 0.0))[0])
-            raise ValueError(f"entry {i} = {float(pi[i])!r} is negative or not finite")
-        if abs(pi.sum() - 1.0) > 1e-10:
-            raise ValueError(f"entries sum to {float(pi.sum())!r}, not 1")
-        pi.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
-
-    @property
-    def n(self) -> int:
-        return self.pi.shape[0]
-
-
 def _bfs_levels(n: int, heads: np.ndarray, tails: np.ndarray, start: int) -> np.ndarray:
     """Breadth-first level of every vertex from ``start``, -1 where unreachable.
 
     Edges run ``heads[k] -> tails[k]`` with ``heads`` sorted, so the out-edges
     of each vertex are one slice of ``tails`` and each level costs one gather.
+    A level's new vertices are deduplicated through ``slot``, one entry per
+    vertex: each copy writes its position there and only the copy whose
+    write stands is kept, whichever that is. A level costs O(edges it
+    reaches), with nothing sorted or hashed.
     """
     indptr = np.searchsorted(heads, np.arange(n + 1))
     level = np.full(n, -1, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
     level[start] = 0
     frontier = np.array([start])
     depth = 0
@@ -147,7 +84,10 @@ def _bfs_levels(n: int, heads: np.ndarray, tails: np.ndarray, start: int) -> np.
         # lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 for every frontier vertex k
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         reached = tails[np.repeat(lo, counts) + within]
-        frontier = np.unique(reached[level[reached] < 0])
+        fresh = reached[level[reached] < 0]
+        position = np.arange(fresh.size)
+        slot[fresh] = position
+        frontier = fresh[slot[fresh] == position]
         level[frontier] = depth
     return level
 
@@ -195,62 +135,3 @@ def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: 
     if not is_strongly_connected(graph):
         component = [v for v in strongly_connected_component(graph) if v < n]
         raise ValueError(f"{subject} is not strongly connected (one component: {component}); {consequence}")
-
-
-def stationary_solve(p: np.ndarray) -> np.ndarray:
-    """Solve ``pi = P.T @ pi``, ``sum(pi) == 1`` for a row-stochastic array ``p``.
-
-    One dense linear solve: the last equation of ``(P.T - I) pi = 0`` is
-    replaced by the normalization. Raises ``ValueError`` when the system is
-    singular (no unique stationary distribution). The result is not
-    clipped, renormalized or residual-checked.
-    """
-    n = p.shape[0]
-    a = p.T.copy()
-    a.flat[:: n + 1] -= 1.0
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "singular stationary system; the chain has no unique stationary "
-            "distribution (is it irreducible?)"
-        ) from exc
-    return pi
-
-
-def stationary_distribution(p: TransitionMatrix, tolerance: float = 1e-12) -> tuple[Distribution, SolverReport]:
-    """Stationary distribution ``pi = P.T @ pi`` of a dense row-stochastic chain.
-
-    Solved exactly by ``stationary_solve``, which handles every irreducible
-    chain, periodic ones included, where iteration would never converge.
-    Returns the distribution together with a report whose method is
-    ``"solve"`` and whose residual is ``max |P.T @ pi - pi|``. A damped web
-    chain is iterated instead, as a market: see `cesrank.solver.solve_power`.
-    """
-    require_tolerance(tolerance)
-    start = time.perf_counter()
-    pi = stationary_solve(p.matrix)
-    residual = float(np.abs(p.matrix.T @ pi - pi).max())
-    if residual > tolerance:
-        raise ConvergenceError(
-            f"stationary residual {residual:.3e} exceeds tolerance {tolerance:.3e}",
-            last_iterate=pi,
-            residual=residual,
-        )
-    # Clip away solver noise before validating; exact zeros are legitimate
-    # for reducible inputs handled by the caller, negatives are not.
-    pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)
-    pi = pi / pi.sum()
-    report = SolverReport(
-        method="solve",
-        iterations=1,
-        residual=residual,
-        converged=True,
-        tolerance=tolerance,
-        wall_time=time.perf_counter() - start,
-    )
-    logger.debug("stationary_distribution: %s", report)
-    return Distribution(pi), report

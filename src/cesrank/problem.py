@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import TransitionMatrix
-
 #: Largest accepted rho. Above it the demand exponent 1/(1-rho) exceeds 20 and
 #: the demand powers become too steep to evaluate reliably near the
 #: linear-utility end. Every rho lies in [-1, RHO_MAX].
@@ -124,14 +122,14 @@ class RankingProblem:
         return len(self.agent_ids)
 
 
-def is_regular(matrix: TransitionMatrix, tol: float = REGULARITY_TOL) -> bool:
-    """True iff all row sums are equal and all column sums are equal.
+def is_regular(matrix: np.ndarray, tol: float = REGULARITY_TOL) -> bool:
+    """True iff all row sums of a square array are equal and all column sums are equal.
 
     Sums are compared with absolute tolerance ``tol``. A row-stochastic matrix
     always has equal row sums, so in practice this tests the columns.
     """
-    row_sums = matrix.matrix.sum(axis=1)
-    col_sums = matrix.matrix.sum(axis=0)
+    row_sums = matrix.sum(axis=1)
+    col_sums = matrix.sum(axis=0)
     return bool(
         np.all(np.abs(row_sums - row_sums[0]) <= tol)
         and np.all(np.abs(col_sums - col_sums[0]) <= tol)

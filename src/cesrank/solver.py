@@ -4,11 +4,12 @@ All-Cobb-Douglas economies reduce to one linear system (market clearing at
 positive prices reads ``sum_i alpha[i][j] * pi[i] = pi[j]``, the invariant
 condition of a stochastic matrix), so they are iterated as PageRank is when
 their floors guarantee a short contraction, and otherwise solved exactly by
-the Markov module's stationary solve. Everything else runs damped multiplicative price
-adjustment: raise the price of over-demanded goods, lower the price of
-over-supplied ones, renormalize. The result is never trusted on faith;
-`verify_equilibrium` certifies the excess-demand residual independently of how
-the prices were found.
+`stationary_solve`, which is how the invariant method ranks. Everything else
+runs damped multiplicative price adjustment: raise the price of
+over-demanded goods, lower the price of over-supplied ones, renormalize. The
+result is never trusted on faith; `verify_equilibrium` certifies the
+excess-demand residual independently of how the prices were found, and a
+closed form that it does not certify is finished by price adjustment.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport, require_tolerance
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand, row_tops
-from .markov import DirectedGraph, TransitionMatrix, require_strongly_connected, stationary_solve
+from .markov import DirectedGraph, require_strongly_connected
 from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
@@ -60,13 +61,45 @@ def _require_connected_economy(economy: CesEconomy) -> None:
     )
 
 
+def stationary_solve(p: np.ndarray) -> np.ndarray:
+    """Solve ``pi = P.T @ pi``, ``sum(pi) == 1`` for a row-stochastic array ``p``.
+
+    One dense linear solve: the last equation of ``(P.T - I) pi = 0`` is
+    replaced by the normalization. It handles every irreducible chain,
+    periodic ones included, where iteration would never converge. Raises
+    ``ValueError`` when the system is singular (no unique stationary
+    distribution). The result is not clipped, renormalized or
+    residual-checked.
+    """
+    n = p.shape[0]
+    a = p.T.copy()
+    a.flat[:: n + 1] -= 1.0
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "singular stationary system; the chain has no unique stationary "
+            "distribution (is it irreducible?)"
+        ) from exc
+    return pi
+
+
 def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[PriceVector, SolverReport]:
     """Exact equilibrium of an all-unit-elasticity economy.
 
     Solves the linear invariant system of the row-normalized alpha matrix
-    with `cesrank.markov.stationary_solve`. The report's residual and
-    convergence come from `verify_equilibrium` at the returned prices, an
-    independent check on the linear algebra.
+    with `stationary_solve`, and certifies the prices with
+    `verify_equilibrium`, whose residual the report carries. The
+    certificate is a relative excess demand, so on skewed weights it can
+    reject a solve whose absolute error is tiny but whose small prices are
+    wrong, or even negative. The solve then only seeds tatonnement: from its
+    prices, each raised to at least ``eps * max(p)``, `solve_tatonnement`'s
+    loop runs to a certified equilibrium or a `ConvergenceError`. Either way
+    the report's method is ``"closed_form"``, with 1 iteration for the solve
+    plus those of tatonnement.
     """
     require_tolerance(tolerance)
     start = time.perf_counter()
@@ -81,26 +114,24 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     for i in np.flatnonzero(~np.isfinite(sums)):  # divided by its max first, which keeps its shares
         row = alpha[i] / alpha[i].max()
         shares[i] = row / row.sum()
-    shares.flags.writeable = False  # owned and frozen: TransitionMatrix keeps it without a copy
-    shares = TransitionMatrix(shares).matrix
-    prices = PriceVector.from_unnormalized(stationary_solve(shares))
-    check = verify_equilibrium(economy, prices, tolerance)
-    report = SolverReport(
-        method="closed_form",
-        iterations=1,
-        residual=check.residual,
-        converged=check.passed,
-        tolerance=tolerance,
-        wall_time=time.perf_counter() - start,
-    )
-    if not report.converged:
-        raise ConvergenceError(
-            f"closed-form solution has residual {check.residual:.3e} above tolerance "
-            f"{tolerance:.3e}; the linear system is badly conditioned",
-            last_iterate=prices.pi,
-            residual=check.residual,
-        )
-    return prices, report
+    pi = stationary_solve(shares)
+    if pi.min() > 0.0:
+        prices = PriceVector.from_unnormalized(pi)
+        check = verify_equilibrium(economy, prices, tolerance)
+        if check.passed:
+            report = SolverReport(
+                method="closed_form",
+                iterations=1,
+                residual=check.residual,
+                converged=True,
+                tolerance=tolerance,
+                wall_time=time.perf_counter() - start,
+            )
+            return prices, report
+    logger.info("closed form not certified at tolerance %.3e; finishing by tatonnement", tolerance)
+    seed = np.maximum(pi, np.finfo(float).eps * pi.max())
+    prices, report = _tatonnement(economy, SolverConfig(tolerance=tolerance, initial_prices=seed), start)
+    return prices, replace(report, method="closed_form", iterations=1 + report.iterations)
 
 
 def _power_step(economy: CesEconomy) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
@@ -236,7 +267,6 @@ def _solve_contracting(
     return PriceVector(p), report  # the certified iterate itself, not renormalized
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Damped multiplicative price adjustment until the market clears.
 
@@ -256,6 +286,12 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     cfg = config or SolverConfig()
     start = time.perf_counter()
     _require_connected_economy(economy)
+    return _tatonnement(economy, cfg, start)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
+def _tatonnement(economy: CesEconomy, cfg: SolverConfig, start: float) -> tuple[PriceVector, SolverReport]:
+    """`solve_tatonnement`'s loop on an economy whose graph is already checked; wall time runs from ``start``."""
     n = economy.n
     if cfg.initial_prices is not None:
         p = as_price_array(cfg.initial_prices, n)

@@ -16,7 +16,31 @@ import numpy as np
 
 from cesrank.cli import TIE_TOL
 from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text
-from cesrank.markov import DirectedGraph, TransitionMatrix
+from cesrank.markov import DirectedGraph
+
+
+#: Strongly connected weighted edge lists ``(n, [(src, dst, weight), ...])`` with weights
+#: over up to 14 orders of magnitude. Their undamped Cobb-Douglas market has prices down
+#: to 5e-12 and 5e-20, where a linear solve's absolute error of about 1e-17 is a large
+#: relative one: the solve alone leaves excess demand near 1e-7 on the first, and a
+#: negative price on the second.
+SKEWED_GRAPHS = {
+    "three": (3, [(0, 1, 1e-3), (1, 0, 1e8), (1, 2, 1e-3), (2, 0, 1e-2)]),
+    "five": (5, [(0, 1, 1e-6), (0, 2, 1e-4), (1, 2, 1e-4), (2, 0, 1e6), (2, 3, 1e-6), (3, 0, 1e8), (3, 4, 10.0), (4, 0, 1.0)]),
+}
+
+
+def skewed_graph(name) -> tuple[DirectedGraph, np.ndarray]:
+    """The graph and edge weights of ``SKEWED_GRAPHS[name]``."""
+    n, edges = SKEWED_GRAPHS[name]
+    src, dst, weights = zip(*edges)
+    return DirectedGraph(n, src, dst), np.array(weights)
+
+
+def skewed_edge_list(name) -> str:
+    """``SKEWED_GRAPHS[name]`` as an edge-list document."""
+    n, edges = SKEWED_GRAPHS[name]
+    return f"format: 1\nn {n}\n" + "".join(f"{i} {j} {w!r}\n" for i, j, w in edges)
 
 
 def fixed_point_equilibrium(alpha_hat, q, iters=500_000, tol=5e-16):
@@ -139,7 +163,7 @@ def component_of(n, edges, vertex):
     return sorted(_reachable_from(n, edges, vertex) & _reachable_from(n, reversed_edges, vertex))
 
 
-def reference_damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix:
+def reference_damped_chain(weights: np.ndarray, beta: float) -> np.ndarray:
     """Row-normalize nonnegative ``weights`` and damp them towards the uniform row.
 
     All-zero (dangling) rows become the uniform row ``1/n``, every row is
@@ -165,7 +189,7 @@ def reference_damped_chain(weights: np.ndarray, beta: float) -> TransitionMatrix
     if beta < 1.0:
         weights *= beta
         weights += (1.0 - beta) / n
-    return TransitionMatrix(weights)
+    return weights
 
 
 def dense_power_iteration(matrix, tolerance=1e-12, max_iters=100_000):

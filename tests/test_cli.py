@@ -22,16 +22,15 @@ import cesrank.markov
 from cesrank import (
     DirectedGraph,
     RankingProblem,
-    TransitionMatrix,
     dump_problem,
     load_fixture,
     load_problem,
-    stationary_distribution,
+    solve_cobb_douglas,
     web_economy,
 )
 from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
 
-from oracles import out_regular_edges, reference_ranking_text, reference_tie_groups
+from oracles import SKEWED_GRAPHS, out_regular_edges, reference_ranking_text, reference_tie_groups, skewed_edge_list
 
 TWO_CYCLE = "format: 1\nn 2\n0 1\n1 0\n"
 TRIANGLE = "format: 1\nn 3\n0 1\n1 2\n2 0\n2 1\n"
@@ -123,7 +122,7 @@ class TestRankPagerank:
         assert main(["rank", "--method", "pagerank", "--format", "json", "--input", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         economy = web_economy(DirectedGraph(n, *zip(*edges)))
-        solved, _ = stationary_distribution(TransitionMatrix(economy.alpha))
+        solved, _ = solve_cobb_douglas(economy, 1e-12)
         assert doc["report"]["method"] == "power"
         assert doc["report"]["residual"] <= 1e-12
         assert max(abs(r["score"] - solved.pi[int(r["agent"][1:])]) for r in doc["ranking"]) <= 1e-12
@@ -330,9 +329,46 @@ class TestRankInvariant:
 
         report, invariant = scores("--method", "invariant")
         _, market = scores("--rho", "0", "--beta", "1")
-        assert report["method"] == "solve"
+        assert report["method"] == "closed_form"
         assert abs(invariant["v0"] - 0.5) <= 1e-12
         assert max(abs(invariant[agent] - score) for agent, score in market.items()) <= 1e-12
+
+    def test_connectivity_checked_once(self, graph_file, capsys, monkeypatch):
+        # by the solver, on the economy graph; a tatonnement finish does not check again
+        calls = []
+        original = cesrank.markov.is_strongly_connected
+
+        def counted(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        for text in (TRIANGLE, skewed_edge_list("three")):
+            assert main(["rank", "--method", "invariant", "--input", graph_file(text)]) == 0
+        assert calls == [3, 3]
+
+    @pytest.mark.parametrize("name", sorted(SKEWED_GRAPHS))
+    def test_skewed_weights_are_certified(self, name, graph_file, capsys):
+        # the closed form alone left excess demand of 8e-8 on "three" (exit 3
+        # at --rho 0 --beta 1) and a negative price on "five" (exit 2, and a
+        # score of exactly 0 under --method invariant); tatonnement finishes both
+        path = graph_file(skewed_edge_list(name))
+
+        def run(*flags):
+            code = main(["rank", "--input", path, *flags])
+            return code, capsys.readouterr().out
+
+        assert run("--rho", "0", "--beta", "1")[0] == 0
+        code, invariant = run("--method", "invariant")
+        assert code == 0
+        assert invariant == run("--rho", "0", "--beta", "1", "--tol", "1e-12")[1]
+        code, text = run("--method", "invariant", "--format", "json")
+        doc = json.loads(text)
+        assert doc["report"]["method"] == "closed_form" and doc["report"]["iterations"] > 1
+        assert doc["report"]["converged"] and doc["report"]["residual"] <= 1e-12
+        assert min(r["score"] for r in doc["ranking"]) > 0.0
+        if name == "five":
+            assert abs(doc["ranking"][-1]["score"] / 4.975e-20 - 1.0) <= 1e-3
 
     def test_edge_list_graph_reused(self, graph_file, capsys, monkeypatch):
         # the parser's graph is checked; no weight matrix is scanned again

@@ -15,14 +15,12 @@ from cesrank import (
     PriceVector,
     RankingProblem,
     SolverConfig,
-    TransitionMatrix,
     build_economy,
     ces_demand,
     damped_economy,
     demand_matrix,
     excess_demand,
     is_strongly_connected,
-    markov_to_economy,
     normalize_preferences,
     solve_cobb_douglas,
     solve_equilibrium,
@@ -34,7 +32,7 @@ from cesrank import (
 from cesrank.economy import aggregate_demand
 from cesrank.markov import strongly_connected_component
 
-from oracles import grid_search_demand, reference_damped_chain
+from oracles import grid_search_demand, reference_damped_chain, skewed_graph
 
 
 class TestPriceVector:
@@ -95,6 +93,23 @@ class TestCesEconomyValidation:
         for w in (np.array([[1.0, 0.5], [0.0, 1.0]]), 2.0 * np.eye(2)):
             with pytest.raises(ValueError, match="identity"):
                 CesEconomy(np.ones((2, 2)), 0.0, endowments=w)
+
+    def test_keeps_an_owned_frozen_array_and_copies_anything_else(self):
+        frozen = np.array([[0.0, 1.0], [0.5, 0.5]])
+        frozen.flags.writeable = False
+        assert CesEconomy(frozen, 0.0).alpha is frozen
+        # writable, a view, or not float64: copied, so the caller cannot change the economy
+        writable = frozen.copy()
+        view = np.array([[0.0, 1.0, 9.0], [0.5, 0.5, 9.0]])[:, :2]
+        view.flags.writeable = False
+        for source in (writable, view, frozen.astype(np.float32), frozen.tolist()):
+            economy = CesEconomy(source, 0.0)
+            assert economy.alpha is not source and not economy.alpha.flags.writeable
+        # validation is the same either way
+        bad = np.array([[0.0, -1.0], [0.5, 0.5]])
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match=r"alpha\[0\]\[1\] = -1\.0"):
+            CesEconomy(bad, 0.0)
 
     def test_writable_alpha_is_copied(self):
         alpha = np.array([[0.5, 0.5], [0.25, 0.75]])
@@ -339,17 +354,25 @@ class TestAggregateDemand:
         np.testing.assert_allclose(scaled, reference, rtol=1e-14)
 
 
+def _chain_economy(matrix) -> CesEconomy:
+    """The invariant method's economy of a row-stochastic chain: its edges, undamped, at rho 0."""
+    graph = support_graph(np.asarray(matrix))
+    return damped_economy(graph, np.asarray(matrix)[graph.src, graph.dst], 0.0, 1.0)
+
+
 class TestMarkovToEconomy:
+    """A chain read as a Cobb-Douglas market: state i trades its good for the goods it moves to."""
+
     def test_alpha_is_the_transition_matrix(self):
-        p = TransitionMatrix(np.array([[0.0, 1.0], [0.6, 0.4]]))
-        e = markov_to_economy(p)
-        np.testing.assert_array_equal(e.alpha, p.matrix)
+        p = np.array([[0.0, 1.0], [0.6, 0.4]])
+        e = _chain_economy(p)
+        np.testing.assert_array_equal(e.alpha, p)
         np.testing.assert_array_equal(e.rho, 0.0)
 
     def test_disconnected_chain_rejected_with_witness(self):
-        p = TransitionMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        e = _chain_economy([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match=r"component: \[0\]"):
-            markov_to_economy(p)
+            solve_cobb_douglas(e)
 
     def test_connectivity_checked_once(self, monkeypatch):
         calls = []
@@ -360,17 +383,19 @@ class TestMarkovToEconomy:
             return original(graph)
 
         monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
-        markov_to_economy(TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        markov_to_economy(TransitionMatrix(np.array([[0.0, 1.0], [0.6, 0.4]])))
-        assert calls == [2, 2]
+        solve_cobb_douglas(_chain_economy([[0.0, 1.0], [1.0, 0.0]]))
+        # row 1 has no zero entry, so it reaches every state through one auxiliary vertex
+        solve_cobb_douglas(_chain_economy([[0.0, 1.0], [0.6, 0.4]]))
+        # a skewed chain whose solve is finished by tatonnement, which does not check again
+        _, report = solve_cobb_douglas(damped_economy(*skewed_graph("three"), 0.0, 1.0))
+        assert report.iterations > 1
+        assert calls == [2, 3, 3]
 
     def test_periodic_chain_accepted_silently(self):
         # the 2-cycle's invariant distribution still clears the market
-        p = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            economy = markov_to_economy(p)
-        prices, _ = solve_cobb_douglas(economy)
+            prices, _ = solve_cobb_douglas(_chain_economy([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(prices.pi, [0.5, 0.5], atol=1e-15, rtol=0)
 
 
@@ -426,7 +451,7 @@ def weighted_edge_lists(draw):
 def test_damped_economy_matches_the_dense_path(case):
     graph, weights, rho, beta = case
     n = graph.n
-    dense = reference_damped_chain(weight_matrix(graph, weights), beta).matrix
+    dense = reference_damped_chain(weight_matrix(graph, weights), beta)
     economy = damped_economy(graph, weights, rho, beta)
     degree = np.bincount(graph.src, minlength=n)
     if not (np.all(weights == 1.0) or degree.max(initial=0) <= 2 or n < 8):
@@ -459,7 +484,7 @@ def test_normalize_preferences_is_the_economy_alpha(case):
     # one rule: the axioms read exactly the matrix the market consumes
     graph, weights, rho, beta = case
     problem = RankingProblem(tuple(map(str, range(graph.n))), weight_matrix(graph, weights), rho, beta=beta)
-    assert normalize_preferences(problem).matrix.tobytes() == build_economy(problem).alpha.tobytes()
+    assert normalize_preferences(problem).tobytes() == build_economy(problem).alpha.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from cesrank import (
     ConvergenceError,
     DirectedGraph,
-    Distribution,
-    TransitionMatrix,
+    damped_economy,
     is_strongly_connected,
+    solve_cobb_douglas,
     solve_power,
-    stationary_distribution,
     support_graph,
     web_economy,
 )
@@ -47,6 +46,10 @@ class TestDirectedGraph:
     def test_needs_a_vertex(self):
         with pytest.raises(ValueError, match="vertex count"):
             DirectedGraph(0, [], [])
+
+    def test_support_graph(self):
+        g = support_graph(np.array([[0.0, 1.0], [0.5, 0.5]]))
+        assert (g.n, g.src.tolist(), g.dst.tolist()) == (2, [0, 1, 1], [1, 0, 1])
 
 
 class TestConnectivity:
@@ -159,63 +162,19 @@ class TestWebTransition:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
 
-class TestTransitionMatrixType:
-    def test_rejects_non_stochastic_rows(self):
-        with pytest.raises(ValueError, match="row 1"):
-            TransitionMatrix(np.array([[0.5, 0.5], [0.6, 0.5]]))
-
-    def test_rejects_rows_not_summing_to_one(self):
-        with pytest.raises(ValueError, match="row 0"):
-            TransitionMatrix(np.array([[0.6, 0.5], [0.5, 0.5]]))
-
-    def test_accepts_tiny_rounding(self):
-        row = np.array([1 / 3, 1 / 3, 1 / 3])
-        TransitionMatrix(np.vstack([row, row, row]))
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ValueError, match=r"\[0\]\[1\]"):
-            TransitionMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]))
-
-    def test_keeps_an_owned_frozen_array_and_copies_anything_else(self):
-        frozen = np.array([[0.0, 1.0], [0.5, 0.5]])
-        frozen.flags.writeable = False
-        assert TransitionMatrix(frozen).matrix is frozen
-        # writable, a view, or not float64: copied, so the caller cannot change the chain
-        writable = frozen.copy()
-        view = np.array([[0.0, 1.0, 9.0], [0.5, 0.5, 9.0]])[:, :2]
-        view.flags.writeable = False
-        for source in (writable, view, frozen.astype(np.float32), frozen.tolist()):
-            chain = TransitionMatrix(source)
-            assert chain.matrix is not source and not chain.matrix.flags.writeable
-        chain = TransitionMatrix(writable)
-        writable[0] = [1.0, 0.0]
-        assert chain.matrix[0].tolist() == [0.0, 1.0]
-        # validation is the same either way
-        bad = np.array([[0.6, 0.5], [0.5, 0.5]])
-        bad.flags.writeable = False
-        with pytest.raises(ValueError, match="row 0"):
-            TransitionMatrix(bad)
-
-    def test_support_graph(self):
-        g = support_graph(TransitionMatrix(np.array([[0.0, 1.0], [0.5, 0.5]])).matrix)
-        assert (g.n, g.src.tolist(), g.dst.tolist()) == (2, [0, 1, 1], [1, 0, 1])
-
-
-class TestDistributionType:
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            Distribution(np.array([0.5, 0.4]))
-
-    def test_no_negative_mass(self):
-        with pytest.raises(ValueError, match="entry 1"):
-            Distribution(np.array([1.1, -0.1]))
+def _invariant(matrix, tolerance=1e-12):
+    """The invariant method on a row-stochastic array: its undamped Cobb-Douglas market, solved."""
+    matrix = np.asarray(matrix, dtype=float)
+    graph = support_graph(matrix)
+    return solve_cobb_douglas(damped_economy(graph, matrix[graph.src, graph.dst], 0.0, 1.0), tolerance)
 
 
 class TestStationaryDistribution:
+    """A chain's stationary distribution as the equilibrium prices of its Cobb-Douglas market."""
+
     def test_known_three_state_chain(self):
-        p = TransitionMatrix(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-        dist, report = stationary_distribution(p)
-        np.testing.assert_allclose(dist.pi, [0.4, 0.2, 0.4], atol=1e-11, rtol=0)
+        prices, report = _invariant([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(prices.pi, [0.4, 0.2, 0.4], atol=1e-11, rtol=0)
         assert report.converged
         assert report.residual <= report.tolerance
 
@@ -224,15 +183,14 @@ class TestStationaryDistribution:
         for _ in range(25):
             p = web_economy(DirectedGraph(*random_strongly_connected_graph(rng, int(rng.integers(2, 9)))), c=0.85)
             a, _ = solve_power(p)
-            b, _ = stationary_distribution(TransitionMatrix(p.alpha))
+            b, _ = solve_cobb_douglas(p, 1e-12)
             np.testing.assert_allclose(a.pi, b.pi, atol=1e-10, rtol=0)
 
     def test_periodic_chain_is_solved(self):
         # bipartite: 0 <-> {1, 2}; period 2, stationary (0.5, 0.25, 0.25):
         # iterating would never converge, the exact solve certifies it
-        p = TransitionMatrix(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        dist, _ = stationary_distribution(p)
-        np.testing.assert_allclose(dist.pi, [0.5, 0.25, 0.25], atol=1e-12, rtol=0)
+        prices, _ = _invariant([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(prices.pi, [0.5, 0.25, 0.25], atol=1e-12, rtol=0)
 
     def test_large_periodic_chain_is_solved(self):
         # star 0 <-> 1..2000, period 2: a dense chain is solved at every size
@@ -240,19 +198,17 @@ class TestStationaryDistribution:
         star = np.zeros((n, n))
         star[0, 1:] = 1.0 / (n - 1)
         star[1:, 0] = 1.0
-        dist, report = stationary_distribution(TransitionMatrix(star))
-        assert report.method == "solve"
-        assert abs(dist.pi[0] - 0.5) <= 1e-12
+        prices, report = _invariant(star)
+        assert report.method == "closed_form" and report.converged
+        assert abs(prices.pi[0] - 0.5) <= 1e-12
 
-    def test_dense_chain_reports_solve(self):
-        p = TransitionMatrix(np.array([[0.1, 0.9], [0.5, 0.5]]))
-        _, report = stationary_distribution(p)
-        assert report.method == "solve"
+    def test_dense_chain_reports_closed_form(self):
+        _, report = _invariant([[0.1, 0.9], [0.5, 0.5]])
+        assert (report.method, report.iterations) == ("closed_form", 1)
 
     def test_reducible_chain_raises(self):
-        p = TransitionMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="singular|irreducible"):
-            stationary_distribution(p)
+        with pytest.raises(ValueError, match=r"not strongly connected \(one component: \[0\]\)"):
+            _invariant(np.eye(2))
 
     def test_residual_is_certified(self):
         rng = np.random.default_rng(11)
@@ -262,10 +218,9 @@ class TestStationaryDistribution:
         assert direct <= 2 * report.tolerance
 
     def test_tolerance_validation(self):
-        p = TransitionMatrix(np.eye(1))
         for tolerance in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-                stationary_distribution(p, tolerance=tolerance)
+                _invariant(np.eye(1), tolerance=tolerance)
 
 
 @st.composite

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from cesrank import (
     CesEconomy,
     DirectedGraph,
-    Distribution,
     PriceVector,
     RankingProblem,
-    TransitionMatrix,
     build_economy,
     demand_matrix,
     is_regular,
@@ -94,27 +92,27 @@ class TestNormalize:
     def test_zero_matrix_fills_uniform(self):
         p = RankingProblem(ids(2), np.zeros((2, 2)), 0.0, beta=0.85)
         out = normalize_preferences(p)
-        np.testing.assert_allclose(out.matrix, 0.5)
+        np.testing.assert_allclose(out, 0.5)
 
     def test_stochastic_rows_with_beta_one_unchanged(self):
         alpha = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
         p = RankingProblem(ids(3), alpha, 0.5, beta=1.0)
         out = normalize_preferences(p)
-        np.testing.assert_array_equal(out.matrix, alpha)
+        np.testing.assert_array_equal(out, alpha)
 
     def test_damped_two_agent_example(self):
         # rows [3,1] and [0,2]: normalize to (0.75,0.25), (0,1); then mix
         # with the uniform row at weight 0.2
         p = RankingProblem(ids(2), np.array([[3.0, 1.0], [0.0, 2.0]]), 0.0, beta=0.8)
         out = normalize_preferences(p)
-        np.testing.assert_allclose(out.matrix, [[0.70, 0.30], [0.10, 0.90]])
+        np.testing.assert_allclose(out, [[0.70, 0.30], [0.10, 0.90]])
 
     def test_preserves_rho_and_ids(self):
         # the damped matrix carries neither: the problem keeps its ids and
         # the economy takes rho from the problem
         p = RankingProblem(("x", "y"), np.array([[1.0, 3.0], [0.0, 0.0]]), np.array([0.5, -0.5]))
         out = normalize_preferences(p)
-        assert isinstance(out, TransitionMatrix)
+        assert isinstance(out, np.ndarray) and not out.flags.writeable
         assert p.agent_ids == ("x", "y")
         np.testing.assert_array_equal(p.alpha, [[1.0, 3.0], [0.0, 0.0]])
         np.testing.assert_array_equal(build_economy(p).rho, [0.5, -0.5])
@@ -126,8 +124,8 @@ class TestNormalize:
         weights = np.zeros((6, 6))
         weights[src, dst] = 1.0
         chain = web_economy(DirectedGraph(6, src, dst), 0.85).alpha
-        damped = normalize_preferences(problem_from_edge_list(weights, beta=0.85)).matrix
-        reference = reference_damped_chain(weights.copy(), 0.85).matrix
+        damped = normalize_preferences(problem_from_edge_list(weights, beta=0.85))
+        reference = reference_damped_chain(weights.copy(), 0.85)
         assert chain.tobytes() == reference.tobytes()
         assert damped.tobytes() == reference.tobytes()
 
@@ -151,7 +149,7 @@ def problems(draw, max_n=6):
 @settings(max_examples=150, deadline=None)
 def test_normalized_rows_sum_to_one(problem):
     out = normalize_preferences(problem)
-    np.testing.assert_allclose(out.matrix.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
 
 @given(problems())
@@ -159,9 +157,9 @@ def test_normalized_rows_sum_to_one(problem):
 def test_normalized_entries_bounded_below(problem):
     out = normalize_preferences(problem)
     floor = (1.0 - problem.beta) / problem.n
-    assert np.all(out.matrix >= floor - 1e-15)
+    assert np.all(out >= floor - 1e-15)
     if problem.beta < 1.0:
-        assert np.all(out.matrix > 0.0)
+        assert np.all(out > 0.0)
 
 
 @given(problems())
@@ -171,9 +169,9 @@ def test_normalize_idempotent_when_undamped(problem):
         RankingProblem(problem.agent_ids, problem.alpha, problem.rho, beta=1.0)
     )
     twice = normalize_preferences(
-        RankingProblem(problem.agent_ids, once.matrix, problem.rho, beta=1.0)
+        RankingProblem(problem.agent_ids, once, problem.rho, beta=1.0)
     )
-    np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-15, rtol=0)
+    np.testing.assert_allclose(twice, once, atol=1e-15, rtol=0)
 
 
 @given(problems(), st.integers(min_value=0, max_value=5), st.floats(min_value=1e-3, max_value=1e3))
@@ -188,8 +186,8 @@ def test_row_scaling_is_invisible(problem, row, lam):
     tiny = np.finfo(float).tiny
     assume(problem.alpha[row].max() == 0.0 or min(problem.alpha[row].max(), scaled_alpha[row].max()) >= tiny)
     scaled = RankingProblem(problem.agent_ids, scaled_alpha, problem.rho, beta=problem.beta)
-    a = normalize_preferences(problem).matrix
-    b = normalize_preferences(scaled).matrix
+    a = normalize_preferences(problem)
+    b = normalize_preferences(scaled)
     np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
 
 
@@ -218,9 +216,8 @@ class TestIsRegular:
 
     def test_tolerance_parameter(self):
         alpha = np.array([[0.5, 0.5], [0.5 + 1e-12, 0.5 - 1e-12]])
-        out = TransitionMatrix(alpha)
-        assert is_regular(out)
-        assert not is_regular(out, tol=1e-14)
+        assert is_regular(alpha)
+        assert not is_regular(alpha, tol=1e-14)
 
 
 _MESSAGE_CASES = {
@@ -230,16 +227,10 @@ _MESSAGE_CASES = {
     "problem rho cap": (lambda: RankingProblem(ids(2), np.ones((2, 2)), 0.97), "rho[0] = 0.97 outside [-1, 0.95]"),
     "rho band": (lambda: RankingProblem(ids(1), np.ones((1, 1)), 1e-12), "rho[0] = 1e-12 is inside"),
     "alpha": (lambda: RankingProblem(ids(2), -np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
-    # alpha_hat, the damped preference matrix, is a TransitionMatrix
-    "alpha_hat rows": (lambda: TransitionMatrix(np.ones((2, 2))), "sums to 2.0"),
     "economy alpha": (lambda: CesEconomy(-np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
     "price array": (lambda: demand_matrix(CesEconomy(np.ones((2, 2)), 0.0), np.array([0.0, 1.0])), "is 0.0;"),
     "price vector entry": (lambda: PriceVector(np.array([1.0, -1.0])), "is -1.0;"),
     "price vector sum": (lambda: PriceVector(np.array([0.75, 0.75])), "sum to 1.5"),
-    "transition entry": (lambda: TransitionMatrix(np.array([[1.5, -0.5], [0.5, 0.5]])), "= -0.5"),
-    "transition row": (lambda: TransitionMatrix(np.array([[0.5, 0.5], [0.75, 0.5]])), "sums to 1.25"),
-    "distribution entry": (lambda: Distribution(np.array([1.5, -0.5])), "= -0.5"),
-    "distribution sum": (lambda: Distribution(np.array([0.5, 0.25])), "sum to 0.75"),
     "closed form rho": (lambda: solve_cobb_douglas(CesEconomy(np.ones((2, 2)), 0.5)), "rho = 0.5;"),
 }
 

@@ -16,12 +16,10 @@ from cesrank import (
     PriceVector,
     RankingProblem,
     SolverConfig,
-    TransitionMatrix,
     build_economy,
     damped_economy,
     demand_matrix,
     load_fixture,
-    markov_to_economy,
     multistart_probe,
     problem_from_edge_list,
     rank_problem,
@@ -35,7 +33,14 @@ from cesrank import (
     weight_matrix,
 )
 
-from oracles import dense_tatonnement, fixed_point_equilibrium, out_regular_edges, with_dangling_vertices
+from oracles import (
+    SKEWED_GRAPHS,
+    dense_tatonnement,
+    fixed_point_equilibrium,
+    out_regular_edges,
+    skewed_graph,
+    with_dangling_vertices,
+)
 
 # Equilibrium of the bundled nonuniform3 fixture, frozen from an independent
 # fixed-point iteration (see oracles.fixed_point_equilibrium).
@@ -85,9 +90,7 @@ class TestSolveCobbDouglas:
 
     def test_plain_chain_equilibrium(self):
         # stationary distribution (0.4, 0.2, 0.4)
-        e = markov_to_economy(
-            TransitionMatrix(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-        )
+        e = CesEconomy(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), 0.0)
         prices, _ = solve_cobb_douglas(e)
         np.testing.assert_allclose(prices.pi, [0.4, 0.2, 0.4], atol=1e-12, rtol=0)
 
@@ -101,6 +104,34 @@ class TestSolveCobbDouglas:
         e = CesEconomy(alpha, 0.0)
         with pytest.raises(ValueError, match="strongly connected"):
             solve_cobb_douglas(e)
+
+    def test_certified_solve_is_verified_once(self, monkeypatch):
+        calls = []
+        original = cesrank.solver.verify_equilibrium
+
+        def counted(economy, prices, tolerance=1e-10):
+            calls.append(tolerance)
+            return original(economy, prices, tolerance)
+
+        monkeypatch.setattr(cesrank.solver, "verify_equilibrium", counted)
+        _, report = solve_cobb_douglas(CesEconomy(np.array([[0.1, 0.9], [0.5, 0.5]]), 0.0))
+        assert (report.method, report.iterations, calls) == ("closed_form", 1, [1e-10])
+
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-12])
+    @pytest.mark.parametrize("name", sorted(SKEWED_GRAPHS))
+    def test_uncertified_solve_is_finished_by_tatonnement(self, name, tolerance):
+        # the solve alone leaves excess demand near 1e-7 on "three" and a
+        # negative price on "five"; tatonnement from it certifies both
+        economy = damped_economy(*skewed_graph(name), 0.0, 1.0)
+        prices, report = solve_cobb_douglas(economy, tolerance)
+        assert report.method == "closed_form" and report.iterations > 1
+        assert report.converged and report.residual <= tolerance
+        assert verify_equilibrium(economy, prices, tolerance).residual == report.residual
+        assert prices.pi.min() > 0.0
+        if name == "three":
+            assert abs(prices.pi[2] / 4.99999999993e-12 - 1.0) <= 1e-9
+        else:
+            assert abs(prices.pi[4] / 4.975368960e-20 - 1.0) <= 1e-8
 
     def test_residual_certified_through_demand(self):
         rng = np.random.default_rng(3)
