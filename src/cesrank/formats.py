@@ -11,9 +11,10 @@ location (a line number for edge lists, a field path for JSON documents).
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import re
+import warnings
 from itertools import repeat
 from pathlib import Path
 
@@ -100,8 +101,10 @@ def _parse_triplet_alpha(spec, n: int) -> np.ndarray:
 
 def load_problem(source) -> RankingProblem:
     """Parse a JSON problem document from a path or an open text stream."""
-    text = _read_text(source)
+    return _parse_problem(_read_text(source))
 
+
+def _parse_problem(text: str) -> RankingProblem:
     def _reject_constant(token):
         raise DocumentError(f"non-finite number {token} is not allowed")
 
@@ -198,56 +201,42 @@ def _convert_prefix(convert, tokens) -> tuple[list, int | None]:
     return values, None
 
 
-def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
-    """Parse an edge-list document into a graph and its edge weights.
+# the line breaks of ``str.splitlines``, with "\r\n" tried first so that it is one break
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
-    Expected layout, with '#' lines and blank lines ignored::
 
-        format: 1
-        n 3
-        0 1
-        1 2 2.5
-        2 0
+def _edge_list_head(text: str) -> tuple[int, int, int]:
+    """The vertex count of an edge list, the offset of the text after its size line, and the lines up to there.
 
-    Indices are 0-based and a missing weight means 1.0. The graph holds an
-    edge wherever the weight is strictly positive, and the weight vector is
-    aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
-    of both. Nothing of size n x n is built: ``weight_matrix`` does that for
-    the callers that need it.
-
-    A malformed document is reported at its first offending line in file
-    order. Each check runs over all edge lines at once, and on one line the
-    checks rank as: token count, index syntax, index range, duplicate edge,
-    weight syntax, weight value.
+    Lines are read one at a time, with the breaks of ``str.splitlines``, only
+    until the ``format`` header and the ``n <count>`` line are found, so a
+    long body costs nothing here. '#' lines and blank lines are skipped.
     """
-    text = _read_text(source)
-    lines = text.splitlines()
-    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    # a comment is a line that starts with '#' once stripped
-    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
-    content = (counts > 0) & ~comment
-    at = np.flatnonzero(content).tolist()
-    # only the two header lines are kept as text: the edge lines live on as
-    # tokens, and one that is quoted in an error is cut from the text again
-    head = [lines[k].strip() for k in at[:2]]
-    del lines
-    # every line break is whitespace to str.split, so the tokens of line k
-    # are flat[starts[k] : starts[k] + counts[k]]
-    flat = text.split()
-    starts = np.cumsum(counts) - counts
-    if not at:
+    head: list[tuple[int, str]] = []
+    pos = read = 0
+    while len(head) < 2:
+        brk = _LINE_BREAK.search(text, pos)
+        line = text[pos : brk.start() if brk else len(text)].strip()
+        read += 1
+        if line and not line.startswith("#"):
+            head.append((read, line))
+        if brk is None:
+            pos = len(text)
+            break
+        pos = brk.end()
+    if not head:
         raise DocumentError("empty document, expected a 'format: 1' header")
 
-    lineno, header = at[0] + 1, head[0]
+    lineno, header = head[0]
     parts = [p.strip() for p in header.split(":", 1)]
     if len(parts) != 2 or parts[0] != "format":
         raise DocumentError(f"expected 'format: {FORMAT_VERSION}' header, got {header!r}", f"line {lineno}")
     if parts[1] != str(FORMAT_VERSION):
         raise DocumentError(f"unsupported format version {parts[1]!r}, expected {FORMAT_VERSION}", f"line {lineno}")
 
-    if len(at) < 2:
+    if len(head) < 2:
         raise DocumentError("missing 'n <count>' line after the header")
-    lineno, size_line = at[1] + 1, head[1]
+    lineno, size_line = head[1]
     tokens = size_line.split()
     if len(tokens) != 2 or tokens[0] != "n":
         raise DocumentError(f"expected 'n <count>', got {size_line!r}", f"line {lineno}")
@@ -259,10 +248,113 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
         raise DocumentError(f"vertex count must be >= 1, got {n}", f"line {lineno}")
     if n > np.iinfo(np.int64).max:
         raise DocumentError(f"vertex count {n} does not fit a 64-bit index", f"line {lineno}")
+    return n, pos, read
 
-    # edge line k is line at[k] of the text; its tokens start at flat[starts[k]]
-    at = at[2:]
-    counts, starts = counts[at], starts[at]
+
+def _edge_bytes(text: str, start: int, n: int) -> tuple[DirectedGraph, np.ndarray] | None:
+    """The edges of ``text[start:]`` read from its bytes, or None when the line parser must read them.
+
+    This path takes a body of ASCII digits, spaces, tabs, '\n' and '.eE+-'
+    with 0, 2 or 3 tokens on each line and digits only in the indices, and
+    every check runs over all bytes or tokens at once. Whatever it cannot
+    prove valid, from a '#' or a '\r' to a duplicate edge, it leaves to
+    ``_edge_lines``, the one source of error messages; on what it accepts the
+    two give the same arrays.
+    """
+    if not text.isascii():
+        return None
+    body = text[start:].encode("ascii")
+    raw = np.frombuffer(body, np.uint8)
+    line_break = raw == ord("\n")
+    blank = line_break | (raw == ord(" ")) | (raw == ord("\t"))
+    # uint8 wraps below '0', so only the ten digits land under 10
+    odd = np.flatnonzero(~blank & ((raw - ord("0")) >= 10))
+    floating = odd.size > 0
+    if floating:
+        odd_bytes, allowed = raw[odd], np.zeros(odd.size, dtype=bool)
+        for byte in b".eE+-":
+            allowed |= odd_bytes == byte
+        if not allowed.all():
+            return None
+    first = ~blank
+    first[1:] &= blank[:-1]
+    starts = np.flatnonzero(first)
+    del first
+    # tokens before each line break, so line k holds tokens bounds[k] .. bounds[k + 1]
+    bounds = np.concatenate(([0], np.searchsorted(starts, np.flatnonzero(line_break)), [starts.size]))
+    del line_break
+    counts = np.diff(bounds)
+    if ((counts == 1) | (counts > 3)).any():
+        return None
+    lines = counts > 0
+    head, counts = bounds[:-1][lines], counts[lines]
+    del bounds, lines
+    weight_at = head[counts == 3] + 2
+    if floating:
+        # every '.eE+-' byte must sit in a weight token
+        is_weight = np.zeros(starts.size, dtype=bool)
+        is_weight[weight_at] = True
+        if not is_weight[np.searchsorted(starts, odd, side="right") - 1].all():
+            return None
+        del is_weight
+    tokens = starts.size
+    del blank, raw, starts
+    # numpy 1.x warns on data it cannot parse, where numpy 2 raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(body, dtype=float if floating else np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    del body
+    if values.size != tokens:
+        return None
+    # an integer past the int64 range parses as its largest value, so every
+    # value from 10**18 up is left to the line parser
+    if not floating and values.max(initial=0) >= 10**18:
+        return None
+    src, dst = values[head], values[head + 1]
+    # a float index is exact below 2**53
+    limit = min(n, 2**53) if floating else n
+    if src.size and max(src.max(), dst.max()) >= limit:
+        return None
+    weights = np.ones(head.size)
+    weights[counts == 3] = values[weight_at]
+    del values
+    if floating:
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            return None
+    # strictly increasing (src, dst) pairs are sorted and free of duplicates
+    if not ((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))).all():
+        order = np.lexsort((dst, src))
+        src, dst, weights = src[order], dst[order], weights[order]
+        if ((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])).any():
+            return None
+    keep = weights > 0
+    return DirectedGraph(n, src[keep], dst[keep]), weights[keep]
+
+
+def _edge_lines(body: str, n: int, lines_before: int) -> tuple[DirectedGraph, np.ndarray]:
+    """The edges of ``body``, the text after an edge list's size line, which holds line ``lines_before`` of the document.
+
+    A malformed body is reported at its first offending line in file order.
+    Each check runs over all edge lines at once, and on one line the checks
+    rank as: token count, index syntax, index range, duplicate edge, weight
+    syntax, weight value.
+    """
+    lines = body.splitlines()
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    # a comment is a line that starts with '#' once stripped
+    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
+    del lines
+    # edge line k is line lines_before + at[k] + 1 of the document
+    at = np.flatnonzero((counts > 0) & ~comment)
+    # every line break is whitespace to str.split, so the tokens of edge line
+    # k are flat[starts[k] : starts[k] + counts[k]]; the edge lines live on as
+    # tokens, and one that is quoted in an error is cut from the text again
+    flat = body.split()
+    counts, starts = counts[at], (np.cumsum(counts) - counts)[at]
     # ``stop`` is the first offending edge line found so far and ``error`` its
     # message. Each check looks only at the lines before ``stop``, so it can
     # only move it earlier, and on one line the check made first wins.
@@ -271,7 +363,7 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     bad = (counts < 2) | (counts > 3)
     if bad.any():
         stop = int(np.argmax(bad))
-        error = f"expected 'i j [weight]', got {text.splitlines()[at[stop]].strip()!r}"
+        error = f"expected 'i j [weight]', got {body.splitlines()[at[stop]].strip()!r}"
 
     # indices as Python ints, i and j of each line in turn; ranges are checked
     # before the cast to int64, so a huge index is reported, not overflowed
@@ -283,7 +375,7 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     del flat
     if bad_at is not None:
         stop = bad_at // 2
-        error = f"malformed vertex index in {text.splitlines()[at[stop]].strip()!r}"
+        error = f"malformed vertex index in {body.splitlines()[at[stop]].strip()!r}"
     del ij[2 * stop :]
     if ij and not (min(ij) >= 0 and max(ij) < n):
         t = int(np.argmin(np.fromiter(map(range(n).__contains__, ij), bool, len(ij))))
@@ -302,7 +394,7 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
         later, earlier = order[1:][repeats], order[:-1][repeats]
         r = int(np.argmin(later))
         stop = int(later[r])
-        error = f"duplicate edge ({pairs[stop, 0]}, {pairs[stop, 1]}), first seen on line {at[earlier[r]] + 1}"
+        error = f"duplicate edge ({pairs[stop, 0]}, {pairs[stop, 1]}), first seen on line {lines_before + at[earlier[r]] + 1}"
 
     # only the weights of the lines before ``stop`` are read
     before = int(np.searchsorted(weight_at, stop))
@@ -317,7 +409,7 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
         stop, error = int(weight_at[k]), f"weight must be finite and >= 0, got {raw_weights[k]}"
 
     if error is not None:
-        raise DocumentError(error, f"line {at[stop] + 1}")
+        raise DocumentError(error, f"line {lines_before + at[stop] + 1}")
 
     weights = np.ones(len(at))
     weights[weight_at] = values
@@ -325,6 +417,36 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     # sorted by (src, dst) here, so the graph keeps the arrays as they are
     keep = weights > 0
     return DirectedGraph(n, src[keep], dst[keep]), weights[keep]
+
+
+def _parse_edge_list(text: str) -> tuple[DirectedGraph, np.ndarray]:
+    n, start, lines_before = _edge_list_head(text)
+    edges = _edge_bytes(text, start, n)
+    return edges if edges is not None else _edge_lines(text[start:], n, lines_before)
+
+
+def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
+    """Parse an edge-list document, from a path or an open text stream, into a graph and its edge weights.
+
+    Expected layout, with '#' lines and blank lines ignored::
+
+        format: 1
+        n 3
+        0 1
+        1 2 2.5
+        2 0
+
+    Indices are 0-based and a missing weight means 1.0. The graph holds an
+    edge wherever the weight is strictly positive, and the weight vector is
+    aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
+    of both. Nothing of size n x n is built: ``weight_matrix`` does that for
+    the callers that need it.
+
+    A malformed document is reported at its first offending line in file
+    order. A well-formed body of ASCII digits is read from its bytes in a few
+    array passes; any other body goes line by line, to the same arrays.
+    """
+    return _parse_edge_list(_read_text(source))
 
 
 def weight_matrix(graph: DirectedGraph, weights: np.ndarray) -> np.ndarray:
@@ -354,5 +476,5 @@ def sniff_and_load(source) -> tuple[RankingProblem | None, tuple[DirectedGraph, 
     """
     text = _read_text(source)
     if text.lstrip().startswith("{"):
-        return load_problem(io.StringIO(text)), None
-    return None, load_edge_list(io.StringIO(text))
+        return _parse_problem(text), None
+    return None, _parse_edge_list(text)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cesrank import formats
 from cesrank.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,3 +48,22 @@ CASES = [
 def test_cli_stdout_is_golden(name, argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def uncommented_dangling(tmp_path_factory):
+    """``dangling.edges`` without its '#' line, which the bytes path reads; the file itself goes line by line."""
+    text = "".join(line for line in (GOLDEN / "dangling.edges").read_text().splitlines(keepends=True) if not line.startswith("#"))
+    n, start, _ = formats._edge_list_head(text)
+    assert formats._edge_bytes(text, start, n) is not None
+    path = tmp_path_factory.mktemp("golden") / "dangling.edges"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_bytes_path_output_is_golden(uncommented_dangling, method, fmt, capsys):
+    code = 2 if ("dangling", method) in FAILING else 0
+    assert main(["rank", "--input", uncommented_dangling, "--format", fmt, *METHODS[method]]) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-dangling-{method}-{fmt}.out").read_bytes()

@@ -1,5 +1,7 @@
 import io
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from cesrank import (
     sniff_and_load,
     weight_matrix,
 )
+from cesrank import formats
 
-from oracles import reference_load_edge_list
+from oracles import out_regular_edges, reference_load_edge_list
 
 MINIMAL = {
     "format": 1,
@@ -291,7 +294,7 @@ def edge_list_texts(draw):
     n = draw(st.integers(1, 9))
     malformed = draw(st.booleans())
     index = st.integers(0, n - 1).map(str) | st.sampled_from(["+1", "0_2", "\u0663", "00"])
-    weight = st.sampled_from(["", "", "1", "2.5", "0", "0.0", "-0", "1_0.5", "5e-324", "1e308"])
+    weight = st.sampled_from(["", "", "1", "2.5", "0", "0.0", "-0", "1_0.5", "5e-324", "1e308", "123456789012345678901"])
     separator = st.sampled_from([" ", " ", "\t", "\x1f", "\u3000"])
     line_break = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x85", "\x1c", "\x0b", "\u2028"])
     junk = st.sampled_from(["", "   ", "# note", "  #\u00e9 \u2603 comment"])
@@ -307,13 +310,16 @@ def edge_list_texts(draw):
     return draw(line_break).join(header + body) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
+def bits(graph, weights):
+    return graph.n, graph.src.dtype, graph.src.tolist(), graph.dst.tolist(), weights.dtype, weights.tobytes()
+
+
 def parsed(load, text):
     """``load`` on ``text``: the graph and weights bit for bit, or the DocumentError message."""
     try:
-        graph, weights = load(io.StringIO(text))
+        return bits(*load(io.StringIO(text)))
     except DocumentError as e:
         return "error", str(e)
-    return graph.n, graph.src.dtype, graph.src.tolist(), graph.dst.tolist(), weights.dtype, weights.tobytes()
 
 
 @settings(max_examples=500, deadline=None)
@@ -328,8 +334,126 @@ def parsed(load, text):
 @example(text="format: 1\nn 2\n0 1 0\n1 0\n0 1\n")
 @example(text="format: 1\nn 2\n0 1\n0 1 heavy\n")
 @example(text="format: 1\nn 2\n0 5\n0 1 2 3\n")
+@example(text="format: 1\nn 2\n0 1 99999999999999999999\n")
+@example(text="format: 1\nn 2\n0 1 9223372036854775808\n")
+@example(text="format: 1\nn 2\n0 1 1-2\n")
+@example(text="format: 1\nn 2\n0 1 1.5.5\n")
+@example(text="format: 1\nn 2\n0 1 5e\n")
+@example(text="format: 1\nn 2\n1.0 0\n")
+@example(text="format: 1\nn 2\n1e0 0\n")
+@example(text="format: 1\nn 2\n0 +1\n")
+@example(text="format: 1\nn 2\n0 1 .5\n")
+@example(text="format: 1\nn 2\n0 1 5.\n")
+@example(text="format: 1\nn 2\n0 1 +1.5\n")
+@example(text="format: 1\nn 2\n0 1 1E5\n")
+@example(text="format: 1\nn 2\n1 0\n0 1 -0\n")
+@example(text="format: 1\nn 3\n0 1\n1 2 2.5")
+@example(text="format: 1\nn 3\n0 1 \t\n1 2 2.5\t \n")
+@example(text="format: 1\nn 3\n2 0\n0 1\n1 2\n0 1 3\n")
 def test_bulk_parser_matches_the_line_loop(text):
     assert parsed(load_edge_list, text) == parsed(reference_load_edge_list, text)
+
+
+def bytes_path(text):
+    """The edges that ``load_edge_list`` reads from the bytes of ``text``, or None where it falls back to the lines."""
+    n, start, _ = formats._edge_list_head(text)
+    return formats._edge_bytes(text, start, n)
+
+
+# documents that the bytes path must leave to the line parser: a token past
+# int64, a token ``np.fromstring`` cannot read whole, an index that is not all
+# digits, a duplicate, a bad weight, index or token count, and bytes it does
+# not take
+BYTES_PATH_REJECTS = [
+    "format: 1\nn 2\n0 1 99999999999999999999\n",
+    "format: 1\nn 2\n0 1 9223372036854775808\n",
+    "format: 1\nn 2\n0 1 1-2\n",
+    "format: 1\nn 2\n0 1 1.5.5\n",
+    "format: 1\nn 2\n0 1 5e\n",
+    "format: 1\nn 2\n1.0 0\n",
+    "format: 1\nn 2\n1e0 0\n",
+    "format: 1\nn 2\n0 +1\n",
+    "format: 1\nn 3\n2 0\n0 1\n1 2\n0 1 3\n",
+    "format: 1\nn 2\n0 1 -1\n",
+    "format: 1\nn 2\n0 1 1e400\n",
+    "format: 1\nn 2\n0 2\n",
+    "format: 1\nn 2\n0\n",
+    "format: 1\nn 2\n0 1\r\n",
+    "format: 1\nn 2\n# a note\n0 1\n",
+]
+# documents that it reads itself, to the line parser's arrays: every float
+# spelling, blank space, no final line break, and an empty body
+BYTES_PATH_ACCEPTS = [
+    "format: 1\nn 2\n0 1 .5\n",
+    "format: 1\nn 2\n0 1 5.\n",
+    "format: 1\nn 2\n0 1 +1.5\n",
+    "format: 1\nn 2\n0 1 1E5\n",
+    "format: 1\nn 2\n1 0\n0 1 -0\n",
+    "format: 1\nn 3\n0 1\n1 2 2.5",
+    "format: 1\nn 3\n0 1 \t\n\n1 2 2.5\t \n",
+    "format: 1\nn 2\n0 1 999999999999999999\n",
+    "format: 1\nn 2\n",
+]
+
+
+class TestBytesPath:
+    def test_reads_a_sorted_unweighted_document(self):
+        edges = out_regular_edges(np.random.default_rng(3), 3000)
+        text = "format: 1\nn 3000\n" + "\n".join(f"{i} {j}" for i, j in edges) + "\n"
+        fast = bytes_path(text)
+        assert fast is not None
+        assert bits(*fast) == parsed(reference_load_edge_list, text)
+
+    def test_reads_a_shuffled_weighted_document(self):
+        rng = np.random.default_rng(4)
+        edges = out_regular_edges(rng, 2000, out_degree=10)
+        spellings = [
+            lambda w: "",
+            lambda w: f" {w!r}",
+            lambda w: f" {int(w * 1e3)}",
+            lambda w: f"\t{w:.3e}",
+            lambda w: f" {w:.6E}",
+            lambda w: f" {w:.2f}".replace(" 0.", " ."),
+            lambda w: " 0",
+        ]
+        weights = rng.lognormal(0.0, 3.0, len(edges))
+        choice = rng.integers(len(spellings), size=len(edges))
+        lines = [f"{i} {j}{spellings[c](w)}" for (i, j), w, c in zip(edges, weights.tolist(), choice.tolist())]
+        text = "format: 1\nn 2000\n" + "\n".join(rng.permutation(lines).tolist()) + "\n"
+        fast = bytes_path(text)
+        assert fast is not None
+        assert bits(*fast) == parsed(reference_load_edge_list, text)
+
+    @pytest.mark.parametrize("text", BYTES_PATH_REJECTS)
+    def test_leaves_the_traps_to_the_line_parser(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bytes_path(text) is None
+
+    @pytest.mark.parametrize("text", BYTES_PATH_ACCEPTS)
+    def test_reads_what_it_takes_as_the_line_parser_does(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = bytes_path(text)
+        assert fast is not None
+        assert bits(*fast) == parsed(reference_load_edge_list, text)
+
+    def test_memory_is_linear_in_the_lines(self, tmp_path):
+        # 2e5 lines of about 12 bytes; the line parser peaked at 345 bytes a
+        # line, holding every token as a str, and the bytes path at 97
+        n, out_degree = 20_000, 10
+        src = np.repeat(np.arange(n), out_degree)
+        dst = (src + 1 + 37 * np.tile(np.arange(out_degree), n)) % n
+        path = tmp_path / "g.edges"
+        path.write_text(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in zip(src.tolist(), dst.tolist())), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            graph, _ = load_edge_list(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.src.size == src.size
+        assert peak < 140 * src.size
 
 
 class TestProblemFromEdgeList:
