@@ -35,9 +35,7 @@ from .formats import (
     dump_problem,
     load_edge_list,
     load_problem,
-    problem_from_edge_list,
     sniff_and_load,
-    weight_matrix,
 )
 from .markov import (
     DirectedGraph,
@@ -90,7 +88,6 @@ __all__ = [
     "load_problem",
     "multistart_probe",
     "normalize_preferences",
-    "problem_from_edge_list",
     "rank_problem",
     "solve_cobb_douglas",
     "solve_equilibrium",
@@ -98,6 +95,5 @@ __all__ = [
     "solve_tatonnement",
     "support_graph",
     "verify_equilibrium",
-    "weight_matrix",
     "web_economy",
 ]

@@ -8,12 +8,13 @@ do not hold; failing verdicts always carry a concrete witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .economy import CesEconomy, as_price_array, build_economy, excess_demand, normalize_preferences
+from .economy import CesEconomy, as_price_array, damped_economy, excess_demand, normalize_preferences
+from .markov import DirectedGraph
 from .problem import RankingProblem, is_regular
 from .solver import rank_problem, solve_equilibrium
 
@@ -61,7 +62,7 @@ def _not_applicable(axiom: str, reason: str, **extra) -> AxiomVerdict:
 def check_minimal_fairness(n: int, rho_common: float, beta: float = 1.0) -> AxiomVerdict:
     """Agents that express no preferences at all must rank uniformly.
 
-    Builds the n-agent problem whose preference matrix is identically zero
+    Builds the n-agent problem whose preference graph has no edge
     (normalization turns every row uniform, and damping keeps it uniform),
     runs the full pipeline, and passes iff the ranking is 1/n everywhere
     within 1e-9.
@@ -69,7 +70,7 @@ def check_minimal_fairness(n: int, rho_common: float, beta: float = 1.0) -> Axio
     if n < 2:
         raise ValueError(f"need at least 2 agents, got {n}")
     ids = tuple(f"agent{k}" for k in range(n))
-    problem = RankingProblem(ids, np.zeros((n, n)), rho_common, beta=beta)
+    problem = RankingProblem.from_edges(ids, DirectedGraph(n, [], []), [], rho_common, beta=beta)
     prices, report = rank_problem(problem)
     deviation = float(np.abs(prices.pi - 1.0 / n).max())
     witness = {
@@ -157,9 +158,9 @@ def check_invariance(problem: RankingProblem, i: int, lam: float) -> AxiomVerdic
         raise ValueError(f"agent index {i} out of range for n={problem.n}")
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError(f"scale factor must be positive and finite, got {lam!r}")
-    scaled_alpha = np.array(problem.alpha)
-    scaled_alpha[i] *= lam
-    scaled = RankingProblem(problem.agent_ids, scaled_alpha, problem.rho, beta=problem.beta)
+    weights = np.array(problem.weights)
+    weights[problem.graph.src == i] *= lam
+    scaled = RankingProblem.from_edges(problem.agent_ids, problem.graph, weights, problem.rho, beta=problem.beta)
     base_prices, base_report = rank_problem(problem)
     scaled_prices, scaled_report = rank_problem(scaled)
     difference = float(np.abs(base_prices.pi - scaled_prices.pi).max())
@@ -190,7 +191,7 @@ def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> Ax
     is not a defect, it is the interesting outcome: a regular problem whose
     equilibrium is demonstrably non-uniform.
     """
-    economy = build_economy(replace(problem, beta=1.0))
+    economy = damped_economy(problem.graph, problem.weights, problem.rho, 1.0)
     normalized = economy.alpha
     if not is_regular(normalized):
         return _not_applicable(

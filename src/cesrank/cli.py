@@ -34,9 +34,10 @@ from .axioms import (
     gs_spot_check,
 )
 from .diagnostics import ConvergenceError
-from .economy import build_economy, damped_economy, problem_edges, web_economy
+from .economy import build_economy, damped_economy, web_economy
 from .fixtures import load_fixture
-from .formats import DocumentError, dump_problem, json_document, problem_from_edge_list, sniff_and_load, weight_matrix
+from .formats import DocumentError, _dense_document, json_document, sniff_and_load
+from .problem import RankingProblem
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
 
 logger = logging.getLogger(__name__)
@@ -98,19 +99,19 @@ def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
         return
     entries = list(map(_JSON_ENTRY, ranks, map(encode_basestring_ascii, ranked_ids), map(float.__repr__, ranked_scores)))
     head = {"format": 1, "method": method}
-    tail = {"ties": _tie_groups(ids, scores, order), "report": report.to_dict(include_wall_time=False)}
-    sys.stdout.write(json_document(head, "ranking", entries, tail) + "\n")
+    tail = {"ties": _tie_groups(ids, scores, order), "report": report.to_dict()}
+    sys.stdout.write(json_document(head, "ranking", entries, tail))
 
 
 def _load_input(path):
-    """``(ids, graph, weights, rho, beta)`` of a document (support graph and alpha entries) or an edge list.
+    """``(ids, graph, weights, rho, beta)`` of a problem document or an edge list.
 
     An edge list has rho 0, beta 0.85 and no ids: its agents are named ``v0 .. v{n-1}`` after the solve.
     """
     problem, loaded_graph = sniff_and_load(path)
     if problem is None:
         return None, *loaded_graph, 0.0, 0.85
-    return problem.agent_ids, *problem_edges(problem), problem.rho, problem.beta
+    return problem.agent_ids, problem.graph, problem.weights, problem.rho, problem.beta
 
 
 def _names(ids, n: int) -> tuple[str, ...]:
@@ -176,7 +177,7 @@ def _cmd_verify(args) -> int:
     if args.input is not None:
         custom, loaded_graph = sniff_and_load(args.input)
         if custom is None:
-            custom = problem_from_edge_list(weight_matrix(*loaded_graph), rho=0.0, beta=1.0)
+            custom = RankingProblem.from_edges(_names(None, loaded_graph[0].n), *loaded_graph, 0.0, beta=1.0)
     bundled = custom is None
 
     axioms = ("fairness", "monotone", "invariance", "uniformity", "gs") if args.axiom == "all" else (args.axiom,)
@@ -240,8 +241,8 @@ def _cmd_compare(args) -> int:
         "bound": 1e-8,
         "passed": passed,
         "reports": {
-            "stationary": power_report.to_dict(include_wall_time=False),
-            "equilibrium": market_report.to_dict(include_wall_time=False),
+            "stationary": power_report.to_dict(),
+            "equilibrium": market_report.to_dict(),
         },
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -250,9 +251,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_convert(args) -> int:
     _, graph, *_ = _load_input(args.input)
-    # beta=1: the damping is already baked into the chain's economy
-    document = problem_from_edge_list(web_economy(graph, c=args.damping).alpha, rho=0.0, beta=1.0)
-    text = dump_problem(document)
+    # beta=1: the damping is already baked into the chain's economy, whose dense rows are written as they are
+    text = _dense_document(_names(None, graph.n), web_economy(graph, c=args.damping).alpha, np.zeros(graph.n), 1.0)
     if args.output is None:
         sys.stdout.write(text)
     else:

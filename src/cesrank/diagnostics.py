@@ -58,17 +58,15 @@ class SolverReport:
                 f"> tolerance {self.tolerance:g}"
             )
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """The report's fields without ``wall_time``, so that output of the same input is the same bytes."""
+        return {
             "method": self.method,
             "iterations": self.iterations,
             "residual": self.residual,
             "converged": self.converged,
             "tolerance": self.tolerance,
         }
-        if include_wall_time:
-            d["wall_time"] = self.wall_time
-        return d
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .markov import DirectedGraph, support_graph
-from .problem import RankingProblem, _rho_array, _validate_alpha, _validate_beta
+from .markov import DirectedGraph
+from .problem import RankingProblem, _edge_weights, _rho_array, _validate_alpha, _validate_beta
 
 
 def _owned_frozen_floats(a) -> np.ndarray:
@@ -313,13 +313,7 @@ def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) 
     n, src, dst = graph.n, graph.src, graph.dst
     rho = _rho_array(rho, n)
     beta = _validate_beta(beta)
-    w = np.array(weights, dtype=float)
-    if w.shape != src.shape:
-        raise ValueError(f"weights must be one per edge: {src.size} edges, got shape {w.shape}")
-    bad = ~np.isfinite(w) | (w <= 0.0)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ValueError(f"edge ({src[k]}, {dst[k]}) has weight {float(w[k])!r}; weights must be positive and finite")
+    w = _edge_weights(graph, weights)
     sums = np.bincount(src, w, minlength=n)
     huge = ~np.isfinite(sums)
     if np.any(huge):
@@ -359,22 +353,14 @@ def web_economy(graph: DirectedGraph, c: float = 0.85) -> CesEconomy:
     return damped_economy(graph, np.ones(graph.src.size), 0.0, c)
 
 
-def problem_edges(problem: RankingProblem) -> tuple[DirectedGraph, np.ndarray]:
-    """A problem's positive alpha entries as its support graph and the weights on its edges."""
-    graph = support_graph(problem.alpha)
-    return graph, problem.alpha[graph.src, graph.dst]
-
-
 def build_economy(problem: RankingProblem) -> CesEconomy:
-    """Economy of a ranking problem: trader i owns good i and has rho[i].
+    """Economy of a ranking problem: trader i owns good i, has rho[i] and values row i of `damped_economy`.
 
-    Trader i values the goods by row i of the damped preference matrix,
-    built by `damped_economy` from the problem's `problem_edges`. A strictly
-    positive equilibrium needs the economy graph (edge i -> j iff
+    A strictly positive equilibrium needs the economy graph (edge i -> j iff
     ``alpha_hat[i][j] > 0``) to be strongly connected. Damping with
     ``beta < 1`` guarantees this; the solvers check it once, on entry.
     """
-    return damped_economy(*problem_edges(problem), problem.rho, problem.beta)
+    return damped_economy(problem.graph, problem.weights, problem.rho, problem.beta)
 
 
 def normalize_preferences(problem: RankingProblem) -> np.ndarray:

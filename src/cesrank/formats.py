@@ -80,23 +80,26 @@ def _parse_dense_alpha(rows, n: int) -> np.ndarray:
     return alpha
 
 
-def _parse_triplet_alpha(spec, n: int) -> np.ndarray:
+def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
+    """The graph and weights of a triplet ``alpha``; a zero weight is no edge, as in an edge list."""
     triplets = spec.get("triplets")
     if not isinstance(triplets, list):
         raise DocumentError("sparse alpha must be an object with a 'triplets' list", "alpha")
-    alpha = np.zeros((n, n))
-    seen: set[tuple[int, int]] = set()
+    entries: dict[tuple[int, int], float] = {}
     for k, entry in enumerate(triplets):
         where = f"alpha.triplets[{k}]"
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DocumentError(f"expected [i, j, weight], got {entry!r}", where)
         i = _require_index(entry[0], where, n)
         j = _require_index(entry[1], where, n)
-        if (i, j) in seen:
+        if (i, j) in entries:
             raise DocumentError(f"duplicate entry for ({i}, {j})", where)
-        seen.add((i, j))
-        alpha[i, j] = _require_number(entry[2], where, minimum=0.0)
-    return alpha
+        entries[i, j] = _require_number(entry[2], where, minimum=0.0)
+    pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    weights = np.fromiter(entries.values(), float, len(entries))
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    order = order[weights[order] > 0.0]
+    return DirectedGraph(n, pairs[order, 0], pairs[order, 1]), weights[order]
 
 
 def load_problem(source) -> RankingProblem:
@@ -134,7 +137,7 @@ def _parse_problem(text: str) -> RankingProblem:
     if isinstance(raw_alpha, list):
         alpha = _parse_dense_alpha(raw_alpha, n)
     elif isinstance(raw_alpha, dict):
-        alpha = _parse_triplet_alpha(raw_alpha, n)
+        edges = _parse_triplets(raw_alpha, n)
     else:
         raise DocumentError("'alpha' must be a list of rows or a {'triplets': ...} object", "alpha")
 
@@ -149,21 +152,25 @@ def _parse_problem(text: str) -> RankingProblem:
     beta = _require_number(doc.get("beta", 0.85), "beta")
 
     try:
+        if isinstance(raw_alpha, dict):
+            return RankingProblem.from_edges(tuple(agents), *edges, rho, beta=beta)
         return RankingProblem(tuple(agents), alpha, rho, beta=beta)
     except ValueError as e:
         raise DocumentError(str(e)) from e
 
 
 def json_document(head: dict, key: str, entries: list[str], tail: dict) -> str:
-    """``json.dumps({**head, key: [...], **tail}, indent=2)``, with the list under ``key`` encoded by the caller.
+    """``json.dumps({**head, key: [...], **tail}, indent=2) + "\\n"``, with the list under ``key`` encoded by the caller.
 
     ``entries`` holds each item of that list as ``json.dumps`` writes it there:
     four spaces in, its inner lines deeper. A long list of numbers or records
     so skips the pure-Python encoder that ``indent`` selects; ``head`` and
     ``tail`` are short and go through ``json.dumps``. All three are non-empty.
+    The pieces are joined once, not added in turn: a long list is held as its
+    entries, their join and the document, never more.
     """
-    items = ",\n".join(entries)
-    return json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: [\n{items}\n  ]," + json.dumps(tail, indent=2)[1:]
+    opening = json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: [\n"
+    return "".join((opening, ",\n".join(entries), "\n  ],", json.dumps(tail, indent=2)[1:], "\n"))
 
 
 def dump_problem(problem: RankingProblem, stream=None) -> str:
@@ -173,17 +180,21 @@ def dump_problem(problem: RankingProblem, stream=None) -> str:
     emitted at full precision and rho collapses to a scalar only when every
     agent shares the value.
     """
-    rho = problem.rho
-    head = {"format": FORMAT_VERSION, "agents": list(problem.agent_ids)}
-    rows = ["    [\n      " + ",\n      ".join(map(repr, row)) + "\n    ]" for row in problem.alpha.tolist()]
-    tail = {
-        "rho": float(rho[0]) if (rho == rho[0]).all() else [float(r) for r in rho],
-        "beta": float(problem.beta),
-    }
-    text = json_document(head, "alpha", rows, tail) + "\n"
+    text = _dense_document(problem.agent_ids, problem.alpha, problem.rho, problem.beta)
     if stream is not None:
         stream.write(text)
     return text
+
+
+def _dense_document(agent_ids, alpha: np.ndarray, rho: np.ndarray, beta: float) -> str:
+    """The problem document of these fields, with ``alpha`` turned into Python floats one row at a time."""
+    head = {"format": FORMAT_VERSION, "agents": list(agent_ids)}
+    rows = ["    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" for row in alpha]
+    tail = {
+        "rho": float(rho[0]) if (rho == rho[0]).all() else [float(r) for r in rho],
+        "beta": float(beta),
+    }
+    return json_document(head, "alpha", rows, tail)
 
 
 def _convert_prefix(convert, tokens) -> tuple[list, int | None]:
@@ -439,32 +450,13 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     Indices are 0-based and a missing weight means 1.0. The graph holds an
     edge wherever the weight is strictly positive, and the weight vector is
     aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
-    of both. Nothing of size n x n is built: ``weight_matrix`` does that for
-    the callers that need it.
+    of both. Nothing of size n x n is built.
 
     A malformed document is reported at its first offending line in file
     order. A well-formed body of ASCII digits is read from its bytes in a few
     array passes; any other body goes line by line, to the same arrays.
     """
     return _parse_edge_list(_read_text(source))
-
-
-def weight_matrix(graph: DirectedGraph, weights: np.ndarray) -> np.ndarray:
-    """The n x n weight matrix of an edge list: ``weights`` on the graph's edges, 0 elsewhere."""
-    matrix = np.zeros((graph.n, graph.n))
-    matrix[graph.src, graph.dst] = weights
-    return matrix
-
-
-def problem_from_edge_list(weights: np.ndarray, rho=0.0, beta: float = 0.85) -> RankingProblem:
-    """Wrap an n x n weight matrix (see ``weight_matrix``) as a ranking problem.
-
-    Agents are named ``v0 .. v{n-1}`` in index order, so rankings stay
-    traceable back to the vertices of the source graph.
-    """
-    n = weights.shape[0]
-    ids = tuple(f"v{k}" for k in range(n))
-    return RankingProblem(ids, weights, rho, beta=beta)
 
 
 def sniff_and_load(source) -> tuple[RankingProblem | None, tuple[DirectedGraph, np.ndarray] | None]:

@@ -117,21 +117,3 @@ def strongly_connected_component(graph: DirectedGraph, vertex: int = 0) -> list[
     forward, backward = _reached_both_ways(graph, vertex)
     return np.flatnonzero(forward & backward).tolist()
 
-
-def require_strongly_connected(graph: DirectedGraph, subject: str, consequence: str, to_all=()) -> None:
-    """Raise ``ValueError`` with a witness component unless ``graph`` is strongly connected.
-
-    The message reads "<subject> is not strongly connected (one component:
-    [...]); <consequence>". The vertices in ``to_all`` also have an edge to
-    every vertex. Those rows are checked in O(n) through one auxiliary vertex
-    that they point to and that points to every vertex, which keeps every
-    path between the graph's own vertices; it is left out of the witness.
-    """
-    n = graph.n
-    if len(to_all):
-        src = np.concatenate([graph.src, to_all, np.full(n, n)])
-        dst = np.concatenate([graph.dst, np.full(len(to_all), n), np.arange(n)])
-        graph = DirectedGraph(n + 1, src, dst)
-    if not is_strongly_connected(graph):
-        component = [v for v in strongly_connected_component(graph) if v < n]
-        raise ValueError(f"{subject} is not strongly connected (one component: {component}); {consequence}")

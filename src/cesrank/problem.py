@@ -1,19 +1,22 @@
 """Ranking problems and their preprocessing.
 
-A ranking problem is a set of agents, a nonnegative preference-intensity
-matrix ``alpha`` (``alpha[i, j]`` is how strongly agent ``i`` endorses agent
-``j``), a per-agent substitution parameter ``rho``, and a damping weight
-``beta``. `cesrank.economy.damped_economy` turns ``alpha`` into the damped
-preference matrix by the same rule that builds the damped web-surfer chain:
-fill all-zero rows with the uniform row, divide each row by its sum, then mix
+A ranking problem is a set of agents, a weighted preference graph (edge
+i -> j of weight ``alpha[i, j] > 0`` where agent ``i`` endorses agent ``j``),
+a per-agent substitution parameter ``rho``, and a damping weight ``beta``.
+`cesrank.economy.damped_economy` turns the edges into the damped preference
+matrix by the same rule that builds the damped web-surfer chain: fill
+all-zero rows with the uniform row, divide each row by its sum, then mix
 each row with the uniform row at weight ``1 - beta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .markov import DirectedGraph, support_graph
 
 #: Largest accepted rho. Above it the demand exponent 1/(1-rho) exceeds 20 and
 #: the demand powers become too steep to evaluate reliably near the
@@ -75,51 +78,82 @@ def _validate_alpha(alpha: np.ndarray) -> None:
         raise ValueError(f"alpha[{i}][{j}] = {float(alpha[i, j])!r} is negative or not finite")
 
 
-@dataclass(frozen=True, eq=False)
+def _edge_weights(graph: DirectedGraph, weights) -> np.ndarray:
+    """``weights`` as a float64 copy, checked to be one per edge of ``graph``, positive and finite."""
+    w = np.array(weights, dtype=float)
+    if w.shape != graph.src.shape:
+        raise ValueError(f"weights must be one per edge: {graph.src.size} edges, got shape {w.shape}")
+    bad = ~np.isfinite(w) | (w <= 0.0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(f"edge ({graph.src[k]}, {graph.dst[k]}) has weight {float(w[k])!r}; weights must be positive and finite")
+    return w
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class RankingProblem:
     """A ranking problem over ``n`` agents.
 
     Attributes:
         agent_ids: ordered distinct string identifiers, one per agent.
-        alpha: n x n nonnegative finite preference intensities.
+        graph, weights: the edges i -> j where ``alpha[i][j] > 0``, as a
+            `DirectedGraph`, and those entries aligned with its edges.
         rho: per-agent substitution parameter in [-1, RHO_MAX] = [-1, 0.95],
             the range `CesEconomy` accepts too; exactly 0 selects the
             unit-elasticity (Cobb-Douglas) case.
         beta: damping weight in (0, 1]; rows are mixed with the uniform row
             at weight ``1 - beta`` during normalization.
 
+    The constructor takes an n x n nonnegative finite ``alpha``, `from_edges`
+    the graph and weights; nothing n x n is kept but the ``alpha`` property.
     Instances are immutable and safe to share across threads.
     """
 
     agent_ids: tuple[str, ...]
-    alpha: np.ndarray
+    graph: DirectedGraph
+    weights: np.ndarray
     rho: np.ndarray
-    beta: float = 0.85
+    beta: float
 
-    def __post_init__(self):
-        ids = tuple(str(a) for a in self.agent_ids)
+    def __init__(self, agent_ids, alpha, rho, beta: float = 0.85):
+        alpha = np.asarray(alpha, dtype=float)
+        _validate_alpha(alpha)
+        graph = support_graph(alpha)
+        self._freeze(agent_ids, graph, alpha[graph.src, graph.dst], rho, beta)
+
+    @classmethod
+    def from_edges(cls, agent_ids, graph: DirectedGraph, weights, rho, beta: float = 0.85) -> "RankingProblem":
+        """The problem with ``weights`` on the edges of ``graph``, as `cesrank.formats.load_edge_list` returns them."""
+        problem = cls.__new__(cls)
+        problem._freeze(agent_ids, graph, _edge_weights(graph, weights), rho, beta)
+        return problem
+
+    def _freeze(self, agent_ids, graph, weights, rho, beta) -> None:
+        """Check the ids, rho and beta against the graph, and set every field read-only."""
+        ids = tuple(str(a) for a in agent_ids)
         if len(ids) < 1:
             raise ValueError("a ranking problem needs at least one agent")
         if len(set(ids)) != len(ids):
             raise ValueError("agent_ids must be distinct")
-        alpha = np.array(self.alpha, dtype=float)
-        _validate_alpha(alpha)
-        if alpha.shape[0] != len(ids):
-            raise ValueError(
-                f"alpha is {alpha.shape[0]}x{alpha.shape[1]} but there are {len(ids)} agents"
-            )
-        rho = _rho_array(self.rho, len(ids))
-        beta = _validate_beta(self.beta)
-        alpha.flags.writeable = False
+        if graph.n != len(ids):
+            raise ValueError(f"alpha is {graph.n}x{graph.n} but there are {len(ids)} agents")
+        rho = _rho_array(rho, len(ids))
+        weights.flags.writeable = False
         rho.flags.writeable = False
-        object.__setattr__(self, "agent_ids", ids)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "beta", beta)
+        for name, value in (("agent_ids", ids), ("graph", graph), ("weights", weights), ("rho", rho), ("beta", _validate_beta(beta))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return len(self.agent_ids)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """The dense n x n matrix, ``weights`` on the graph's edges and 0 elsewhere, built on first access."""
+        alpha = np.zeros((self.n, self.n))
+        alpha[self.graph.src, self.graph.dst] = self.weights
+        alpha.flags.writeable = False
+        return alpha
 
 
 def is_regular(matrix: np.ndarray, tol: float = REGULARITY_TOL) -> bool:

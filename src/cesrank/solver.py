@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import markov
 from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport, require_tolerance
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand, row_tops
-from .markov import DirectedGraph, require_strongly_connected
 from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
@@ -52,13 +52,22 @@ class SolverConfig:
 def _require_connected_economy(economy: CesEconomy) -> None:
     if economy.floor.min() > 0.0:
         return  # no zero entry: the graph is complete, with self-loops
-    # edge i -> j iff alpha[i][j] > 0: every good for a positive floor, the entries otherwise
-    require_strongly_connected(
-        DirectedGraph(economy.n, economy.rows, economy.cols),
-        "economy graph",
-        "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it",
-        to_all=np.flatnonzero(economy.floor > 0.0),
-    )
+    # edge i -> j iff alpha[i][j] > 0: every good for a positive floor, the entries otherwise;
+    # a positive floor's row points to one auxiliary vertex n that points to every vertex,
+    # O(n) edges that keep every path between the traders
+    n, src, dst = economy.n, economy.rows, economy.cols
+    to_all = np.flatnonzero(economy.floor > 0.0)
+    if to_all.size:
+        src = np.concatenate([src, to_all, np.full(n, n)])
+        dst = np.concatenate([dst, np.full(to_all.size, n), np.arange(n)])
+    graph = markov.DirectedGraph(n + 1 if to_all.size else n, src, dst)
+    # looked up on the module at call time, so a patched or traced check is the one that runs
+    if not markov.is_strongly_connected(graph):
+        component = [v for v in markov.strongly_connected_component(graph) if v < n]
+        raise ValueError(
+            f"economy graph is not strongly connected (one component: {component}); "
+            "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it"
+        )
 
 
 def stationary_solve(p: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from cesrank.cli import TIE_TOL
-from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text
+from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text, _require_index, _require_number
 from cesrank.markov import DirectedGraph
 
 
@@ -163,6 +163,13 @@ def component_of(n, edges, vertex):
     return sorted(_reachable_from(n, edges, vertex) & _reachable_from(n, reversed_edges, vertex))
 
 
+def dense_weights(graph: DirectedGraph, weights: np.ndarray) -> np.ndarray:
+    """The n x n matrix of an edge list: ``weights`` on the graph's edges, 0 elsewhere."""
+    matrix = np.zeros((graph.n, graph.n))
+    matrix[graph.src, graph.dst] = weights
+    return matrix
+
+
 def reference_damped_chain(weights: np.ndarray, beta: float) -> np.ndarray:
     """Row-normalize nonnegative ``weights`` and damp them towards the uniform row.
 
@@ -265,6 +272,30 @@ def dense_tatonnement(demand_matrix, economy):
     return None, max_iters
 
 
+def reference_triplet_alpha(spec, n: int) -> np.ndarray:
+    """A triplet ``alpha`` as an n x n array, from one loop that checks each triplet in turn.
+
+    This was the package's triplet parser; it is kept as the reference for
+    the order of the checks: shape, each index, duplicate, weight.
+    """
+    triplets = spec.get("triplets")
+    if not isinstance(triplets, list):
+        raise DocumentError("sparse alpha must be an object with a 'triplets' list", "alpha")
+    alpha = np.zeros((n, n))
+    seen: set[tuple[int, int]] = set()
+    for k, entry in enumerate(triplets):
+        where = f"alpha.triplets[{k}]"
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise DocumentError(f"expected [i, j, weight], got {entry!r}", where)
+        i = _require_index(entry[0], where, n)
+        j = _require_index(entry[1], where, n)
+        if (i, j) in seen:
+            raise DocumentError(f"duplicate entry for ({i}, {j})", where)
+        seen.add((i, j))
+        alpha[i, j] = _require_number(entry[2], where, minimum=0.0)
+    return alpha
+
+
 def reference_load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     """``load_edge_list`` as one loop over the lines, checking each in turn.
 
@@ -282,8 +313,7 @@ def reference_load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     Indices are 0-based and a missing weight means 1.0. The graph holds an
     edge wherever the weight is strictly positive, and the weight vector is
     aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
-    of both. Nothing of size n x n is built: ``weight_matrix`` does that for
-    the callers that need it.
+    of both. Nothing of size n x n is built.
     """
     text = _read_text(source)
     lines: list[tuple[int, str]] = []
@@ -383,6 +413,6 @@ def reference_ranking_text(ids, scores, report, method: str, fmt: str) -> str:
             for rank, k in enumerate(order, start=1)
         ],
         "ties": reference_tie_groups(ids, scores, order),
-        "report": report.to_dict(include_wall_time=False),
+        "report": report.to_dict(),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 import cesrank.cli
 import cesrank.economy
 import cesrank.markov
+import cesrank.problem
 from cesrank import (
     DirectedGraph,
     RankingProblem,
     dump_problem,
     load_fixture,
     load_problem,
+    sniff_and_load,
     solve_cobb_douglas,
     web_economy,
 )
@@ -58,10 +60,20 @@ def problem_file(tmp_path):
     return write
 
 
-def rank_peak_memory(graph_file, capsys, *flags, n):
-    """Peak traced bytes and stdout of one ``rank`` run on an n-vertex graph with 5 n edges."""
+def rank_peak_memory(graph_file, capsys, *flags, n, triplets=False):
+    """Peak traced bytes and stdout of one ``rank`` run on an n-vertex graph with 5 n edges.
+
+    The graph is an edge list, or with ``triplets`` the problem document of
+    its unit weights, with agents ``v0 .. v{n-1}``, rho 0 and beta 0.85: the
+    same problem by another path.
+    """
     edges = out_regular_edges(np.random.default_rng(5), n)
-    path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    if triplets:
+        alpha = {"triplets": [[int(i), int(j), 1.0] for i, j in edges]}
+        doc = {"format": 1, "agents": [f"v{k}" for k in range(n)], "alpha": alpha, "rho": 0.0, "beta": 0.85}
+        path = graph_file(json.dumps(doc), "g.json")
+    else:
+        path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
     tracemalloc.start()
     try:
         code = main(["rank", *flags, "--input", path])
@@ -72,12 +84,14 @@ def rank_peak_memory(graph_file, capsys, *flags, n):
     return peak, capsys.readouterr().out
 
 
-def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags, n=3000):
+def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags, n=3000, triplets=False):
+    """Run `rank_peak_memory` and check its peak; returns the run's stdout."""
     # one n x n float array is 8 n^2 bytes, 69 MiB at n = 3000; the edge list
     # and the chain or economy on its 5 n edges fit in a few
-    peak, out = rank_peak_memory(graph_file, capsys, *flags, n=n)
+    peak, out = rank_peak_memory(graph_file, capsys, *flags, n=n, triplets=triplets)
     assert len(out.splitlines()) == n
     assert peak < min(24 * 2**20, 8 * n * n)
+    return out
 
 
 class TestRankPagerank:
@@ -183,6 +197,13 @@ class TestRankCes:
     @pytest.mark.parametrize("rho", ["0.5", "-0.5", "0"])
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys, rho):
         assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho)
+
+    @pytest.mark.parametrize("rho", ["0.5", "0"])
+    def test_triplet_document_ranks_as_its_edge_list(self, graph_file, capsys, rho):
+        # the document parses to the edge list's graph and weights: the same
+        # bytes out, and no n x n array on the way
+        edge_list = assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho)
+        assert assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho, triplets=True) == edge_list
 
     def test_closed_form_holds_three_dense_arrays(self, graph_file, capsys):
         # damped this weakly, the contraction bound asks for more than n
@@ -371,17 +392,36 @@ class TestRankInvariant:
             assert abs(doc["ranking"][-1]["score"] / 4.975e-20 - 1.0) <= 1e-3
 
     def test_edge_list_graph_reused(self, graph_file, capsys, monkeypatch):
-        # the parser's graph is checked; no weight matrix is scanned again
+        # an edge list and a triplet document reach the economy as the edges
+        # they parse to; only a dense alpha is scanned for its support graph
         calls = []
-        original = cesrank.economy.support_graph
+        original = cesrank.problem.support_graph
 
         def counted(matrix):
             calls.append(matrix.shape[0])
             return original(matrix)
 
-        monkeypatch.setattr(cesrank.economy, "support_graph", counted)
-        assert main(["rank", "--method", "invariant", "--input", graph_file(TRIANGLE)]) == 0
+        monkeypatch.setattr(cesrank.problem, "support_graph", counted)
+        triangle = {"format": 1, "agents": ["a", "b", "c"], "rho": 0.0}
+        triplets = {**triangle, "alpha": {"triplets": [[0, 1, 1], [1, 2, 1], [2, 0, 1], [2, 1, 1]]}}
+        dense = {**triangle, "alpha": [[0, 1, 0], [0, 0, 1], [1, 1, 0]]}
+        for path in (graph_file(TRIANGLE), graph_file(json.dumps(triplets), "t.json")):
+            assert main(["rank", "--method", "invariant", "--input", path]) == 0
         assert calls == []
+        assert main(["rank", "--method", "invariant", "--input", graph_file(json.dumps(dense), "d.json")]) == 0
+        assert calls == [3]
+
+    def test_triplet_document_keeps_no_dense_alpha(self, capsys, monkeypatch):
+        loaded = []
+
+        def load(path):
+            problem, edges = sniff_and_load(path)
+            loaded.append(problem)
+            return problem, edges
+
+        monkeypatch.setattr(cesrank.cli, "sniff_and_load", load)
+        assert main(["rank", "--input", str(Path(__file__).parent / "golden" / "monotone3-triplets.json")]) == 0
+        assert "alpha" not in vars(loaded[0])
 
 
 class TestExitCodes:
@@ -628,7 +668,7 @@ class TestLogging:
 
 
 class _Report:
-    def to_dict(self, include_wall_time):
+    def to_dict(self):
         return {"method": "power", "iterations": 7, "residual": 1.5e-13, "trace": [0.5, 1e-300]}
 
 

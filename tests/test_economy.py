@@ -27,12 +27,11 @@ from cesrank import (
     solve_tatonnement,
     support_graph,
     verify_equilibrium,
-    weight_matrix,
 )
 from cesrank.economy import aggregate_demand
 from cesrank.markov import strongly_connected_component
 
-from oracles import grid_search_demand, reference_damped_chain, skewed_graph
+from oracles import dense_weights, grid_search_demand, reference_damped_chain, skewed_graph
 
 
 class TestPriceVector:
@@ -451,7 +450,7 @@ def weighted_edge_lists(draw):
 def test_damped_economy_matches_the_dense_path(case):
     graph, weights, rho, beta = case
     n = graph.n
-    dense = reference_damped_chain(weight_matrix(graph, weights), beta)
+    dense = reference_damped_chain(dense_weights(graph, weights), beta)
     economy = damped_economy(graph, weights, rho, beta)
     degree = np.bincount(graph.src, minlength=n)
     if not (np.all(weights == 1.0) or degree.max(initial=0) <= 2 or n < 8):
@@ -483,7 +482,7 @@ def test_damped_economy_matches_the_dense_path(case):
 def test_normalize_preferences_is_the_economy_alpha(case):
     # one rule: the axioms read exactly the matrix the market consumes
     graph, weights, rho, beta = case
-    problem = RankingProblem(tuple(map(str, range(graph.n))), weight_matrix(graph, weights), rho, beta=beta)
+    problem = RankingProblem.from_edges(tuple(map(str, range(graph.n))), graph, weights, rho, beta=beta)
     assert normalize_preferences(problem).tobytes() == build_economy(problem).alpha.tobytes()
 
 

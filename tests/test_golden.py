@@ -67,3 +67,14 @@ def test_bytes_path_output_is_golden(uncommented_dangling, method, fmt, capsys):
     code = 2 if ("dangling", method) in FAILING else 0
     assert main(["rank", "--input", uncommented_dangling, "--format", fmt, *METHODS[method]]) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-dangling-{method}-{fmt}.out").read_bytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_triplet_document_output_is_golden(method, fmt, capsys):
+    # the bundled monotone3 fixture with its alpha written as triplets: the
+    # edges it parses to rank to the same bytes as the dense rows
+    code = 2 if ("monotone3", method) in FAILING else 0
+    path = str(GOLDEN / "monotone3-triplets.json")
+    assert main(["rank", "--input", path, "--format", fmt, *METHODS[method]]) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-monotone3-{method}-{fmt}.out").read_bytes()

@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 from cesrank import (
     DocumentError,
     RankingProblem,
+    damped_economy,
     dump_problem,
     load_edge_list,
     load_problem,
-    problem_from_edge_list,
     sniff_and_load,
-    weight_matrix,
 )
 from cesrank import formats
 
-from oracles import out_regular_edges, reference_load_edge_list
+from oracles import out_regular_edges, reference_load_edge_list, reference_triplet_alpha
 
 MINIMAL = {
     "format": 1,
@@ -138,6 +137,34 @@ class TestLoadProblem:
         with pytest.raises(DocumentError, match=r"expected \[i, j, weight\]"):
             load_problem(doc(alpha={"triplets": [[0, 1]]}))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        triplets=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([0, 0.0, -0.0, 1, 2.5, 1e308])).map(list)
+            | st.lists(st.integers(-1, 3) | st.sampled_from([0.5, -1.0, True, None, "x"]), max_size=4)
+            | st.integers(0, 2),
+            max_size=8,
+        )
+    )
+    @example(triplets=[[0, 1, 1.0], [0, 1, -1.0]])  # a duplicate before a bad weight, in one triplet
+    @example(triplets=[[0, 1, 1.0], [1, 1, -1.0], [0, 1, 1.0]])  # a bad weight before a duplicate
+    @example(triplets=[[0, 1, 1.0], [0, 1, 1.0], [5, 0, 1.0]])  # a duplicate before a bad index
+    @example(triplets=[[0, 1, 1.0], [0, 5, 1.0], [0, 1, 1.0]])  # a bad index before a duplicate
+    def test_triplets_parse_as_the_triplet_loop(self, triplets):
+        # the first failed check in triplet order, and the same dense alpha
+        # (zero weights are no edge) when none fails
+        n = len(MINIMAL["agents"])
+        try:
+            expected = reference_triplet_alpha({"triplets": triplets}, n)
+        except DocumentError as e:
+            with pytest.raises(DocumentError) as raised:
+                load_problem(doc(alpha={"triplets": triplets}))
+            assert str(raised.value) == str(e)
+            return
+        problem = load_problem(doc(alpha={"triplets": triplets}))
+        np.testing.assert_array_equal(problem.alpha, expected)
+        assert problem.weights.min(initial=1.0) > 0.0
+
     def test_semantic_error_wrapped(self):
         # structurally fine, semantically out of range: surfaces as DocumentError
         with pytest.raises(DocumentError, match=r"rho\[0\]"):
@@ -207,9 +234,6 @@ class TestLoadEdgeList:
         assert graph.n == 3
         assert (graph.src.tolist(), graph.dst.tolist()) == ([0, 1, 2], [1, 2, 0])
         assert weights.tolist() == [1.0, 2.5, 1.0]
-        np.testing.assert_array_equal(
-            weight_matrix(graph, weights), [[0, 1, 0], [0, 0, 2.5], [1, 0, 0]]
-        )
 
     def test_weights_follow_the_sorted_edges(self):
         text = "format: 1\nn 3\n2 0 3.0\n0 2 2.0\n1 0\n0 1 0.5\n"
@@ -457,16 +481,40 @@ class TestBytesPath:
 
 
 class TestProblemFromEdgeList:
-    def test_generated_ids_and_defaults(self):
-        problem = problem_from_edge_list(weight_matrix(*load_edge_list(io.StringIO(EDGES))))
-        assert problem.agent_ids == ("v0", "v1", "v2")
+    def test_edges_and_defaults(self):
+        graph, weights = load_edge_list(io.StringIO(EDGES))
+        problem = RankingProblem.from_edges(("a", "b", "c"), graph, weights, 0.0)
+        assert problem.graph is graph
+        assert problem.weights.tolist() == [1.0, 2.5, 1.0] and not problem.weights.flags.writeable
         assert problem.beta == 0.85
         np.testing.assert_array_equal(problem.rho, 0.0)
+        assert "alpha" not in problem.__dict__  # built on first access only
+        np.testing.assert_array_equal(problem.alpha, [[0, 1, 0], [0, 0, 2.5], [1, 0, 0]])
 
     def test_overrides(self):
-        problem = problem_from_edge_list(weight_matrix(*load_edge_list(io.StringIO(EDGES))), rho=0.5, beta=1.0)
+        problem = RankingProblem.from_edges(("a", "b", "c"), *load_edge_list(io.StringIO(EDGES)), 0.5, beta=1.0)
         assert problem.beta == 1.0
         np.testing.assert_array_equal(problem.rho, 0.5)
+
+    @pytest.mark.parametrize(
+        "weights,message",
+        [
+            ([1.0, 2.5], r"weights must be one per edge: 3 edges, got shape \(2,\)"),
+            ([1.0, 0.0, 1.0], r"edge \(1, 2\) has weight 0.0; weights must be positive and finite"),
+            ([1.0, 1.0, np.inf], r"edge \(2, 0\) has weight inf"),
+        ],
+    )
+    def test_weights_checked_as_the_economy_checks_them(self, weights, message):
+        graph, _ = load_edge_list(io.StringIO(EDGES))
+        with pytest.raises(ValueError, match=message):
+            RankingProblem.from_edges(("a", "b", "c"), graph, weights, 0.0)
+        with pytest.raises(ValueError, match=message):
+            damped_economy(graph, weights, 0.0, 0.85)
+
+    def test_graph_must_match_the_agents(self):
+        graph, weights = load_edge_list(io.StringIO(EDGES))
+        with pytest.raises(ValueError, match="alpha is 3x3 but there are 2 agents"):
+            RankingProblem.from_edges(("a", "b"), graph, weights, 0.0)
 
 
 class TestSniffAndLoad:

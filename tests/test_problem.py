@@ -12,7 +12,6 @@ from cesrank import (
     demand_matrix,
     is_regular,
     normalize_preferences,
-    problem_from_edge_list,
     solve_cobb_douglas,
     web_economy,
 )
@@ -81,6 +80,15 @@ class TestRankingProblemValidation:
         with pytest.raises(Exception):
             p.beta = 0.5
 
+    def test_holds_the_edges_not_a_dense_matrix(self):
+        alpha = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+        p = RankingProblem(ids(3), alpha, 0.0)
+        assert (p.graph.src.tolist(), p.graph.dst.tolist()) == ([0, 1, 1], [1, 0, 2])
+        assert p.weights.tolist() == [2.0, 1.0, 3.0] and not p.weights.flags.writeable
+        assert all(np.ndim(value) < 2 for value in vars(p).values())
+        np.testing.assert_array_equal(p.alpha, alpha)
+        assert p.alpha is p.alpha  # built once, on first access
+
     def test_input_array_not_aliased(self):
         alpha = np.ones((2, 2))
         p = RankingProblem(ids(2), alpha, 0.0)
@@ -124,7 +132,7 @@ class TestNormalize:
         weights = np.zeros((6, 6))
         weights[src, dst] = 1.0
         chain = web_economy(DirectedGraph(6, src, dst), 0.85).alpha
-        damped = normalize_preferences(problem_from_edge_list(weights, beta=0.85))
+        damped = normalize_preferences(RankingProblem(ids(6), weights, 0.0, beta=0.85))
         reference = reference_damped_chain(weights.copy(), 0.85)
         assert chain.tobytes() == reference.tobytes()
         assert damped.tobytes() == reference.tobytes()

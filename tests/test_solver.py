@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
 
@@ -21,7 +21,6 @@ from cesrank import (
     demand_matrix,
     load_fixture,
     multistart_probe,
-    problem_from_edge_list,
     rank_problem,
     sniff_and_load,
     solve_cobb_douglas,
@@ -30,7 +29,6 @@ from cesrank import (
     solve_tatonnement,
     verify_equilibrium,
     web_economy,
-    weight_matrix,
 )
 
 from oracles import (
@@ -281,11 +279,17 @@ class TestSolveTatonnement:
             solve_tatonnement(e)
 
 
+def _vertex_problem(weights, rho, beta=0.85):
+    """The problem of a dense n x n weight matrix, its agents named ``v0 .. v{n-1}``."""
+    return RankingProblem(tuple(f"v{k}" for k in range(len(weights))), weights, rho, beta=beta)
+
+
 def _golden_problem(source, rho):
     if source == "dangling":
-        _, edges = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
-        return problem_from_edge_list(weight_matrix(*edges), rho=rho)
-    return replace(load_fixture(source), rho=rho)
+        _, (graph, weights) = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
+        return RankingProblem.from_edges(tuple(f"v{k}" for k in range(graph.n)), graph, weights, rho)
+    fixture = load_fixture(source)
+    return RankingProblem.from_edges(fixture.agent_ids, fixture.graph, fixture.weights, rho, beta=fixture.beta)
 
 
 def _random_weighted_problem(seed, rho):
@@ -294,7 +298,7 @@ def _random_weighted_problem(seed, rho):
     _, src, dst, _ = with_dangling_vertices(rng, n, max(1, n // 10))
     weights = np.zeros((n, n))
     weights[src, dst] = rng.uniform(0.5, 3.0, len(src))
-    return problem_from_edge_list(weights, rho=rho)
+    return _vertex_problem(weights, rho)
 
 
 class TestTatonnementTrajectory:
@@ -367,7 +371,7 @@ def test_rho_sweep_certifies_or_reports_no_convergence(n, rho):
     # ConvergenceError (exit 3), never a ValueError (exit 2)
     weights = np.zeros((n, n))
     weights[tuple(zip(*out_regular_edges(np.random.default_rng(1), n)))] = 1.0
-    problem = problem_from_edge_list(weights, rho=rho)
+    problem = _vertex_problem(weights, rho)
     try:
         prices, report = rank_problem(problem, SolverConfig(max_iters=2000))
     except ConvergenceError:
@@ -391,7 +395,7 @@ def test_rho_sweep_certifies(n, rho):
     # the step derived from the steepest trader certifies every sweep rho
     weights = np.zeros((n, n))
     weights[tuple(zip(*out_regular_edges(np.random.default_rng(1), n)))] = 1.0
-    _assert_certified(problem_from_edge_list(weights, rho=rho))
+    _assert_certified(_vertex_problem(weights, rho))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -401,7 +405,7 @@ def test_mixed_rho_sweep_certifies(n, seed):
     rng = np.random.default_rng(seed)
     weights = np.zeros((n, n))
     weights[tuple(zip(*out_regular_edges(rng, n)))] = 1.0
-    _assert_certified(problem_from_edge_list(weights, rho=rng.choice(SWEEP_RHO, size=n)))
+    _assert_certified(_vertex_problem(weights, rng.choice(SWEEP_RHO, size=n)))
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.5])
@@ -419,7 +423,7 @@ def test_undamped_periodic_graph_certifies(edges, rho):
     n = 1 + max(max(e) for e in edges)
     weights = np.zeros((n, n))
     weights[tuple(zip(*edges))] = 1.0
-    _assert_certified(problem_from_edge_list(weights, rho=rho, beta=1.0))
+    _assert_certified(_vertex_problem(weights, rho, beta=1.0))
 
 
 def _damped_random_economy(n=300):
