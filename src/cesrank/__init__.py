@@ -22,11 +22,8 @@ from .economy import (
     CesEconomy,
     PriceVector,
     build_economy,
-    ces_demand,
     damped_economy,
-    demand_matrix,
     excess_demand,
-    normalize_preferences,
     web_economy,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
@@ -42,7 +39,7 @@ from .markov import (
     is_strongly_connected,
     support_graph,
 )
-from .problem import RankingProblem, is_regular
+from .problem import RankingProblem
 from .solver import (
     SolverConfig,
     multistart_probe,
@@ -70,24 +67,20 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "build_economy",
-    "ces_demand",
     "check_invariance",
     "check_minimal_fairness",
     "check_strict_monotonicity",
     "check_uniformity",
     "damped_economy",
-    "demand_matrix",
     "dump_problem",
     "excess_demand",
     "gs_spot_check",
-    "is_regular",
     "is_strongly_connected",
     "load_edge_list",
     "sniff_and_load",
     "load_fixture",
     "load_problem",
     "multistart_probe",
-    "normalize_preferences",
     "rank_problem",
     "solve_cobb_douglas",
     "solve_equilibrium",

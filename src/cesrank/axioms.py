@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import CesEconomy, as_price_array, damped_economy, excess_demand, normalize_preferences
+from .economy import CesEconomy, as_price_array, build_economy, damped_economy, excess_demand
 from .markov import DirectedGraph
-from .problem import RankingProblem, is_regular
+from .problem import RankingProblem
 from .solver import rank_problem, solve_equilibrium
 
 #: Separation required of "strict" inequalities, so rounding noise never
@@ -23,6 +23,8 @@ from .solver import rank_problem, solve_equilibrium
 STRICT_MARGIN = 1e-12
 
 UNIFORMITY_TOL = 1e-6
+#: Absolute tolerance on row/column sum differences in a regularity test.
+REGULARITY_TOL = 1e-9
 FAIRNESS_TOL = 1e-9
 INVARIANCE_TOL = 1e-8
 
@@ -87,10 +89,18 @@ def check_minimal_fairness(n: int, rho_common: float, beta: float = 1.0) -> Axio
     )
 
 
-def _column_dominance(alpha_hat: np.ndarray, i: int, j: int) -> tuple[bool, dict]:
+def _column(economy: CesEconomy, c: int) -> np.ndarray:
+    """Column ``c`` of the economy's alpha: each row's floor, or its entry in that column."""
+    col = economy.floor.copy()
+    at = economy.cols == c
+    col[economy.rows[at]] = economy.values[at]
+    return col
+
+
+def _column_dominance(economy: CesEconomy, i: int, j: int) -> tuple[bool, dict]:
     """Does normalized column i sit entrywise below column j, strictly somewhere?"""
-    col_i = alpha_hat[:, i]
-    col_j = alpha_hat[:, j]
+    col_i = _column(economy, i)
+    col_j = _column(economy, j)
     bad = np.flatnonzero(col_i > col_j)
     if bad.size:
         k = int(bad[0])
@@ -110,8 +120,9 @@ def check_strict_monotonicity(problem: RankingProblem, i: int, j: int) -> AxiomV
     Applicable only when every agent shares one elasticity parameter and, on
     the normalized matrix, column ``i`` is dominated by column ``j`` (entrywise
     ``<=`` with at least one strict ``<``). Dominance is read off the
-    normalized matrix rather than the raw one because that is the matrix the
-    market actually consumes. Passes iff ``pi[i] < pi[j]`` with a 1e-12 margin.
+    columns of `build_economy(problem)`, the normalized matrix, rather than
+    the raw one because that is the matrix the market actually consumes.
+    Passes iff ``pi[i] < pi[j]`` with a 1e-12 margin.
     """
     n = problem.n
     for name, idx in (("i", i), ("j", j)):
@@ -125,10 +136,11 @@ def check_strict_monotonicity(problem: RankingProblem, i: int, j: int) -> AxiomV
             "agents have heterogeneous rho; the claim is scoped to a common elasticity",
             rho=problem.rho.tolist(),
         )
-    dominated, why = _column_dominance(normalize_preferences(problem), i, j)
+    economy = build_economy(problem)
+    dominated, why = _column_dominance(economy, i, j)
     if not dominated:
         return _not_applicable("strict_monotonicity", why.pop("reason"), **why)
-    prices, report = rank_problem(problem)
+    prices, report = solve_equilibrium(economy)
     gap = float(prices.pi[j] - prices.pi[i])
     witness = {
         "i": i,
@@ -189,16 +201,21 @@ def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> Ax
     not-applicable verdict. The check runs undamped: damping rewrites the
     matrix and would change which problem is being asked about. A "fail" here
     is not a defect, it is the interesting outcome: a regular problem whose
-    equilibrium is demonstrably non-uniform.
+    equilibrium is demonstrably non-uniform. The problem is regular when every
+    row sum, and every column sum, is within REGULARITY_TOL of the first.
     """
     economy = damped_economy(problem.graph, problem.weights, problem.rho, 1.0)
-    normalized = economy.alpha
-    if not is_regular(normalized):
+    n, rows = economy.n, economy.rows
+    # a row or column sums n floors of its rows, plus each entry's excess over its row's floor
+    excess = economy.values - economy.floor[rows]
+    row_sums = n * economy.floor + np.bincount(rows, excess, minlength=n)
+    column_sums = economy.floor.sum() + np.bincount(economy.cols, excess, minlength=n)
+    if not all(np.all(np.abs(sums - sums[0]) <= REGULARITY_TOL) for sums in (row_sums, column_sums)):
         return _not_applicable(
             "uniformity",
             "problem is not regular (row and column sums must all agree)",
-            row_sums=normalized.sum(axis=1).tolist(),
-            column_sums=normalized.sum(axis=0).tolist(),
+            row_sums=row_sums.tolist(),
+            column_sums=column_sums.tolist(),
         )
     prices, report = solve_equilibrium(economy)
     deviation = float(np.abs(prices.pi - 1.0 / problem.n).max())

@@ -5,7 +5,8 @@ Four subcommands:
 ``rank``     score the agents of a problem or graph (ces, pagerank, invariant)
 ``verify``   run executable axiom checks and emit machine-readable verdicts
 ``compare``  cross-check power iteration against the closed-form equilibrium
-``convert``  dump a graph's damped chain as an equivalent problem document
+``convert``  write a graph's damped chain as a problem document: its edges at
+             weight 1, rho 0 and beta = --damping, in O(n + edges)
 
 Results go to stdout; every diagnostic goes to stderr. Exit codes: 0 success,
 1 a check or comparison failed, 2 unusable input, 3 solver non-convergence.
@@ -36,7 +37,7 @@ from .axioms import (
 from .diagnostics import ConvergenceError
 from .economy import build_economy, damped_economy, web_economy
 from .fixtures import load_fixture
-from .formats import DocumentError, _dense_document, json_document, sniff_and_load
+from .formats import DocumentError, dump_problem, json_document, sniff_and_load
 from .problem import RankingProblem
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
 
@@ -100,7 +101,7 @@ def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
     entries = list(map(_JSON_ENTRY, ranks, map(encode_basestring_ascii, ranked_ids), map(float.__repr__, ranked_scores)))
     head = {"format": 1, "method": method}
     tail = {"ties": _tie_groups(ids, scores, order), "report": report.to_dict()}
-    sys.stdout.write(json_document(head, "ranking", entries, tail))
+    sys.stdout.write(json_document(head, ("ranking",), entries, tail))
 
 
 def _load_input(path):
@@ -251,8 +252,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_convert(args) -> int:
     _, graph, *_ = _load_input(args.input)
-    # beta=1: the damping is already baked into the chain's economy, whose dense rows are written as they are
-    text = _dense_document(_names(None, graph.n), web_economy(graph, c=args.damping).alpha, np.zeros(graph.n), 1.0)
+    web_economy(graph, c=args.damping)  # rejects a damping outside (0, 1) and self-loops
+    # the problem whose damped economy is the chain's: unit weights, rho 0 and beta = damping
+    problem = RankingProblem.from_edges(_names(None, graph.n), graph, np.ones(graph.src.size), 0.0, beta=args.damping)
+    text = dump_problem(problem)
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -295,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--damping", type=float, default=0.85)
     compare.set_defaults(func=_cmd_compare)
 
-    convert = sub.add_parser("convert", help="dump a graph's damped chain as a problem document")
+    convert = sub.add_parser("convert", help="write a graph's damped chain as a problem document of its edges")
     convert.add_argument("--input", required=True)
-    convert.add_argument("--damping", type=float, default=0.85)
+    convert.add_argument("--damping", type=float, default=0.85, help="link-following probability, written as beta")
     convert.add_argument("--output", default=None, help="write here instead of stdout")
     convert.set_defaults(func=_cmd_convert)
 

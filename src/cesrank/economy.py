@@ -23,24 +23,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .markov import DirectedGraph
 from .problem import RankingProblem, _edge_weights, _rho_array, _validate_alpha, _validate_beta
-
-
-def _owned_frozen_floats(a) -> np.ndarray:
-    """``a`` itself if it is an owned float64 array made read-only, else a float64 copy of it.
-
-    Keeping an array its owner has frozen, such as another economy's
-    ``alpha``, spares an n x n copy; copying anything else keeps the caller
-    from changing the economy afterwards.
-    """
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None and not a.flags.writeable:
-        return a
-    return np.array(a, dtype=float)
 
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -100,7 +87,7 @@ class CesEconomy:
     ``floor[i]``. A damped preference row is its floor ``(1 - beta) / n`` plus
     the graph's out-edges, so `damped_economy` builds these arrays in
     O(n + edges). The dense ``alpha`` is a constructor input for library
-    callers and tests, and a read-only property built on first access.
+    callers; the economy keeps no copy of it.
 
     Immutable; demand evaluations are pure functions of (economy, prices).
     """
@@ -112,7 +99,7 @@ class CesEconomy:
     values: np.ndarray
 
     def __init__(self, alpha, rho, *, endowments=None):
-        alpha = _owned_frozen_floats(alpha)
+        alpha = np.asarray(alpha, dtype=float)
         _validate_alpha(alpha)
         n = alpha.shape[0]
         dead = alpha.max(axis=1) == 0.0
@@ -127,8 +114,6 @@ class CesEconomy:
         floor = alpha.min(axis=1)
         rows, cols = np.nonzero(alpha > floor[:, None])
         self._freeze(floor, rows, cols, alpha[rows, cols], rho)
-        alpha.flags.writeable = False
-        self.__dict__["alpha"] = alpha  # the cached dense form is the input itself
 
     @classmethod
     def _from_entries(cls, floor, rows, cols, values, rho) -> "CesEconomy":
@@ -157,53 +142,6 @@ class CesEconomy:
         """Per-trader demand exponent 1 / (1 - rho), in [1/2, 20]."""
         return 1.0 / (1.0 - self.rho)
 
-    @cached_property
-    def alpha(self) -> np.ndarray:
-        """The dense n x n coefficient matrix, built from the floors and entries on first access."""
-        alpha = np.repeat(self.floor[:, None], self.n, axis=1)
-        alpha[self.rows, self.cols] = self.values
-        alpha.flags.writeable = False
-        return alpha
-
-
-def _demand_rows(economy: CesEconomy, rows: slice, prices: np.ndarray) -> np.ndarray:
-    """Demand of the traders in ``rows``: budget shares times own-good income, over prices.
-
-    The shares are evaluated in log space, ``q*log(alpha) + (1-q)*log(p)``,
-    shifted by the row max so that the largest term is exp(0): no power of
-    alpha or p is formed, so nothing over- or underflows for any exponent or
-    scale of alpha. Zero coefficients map to exp(-inf) = 0.
-    """
-    q = economy.q[rows, None]
-    with np.errstate(divide="ignore"):
-        t = np.log(economy.alpha[rows])
-    t *= q
-    t += (1.0 - q) * np.log(prices)
-    t -= t.max(axis=1, keepdims=True)
-    np.exp(t, out=t)
-    t /= t.sum(axis=1, keepdims=True)
-    t *= prices[rows, None]
-    t /= prices[None, :]
-    return t
-
-
-def ces_demand(economy: CesEconomy, trader: int, prices) -> np.ndarray:
-    """Utility-maximizing bundle of one trader at the given prices.
-
-    Row ``trader`` of `demand_matrix`, evaluated for that trader alone. The
-    bundle satisfies the budget identity ``p . x == p[trader]`` to
-    floating-point accuracy.
-    """
-    if not (0 <= trader < economy.n):
-        raise ValueError(f"trader index {trader} out of range [0, {economy.n})")
-    p = as_price_array(prices, economy.n)
-    return _demand_rows(economy, slice(trader, trader + 1), p)[0]
-
-
-def demand_matrix(economy: CesEconomy, prices) -> np.ndarray:
-    """Demand of every trader at once; row ``i`` equals ``ces_demand(economy, i, prices)``."""
-    return _demand_rows(economy, slice(None), as_price_array(prices, economy.n))
-
 
 def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
     """Aggregate demand minus the unit supply, per good: the equilibrium certificate.
@@ -213,18 +151,17 @@ def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
     distinct rho values), with nothing of size n x n. With ``r = 1 - q``,
     trader i's log-space terms are ``t_ij = q_i*log(alpha[i][j]) +
     r_i*log(p_j)``, shifted by their row max ``m_i`` so that the largest is
-    exp(0), as `_demand_rows` does per dense row; no scale of alpha or p over-
-    or underflows. An entry lies above its row's floor, so ``m_i`` is the
-    larger of the entries' max and the floor's largest term. The floor's term
-    at good j factors as ``a_i * u_g[j]``, with ``top_g = max_j r_g*log(p_j)``,
-    ``a_i = exp(q_i*log(floor_i) + top_g - m_i)`` and ``u_g[j] =
-    exp(r_g*log(p_j) - top_g)``, and an entry adds ``exp(t_ij - m_i) - a_i *
-    u_g[j]`` to it. So trader i's normalizer is ``T_i = a_i * sum_j u_g[j]``
-    plus its entries' excess, it spends ``w_i = p_i / T_i`` per unit of share,
-    and good j receives one rank-one floor term per group, ``u_g[j] *
-    sum_{i in g} a_i * w_i``, plus the entries' spending, scattered with one
-    bincount. This shares no arithmetic with `aggregate_demand`, the kernel it
-    certifies; the column sums of `demand_matrix` are its dense reference.
+    exp(0); no scale of alpha or p over- or underflows. An entry lies above
+    its row's floor, so ``m_i`` is the larger of the entries' max and the
+    floor's largest term. The floor's term at good j factors as ``a_i *
+    u_g[j]``, with ``top_g = max_j r_g*log(p_j)``, ``a_i = exp(q_i*log(floor_i)
+    + top_g - m_i)`` and ``u_g[j] = exp(r_g*log(p_j) - top_g)``, and an entry
+    adds ``exp(t_ij - m_i) - a_i * u_g[j]`` to it. So trader i's normalizer is
+    ``T_i = a_i * sum_j u_g[j]`` plus its entries' excess, it spends ``w_i =
+    p_i / T_i`` per unit of share, and good j receives one rank-one floor term
+    per group, ``u_g[j] * sum_{i in g} a_i * w_i``, plus the entries'
+    spending, scattered with one bincount. This shares no arithmetic with
+    `aggregate_demand`, the kernel it certifies.
     """
     n = economy.n
     p = as_price_array(prices, n)
@@ -253,7 +190,7 @@ def row_tops(economy: CesEconomy) -> np.ndarray:
 
 
 def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
-    """Aggregate demand ``demand_matrix(economy, p).sum(axis=0)`` in O(nnz + n·G) per call.
+    """Aggregate demand, the column sums of every trader's demand, in O(nnz + n·G) per call.
 
     Reads each alpha row as the economy holds it, its floor ``c_i`` plus the
     entries above it, with ``delta_ij = alpha[i][j]**q_i - c_i**q_i``. A
@@ -266,8 +203,7 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
                + sum_{(i, j) in E} delta_ij * p_j**r_i * w_i) / p_j
 
     Returns a function of a strictly positive price array (not validated:
-    this is the solver's inner loop). `demand_matrix` stays the reference
-    this kernel is tested against; `excess_demand` certifies its result.
+    this is the solver's inner loop). `excess_demand` certifies its result.
     """
     n = economy.n
     q = economy.q
@@ -361,13 +297,3 @@ def build_economy(problem: RankingProblem) -> CesEconomy:
     ``beta < 1`` guarantees this; the solvers check it once, on entry.
     """
     return damped_economy(problem.graph, problem.weights, problem.rho, problem.beta)
-
-
-def normalize_preferences(problem: RankingProblem) -> np.ndarray:
-    """The damped preference matrix of a problem, n x n and read-only: exactly `build_economy`'s alpha.
-
-    This is the matrix the market consumes. Its rows sum to 1, every entry
-    is at least ``(1 - beta) / n`` (strictly positive when ``beta < 1``), and
-    scaling a row of the input by a positive constant does not change it.
-    """
-    return build_economy(problem).alpha

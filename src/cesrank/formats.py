@@ -159,42 +159,47 @@ def _parse_problem(text: str) -> RankingProblem:
         raise DocumentError(str(e)) from e
 
 
-def json_document(head: dict, key: str, entries: list[str], tail: dict) -> str:
-    """``json.dumps({**head, key: [...], **tail}, indent=2) + "\\n"``, with the list under ``key`` encoded by the caller.
+def json_document(head: dict, path: tuple[str, ...], entries: list[str], tail: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, with the list at ``path`` in ``doc`` encoded by the caller.
 
-    ``entries`` holds each item of that list as ``json.dumps`` writes it there:
-    four spaces in, its inner lines deeper. A long list of numbers or records
-    so skips the pure-Python encoder that ``indent`` selects; ``head`` and
-    ``tail`` are short and go through ``json.dumps``. All three are non-empty.
-    The pieces are joined once, not added in turn: a long list is held as its
-    entries, their join and the document, never more.
+    ``doc`` is ``{**head, path[0]: {path[1]: ... [entries]}, **tail}``.
+    ``entries`` holds each item of the list as ``json.dumps`` writes it there:
+    ``2 * (len(path) + 1)`` spaces in, its inner lines deeper. A long list of
+    numbers or records so skips the pure-Python encoder that ``indent``
+    selects; ``head`` and ``tail`` are short and go through ``json.dumps``,
+    and neither is empty. The pieces are joined once, not added in turn: a
+    long list is held as its entries, their join and the document, never more.
     """
-    opening = json.dumps(head, indent=2)[:-2] + f",\n  {json.dumps(key)}: [\n"
-    return "".join((opening, ",\n".join(entries), "\n  ],", json.dumps(tail, indent=2)[1:], "\n"))
+    depth = len(path)
+    keys = "".join(f"\n{'  ' * d}{json.dumps(key)}: {'{' if d < depth else '['}" for d, key in enumerate(path, 1))
+    items = ("\n", ",\n".join(entries), f"\n{'  ' * depth}]") if entries else ("]",)
+    closing = "".join(f"\n{'  ' * d}}}" for d in range(depth - 1, 0, -1))
+    opening = json.dumps(head, indent=2)[:-2] + "," + keys
+    return "".join((opening, *items, closing, ",", json.dumps(tail, indent=2)[1:], "\n"))
+
+
+#: One triplet of a problem document's ``alpha``, as ``json.dumps(..., indent=2)`` writes it there.
+_JSON_TRIPLET = "      [\n        {},\n        {},\n        {}\n      ]".format
 
 
 def dump_problem(problem: RankingProblem, stream=None) -> str:
-    """Serialize a problem to its JSON document form.
+    """Serialize a problem to its JSON document form, with ``alpha`` as triplets of its edges.
 
     The output reloads to a field-for-field identical problem: floats are
     emitted at full precision and rho collapses to a scalar only when every
-    agent shares the value.
+    agent shares the value. It is O(n + edges), whatever the problem's size.
     """
-    text = _dense_document(problem.agent_ids, problem.alpha, problem.rho, problem.beta)
+    graph, rho = problem.graph, problem.rho
+    head = {"format": FORMAT_VERSION, "agents": list(problem.agent_ids)}
+    triplets = list(map(_JSON_TRIPLET, graph.src.tolist(), graph.dst.tolist(), map(float.__repr__, problem.weights.tolist())))
+    tail = {
+        "rho": float(rho[0]) if (rho == rho[0]).all() else [float(r) for r in rho],
+        "beta": problem.beta,
+    }
+    text = json_document(head, ("alpha", "triplets"), triplets, tail)
     if stream is not None:
         stream.write(text)
     return text
-
-
-def _dense_document(agent_ids, alpha: np.ndarray, rho: np.ndarray, beta: float) -> str:
-    """The problem document of these fields, with ``alpha`` turned into Python floats one row at a time."""
-    head = {"format": FORMAT_VERSION, "agents": list(agent_ids)}
-    rows = ["    [\n      " + ",\n      ".join(map(repr, row.tolist())) + "\n    ]" for row in alpha]
-    tail = {
-        "rho": float(rho[0]) if (rho == rho[0]).all() else [float(r) for r in rho],
-        "beta": float(beta),
-    }
-    return json_document(head, "alpha", rows, tail)
 
 
 def _convert_prefix(convert, tokens) -> tuple[list, int | None]:

@@ -12,7 +12,6 @@ each row with the uniform row at weight ``1 - beta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +27,6 @@ RHO_MAX = 0.95
 #: this band would make the exponent 1/(1-rho) indistinguishable from the
 #: limit while still being routed to the general formula.
 RHO_ZERO_BAND = 1e-9
-
-#: Absolute tolerance on row/column sum differences in `is_regular`.
-REGULARITY_TOL = 1e-9
 
 
 def _validate_rho(rho: np.ndarray) -> None:
@@ -105,7 +101,7 @@ class RankingProblem:
             at weight ``1 - beta`` during normalization.
 
     The constructor takes an n x n nonnegative finite ``alpha``, `from_edges`
-    the graph and weights; nothing n x n is kept but the ``alpha`` property.
+    the graph and weights; nothing n x n is kept.
     Instances are immutable and safe to share across threads.
     """
 
@@ -146,25 +142,3 @@ class RankingProblem:
     @property
     def n(self) -> int:
         return len(self.agent_ids)
-
-    @cached_property
-    def alpha(self) -> np.ndarray:
-        """The dense n x n matrix, ``weights`` on the graph's edges and 0 elsewhere, built on first access."""
-        alpha = np.zeros((self.n, self.n))
-        alpha[self.graph.src, self.graph.dst] = self.weights
-        alpha.flags.writeable = False
-        return alpha
-
-
-def is_regular(matrix: np.ndarray, tol: float = REGULARITY_TOL) -> bool:
-    """True iff all row sums of a square array are equal and all column sums are equal.
-
-    Sums are compared with absolute tolerance ``tol``. A row-stochastic matrix
-    always has equal row sums, so in practice this tests the columns.
-    """
-    row_sums = matrix.sum(axis=1)
-    col_sums = matrix.sum(axis=0)
-    return bool(
-        np.all(np.abs(row_sums - row_sums[0]) <= tol)
-        and np.all(np.abs(col_sums - col_sums[0]) <= tol)
-    )

@@ -61,9 +61,11 @@ def _require_connected_economy(economy: CesEconomy) -> None:
         src = np.concatenate([src, to_all, np.full(n, n)])
         dst = np.concatenate([dst, np.full(to_all.size, n), np.arange(n)])
     graph = markov.DirectedGraph(n + 1 if to_all.size else n, src, dst)
-    # looked up on the module at call time, so a patched or traced check is the one that runs
-    if not markov.is_strongly_connected(graph):
-        component = [v for v in markov.strongly_connected_component(graph) if v < n]
+    # one search gives the verdict and the witness; looked up on the module at
+    # call time, so a patched or traced search is the one that runs
+    forward, backward = markov._reached_both_ways(graph, 0)
+    if not (forward.all() and backward.all()):
+        component = np.flatnonzero(forward[:n] & backward[:n]).tolist()
         raise ValueError(
             f"economy graph is not strongly connected (one component: {component}); "
             "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it"
@@ -99,10 +101,11 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
 def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[PriceVector, SolverReport]:
     """Exact equilibrium of an all-unit-elasticity economy.
 
-    Solves the linear invariant system of the row-normalized alpha matrix
-    with `stationary_solve`, and certifies the prices with
-    `verify_equilibrium`, whose residual the report carries. The
-    certificate is a relative excess demand, so on skewed weights it can
+    Solves the linear invariant system of the share matrix, alpha's rows
+    divided by their sums as `_shares` gives them, with `stationary_solve`;
+    that matrix is the one n x n array built from an economy. It certifies
+    the prices with `verify_equilibrium`, whose residual the report carries.
+    The certificate is a relative excess demand, so on skewed weights it can
     reject a solve whose absolute error is tiny but whose small prices are
     wrong, or even negative. The solve then only seeds tatonnement: from its
     prices, each raised to at least ``eps * max(p)``, `solve_tatonnement`'s
@@ -115,14 +118,11 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     if np.any(economy.rho != 0.0):
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
         raise ValueError(f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros")
-    alpha = economy.alpha  # first: a size too large for the dense solve fails before the connectivity check
+    floor_share, excess_share = _shares(economy)
+    # first: a size too large for the dense solve fails before the connectivity check
+    shares = np.repeat(floor_share[:, None], economy.n, axis=1)
     _require_connected_economy(economy)
-    with np.errstate(over="ignore"):
-        sums = alpha.sum(axis=1)
-    shares = alpha / sums[:, None]
-    for i in np.flatnonzero(~np.isfinite(sums)):  # divided by its max first, which keeps its shares
-        row = alpha[i] / alpha[i].max()
-        shares[i] = row / row.sum()
+    shares[economy.rows, economy.cols] += excess_share
     pi = stationary_solve(shares)
     if pi.min() > 0.0:
         prices = PriceVector.from_unnormalized(pi)
@@ -143,20 +143,28 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     return prices, replace(report, method="closed_form", iterations=1 + report.iterations)
 
 
-def _power_step(economy: CesEconomy) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """The rho-0 price map ``p -> S.T @ p`` on the floors and entries, and each trader's floor share.
+def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:
+    """Each trader's rho-0 floor share, and each entry's share above it.
 
     Trader i spends the share ``S[i][j] = alpha[i][j] / sum_k alpha[i][k]``
     of its income ``p[i]`` on good j: its floor share ``floor[i] / sum_k
     alpha[i][k]`` on every good, plus the excess of its entries. Each row is
     first divided by `row_tops`, which is exact, so no row total overflows.
-    The map costs O(n + nnz).
     """
-    n, rows, cols = economy.n, economy.rows, economy.cols
+    n, rows = economy.n, economy.rows
     top = row_tops(economy)
     floor, excess = economy.floor / top, (economy.values - economy.floor[rows]) / top[rows]
     totals = n * floor + np.bincount(rows, excess, minlength=n)
-    floor_share, excess_share = floor / totals, excess / totals[rows]
+    return floor / totals, excess / totals[rows]
+
+
+def _power_step(economy: CesEconomy) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The rho-0 price map ``p -> S.T @ p`` on the floors and entries, and each trader's floor share.
+
+    The shares are `_shares`; the map costs O(n + nnz).
+    """
+    n, rows, cols = economy.n, economy.rows, economy.cols
+    floor_share, excess_share = _shares(economy)
 
     def step(p: np.ndarray) -> np.ndarray:
         return floor_share @ p + np.bincount(cols, excess_share * p[rows], minlength=n)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from cesrank.cli import TIE_TOL
+from cesrank.economy import as_price_array
 from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text, _require_index, _require_number
 from cesrank.markov import DirectedGraph
 
@@ -168,6 +169,86 @@ def dense_weights(graph: DirectedGraph, weights: np.ndarray) -> np.ndarray:
     matrix = np.zeros((graph.n, graph.n))
     matrix[graph.src, graph.dst] = weights
     return matrix
+
+
+def dense_alpha(economy) -> np.ndarray:
+    """The n x n alpha of an economy: each row's floor, with its entries written over it."""
+    alpha = np.repeat(economy.floor[:, None], economy.n, axis=1)
+    alpha[economy.rows, economy.cols] = economy.values
+    return alpha
+
+
+def _demand_rows(economy, rows: slice, prices: np.ndarray) -> np.ndarray:
+    """Demand of the traders in ``rows``: budget shares times own-good income, over prices.
+
+    The shares are evaluated in log space, ``q*log(alpha) + (1-q)*log(p)``,
+    shifted by the row max so that the largest term is exp(0): no power of
+    alpha or p is formed, so nothing over- or underflows for any exponent or
+    scale of alpha. Zero coefficients map to exp(-inf) = 0.
+    """
+    q = economy.q[rows, None]
+    with np.errstate(divide="ignore"):
+        t = np.log(dense_alpha(economy)[rows])
+    t *= q
+    t += (1.0 - q) * np.log(prices)
+    t -= t.max(axis=1, keepdims=True)
+    np.exp(t, out=t)
+    t /= t.sum(axis=1, keepdims=True)
+    t *= prices[rows, None]
+    t /= prices[None, :]
+    return t
+
+
+def ces_demand(economy, trader: int, prices) -> np.ndarray:
+    """Utility-maximizing bundle of one trader at the given prices.
+
+    Row ``trader`` of `demand_matrix`, evaluated for that trader alone. The
+    bundle satisfies the budget identity ``p . x == p[trader]`` to
+    floating-point accuracy.
+    """
+    if not (0 <= trader < economy.n):
+        raise ValueError(f"trader index {trader} out of range [0, {economy.n})")
+    p = as_price_array(prices, economy.n)
+    return _demand_rows(economy, slice(trader, trader + 1), p)[0]
+
+
+def demand_matrix(economy, prices) -> np.ndarray:
+    """Demand of every trader at once, n x n: the dense reference of the package's demand kernels.
+
+    Row ``i`` equals ``ces_demand(economy, i, prices)``; the column sums are
+    aggregate demand.
+    """
+    return _demand_rows(economy, slice(None), as_price_array(prices, economy.n))
+
+
+def column_dominance(alpha_hat: np.ndarray, i: int, j: int) -> tuple[bool, dict]:
+    """Does normalized column i sit entrywise below column j, strictly somewhere? Read off the dense matrix."""
+    col_i = alpha_hat[:, i]
+    col_j = alpha_hat[:, j]
+    bad = np.flatnonzero(col_i > col_j)
+    if bad.size:
+        k = int(bad[0])
+        return False, {
+            "reason": f"alpha_hat[{k}][{i}] > alpha_hat[{k}][{j}]",
+            "row": k,
+            "values": [float(col_i[k]), float(col_j[k])],
+        }
+    if not np.any(col_i < col_j):
+        return False, {"reason": f"columns {i} and {j} are identical after normalization"}
+    return True, {}
+
+
+def is_regular(matrix: np.ndarray, tol: float = 1e-9) -> bool:
+    """True iff all row sums of a square array are equal and all column sums are equal.
+
+    Sums are compared with absolute tolerance ``tol``, each against the first.
+    """
+    row_sums = matrix.sum(axis=1)
+    col_sums = matrix.sum(axis=0)
+    return bool(
+        np.all(np.abs(row_sums - row_sums[0]) <= tol)
+        and np.all(np.abs(col_sums - col_sums[0]) <= tol)
+    )
 
 
 def reference_damped_chain(weights: np.ndarray, beta: float) -> np.ndarray:

@@ -18,7 +18,6 @@ from cesrank import (
     RankingProblem,
     SolverConfig,
     build_economy,
-    ces_demand,
     check_minimal_fairness,
     check_strict_monotonicity,
     excess_demand,
@@ -33,6 +32,8 @@ from cesrank import (
 )
 
 from oracles import (
+    ces_demand,
+    dense_alpha,
     dominance_instance,
     grid_search_demand,
     random_problem_arrays,
@@ -205,7 +206,7 @@ def test_criterion_8_dangling_rule():
         assert len(dangling) == n_dangling
         economy = web_economy(DirectedGraph(n, src, dst), c=0.85)
 
-        matrix = economy.alpha
+        matrix = dense_alpha(economy)
         row_sums = matrix.sum(axis=1)
         assert np.abs(row_sums - 1.0).max() <= 1e-12, trial
         assert np.all(matrix > 0)

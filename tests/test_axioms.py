@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesrank import (
     AxiomVerdict,
     CesEconomy,
+    DirectedGraph,
     RankingProblem,
     build_economy,
     check_invariance,
@@ -13,7 +16,10 @@ from cesrank import (
     gs_spot_check,
     load_fixture,
 )
-from cesrank.axioms import STRICT_MARGIN
+from cesrank.axioms import STRICT_MARGIN, _column_dominance
+from cesrank.economy import damped_economy
+
+from oracles import column_dominance, dense_alpha, dense_weights, is_regular
 
 
 class TestAxiomVerdict:
@@ -137,7 +143,7 @@ class TestUniformity:
 
     def test_same_matrix_unit_elasticity_is_uniform(self):
         base = load_fixture("nonuniform3")
-        problem = RankingProblem(base.agent_ids, base.alpha, 0.0, beta=1.0)
+        problem = RankingProblem(base.agent_ids, dense_weights(base.graph, base.weights), 0.0, beta=1.0)
         v = check_uniformity(problem)
         assert v.passed
         np.testing.assert_allclose(v.witness["prices"], 1 / 3, atol=1e-10)
@@ -156,10 +162,62 @@ class TestUniformity:
 
     def test_damping_is_ignored(self):
         base = load_fixture("nonuniform3")
-        damped = RankingProblem(base.agent_ids, base.alpha, base.rho, beta=0.85)
+        damped = RankingProblem(base.agent_ids, dense_weights(base.graph, base.weights), base.rho, beta=0.85)
         a = check_uniformity(base)
         b = check_uniformity(damped)
         np.testing.assert_array_equal(a.witness["prices"], b.witness["prices"])
+
+
+@st.composite
+def damped_graphs(draw):
+    """A weighted graph with dangling rows, sparse rows and rows with an edge to every vertex, and a beta.
+
+    A third of the graphs are one edge per row to a permutation, and a third
+    have no sparse row: with unit weights both are regular.
+    """
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["mixed", "permutation", "no sparse row"]))
+    src, dst = [], []
+    for i, target in enumerate(rng.permutation(n)):
+        kind = rng.choice(["dangling", "complete"] if shape == "no sparse row" else ["dangling", "sparse", "complete"])
+        if shape == "permutation":
+            cols = [int(target)]
+        elif kind == "complete":
+            cols = list(range(n))
+        elif kind == "sparse":
+            cols = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        else:
+            continue
+        src += [i] * len(cols)
+        dst += cols
+    weights = np.ones(len(src)) if draw(st.booleans()) else rng.uniform(0.5, 3.0, len(src))
+    return DirectedGraph(n, src, dst), weights, draw(st.sampled_from([0.85, 1.0]))
+
+
+@given(damped_graphs())
+@settings(max_examples=300, deadline=None)
+def test_floors_and_entries_read_as_the_dense_matrix(case):
+    # dominance on the problem's economy and regularity on the undamped one,
+    # as the checks read them, against the same rules on the n x n matrices
+    graph, weights, beta = case
+    problem = RankingProblem.from_edges(tuple(map(str, range(graph.n))), graph, weights, 0.0, beta=beta)
+    economy = build_economy(problem)
+    alpha = dense_alpha(economy)
+    for i in range(graph.n):
+        for j in range(graph.n):
+            assert _column_dominance(economy, i, j) == column_dominance(alpha, i, j)
+    undamped = dense_alpha(damped_economy(graph, weights, 0.0, 1.0))
+    try:
+        verdict = check_uniformity(problem)
+    except ValueError as error:  # judged regular, then not strongly connected for the solve
+        assert "not strongly connected" in str(error)
+        assert is_regular(undamped)
+        return
+    assert verdict.applicable == is_regular(undamped)
+    if not verdict.applicable:
+        np.testing.assert_allclose(verdict.witness["row_sums"], undamped.sum(axis=1), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(verdict.witness["column_sums"], undamped.sum(axis=0), rtol=0, atol=1e-14)
 
 
 class TestGrossSubstitutes:

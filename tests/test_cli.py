@@ -23,7 +23,9 @@ import cesrank.problem
 from cesrank import (
     DirectedGraph,
     RankingProblem,
+    build_economy,
     dump_problem,
+    load_edge_list,
     load_fixture,
     load_problem,
     sniff_and_load,
@@ -32,7 +34,15 @@ from cesrank import (
 )
 from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
 
-from oracles import SKEWED_GRAPHS, out_regular_edges, reference_ranking_text, reference_tie_groups, skewed_edge_list
+from oracles import (
+    SKEWED_GRAPHS,
+    dense_alpha,
+    dense_weights,
+    out_regular_edges,
+    reference_ranking_text,
+    reference_tie_groups,
+    skewed_edge_list,
+)
 
 TWO_CYCLE = "format: 1\nn 2\n0 1\n1 0\n"
 TRIANGLE = "format: 1\nn 3\n0 1\n1 2\n2 0\n2 1\n"
@@ -60,8 +70,19 @@ def problem_file(tmp_path):
     return write
 
 
-def rank_peak_memory(graph_file, capsys, *flags, n, triplets=False):
-    """Peak traced bytes and stdout of one ``rank`` run on an n-vertex graph with 5 n edges.
+def traced_peak(run):
+    """Peak bytes traced while ``run()`` runs, and what it returns."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def random_graph(graph_file, n, triplets=False) -> str:
+    """Path of an n-vertex graph with 5 n edges.
 
     The graph is an edge list, or with ``triplets`` the problem document of
     its unit weights, with agents ``v0 .. v{n-1}``, rho 0 and beta 0.85: the
@@ -71,25 +92,25 @@ def rank_peak_memory(graph_file, capsys, *flags, n, triplets=False):
     if triplets:
         alpha = {"triplets": [[int(i), int(j), 1.0] for i, j in edges]}
         doc = {"format": 1, "agents": [f"v{k}" for k in range(n)], "alpha": alpha, "rho": 0.0, "beta": 0.85}
-        path = graph_file(json.dumps(doc), "g.json")
-    else:
-        path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
-    tracemalloc.start()
-    try:
-        code = main(["rank", *flags, "--input", path])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return graph_file(json.dumps(doc), "g.json")
+    return graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+
+
+def peak_memory(graph_file, capsys, *argv, n, triplets=False):
+    """Peak traced bytes and stdout of one run of the subcommand ``argv`` on a `random_graph`."""
+    path = random_graph(graph_file, n, triplets)
+    peak, code = traced_peak(lambda: main([*argv, "--input", path]))
     assert code == 0
     return peak, capsys.readouterr().out
 
 
-def assert_memory_is_linear_in_the_edges(graph_file, capsys, *flags, n=3000, triplets=False):
-    """Run `rank_peak_memory` and check its peak; returns the run's stdout."""
+def assert_memory_is_linear_in_the_edges(graph_file, capsys, *argv, n=3000, triplets=False):
+    """Run `peak_memory` and check its peak; returns the run's stdout."""
     # one n x n float array is 8 n^2 bytes, 69 MiB at n = 3000; the edge list
     # and the chain or economy on its 5 n edges fit in a few
-    peak, out = rank_peak_memory(graph_file, capsys, *flags, n=n, triplets=triplets)
-    assert len(out.splitlines()) == n
+    peak, out = peak_memory(graph_file, capsys, *argv, n=n, triplets=triplets)
+    if argv[0] == "rank":
+        assert len(out.splitlines()) == n
     assert peak < min(24 * 2**20, 8 * n * n)
     return out
 
@@ -142,12 +163,12 @@ class TestRankPagerank:
         assert max(abs(r["score"] - solved.pi[int(r["agent"][1:])]) for r in doc["ranking"]) <= 1e-12
 
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys):
-        assert_memory_is_linear_in_the_edges(graph_file, capsys, "--method", "pagerank")
+        assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--method", "pagerank")
 
     def test_no_dense_matrix_below_two_thousand_vertices(self, graph_file, capsys):
         # the chain is iterated on its edges at every size: at n = 1500 the
         # peak stays under one 1500 x 1500 float array (17.2 MiB)
-        assert_memory_is_linear_in_the_edges(graph_file, capsys, "--method", "pagerank", n=1500)
+        assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--method", "pagerank", n=1500)
 
 
 class TestRankCes:
@@ -196,22 +217,22 @@ class TestRankCes:
 
     @pytest.mark.parametrize("rho", ["0.5", "-0.5", "0"])
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys, rho):
-        assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho)
+        assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--rho", rho)
 
     @pytest.mark.parametrize("rho", ["0.5", "0"])
     def test_triplet_document_ranks_as_its_edge_list(self, graph_file, capsys, rho):
         # the document parses to the edge list's graph and weights: the same
         # bytes out, and no n x n array on the way
-        edge_list = assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho)
-        assert assert_memory_is_linear_in_the_edges(graph_file, capsys, "--rho", rho, triplets=True) == edge_list
+        edge_list = assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--rho", rho)
+        assert assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--rho", rho, triplets=True) == edge_list
 
     def test_closed_form_holds_three_dense_arrays(self, graph_file, capsys):
         # damped this weakly, the contraction bound asks for more than n
-        # steps, so rho 0 is the closed form: it needs the n x n alpha, its
-        # shares and the linear system, each once, under 3.5 arrays of
-        # 1000 x 1000 (26.7 MiB)
+        # steps, so rho 0 is the closed form: it needs the n x n shares and
+        # the linear system, each once, under 3.5 arrays of 1000 x 1000
+        # (26.7 MiB)
         n = 1000
-        peak, out = rank_peak_memory(graph_file, capsys, "--rho", "0", "--beta", "0.9999", "--format", "json", n=n)
+        peak, out = peak_memory(graph_file, capsys, "rank", "--rho", "0", "--beta", "0.9999", "--format", "json", n=n)
         doc = json.loads(out)
         assert doc["report"]["method"] == "closed_form"
         assert len(doc["ranking"]) == n
@@ -357,13 +378,13 @@ class TestRankInvariant:
     def test_connectivity_checked_once(self, graph_file, capsys, monkeypatch):
         # by the solver, on the economy graph; a tatonnement finish does not check again
         calls = []
-        original = cesrank.markov.is_strongly_connected
+        original = cesrank.markov._reached_both_ways
 
-        def counted(graph):
+        def counted(graph, vertex):
             calls.append(graph.n)
-            return original(graph)
+            return original(graph, vertex)
 
-        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
         for text in (TRIANGLE, skewed_edge_list("three")):
             assert main(["rank", "--method", "invariant", "--input", graph_file(text)]) == 0
         assert calls == [3, 3]
@@ -477,7 +498,7 @@ class TestExitCodes:
 
     def test_unreachable_tolerance(self, problem_file, capsys):
         base = load_fixture("monotone3")
-        path = problem_file(RankingProblem(base.agent_ids, base.alpha, 0.0, beta=0.85))
+        path = problem_file(RankingProblem(base.agent_ids, dense_weights(base.graph, base.weights), 0.0, beta=0.85))
         code = main(["rank", "--input", path, "--tol", "1e-30"])
         captured = capsys.readouterr()
         assert code == 3
@@ -545,6 +566,16 @@ class TestVerify:
         assert code == 0
         assert records[0]["status"] == "pass"
 
+    @pytest.mark.parametrize("axiom", ["monotone", "uniformity"])
+    def test_memory_is_linear_in_the_edges(self, graph_file, capsys, axiom):
+        # both read the economy's floors and entries: on this graph column 0
+        # is not below column 1, and the column sums differ, so neither solves
+        out = assert_memory_is_linear_in_the_edges(graph_file, capsys, "verify", "--axiom", axiom)
+        (record,) = json.loads(out)
+        assert record["status"] == "not_applicable"
+        if axiom == "uniformity":
+            assert len(record["witness"]["row_sums"]) == len(record["witness"]["column_sums"]) == 3000
+
 
 class TestCompare:
     def test_strongly_connected_graph(self, graph_file, capsys):
@@ -575,13 +606,13 @@ class TestCompare:
     def test_no_connectivity_check(self, graph_file, capsys, monkeypatch):
         # a damped chain is complete, so there is nothing to check
         calls = []
-        original = cesrank.markov.is_strongly_connected
+        original = cesrank.markov._reached_both_ways
 
-        def counted(graph):
+        def counted(graph, vertex):
             calls.append(graph.n)
-            return original(graph)
+            return original(graph, vertex)
 
-        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
         assert main(["compare", "--input", graph_file(DANGLING)]) == 0
         assert calls == []
 
@@ -601,7 +632,7 @@ class TestConvert:
         assert code == 0
 
         converted = load_problem(out_path)
-        assert converted.beta == 1.0
+        assert converted.beta == 0.85
         np.testing.assert_array_equal(converted.rho, 0.0)
 
         main(["rank", "--method", "pagerank", "--input", source])
@@ -618,13 +649,13 @@ class TestConvert:
     def test_no_connectivity_check(self, graph_file, capsys, monkeypatch):
         # a damped chain is complete, so there is nothing to check
         calls = []
-        original = cesrank.markov.is_strongly_connected
+        original = cesrank.markov._reached_both_ways
 
-        def counted(graph):
+        def counted(graph, vertex):
             calls.append(graph.n)
-            return original(graph)
+            return original(graph, vertex)
 
-        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
         assert main(["convert", "--input", graph_file(DANGLING)]) == 0
         assert calls == []
 
@@ -648,7 +679,46 @@ class TestConvert:
         assert code == 0
         problem = load_problem(io.StringIO(text))
         assert problem.agent_ids == ("v0", "v1", "v2")
-        np.testing.assert_allclose(problem.alpha.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(dense_alpha(build_economy(problem)).sum(axis=1), 1.0, atol=1e-12)
+
+
+    def test_memory_is_linear_in_the_edges(self, graph_file, capsys):
+        out = assert_memory_is_linear_in_the_edges(graph_file, capsys, "convert")
+        problem = load_problem(io.StringIO(out))
+        assert problem.graph.src.size == 5 * 3000 and (problem.weights == 1.0).all()
+
+    def test_dump_problem_memory_is_linear_in_the_edges(self, graph_file):
+        n = 3000
+        problem = RankingProblem.from_edges(tuple(f"v{k}" for k in range(n)), *load_edge_list(random_graph(graph_file, n)), 0.0)
+        peak, text = traced_peak(lambda: dump_problem(problem))
+        assert load_problem(io.StringIO(text)).graph.src.size == 5 * n
+        assert peak < min(24 * 2**20, 8 * n * n)
+
+    def test_damping_is_written_as_beta(self, graph_file, capsys):
+        assert main(["convert", "--damping", "0.9", "--input", graph_file(TRIANGLE)]) == 0
+        assert json.loads(capsys.readouterr().out)["beta"] == 0.9
+
+    @pytest.mark.parametrize("text", [TRIANGLE, DANGLING], ids=["triangle", "dangling"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rho", "0"], ["--rho", "0.5"], ["--rho", "-0.5"], ["--method", "pagerank"], ["--method", "invariant"]],
+        ids=["ces-rho0", "ces-rho0.5", "ces-rho-0.5", "pagerank", "invariant"],
+    )
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_document_ranks_as_its_edge_list(self, graph_file, tmp_path, capsys, text, flags, fmt):
+        # an unweighted edge list and its converted document are one economy:
+        # the same exit code and the same bytes under every method
+        source = graph_file(text)
+        converted = str(tmp_path / "converted.json")
+        assert main(["convert", "--input", source, "--output", converted]) == 0
+
+        def run(path):
+            code = main(["rank", *flags, "--format", fmt, "--input", path])
+            return code, capsys.readouterr()
+
+        code, edge_list = run(source)
+        assert run(converted) == (code, edge_list)
+        assert code == (2 if text == DANGLING and "invariant" in flags else 0)
 
 
 class TestLogging:

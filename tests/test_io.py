@@ -19,7 +19,7 @@ from cesrank import (
 )
 from cesrank import formats
 
-from oracles import out_regular_edges, reference_load_edge_list, reference_triplet_alpha
+from oracles import dense_weights, out_regular_edges, reference_load_edge_list, reference_triplet_alpha
 
 MINIMAL = {
     "format": 1,
@@ -41,7 +41,7 @@ class TestLoadProblem:
     def test_dense_document(self):
         problem = load_problem(doc())
         assert problem.agent_ids == ("a", "b")
-        np.testing.assert_array_equal(problem.alpha, [[0.0, 3.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(dense_weights(problem.graph, problem.weights), [[0.0, 3.0], [2.0, 0.0]])
         np.testing.assert_array_equal(problem.rho, [0.5, 0.5])
         assert problem.beta == 0.85  # default when the key is absent
 
@@ -50,7 +50,7 @@ class TestLoadProblem:
 
     def test_triplet_document(self):
         problem = load_problem(doc(alpha={"triplets": [[0, 1, 3.0], [1, 0, 2.0]]}))
-        np.testing.assert_array_equal(problem.alpha, [[0.0, 3.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(dense_weights(problem.graph, problem.weights), [[0.0, 3.0], [2.0, 0.0]])
 
     def test_per_agent_rho(self):
         problem = load_problem(doc(rho=[0.5, -0.25]))
@@ -162,7 +162,7 @@ class TestLoadProblem:
             assert str(raised.value) == str(e)
             return
         problem = load_problem(doc(alpha={"triplets": triplets}))
-        np.testing.assert_array_equal(problem.alpha, expected)
+        np.testing.assert_array_equal(dense_weights(problem.graph, problem.weights), expected)
         assert problem.weights.min(initial=1.0) > 0.0
 
     def test_semantic_error_wrapped(self):
@@ -194,13 +194,26 @@ class TestDumpProblem:
         problem = load_problem(doc(beta=0.9, rho=[0.5, -0.25]))
         again = load_problem(io.StringIO(dump_problem(problem)))
         assert again.agent_ids == problem.agent_ids
-        np.testing.assert_array_equal(again.alpha, problem.alpha)
+        np.testing.assert_array_equal(dense_weights(again.graph, again.weights), dense_weights(problem.graph, problem.weights))
         np.testing.assert_array_equal(again.rho, problem.rho)
         assert again.beta == problem.beta
 
     def test_uniform_rho_collapses_to_scalar(self):
         text = dump_problem(load_problem(doc()))
         assert json.loads(text)["rho"] == 0.5
+
+    def test_writes_the_edges_as_json_dumps_would(self):
+        problem = load_problem(doc(beta=0.9, rho=[0.5, -0.25]))
+        expected = {
+            "format": 1,
+            "agents": ["a", "b"],
+            "alpha": {"triplets": [[0, 1, 3.0], [1, 0, 2.0]]},
+            "rho": [0.5, -0.25],
+            "beta": 0.9,
+        }
+        assert dump_problem(problem) == json.dumps(expected, indent=2) + "\n"
+        empty = RankingProblem(("a",), np.zeros((1, 1)), 0.0)
+        assert json.loads(dump_problem(empty))["alpha"] == {"triplets": []}
 
     def test_writes_to_stream(self):
         out = io.StringIO()
@@ -212,7 +225,7 @@ class TestDumpProblem:
     @given(problem=problems())
     def test_round_trip_is_exact(self, problem):
         again = load_problem(io.StringIO(dump_problem(problem)))
-        np.testing.assert_array_equal(again.alpha, problem.alpha)
+        np.testing.assert_array_equal(dense_weights(again.graph, again.weights), dense_weights(problem.graph, problem.weights))
         np.testing.assert_array_equal(again.rho, problem.rho)
         assert again.beta == problem.beta and again.agent_ids == problem.agent_ids
 
@@ -488,8 +501,8 @@ class TestProblemFromEdgeList:
         assert problem.weights.tolist() == [1.0, 2.5, 1.0] and not problem.weights.flags.writeable
         assert problem.beta == 0.85
         np.testing.assert_array_equal(problem.rho, 0.0)
-        assert "alpha" not in problem.__dict__  # built on first access only
-        np.testing.assert_array_equal(problem.alpha, [[0, 1, 0], [0, 0, 2.5], [1, 0, 0]])
+        assert not hasattr(problem, "alpha")
+        np.testing.assert_array_equal(dense_weights(problem.graph, problem.weights), [[0, 1, 0], [0, 0, 2.5], [1, 0, 0]])
 
     def test_overrides(self):
         problem = RankingProblem.from_edges(("a", "b", "c"), *load_edge_list(io.StringIO(EDGES)), 0.5, beta=1.0)

@@ -3,24 +3,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cesrank.axioms
 from cesrank import (
     CesEconomy,
     DirectedGraph,
     PriceVector,
     RankingProblem,
     build_economy,
-    demand_matrix,
-    is_regular,
-    normalize_preferences,
+    check_uniformity,
+    excess_demand,
     solve_cobb_douglas,
     web_economy,
 )
 
-from oracles import reference_damped_chain
+from oracles import dense_alpha, dense_weights, reference_damped_chain
 
 
 def ids(n):
     return tuple(f"a{k}" for k in range(n))
+
+
+def normalized(problem) -> np.ndarray:
+    """The damped preference matrix the market consumes, n x n."""
+    return dense_alpha(build_economy(problem))
 
 
 class TestRankingProblemValidation:
@@ -76,7 +81,7 @@ class TestRankingProblemValidation:
     def test_arrays_are_frozen(self):
         p = RankingProblem(ids(2), np.ones((2, 2)), 0.0)
         with pytest.raises(ValueError):
-            p.alpha[0, 0] = 2.0
+            p.weights[0] = 2.0
         with pytest.raises(Exception):
             p.beta = 0.5
 
@@ -86,43 +91,43 @@ class TestRankingProblemValidation:
         assert (p.graph.src.tolist(), p.graph.dst.tolist()) == ([0, 1, 1], [1, 0, 2])
         assert p.weights.tolist() == [2.0, 1.0, 3.0] and not p.weights.flags.writeable
         assert all(np.ndim(value) < 2 for value in vars(p).values())
-        np.testing.assert_array_equal(p.alpha, alpha)
-        assert p.alpha is p.alpha  # built once, on first access
+        np.testing.assert_array_equal(dense_weights(p.graph, p.weights), alpha)
+        assert not hasattr(p, "alpha")
 
     def test_input_array_not_aliased(self):
         alpha = np.ones((2, 2))
         p = RankingProblem(ids(2), alpha, 0.0)
         alpha[0, 0] = 7.0
-        assert p.alpha[0, 0] == 1.0
+        assert dense_weights(p.graph, p.weights)[0, 0] == 1.0
 
 
 class TestNormalize:
     def test_zero_matrix_fills_uniform(self):
         p = RankingProblem(ids(2), np.zeros((2, 2)), 0.0, beta=0.85)
-        out = normalize_preferences(p)
+        out = normalized(p)
         np.testing.assert_allclose(out, 0.5)
 
     def test_stochastic_rows_with_beta_one_unchanged(self):
         alpha = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
         p = RankingProblem(ids(3), alpha, 0.5, beta=1.0)
-        out = normalize_preferences(p)
+        out = normalized(p)
         np.testing.assert_array_equal(out, alpha)
 
     def test_damped_two_agent_example(self):
         # rows [3,1] and [0,2]: normalize to (0.75,0.25), (0,1); then mix
         # with the uniform row at weight 0.2
         p = RankingProblem(ids(2), np.array([[3.0, 1.0], [0.0, 2.0]]), 0.0, beta=0.8)
-        out = normalize_preferences(p)
+        out = normalized(p)
         np.testing.assert_allclose(out, [[0.70, 0.30], [0.10, 0.90]])
 
     def test_preserves_rho_and_ids(self):
         # the damped matrix carries neither: the problem keeps its ids and
         # the economy takes rho from the problem
         p = RankingProblem(("x", "y"), np.array([[1.0, 3.0], [0.0, 0.0]]), np.array([0.5, -0.5]))
-        out = normalize_preferences(p)
-        assert isinstance(out, np.ndarray) and not out.flags.writeable
+        economy = build_economy(p)
+        assert not any(a.flags.writeable for a in (economy.floor, economy.rows, economy.cols, economy.values))
         assert p.agent_ids == ("x", "y")
-        np.testing.assert_array_equal(p.alpha, [[1.0, 3.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(dense_weights(p.graph, p.weights), [[1.0, 3.0], [0.0, 0.0]])
         np.testing.assert_array_equal(build_economy(p).rho, [0.5, -0.5])
 
     def test_same_matrix_as_the_web_chain(self):
@@ -131,8 +136,8 @@ class TestNormalize:
         src, dst = [0, 0, 1, 2, 2, 3, 4, 4], [1, 2, 2, 0, 3, 4, 0, 1]  # vertex 5 dangles
         weights = np.zeros((6, 6))
         weights[src, dst] = 1.0
-        chain = web_economy(DirectedGraph(6, src, dst), 0.85).alpha
-        damped = normalize_preferences(RankingProblem(ids(6), weights, 0.0, beta=0.85))
+        chain = dense_alpha(web_economy(DirectedGraph(6, src, dst), 0.85))
+        damped = normalized(RankingProblem(ids(6), weights, 0.0, beta=0.85))
         reference = reference_damped_chain(weights.copy(), 0.85)
         assert chain.tobytes() == reference.tobytes()
         assert damped.tobytes() == reference.tobytes()
@@ -156,14 +161,14 @@ def problems(draw, max_n=6):
 @given(problems())
 @settings(max_examples=150, deadline=None)
 def test_normalized_rows_sum_to_one(problem):
-    out = normalize_preferences(problem)
+    out = normalized(problem)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
 
 @given(problems())
 @settings(max_examples=150, deadline=None)
 def test_normalized_entries_bounded_below(problem):
-    out = normalize_preferences(problem)
+    out = normalized(problem)
     floor = (1.0 - problem.beta) / problem.n
     assert np.all(out >= floor - 1e-15)
     if problem.beta < 1.0:
@@ -173,10 +178,10 @@ def test_normalized_entries_bounded_below(problem):
 @given(problems())
 @settings(max_examples=100, deadline=None)
 def test_normalize_idempotent_when_undamped(problem):
-    once = normalize_preferences(
-        RankingProblem(problem.agent_ids, problem.alpha, problem.rho, beta=1.0)
+    once = normalized(
+        RankingProblem(problem.agent_ids, dense_weights(problem.graph, problem.weights), problem.rho, beta=1.0)
     )
-    twice = normalize_preferences(
+    twice = normalized(
         RankingProblem(problem.agent_ids, once, problem.rho, beta=1.0)
     )
     np.testing.assert_allclose(twice, once, atol=1e-15, rtol=0)
@@ -186,17 +191,23 @@ def test_normalize_idempotent_when_undamped(problem):
 @settings(max_examples=150, deadline=None)
 def test_row_scaling_is_invisible(problem, row, lam):
     row %= problem.n
-    scaled_alpha = np.array(problem.alpha)
+    alpha = dense_weights(problem.graph, problem.weights)
+    scaled_alpha = alpha.copy()
     scaled_alpha[row] *= lam
     # a row of subnormals does not scale exactly: it can round to zero (and
     # turn dangling) or change its ratios; a row whose max stays normal can
     # only move its subnormal entries, by far less than the tolerance
     tiny = np.finfo(float).tiny
-    assume(problem.alpha[row].max() == 0.0 or min(problem.alpha[row].max(), scaled_alpha[row].max()) >= tiny)
+    assume(alpha[row].max() == 0.0 or min(alpha[row].max(), scaled_alpha[row].max()) >= tiny)
     scaled = RankingProblem(problem.agent_ids, scaled_alpha, problem.rho, beta=problem.beta)
-    a = normalize_preferences(problem)
-    b = normalize_preferences(scaled)
+    a = normalized(problem)
+    b = normalized(scaled)
     np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
+
+
+def regular(problem) -> bool:
+    """Is the undamped problem regular, as the uniformity axiom decides it?"""
+    return check_uniformity(problem).applicable
 
 
 class TestIsRegular:
@@ -208,24 +219,26 @@ class TestIsRegular:
                 [1 / 4, 1 / 2, 1 / 4],
             ]
         )
-        out = normalize_preferences(RankingProblem(ids(3), alpha, 0.5, beta=1.0))
-        assert is_regular(out)
+        assert regular(RankingProblem(ids(3), alpha, 0.5, beta=1.0))
 
     def test_uniform_matrix(self):
-        out = normalize_preferences(RankingProblem(ids(4), np.zeros((4, 4)), 0.0, beta=1.0))
-        assert is_regular(out)
+        assert regular(RankingProblem(ids(4), np.zeros((4, 4)), 0.0, beta=1.0))
 
     def test_unbalanced_columns(self):
-        out = normalize_preferences(
-            RankingProblem(ids(2), np.array([[0.9, 0.1], [0.5, 0.5]]), 0.0, beta=1.0)
-        )
+        problem = RankingProblem(ids(2), np.array([[0.9, 0.1], [0.5, 0.5]]), 0.0, beta=1.0)
         # column sums are 1.4 and 0.6
-        assert not is_regular(out)
+        assert not regular(problem)
+        np.testing.assert_allclose(check_uniformity(problem).witness["column_sums"], [1.4, 0.6])
 
-    def test_tolerance_parameter(self):
-        alpha = np.array([[0.5, 0.5], [0.5 + 1e-12, 0.5 - 1e-12]])
-        assert is_regular(alpha)
-        assert not is_regular(alpha, tol=1e-14)
+    def test_tolerance_parameter(self, monkeypatch):
+        problem = RankingProblem(ids(2), np.array([[0.5, 0.5], [0.5 + 1e-12, 0.5 - 1e-12]]), 0.0, beta=1.0)
+        assert regular(problem)
+        # each sum is compared with the first: these column sums spread over 1.6e-9
+        third, d = 1 / 3, 0.8e-9
+        spread = np.array([[third, third, third], [third, third + d, third - d], [third, third, third]])
+        assert regular(RankingProblem(ids(3), spread, 0.0, beta=1.0))
+        monkeypatch.setattr(cesrank.axioms, "REGULARITY_TOL", 1e-14)
+        assert not regular(problem)
 
 
 _MESSAGE_CASES = {
@@ -236,7 +249,7 @@ _MESSAGE_CASES = {
     "rho band": (lambda: RankingProblem(ids(1), np.ones((1, 1)), 1e-12), "rho[0] = 1e-12 is inside"),
     "alpha": (lambda: RankingProblem(ids(2), -np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
     "economy alpha": (lambda: CesEconomy(-np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
-    "price array": (lambda: demand_matrix(CesEconomy(np.ones((2, 2)), 0.0), np.array([0.0, 1.0])), "is 0.0;"),
+    "price array": (lambda: excess_demand(CesEconomy(np.ones((2, 2)), 0.0), np.array([0.0, 1.0])), "is 0.0;"),
     "price vector entry": (lambda: PriceVector(np.array([1.0, -1.0])), "is -1.0;"),
     "price vector sum": (lambda: PriceVector(np.array([0.75, 0.75])), "sum to 1.5"),
     "closed form rho": (lambda: solve_cobb_douglas(CesEconomy(np.ones((2, 2)), 0.5)), "rho = 0.5;"),

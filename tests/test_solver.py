@@ -18,7 +18,6 @@ from cesrank import (
     SolverConfig,
     build_economy,
     damped_economy,
-    demand_matrix,
     load_fixture,
     multistart_probe,
     rank_problem,
@@ -33,7 +32,10 @@ from cesrank import (
 
 from oracles import (
     SKEWED_GRAPHS,
+    demand_matrix,
+    dense_alpha,
     dense_tatonnement,
+    dense_weights,
     fixed_point_equilibrium,
     out_regular_edges,
     skewed_graph,
@@ -45,6 +47,12 @@ from oracles import (
 NONUNIFORM3_EQUILIBRIUM = np.array(
     [0.3276676903794467, 0.3446646192411066, 0.3276676903794467]
 )
+
+
+def fixture_alpha(name) -> np.ndarray:
+    """The dense weights of a bundled fixture, n x n."""
+    problem = load_fixture(name)
+    return dense_weights(problem.graph, problem.weights)
 
 
 class TestSolverConfig:
@@ -149,7 +157,7 @@ def test_solve_power_matches_the_closed_form():
         n, src, dst, _ = with_dangling_vertices(rng, int(rng.integers(3, 30)), 1)
         weights = rng.uniform(0.5, 3.0, len(src))
         damped = damped_economy(DirectedGraph(n, src, dst), weights, 0.0, float(rng.uniform(0.3, 0.85)))
-        scaled = CesEconomy(damped.alpha * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
+        scaled = CesEconomy(dense_alpha(damped) * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
         for economy in (damped, scaled):
             power, report = solve_power(economy)
             closed, _ = solve_cobb_douglas(economy)
@@ -177,7 +185,7 @@ def test_power_branch_agrees_with_the_closed_form(seed, n, beta, scaled):
     n, src, dst, _ = with_dangling_vertices(rng, n, int(rng.integers(0, n // 5 + 1)))
     economy = damped_economy(DirectedGraph(n, src, dst), rng.uniform(0.5, 3.0, len(src)), 0.0, beta)
     if scaled:
-        economy = CesEconomy(economy.alpha * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
+        economy = CesEconomy(dense_alpha(economy) * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
     floor_share = cesrank.solver._power_step(economy)[1]
     assume(cesrank.solver._contraction_budget(floor_share, 1e-12) <= n)
     closed, _ = solve_cobb_douglas(economy)
@@ -203,7 +211,7 @@ class TestSolveTatonnement:
         assert report.converged
         assert report.residual <= 1e-10
         # and the frozen value itself against the live oracle
-        oracle = fixed_point_equilibrium(economy.alpha, q=2.0)
+        oracle = fixed_point_equilibrium(dense_alpha(economy), q=2.0)
         np.testing.assert_allclose(oracle, NONUNIFORM3_EQUILIBRIUM, atol=1e-12, rtol=0)
 
     def test_symmetric_economy_converges_immediately(self):
@@ -502,7 +510,7 @@ class TestSolveEquilibrium:
 
     def test_explicit_method_respected(self):
         # the iterative path for a rho-0 economy is a direct call, not a config knob
-        e = CesEconomy(load_fixture("nonuniform3").alpha, 0.0)
+        e = CesEconomy(fixture_alpha("nonuniform3"), 0.0)
         closed, _ = solve_equilibrium(e)
         prices, report = solve_tatonnement(e)
         assert report.method == "tatonnement"
@@ -575,7 +583,7 @@ class TestRankProblem:
 
     def test_damping_changes_scores(self):
         problem = load_fixture("nonuniform3")
-        damped = RankingProblem(problem.agent_ids, problem.alpha, problem.rho, beta=0.85)
+        damped = RankingProblem(problem.agent_ids, fixture_alpha("nonuniform3"), problem.rho, beta=0.85)
         a, _ = rank_problem(problem)
         b, _ = rank_problem(damped)
         assert np.abs(a.pi - b.pi).max() > 1e-4
@@ -589,24 +597,29 @@ class TestRankProblem:
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_connectivity_checked_once(self, rho, monkeypatch):
         calls = []
-        original = cesrank.markov.is_strongly_connected
+        original = cesrank.markov._reached_both_ways
 
-        def counted(graph):
+        def counted(graph, vertex):
             calls.append(graph.n)
-            return original(graph)
+            return original(graph, vertex)
 
-        monkeypatch.setattr(cesrank.markov, "is_strongly_connected", counted)
+        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
         problem = load_fixture("nonuniform3")
         # damped: every alpha entry is positive, so the graph is complete
-        rank_problem(RankingProblem(problem.agent_ids, problem.alpha, rho, beta=0.85))
+        rank_problem(RankingProblem(problem.agent_ids, fixture_alpha("nonuniform3"), rho, beta=0.85))
         assert calls == []
         # undamped with zero entries: the exact check runs once, on the three
         # agents plus the one auxiliary vertex that stands for the edges of
         # rows 1 and 2, which have no zero entry
-        alpha = problem.alpha.copy()
+        alpha = fixture_alpha("nonuniform3")
         alpha[0, 2] = 0.0
         rank_problem(RankingProblem(problem.agent_ids, alpha, rho, beta=1.0))
         assert calls == [4]
+        # a graph that fails the check gets its verdict and its witness from one search
+        alpha = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"component: \[0, 1\]\)"):
+            rank_problem(RankingProblem(("x", "y", "z"), alpha, rho, beta=1.0))
+        assert calls == [4, 3]
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_row_sum_overflow_ranks_as_rescaled_row(self, rho):
