@@ -153,8 +153,7 @@ def _cmd_rank(args) -> int:
             # with another vertex, one without out-edges reaches none of them
             need = "one in every row" if graph.n == 1 else "a strongly connected graph, where every agent has one"
             raise ValueError(f"agent {name} has no positive weight; the invariant method needs {need}")
-        # solved, never iterated: an all-positive chain would pass solve_equilibrium's contraction budget
-        scores, report = solve_cobb_douglas(damped_economy(graph, weights, 0.0, 1.0), tol)
+        scores, report = solve_equilibrium(damped_economy(graph, weights, 0.0, 1.0), SolverConfig(tolerance=tol))
     # named only now: a declared vertex count too large to rank fails above, in numpy
     _emit_ranking(_names(ids, scores.n), scores.pi, report, args.method, args.format)
     return _EXIT_OK
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--rho", type=float, default=None, help="override rho for every agent, in [-1, 0.95] (ces)")
     rank.add_argument("--beta", type=float, default=None, help="override damping weight (ces)")
     rank.add_argument("--damping", type=float, default=None, help="link-following probability, default 0.85 (pagerank)")
-    rank.add_argument("--tol", type=float, default=None, help="solver tolerance")
+    rank.add_argument("--tol", type=float, default=None, help="bound on the certified max excess demand; 1e-10 for ces, 1e-12 otherwise")
     rank.add_argument("--format", choices=("tsv", "json"), default="tsv")
     rank.set_defaults(func=_cmd_rank)
 

@@ -39,8 +39,7 @@ class SolverReport:
     """Convergence diagnostics of one solve.
 
     ``residual`` is the max-norm of the excess demand at the returned
-    prices, except for ``method="power"`` from `cesrank.solver.solve_power`,
-    where it is the fixed-point defect ``max |S.T @ p - p|``.
+    prices, as `cesrank.solver.verify_equilibrium` certifies it.
     ``converged`` implies ``residual <= tolerance``.
     """
 

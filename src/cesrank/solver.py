@@ -3,13 +3,14 @@
 All-Cobb-Douglas economies reduce to one linear system (market clearing at
 positive prices reads ``sum_i alpha[i][j] * pi[i] = pi[j]``, the invariant
 condition of a stochastic matrix), so they are iterated as PageRank is when
-their floors guarantee a short contraction, and otherwise solved exactly by
-`stationary_solve`, which is how the invariant method ranks. Everything else
-runs damped multiplicative price adjustment: raise the price of
-over-demanded goods, lower the price of over-supplied ones, renormalize. The
-result is never trusted on faith; `verify_equilibrium` certifies the
-excess-demand residual independently of how the prices were found, and a
-closed form that it does not certify is finished by price adjustment.
+every floor is positive, for at most n steps, and otherwise, or when those
+steps do not clear the market, solved exactly by `stationary_solve`.
+Everything else runs damped multiplicative price adjustment: raise the price
+of over-demanded goods, lower the price of over-supplied ones, renormalize.
+The result is never trusted on faith; every solver stops on
+`verify_equilibrium`, which certifies the excess-demand residual
+independently of how the prices were found, and a closed form that it does
+not certify is finished by price adjustment.
 """
 
 from __future__ import annotations
@@ -158,47 +159,33 @@ def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:
     return floor / totals, excess / totals[rows]
 
 
-def _power_step(economy: CesEconomy) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """The rho-0 price map ``p -> S.T @ p`` on the floors and entries, and each trader's floor share.
-
-    The shares are `_shares`; the map costs O(n + nnz).
-    """
+def _power_step(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
+    """The rho-0 price map ``p -> S.T @ p`` on the floors and entries, O(n + nnz); the shares are `_shares`."""
     n, rows, cols = economy.n, economy.rows, economy.cols
     floor_share, excess_share = _shares(economy)
 
     def step(p: np.ndarray) -> np.ndarray:
         return floor_share @ p + np.bincount(cols, excess_share * p[rows], minlength=n)
 
-    return step, floor_share
-
-
-def _power_loop(step, n: int, stop, max_iters: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Iterate ``p <- step(p)``, renormalized, from the uniform vector.
-
-    Returns ``(it, p, step(p))`` for the first iterate ``p`` that ``stop(p,
-    step(p))`` accepts, ``it`` steps in. ``it == max_iters`` means that none
-    of the first ``max_iters`` iterates did; ``p`` is then the next one.
-    """
-    p = np.full(n, 1.0 / n)
-    for it in range(max_iters):
-        image = step(p)
-        if stop(p, image):
-            return it, p, image
-        p = image / image.sum()
-    return max_iters, p, step(p)
+    return step
 
 
 def solve_power(economy: CesEconomy, tolerance: float = 1e-12, max_iters: int = 100_000) -> tuple[PriceVector, SolverReport]:
     """Equilibrium of a damped all-unit-elasticity economy by iterating its prices: PageRank.
 
     At rho 0 trader i spends the share ``S[i][j] = alpha[i][j] / sum_k
-    alpha[i][k]`` of its income ``p[i]`` on good j, so the market clears where
+    alpha[i][k]`` of its income ``p[i]`` on good j, so good j's excess demand
+    at prices ``p`` is ``(S.T @ p)_j / p_j - 1`` and the market clears where
     ``p = S.T @ p``. With every floor positive, ``p <- S.T @ p`` contracts in
     L1, at rate ``c`` on a `cesrank.economy.web_economy` (Langville & Meyer,
     "Deeper Inside PageRank", 2004), in O(n + nnz) per step on the floors and
-    entries. From the uniform vector it stops at the first L1 step of at most
-    ``tolerance`` and returns the iterate before it, whose residual ``max |S.T
-    @ p - p|`` that step bounds.
+    entries. From the uniform vector it stops at the first iterate whose
+    max-norm excess demand is within ``tolerance`` and that
+    `verify_equilibrium`, which evaluates the same quantity by other
+    arithmetic, certifies; where the certificate's rounding puts it just
+    above ``tolerance``, the loop steps on. It returns that iterate, not
+    renormalized, with the certificate's residual. No certified iterate
+    within ``max_iters`` steps is a `ConvergenceError`.
     """
     require_tolerance(tolerance)
     if max_iters < 1:
@@ -209,79 +196,31 @@ def solve_power(economy: CesEconomy, tolerance: float = 1e-12, max_iters: int = 
         rho, floor = float(economy.rho[i]), float(economy.floor[i])
         raise ValueError(f"trader {i} has rho = {rho!r} and floor {floor!r}; power iteration needs rho 0, floor > 0")
     start = time.perf_counter()
-    step, _ = _power_step(economy)
-    it, p, image = _power_loop(step, economy.n, lambda p, image: np.abs(image - p).sum() <= tolerance, max_iters)
-    residual = float(np.abs(image - p).max())
-    if it == max_iters:
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iters} iterations, residual {residual:.3e}",
-            last_iterate=p,
-            residual=residual,
-        )
-    report = SolverReport(
-        method="power",
-        iterations=it,
+    step = _power_step(economy)
+    p = np.full(economy.n, 1.0 / economy.n)
+    for it in range(max_iters + 1):
+        image = step(p)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a price that underflowed to 0 never passes
+            residual = float(np.abs(image / p - 1.0).max())
+        if residual <= tolerance:
+            check = verify_equilibrium(economy, p, tolerance)
+            if check.passed:
+                report = SolverReport(
+                    method="power",
+                    iterations=it,
+                    residual=check.residual,
+                    converged=True,
+                    tolerance=tolerance,
+                    wall_time=time.perf_counter() - start,
+                )
+                return PriceVector(p), report
+        if it < max_iters:
+            p = image / image.sum()
+    raise ConvergenceError(
+        f"power iteration did not converge in {max_iters} iterations, residual {residual:.3e}",
+        last_iterate=p,
         residual=residual,
-        converged=True,
-        tolerance=tolerance,
-        wall_time=time.perf_counter() - start,
     )
-    return PriceVector.from_unnormalized(p), report
-
-
-def _contraction_budget(floor_share: np.ndarray, tolerance: float) -> float:
-    """Steps of ``p <- S.T @ p`` that bring every good's excess demand within ``tolerance``.
-
-    Every entry of ``S`` is at least ``f = min(floor_share)``, so the map
-    contracts in L1 by at least ``delta = n*f`` and every iterate from the
-    uniform vector has ``p_j >= f``. After ``k`` steps the excess demand
-    ``(S.T @ p)_j / p_j - 1`` is therefore at most ``2*(1 - delta)**k / f``,
-    which is within ``tolerance`` from ``k = log(tolerance*f/2) / log(1 -
-    delta)`` on. Every floor must be positive.
-    """
-    least = float(floor_share.min())
-    delta = min(1.0, floor_share.size * least)
-    with np.errstate(divide="ignore"):  # delta = 1: one step is exact, and log(0) = -inf
-        return float(np.ceil(np.log(tolerance * least / 2.0) / np.log1p(-delta)))
-
-
-def _solve_contracting(
-    economy: CesEconomy, step, budget: int, tolerance: float, start: float
-) -> tuple[PriceVector, SolverReport]:
-    """Iterate a rho-0 economy's prices until `verify_equilibrium` certifies them, within ``budget`` steps.
-
-    At rho 0 good j's excess demand at prices ``p`` is ``(S.T @ p)_j / p_j -
-    1``, so the loop stops on its max-norm, which `_contraction_budget`
-    bounds. The certificate evaluates the same quantity by other arithmetic;
-    where its rounding puts it just above ``tolerance``, the loop iterates on.
-    The report's wall time runs from ``start``.
-    """
-    checks: list[ClearingReport] = []
-
-    def certified(p: np.ndarray, image: np.ndarray) -> bool:
-        if np.abs(image / p - 1.0).max() > tolerance:
-            return False
-        checks.append(verify_equilibrium(economy, p, tolerance))
-        return checks[-1].passed
-
-    it, p, image = _power_loop(step, economy.n, certified, budget + 1)
-    if it > budget:
-        residual = float(np.abs(image / p - 1.0).max())
-        raise ConvergenceError(
-            f"power iteration did not clear the market in its contraction budget of {budget} steps, "
-            f"residual {residual:.3e}",
-            last_iterate=p,
-            residual=residual,
-        )
-    report = SolverReport(
-        method="power",
-        iterations=it,
-        residual=checks[-1].residual,
-        converged=True,
-        tolerance=tolerance,
-        wall_time=time.perf_counter() - start,
-    )
-    return PriceVector(p), report  # the certified iterate itself, not renormalized
 
 
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
@@ -372,23 +311,27 @@ def _tatonnement(economy: CesEconomy, cfg: SolverConfig, start: float) -> tuple[
 def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Equilibrium prices, by the method the economy calls for.
 
-    When every trader has unit elasticity (rho 0), the prices are iterated
-    (``method="power"``) if the contraction bound of `_contraction_budget`
-    guarantees a run of at most n steps, O(n·(n + nnz)) in all, and solved
-    exactly by `solve_cobb_douglas` otherwise: a zero floor (an undamped
-    chain, which may be periodic), weak damping or a small n. Any other
-    economy runs tatonnement.
+    When every trader has unit elasticity (rho 0) and every floor is
+    positive, `solve_power` iterates the prices for at most n steps,
+    O(n·(n + nnz)) in all, far below the dense solve's n³/3
+    (``method="power"``). When those steps leave the market uncertified,
+    `solve_cobb_douglas` solves it exactly, and its report's wall time runs
+    from this call's entry, the n steps included; a zero floor (an undamped
+    chain, which may be periodic) goes to it directly. Any other economy
+    runs tatonnement.
     """
     cfg = config or SolverConfig()
     if np.any(economy.rho != 0.0):
         return solve_tatonnement(economy, cfg)
-    if economy.floor.min() > 0.0:
-        start = time.perf_counter()
-        step, floor_share = _power_step(economy)
-        budget = _contraction_budget(floor_share, cfg.tolerance)
-        if budget <= economy.n:
-            return _solve_contracting(economy, step, int(budget), cfg.tolerance, start)
-    return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
+    if economy.floor.min() <= 0.0:
+        return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
+    start = time.perf_counter()
+    try:
+        return solve_power(economy, cfg.tolerance, max_iters=economy.n)
+    except ConvergenceError as exc:
+        logger.info("%s; solving in closed form", exc)
+    prices, report = solve_cobb_douglas(economy, tolerance=cfg.tolerance)
+    return prices, replace(report, wall_time=time.perf_counter() - start)
 
 
 def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:

@@ -284,14 +284,16 @@ def dense_power_iteration(matrix, tolerance=1e-12, max_iters=100_000):
     """Stationary vector of a row-stochastic array by power iteration on every entry.
 
     Iterates ``pi <- matrix.T @ pi`` from the uniform vector and returns the
-    iterate before the first L1 step of at most ``tolerance``, with the number
-    of steps taken: the stop rule of the package's iteration on edges.
+    first iterate whose max relative defect ``max_j |(matrix.T @ pi)_j / pi_j
+    - 1|`` is at most ``tolerance``, with the number of steps taken: the
+    quantity the market certificate bounds, by which the package's iteration
+    on edges stops.
     """
     n = matrix.shape[0]
     pi = np.full(n, 1.0 / n)
     for it in range(max_iters):
         nxt = matrix.T @ pi
-        if np.abs(nxt - pi).sum() <= tolerance:
+        if np.abs(nxt / pi - 1.0).max() <= tolerance:
             return pi, it
         pi = nxt / nxt.sum()
     raise RuntimeError(f"dense power iteration did not converge in {max_iters} iterations")

@@ -30,6 +30,7 @@ from cesrank import (
     load_problem,
     sniff_and_load,
     solve_cobb_douglas,
+    verify_equilibrium,
     web_economy,
 )
 from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
@@ -94,6 +95,14 @@ def random_graph(graph_file, n, triplets=False) -> str:
         doc = {"format": 1, "agents": [f"v{k}" for k in range(n)], "alpha": alpha, "rho": 0.0, "beta": 0.85}
         return graph_file(json.dumps(doc), "g.json")
     return graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+
+
+def dangling_graph(graph_file, n):
+    """Path and graph of an n-vertex edge list: 5 out-edges per vertex, except a random tenth that dangle."""
+    rng = np.random.default_rng(11)
+    dangling = set(rng.choice(n, size=n // 10, replace=False).tolist())
+    edges = [(i, j) for i, j in out_regular_edges(rng, n) if i not in dangling]
+    return graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges)), DirectedGraph(n, *zip(*edges))
 
 
 def peak_memory(graph_file, capsys, *argv, n, triplets=False):
@@ -165,6 +174,20 @@ class TestRankPagerank:
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys):
         assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--method", "pagerank")
 
+    def test_residual_is_the_certificate(self, graph_file, capsys):
+        # the report carries the market certificate's residual at the printed
+        # scores, the max relative excess demand, not an absolute defect
+        n = 1000
+        path, graph = dangling_graph(graph_file, n)
+        assert main(["rank", "--method", "pagerank", "--format", "json", "--input", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        scores = np.zeros(n)
+        for entry in doc["ranking"]:
+            scores[int(entry["agent"][1:])] = entry["score"]
+        certificate = verify_equilibrium(web_economy(graph, 0.85), scores, 1e-12)
+        assert doc["report"]["method"] == "power"
+        assert doc["report"]["residual"] == certificate.residual <= 1e-12
+
     def test_no_dense_matrix_below_two_thousand_vertices(self, graph_file, capsys):
         # the chain is iterated on its edges at every size: at n = 1500 the
         # peak stays under one 1500 x 1500 float array (17.2 MiB)
@@ -226,14 +249,28 @@ class TestRankCes:
         edge_list = assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--rho", rho)
         assert assert_memory_is_linear_in_the_edges(graph_file, capsys, "rank", "--rho", rho, triplets=True) == edge_list
 
+    def test_weak_damping_iterates_in_linear_memory(self, graph_file, capsys):
+        # a random graph mixes fast: even at beta 0.9999 the prices are
+        # certified within n steps, and no n x n array (122 MiB) is built
+        n = 4000
+        path, _ = dangling_graph(graph_file, n)
+        peak, code = traced_peak(lambda: main(["rank", "--rho", "0", "--beta", "0.9999", "--format", "json", "--input", path]))
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["report"]["method"] == "power"
+        assert peak < 60 * 2**20
+
     def test_closed_form_holds_three_dense_arrays(self, graph_file, capsys):
-        # damped this weakly, the contraction bound asks for more than n
-        # steps, so rho 0 is the closed form: it needs the n x n shares and
-        # the linear system, each once, under 3.5 arrays of 1000 x 1000
-        # (26.7 MiB)
+        # the n-cycle with the chord 0 -> n/2 mixes slowly: damped this
+        # weakly, n steps leave it uncertified, and rho 0 falls back to the
+        # closed form. It needs the n x n shares and the linear system, each
+        # once, under 3.5 arrays of 1000 x 1000 (26.7 MiB)
         n = 1000
-        peak, out = peak_memory(graph_file, capsys, "rank", "--rho", "0", "--beta", "0.9999", "--format", "json", n=n)
-        doc = json.loads(out)
+        edges = sorted([(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+        path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+        peak, code = traced_peak(lambda: main(["rank", "--rho", "0", "--beta", "0.9999", "--format", "json", "--input", path]))
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
         assert doc["report"]["method"] == "closed_form"
         assert len(doc["ranking"]) == n
         assert peak < 3.5 * 8 * n * n

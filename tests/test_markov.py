@@ -248,9 +248,9 @@ class TestWebTransitionPower:
         sparse, report = solve_power(economy)
         dense, dense_iterations = dense_power_iteration(dense_alpha(economy), report.tolerance)
         assert report.residual <= report.tolerance
-        # Rounding can put one L1 step on either side of the tolerance (about
-        # one graph in 10^4), and then the two stop one step apart, at most
-        # that one sub-tolerance step from each other.
+        # Rounding can put one iterate's relative defect on either side of
+        # the tolerance, and then the two stop one step apart, at most that
+        # one sub-tolerance step from each other.
         gap = np.abs(sparse.pi - dense).max()
         if report.iterations == dense_iterations:
             assert gap <= 1e-13

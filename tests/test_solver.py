@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cesrank.markov
@@ -179,15 +179,14 @@ def test_solve_power_matches_the_closed_form():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 150), beta=st.floats(0.05, 0.6), scaled=st.booleans())
 def test_power_branch_agrees_with_the_closed_form(seed, n, beta, scaled):
-    # damped random economies that the contraction bound lets iterate; rows
-    # scaled by 1e-100 or 1e100 keep their shares
+    # damped random economies, iterated within their n steps; rows scaled by
+    # 1e-100 or 1e100 keep their shares
     rng = np.random.default_rng(seed)
     n, src, dst, _ = with_dangling_vertices(rng, n, int(rng.integers(0, n // 5 + 1)))
     economy = damped_economy(DirectedGraph(n, src, dst), rng.uniform(0.5, 3.0, len(src)), 0.0, beta)
     if scaled:
         economy = CesEconomy(dense_alpha(economy) * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
-    floor_share = cesrank.solver._power_step(economy)[1]
-    assume(cesrank.solver._contraction_budget(floor_share, 1e-12) <= n)
+    floor_share = cesrank.solver._shares(economy)[0]
     closed, _ = solve_cobb_douglas(economy)
     assert verify_equilibrium(economy, closed, 1e-10).passed
     # at the default tolerance the L1 error is within the contraction's bound, tolerance / delta
@@ -435,9 +434,16 @@ def test_undamped_periodic_graph_certifies(edges, rho):
 
 
 def _damped_random_economy(n=300):
-    """rho 0, beta 0.85, five unit out-edges per vertex: the contraction bound asks for 193 steps at n = 300."""
+    """rho 0, beta 0.85, five unit out-edges per vertex."""
     graph = DirectedGraph(n, *zip(*out_regular_edges(np.random.default_rng(2), n)))
     return damped_economy(graph, np.ones(5 * n), 0.0, 0.85)
+
+
+def _weakly_damped_cycle(n=300):
+    """rho 0, floors of 1e-9 beside a unit n-cycle edge and the chord 0 -> n/2."""
+    alpha = np.roll(np.eye(n), 1, axis=1) + 1e-9
+    alpha[0, n // 2] = 1.0
+    return CesEconomy(alpha, 0.0)
 
 
 class TestSolveEquilibrium:
@@ -449,23 +455,23 @@ class TestSolveEquilibrium:
         np.testing.assert_allclose(prices.pi, 1.0 / 3.0, atol=1e-15, rtol=0)
 
     def test_damped_unit_elasticity_iterates(self):
-        # beta 0.85 at n = 300 contracts by 0.15 a step: the bound asks for
-        # at most 193 steps, fewer than n, so the prices are iterated
+        # every floor is positive, so the prices are iterated, and certified
+        # within the budget of n steps
         e = _damped_random_economy()
-        assert cesrank.solver._contraction_budget(cesrank.solver._power_step(e)[1], 1e-10) == 193
         prices, report = solve_equilibrium(e)
         assert report.method == "power"
-        assert 0 < report.iterations <= 193
+        assert 0 < report.iterations <= e.n
         assert report.converged and report.residual <= 1e-10
         assert verify_equilibrium(e, prices).residual == report.residual
         np.testing.assert_allclose(prices.pi, solve_cobb_douglas(e)[0].pi, atol=1e-12, rtol=0)
 
     def test_weakly_damped_cycle_uses_closed_form(self):
-        # floors of 1e-9 beside a unit cycle edge contract by 3e-7 a step:
-        # the bound asks for far more than n steps, so the solve is exact
-        n = 300
-        e = CesEconomy(np.roll(np.eye(n), 1, axis=1) + 1e-9, 0.0)
-        assert cesrank.solver._contraction_budget(cesrank.solver._power_step(e)[1], 1e-10) > n
+        # n steps of the slow-mixing chain leave the market uncertified, and
+        # the exact solve answers
+        e = _weakly_damped_cycle()
+        n = e.n
+        with pytest.raises(ConvergenceError, match=f"did not converge in {n} iterations"):
+            solve_power(e, 1e-10, max_iters=n)
         prices, report = solve_equilibrium(e)
         assert report.method == "closed_form"
         assert report.converged
@@ -480,7 +486,8 @@ class TestSolveEquilibrium:
 
     def test_uncertified_iterate_iterates_on(self, monkeypatch):
         # the certificate has the last word: where it disagrees with the
-        # loop's own test the loop steps on, and past the budget it gives up
+        # loop's own test the loop steps on, and past the budget of n steps
+        # the closed form answers
         e = _damped_random_economy()
         _, plain = solve_equilibrium(e)
         certificate = cesrank.solver.excess_demand
@@ -494,9 +501,51 @@ class TestSolveEquilibrium:
         _, report = solve_equilibrium(e)
         assert report.method == "power"
         assert report.iterations == plain.iterations + 2
-        monkeypatch.setattr(cesrank.solver, "excess_demand", lambda economy, prices: certificate(economy, prices) + 1.0)
-        with pytest.raises(ConvergenceError, match="contraction budget of 193 steps"):
+        # rejected while iterating, the closed form's own prices pass: its
+        # tatonnement finish never runs
+        closed_form = cesrank.solver.solve_cobb_douglas
+        rejected = []
+
+        def never_while_iterating(economy, prices):
+            rejected.append(None)
+            return certificate(economy, prices) + 1.0
+
+        def fallback(economy, tolerance):
+            monkeypatch.setattr(cesrank.solver, "excess_demand", certificate)
+            return closed_form(economy, tolerance)
+
+        monkeypatch.setattr(cesrank.solver, "excess_demand", never_while_iterating)
+        monkeypatch.setattr(cesrank.solver, "solve_cobb_douglas", fallback)
+        prices, report = solve_equilibrium(e)
+        assert len(rejected) == e.n + 1 - plain.iterations  # every iterate from the first that passes the loop's test
+        assert report.method == "closed_form" and report.iterations == 1
+        assert verify_equilibrium(e, prices).residual == report.residual <= 1e-10
+
+    def test_underflowed_floor_share_falls_back(self):
+        # floors of 1e-300 beside entries of 1e300: good 0's shares underflow
+        # to 0 and so does its price. The iteration never passes that price,
+        # and warns of no division by it; the fallback's closed form then
+        # raises its own error, as it does when called directly
+        e = CesEconomy(np.array([[1e-300, 1e300, 1e300]] * 3), 0.0)
+        with pytest.raises(ConvergenceError, match="price of good 0 is 0.0 after iteration 0"):
             solve_equilibrium(e)
+
+    def test_fallback_wall_time_runs_from_entry(self, monkeypatch):
+        # a fake clock that ticks once a reading: the fallback's report
+        # covers the n uncertified steps, not only the closed form's solve
+        e = _weakly_damped_cycle()
+        readings = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                readings.append(float(len(readings)))
+                return readings[-1]
+
+        monkeypatch.setattr(cesrank.solver, "time", Clock)
+        _, report = solve_equilibrium(e)
+        assert report.method == "closed_form"
+        assert report.wall_time == readings[-1] - readings[0]
 
     def test_auto_falls_back_to_tatonnement(self):
         e = CesEconomy(np.ones((3, 3)), 0.5)
