@@ -219,6 +219,9 @@ def _convert_prefix(convert, tokens) -> tuple[list, int | None]:
 
 # the line breaks of ``str.splitlines``, with "\r\n" tried first so that it is one break
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# a whole-line comment after a '\n'; it ends before the next ASCII break of
+# ``str.splitlines``, which the bytes path then rejects unless it is a '\n'
+_COMMENT = re.compile(rb"\n[ \t]*#[^\n\r\x0b\x0c\x1c\x1d\x1e]*")
 
 
 def _edge_list_head(text: str) -> tuple[int, int, int]:
@@ -271,15 +274,18 @@ def _edge_bytes(text: str, start: int, n: int) -> tuple[DirectedGraph, np.ndarra
     """The edges of ``text[start:]`` read from its bytes, or None when the line parser must read them.
 
     This path takes a body of ASCII digits, spaces, tabs, '\n' and '.eE+-'
-    with 0, 2 or 3 tokens on each line and digits only in the indices, and
-    every check runs over all bytes or tokens at once. Whatever it cannot
-    prove valid, from a '#' or a '\r' to a duplicate edge, it leaves to
-    ``_edge_lines``, the one source of error messages; on what it accepts the
-    two give the same arrays.
+    with 0, 2 or 3 tokens on each line and digits only in the indices, once
+    its whole-line '#' comments are blanked, and every check runs over all
+    bytes or tokens at once. Whatever it cannot prove valid, from a '\r' or
+    a '#' after a token to a duplicate edge, it leaves to ``_edge_lines``,
+    the one source of error messages; on what it accepts the two give the
+    same arrays.
     """
     if not text.isascii():
         return None
     body = text[start:].encode("ascii")
+    if b"#" in body:
+        body = _COMMENT.sub(b"\n", b"\n" + body)
     raw = np.frombuffer(body, np.uint8)
     line_break = raw == ord("\n")
     blank = line_break | (raw == ord(" ")) | (raw == ord("\t"))
@@ -458,8 +464,9 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     of both. Nothing of size n x n is built.
 
     A malformed document is reported at its first offending line in file
-    order. A well-formed body of ASCII digits is read from its bytes in a few
-    array passes; any other body goes line by line, to the same arrays.
+    order. A well-formed body of ASCII digits and '#' lines, split by line
+    feeds alone, is read from its bytes in a few array passes; any other body goes
+    line by line, to the same arrays.
     """
     return _parse_edge_list(_read_text(source))
 

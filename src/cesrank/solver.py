@@ -1,4 +1,4 @@
-"""Equilibrium computation: closed form, power iteration, tatonnement, verification, probing.
+"""Equilibrium computation: closed form, one certified price loop, verification, probing.
 
 All-Cobb-Douglas economies reduce to one linear system (market clearing at
 positive prices reads ``sum_i alpha[i][j] * pi[i] = pi[j]``, the invariant
@@ -7,16 +7,20 @@ every floor is positive, for at most n steps, and otherwise, or when those
 steps do not clear the market, solved exactly by `stationary_solve`.
 Everything else runs damped multiplicative price adjustment: raise the price
 of over-demanded goods, lower the price of over-supplied ones, renormalize.
-The result is never trusted on faith; every solver stops on
-`verify_equilibrium`, which certifies the excess-demand residual
-independently of how the prices were found, and a closed form that it does
-not certify is finished by price adjustment.
+PageRank's step ``p <- S.T @ p`` is that adjustment at full step, so both
+run in one loop, `_iterate`; a non-finite excess demand or a price that is
+no longer positive ends it at once. The result is never trusted on faith:
+the loop stops on `verify_equilibrium`, which certifies the excess-demand
+residual independently of how the prices were found, and a closed form
+that it does not certify is finished by price adjustment in that loop.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -29,14 +33,19 @@ from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
 
+#: A price loop's map: prices to their excess demand and the unnormalized next prices.
+_PriceMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for equilibrium computation.
 
     ``tolerance`` bounds the max-norm of excess demand at the returned prices.
-    ``max_iters`` and ``initial_prices`` apply to tatonnement, whose step is
-    derived from the economy, and ``seed`` to `multistart_probe`.
+    ``max_iters`` and ``initial_prices`` are the budget and the start of the
+    price loop that tatonnement runs, with a step derived from the economy;
+    `solve_power` runs the same loop from the uniform vector, on the
+    tolerance and budget it is called with. ``seed`` seeds `multistart_probe`.
     """
 
     tolerance: float = 1e-10
@@ -114,7 +123,7 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     the report's method is ``"closed_form"``, with 1 iteration for the solve
     plus those of tatonnement.
     """
-    require_tolerance(tolerance)
+    cfg = SolverConfig(tolerance=tolerance)
     start = time.perf_counter()
     if np.any(economy.rho != 0.0):
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
@@ -140,7 +149,7 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
             return prices, report
     logger.info("closed form not certified at tolerance %.3e; finishing by tatonnement", tolerance)
     seed = np.maximum(pi, np.finfo(float).eps * pi.max())
-    prices, report = _tatonnement(economy, SolverConfig(tolerance=tolerance, initial_prices=seed), start)
+    prices, report = _iterate(economy, "tatonnement", _price_adjustment(economy), replace(cfg, initial_prices=seed), start)
     return prices, replace(report, method="closed_form", iterations=1 + report.iterations)
 
 
@@ -159,68 +168,34 @@ def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:
     return floor / totals, excess / totals[rows]
 
 
-def _power_step(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
-    """The rho-0 price map ``p -> S.T @ p`` on the floors and entries, O(n + nnz); the shares are `_shares`."""
-    n, rows, cols = economy.n, economy.rows, economy.cols
-    floor_share, excess_share = _shares(economy)
-
-    def step(p: np.ndarray) -> np.ndarray:
-        return floor_share @ p + np.bincount(cols, excess_share * p[rows], minlength=n)
-
-    return step
-
-
 def solve_power(economy: CesEconomy, tolerance: float = 1e-12, max_iters: int = 100_000) -> tuple[PriceVector, SolverReport]:
     """Equilibrium of a damped all-unit-elasticity economy by iterating its prices: PageRank.
 
     At rho 0 trader i spends the share ``S[i][j] = alpha[i][j] / sum_k
     alpha[i][k]`` of its income ``p[i]`` on good j, so good j's excess demand
     at prices ``p`` is ``(S.T @ p)_j / p_j - 1`` and the market clears where
-    ``p = S.T @ p``. With every floor positive, ``p <- S.T @ p`` contracts in
-    L1, at rate ``c`` on a `cesrank.economy.web_economy` (Langville & Meyer,
-    "Deeper Inside PageRank", 2004), in O(n + nnz) per step on the floors and
-    entries. From the uniform vector it stops at the first iterate whose
-    max-norm excess demand is within ``tolerance`` and that
-    `verify_equilibrium`, which evaluates the same quantity by other
-    arithmetic, certifies; where the certificate's rounding puts it just
-    above ``tolerance``, the loop steps on. It returns that iterate, not
-    renormalized, with the certificate's residual. No certified iterate
-    within ``max_iters`` steps is a `ConvergenceError`.
+    ``p = S.T @ p``: tatonnement at full step, and it runs in tatonnement's
+    loop, `_iterate`, from the uniform vector. With every floor positive,
+    ``p <- S.T @ p`` contracts in L1, at rate ``c`` on a
+    `cesrank.economy.web_economy` (Langville & Meyer, "Deeper Inside
+    PageRank", 2004), in O(n + nnz) per step on the floors and entries. It
+    returns the first certified iterate or raises `ConvergenceError`.
     """
-    require_tolerance(tolerance)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
+    cfg = SolverConfig(tolerance=tolerance, max_iters=max_iters)
     bad = (economy.rho != 0.0) | (economy.floor <= 0.0)
     if np.any(bad):  # the contraction condition
         i = int(np.argmax(bad))
         rho, floor = float(economy.rho[i]), float(economy.floor[i])
         raise ValueError(f"trader {i} has rho = {rho!r} and floor {floor!r}; power iteration needs rho 0, floor > 0")
     start = time.perf_counter()
-    step = _power_step(economy)
-    p = np.full(economy.n, 1.0 / economy.n)
-    for it in range(max_iters + 1):
-        image = step(p)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a price that underflowed to 0 never passes
-            residual = float(np.abs(image / p - 1.0).max())
-        if residual <= tolerance:
-            check = verify_equilibrium(economy, p, tolerance)
-            if check.passed:
-                report = SolverReport(
-                    method="power",
-                    iterations=it,
-                    residual=check.residual,
-                    converged=True,
-                    tolerance=tolerance,
-                    wall_time=time.perf_counter() - start,
-                )
-                return PriceVector(p), report
-        if it < max_iters:
-            p = image / image.sum()
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations, residual {residual:.3e}",
-        last_iterate=p,
-        residual=residual,
-    )
+    n, rows, cols = economy.n, economy.rows, economy.cols
+    floor_share, excess_share = _shares(economy)
+
+    def advance(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        image = floor_share @ p + np.bincount(cols, excess_share * p[rows], minlength=n)
+        return image / p - 1.0, image
+
+    return _iterate(economy, "power", advance, cfg, start)
 
 
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
@@ -232,79 +207,96 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     tatonnement (Cole & Fleischer, STOC 2008), and the cap keeps undamped
     periodic graphs at rho <= 0 from cycling. Aggregate demand comes from
     `cesrank.economy.aggregate_demand`, O(nnz) per round on a damped graph.
-    Convergence is declared when its max-norm excess demand falls below the
-    configured tolerance and `verify_equilibrium`, the trader-side
-    certificate, passes too at the returned prices; the report carries the certificate's
-    residual, and a failed certificate means iterating on. A demand or price
-    that stops being finite and positive, or an exhausted budget, is a
-    `ConvergenceError`, not a wrong answer.
+    The rounds run in `_iterate`, which stops on a certified equilibrium or
+    raises a `ConvergenceError`, never returning a wrong answer.
     """
     cfg = config or SolverConfig()
     start = time.perf_counter()
     _require_connected_economy(economy)
-    return _tatonnement(economy, cfg, start)
+    return _iterate(economy, "tatonnement", _price_adjustment(economy), cfg, start)
+
+
+def _price_adjustment(economy: CesEconomy) -> _PriceMap:
+    """Tatonnement's map for `_iterate`: excess demand from `aggregate_demand`, and ``p * demand**gamma``."""
+    demand_at = aggregate_demand(economy)
+    gamma = min(0.5, 1.0 - float(economy.rho.max()))  # 1 - rho = 1 / q
+
+    def advance(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        demand = demand_at(p)
+        return demand - 1.0, p * demand**gamma  # every good's supply is one unit
+
+    return advance
+
+
+# how each method's errors name it, and how they say that its budget ran out
+_LOOP_TEXTS = {"power": ("power iteration", "did not converge"), "tatonnement": ("tatonnement", "did not clear the market")}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
-def _tatonnement(economy: CesEconomy, cfg: SolverConfig, start: float) -> tuple[PriceVector, SolverReport]:
-    """`solve_tatonnement`'s loop on an economy whose graph is already checked; wall time runs from ``start``."""
+def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig, start: float) -> tuple[PriceVector, SolverReport]:
+    """The one certified price loop, for ``method`` ``"power"`` or ``"tatonnement"``; wall time runs from ``start``.
+
+    From ``cfg.initial_prices``, renormalized, or the uniform vector,
+    ``advance(p)`` gives the excess demand ``z`` at ``p`` and the
+    unnormalized next prices. The loop stops on the first iterate whose
+    max-norm ``z`` is within ``cfg.tolerance`` and that `verify_equilibrium`
+    certifies at the renormalized prices it returns; the report carries the
+    certificate's residual. A non-finite ``z``, a next price that is not
+    finite and positive, or ``cfg.max_iters`` steps without a certificate
+    is a `ConvergenceError` with the last iterate and the last ten residuals.
+    """
     n = economy.n
     if cfg.initial_prices is not None:
         p = as_price_array(cfg.initial_prices, n)
         p = p / p.sum()
     else:
         p = np.full(n, 1.0 / n)
-    gamma = min(0.5, 1.0 - float(economy.rho.max()))  # 1 - rho = 1 / q
-    trace: list[float] = []
-    residual = np.inf
-    demand_at = aggregate_demand(economy)
+    name, uncleared = _LOOP_TEXTS[method]
+    tail: deque[float] = deque(maxlen=10)
     for it in range(cfg.max_iters + 1):
-        demand = demand_at(p)
-        z = demand - 1.0  # every good's supply is one unit
-        if not np.all(np.isfinite(z)):
+        z, image = advance(p)
+        residual = float(np.abs(z).max())  # NaN or inf when any z is
+        if not math.isfinite(residual):
             j = int(np.flatnonzero(~np.isfinite(z))[0])
             raise ConvergenceError(
                 f"excess demand of good {j} is not finite at iteration {it}",
                 last_iterate=p,
                 residual=float("nan"),
-                residual_tail=trace[-10:],
+                residual_tail=list(tail),
             )
-        residual = float(np.abs(z).max())
-        trace.append(residual)
+        tail.append(residual)
         if residual <= cfg.tolerance:
             prices = PriceVector.from_unnormalized(p)
             check = verify_equilibrium(economy, prices, cfg.tolerance)
             if check.passed:
                 report = SolverReport(
-                    method="tatonnement",
+                    method=method,
                     iterations=it,
                     residual=check.residual,
                     converged=True,
                     tolerance=cfg.tolerance,
                     wall_time=time.perf_counter() - start,
                 )
-                logger.debug("tatonnement converged: %s", report)
+                logger.debug("%s converged: %s", name, report)
                 return prices, report
             logger.info("residual %.3e certified as %.3e; iterating on", residual, check.residual)
         if it == cfg.max_iters:
             break
-        p = p * demand**gamma
-        p /= p.sum()
-        bad = ~np.isfinite(p) | (p <= 0.0)
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
+        p = image / image.sum()
+        # an image entry that is not finite makes the sum, and so a price, NaN
+        if not p.min() > 0.0:
+            j = int(np.flatnonzero(~np.isfinite(p) | (p <= 0.0))[0])
             raise ConvergenceError(
-                f"price of good {j} is {float(p[j])!r} after iteration {it}; tatonnement diverged",
+                f"price of good {j} is {float(p[j])!r} after iteration {it}; {name} diverged",
                 last_iterate=p,
                 residual=residual,
-                residual_tail=trace[-10:],
+                residual_tail=list(tail),
             )
     raise ConvergenceError(
-        f"tatonnement did not clear the market in {cfg.max_iters} iterations, "
-        f"residual {residual:.3e}",
+        f"{name} {uncleared} in {cfg.max_iters} iterations, residual {residual:.3e}",
         last_iterate=p,
         residual=residual,
-        residual_tail=trace[-10:],
+        residual_tail=list(tail),
     )
 
 

@@ -52,7 +52,7 @@ def test_cli_stdout_is_golden(name, argv, code, capsys):
 
 @pytest.fixture(scope="module")
 def uncommented_dangling(tmp_path_factory):
-    """``dangling.edges`` without its '#' line, which the bytes path reads; the file itself goes line by line."""
+    """``dangling.edges`` without its '#' line; the bytes path reads it, as it reads the file itself."""
     text = "".join(line for line in (GOLDEN / "dangling.edges").read_text().splitlines(keepends=True) if not line.startswith("#"))
     n, start, _ = formats._edge_list_head(text)
     assert formats._edge_bytes(text, start, n) is not None
@@ -78,3 +78,33 @@ def test_triplet_document_output_is_golden(method, fmt, capsys):
     path = str(GOLDEN / "monotone3-triplets.json")
     assert main(["rank", "--input", path, "--format", fmt, *METHODS[method]]) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-monotone3-{method}-{fmt}.out").read_bytes()
+
+
+def test_commented_file_is_read_from_its_bytes():
+    text = (GOLDEN / "dangling.edges").read_text()
+    assert "\n#" in text
+    n, start, _ = formats._edge_list_head(text)
+    assert formats._edge_bytes(text, start, n) is not None
+
+
+@pytest.fixture(scope="module")
+def non_ascii_dangling(tmp_path_factory):
+    """``dangling.edges`` with a non-ASCII comment, which only the line parser reads.
+
+    A CRLF copy would not do: a path is read with universal newlines, so its
+    CRLF line ends reach the parser as line feeds.
+    """
+    text = (GOLDEN / "dangling.edges").read_text().replace("out-links", "out-links \N{EM DASH} it dangles")
+    n, start, _ = formats._edge_list_head(text)
+    assert formats._edge_bytes(text, start, n) is None
+    path = tmp_path_factory.mktemp("golden") / "dangling.edges"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_line_parser_output_is_golden(non_ascii_dangling, method, fmt, capsys):
+    code = 2 if ("dangling", method) in FAILING else 0
+    assert main(["rank", "--input", non_ascii_dangling, "--format", fmt, *METHODS[method]]) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-dangling-{method}-{fmt}.out").read_bytes()

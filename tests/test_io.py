@@ -400,7 +400,8 @@ def bytes_path(text):
 # documents that the bytes path must leave to the line parser: a token past
 # int64, a token ``np.fromstring`` cannot read whole, an index that is not all
 # digits, a duplicate, a bad weight, index or token count, and bytes it does
-# not take
+# not take, among them a '#' after a token and a comment line that a break
+# other than '\n' ends
 BYTES_PATH_REJECTS = [
     "format: 1\nn 2\n0 1 99999999999999999999\n",
     "format: 1\nn 2\n0 1 9223372036854775808\n",
@@ -416,10 +417,14 @@ BYTES_PATH_REJECTS = [
     "format: 1\nn 2\n0 2\n",
     "format: 1\nn 2\n0\n",
     "format: 1\nn 2\n0 1\r\n",
-    "format: 1\nn 2\n# a note\n0 1\n",
+    "format: 1\nn 2\n# a note\r\n0 1\n",
+    "format: 1\nn 2\n# a note\x0c0 1\n",
+    "format: 1\nn 2\n0 1 # a note\n",
+    "format: 1\nn 2\n\x1f# a note\n0 1\n",
 ]
 # documents that it reads itself, to the line parser's arrays: every float
-# spelling, blank space, no final line break, and an empty body
+# spelling, blank space, no final line break, an empty body, and whole-line
+# comments
 BYTES_PATH_ACCEPTS = [
     "format: 1\nn 2\n0 1 .5\n",
     "format: 1\nn 2\n0 1 5.\n",
@@ -430,6 +435,8 @@ BYTES_PATH_ACCEPTS = [
     "format: 1\nn 3\n0 1 \t\n\n1 2 2.5\t \n",
     "format: 1\nn 2\n0 1 999999999999999999\n",
     "format: 1\nn 2\n",
+    "format: 1\nn 2\n# a note\n0 1\n",
+    "format: 1\nn 3\n# a\n  \t# b 2 0\n0 1\n#\n1 2 2.5\n# c",
 ]
 
 

@@ -176,6 +176,28 @@ def test_solve_power_matches_the_closed_form():
             solve_power(CesEconomy(np.ones((2, 2)), 0.0), max_iters=max_iters)
 
 
+def test_solve_power_stops_on_an_underflowed_price():
+    # floors of 1e-300 beside entries of 1e300: good 0's shares underflow to
+    # 0, and so does its price after the first step, which ends the loop
+    # there instead of running out the budget on a NaN residual
+    e = CesEconomy(np.array([[1e-300, 1e300, 1e300]] * 3), 0.0)
+    with pytest.raises(ConvergenceError, match=r"^price of good 0 is 0\.0 after iteration 0; power iteration diverged$") as info:
+        solve_power(e)
+    assert info.value.residual_tail == [1.0]
+    assert info.value.last_iterate.tolist() == [0.0, 0.5, 0.5]
+
+
+def test_solve_power_budget_error_carries_the_last_iterate_and_residuals():
+    economy = web_economy(DirectedGraph(3, [0, 1, 1, 2], [1, 0, 2, 1]), 0.9999)
+    with pytest.raises(ConvergenceError, match="^power iteration did not converge in 30 iterations") as info:
+        solve_power(economy, max_iters=30)
+    err = info.value
+    assert err.last_iterate.shape == (3,) and err.last_iterate.min() > 0.0
+    # the last ten residuals, the last of them the one reported
+    assert len(err.residual_tail) == 10
+    assert err.residual_tail[-1] == err.residual > 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 150), beta=st.floats(0.05, 0.6), scaled=st.booleans())
 def test_power_branch_agrees_with_the_closed_form(seed, n, beta, scaled):
