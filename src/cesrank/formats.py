@@ -15,7 +15,7 @@ import json
 import math
 import re
 import warnings
-from itertools import repeat
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -202,88 +202,45 @@ def dump_problem(problem: RankingProblem, stream=None) -> str:
     return text
 
 
-def _convert_prefix(convert, tokens) -> tuple[list, int | None]:
-    """``convert`` mapped over ``tokens`` up to the first token it rejects with ValueError.
+# a '#' comment up to its line break; it stops before any ASCII break of
+# ``str.splitlines``, and the bytes path rejects every such break but '\n'
+_COMMENT_TEXT = rb"#[^\n\r\x0b\x0c\x1c\x1d\x1e]*"
+# the header of an edge list as the bytes path takes it: 'format: 1' and
+# 'n <count>', each after any blank and whole-line comment lines, with only
+# spaces and tabs for blank space and a count that fits int64 whatever its digits
+_SKIPPED = rb"(?:[ \t]*(?:" + _COMMENT_TEXT + rb")?\n)*"
+_HEAD = re.compile(
+    _SKIPPED + rb"[ \t]*format[ \t]*:[ \t]*" + str(FORMAT_VERSION).encode()
+    + rb"[ \t]*\n" + _SKIPPED + rb"[ \t]*n[ \t]+([0-9]{1,18})[ \t]*(?:\n|\Z)"
+)
+# a whole-line comment in the body, after the '\n' that ends the line before it
+_COMMENT = re.compile(rb"\n[ \t]*" + _COMMENT_TEXT)
 
-    Returns the converted prefix and the index of the rejected token, or None
-    when every token converts. ``list.extend`` keeps what it appended before
-    the iterator raised, so that index is the length of the prefix.
+
+def _edge_bytes(text: str) -> tuple[DirectedGraph, np.ndarray] | None:
+    r"""The edge list ``text`` read from its bytes, or None when ``_edge_lines`` must read it.
+
+    This path takes a header that ``_HEAD`` matches and a body of ASCII
+    digits, spaces, tabs, '\n' and '.eE+-' with 0, 2 or 3 tokens on each
+    line and digits only in the indices, once its whole-line '#' comments are
+    blanked. A comment may hold any text but the line breaks '\x85',
+    '\u2028' and '\u2029'. Every check runs over all bytes or tokens at once.
+    Whatever it cannot prove valid, from a '\r' or a '#' after a token to a
+    duplicate edge, it leaves to ``_edge_lines``, the one source of error
+    messages, and it raises nothing itself; on what it accepts the two give
+    the same arrays.
     """
-    values: list = []
-    try:
-        values.extend(map(convert, tokens))
-    except ValueError:
-        return values, len(values)
-    return values, None
-
-
-# the line breaks of ``str.splitlines``, with "\r\n" tried first so that it is one break
-_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-# a whole-line comment after a '\n'; it ends before the next ASCII break of
-# ``str.splitlines``, which the bytes path then rejects unless it is a '\n'
-_COMMENT = re.compile(rb"\n[ \t]*#[^\n\r\x0b\x0c\x1c\x1d\x1e]*")
-
-
-def _edge_list_head(text: str) -> tuple[int, int, int]:
-    """The vertex count of an edge list, the offset of the text after its size line, and the lines up to there.
-
-    Lines are read one at a time, with the breaks of ``str.splitlines``, only
-    until the ``format`` header and the ``n <count>`` line are found, so a
-    long body costs nothing here. '#' lines and blank lines are skipped.
-    """
-    head: list[tuple[int, str]] = []
-    pos = read = 0
-    while len(head) < 2:
-        brk = _LINE_BREAK.search(text, pos)
-        line = text[pos : brk.start() if brk else len(text)].strip()
-        read += 1
-        if line and not line.startswith("#"):
-            head.append((read, line))
-        if brk is None:
-            pos = len(text)
-            break
-        pos = brk.end()
-    if not head:
-        raise DocumentError("empty document, expected a 'format: 1' header")
-
-    lineno, header = head[0]
-    parts = [p.strip() for p in header.split(":", 1)]
-    if len(parts) != 2 or parts[0] != "format":
-        raise DocumentError(f"expected 'format: {FORMAT_VERSION}' header, got {header!r}", f"line {lineno}")
-    if parts[1] != str(FORMAT_VERSION):
-        raise DocumentError(f"unsupported format version {parts[1]!r}, expected {FORMAT_VERSION}", f"line {lineno}")
-
-    if len(head) < 2:
-        raise DocumentError("missing 'n <count>' line after the header")
-    lineno, size_line = head[1]
-    tokens = size_line.split()
-    if len(tokens) != 2 or tokens[0] != "n":
-        raise DocumentError(f"expected 'n <count>', got {size_line!r}", f"line {lineno}")
-    try:
-        n = int(tokens[1])
-    except ValueError as e:
-        raise DocumentError(f"vertex count {tokens[1]!r} is not an integer", f"line {lineno}") from e
-    if n < 1:
-        raise DocumentError(f"vertex count must be >= 1, got {n}", f"line {lineno}")
-    if n > np.iinfo(np.int64).max:
-        raise DocumentError(f"vertex count {n} does not fit a 64-bit index", f"line {lineno}")
-    return n, pos, read
-
-
-def _edge_bytes(text: str, start: int, n: int) -> tuple[DirectedGraph, np.ndarray] | None:
-    """The edges of ``text[start:]`` read from its bytes, or None when the line parser must read them.
-
-    This path takes a body of ASCII digits, spaces, tabs, '\n' and '.eE+-'
-    with 0, 2 or 3 tokens on each line and digits only in the indices, once
-    its whole-line '#' comments are blanked, and every check runs over all
-    bytes or tokens at once. Whatever it cannot prove valid, from a '\r' or
-    a '#' after a token to a duplicate edge, it leaves to ``_edge_lines``,
-    the one source of error messages; on what it accepts the two give the
-    same arrays.
-    """
-    if not text.isascii():
+    if not text.isascii() and ("\x85" in text or "\u2028" in text or "\u2029" in text):
         return None
-    body = text[start:].encode("ascii")
+    data = text.encode("utf-8", "surrogatepass")
+    header = _HEAD.match(data)
+    if header is None:
+        return None
+    # the match holds ``data``, so both go before the body is read
+    n, body = int(header[1]), data[header.end() :]
+    del header, data
+    if n < 1:
+        return None
     if b"#" in body:
         body = _COMMENT.sub(b"\n", b"\n" + body)
     raw = np.frombuffer(body, np.uint8)
@@ -332,7 +289,7 @@ def _edge_bytes(text: str, start: int, n: int) -> tuple[DirectedGraph, np.ndarra
     if values.size != tokens:
         return None
     # an integer past the int64 range parses as its largest value, so every
-    # value from 10**18 up is left to the line parser
+    # value from 10**18 up is left to the loop
     if not floating and values.max(initial=0) >= 10**18:
         return None
     src, dst = values[head], values[head + 1]
@@ -357,94 +314,81 @@ def _edge_bytes(text: str, start: int, n: int) -> tuple[DirectedGraph, np.ndarra
     return DirectedGraph(n, src[keep], dst[keep]), weights[keep]
 
 
-def _edge_lines(body: str, n: int, lines_before: int) -> tuple[DirectedGraph, np.ndarray]:
-    """The edges of ``body``, the text after an edge list's size line, which holds line ``lines_before`` of the document.
+def _edge_lines(text: str) -> tuple[DirectedGraph, np.ndarray]:
+    """The edge list ``text`` read one line at a time, with the breaks of ``str.splitlines``.
 
-    A malformed body is reported at its first offending line in file order.
-    Each check runs over all edge lines at once, and on one line the checks
-    rank as: token count, index syntax, index range, duplicate edge, weight
-    syntax, weight value.
+    It reads whatever ``_edge_bytes`` declines and writes every error
+    message: a malformed document is reported at its first offending line,
+    and on one line the checks run in turn: token count, index syntax, index
+    range, duplicate edge, weight syntax, weight value.
     """
-    lines = body.splitlines()
-    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    # a comment is a line that starts with '#' once stripped
-    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), repeat("#")), bool, len(lines))
-    del lines
-    # edge line k is line lines_before + at[k] + 1 of the document
-    at = np.flatnonzero((counts > 0) & ~comment)
-    # every line break is whitespace to str.split, so the tokens of edge line
-    # k are flat[starts[k] : starts[k] + counts[k]]; the edge lines live on as
-    # tokens, and one that is quoted in an error is cut from the text again
-    flat = body.split()
-    counts, starts = counts[at], (np.cumsum(counts) - counts)[at]
-    # ``stop`` is the first offending edge line found so far and ``error`` its
-    # message. Each check looks only at the lines before ``stop``, so it can
-    # only move it earlier, and on one line the check made first wins.
-    stop, error = len(at), None
+    # the lines that hold a token and are not '#' comments; a line starts
+    # with '#' once stripped exactly when its first token does
+    lines = (
+        (lineno, tokens, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if (tokens := line.split()) and tokens[0][0] != "#"
+    )
+    lineno, _, header = next(lines, (0, None, None))
+    if header is None:
+        raise DocumentError("empty document, expected a 'format: 1' header")
+    header = header.strip()
+    parts = [p.strip() for p in header.split(":", 1)]
+    if len(parts) != 2 or parts[0] != "format":
+        raise DocumentError(f"expected 'format: {FORMAT_VERSION}' header, got {header!r}", f"line {lineno}")
+    if parts[1] != str(FORMAT_VERSION):
+        raise DocumentError(f"unsupported format version {parts[1]!r}, expected {FORMAT_VERSION}", f"line {lineno}")
 
-    bad = (counts < 2) | (counts > 3)
-    if bad.any():
-        stop = int(np.argmax(bad))
-        error = f"expected 'i j [weight]', got {body.splitlines()[at[stop]].strip()!r}"
+    lineno, tokens, size_line = next(lines, (0, None, None))
+    if tokens is None:
+        raise DocumentError("missing 'n <count>' line after the header")
+    if len(tokens) != 2 or tokens[0] != "n":
+        raise DocumentError(f"expected 'n <count>', got {size_line.strip()!r}", f"line {lineno}")
+    try:
+        n = int(tokens[1])
+    except ValueError as e:
+        raise DocumentError(f"vertex count {tokens[1]!r} is not an integer", f"line {lineno}") from e
+    if n < 1:
+        raise DocumentError(f"vertex count must be >= 1, got {n}", f"line {lineno}")
+    if n > np.iinfo(np.int64).max:
+        raise DocumentError(f"vertex count {n} does not fit a 64-bit index", f"line {lineno}")
 
-    # indices as Python ints, i and j of each line in turn; ranges are checked
-    # before the cast to int64, so a huge index is reported, not overflowed
-    ij, bad_at = _convert_prefix(int, map(flat.__getitem__, (starts[:stop, None] + [0, 1]).ravel().tolist()))
-    # the weight tokens are cut out here too, so the token list is freed
-    # before any array of the edges is built
-    weight_at = np.flatnonzero(counts[:stop] == 3)
-    raw_weights = list(map(flat.__getitem__, (starts[weight_at] + 2).tolist()))
-    del flat
-    if bad_at is not None:
-        stop = bad_at // 2
-        error = f"malformed vertex index in {body.splitlines()[at[stop]].strip()!r}"
-    del ij[2 * stop :]
-    if ij and not (min(ij) >= 0 and max(ij) < n):
-        t = int(np.argmin(np.fromiter(map(range(n).__contains__, ij), bool, len(ij))))
-        stop, error = t // 2, f"vertex {ij[t]} out of range [0, {n})"
-        del ij[2 * stop :]
-    pairs = np.array(ij, dtype=np.int64).reshape(-1, 2)
-    del ij
-    src, dst = pairs[:, 0], pairs[:, 1]
-
-    # the one sort keeps equal pairs in file order, so the earliest repeat
-    # follows the line it repeats
+    # the edges of positive weight, as machine numbers
+    src, dst, weights = array("q"), array("q"), array("d")
+    first_line: dict[tuple[int, int], int] = {}
+    for lineno, tokens, line in lines:
+        if len(tokens) not in (2, 3):
+            raise DocumentError(f"expected 'i j [weight]', got {line.strip()!r}", f"line {lineno}")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+        except ValueError as e:
+            raise DocumentError(f"malformed vertex index in {line.strip()!r}", f"line {lineno}") from e
+        if not (0 <= i < n and 0 <= j < n):
+            raise DocumentError(f"vertex {i if not 0 <= i < n else j} out of range [0, {n})", f"line {lineno}")
+        seen = first_line.setdefault((i, j), lineno)
+        if seen != lineno:
+            raise DocumentError(f"duplicate edge ({i}, {j}), first seen on line {seen}", f"line {lineno}")
+        w = 1.0
+        if len(tokens) == 3:
+            try:
+                w = float(tokens[2])
+            except ValueError as e:
+                raise DocumentError(f"malformed weight {tokens[2]!r}", f"line {lineno}") from e
+            if not (math.isfinite(w) and w >= 0):
+                raise DocumentError(f"weight must be finite and >= 0, got {tokens[2]}", f"line {lineno}")
+        if w > 0:
+            src.append(i)
+            dst.append(j)
+            weights.append(w)
+    del first_line
+    src, dst, weights = np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64), np.frombuffer(weights)
     order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    repeats = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-    if repeats.any():
-        later, earlier = order[1:][repeats], order[:-1][repeats]
-        r = int(np.argmin(later))
-        stop = int(later[r])
-        error = f"duplicate edge ({pairs[stop, 0]}, {pairs[stop, 1]}), first seen on line {lines_before + at[earlier[r]] + 1}"
-
-    # only the weights of the lines before ``stop`` are read
-    before = int(np.searchsorted(weight_at, stop))
-    weight_at, raw_weights = weight_at[:before], raw_weights[:before]
-    values, bad_at = _convert_prefix(float, raw_weights)
-    if bad_at is not None:
-        stop, error = int(weight_at[bad_at]), f"malformed weight {raw_weights[bad_at]!r}"
-    values = np.array(values, dtype=float)
-    bad = ~np.isfinite(values) | (values < 0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        stop, error = int(weight_at[k]), f"weight must be finite and >= 0, got {raw_weights[k]}"
-
-    if error is not None:
-        raise DocumentError(error, f"line {lines_before + at[stop] + 1}")
-
-    weights = np.ones(len(at))
-    weights[weight_at] = values
-    weights = weights[order]
-    # sorted by (src, dst) here, so the graph keeps the arrays as they are
-    keep = weights > 0
-    return DirectedGraph(n, src[keep], dst[keep]), weights[keep]
+    return DirectedGraph(n, src[order], dst[order]), weights[order]
 
 
 def _parse_edge_list(text: str) -> tuple[DirectedGraph, np.ndarray]:
-    n, start, lines_before = _edge_list_head(text)
-    edges = _edge_bytes(text, start, n)
-    return edges if edges is not None else _edge_lines(text[start:], n, lines_before)
+    edges = _edge_bytes(text)
+    return edges if edges is not None else _edge_lines(text)
 
 
 def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
@@ -464,9 +408,10 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     of both. Nothing of size n x n is built.
 
     A malformed document is reported at its first offending line in file
-    order. A well-formed body of ASCII digits and '#' lines, split by line
-    feeds alone, is read from its bytes in a few array passes; any other body goes
-    line by line, to the same arrays.
+    order. A well-formed document split by line feeds alone, with blank
+    space of spaces and tabs, ASCII numbers and whole-line '#' comments of
+    any text, is read from its bytes in a few array passes; any other
+    document goes line by line, to the same arrays.
     """
     return _parse_edge_list(_read_text(source))
 

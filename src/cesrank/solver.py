@@ -232,7 +232,7 @@ def _price_adjustment(economy: CesEconomy) -> _PriceMap:
 _LOOP_TEXTS = {"power": ("power iteration", "did not converge"), "tatonnement": ("tatonnement", "did not clear the market")}
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
 def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig, start: float) -> tuple[PriceVector, SolverReport]:
     """The one certified price loop, for ``method`` ``"power"`` or ``"tatonnement"``; wall time runs from ``start``.
 

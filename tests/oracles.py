@@ -382,8 +382,9 @@ def reference_triplet_alpha(spec, n: int) -> np.ndarray:
 def reference_load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     """``load_edge_list`` as one loop over the lines, checking each in turn.
 
-    This was the package's parser; it is kept as the reference for the bulk
-    one. It parses an edge-list document into a graph and its edge weights.
+    This was the package's parser; it is kept as the independent reference
+    for both of its paths, the bytes path and the line loop. It parses an
+    edge-list document into a graph and its edge weights.
 
     Expected layout, with '#' lines and blank lines ignored::
 

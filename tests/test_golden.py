@@ -50,23 +50,36 @@ def test_cli_stdout_is_golden(name, argv, code, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def _dangling_copy(tmp_path_factory, text, from_bytes):
+    """A copy of ``dangling.edges`` as ``text``, asserted to be read from its bytes or by the line loop.
+
+    A CRLF copy would not do for the loop: a path is read with universal
+    newlines, so its CRLF line ends reach the parser as line feeds.
+    """
+    assert (formats._edge_bytes(text) is not None) == from_bytes
+    path = tmp_path_factory.mktemp("golden") / "dangling.edges"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _assert_rank_is_golden(path, method, fmt, capsys):
+    """``rank`` on a copy of ``dangling.edges`` prints the file's own golden output."""
+    code = 2 if ("dangling", method) in FAILING else 0
+    assert main(["rank", "--input", path, "--format", fmt, *METHODS[method]]) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-dangling-{method}-{fmt}.out").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def uncommented_dangling(tmp_path_factory):
     """``dangling.edges`` without its '#' line; the bytes path reads it, as it reads the file itself."""
     text = "".join(line for line in (GOLDEN / "dangling.edges").read_text().splitlines(keepends=True) if not line.startswith("#"))
-    n, start, _ = formats._edge_list_head(text)
-    assert formats._edge_bytes(text, start, n) is not None
-    path = tmp_path_factory.mktemp("golden") / "dangling.edges"
-    path.write_text(text)
-    return str(path)
+    return _dangling_copy(tmp_path_factory, text, from_bytes=True)
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_bytes_path_output_is_golden(uncommented_dangling, method, fmt, capsys):
-    code = 2 if ("dangling", method) in FAILING else 0
-    assert main(["rank", "--input", uncommented_dangling, "--format", fmt, *METHODS[method]]) == code
-    assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-dangling-{method}-{fmt}.out").read_bytes()
+    _assert_rank_is_golden(uncommented_dangling, method, fmt, capsys)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -83,28 +96,30 @@ def test_triplet_document_output_is_golden(method, fmt, capsys):
 def test_commented_file_is_read_from_its_bytes():
     text = (GOLDEN / "dangling.edges").read_text()
     assert "\n#" in text
-    n, start, _ = formats._edge_list_head(text)
-    assert formats._edge_bytes(text, start, n) is not None
+    assert formats._edge_bytes(text) is not None
 
 
 @pytest.fixture(scope="module")
-def non_ascii_dangling(tmp_path_factory):
-    """``dangling.edges`` with a non-ASCII comment, which only the line parser reads.
-
-    A CRLF copy would not do: a path is read with universal newlines, so its
-    CRLF line ends reach the parser as line feeds.
-    """
+def utf8_comment_dangling(tmp_path_factory):
+    """``dangling.edges`` with a non-ASCII comment, which the bytes path reads."""
     text = (GOLDEN / "dangling.edges").read_text().replace("out-links", "out-links \N{EM DASH} it dangles")
-    n, start, _ = formats._edge_list_head(text)
-    assert formats._edge_bytes(text, start, n) is None
-    path = tmp_path_factory.mktemp("golden") / "dangling.edges"
-    path.write_text(text, encoding="utf-8")
-    return str(path)
+    return _dangling_copy(tmp_path_factory, text, from_bytes=True)
+
+
+@pytest.fixture(scope="module")
+def plus_index_dangling(tmp_path_factory):
+    """``dangling.edges`` with its first edge spelled ``+0 1 2.0``, which only the line loop reads."""
+    text = (GOLDEN / "dangling.edges").read_text().replace("\n0 1 2.0\n", "\n+0 1 2.0\n")
+    return _dangling_copy(tmp_path_factory, text, from_bytes=False)
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
-def test_line_parser_output_is_golden(non_ascii_dangling, method, fmt, capsys):
-    code = 2 if ("dangling", method) in FAILING else 0
-    assert main(["rank", "--input", non_ascii_dangling, "--format", fmt, *METHODS[method]]) == code
-    assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-dangling-{method}-{fmt}.out").read_bytes()
+def test_utf8_comment_output_is_golden(utf8_comment_dangling, method, fmt, capsys):
+    _assert_rank_is_golden(utf8_comment_dangling, method, fmt, capsys)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_line_parser_output_is_golden(plus_index_dangling, method, fmt, capsys):
+    _assert_rank_is_golden(plus_index_dangling, method, fmt, capsys)

@@ -21,6 +21,15 @@ NESTED = '{"format": 1, "alpha": ' + "[" * 100_000 + "]" * 100_000 + "}"
 HUGE_ROW = json.dumps({"format": 1, "agents": ["a", "b"], "alpha": [[1e308, 1e308], [1.0, 1.0]], "rho": 0.5})
 BOOL_FORMAT = json.dumps({"format": True, "agents": ["a", "b"], "alpha": [[0.0, 1.0], [1.0, 0.0]], "rho": 0.0})
 LONG_INTEGER = '{"format": 1, "agents": ["a"], "alpha": [[1]], "rho": ' + "9" * 400 + "}"
+# tatonnement drives five prices below 1e-190, where a buyer's total
+# spending underflows to 0 and the demand kernel divides by it
+ZERO_SPENDING = json.dumps({
+    "format": 1,
+    "agents": [f"a{i}" for i in range(6)],
+    "alpha": [[0.0] * 6] * 3 + [[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 1e308]],
+    "rho": [-1.0, -1.0, -1.0, -1.0, 0.8, -1.0],
+    "beta": 1.0,
+})
 
 NASTY_NUMBERS = st.sampled_from([0, 1, -1, 0.0, -0.0, 5e-324, 1e-300, 0.5, 0.95, 0.97, 1e308, 1.7976931348623157e308, 10**400, True])
 json_values = st.recursive(
@@ -110,6 +119,7 @@ COMMANDS = [
 @example(text=HUGE_ROW, command=["rank"])
 @example(text=HUGE_ROW, command=["rank", "--method", "invariant"])
 @example(text=LONG_INTEGER, command=["rank"])
+@example(text=ZERO_SPENDING, command=["rank"])
 def test_main_exits_with_a_documented_code(document_path, text, command):
     document_path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()

@@ -327,9 +327,18 @@ class TestLoadEdgeList:
 
 @st.composite
 def edge_list_texts(draw):
-    """Edge-list documents, valid or not, in every line-break and token spelling ``int``/``float`` take."""
+    """Edge-list documents, valid or not, in every line-break, header and token spelling ``int``/``float`` take.
+
+    Blank and comment lines come before, between and after the two header
+    lines, and among the edges.
+    """
     n = draw(st.integers(1, 9))
     malformed = draw(st.booleans())
+    skipped = st.sampled_from(["", " \t", "#", "# note", "  #\u00e9 \u2603 comment", "\t# \U0001f600"])
+    format_line = st.sampled_from(["format: 1", "format:1", "  format : 1\t", "format :1 ", "format:\u30001"])
+    size_line = st.sampled_from([f"n {n}", f"  n\t{n:03d}", f"n +{n}", f"n {n} ", f"n\x1f{n}"])
+    if n == 1:
+        size_line |= st.just("n 1_0")
     index = st.integers(0, n - 1).map(str) | st.sampled_from(["+1", "0_2", "\u0663", "00"])
     weight = st.sampled_from(["", "", "1", "2.5", "0", "0.0", "-0", "1_0.5", "5e-324", "1e308", "123456789012345678901"])
     separator = st.sampled_from([" ", " ", "\t", "\x1f", "\u3000"])
@@ -339,11 +348,15 @@ def edge_list_texts(draw):
         index |= st.sampled_from(["-1", str(n), "99999999999999999999", "x", "1.0", "#"])
         weight = st.sampled_from(["-1", "1e400", "nan", "inf", "heavy", "0x1", "1 2"]) | weight
         junk |= st.sampled_from(["0", "0 1 2 3", "n 2", "format: 1"])
+        skipped |= st.sampled_from(["#x\x0b0 1", "# \u00e9\x85 0", "x", "n"])
+        format_line |= st.sampled_from(["format: 2", "format 1", "format: 01", "format:"])
+        size_line |= st.sampled_from(["n 0", "n -1", "n 2 3", "n x", "n " + "9" * 19, "nodes 2", "n 0x2"])
     edge = st.tuples(index, separator, index, separator, weight).map(lambda t: "".join(t).rstrip())
     body = draw(st.lists(edge | junk, max_size=8))
-    header = ["format: 1", f"n {n}"]
+    gap = st.lists(skipped, max_size=2)
+    header = [*draw(gap), draw(format_line), *draw(gap), draw(size_line)]
     if malformed:
-        header = draw(st.sampled_from([header] * 4 + [["format: 2", f"n {n}"], ["format:1", "n 0"], ["format: 1"], []]))
+        header = draw(st.sampled_from([header] * 4 + [header[:-1], []]))
     return draw(line_break).join(header + body) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
@@ -368,6 +381,11 @@ def parsed(load, text):
 @example(text="format: 1\nn 2\n1 0\n0 1 nan\n")
 @example(text="format: 1\x85n 2\x1c0 1\x0b1 0 2\r\n")
 @example(text="# \u00e9t\u00e9 \u2603\nformat: 1\nn 2\n0 1\n")
+@example(text="format: 1\n#x\x0b0 1\nn 2\n")
+@example(text="format:1\n  n\t007\n0 1\n")
+@example(text="format: 1\nn +2\n0 1\n")
+@example(text="format: 1\nn 1_0\n9 0\n")
+@example(text="format: 1\n# \u00e9\x85 1 0\nn 2\n0 1\n")
 @example(text="format: 1\nn 2\n0 1 0\n1 0\n0 1\n")
 @example(text="format: 1\nn 2\n0 1\n0 1 heavy\n")
 @example(text="format: 1\nn 2\n0 5\n0 1 2 3\n")
@@ -391,17 +409,11 @@ def test_bulk_parser_matches_the_line_loop(text):
     assert parsed(load_edge_list, text) == parsed(reference_load_edge_list, text)
 
 
-def bytes_path(text):
-    """The edges that ``load_edge_list`` reads from the bytes of ``text``, or None where it falls back to the lines."""
-    n, start, _ = formats._edge_list_head(text)
-    return formats._edge_bytes(text, start, n)
-
-
-# documents that the bytes path must leave to the line parser: a token past
+# documents that the bytes path must leave to the line loop: a token past
 # int64, a token ``np.fromstring`` cannot read whole, an index that is not all
-# digits, a duplicate, a bad weight, index or token count, and bytes it does
-# not take, among them a '#' after a token and a comment line that a break
-# other than '\n' ends
+# digits, a duplicate, a bad weight, index or token count, bytes it does not
+# take, among them a '#' after a token and a comment line that a break other
+# than '\n' ends, and header spellings that only the loop reads or rejects
 BYTES_PATH_REJECTS = [
     "format: 1\nn 2\n0 1 99999999999999999999\n",
     "format: 1\nn 2\n0 1 9223372036854775808\n",
@@ -421,10 +433,23 @@ BYTES_PATH_REJECTS = [
     "format: 1\nn 2\n# a note\x0c0 1\n",
     "format: 1\nn 2\n0 1 # a note\n",
     "format: 1\nn 2\n\x1f# a note\n0 1\n",
+    "format: 1\nn 2\n# caf\u00e9\x850 1\n",
+    "format: 1\nn 2\n# a\u2028note\n0 1\n",
+    "# caf\u00e9\u2029format: 1\nn 2\n",
+    "format: 1\nn 2\n\u3000# a note\n0 1\n",
+    "format: 1\nn 2\n0 1 \u00e9\n",
+    "format: 1\nn +2\n0 1\n",
+    "format: 1\nn 1_0\n0 1\n",
+    "format: 1\r\nn 2\n0 1\n",
+    "format: 1\nn 0\n",
+    "format: 1\nn 1000000000000000000\n0 1\n",
+    "format: 1\nn 2 # a note\n0 1\n",
+    "format: 2\nn 2\n",
+    "",
 ]
-# documents that it reads itself, to the line parser's arrays: every float
-# spelling, blank space, no final line break, an empty body, and whole-line
-# comments
+# documents that it reads itself, to the line loop's arrays: every float
+# spelling, blank space, no final line break, an empty body, header spellings,
+# and whole-line comments of any UTF-8 text before, inside and after the header
 BYTES_PATH_ACCEPTS = [
     "format: 1\nn 2\n0 1 .5\n",
     "format: 1\nn 2\n0 1 5.\n",
@@ -437,6 +462,12 @@ BYTES_PATH_ACCEPTS = [
     "format: 1\nn 2\n",
     "format: 1\nn 2\n# a note\n0 1\n",
     "format: 1\nn 3\n# a\n  \t# b 2 0\n0 1\n#\n1 2 2.5\n# c",
+    "format:1\n  n\t007\n0 1\n",
+    "\n \t\n  format : 1\t\n\nn 2",
+    "# \u00e9t\u00e9 \u2603\nformat: 1\nn 2\n0 1\n",
+    "format: 1\n  # \u2014 inside \U0001f600\nn 2\n0 1\n",
+    "format: 1\nn 2\n# \u00e9t\u00e9\n0 1\n1 0 2.5\n# \u00fcber",
+    "format: 1\nn 2\n0 1\n#\udc80 a lone surrogate\n",
 ]
 
 
@@ -444,7 +475,7 @@ class TestBytesPath:
     def test_reads_a_sorted_unweighted_document(self):
         edges = out_regular_edges(np.random.default_rng(3), 3000)
         text = "format: 1\nn 3000\n" + "\n".join(f"{i} {j}" for i, j in edges) + "\n"
-        fast = bytes_path(text)
+        fast = formats._edge_bytes(text)
         assert fast is not None
         assert bits(*fast) == parsed(reference_load_edge_list, text)
 
@@ -464,7 +495,7 @@ class TestBytesPath:
         choice = rng.integers(len(spellings), size=len(edges))
         lines = [f"{i} {j}{spellings[c](w)}" for (i, j), w, c in zip(edges, weights.tolist(), choice.tolist())]
         text = "format: 1\nn 2000\n" + "\n".join(rng.permutation(lines).tolist()) + "\n"
-        fast = bytes_path(text)
+        fast = formats._edge_bytes(text)
         assert fast is not None
         assert bits(*fast) == parsed(reference_load_edge_list, text)
 
@@ -472,19 +503,19 @@ class TestBytesPath:
     def test_leaves_the_traps_to_the_line_parser(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bytes_path(text) is None
+            assert formats._edge_bytes(text) is None
 
     @pytest.mark.parametrize("text", BYTES_PATH_ACCEPTS)
     def test_reads_what_it_takes_as_the_line_parser_does(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = bytes_path(text)
+            fast = formats._edge_bytes(text)
         assert fast is not None
         assert bits(*fast) == parsed(reference_load_edge_list, text)
 
     def test_memory_is_linear_in_the_lines(self, tmp_path):
-        # 2e5 lines of about 12 bytes; the line parser peaked at 345 bytes a
-        # line, holding every token as a str, and the bytes path at 97
+        # 2e5 lines of about 12 bytes; the line loop peaks at 289 bytes a
+        # line, holding every line as a str, and the bytes path at 86
         n, out_degree = 20_000, 10
         src = np.repeat(np.arange(n), out_degree)
         dst = (src + 1 + 37 * np.tile(np.arange(out_degree), n)) % n
