@@ -224,8 +224,8 @@ def _cmd_compare(args) -> int:
     ids, graph, *_ = _load_input(args.input)
 
     economy = web_economy(graph, c=args.damping)
-    # power iteration on the market versus the linear solve behind the closed
-    # form: two independent computations of the same vector
+    # power iteration on the market versus the closed form's GTH elimination:
+    # two independent computations of the same vector
     pagerank, power_report = solve_power(economy)
     prices, market_report = solve_cobb_douglas(economy)
 

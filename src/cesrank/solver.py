@@ -10,9 +10,8 @@ of over-demanded goods, lower the price of over-supplied ones, renormalize.
 PageRank's step ``p <- S.T @ p`` is that adjustment at full step, so both
 run in one loop, `_iterate`; a non-finite excess demand or a price that is
 no longer positive ends it at once. The result is never trusted on faith:
-the loop stops on `verify_equilibrium`, which certifies the excess-demand
-residual independently of how the prices were found, and a closed form
-that it does not certify is finished by price adjustment in that loop.
+every method stops on `verify_equilibrium`, which certifies the
+excess-demand residual independently of how the prices were found.
 """
 
 from __future__ import annotations
@@ -82,48 +81,57 @@ def _require_connected_economy(economy: CesEconomy) -> None:
         )
 
 
-def stationary_solve(p: np.ndarray) -> np.ndarray:
-    """Solve ``pi = P.T @ pi``, ``sum(pi) == 1`` for a row-stochastic array ``p``.
+_GTH_BLOCK = 64  # states that `stationary_solve` eliminates together, and the rows of each panel of its update
 
-    One dense linear solve: the last equation of ``(P.T - I) pi = 0`` is
-    replaced by the normalization. It handles every irreducible chain,
-    periodic ones included, where iteration would never converge. Raises
-    ``ValueError`` when the system is singular (no unique stationary
-    distribution). The result is not clipped, renormalized or
-    residual-checked.
+
+@np.errstate(over="ignore", invalid="ignore")  # a multiplier past the float range gives a NaN pivot or price, an error below
+def stationary_solve(p: np.ndarray) -> np.ndarray:
+    """Solve ``pi = P.T @ pi``, ``sum(pi) == 1``, for an irreducible row-stochastic ``p``, in place.
+
+    GTH elimination (Grassmann, Taksar & Heyman, Operations Research 33(5),
+    1985) eliminates states n-1, ..., 1, each pivot the sum of its row left
+    of the diagonal, and never subtracts: every price is accurate relative to
+    itself (O'Cinneide, Numerische Mathematik 65, 1993), and periodic chains
+    solve too. Per block of `_GTH_BLOCK` states, the block's rows go state by
+    state, the other rows' multipliers follow by a triangular pass, and the
+    rest takes its stochastic complement (Meyer, SIAM Review 31(2), 1989) in
+    row panels. A pivot that is not positive is a `ConvergenceError`; prices
+    past the float range come out 0 or NaN.
     """
     n = p.shape[0]
-    a = p.T.copy()
-    a.flat[:: n + 1] -= 1.0
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "singular stationary system; the chain has no unique stationary "
-            "distribution (is it irreducible?)"
-        ) from exc
-    return pi
+    for hi in range(n, 1, -_GTH_BLOCK):
+        lo = max(hi - _GTH_BLOCK, 1)
+        block, rest = p[lo:hi, lo:hi], p[lo:hi, :lo]  # the block's rows, in its own columns and the others
+        for k in range(hi - lo - 1, -1, -1):
+            rest[k] += block[k, k + 1 :] @ rest[k + 1 :]  # what eliminating the states after k left in row k
+            pivot = p[lo + k, : lo + k].sum()  # rest[k], then block[k, :k]
+            if not pivot > 0.0:
+                raise ConvergenceError(f"closed form: GTH pivot of state {lo + k} is {float(pivot)!r}; the shares are too skewed for floats")
+            block[:k, k] /= pivot
+            block[:k, :k] += block[:k, k, None] * block[k, :k]
+            block[k, k] = pivot  # the diagonal is never read again
+        into = p[:lo, lo:hi].T.copy()  # the other rows' multipliers
+        for k in range(hi - lo - 1, -1, -1):
+            into[k] += block[k + 1 :, k] @ into[k + 1 :]
+            into[k] /= block[k, k]
+        p[:lo, lo:hi] = into.T
+        for r in range(0, lo, _GTH_BLOCK):
+            panel = slice(r, min(r + _GTH_BLOCK, lo))
+            p[panel, :lo] += into[:, panel].T @ rest
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = pi[:k] @ p[:k, k]
+    return pi / pi.sum()
 
 
 def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[PriceVector, SolverReport]:
-    """Exact equilibrium of an all-unit-elasticity economy.
+    """Exact equilibrium of an all-unit-elasticity economy, certified or a `ConvergenceError`.
 
-    Solves the linear invariant system of the share matrix, alpha's rows
-    divided by their sums as `_shares` gives them, with `stationary_solve`;
-    that matrix is the one n x n array built from an economy. It certifies
-    the prices with `verify_equilibrium`, whose residual the report carries.
-    The certificate is a relative excess demand, so on skewed weights it can
-    reject a solve whose absolute error is tiny but whose small prices are
-    wrong, or even negative. The solve then only seeds tatonnement: from its
-    prices, each raised to at least ``eps * max(p)``, `solve_tatonnement`'s
-    loop runs to a certified equilibrium or a `ConvergenceError`. Either way
-    the report's method is ``"closed_form"``, with 1 iteration for the solve
-    plus those of tatonnement.
+    `stationary_solve` runs in place on the shares (`_shares`), the one n x n
+    array built; the report (``"closed_form"``, 1 iteration) carries the
+    residual that `verify_equilibrium` certifies at ``tolerance``.
     """
-    cfg = SolverConfig(tolerance=tolerance)
+    require_tolerance(tolerance)
     start = time.perf_counter()
     if np.any(economy.rho != 0.0):
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
@@ -134,23 +142,15 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
     _require_connected_economy(economy)
     shares[economy.rows, economy.cols] += excess_share
     pi = stationary_solve(shares)
-    if pi.min() > 0.0:
-        prices = PriceVector.from_unnormalized(pi)
-        check = verify_equilibrium(economy, prices, tolerance)
-        if check.passed:
-            report = SolverReport(
-                method="closed_form",
-                iterations=1,
-                residual=check.residual,
-                converged=True,
-                tolerance=tolerance,
-                wall_time=time.perf_counter() - start,
-            )
-            return prices, report
-    logger.info("closed form not certified at tolerance %.3e; finishing by tatonnement", tolerance)
-    seed = np.maximum(pi, np.finfo(float).eps * pi.max())
-    prices, report = _iterate(economy, "tatonnement", _price_adjustment(economy), replace(cfg, initial_prices=seed), start)
-    return prices, replace(report, method="closed_form", iterations=1 + report.iterations)
+    if not pi.min() > 0.0:
+        j = int(np.flatnonzero(~(pi > 0.0))[0])
+        raise ConvergenceError(f"closed form gives good {j} the price {float(pi[j])!r}; the shares are too skewed for floats", last_iterate=pi)
+    prices = PriceVector(pi)
+    check = verify_equilibrium(economy, prices, tolerance)
+    if not check.passed:
+        raise ConvergenceError(f"closed form not certified: residual {check.residual:.3e}", last_iterate=pi, residual=check.residual)
+    wall_time = time.perf_counter() - start
+    return prices, SolverReport("closed_form", 1, check.residual, converged=True, tolerance=tolerance, wall_time=wall_time)
 
 
 def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:

@@ -385,9 +385,9 @@ class TestMarkovToEconomy:
         solve_cobb_douglas(_chain_economy([[0.0, 1.0], [1.0, 0.0]]))
         # row 1 has no zero entry, so it reaches every state through one auxiliary vertex
         solve_cobb_douglas(_chain_economy([[0.0, 1.0], [0.6, 0.4]]))
-        # a skewed chain whose solve is finished by tatonnement, which does not check again
+        # a skewed chain, certified by its one solve
         _, report = solve_cobb_douglas(damped_economy(*skewed_graph("three"), 0.0, 1.0))
-        assert report.iterations > 1
+        assert report.iterations == 1
         assert calls == [2, 3, 3]
 
     def test_periodic_chain_accepted_silently(self):

@@ -330,19 +330,26 @@ def edge_list_texts(draw):
     """Edge-list documents, valid or not, in every line-break, header and token spelling ``int``/``float`` take.
 
     Blank and comment lines come before, between and after the two header
-    lines, and among the edges.
+    lines, and among the edges. Four documents in five are well formed, and
+    four in five spell everything the usual way, with '\n' as the line break,
+    which the bytes path reads; the rest draw from every spelling.
     """
     n = draw(st.integers(1, 9))
-    malformed = draw(st.booleans())
+    malformed = draw(st.sampled_from([False] * 4 + [True]))
+    usual = draw(st.sampled_from([True] * 4 + [False]))
+
+    def spelled(common, other):
+        return st.sampled_from(common if usual else common + other)
+
     skipped = st.sampled_from(["", " \t", "#", "# note", "  #\u00e9 \u2603 comment", "\t# \U0001f600"])
-    format_line = st.sampled_from(["format: 1", "format:1", "  format : 1\t", "format :1 ", "format:\u30001"])
-    size_line = st.sampled_from([f"n {n}", f"  n\t{n:03d}", f"n +{n}", f"n {n} ", f"n\x1f{n}"])
-    if n == 1:
+    format_line = spelled(["format: 1", "format:1", "  format : 1\t", "format :1 "], ["format:\u30001"])
+    size_line = spelled([f"n {n}", f"  n\t{n:03d}", f"n {n} "], [f"n +{n}", f"n\x1f{n}"])
+    if n == 1 and not usual:
         size_line |= st.just("n 1_0")
-    index = st.integers(0, n - 1).map(str) | st.sampled_from(["+1", "0_2", "\u0663", "00"])
-    weight = st.sampled_from(["", "", "1", "2.5", "0", "0.0", "-0", "1_0.5", "5e-324", "1e308", "123456789012345678901"])
-    separator = st.sampled_from([" ", " ", "\t", "\x1f", "\u3000"])
-    line_break = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x85", "\x1c", "\x0b", "\u2028"])
+    index = st.integers(0, n - 1).map(str) | spelled(["00"], ["+1", "0_2", "\u0663"])
+    weight = spelled(["", "", "1", "2.5", "0", "0.0", "-0", "5e-324", "1e308"], ["1_0.5", "123456789012345678901"])
+    separator = spelled([" ", " ", "\t"], ["\x1f", "\u3000"])
+    line_break = spelled(["\n"], ["\n", "\r\n", "\r", "\x85", "\x1c", "\x0b", "\u2028"])
     junk = st.sampled_from(["", "   ", "# note", "  #\u00e9 \u2603 comment"])
     if malformed:
         index |= st.sampled_from(["-1", str(n), "99999999999999999999", "x", "1.0", "#"])
@@ -352,12 +359,18 @@ def edge_list_texts(draw):
         format_line |= st.sampled_from(["format: 2", "format 1", "format: 01", "format:"])
         size_line |= st.sampled_from(["n 0", "n -1", "n 2 3", "n x", "n " + "9" * 19, "nodes 2", "n 0x2"])
     edge = st.tuples(index, separator, index, separator, weight).map(lambda t: "".join(t).rstrip())
-    body = draw(st.lists(edge | junk, max_size=8))
+
+    def listed(line):  # the edge a line lists, read as ``int`` reads indices; a line without one is its own key
+        tokens = line.split()
+        return (int(tokens[0]), int(tokens[1])) if len(tokens) > 1 and not tokens[0].startswith("#") else line
+
+    # a repeated edge is an error, so only a malformed document repeats one
+    body = draw(st.lists(edge | junk, max_size=8, unique_by=None if malformed else listed))
     gap = st.lists(skipped, max_size=2)
     header = [*draw(gap), draw(format_line), *draw(gap), draw(size_line)]
     if malformed:
         header = draw(st.sampled_from([header] * 4 + [header[:-1], []]))
-    return draw(line_break).join(header + body) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return draw(line_break).join(header + body) + draw(spelled(["", "\n"], ["\r\n"]))
 
 
 def bits(graph, weights):

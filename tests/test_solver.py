@@ -38,6 +38,7 @@ from oracles import (
     dense_weights,
     fixed_point_equilibrium,
     out_regular_edges,
+    random_strongly_connected_graph,
     skewed_graph,
     with_dangling_vertices,
 )
@@ -125,12 +126,13 @@ class TestSolveCobbDouglas:
 
     @pytest.mark.parametrize("tolerance", [1e-10, 1e-12])
     @pytest.mark.parametrize("name", sorted(SKEWED_GRAPHS))
-    def test_uncertified_solve_is_finished_by_tatonnement(self, name, tolerance):
-        # the solve alone leaves excess demand near 1e-7 on "three" and a
-        # negative price on "five"; tatonnement from it certifies both
+    def test_skewed_solve_is_certified_alone(self, name, tolerance):
+        # a LAPACK solve left excess demand near 1e-7 on "three" and a
+        # negative price on "five"; GTH elimination never subtracts, so its
+        # smallest prices are as accurate as its largest
         economy = damped_economy(*skewed_graph(name), 0.0, 1.0)
         prices, report = solve_cobb_douglas(economy, tolerance)
-        assert report.method == "closed_form" and report.iterations > 1
+        assert report.method == "closed_form" and report.iterations == 1
         assert report.converged and report.residual <= tolerance
         assert verify_equilibrium(economy, prices, tolerance).residual == report.residual
         assert prices.pi.min() > 0.0
@@ -138,6 +140,26 @@ class TestSolveCobbDouglas:
             assert abs(prices.pi[2] / 4.99999999993e-12 - 1.0) <= 1e-9
         else:
             assert abs(prices.pi[4] / 4.975368960e-20 - 1.0) <= 1e-8
+
+    def test_found_skewed_list_is_certified(self):
+        # a tatonnement finish from a LAPACK solve ran 200 000 steps on this
+        # list and stopped at residual 7.7e-6
+        graph = DirectedGraph(5, [0, 0, 1, 1, 2, 2, 3, 4], [1, 3, 3, 4, 1, 4, 0, 2])
+        weights = np.array([1e-3, 1e4, 1e7, 1e-3, 100.0, 1e7, 100.0, 1e6])
+        economy = damped_economy(graph, weights, 0.0, 1.0)
+        prices, report = solve_cobb_douglas(economy, 1e-12)
+        assert report.iterations == 1 and report.residual <= 1e-12
+        assert verify_equilibrium(economy, prices, 1e-12).residual == report.residual
+        assert abs(prices.pi[2] / 5.000049249987613e-13 - 1.0) <= 1e-9
+
+    def test_uncertified_prices_are_a_convergence_error(self):
+        # GTH's rounding leaves a residual of 2e-15 on "three"
+        economy = damped_economy(*skewed_graph("three"), 0.0, 1.0)
+        residual = solve_cobb_douglas(economy, 1e-12)[1].residual
+        assert residual > 1e-20
+        with pytest.raises(ConvergenceError, match=r"^closed form not certified: residual \d") as info:
+            solve_cobb_douglas(economy, 1e-20)
+        assert info.value.residual == residual and info.value.last_iterate.min() > 0.0
 
     def test_residual_certified_through_demand(self):
         rng = np.random.default_rng(3)
@@ -147,6 +169,20 @@ class TestSolveCobbDouglas:
         clearing = verify_equilibrium(e, prices)
         assert clearing.passed
         assert clearing.residual == report.residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8))
+def test_skewed_closed_form_is_certified_by_its_solve(seed, n):
+    # undamped graphs whose weights span 16 decades: every price, the
+    # smallest included, is accurate enough that the one solve certifies
+    rng = np.random.default_rng(seed)
+    n, src, dst = random_strongly_connected_graph(rng, n, 0.3)
+    economy = damped_economy(DirectedGraph(n, src, dst), 10.0 ** rng.integers(-8, 9, len(src)), 0.0, 1.0)
+    prices, report = solve_cobb_douglas(economy, 1e-12)
+    assert report.method == "closed_form" and report.iterations == 1
+    assert report.converged and report.residual <= 1e-12
+    assert prices.pi.min() > 0.0
 
 
 def test_solve_power_matches_the_closed_form():
@@ -523,8 +559,7 @@ class TestSolveEquilibrium:
         _, report = solve_equilibrium(e)
         assert report.method == "power"
         assert report.iterations == plain.iterations + 2
-        # rejected while iterating, the closed form's own prices pass: its
-        # tatonnement finish never runs
+        # rejected while iterating, the closed form's own prices pass
         closed_form = cesrank.solver.solve_cobb_douglas
         rejected = []
 
@@ -547,10 +582,19 @@ class TestSolveEquilibrium:
         # floors of 1e-300 beside entries of 1e300: good 0's shares underflow
         # to 0 and so does its price. The iteration never passes that price,
         # and warns of no division by it; the fallback's closed form then
-        # raises its own error, as it does when called directly
+        # meets a zero pivot, as it does when called directly
         e = CesEconomy(np.array([[1e-300, 1e300, 1e300]] * 3), 0.0)
-        with pytest.raises(ConvergenceError, match="price of good 0 is 0.0 after iteration 0"):
+        message = r"^closed form: GTH pivot of state 1 is 0\.0; the shares are too skewed for floats$"
+        with pytest.raises(ConvergenceError, match=message):
             solve_equilibrium(e)
+        with pytest.raises(ConvergenceError, match=message):
+            solve_cobb_douglas(e)
+        # undamped, good 1 keeps all but 5e-324 of its income: its price is
+        # 1e323 times good 0's, past the float range, and the multiplier
+        # overflows without a warning
+        skewed = CesEconomy(np.array([[1.0, 1.0], [5e-324, 1.0]]), 0.0)
+        with pytest.raises(ConvergenceError, match=r"^closed form gives good 0 the price 0\.0; the shares are too skewed"):
+            solve_cobb_douglas(skewed)
 
     def test_fallback_wall_time_runs_from_entry(self, monkeypatch):
         # a fake clock that ticks once a reading: the fallback's report
