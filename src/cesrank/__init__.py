@@ -34,11 +34,7 @@ from .formats import (
     load_problem,
     sniff_and_load,
 )
-from .markov import (
-    DirectedGraph,
-    is_strongly_connected,
-    support_graph,
-)
+from .markov import DirectedGraph, support_graph
 from .problem import RankingProblem
 from .solver import (
     SolverConfig,
@@ -75,7 +71,6 @@ __all__ = [
     "dump_problem",
     "excess_demand",
     "gs_spot_check",
-    "is_strongly_connected",
     "load_edge_list",
     "sniff_and_load",
     "load_fixture",

@@ -1,9 +1,10 @@
-"""Directed graphs on edge arrays, and their strong connectivity.
+"""Directed graphs on edge arrays, and reachability along sorted edges.
 
 A Markov chain's support graph, and an economy's (edge i -> j iff trader i
-values good j), are held here as sorted edge arrays. The chains themselves
-are economies: `cesrank.economy.damped_economy` builds them, and
-`cesrank.solver` finds their stationary distributions as equilibrium prices.
+values good j), are held as edge arrays sorted by ``(src, dst)``. The chains
+themselves are economies: `cesrank.economy.damped_economy` builds them, and
+`cesrank.solver` finds their stationary distributions as equilibrium prices,
+after checking the economy graph's strong connectivity with `_reached`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 class DirectedGraph:
     """A directed graph on vertices ``0..n-1`` as two edge index arrays.
 
-    Edge ``k`` runs from ``src[k]`` to ``dst[k]``. Whatever order the edges
-    come in, the stored arrays are int64, read-only, free of duplicates and
-    sorted by ``(src, dst)``. Self-loops are representable;
-    `cesrank.economy.web_economy` rejects them.
+    Edge ``k`` runs from ``src[k]`` to ``dst[k]``. The edges must come
+    sorted by ``(src, dst)`` and distinct, since weights given alongside
+    them keep their order; the stored arrays are int64 and read-only.
+    Self-loops are representable; `cesrank.economy.web_economy` rejects them.
     """
 
     n: int
@@ -42,12 +43,10 @@ class DirectedGraph:
             k = int(np.argmax(bad))
             raise ValueError(f"edge ({src[k]}, {dst[k]}) has a vertex outside [0, {n})")
         # compared pairwise, not through src * n + dst, which overflows int64 past n = 3e9
-        if np.any((src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))):
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            first = np.ones(src.size, dtype=bool)
-            first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src, dst = src[first], dst[first]
+        unsorted = (src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))
+        if np.any(unsorted):
+            k = int(np.argmax(unsorted)) + 1
+            raise ValueError(f"edge ({src[k]}, {dst[k]}) follows ({src[k - 1]}, {dst[k - 1]}); edges must be distinct and sorted by (src, dst)")
         src.flags.writeable = False
         dst.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -61,59 +60,30 @@ def support_graph(matrix: np.ndarray) -> DirectedGraph:
     return DirectedGraph(matrix.shape[0], src, dst)
 
 
-def _bfs_levels(n: int, heads: np.ndarray, tails: np.ndarray, start: int) -> np.ndarray:
-    """Breadth-first level of every vertex from ``start``, -1 where unreachable.
+def _reached(heads: np.ndarray, tails: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Mask of the vertices reached from the ``sources`` mask along the edges ``heads[k] -> tails[k]``.
 
-    Edges run ``heads[k] -> tails[k]`` with ``heads`` sorted, so the out-edges
-    of each vertex are one slice of ``tails`` and each level costs one gather.
-    A level's new vertices are deduplicated through ``slot``, one entry per
-    vertex: each copy writes its position there and only the copy whose
-    write stands is kept, whichever that is. A level costs O(edges it
-    reaches), with nothing sorted or hashed.
+    ``heads`` is sorted, so the out-edges of each vertex are one slice of
+    ``tails`` and each breadth-first level costs one gather. A level's new
+    vertices are deduplicated through ``slot``, one entry per vertex: each
+    copy writes its position there and only the copy whose write stands is
+    kept, whichever that is. A level costs O(edges it reaches), with nothing
+    sorted or hashed.
     """
+    n = sources.size
     indptr = np.searchsorted(heads, np.arange(n + 1))
-    level = np.full(n, -1, dtype=np.int64)
+    reached = sources.copy()
     slot = np.empty(n, dtype=np.int64)
-    level[start] = 0
-    frontier = np.array([start])
-    depth = 0
+    frontier = np.flatnonzero(sources)
     while frontier.size:
-        depth += 1
         lo = indptr[frontier]
         counts = indptr[frontier + 1] - lo
         # lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 for every frontier vertex k
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        reached = tails[np.repeat(lo, counts) + within]
-        fresh = reached[level[reached] < 0]
+        hit = tails[np.repeat(lo, counts) + within]
+        fresh = hit[~reached[hit]]
         position = np.arange(fresh.size)
         slot[fresh] = position
         frontier = fresh[slot[fresh] == position]
-        level[frontier] = depth
-    return level
-
-
-def _reached_both_ways(graph: DirectedGraph, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the vertices reachable from ``vertex`` and of those reaching it."""
-    order = np.argsort(graph.dst, kind="stable")
-    forward = _bfs_levels(graph.n, graph.src, graph.dst, vertex) >= 0
-    backward = _bfs_levels(graph.n, graph.dst[order], graph.src[order], vertex) >= 0
-    return forward, backward
-
-
-def is_strongly_connected(graph: DirectedGraph) -> bool:
-    """True iff every vertex reaches every other vertex along directed edges."""
-    if graph.n == 1:
-        return True
-    forward, backward = _reached_both_ways(graph, 0)
-    return bool(forward.all() and backward.all())
-
-
-def strongly_connected_component(graph: DirectedGraph, vertex: int = 0) -> list[int]:
-    """Vertices of the strongly connected component containing ``vertex``.
-
-    Useful as a witness when strong connectivity fails: the returned component
-    is a proper subset of the vertices in that case.
-    """
-    forward, backward = _reached_both_ways(graph, vertex)
-    return np.flatnonzero(forward & backward).tolist()
-
+        reached[frontier] = True
+    return reached

@@ -59,22 +59,26 @@ class SolverConfig:
 
 
 def _require_connected_economy(economy: CesEconomy) -> None:
-    if economy.floor.min() > 0.0:
+    """Raise a `ValueError` naming trader 0's component unless the economy graph is strongly connected.
+
+    Edge i -> j iff ``alpha[i][j] > 0``: to every good from a row with a
+    positive floor, along the entries otherwise. Two searches over the
+    entries, sorted by ``(row, col)``, settle it in O(n + nnz): forward from
+    trader 0, where reaching a positive floor reaches every trader, and
+    backward from trader 0 and every positive floor, which values it.
+    """
+    floor, rows, cols = economy.floor, economy.rows, economy.cols
+    if floor.min() > 0.0:
         return  # no zero entry: the graph is complete, with self-loops
-    # edge i -> j iff alpha[i][j] > 0: every good for a positive floor, the entries otherwise;
-    # a positive floor's row points to one auxiliary vertex n that points to every vertex,
-    # O(n) edges that keep every path between the traders
-    n, src, dst = economy.n, economy.rows, economy.cols
-    to_all = np.flatnonzero(economy.floor > 0.0)
-    if to_all.size:
-        src = np.concatenate([src, to_all, np.full(n, n)])
-        dst = np.concatenate([dst, np.full(to_all.size, n), np.arange(n)])
-    graph = markov.DirectedGraph(n + 1 if to_all.size else n, src, dst)
-    # one search gives the verdict and the witness; looked up on the module at
-    # call time, so a patched or traced search is the one that runs
-    forward, backward = markov._reached_both_ways(graph, 0)
+    to_all, start = floor > 0.0, np.arange(economy.n) == 0
+    # looked up on the module at call time, so a patched or traced search is the one that runs
+    forward = markov._reached(rows, cols, start)
+    if np.any(forward & to_all):
+        forward[:] = True
+    order = np.argsort(cols, kind="stable")
+    backward = markov._reached(cols[order], rows[order], start | to_all)
     if not (forward.all() and backward.all()):
-        component = np.flatnonzero(forward[:n] & backward[:n]).tolist()
+        component = np.flatnonzero(forward & backward).tolist()
         raise ValueError(
             f"economy graph is not strongly connected (one component: {component}); "
             "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it"

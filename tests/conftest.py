@@ -1,5 +1,7 @@
 import pytest
 
+import cesrank.markov
+
 _acceptance_results: dict[str, bool] = {}
 
 
@@ -20,3 +22,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for label in sorted(_acceptance_results):
         status = "PASS" if _acceptance_results[label] else "FAIL"
         terminalreporter.write_line(f"{status}  {label}")
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Vertex count of each connectivity search run during the test, by counting `markov._reached`."""
+    calls = []
+    original = cesrank.markov._reached
+
+    def counted(heads, tails, sources):
+        calls.append(sources.size)
+        return original(heads, tails, sources)
+
+    monkeypatch.setattr(cesrank.markov, "_reached", counted)
+    return calls

@@ -164,6 +164,11 @@ def component_of(n, edges, vertex):
     return sorted(_reachable_from(n, edges, vertex) & _reachable_from(n, reversed_edges, vertex))
 
 
+def economy_component(economy) -> list[int]:
+    """Trader 0's strongly connected component in the economy graph, the support of `dense_alpha`."""
+    return component_of(economy.n, [(int(i), int(j)) for i, j in np.argwhere(dense_alpha(economy) > 0.0)], 0)
+
+
 def dense_weights(graph: DirectedGraph, weights: np.ndarray) -> np.ndarray:
     """The n x n matrix of an edge list: ``weights`` on the graph's edges, 0 elsewhere."""
     matrix = np.zeros((graph.n, graph.n))

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 import cesrank.cli
 import cesrank.economy
-import cesrank.markov
 import cesrank.problem
+import cesrank.solver
 from cesrank import (
     DirectedGraph,
     RankingProblem,
     build_economy,
+    damped_economy,
     dump_problem,
     load_edge_list,
     load_fixture,
@@ -412,19 +413,27 @@ class TestRankInvariant:
         assert abs(invariant["v0"] - 0.5) <= 1e-12
         assert max(abs(invariant[agent] - score) for agent, score in market.items()) <= 1e-12
 
-    def test_connectivity_checked_once(self, graph_file, capsys, monkeypatch):
-        # by the solver, on the economy graph, also for a skewed chain
-        calls = []
-        original = cesrank.markov._reached_both_ways
-
-        def counted(graph, vertex):
-            calls.append(graph.n)
-            return original(graph, vertex)
-
-        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
+    def test_connectivity_checked_once(self, graph_file, capsys, search_calls):
+        # by the solver, on the economy graph, also for a skewed chain: one
+        # search forward and one backward
         for text in (TRIANGLE, skewed_edge_list("three")):
             assert main(["rank", "--method", "invariant", "--input", graph_file(text)]) == 0
-        assert calls == [3, 3]
+        assert search_calls == [3, 3, 3, 3]
+
+    def test_connectivity_check_memory_is_linear_in_the_entries(self):
+        # the searches read the economy's own sorted entries: one stable
+        # argsort and one reordered copy for the backward search, plus one
+        # level's gather at a time, within 8 times the entry rows' bytes
+        n = 100_000
+        rng = np.random.default_rng(11)
+        src = np.repeat(np.arange(n), 5)
+        dst = rng.integers(0, n - 1, src.size)
+        dst += dst >= src  # no self-loops
+        src, dst = np.divmod(np.unique(src * n + dst), n)
+        keep = ~np.isin(src, rng.choice(n, size=n // 10, replace=False))  # a tenth of the vertices dangle
+        economy = damped_economy(DirectedGraph(n, src[keep], dst[keep]), np.ones(int(keep.sum())), 0.0, 1.0)
+        peak, _ = traced_peak(lambda: cesrank.solver._require_connected_economy(economy))
+        assert peak <= 8 * economy.rows.nbytes
 
     @pytest.mark.parametrize("name", sorted(SKEWED_GRAPHS))
     def test_skewed_weights_are_certified(self, name, graph_file, capsys):
@@ -640,18 +649,10 @@ class TestCompare:
         assert code == 0
         assert doc["agents"] == ["a", "b", "c"]
 
-    def test_no_connectivity_check(self, graph_file, capsys, monkeypatch):
+    def test_no_connectivity_check(self, graph_file, capsys, search_calls):
         # a damped chain is complete, so there is nothing to check
-        calls = []
-        original = cesrank.markov._reached_both_ways
-
-        def counted(graph, vertex):
-            calls.append(graph.n)
-            return original(graph, vertex)
-
-        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
         assert main(["compare", "--input", graph_file(DANGLING)]) == 0
-        assert calls == []
+        assert search_calls == []
 
     def test_self_preference_cannot_become_a_chain(self, problem_file, capsys):
         # a positive diagonal has no counterpart in the link graph
@@ -683,18 +684,10 @@ class TestConvert:
             _, agent, score = line.split("\t")
             assert abs(float(score) - reference[agent]) <= 1e-8
 
-    def test_no_connectivity_check(self, graph_file, capsys, monkeypatch):
+    def test_no_connectivity_check(self, graph_file, capsys, search_calls):
         # a damped chain is complete, so there is nothing to check
-        calls = []
-        original = cesrank.markov._reached_both_ways
-
-        def counted(graph, vertex):
-            calls.append(graph.n)
-            return original(graph, vertex)
-
-        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
         assert main(["convert", "--input", graph_file(DANGLING)]) == 0
-        assert calls == []
+        assert search_calls == []
 
     def test_does_not_import_numpy_ma(self, graph_file, tmp_path):
         # asking whether every rho is equal needs no np.unique, whose first

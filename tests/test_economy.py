@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cesrank.economy
-import cesrank.markov
 import cesrank.solver
 from cesrank import (
     CesEconomy,
@@ -18,7 +17,6 @@ from cesrank import (
     build_economy,
     damped_economy,
     excess_demand,
-    is_strongly_connected,
     solve_cobb_douglas,
     solve_equilibrium,
     solve_tatonnement,
@@ -26,13 +24,13 @@ from cesrank import (
     verify_equilibrium,
 )
 from cesrank.economy import aggregate_demand
-from cesrank.markov import strongly_connected_component
 
 from oracles import (
     ces_demand,
     demand_matrix,
     dense_alpha,
     dense_weights,
+    economy_component,
     grid_search_demand,
     reference_damped_chain,
     skewed_graph,
@@ -373,22 +371,15 @@ class TestMarkovToEconomy:
         with pytest.raises(ValueError, match=r"component: \[0\]"):
             solve_cobb_douglas(e)
 
-    def test_connectivity_checked_once(self, monkeypatch):
-        calls = []
-        original = cesrank.markov._reached_both_ways
-
-        def counted(graph, vertex):
-            calls.append(graph.n)
-            return original(graph, vertex)
-
-        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
+    def test_connectivity_checked_once(self, search_calls):
+        # two searches per check, forward and backward, over the n states alone
         solve_cobb_douglas(_chain_economy([[0.0, 1.0], [1.0, 0.0]]))
-        # row 1 has no zero entry, so it reaches every state through one auxiliary vertex
+        # row 1 has no zero entry, so it reaches every state, state 0 among them
         solve_cobb_douglas(_chain_economy([[0.0, 1.0], [0.6, 0.4]]))
         # a skewed chain, certified by its one solve
         _, report = solve_cobb_douglas(damped_economy(*skewed_graph("three"), 0.0, 1.0))
         assert report.iterations == 1
-        assert calls == [2, 3, 3]
+        assert search_calls == [2, 2, 2, 2, 3, 3]
 
     def test_periodic_chain_accepted_silently(self):
         # the 2-cycle's invariant distribution still clears the market
@@ -502,11 +493,11 @@ def test_connectivity_check_matches_the_dense_support_graph(case):
     # every good; the check reads them off the floors
     graph, weights, rho, _ = case
     economy = damped_economy(graph, weights, rho, 1.0)
-    dense = support_graph(dense_alpha(economy))
+    component = economy_component(economy)
     try:
         cesrank.solver._require_connected_economy(economy)
     except ValueError as error:
-        assert not is_strongly_connected(dense)
-        assert f"(one component: {strongly_connected_component(dense)})" in str(error)
+        assert component != list(range(graph.n))
+        assert f"(one component: {component})" in str(error)
     else:
-        assert is_strongly_connected(dense)
+        assert component == list(range(graph.n))

@@ -7,15 +7,14 @@ from cesrank import (
     ConvergenceError,
     DirectedGraph,
     damped_economy,
-    is_strongly_connected,
     solve_cobb_douglas,
     solve_power,
     support_graph,
     web_economy,
 )
-from cesrank.markov import strongly_connected_component
+from cesrank.solver import _require_connected_economy
 
-from oracles import component_of, dense_alpha, dense_power_iteration, random_strongly_connected_graph
+from oracles import dense_alpha, dense_power_iteration, economy_component, random_strongly_connected_graph
 
 
 class TestDirectedGraph:
@@ -24,20 +23,35 @@ class TestDirectedGraph:
             DirectedGraph(3, [0], [5])
 
     def test_adjacency_views(self):
-        # stored sorted by (src, dst) and deduplicated, whatever the input order
-        g = DirectedGraph(3, [2, 0, 0, 2], [0, 2, 1, 0])
+        g = DirectedGraph(3, [0, 0, 2], [1, 2, 0])
         assert g.src.tolist() == [0, 0, 2]
         assert g.dst.tolist() == [1, 2, 0]
         assert g.src.dtype == np.int64
         with pytest.raises(ValueError):
             g.src[0] = 1
 
+    @pytest.mark.parametrize(
+        "src, dst, message",
+        [
+            ([2, 0], [0, 1], r"edge \(0, 1\) follows \(2, 0\)"),
+            ([0, 0], [2, 1], r"edge \(0, 1\) follows \(0, 2\)"),
+            ([0, 1, 1], [1, 0, 0], r"edge \(1, 0\) follows \(1, 0\)"),
+        ],
+        ids=["src", "dst", "duplicate"],
+    )
+    def test_edges_out_of_order_rejected(self, src, dst, message):
+        # weights given alongside the edges keep their order, so the graph cannot sort them
+        with pytest.raises(ValueError, match=message + "; edges must be distinct and sorted by \\(src, dst\\)"):
+            DirectedGraph(3, src, dst)
+
     def test_order_past_the_int64_key_range(self):
-        # src * n + dst would wrap here; the order and the duplicates still come out right
+        # src * n + dst wraps past 2**63 here, where 10**9 * n is; the pairs still compare right
         n = 10**10
-        g = DirectedGraph(n, [n - 1, 1, n - 1, 1], [1, 0, 1, n - 1])
-        assert g.src.tolist() == [1, 1, n - 1]
+        g = DirectedGraph(n, [1, 1, 10**9], [0, n - 1, 1])
+        assert g.src.tolist() == [1, 1, 10**9]
         assert g.dst.tolist() == [0, n - 1, 1]
+        with pytest.raises(ValueError, match=r"edge \(1, 0\) follows \(1000000000, 1\)"):
+            DirectedGraph(n, [10**9, 1], [1, 0])
 
     def test_edge_arrays_must_match(self):
         with pytest.raises(ValueError, match="one length"):
@@ -52,22 +66,40 @@ class TestDirectedGraph:
         assert (g.n, g.src.tolist(), g.dst.tolist()) == (2, [0, 1, 1], [1, 0, 1])
 
 
+def _check_against_oracle(n, edges) -> bool:
+    """The solver's verdict on the undamped economy of ``edges``, checked against the oracle.
+
+    The economy graph is the support of its dense alpha, where a dangling
+    vertex values every good; the witness is vertex 0's component there.
+    """
+    edges = sorted(edges)
+    graph = DirectedGraph(n, [i for i, _ in edges], [j for _, j in edges])
+    economy = damped_economy(graph, np.ones(len(edges)), 0.0, 1.0)
+    component = economy_component(economy)
+    try:
+        _require_connected_economy(economy)
+    except ValueError as error:
+        assert component != list(range(n))
+        assert f"(one component: {component})" in str(error)
+        return False
+    assert component == list(range(n))
+    return True
+
+
 class TestConnectivity:
     def test_cycle_is_strongly_connected(self):
-        g = DirectedGraph(3, [0, 1, 2], [1, 2, 0])
-        assert is_strongly_connected(g)
+        assert _check_against_oracle(3, {(0, 1), (1, 2), (2, 0)})
 
     def test_chain_is_not(self):
-        g = DirectedGraph(3, [0, 1], [1, 2])
-        assert not is_strongly_connected(g)
+        # the loop keeps vertex 2 from dangling
+        assert not _check_against_oracle(3, {(0, 1), (1, 2), (2, 2)})
 
     def test_single_vertex(self):
-        assert is_strongly_connected(DirectedGraph(1, [], []))
+        assert _check_against_oracle(1, set())
 
     def test_component_witness(self):
-        g = DirectedGraph(4, [0, 1, 1, 2], [1, 0, 2, 3])
-        assert strongly_connected_component(g) == [0, 1]
-        assert strongly_connected_component(g, vertex=3) == [3]
+        # the witness is the two-cycle: 2 and 3 are reached from it but never lead back
+        assert not _check_against_oracle(4, {(0, 1), (1, 0), (1, 2), (2, 3), (3, 3)})
 
 
 def _cycle(n):
@@ -99,15 +131,8 @@ GRAPH_CASES = {
     "six-cycle with a chord, period 3": (6, _cycle(6) | {(0, 4)}),
     "bipartite": (4, {(0, 1), (1, 0), (0, 3), (3, 2), (2, 1)}),
     "one-way bridge": (4, _cycle(2) | {(1, 2)} | {(2, 3), (3, 2)}),
+    "chain to a dangling vertex": (3, {(0, 1), (1, 2)}),  # 2 values every good, so it leads back
 }
-
-
-def _check_against_oracle(n, edges):
-    g = DirectedGraph(n, [i for i, _ in edges], [j for _, j in edges])
-    connected = component_of(n, edges, 0) == list(range(n))
-    assert is_strongly_connected(g) == connected
-    for v in range(n):
-        assert strongly_connected_component(g, v) == component_of(n, edges, v)
 
 
 class TestConnectivityOracle:
@@ -231,7 +256,7 @@ def link_graphs(draw):
     # (i, d) is the edge i -> i + d mod n with 0 < d < n, never a loop
     pairs = draw(st.sets(st.tuples(vertex, st.integers(min_value=1, max_value=max(n - 1, 1))), max_size=3 * (n - 1)))
     dangling = draw(st.sets(vertex, max_size=n))
-    edges = [(i, (i + d) % n) for i, d in pairs if i not in dangling]
+    edges = sorted((i, (i + d) % n) for i, d in pairs if i not in dangling)
     return DirectedGraph(n, [i for i, _ in edges], [j for _, j in edges])
 
 

@@ -94,6 +94,12 @@ class TestRankingProblemValidation:
         np.testing.assert_array_equal(dense_weights(p.graph, p.weights), alpha)
         assert not hasattr(p, "alpha")
 
+    def test_weights_cannot_land_on_other_edges(self):
+        # weight 5 is meant for edge (1, 2); a graph that sorted its edges
+        # would put it on (0, 1) and rank another problem
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) follows \(1, 2\)"):
+            RankingProblem.from_edges(ids(3), DirectedGraph(3, [1, 0, 2], [2, 1, 0]), [5.0, 1.0, 1.0], 0.0)
+
     def test_input_array_not_aliased(self):
         alpha = np.ones((2, 2))
         p = RankingProblem(ids(2), alpha, 0.0)

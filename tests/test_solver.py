@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cesrank.markov
 import cesrank.solver
 from cesrank import (
     CesEconomy,
@@ -710,31 +709,23 @@ class TestRankProblem:
             rank_problem(problem)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
-    def test_connectivity_checked_once(self, rho, monkeypatch):
-        calls = []
-        original = cesrank.markov._reached_both_ways
-
-        def counted(graph, vertex):
-            calls.append(graph.n)
-            return original(graph, vertex)
-
-        monkeypatch.setattr(cesrank.markov, "_reached_both_ways", counted)
+    def test_connectivity_checked_once(self, rho, search_calls):
         problem = load_fixture("nonuniform3")
         # damped: every alpha entry is positive, so the graph is complete
         rank_problem(RankingProblem(problem.agent_ids, fixture_alpha("nonuniform3"), rho, beta=0.85))
-        assert calls == []
-        # undamped with zero entries: the exact check runs once, on the three
-        # agents plus the one auxiliary vertex that stands for the edges of
-        # rows 1 and 2, which have no zero entry
+        assert search_calls == []
+        # undamped with zero entries: the exact check runs once, one search
+        # forward and one backward over the three agents; rows 1 and 2 have
+        # no zero entry, so they reach every agent
         alpha = fixture_alpha("nonuniform3")
         alpha[0, 2] = 0.0
         rank_problem(RankingProblem(problem.agent_ids, alpha, rho, beta=1.0))
-        assert calls == [4]
-        # a graph that fails the check gets its verdict and its witness from one search
+        assert search_calls == [3, 3]
+        # a graph that fails the check gets its verdict and its witness from the same two searches
         alpha = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=r"component: \[0, 1\]\)"):
             rank_problem(RankingProblem(("x", "y", "z"), alpha, rho, beta=1.0))
-        assert calls == [4, 3]
+        assert search_calls == [3, 3, 3, 3]
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_row_sum_overflow_ranks_as_rescaled_row(self, rho):
