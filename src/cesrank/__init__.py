@@ -34,8 +34,7 @@ from .formats import (
     load_problem,
     sniff_and_load,
 )
-from .markov import DirectedGraph, support_graph
-from .problem import RankingProblem
+from .problem import DirectedGraph, RankingProblem, support_graph
 from .solver import (
     SolverConfig,
     multistart_probe,

@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .economy import CesEconomy, as_price_array, build_economy, damped_economy, excess_demand
-from .markov import DirectedGraph
-from .problem import RankingProblem
+from .problem import DirectedGraph, RankingProblem
 from .solver import rank_problem, solve_equilibrium
 
 #: Separation required of "strict" inequalities, so rounding noise never

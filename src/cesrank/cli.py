@@ -144,7 +144,7 @@ def _cmd_rank(args) -> int:
     if args.method == "pagerank":
         # the web chain's market, iterated on its edges: O(n + edges), never n x n
         c = args.damping if args.damping is not None else 0.85
-        scores, report = solve_power(web_economy(graph, c), tolerance=tol)
+        scores, report = solve_power(web_economy(graph, c), SolverConfig(tolerance=tol))
     else:  # invariant: the undamped Cobb-Douglas market, whose solver checks the graph's connectivity
         empty = np.bincount(graph.src, minlength=graph.n) == 0
         if np.any(empty):
@@ -226,7 +226,7 @@ def _cmd_compare(args) -> int:
     economy = web_economy(graph, c=args.damping)
     # power iteration on the market versus the closed form's GTH elimination:
     # two independent computations of the same vector
-    pagerank, power_report = solve_power(economy)
+    pagerank, power_report = solve_power(economy, SolverConfig(tolerance=1e-12))
     prices, market_report = solve_cobb_douglas(economy)
 
     difference = float(np.abs(pagerank.pi - prices.pi).max())

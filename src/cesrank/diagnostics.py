@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def require_tolerance(tolerance: float) -> None:
-    """Raise ``ValueError`` unless ``tolerance`` is finite and positive (NaN certifies nothing, inf anything)."""
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {float(tolerance)!r}")
 
 
 class ConvergenceError(RuntimeError):

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import DirectedGraph
-from .problem import RankingProblem, _edge_weights, _rho_array, _validate_alpha, _validate_beta
+from .problem import DirectedGraph, RankingProblem, _edge_weights, _rho_array, _validate_alpha, _validate_beta
 
 
 def as_price_array(prices, n: int) -> np.ndarray:

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .markov import DirectedGraph
-from .problem import RankingProblem
+from .problem import DirectedGraph, RankingProblem
 
 FORMAT_VERSION = 1
 
@@ -66,18 +65,23 @@ def _require_index(value, where: str, n: int) -> int:
     return value
 
 
-def _parse_dense_alpha(rows, n: int) -> np.ndarray:
+def _parse_dense_alpha(rows, n: int) -> tuple[DirectedGraph, np.ndarray]:
+    """The graph and weights of a dense ``alpha``: its positive entries, row by row, as `_parse_triplets` gives them."""
     if len(rows) != n:
         raise DocumentError(f"expected {n} rows to match {n} agents, got {len(rows)}", "alpha")
-    alpha = np.zeros((n, n))
+    src, dst, weights = array("q"), array("q"), array("d")
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise DocumentError(f"expected a list of numbers, got {row!r}", f"alpha[{i}]")
         if len(row) != n:
             raise DocumentError(f"row has length {len(row)}, expected {n}", f"alpha[{i}]")
         for j, value in enumerate(row):
-            alpha[i, j] = _require_number(value, f"alpha[{i}][{j}]", minimum=0.0)
-    return alpha
+            w = _require_number(value, f"alpha[{i}][{j}]", minimum=0.0)
+            if w > 0.0:
+                src.append(i)
+                dst.append(j)
+                weights.append(w)
+    return DirectedGraph(n, np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64)), np.frombuffer(weights)
 
 
 def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
@@ -103,7 +107,11 @@ def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
 
 
 def load_problem(source) -> RankingProblem:
-    """Parse a JSON problem document from a path or an open text stream."""
+    """Parse a JSON problem document from a path or an open text stream.
+
+    ``alpha`` as rows or as triplets parses to the graph of its positive
+    entries and their weights, for `RankingProblem.from_edges`.
+    """
     return _parse_problem(_read_text(source))
 
 
@@ -135,7 +143,7 @@ def _parse_problem(text: str) -> RankingProblem:
 
     raw_alpha = doc.get("alpha")
     if isinstance(raw_alpha, list):
-        alpha = _parse_dense_alpha(raw_alpha, n)
+        edges = _parse_dense_alpha(raw_alpha, n)
     elif isinstance(raw_alpha, dict):
         edges = _parse_triplets(raw_alpha, n)
     else:
@@ -152,9 +160,7 @@ def _parse_problem(text: str) -> RankingProblem:
     beta = _require_number(doc.get("beta", 0.85), "beta")
 
     try:
-        if isinstance(raw_alpha, dict):
-            return RankingProblem.from_edges(tuple(agents), *edges, rho, beta=beta)
-        return RankingProblem(tuple(agents), alpha, rho, beta=beta)
+        return RankingProblem.from_edges(tuple(agents), *edges, rho, beta=beta)
     except ValueError as e:
         raise DocumentError(str(e)) from e
 
@@ -278,13 +284,15 @@ def _edge_bytes(text: str) -> tuple[DirectedGraph, np.ndarray] | None:
         del is_weight
     tokens = starts.size
     del blank, raw, starts
-    # numpy 1.x warns on data it cannot parse, where numpy 2 raises
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(body, dtype=float if floating else np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
+    values = np.empty(0, np.int64)  # np.fromstring reads a body of no tokens as [0]
+    if tokens:
+        # numpy 1.x warns on data it cannot parse, where numpy 2 raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                values = np.fromstring(body, dtype=float if floating else np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
     del body
     if values.size != tokens:
         return None

@@ -1,8 +1,10 @@
-"""Ranking problems and their preprocessing.
+"""Ranking problems, their preference graphs, and their preprocessing.
 
 A ranking problem is a set of agents, a weighted preference graph (edge
 i -> j of weight ``alpha[i, j] > 0`` where agent ``i`` endorses agent ``j``),
 a per-agent substitution parameter ``rho``, and a damping weight ``beta``.
+The graph is a `DirectedGraph`: two edge arrays sorted by ``(src, dst)``,
+as `cesrank.formats` parses every document to them.
 `cesrank.economy.damped_economy` turns the edges into the damped preference
 matrix by the same rule that builds the damped web-surfer chain: fill
 all-zero rows with the uniform row, divide each row by its sum, then mix
@@ -15,7 +17,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import DirectedGraph, support_graph
+
+@dataclass(frozen=True, eq=False)
+class DirectedGraph:
+    """A directed graph on vertices ``0..n-1`` as two edge index arrays.
+
+    Edge ``k`` runs from ``src[k]`` to ``dst[k]``. The edges must come
+    sorted by ``(src, dst)`` and distinct, since weights given alongside
+    them keep their order; the stored arrays are int64 and read-only.
+    Self-loops are representable; `cesrank.economy.web_economy` rejects them.
+    """
+
+    n: int
+    src: np.ndarray
+    dst: np.ndarray
+
+    def __post_init__(self):
+        n = int(self.n)
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        src = np.array(self.src, dtype=np.int64)
+        dst = np.array(self.dst, dtype=np.int64)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError(
+                f"src and dst must be vectors of one length, got shapes {src.shape} and {dst.shape}"
+            )
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ValueError(f"edge ({src[k]}, {dst[k]}) has a vertex outside [0, {n})")
+        # compared pairwise, not through src * n + dst, which overflows int64 past n = 3e9
+        unsorted = (src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))
+        if np.any(unsorted):
+            k = int(np.argmax(unsorted)) + 1
+            raise ValueError(f"edge ({src[k]}, {dst[k]}) follows ({src[k - 1]}, {dst[k - 1]}); edges must be distinct and sorted by (src, dst)")
+        src.flags.writeable = False
+        dst.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+
+
+def support_graph(matrix: np.ndarray) -> DirectedGraph:
+    """Graph of a square matrix: an edge i -> j wherever ``matrix[i, j] > 0``."""
+    src, dst = np.nonzero(matrix > 0.0)
+    return DirectedGraph(matrix.shape[0], src, dst)
+
 
 #: Largest accepted rho. Above it the demand exponent 1/(1-rho) exceeds 20 and
 #: the demand powers become too steep to evaluate reliably near the

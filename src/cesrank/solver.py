@@ -11,11 +11,13 @@ PageRank's step ``p <- S.T @ p`` is that adjustment at full step, so both
 run in one loop, `_iterate`; a non-finite excess demand or a price that is
 no longer positive ends it at once. The result is never trusted on faith:
 every method stops on `verify_equilibrium`, which certifies the
-excess-demand residual independently of how the prices were found.
+excess-demand residual independently of how the prices were found. Every
+public solver takes one `SolverConfig`, and `_timed` clocks its report.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -25,8 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import markov
-from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport, require_tolerance
+from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand, row_tops
 from .problem import RankingProblem
 
@@ -42,9 +43,8 @@ class SolverConfig:
 
     ``tolerance`` bounds the max-norm of excess demand at the returned prices.
     ``max_iters`` and ``initial_prices`` are the budget and the start of the
-    price loop that tatonnement runs, with a step derived from the economy;
-    `solve_power` runs the same loop from the uniform vector, on the
-    tolerance and budget it is called with. ``seed`` seeds `multistart_probe`.
+    one price loop, which tatonnement runs with a step derived from the
+    economy and `solve_power` at full step. ``seed`` seeds `multistart_probe`.
     """
 
     tolerance: float = 1e-10
@@ -53,9 +53,32 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_tolerance(self.tolerance)
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):  # NaN certifies nothing, inf anything
+            raise ValueError(f"tolerance must be finite and positive, got {float(self.tolerance)!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+
+
+#: A public solver: an economy and its configuration to certified prices and their report.
+_Solver = Callable[[CesEconomy, SolverConfig], tuple[PriceVector, SolverReport]]
+
+
+def _timed(solve: _Solver) -> _Solver:
+    """The public solver ``solve``, timed, and called with ``config`` or the default `SolverConfig`.
+
+    A solver it wraps declares ``config=None`` and reads ``config`` as the
+    `SolverConfig` passed here. Its report's ``wall_time`` runs from entry
+    to return, whatever the call does in between: this is the one clock of
+    every solver here.
+    """
+
+    @functools.wraps(solve)
+    def timed(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
+        start = time.perf_counter()
+        prices, report = solve(economy, config or SolverConfig())
+        return prices, replace(report, wall_time=time.perf_counter() - start)
+
+    return timed
 
 
 def _require_connected_economy(economy: CesEconomy) -> None:
@@ -71,18 +94,46 @@ def _require_connected_economy(economy: CesEconomy) -> None:
     if floor.min() > 0.0:
         return  # no zero entry: the graph is complete, with self-loops
     to_all, start = floor > 0.0, np.arange(economy.n) == 0
-    # looked up on the module at call time, so a patched or traced search is the one that runs
-    forward = markov._reached(rows, cols, start)
+    forward = _reached(rows, cols, start)
     if np.any(forward & to_all):
         forward[:] = True
     order = np.argsort(cols, kind="stable")
-    backward = markov._reached(cols[order], rows[order], start | to_all)
+    backward = _reached(cols[order], rows[order], start | to_all)
     if not (forward.all() and backward.all()):
         component = np.flatnonzero(forward & backward).tolist()
         raise ValueError(
             f"economy graph is not strongly connected (one component: {component}); "
             "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it"
         )
+
+
+def _reached(heads: np.ndarray, tails: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Mask of the vertices reached from the ``sources`` mask along the edges ``heads[k] -> tails[k]``.
+
+    ``heads`` is sorted, so the out-edges of each vertex are one slice of
+    ``tails`` and each breadth-first level costs one gather. A level's new
+    vertices are deduplicated through ``slot``, one entry per vertex: each
+    copy writes its position there and only the copy whose write stands is
+    kept, whichever that is. A level costs O(edges it reaches), with nothing
+    sorted or hashed.
+    """
+    n = sources.size
+    indptr = np.searchsorted(heads, np.arange(n + 1))
+    reached = sources.copy()
+    slot = np.empty(n, dtype=np.int64)
+    frontier = np.flatnonzero(sources)
+    while frontier.size:
+        lo = indptr[frontier]
+        counts = indptr[frontier + 1] - lo
+        # lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 for every frontier vertex k
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        hit = tails[np.repeat(lo, counts) + within]
+        fresh = hit[~reached[hit]]
+        position = np.arange(fresh.size)
+        slot[fresh] = position
+        frontier = fresh[slot[fresh] == position]
+        reached[frontier] = True
+    return reached
 
 
 _GTH_BLOCK = 64  # states that `stationary_solve` eliminates together, and the rows of each panel of its update
@@ -128,15 +179,14 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[PriceVector, SolverReport]:
+@_timed
+def solve_cobb_douglas(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Exact equilibrium of an all-unit-elasticity economy, certified or a `ConvergenceError`.
 
     `stationary_solve` runs in place on the shares (`_shares`), the one n x n
     array built; the report (``"closed_form"``, 1 iteration) carries the
-    residual that `verify_equilibrium` certifies at ``tolerance``.
+    residual that `verify_equilibrium` certifies at ``config.tolerance``.
     """
-    require_tolerance(tolerance)
-    start = time.perf_counter()
     if np.any(economy.rho != 0.0):
         i = int(np.flatnonzero(economy.rho != 0.0)[0])
         raise ValueError(f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros")
@@ -150,11 +200,10 @@ def solve_cobb_douglas(economy: CesEconomy, tolerance: float = 1e-10) -> tuple[P
         j = int(np.flatnonzero(~(pi > 0.0))[0])
         raise ConvergenceError(f"closed form gives good {j} the price {float(pi[j])!r}; the shares are too skewed for floats", last_iterate=pi)
     prices = PriceVector(pi)
-    check = verify_equilibrium(economy, prices, tolerance)
+    check = verify_equilibrium(economy, prices, config.tolerance)
     if not check.passed:
         raise ConvergenceError(f"closed form not certified: residual {check.residual:.3e}", last_iterate=pi, residual=check.residual)
-    wall_time = time.perf_counter() - start
-    return prices, SolverReport("closed_form", 1, check.residual, converged=True, tolerance=tolerance, wall_time=wall_time)
+    return prices, SolverReport("closed_form", 1, check.residual, converged=True, tolerance=config.tolerance)
 
 
 def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:
@@ -172,26 +221,26 @@ def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:
     return floor / totals, excess / totals[rows]
 
 
-def solve_power(economy: CesEconomy, tolerance: float = 1e-12, max_iters: int = 100_000) -> tuple[PriceVector, SolverReport]:
+@_timed
+def solve_power(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Equilibrium of a damped all-unit-elasticity economy by iterating its prices: PageRank.
 
     At rho 0 trader i spends the share ``S[i][j] = alpha[i][j] / sum_k
     alpha[i][k]`` of its income ``p[i]`` on good j, so good j's excess demand
     at prices ``p`` is ``(S.T @ p)_j / p_j - 1`` and the market clears where
     ``p = S.T @ p``: tatonnement at full step, and it runs in tatonnement's
-    loop, `_iterate`, from the uniform vector. With every floor positive,
-    ``p <- S.T @ p`` contracts in L1, at rate ``c`` on a
-    `cesrank.economy.web_economy` (Langville & Meyer, "Deeper Inside
-    PageRank", 2004), in O(n + nnz) per step on the floors and entries. It
-    returns the first certified iterate or raises `ConvergenceError`.
+    loop, `_iterate`, from ``config.initial_prices`` or the uniform vector.
+    With every floor positive, ``p <- S.T @ p`` contracts in L1, at rate
+    ``c`` on a `cesrank.economy.web_economy` (Langville & Meyer, "Deeper
+    Inside PageRank", 2004), in O(n + nnz) per step on the floors and
+    entries. It returns the first certified iterate or raises
+    `ConvergenceError`.
     """
-    cfg = SolverConfig(tolerance=tolerance, max_iters=max_iters)
     bad = (economy.rho != 0.0) | (economy.floor <= 0.0)
     if np.any(bad):  # the contraction condition
         i = int(np.argmax(bad))
         rho, floor = float(economy.rho[i]), float(economy.floor[i])
         raise ValueError(f"trader {i} has rho = {rho!r} and floor {floor!r}; power iteration needs rho 0, floor > 0")
-    start = time.perf_counter()
     n, rows, cols = economy.n, economy.rows, economy.cols
     floor_share, excess_share = _shares(economy)
 
@@ -199,9 +248,10 @@ def solve_power(economy: CesEconomy, tolerance: float = 1e-12, max_iters: int = 
         image = floor_share @ p + np.bincount(cols, excess_share * p[rows], minlength=n)
         return image / p - 1.0, image
 
-    return _iterate(economy, "power", advance, cfg, start)
+    return _iterate(economy, "power", advance, config)
 
 
+@_timed
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Damped multiplicative price adjustment until the market clears.
 
@@ -214,10 +264,8 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     The rounds run in `_iterate`, which stops on a certified equilibrium or
     raises a `ConvergenceError`, never returning a wrong answer.
     """
-    cfg = config or SolverConfig()
-    start = time.perf_counter()
     _require_connected_economy(economy)
-    return _iterate(economy, "tatonnement", _price_adjustment(economy), cfg, start)
+    return _iterate(economy, "tatonnement", _price_adjustment(economy), config)
 
 
 def _price_adjustment(economy: CesEconomy) -> _PriceMap:
@@ -237,8 +285,8 @@ _LOOP_TEXTS = {"power": ("power iteration", "did not converge"), "tatonnement": 
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
-def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig, start: float) -> tuple[PriceVector, SolverReport]:
-    """The one certified price loop, for ``method`` ``"power"`` or ``"tatonnement"``; wall time runs from ``start``.
+def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig) -> tuple[PriceVector, SolverReport]:
+    """The one certified price loop, for ``method`` ``"power"`` or ``"tatonnement"``.
 
     From ``cfg.initial_prices``, renormalized, or the uniform vector,
     ``advance(p)`` gives the excess demand ``z`` at ``p`` and the
@@ -273,16 +321,9 @@ def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverCo
             prices = PriceVector.from_unnormalized(p)
             check = verify_equilibrium(economy, prices, cfg.tolerance)
             if check.passed:
-                report = SolverReport(
-                    method=method,
-                    iterations=it,
-                    residual=check.residual,
-                    converged=True,
-                    tolerance=cfg.tolerance,
-                    wall_time=time.perf_counter() - start,
-                )
-                logger.debug("%s converged: %s", name, report)
-                return prices, report
+                # the report's wall time is set by `_timed`, after this returns
+                logger.debug("%s converged in %d iterations, residual %.3e", name, it, check.residual)
+                return prices, SolverReport(method, it, check.residual, converged=True, tolerance=cfg.tolerance)
             logger.info("residual %.3e certified as %.3e; iterating on", residual, check.residual)
         if it == cfg.max_iters:
             break
@@ -304,6 +345,7 @@ def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverCo
     )
 
 
+@_timed
 def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Equilibrium prices, by the method the economy calls for.
 
@@ -316,18 +358,15 @@ def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -
     chain, which may be periodic) goes to it directly. Any other economy
     runs tatonnement.
     """
-    cfg = config or SolverConfig()
     if np.any(economy.rho != 0.0):
-        return solve_tatonnement(economy, cfg)
+        return solve_tatonnement(economy, config)
     if economy.floor.min() <= 0.0:
-        return solve_cobb_douglas(economy, tolerance=cfg.tolerance)
-    start = time.perf_counter()
+        return solve_cobb_douglas(economy, config)
     try:
-        return solve_power(economy, cfg.tolerance, max_iters=economy.n)
+        return solve_power(economy, replace(config, max_iters=economy.n))
     except ConvergenceError as exc:
         logger.info("%s; solving in closed form", exc)
-    prices, report = solve_cobb_douglas(economy, tolerance=cfg.tolerance)
-    return prices, replace(report, wall_time=time.perf_counter() - start)
+    return solve_cobb_douglas(economy, config)
 
 
 def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:

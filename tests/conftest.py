@@ -1,6 +1,6 @@
 import pytest
 
-import cesrank.markov
+import cesrank.solver
 
 _acceptance_results: dict[str, bool] = {}
 
@@ -26,13 +26,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """Vertex count of each connectivity search run during the test, by counting `markov._reached`."""
+    """Vertex count of each connectivity search run during the test, by counting `solver._reached`."""
     calls = []
-    original = cesrank.markov._reached
+    original = cesrank.solver._reached
 
     def counted(heads, tails, sources):
         calls.append(sources.size)
         return original(heads, tails, sources)
 
-    monkeypatch.setattr(cesrank.markov, "_reached", counted)
+    monkeypatch.setattr(cesrank.solver, "_reached", counted)
     return calls

@@ -17,7 +17,7 @@ import numpy as np
 from cesrank.cli import TIE_TOL
 from cesrank.economy import as_price_array
 from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text, _require_index, _require_number
-from cesrank.markov import DirectedGraph
+from cesrank.problem import DirectedGraph
 
 
 #: Strongly connected weighted edge lists ``(n, [(src, dst, weight), ...])`` with weights

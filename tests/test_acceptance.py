@@ -52,7 +52,7 @@ def test_criterion_1_dual_pipeline_agreement():
         economy = web_economy(DirectedGraph(n, src, dst), c=0.85)
 
         # power iteration is independent of the linear solve behind the closed form
-        dist, _ = solve_power(economy)
+        dist, _ = solve_power(economy, SolverConfig(tolerance=1e-12))
         prices, _ = solve_cobb_douglas(economy)
 
         worst = max(worst, float(np.abs(dist.pi - prices.pi).max()))
@@ -211,6 +211,6 @@ def test_criterion_8_dangling_rule():
         assert np.abs(row_sums - 1.0).max() <= 1e-12, trial
         assert np.all(matrix > 0)
 
-        dist, _ = solve_power(economy)
+        dist, _ = solve_power(economy, SolverConfig(tolerance=1e-12))
         prices, _ = solve_cobb_douglas(economy)
         assert float(np.abs(dist.pi - prices.pi).max()) <= 1e-8, trial

@@ -418,6 +418,8 @@ def parsed(load, text):
 @example(text="format: 1\nn 3\n0 1\n1 2 2.5")
 @example(text="format: 1\nn 3\n0 1 \t\n1 2 2.5\t \n")
 @example(text="format: 1\nn 3\n2 0\n0 1\n1 2\n0 1 3\n")
+@example(text="format: 1\nn 4\n\n\n")
+@example(text="format: 1\nn 4\n# no edges\n")
 def test_bulk_parser_matches_the_line_loop(text):
     assert parsed(load_edge_list, text) == parsed(reference_load_edge_list, text)
 
@@ -462,7 +464,8 @@ BYTES_PATH_REJECTS = [
 ]
 # documents that it reads itself, to the line loop's arrays: every float
 # spelling, blank space, no final line break, an empty body, header spellings,
-# and whole-line comments of any UTF-8 text before, inside and after the header
+# whole-line comments of any UTF-8 text before, inside and after the header,
+# and bodies of blank and comment lines alone, which hold no token to parse
 BYTES_PATH_ACCEPTS = [
     "format: 1\nn 2\n0 1 .5\n",
     "format: 1\nn 2\n0 1 5.\n",
@@ -481,6 +484,9 @@ BYTES_PATH_ACCEPTS = [
     "format: 1\n  # \u2014 inside \U0001f600\nn 2\n0 1\n",
     "format: 1\nn 2\n# \u00e9t\u00e9\n0 1\n1 0 2.5\n# \u00fcber",
     "format: 1\nn 2\n0 1\n#\udc80 a lone surrogate\n",
+    "format: 1\nn 4\n\n\n",
+    "format: 1\nn 4\n# no edges\n",
+    "format: 1\nn 4\n  \t\n# no edges\n\n",
 ]
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cesrank import (
     ConvergenceError,
     DirectedGraph,
+    SolverConfig,
     damped_economy,
     solve_cobb_douglas,
     solve_power,
@@ -191,7 +192,7 @@ def _invariant(matrix, tolerance=1e-12):
     """The invariant method on a row-stochastic array: its undamped Cobb-Douglas market, solved."""
     matrix = np.asarray(matrix, dtype=float)
     graph = support_graph(matrix)
-    return solve_cobb_douglas(damped_economy(graph, matrix[graph.src, graph.dst], 0.0, 1.0), tolerance)
+    return solve_cobb_douglas(damped_economy(graph, matrix[graph.src, graph.dst], 0.0, 1.0), SolverConfig(tolerance=tolerance))
 
 
 class TestStationaryDistribution:
@@ -207,8 +208,8 @@ class TestStationaryDistribution:
         rng = np.random.default_rng(7)
         for _ in range(25):
             p = web_economy(DirectedGraph(*random_strongly_connected_graph(rng, int(rng.integers(2, 9)))), c=0.85)
-            a, _ = solve_power(p)
-            b, _ = solve_cobb_douglas(p, 1e-12)
+            a, _ = solve_power(p, SolverConfig(tolerance=1e-12))
+            b, _ = solve_cobb_douglas(p, SolverConfig(tolerance=1e-12))
             np.testing.assert_allclose(a.pi, b.pi, atol=1e-10, rtol=0)
 
     def test_periodic_chain_is_solved(self):
@@ -238,7 +239,7 @@ class TestStationaryDistribution:
     def test_residual_is_certified(self):
         rng = np.random.default_rng(11)
         p = web_economy(DirectedGraph(*random_strongly_connected_graph(rng, 20)), c=0.85)
-        dist, report = solve_power(p)
+        dist, report = solve_power(p, SolverConfig(tolerance=1e-12))
         direct = float(np.abs(dense_alpha(p).T @ dist.pi - dist.pi).max())
         assert direct <= 2 * report.tolerance
 
@@ -270,7 +271,7 @@ class TestWebTransitionPower:
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_the_dense_step(self, graph):
         economy = web_economy(graph)
-        sparse, report = solve_power(economy)
+        sparse, report = solve_power(economy, SolverConfig(tolerance=1e-12))
         dense, dense_iterations = dense_power_iteration(dense_alpha(economy), report.tolerance)
         assert report.residual <= report.tolerance
         # Rounding can put one iterate's relative defect on either side of
@@ -286,7 +287,7 @@ class TestWebTransitionPower:
     def test_out_of_iterations_raises(self):
         economy = web_economy(DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]))
         with pytest.raises(ConvergenceError, match=r"did not converge in 2 iterations, residual [0-9.e+-]+$") as info:
-            solve_power(economy, max_iters=2)
+            solve_power(economy, SolverConfig(tolerance=1e-12, max_iters=2))
         assert info.value.residual > 0.0
 
     def test_slow_damping_outruns_the_budget(self):
@@ -295,4 +296,4 @@ class TestWebTransitionPower:
         # not certified; the damped economy's closed form gives it exactly
         star3 = DirectedGraph(3, [0, 1, 1, 2], [1, 0, 2, 1])
         with pytest.raises(ConvergenceError, match="did not converge in 1000 iterations"):
-            solve_power(web_economy(star3, 0.9999), max_iters=1000)
+            solve_power(web_economy(star3, 0.9999), SolverConfig(tolerance=1e-12, max_iters=1000))

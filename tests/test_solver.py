@@ -82,7 +82,7 @@ class TestSolverConfig:
 class TestSolveCobbDouglas:
     def test_matches_stationary_distribution(self):
         economy = web_economy(DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]), c=0.85)
-        dist, _ = solve_power(economy)
+        dist, _ = solve_power(economy, SolverConfig(tolerance=1e-12))
         prices, report = solve_cobb_douglas(economy)
         np.testing.assert_allclose(prices.pi, dist.pi, atol=1e-12, rtol=0)
         assert report.method == "closed_form"
@@ -92,7 +92,7 @@ class TestSolveCobbDouglas:
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         economy = web_economy(DirectedGraph(3, [0, 1, 2], [1, 2, 0]))
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-            solve_cobb_douglas(economy, tolerance=tolerance)
+            solve_cobb_douglas(economy, SolverConfig(tolerance=tolerance))
 
     def test_plain_chain_equilibrium(self):
         # stationary distribution (0.4, 0.2, 0.4)
@@ -130,7 +130,7 @@ class TestSolveCobbDouglas:
         # negative price on "five"; GTH elimination never subtracts, so its
         # smallest prices are as accurate as its largest
         economy = damped_economy(*skewed_graph(name), 0.0, 1.0)
-        prices, report = solve_cobb_douglas(economy, tolerance)
+        prices, report = solve_cobb_douglas(economy, SolverConfig(tolerance=tolerance))
         assert report.method == "closed_form" and report.iterations == 1
         assert report.converged and report.residual <= tolerance
         assert verify_equilibrium(economy, prices, tolerance).residual == report.residual
@@ -146,7 +146,7 @@ class TestSolveCobbDouglas:
         graph = DirectedGraph(5, [0, 0, 1, 1, 2, 2, 3, 4], [1, 3, 3, 4, 1, 4, 0, 2])
         weights = np.array([1e-3, 1e4, 1e7, 1e-3, 100.0, 1e7, 100.0, 1e6])
         economy = damped_economy(graph, weights, 0.0, 1.0)
-        prices, report = solve_cobb_douglas(economy, 1e-12)
+        prices, report = solve_cobb_douglas(economy, SolverConfig(tolerance=1e-12))
         assert report.iterations == 1 and report.residual <= 1e-12
         assert verify_equilibrium(economy, prices, 1e-12).residual == report.residual
         assert abs(prices.pi[2] / 5.000049249987613e-13 - 1.0) <= 1e-9
@@ -154,10 +154,10 @@ class TestSolveCobbDouglas:
     def test_uncertified_prices_are_a_convergence_error(self):
         # GTH's rounding leaves a residual of 2e-15 on "three"
         economy = damped_economy(*skewed_graph("three"), 0.0, 1.0)
-        residual = solve_cobb_douglas(economy, 1e-12)[1].residual
+        residual = solve_cobb_douglas(economy, SolverConfig(tolerance=1e-12))[1].residual
         assert residual > 1e-20
         with pytest.raises(ConvergenceError, match=r"^closed form not certified: residual \d") as info:
-            solve_cobb_douglas(economy, 1e-20)
+            solve_cobb_douglas(economy, SolverConfig(tolerance=1e-20))
         assert info.value.residual == residual and info.value.last_iterate.min() > 0.0
 
     def test_residual_certified_through_demand(self):
@@ -178,7 +178,7 @@ def test_skewed_closed_form_is_certified_by_its_solve(seed, n):
     rng = np.random.default_rng(seed)
     n, src, dst = random_strongly_connected_graph(rng, n, 0.3)
     economy = damped_economy(DirectedGraph(n, src, dst), 10.0 ** rng.integers(-8, 9, len(src)), 0.0, 1.0)
-    prices, report = solve_cobb_douglas(economy, 1e-12)
+    prices, report = solve_cobb_douglas(economy, SolverConfig(tolerance=1e-12))
     assert report.method == "closed_form" and report.iterations == 1
     assert report.converged and report.residual <= 1e-12
     assert prices.pi.min() > 0.0
@@ -194,13 +194,13 @@ def test_solve_power_matches_the_closed_form():
         damped = damped_economy(DirectedGraph(n, src, dst), weights, 0.0, float(rng.uniform(0.3, 0.85)))
         scaled = CesEconomy(dense_alpha(damped) * 10.0 ** rng.choice([-100, 0, 100], size=(n, 1)), 0.0)
         for economy in (damped, scaled):
-            power, report = solve_power(economy)
+            power, report = solve_power(economy, SolverConfig(tolerance=1e-12))
             closed, _ = solve_cobb_douglas(economy)
             assert report.method == "power"
             assert report.residual <= 1e-12
             np.testing.assert_allclose(power.pi, closed.pi, atol=1e-12, rtol=0)
     huge = CesEconomy(np.array([[1e308, 1e308, 5e307], [1.0, 2.0, 3.0], [3.0, 1.0, 1.0]]), 0.0)  # row 0 sums past max float
-    np.testing.assert_allclose(solve_power(huge)[0].pi, solve_cobb_douglas(huge)[0].pi, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(solve_power(huge, SolverConfig(tolerance=1e-12))[0].pi, solve_cobb_douglas(huge)[0].pi, atol=1e-12, rtol=0)
     # it contracts only at rho 0 with every floor positive
     with pytest.raises(ValueError, match="trader 1 has rho = 0.5"):
         solve_power(CesEconomy(np.ones((2, 2)), [0.0, 0.5]))
@@ -208,7 +208,7 @@ def test_solve_power_matches_the_closed_form():
         solve_power(CesEconomy(np.array([[0.0, 1.0], [1.0, 1.0]]), 0.0))
     for max_iters in (0, -1):
         with pytest.raises(ValueError, match="max_iters must be >= 1"):
-            solve_power(CesEconomy(np.ones((2, 2)), 0.0), max_iters=max_iters)
+            solve_power(CesEconomy(np.ones((2, 2)), 0.0), SolverConfig(max_iters=max_iters))
 
 
 def test_solve_power_stops_on_an_underflowed_price():
@@ -225,7 +225,7 @@ def test_solve_power_stops_on_an_underflowed_price():
 def test_solve_power_budget_error_carries_the_last_iterate_and_residuals():
     economy = web_economy(DirectedGraph(3, [0, 1, 1, 2], [1, 0, 2, 1]), 0.9999)
     with pytest.raises(ConvergenceError, match="^power iteration did not converge in 30 iterations") as info:
-        solve_power(economy, max_iters=30)
+        solve_power(economy, SolverConfig(tolerance=1e-12, max_iters=30))
     err = info.value
     assert err.last_iterate.shape == (3,) and err.last_iterate.min() > 0.0
     # the last ten residuals, the last of them the one reported
@@ -528,7 +528,7 @@ class TestSolveEquilibrium:
         e = _weakly_damped_cycle()
         n = e.n
         with pytest.raises(ConvergenceError, match=f"did not converge in {n} iterations"):
-            solve_power(e, 1e-10, max_iters=n)
+            solve_power(e, SolverConfig(max_iters=n))
         prices, report = solve_equilibrium(e)
         assert report.method == "closed_form"
         assert report.converged
