@@ -21,6 +21,7 @@ import functools
 import json
 import logging
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -37,7 +38,7 @@ from .axioms import (
 from .diagnostics import ConvergenceError
 from .economy import build_economy, damped_economy, web_economy
 from .fixtures import load_fixture
-from .formats import DocumentError, dump_problem, json_document, sniff_and_load
+from .formats import DocumentError, _row_blocks, dump_problem, json_document, sniff_and_load
 from .problem import RankingProblem
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
 
@@ -68,7 +69,8 @@ def _tie_groups(ids, scores, order) -> list[list[str]]:
     so a typical score is 1/n: a relative rule means the same at every n.
     An agent further than TIE_TOL times its own score below the agent above
     it is further still below any anchor above (twice that covers rounding),
-    so it starts a group: only runs of close neighbours are walked.
+    so it starts a group: only runs of close neighbours are walked. Agent k
+    is ``ids[k]``, or ``v{k}`` when ``ids`` is None; only tied agents are named.
     """
     ranked = scores[order]
     close = np.abs(np.diff(ranked)) <= 2.0 * TIE_TOL * ranked[:-1]
@@ -83,31 +85,69 @@ def _tie_groups(ids, scores, order) -> list[list[str]]:
                     groups.append(order[lo + anchor : lo + k])
                     anchor = k
         groups.append(order[lo + anchor : hi])
-    return [[ids[k] for k in sorted(g.tolist())] for g in groups if len(g) > 1]
+    name = ids.__getitem__ if ids is not None else "v{}".format
+    return [[name(k) for k in sorted(g.tolist())] for g in groups if len(g) > 1]
 
 
-#: One ``--format json`` ranking entry, as ``json.dumps(..., indent=2)`` writes it in the document.
-_JSON_ENTRY = '    {{\n      "rank": {},\n      "agent": {},\n      "score": {}\n    }}'.format
+#: One ranking entry of each format (the JSON one as ``json.dumps(..., indent=2)`` writes it in the
+#: document), given its agent's ``%`` field: ``v%d`` for an edge list's agent k, ``%s`` for an id.
+#: JSON quotes either: ``"v%d"``, or the id as ``encode_basestring_ascii`` escapes it.
+_JSON_ENTRY = '    {{\n      "rank": %d,\n      "agent": {},\n      "score": %r\n    }}'.format
+_TSV_ENTRY = "%d\t{}\t%.12g\n".format
+
+#: What a TSV line cannot hold in an agent id.
+_TSV_BREAKS = re.compile("[\t\n\r]")
+
+
+def _require_tsv_ids(ids) -> None:
+    """Raise ValueError unless every agent id fits a TSV field that stdout can encode."""
+    if ids is None:
+        return
+    text = "".join(ids)
+    if _TSV_BREAKS.search(text):
+        agent = next(filter(_TSV_BREAKS.search, ids))
+        raise ValueError(f"agent {agent!r} holds a tab or line break, which a TSV line cannot hold; use --format json")
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding is not None:
+        try:
+            text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+        except UnicodeEncodeError as e:
+            raise ValueError(f"an agent id holds {e.object[e.start]!r}, which stdout cannot encode as {encoding}; use --format json") from None
 
 
 def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
+    """Write the ranking to stdout in blocks, best first; agent k is ``ids[k]``, or ``v{k}`` when ``ids`` is None.
+
+    Everything that can fail runs before the first write, so a failure leaves stdout empty.
+    """
     order = np.argsort(-scores, kind="stable")
-    ranks = range(1, len(ids) + 1)
-    ranked_ids = list(map(ids.__getitem__, order.tolist()))
-    ranked_scores = scores[order].tolist()
+
+    def columns(lo, hi):
+        block = order[lo:hi]
+        agents = block.tolist()
+        if ids is not None:
+            agents = map(ids.__getitem__, agents)
+            if fmt == "json":
+                agents = map(encode_basestring_ascii, agents)
+        return range(lo + 1, hi + 1), agents, scores[block].tolist()
+
+    agent = "%s" if ids is not None else ("v%d" if fmt == "tsv" else '"v%d"')
     if fmt == "tsv":
-        sys.stdout.write("".join(map("{}\t{}\t{:.12g}\n".format, ranks, ranked_ids, ranked_scores)))
-        return
-    entries = list(map(_JSON_ENTRY, ranks, map(encode_basestring_ascii, ranked_ids), map(float.__repr__, ranked_scores)))
-    head = {"format": 1, "method": method}
-    tail = {"ties": _tie_groups(ids, scores, order), "report": report.to_dict()}
-    sys.stdout.write(json_document(head, ("ranking",), entries, tail))
+        _require_tsv_ids(ids)
+        pieces = _row_blocks(_TSV_ENTRY(agent), "", scores.size, columns)
+    else:
+        head = {"format": 1, "method": method}
+        tail = {"ties": _tie_groups(ids, scores, order), "report": report.to_dict()}
+        pieces = json_document(head, ("ranking",), _row_blocks(_JSON_ENTRY(agent), ",\n", scores.size, columns), tail)
+    write = sys.stdout.write
+    for piece in pieces:
+        write(piece)
 
 
 def _load_input(path):
     """``(ids, graph, weights, rho, beta)`` of a problem document or an edge list.
 
-    An edge list has rho 0, beta 0.85 and no ids: its agents are named ``v0 .. v{n-1}`` after the solve.
+    An edge list has rho 0, beta 0.85 and no ids: its agents are ``v0 .. v{n-1}``, named only as they are written.
     """
     problem, loaded_graph = sniff_and_load(path)
     if problem is None:
@@ -121,6 +161,8 @@ def _names(ids, n: int) -> tuple[str, ...]:
 
 def _cmd_rank(args) -> int:
     ids, graph, weights, rho, beta = _load_input(args.input)
+    if args.format == "tsv":
+        _require_tsv_ids(ids)  # before the solve, which may take long
     if args.damping is not None and args.method != "pagerank":
         hint = "; use --beta to damp --method ces" if args.method == "ces" else ""
         print(f"warning: --damping only applies to --method pagerank; ignored{hint}", file=sys.stderr)
@@ -131,7 +173,7 @@ def _cmd_rank(args) -> int:
         economy = damped_economy(graph, weights, rho, beta)
         tol = args.tol if args.tol is not None else 1e-10
         prices, report = solve_equilibrium(economy, SolverConfig(tolerance=tol))
-        _emit_ranking(_names(ids, economy.n), prices.pi, report, "ces", args.format)
+        _emit_ranking(ids, prices.pi, report, "ces", args.format)
         return _EXIT_OK
 
     if args.rho is not None:
@@ -154,8 +196,7 @@ def _cmd_rank(args) -> int:
             need = "one in every row" if graph.n == 1 else "a strongly connected graph, where every agent has one"
             raise ValueError(f"agent {name} has no positive weight; the invariant method needs {need}")
         scores, report = solve_equilibrium(damped_economy(graph, weights, 0.0, 1.0), SolverConfig(tolerance=tol))
-    # named only now: a declared vertex count too large to rank fails above, in numpy
-    _emit_ranking(_names(ids, scores.n), scores.pi, report, args.method, args.format)
+    _emit_ranking(ids, scores.pi, report, args.method, args.format)
     return _EXIT_OK
 
 

@@ -11,11 +11,13 @@ location (a line number for edge lists, a field path for JSON documents).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import warnings
 from array import array
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -165,27 +167,56 @@ def _parse_problem(text: str) -> RankingProblem:
         raise DocumentError(str(e)) from e
 
 
-def json_document(head: dict, path: tuple[str, ...], entries: list[str], tail: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, with the list at ``path`` in ``doc`` encoded by the caller.
+def json_document(head: dict, path: tuple[str, ...], items: Iterator[str], tail: dict) -> Iterator[str]:
+    """The pieces of ``json.dumps(doc, indent=2) + "\\n"``, with the list at ``path`` in ``doc`` encoded by the caller.
 
-    ``doc`` is ``{**head, path[0]: {path[1]: ... [entries]}, **tail}``.
-    ``entries`` holds each item of the list as ``json.dumps`` writes it there:
-    ``2 * (len(path) + 1)`` spaces in, its inner lines deeper. A long list of
+    ``doc`` is ``{**head, path[0]: {path[1]: ... [items]}, **tail}``.
+    ``items`` yields the list's items as ``json.dumps`` writes them there,
+    ``2 * (len(path) + 1)`` spaces in with their inner lines deeper, joined by
+    ``",\\n"`` and cut anywhere: `_row_blocks` gives them so. A long list of
     numbers or records so skips the pure-Python encoder that ``indent``
     selects; ``head`` and ``tail`` are short and go through ``json.dumps``,
-    and neither is empty. The pieces are joined once, not added in turn: a
-    long list is held as its entries, their join and the document, never more.
+    and neither is empty. Both are encoded, and the first piece of ``items``
+    drawn, before this returns, so whatever can fail fails before the first
+    piece is written; the pieces are never joined here.
     """
     depth = len(path)
     keys = "".join(f"\n{'  ' * d}{json.dumps(key)}: {'{' if d < depth else '['}" for d, key in enumerate(path, 1))
-    items = ("\n", ",\n".join(entries), f"\n{'  ' * depth}]") if entries else ("]",)
-    closing = "".join(f"\n{'  ' * d}}}" for d in range(depth - 1, 0, -1))
     opening = json.dumps(head, indent=2)[:-2] + "," + keys
-    return "".join((opening, *items, closing, ",", json.dumps(tail, indent=2)[1:], "\n"))
+    closing = "".join(f"\n{'  ' * d}}}" for d in range(depth - 1, 0, -1)) + "," + json.dumps(tail, indent=2)[1:] + "\n"
+    first = next(items, None)
+    if first is None:
+        return iter((opening, "]", closing))
+    return itertools.chain((opening, "\n", first), items, (f"\n{'  ' * depth}]", closing))
+
+
+#: Rows per block of `_row_blocks`: a block's text and lists stay within a few hundred KiB.
+_BLOCK = 4096
+
+
+def _row_blocks(entry: str, sep: str, n: int, columns: Callable[[int, int], tuple]) -> Iterator[str]:
+    """``sep.join(entry % row for row in rows)`` over ``n`` rows, as pieces of at most `_BLOCK` rows.
+
+    ``columns(lo, hi)`` gives rows ``lo .. hi - 1`` as one iterable per ``%``
+    field of ``entry``. Each block is one ``%`` over a template of its rows,
+    built once for every full block, so no string is made per row; ``sep``
+    goes between blocks as its own piece.
+    """
+    size = min(n, _BLOCK)
+    template = sep.join([entry] * size)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        fields = columns(lo, hi)
+        values = [None] * (len(fields) * (hi - lo))
+        for k, column in enumerate(fields):
+            values[k :: len(fields)] = column
+        if lo:
+            yield sep
+        yield (template if hi - lo == size else sep.join([entry] * (hi - lo))) % tuple(values)
 
 
 #: One triplet of a problem document's ``alpha``, as ``json.dumps(..., indent=2)`` writes it there.
-_JSON_TRIPLET = "      [\n        {},\n        {},\n        {}\n      ]".format
+_JSON_TRIPLET = "      [\n        %d,\n        %d,\n        %r\n      ]"
 
 
 def dump_problem(problem: RankingProblem, stream=None) -> str:
@@ -195,14 +226,17 @@ def dump_problem(problem: RankingProblem, stream=None) -> str:
     emitted at full precision and rho collapses to a scalar only when every
     agent shares the value. It is O(n + edges), whatever the problem's size.
     """
-    graph, rho = problem.graph, problem.rho
+    graph, rho, weights = problem.graph, problem.rho, problem.weights
     head = {"format": FORMAT_VERSION, "agents": list(problem.agent_ids)}
-    triplets = list(map(_JSON_TRIPLET, graph.src.tolist(), graph.dst.tolist(), map(float.__repr__, problem.weights.tolist())))
     tail = {
         "rho": float(rho[0]) if (rho == rho[0]).all() else [float(r) for r in rho],
         "beta": problem.beta,
     }
-    text = json_document(head, ("alpha", "triplets"), triplets, tail)
+
+    def triplets(lo, hi):
+        return graph.src[lo:hi].tolist(), graph.dst[lo:hi].tolist(), weights[lo:hi].tolist()
+
+    text = "".join(json_document(head, ("alpha", "triplets"), _row_blocks(_JSON_TRIPLET, ",\n", graph.src.size, triplets), tail))
     if stream is not None:
         stream.write(text)
     return text

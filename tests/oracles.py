@@ -489,8 +489,9 @@ def reference_tie_groups(ids, scores, order) -> list[list[str]]:
 
 
 def reference_ranking_text(ids, scores, report, method: str, fmt: str) -> str:
-    """What ``cli._emit_ranking`` writes, built as one dict and encoded by ``json.dumps``."""
-    n = len(ids)
+    """What ``cli._emit_ranking`` writes, built as one dict and encoded by ``json.dumps``; ``ids`` None names agents ``v{k}``."""
+    n = len(scores)
+    ids = ids if ids is not None else [f"v{k}" for k in range(n)]
     order = sorted(range(n), key=lambda k: (-scores[k], k))
     if fmt == "tsv":
         return "".join(f"{rank}\t{ids[k]}\t{scores[k]:.12g}\n" for rank, k in enumerate(order, start=1))

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import cesrank.cli
 import cesrank.economy
+import cesrank.formats
 import cesrank.problem
 import cesrank.solver
 from cesrank import (
@@ -538,6 +540,30 @@ class TestExitCodes:
         assert report["converged"] is True
         assert report["residual"] <= 1e-10
 
+    @pytest.mark.parametrize(
+        "agent, message",
+        [("b\tc", "agent 'b\\tc' holds a tab or line break"), ("b\nc", "agent 'b\\nc' holds"), ("b\rc", "agent 'b\\rc' holds"),
+         ("b\ud800", "an agent id holds '\\ud800', which stdout cannot encode as UTF-8")],
+        ids=["tab", "newline", "return", "surrogate"],
+    )
+    @pytest.mark.parametrize("method", ["ces", "pagerank", "invariant"])
+    def test_tsv_refuses_an_id_it_cannot_write_before_solving(self, problem_file, capsys, monkeypatch, method, agent, message):
+        path = problem_file(RankingProblem(("a", agent), np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0))
+
+        def solve(*args):
+            raise AssertionError("solved an input whose ranking cannot be written")
+
+        with monkeypatch.context() as m:
+            m.setattr(cesrank.cli, "solve_equilibrium", solve)
+            m.setattr(cesrank.cli, "solve_power", solve)
+            code = main(["rank", "--method", method, "--format", "tsv", "--input", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.endswith("; use --format json\n")
+        assert main(["rank", "--method", method, "--format", "json", "--input", path]) == 0
+        assert [entry["agent"] for entry in json.loads(capsys.readouterr().out)["ranking"]] == ["a", agent]
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["rank", "--input", str(tmp_path / "absent.json")])
         assert code == 2
@@ -808,13 +834,37 @@ def rankings(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ranking=rankings(), fmt=st.sampled_from(["tsv", "json"]))
-def test_emitted_bytes_match_the_dict_encoder(ranking, fmt):
+@given(ranking=rankings(), named=st.booleans(), fmt=st.sampled_from(["tsv", "json"]), block=st.integers(1, 4))
+def test_emitted_bytes_match_the_dict_encoder(ranking, named, fmt, block):
+    # blocks of 1-4 rows: up to 12 agents cross block boundaries and may end on a partial block
     ids, scores = ranking
+    ids = ids if named else None
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with mock.patch.object(cesrank.formats, "_BLOCK", block), contextlib.redirect_stdout(out):
+        if fmt == "tsv" and ids is not None and any(c in a for a in ids for c in "\t\n\r"):
+            with pytest.raises(ValueError, match="use --format json"):
+                _emit_ranking(ids, scores, _Report(), "pagerank", fmt)
+            assert out.getvalue() == ""
+            return
         _emit_ranking(ids, scores, _Report(), "pagerank", fmt)
     assert out.getvalue() == reference_ranking_text(ids, scores, _Report(), "pagerank", fmt)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_emitting_an_edge_list_ranking_holds_no_string_per_agent(fmt):
+    # the order and a few score-sized temporaries are 8 bytes per agent each;
+    # a name, an entry or the whole document held per agent is 50 or more
+    n = 100_000
+    scores = np.random.default_rng(3).random(n)
+    scores /= scores.sum()
+    with contextlib.redirect_stdout(_Discard()):
+        peak, _ = traced_peak(lambda: _emit_ranking(None, scores, _Report(), "pagerank", fmt))
+    assert peak <= 64 * n
 
 
 @settings(max_examples=300, deadline=None)

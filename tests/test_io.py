@@ -2,6 +2,7 @@ import io
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -222,9 +223,21 @@ class TestDumpProblem:
         assert text.endswith("\n")
 
     @settings(max_examples=200, deadline=None)
-    @given(problem=problems())
-    def test_round_trip_is_exact(self, problem):
-        again = load_problem(io.StringIO(dump_problem(problem)))
+    @given(problem=problems(), block=st.integers(1, 4))
+    def test_round_trip_is_exact(self, problem, block):
+        # blocks of 1-4 triplets: up to 36 edges cross block boundaries and may end on a partial block
+        with mock.patch.object(formats, "_BLOCK", block):
+            text = dump_problem(problem)
+        graph, rho = problem.graph, problem.rho
+        expected = {
+            "format": 1,
+            "agents": list(problem.agent_ids),
+            "alpha": {"triplets": [[i, j, w] for i, j, w in zip(graph.src.tolist(), graph.dst.tolist(), problem.weights.tolist())]},
+            "rho": float(rho[0]) if (rho == rho[0]).all() else rho.tolist(),
+            "beta": problem.beta,
+        }
+        assert text == json.dumps(expected, indent=2) + "\n"
+        again = load_problem(io.StringIO(text))
         np.testing.assert_array_equal(dense_weights(again.graph, again.weights), dense_weights(problem.graph, problem.weights))
         np.testing.assert_array_equal(again.rho, problem.rho)
         assert again.beta == problem.beta and again.agent_ids == problem.agent_ids
