@@ -21,6 +21,7 @@ from .solver import rank_problem, solve_equilibrium
 #: produces a vacuous pass.
 STRICT_MARGIN = 1e-12
 
+#: Largest deviation of a price from 1/n that `check_uniformity` calls uniform.
 UNIFORMITY_TOL = 1e-6
 #: Absolute tolerance on row/column sum differences in a regularity test.
 REGULARITY_TOL = 1e-9
@@ -192,7 +193,7 @@ def check_invariance(problem: RankingProblem, i: int, lam: float) -> AxiomVerdic
     )
 
 
-def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> AxiomVerdict:
+def check_uniformity(problem: RankingProblem) -> AxiomVerdict:
     """Report whether a regular problem's ranking is uniform.
 
     Regular problems (equal row and column sums) are exactly where uniform
@@ -223,12 +224,12 @@ def check_uniformity(problem: RankingProblem, tol: float = UNIFORMITY_TOL) -> Ax
         "deviation_from_uniform": deviation,
         "solver_residual": report.residual,
     }
-    status = "pass" if deviation <= tol else "fail"
+    status = "pass" if deviation <= UNIFORMITY_TOL else "fail"
     return AxiomVerdict(
         axiom="uniformity",
         status=status,
         witness=witness,
-        tolerances={"uniform": float(tol)},
+        tolerances={"uniform": UNIFORMITY_TOL},
     )
 
 

@@ -39,13 +39,20 @@ from .diagnostics import ConvergenceError
 from .economy import build_economy, damped_economy, web_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, _row_blocks, dump_problem, json_document, sniff_and_load
-from .problem import RankingProblem
+from .problem import DEFAULT_BETA, RHO_MAX, RankingProblem
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
-
-logger = logging.getLogger(__name__)
 
 #: Scores within this fraction of the higher one are reported as tied.
 TIE_TOL = 1e-9
+#: Default bound on the certified residual of a chain's prices: pagerank, invariant and compare's power iteration.
+POWER_TOL = 1e-12
+#: Largest difference between compare's two vectors that still passes.
+COMPARE_BOUND = 1e-8
+
+#: Each rank method's default ``--tol``; ces keeps the solver's own default.
+_DEFAULT_TOL = {"ces": SolverConfig.tolerance, "pagerank": POWER_TOL, "invariant": POWER_TOL}
+#: The flags that only one method reads, in the order their warnings are printed.
+_METHOD_FLAGS = {"damping": "pagerank", "rho": "ces", "beta": "ces"}
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -69,8 +76,8 @@ def _tie_groups(ids, scores, order) -> list[list[str]]:
     so a typical score is 1/n: a relative rule means the same at every n.
     An agent further than TIE_TOL times its own score below the agent above
     it is further still below any anchor above (twice that covers rounding),
-    so it starts a group: only runs of close neighbours are walked. Agent k
-    is ``ids[k]``, or ``v{k}`` when ``ids`` is None; only tied agents are named.
+    so it starts a group: only runs of close neighbours are walked. Only
+    tied agents are named, by `_agent_names`.
     """
     ranked = scores[order]
     close = np.abs(np.diff(ranked)) <= 2.0 * TIE_TOL * ranked[:-1]
@@ -85,8 +92,7 @@ def _tie_groups(ids, scores, order) -> list[list[str]]:
                     groups.append(order[lo + anchor : lo + k])
                     anchor = k
         groups.append(order[lo + anchor : hi])
-    name = ids.__getitem__ if ids is not None else "v{}".format
-    return [[name(k) for k in sorted(g.tolist())] for g in groups if len(g) > 1]
+    return [_agent_names(ids, sorted(g.tolist())) for g in groups if len(g) > 1]
 
 
 #: One ranking entry of each format (the JSON one as ``json.dumps(..., indent=2)`` writes it in the
@@ -116,7 +122,7 @@ def _require_tsv_ids(ids) -> None:
 
 
 def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
-    """Write the ranking to stdout in blocks, best first; agent k is ``ids[k]``, or ``v{k}`` when ``ids`` is None.
+    """Write the ranking to stdout in blocks, best first, each agent named as `_agent_names` names it.
 
     Everything that can fail runs before the first write, so a failure leaves stdout empty.
     """
@@ -147,56 +153,44 @@ def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
 def _load_input(path):
     """``(ids, graph, weights, rho, beta)`` of a problem document or an edge list.
 
-    An edge list has rho 0, beta 0.85 and no ids: its agents are ``v0 .. v{n-1}``, named only as they are written.
+    An edge list has rho 0, beta `DEFAULT_BETA` and no ids: its agents are named by `_agent_names` only as they are written.
     """
     problem, loaded_graph = sniff_and_load(path)
     if problem is None:
-        return None, *loaded_graph, 0.0, 0.85
+        return None, *loaded_graph, 0.0, DEFAULT_BETA
     return problem.agent_ids, problem.graph, problem.weights, problem.rho, problem.beta
 
 
-def _names(ids, n: int) -> tuple[str, ...]:
-    return ids if ids is not None else tuple(f"v{k}" for k in range(n))
+def _agent_names(ids, agents) -> list[str]:
+    """The names of the agents numbered ``agents``: ``ids[k]``, or ``v{k}`` for an edge list, whose ``ids`` is None."""
+    return [ids[k] for k in agents] if ids is not None else [f"v{k}" for k in agents]
 
 
 def _cmd_rank(args) -> int:
     ids, graph, weights, rho, beta = _load_input(args.input)
     if args.format == "tsv":
         _require_tsv_ids(ids)  # before the solve, which may take long
-    if args.damping is not None and args.method != "pagerank":
-        hint = "; use --beta to damp --method ces" if args.method == "ces" else ""
-        print(f"warning: --damping only applies to --method pagerank; ignored{hint}", file=sys.stderr)
+    for flag, method in _METHOD_FLAGS.items():
+        if getattr(args, flag) is not None and args.method != method:
+            hint = "; use --beta to damp --method ces" if flag == "damping" and args.method == "ces" else ""
+            print(f"warning: --{flag} only applies to --method {method}; ignored{hint}", file=sys.stderr)
 
-    if args.method == "ces":
+    # the method picks the economy and its solver; nothing of size n x n is built
+    if args.method == "pagerank":  # the web chain's market, iterated on its edges
+        economy, solve = web_economy(graph, args.damping if args.damping is not None else DEFAULT_BETA), solve_power
+    elif args.method == "ces":
         rho, beta = (rho if args.rho is None else args.rho), (beta if args.beta is None else args.beta)
-        # the economy is built from the edges: at rho != 0 nothing of size n x n is built
-        economy = damped_economy(graph, weights, rho, beta)
-        tol = args.tol if args.tol is not None else 1e-10
-        prices, report = solve_equilibrium(economy, SolverConfig(tolerance=tol))
-        _emit_ranking(ids, prices.pi, report, "ces", args.format)
-        return _EXIT_OK
-
-    if args.rho is not None:
-        print("warning: --rho only applies to --method ces; ignored", file=sys.stderr)
-    if args.beta is not None:
-        print("warning: --beta only applies to --method ces; ignored", file=sys.stderr)
-
-    tol = args.tol if args.tol is not None else 1e-12
-
-    if args.method == "pagerank":
-        # the web chain's market, iterated on its edges: O(n + edges), never n x n
-        c = args.damping if args.damping is not None else 0.85
-        scores, report = solve_power(web_economy(graph, c), SolverConfig(tolerance=tol))
+        economy, solve = damped_economy(graph, weights, rho, beta), solve_equilibrium
     else:  # invariant: the undamped Cobb-Douglas market, whose solver checks the graph's connectivity
         empty = np.bincount(graph.src, minlength=graph.n) == 0
         if np.any(empty):
-            k = int(np.argmax(empty))
-            name = ids[k] if ids is not None else f"v{k}"
+            (name,) = _agent_names(ids, [int(np.argmax(empty))])
             # with another vertex, one without out-edges reaches none of them
             need = "one in every row" if graph.n == 1 else "a strongly connected graph, where every agent has one"
             raise ValueError(f"agent {name} has no positive weight; the invariant method needs {need}")
-        scores, report = solve_equilibrium(damped_economy(graph, weights, 0.0, 1.0), SolverConfig(tolerance=tol))
-    _emit_ranking(ids, scores.pi, report, args.method, args.format)
+        economy, solve = damped_economy(graph, weights, 0.0, 1.0), solve_equilibrium
+    prices, report = solve(economy, SolverConfig(tolerance=_DEFAULT_TOL[args.method] if args.tol is None else args.tol))
+    _emit_ranking(ids, prices.pi, report, args.method, args.format)
     return _EXIT_OK
 
 
@@ -218,7 +212,7 @@ def _cmd_verify(args) -> int:
     if args.input is not None:
         custom, loaded_graph = sniff_and_load(args.input)
         if custom is None:
-            custom = RankingProblem.from_edges(_names(None, loaded_graph[0].n), *loaded_graph, 0.0, beta=1.0)
+            custom = RankingProblem.from_edges(_agent_names(None, range(loaded_graph[0].n)), *loaded_graph, 0.0, beta=1.0)
     bundled = custom is None
 
     axioms = ("fairness", "monotone", "invariance", "uniformity", "gs") if args.axiom == "all" else (args.axiom,)
@@ -267,19 +261,19 @@ def _cmd_compare(args) -> int:
     economy = web_economy(graph, c=args.damping)
     # power iteration on the market versus the closed form's GTH elimination:
     # two independent computations of the same vector
-    pagerank, power_report = solve_power(economy, SolverConfig(tolerance=1e-12))
+    pagerank, power_report = solve_power(economy, SolverConfig(tolerance=POWER_TOL))
     prices, market_report = solve_cobb_douglas(economy)
 
     difference = float(np.abs(pagerank.pi - prices.pi).max())
-    passed = difference <= 1e-8
+    passed = difference <= COMPARE_BOUND
     doc = {
         "format": 1,
         "damping": args.damping,
-        "agents": list(_names(ids, graph.n)),
+        "agents": _agent_names(ids, range(graph.n)),
         "stationary": pagerank.pi.tolist(),
         "equilibrium": prices.pi.tolist(),
         "max_difference": difference,
-        "bound": 1e-8,
+        "bound": COMPARE_BOUND,
         "passed": passed,
         "reports": {
             "stationary": power_report.to_dict(),
@@ -294,7 +288,7 @@ def _cmd_convert(args) -> int:
     _, graph, *_ = _load_input(args.input)
     web_economy(graph, c=args.damping)  # rejects a damping outside (0, 1) and self-loops
     # the problem whose damped economy is the chain's: unit weights, rho 0 and beta = damping
-    problem = RankingProblem.from_edges(_names(None, graph.n), graph, np.ones(graph.src.size), 0.0, beta=args.damping)
+    problem = RankingProblem.from_edges(_agent_names(None, range(graph.n)), graph, np.ones(graph.src.size), 0.0, beta=args.damping)
     text = dump_problem(problem)
     if args.output is None:
         sys.stdout.write(text)
@@ -312,10 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="score the agents of a problem document or edge list")
     rank.add_argument("--method", choices=("ces", "pagerank", "invariant"), default="ces")
     rank.add_argument("--input", required=True, help="problem document (.json) or edge list")
-    rank.add_argument("--rho", type=float, default=None, help="override rho for every agent, in [-1, 0.95] (ces)")
+    rank.add_argument("--rho", type=float, default=None, help=f"override rho for every agent, in [-1, {RHO_MAX}] (ces)")
     rank.add_argument("--beta", type=float, default=None, help="override damping weight (ces)")
-    rank.add_argument("--damping", type=float, default=None, help="link-following probability, default 0.85 (pagerank)")
-    rank.add_argument("--tol", type=float, default=None, help="bound on the certified max excess demand; 1e-10 for ces, 1e-12 otherwise")
+    rank.add_argument("--damping", type=float, default=None, help=f"link-following probability, default {DEFAULT_BETA} (pagerank)")
+    tols = f"{_DEFAULT_TOL['ces']:g} for ces, {POWER_TOL:g} otherwise"
+    rank.add_argument("--tol", type=float, default=None, help=f"bound on the certified max excess demand; {tols}")
     rank.add_argument("--format", choices=("tsv", "json"), default="tsv")
     rank.set_defaults(func=_cmd_rank)
 
@@ -335,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="stationary distribution vs market equilibrium on one graph")
     compare.add_argument("--input", required=True, help="edge list or problem document (support graph used)")
-    compare.add_argument("--damping", type=float, default=0.85)
+    compare.add_argument("--damping", type=float, default=DEFAULT_BETA)
     compare.set_defaults(func=_cmd_compare)
 
     convert = sub.add_parser("convert", help="write a graph's damped chain as a problem document of its edges")
     convert.add_argument("--input", required=True)
-    convert.add_argument("--damping", type=float, default=0.85, help="link-following probability, written as beta")
+    convert.add_argument("--damping", type=float, default=DEFAULT_BETA, help="link-following probability, written as beta")
     convert.add_argument("--output", default=None, help="write here instead of stdout")
     convert.set_defaults(func=_cmd_convert)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DirectedGraph, RankingProblem, _edge_weights, _rho_array, _validate_alpha, _validate_beta
+from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _edge_weights, _rho_array, _validate_alpha, _validate_beta
 
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -270,7 +270,7 @@ def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) 
     return CesEconomy._from_entries(floor, src[keep], dst[keep], w[keep], rho)
 
 
-def web_economy(graph: DirectedGraph, c: float = 0.85) -> CesEconomy:
+def web_economy(graph: DirectedGraph, c: float = DEFAULT_BETA) -> CesEconomy:
     """Cobb-Douglas economy of a link graph's damped random-surfer chain: its prices are PageRank.
 
     Row i puts ``c / outdeg[i]`` on each out-edge of vertex i plus the floor

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import DirectedGraph, RankingProblem
+from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem
 
 FORMAT_VERSION = 1
 
@@ -159,7 +159,7 @@ def _parse_problem(text: str) -> RankingProblem:
     else:
         rho = _require_number(raw_rho, "rho")
 
-    beta = _require_number(doc.get("beta", 0.85), "beta")
+    beta = _require_number(doc.get("beta", DEFAULT_BETA), "beta")
 
     try:
         return RankingProblem.from_edges(tuple(agents), *edges, rho, beta=beta)
@@ -219,7 +219,7 @@ def _row_blocks(entry: str, sep: str, n: int, columns: Callable[[int, int], tupl
 _JSON_TRIPLET = "      [\n        %d,\n        %d,\n        %r\n      ]"
 
 
-def dump_problem(problem: RankingProblem, stream=None) -> str:
+def dump_problem(problem: RankingProblem) -> str:
     """Serialize a problem to its JSON document form, with ``alpha`` as triplets of its edges.
 
     The output reloads to a field-for-field identical problem: floats are
@@ -236,10 +236,7 @@ def dump_problem(problem: RankingProblem, stream=None) -> str:
     def triplets(lo, hi):
         return graph.src[lo:hi].tolist(), graph.dst[lo:hi].tolist(), weights[lo:hi].tolist()
 
-    text = "".join(json_document(head, ("alpha", "triplets"), _row_blocks(_JSON_TRIPLET, ",\n", graph.src.size, triplets), tail))
-    if stream is not None:
-        stream.write(text)
-    return text
+    return "".join(json_document(head, ("alpha", "triplets"), _row_blocks(_JSON_TRIPLET, ",\n", graph.src.size, triplets), tail))
 
 
 # a '#' comment up to its line break; it stops before any ASCII break of

@@ -69,6 +69,9 @@ def support_graph(matrix: np.ndarray) -> DirectedGraph:
 #: linear-utility end. Every rho lies in [-1, RHO_MAX].
 RHO_MAX = 0.95
 
+#: Damping weight where a problem or edge list names none, and PageRank's link-following probability.
+DEFAULT_BETA = 0.85
+
 #: Smallest nonzero |rho| accepted. rho == 0 is the unit-elasticity
 #: (Cobb-Douglas) sentinel handled in closed form; values closer to zero than
 #: this band would make the exponent 1/(1-rho) indistinguishable from the
@@ -158,14 +161,14 @@ class RankingProblem:
     rho: np.ndarray
     beta: float
 
-    def __init__(self, agent_ids, alpha, rho, beta: float = 0.85):
+    def __init__(self, agent_ids, alpha, rho, beta: float = DEFAULT_BETA):
         alpha = np.asarray(alpha, dtype=float)
         _validate_alpha(alpha)
         graph = support_graph(alpha)
         self._freeze(agent_ids, graph, alpha[graph.src, graph.dst], rho, beta)
 
     @classmethod
-    def from_edges(cls, agent_ids, graph: DirectedGraph, weights, rho, beta: float = 0.85) -> "RankingProblem":
+    def from_edges(cls, agent_ids, graph: DirectedGraph, weights, rho, beta: float = DEFAULT_BETA) -> "RankingProblem":
         """The problem with ``weights`` on the edges of ``graph``, as `cesrank.formats.load_edge_list` returns them."""
         problem = cls.__new__(cls)
         problem._freeze(agent_ids, graph, _edge_weights(graph, weights), rho, beta)

@@ -44,13 +44,12 @@ class SolverConfig:
     ``tolerance`` bounds the max-norm of excess demand at the returned prices.
     ``max_iters`` and ``initial_prices`` are the budget and the start of the
     one price loop, which tatonnement runs with a step derived from the
-    economy and `solve_power` at full step. ``seed`` seeds `multistart_probe`.
+    economy and `solve_power` at full step.
     """
 
     tolerance: float = 1e-10
     max_iters: int = 200_000
     initial_prices: PriceVector | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):  # NaN certifies nothing, inf anything
@@ -377,7 +376,7 @@ def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) ->
     return solve_equilibrium(build_economy(problem), config)
 
 
-def verify_equilibrium(economy: CesEconomy, prices, tolerance: float = 1e-10) -> ClearingReport:
+def verify_equilibrium(economy: CesEconomy, prices, tolerance: float = SolverConfig.tolerance) -> ClearingReport:
     """Certify a candidate price vector by its excess-demand residual.
 
     Pure report: passes iff every good's excess demand is within ``tolerance``
@@ -404,12 +403,13 @@ def multistart_probe(economy: CesEconomy, config: SolverConfig | None = None, k_
     ``rho >= 0`` the equilibrium is unique, and the max pairwise distance
     between the computed equilibria must land within ten times the solver
     tolerance; for some negative rho the spread is reported without judgement.
-    Any non-converging start propagates its error.
+    The starts come from a fixed seed, so a probe is reproducible. Any
+    non-converging start propagates its error.
     """
     cfg = config or SolverConfig()
     if k_starts < 2:
         raise ValueError(f"need at least 2 starts to measure a spread, got {k_starts}")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     n = economy.n
     prices: list[PriceVector] = []
     reports: list[SolverReport] = []

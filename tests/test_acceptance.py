@@ -150,7 +150,7 @@ def test_criterion_6_uniqueness_under_gs():
         problem = RankingProblem(tuple(f"a{k}" for k in range(n)), alpha, rho, beta=0.85)
         economy = build_economy(problem)
 
-        report = multistart_probe(economy, SolverConfig(seed=trial), k_starts=5)
+        report = multistart_probe(economy, k_starts=5)
         assert report.spread <= 1e-8, (trial, report.spread)
         assert report.within_bound
 

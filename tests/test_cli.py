@@ -346,12 +346,56 @@ def test_row_sum_overflow_ranks_as_rescaled_row(problem_file, capsys, method):
 @pytest.mark.parametrize("method, hint", [("ces", "; use --beta to damp --method ces"), ("invariant", "")])
 def test_damping_flag_warns_outside_pagerank(graph_file, capsys, method, hint):
     path = graph_file(TRIANGLE)
-    assert main(["rank", "--method", method, "--format", "json", "--input", path]) == 0
-    plain = capsys.readouterr()
-    assert main(["rank", "--method", method, "--format", "json", "--damping", "0.5", "--input", path]) == 0
-    flagged = capsys.readouterr()
+    plain = _rank_json(path, capsys, method, [])
+    flagged = _rank_json(path, capsys, method, ["--damping"])
     assert plain.err == ""
     assert flagged.err == f"warning: --damping only applies to --method pagerank; ignored{hint}\n"
+    assert flagged.out == plain.out
+
+
+def _rank_json(path, capsys, method, flags):
+    """``rank --format json`` of ``path`` with each of ``flags`` set to 0.5: its captured stdout and stderr."""
+    argv = ["rank", "--method", method, "--format", "json", "--input", path]
+    for flag in flags:
+        argv += [flag, "0.5"]
+    assert main(argv) == 0
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--beta"])
+@pytest.mark.parametrize("method", ["pagerank", "invariant"])
+def test_ces_flag_warns_outside_ces(graph_file, capsys, method, flag):
+    path = graph_file(TRIANGLE)
+    plain = _rank_json(path, capsys, method, [])
+    flagged = _rank_json(path, capsys, method, [flag])
+    assert plain.err == ""
+    assert flagged.err == f"warning: {flag} only applies to --method ces; ignored\n"
+    assert flagged.out == plain.out
+
+
+@pytest.mark.parametrize(
+    "method, applied, warnings",
+    [
+        ("ces", ["--rho", "--beta"], ["--damping only applies to --method pagerank; ignored; use --beta to damp --method ces"]),
+        ("pagerank", ["--damping"], ["--rho only applies to --method ces; ignored", "--beta only applies to --method ces; ignored"]),
+        (
+            "invariant",
+            [],
+            [
+                "--damping only applies to --method pagerank; ignored",
+                "--rho only applies to --method ces; ignored",
+                "--beta only applies to --method ces; ignored",
+            ],
+        ),
+    ],
+)
+def test_all_three_flags_warn_in_a_fixed_order(graph_file, capsys, method, applied, warnings):
+    # the flags go in backwards: the warnings keep --damping, --rho, --beta order
+    path = graph_file(TRIANGLE)
+    plain = _rank_json(path, capsys, method, applied)
+    flagged = _rank_json(path, capsys, method, ["--beta", "--rho", "--damping"])
+    assert plain.err == ""
+    assert flagged.err == "".join(f"warning: {line}\n" for line in warnings)
     assert flagged.out == plain.out
 
 

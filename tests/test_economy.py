@@ -411,18 +411,7 @@ def weighted_edge_lists(draw):
     n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     palette = draw(st.sampled_from(["unit", "random", "wide", [1.0, 5e-324], [1e308, 1.0], [1e308], [1.0, 1e-30]]))
-    most = 2 if draw(st.booleans()) else n
-    src, dst = [], []
-    for i in range(n):
-        kind = rng.choice(["dangling", "sparse", "complete"])
-        if kind == "complete" and most == n:
-            cols = np.arange(n)
-        elif kind != "dangling":
-            cols = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, most, 6) + 1)), replace=False))
-        else:
-            continue
-        src += [i] * len(cols)
-        dst += cols.tolist()
+    src, dst = random_rows(rng, n, 2 if draw(st.booleans()) else n)
     if palette == "unit":
         weights = np.ones(len(src))
     elif palette == "random":
@@ -436,6 +425,36 @@ def weighted_edge_lists(draw):
     return DirectedGraph(n, src, dst), weights, rho, beta
 
 
+def random_rows(rng, n, most):
+    """The edges of ``n`` rows, each dangling, sparse (1 to ``min(n, most, 6)`` columns) or, if ``most`` is n, complete."""
+    src, dst = [], []
+    for i in range(n):
+        kind = rng.choice(["dangling", "sparse", "complete"])
+        if kind == "complete" and most == n:
+            cols = np.arange(n)
+        elif kind != "dangling":
+            cols = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, most, 6) + 1)), replace=False))
+        else:
+            continue
+        src += [i] * len(cols)
+        dst += cols.tolist()
+    return src, dst
+
+
+def rounding_bounds(graph, alpha, dense):
+    """The relative and the absolute part of the bound on ``|alpha - dense|`` when rows are summed in edge order.
+
+    Rows of three or more weights are summed in edge order, not by
+    sum(axis=1): each order is within (m - 1) half-ulps of the exact sum of m
+    positive terms, and the division and the damping add three. Below the
+    smallest normal number an operation's rounding error is absolute, up to
+    half the smallest subnormal (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 2.1), so each of those roundings adds that too.
+    """
+    degree = np.bincount(graph.src, minlength=graph.n)[:, None]
+    return (degree + 2) * np.finfo(float).eps * np.maximum(alpha, dense), (degree + 2) * np.finfo(float).smallest_subnormal
+
+
 @given(weighted_edge_lists())
 @settings(max_examples=300, deadline=None)
 def test_damped_economy_matches_the_dense_path(case):
@@ -443,13 +462,9 @@ def test_damped_economy_matches_the_dense_path(case):
     n = graph.n
     dense = reference_damped_chain(dense_weights(graph, weights), beta)
     economy = damped_economy(graph, weights, rho, beta)
-    degree = np.bincount(graph.src, minlength=n)
-    if not (np.all(weights == 1.0) or degree.max(initial=0) <= 2 or n < 8):
-        # rows of three or more weights are summed in edge order, not by
-        # sum(axis=1): each order is within (m - 1) half-ulps of the exact sum
-        # of m positive terms, and the division and the damping add three
-        bound = (degree[:, None] + 2) * np.finfo(float).eps * np.maximum(dense_alpha(economy), dense)
-        assert np.all(np.abs(dense_alpha(economy) - dense) <= bound)
+    if not (np.all(weights == 1.0) or np.bincount(graph.src, minlength=n).max(initial=0) <= 2 or n < 8):
+        relative, absolute = rounding_bounds(graph, dense_alpha(economy), dense)
+        assert np.all(np.abs(dense_alpha(economy) - dense) <= relative + absolute)
         return
     assert np.array_equal(dense_alpha(economy), dense)
     reference = CesEconomy(dense, rho)
@@ -466,6 +481,24 @@ def test_damped_economy_matches_the_dense_path(case):
         return
     prices, _ = solve_tatonnement(economy, config)
     assert np.array_equal(prices.pi, expected.pi)
+
+
+@pytest.mark.parametrize("seed", [8107, 17847])
+def test_a_subnormal_entry_is_off_the_dense_path_by_one_subnormal(seed):
+    # a wide-palette list at rho -1 and beta 1 (59 vertices and 1333 edges at
+    # seed 8107): one entry of a complete row, about 1e-310, is one subnormal
+    # (4.9e-324) off the dense path, which no relative bound allows
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 65))
+    src, dst = random_rows(rng, n, n)
+    graph = DirectedGraph(n, src, dst)
+    weights = 10.0 ** rng.uniform(-300.0, 300.0, len(src))
+    dense = reference_damped_chain(dense_weights(graph, weights), 1.0)
+    alpha = dense_alpha(damped_economy(graph, weights, -1.0, 1.0))
+    relative, absolute = rounding_bounds(graph, alpha, dense)
+    error = np.abs(alpha - dense)
+    assert np.any(error > relative)
+    assert np.all(error <= relative + absolute)
 
 
 @pytest.mark.parametrize(

@@ -216,12 +216,6 @@ class TestDumpProblem:
         empty = RankingProblem(("a",), np.zeros((1, 1)), 0.0)
         assert json.loads(dump_problem(empty))["alpha"] == {"triplets": []}
 
-    def test_writes_to_stream(self):
-        out = io.StringIO()
-        text = dump_problem(load_problem(doc()), stream=out)
-        assert out.getvalue() == text
-        assert text.endswith("\n")
-
     @settings(max_examples=200, deadline=None)
     @given(problem=problems(), block=st.integers(1, 4))
     def test_round_trip_is_exact(self, problem, block):

@@ -61,7 +61,7 @@ class TestSolverConfig:
         assert cfg.tolerance == 1e-10
         assert cfg.max_iters == 200_000
         # the tatonnement step is derived from the economy, not configured
-        assert [f.name for f in fields(cfg)] == ["tolerance", "max_iters", "initial_prices", "seed"]
+        assert [f.name for f in fields(cfg)] == ["tolerance", "max_iters", "initial_prices"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -681,8 +681,8 @@ class TestMultistartProbe:
     def test_seed_reproducible(self):
         problem = load_fixture("nonuniform3")
         economy = build_economy(problem)
-        a = multistart_probe(economy, SolverConfig(seed=42), k_starts=3)
-        b = multistart_probe(economy, SolverConfig(seed=42), k_starts=3)
+        a = multistart_probe(economy, k_starts=3)
+        b = multistart_probe(economy, k_starts=3)
         assert a.spread == b.spread
         for pa, pb in zip(a.prices, b.prices):
             np.testing.assert_array_equal(pa.pi, pb.pi)
