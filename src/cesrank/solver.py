@@ -35,6 +35,9 @@ logger = logging.getLogger(__name__)
 
 #: A price loop's map: prices to their excess demand and the unnormalized next prices.
 _PriceMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+#: A price loop's next iterate, from the current prices, their map's image and their residual;
+#: None when the residual is not finite and there is no other iterate to go to.
+_NextPrices = Callable[[np.ndarray, np.ndarray, float], np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -260,15 +263,24 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     tatonnement (Cole & Fleischer, STOC 2008), and the cap keeps undamped
     periodic graphs at rho <= 0 from cycling. Aggregate demand comes from
     `cesrank.economy.aggregate_demand`, O(nnz) per round on a damped graph.
-    The rounds run in `_iterate`, which stops on a certified equilibrium or
-    raises a `ConvergenceError`, never returning a wrong answer.
+    After each window of `_WINDOW` rounds whose residuals fall, the next
+    round is `_Extrapolation`'s jump along their trend in log prices, undone
+    when it does not lower the residual. The rounds run in `_iterate`, which
+    stops on a certified equilibrium or raises a `ConvergenceError`, never
+    returning a wrong answer. One debug line logs the rounds and the jumps
+    kept and undone.
     """
     _require_connected_economy(economy)
-    return _iterate(economy, "tatonnement", _price_adjustment(economy), config)
+    advance, extrapolation = _price_adjustment(economy)
+    try:
+        return _iterate(economy, "tatonnement", advance, config, extrapolation)
+    finally:
+        counts = (extrapolation.steps, extrapolation.accepted, extrapolation.undone)
+        logger.debug("tatonnement: %d steps, %d jumps accepted, %d undone", *counts)
 
 
-def _price_adjustment(economy: CesEconomy) -> _PriceMap:
-    """Tatonnement's map for `_iterate`: excess demand from `aggregate_demand`, and ``p * demand**gamma``."""
+def _price_adjustment(economy: CesEconomy) -> tuple[_PriceMap, _Extrapolation]:
+    """Tatonnement's map for `_iterate` (excess demand and ``p * demand**gamma``) and its `_Extrapolation`."""
     demand_at = aggregate_demand(economy)
     gamma = min(0.5, 1.0 - float(economy.rho.max()))  # 1 - rho = 1 / q
 
@@ -276,25 +288,113 @@ def _price_adjustment(economy: CesEconomy) -> _PriceMap:
         demand = demand_at(p)
         return demand - 1.0, p * demand**gamma  # every good's supply is one unit
 
-    return advance
+    return advance, _Extrapolation(economy.n)
+
+
+#: Iterates in the window that `_Extrapolation` fits; each after the first lowered the residual.
+_WINDOW = 6
+
+
+class _Extrapolation:
+    """Tatonnement's next iterate: the plain image, or, after each contracting window, a jump.
+
+    `_WINDOW` consecutive iterates ``p_k``, each after the first with a lower
+    residual, and their plain images give the log prices ``y[0] = log p_0``
+    and ``y[k + 1] = log(image(p_k))`` and the differences ``f[k] = y[k + 1]
+    - y[k]``. The jump replaces the last image by the least-squares
+    (Anderson type II, or RRE) extrapolation in log prices, ``y[-1] - F @
+    c`` with ``F`` the last five ``f`` and ``c`` minimizing ``|f[-1] - dF @
+    c|`` over the five second differences ``dF`` (Walker & Ni, SIAM J.
+    Numer. Anal. 49(4), 2011; for PageRank, Kamvar et al., WWW 2003). ``c``
+    is the minimum-norm solution, so a window whose differences are
+    dependent, as in every economy of fewer than six goods, jumps by the
+    differences it has and not by rounding errors. A window with no
+    difference, or a jumped price that is not finite and positive, keeps the
+    plain image. A jumped iterate whose residual is not below the residual
+    before the jump, or is not finite, is undone: the next iterate is the
+    plain image it replaced. Every window starts afresh after a jump, an
+    undo, or a residual that did not fall.
+    """
+
+    def __init__(self, n: int):
+        self.logs = np.empty((_WINDOW + 1, n))  # y[0] = log p, then each plain image
+        self.count = 0  # rows of ``logs`` in the current window
+        self.previous = math.inf  # the residual of the iterate before
+        self.pending: tuple[np.ndarray, float] | None = None  # the image a jump replaced, and the residual at its iterate
+        self.steps = self.accepted = self.undone = 0
+
+    def __call__(self, p: np.ndarray, image: np.ndarray, residual: float) -> np.ndarray | None:
+        self.steps += 1
+        logs = self.logs
+        if self.pending is not None:
+            plain, before = self.pending
+            self.pending = None
+            if not residual < before:  # NaN included
+                self.undone += 1
+                self.count, self.previous = 1, before  # ``logs[0]`` is already the log of ``plain``
+                return plain
+            self.accepted += 1
+            self.count = 0
+        elif not math.isfinite(residual):
+            return None
+        if self.count == 0:
+            np.log(p, out=logs[0])
+            self.count = 1
+        elif not residual < self.previous:
+            logs[0] = logs[self.count - 1]
+            self.count = 1
+        self.previous = residual
+        plain = image / image.sum()
+        np.log(plain, out=logs[self.count])
+        self.count += 1
+        if self.count <= _WINDOW:
+            return plain
+        jump = self._jump()
+        logs[0] = logs[_WINDOW]
+        self.count = 1
+        if jump is None:
+            return plain
+        self.pending = (plain, residual)
+        return jump
+
+    def _jump(self) -> np.ndarray | None:
+        """The extrapolated next prices of a full window, or None."""
+        f = np.diff(self.logs, axis=0)
+        df = np.diff(f, axis=0)
+        c, _, rank, _ = np.linalg.lstsq(df.T, f[-1])
+        if rank == 0:
+            return None
+        y = self.logs[_WINDOW] - c @ f[1:]
+        jump = np.exp(y - y.max())
+        jump /= jump.sum()
+        return jump if jump.min() > 0.0 else None  # NaN included
 
 
 # how each method's errors name it, and how they say that its budget ran out
 _LOOP_TEXTS = {"power": ("power iteration", "did not converge"), "tatonnement": ("tatonnement", "did not clear the market")}
 
 
+def _renormalized(p: np.ndarray, image: np.ndarray, residual: float) -> np.ndarray | None:
+    """The plain next iterate: the image on the simplex, or None after a residual that is not finite."""
+    return image / image.sum() if math.isfinite(residual) else None
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
-def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig) -> tuple[PriceVector, SolverReport]:
+def _iterate(
+    economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig, next_prices: _NextPrices = _renormalized
+) -> tuple[PriceVector, SolverReport]:
     """The one certified price loop, for ``method`` ``"power"`` or ``"tatonnement"``.
 
     From ``cfg.initial_prices``, renormalized, or the uniform vector,
     ``advance(p)`` gives the excess demand ``z`` at ``p`` and the
-    unnormalized next prices. The loop stops on the first iterate whose
-    max-norm ``z`` is within ``cfg.tolerance`` and that `verify_equilibrium`
-    certifies at the renormalized prices it returns; the report carries the
-    certificate's residual. A non-finite ``z``, a next price that is not
-    finite and positive, or ``cfg.max_iters`` steps without a certificate
-    is a `ConvergenceError` with the last iterate and the last ten residuals.
+    unnormalized next prices, and ``next_prices`` the next iterate from
+    those and the max-norm residual of ``z``. The loop stops on the first
+    iterate whose residual is within ``cfg.tolerance`` and that
+    `verify_equilibrium` certifies at the renormalized prices it returns;
+    the report carries the certificate's residual. A non-finite ``z`` with
+    no next iterate, a next price that is not finite and positive, or
+    ``cfg.max_iters`` steps without a certificate is a `ConvergenceError`
+    with the last iterate and the last ten finite residuals.
     """
     n = economy.n
     if cfg.initial_prices is not None:
@@ -307,15 +407,9 @@ def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverCo
     for it in range(cfg.max_iters + 1):
         z, image = advance(p)
         residual = float(np.abs(z).max())  # NaN or inf when any z is
-        if not math.isfinite(residual):
-            j = int(np.flatnonzero(~np.isfinite(z))[0])
-            raise ConvergenceError(
-                f"excess demand of good {j} is not finite at iteration {it}",
-                last_iterate=p,
-                residual=float("nan"),
-                residual_tail=list(tail),
-            )
-        tail.append(residual)
+        finite = math.isfinite(residual)
+        if finite:
+            tail.append(residual)
         if residual <= cfg.tolerance:
             prices = PriceVector.from_unnormalized(p)
             check = verify_equilibrium(economy, prices, cfg.tolerance)
@@ -324,9 +418,19 @@ def _iterate(economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverCo
                 logger.debug("%s converged in %d iterations, residual %.3e", name, it, check.residual)
                 return prices, SolverReport(method, it, check.residual, converged=True, tolerance=cfg.tolerance)
             logger.info("residual %.3e certified as %.3e; iterating on", residual, check.residual)
-        if it == cfg.max_iters:
+        if it == cfg.max_iters and finite:
             break
-        p = image / image.sum()
+        # a residual that is not finite ends the loop unless there is an iterate to go back to
+        following = next_prices(p, image, residual)
+        if following is None:
+            j = int(np.flatnonzero(~np.isfinite(z))[0])
+            raise ConvergenceError(
+                f"excess demand of good {j} is not finite at iteration {it}",
+                last_iterate=p,
+                residual=float("nan"),
+                residual_tail=list(tail),
+            )
+        p = following
         # an image entry that is not finite makes the sum, and so a price, NaN
         if not p.min() > 0.0:
             j = int(np.flatnonzero(~np.isfinite(p) | (p <= 0.0))[0])
@@ -383,7 +487,10 @@ def verify_equilibrium(economy: CesEconomy, prices, tolerance: float = SolverCon
     of zero. Since prices are strictly positive, clearing must hold with
     equality, so both surpluses and shortages count against the candidate.
     The excess demand is `cesrank.economy.excess_demand`, evaluated trader
-    by trader in O(nnz + n·G) and apart from the solver's kernel.
+    by trader in O(nnz + n·G) and apart from the solver's kernel. At rho ≠ 0
+    it bounds the excess demand only, not the distance to the equilibrium:
+    two certified price vectors may differ by about the tolerance, and by
+    more on a slow-mixing economy.
     """
     z = excess_demand(economy, prices)
     residual = float(np.abs(z).max())

@@ -332,21 +332,26 @@ def dominance_instance(rng, n, rho, i, j):
 
 
 def dense_tatonnement(demand_matrix, economy):
-    """The tatonnement loop as it ran on the dense n x n demand kernel.
+    """The plain tatonnement loop on the dense n x n demand kernel: `plain_tatonnement` of its column sums."""
+    return plain_tatonnement(lambda p: demand_matrix(economy, p).sum(axis=0), economy)
+
+
+def plain_tatonnement(aggregate_demand, economy):
+    """The tatonnement loop at the plain step, without extrapolation.
 
     Same start (uniform), step rule ``p <- p * d**gamma`` renormalized with
     ``gamma = min(0.5, 1 - max(rho))``, stopping test (1e-10) and budget
-    (200 000) as the package's solver with default settings, but aggregate
-    demand is the column sum of ``demand_matrix(economy, p)``. Returns
-    ``(prices, iterations)``, with ``prices`` None when a price or a demand
-    stops being finite and positive or the budget runs out.
+    (200 000) as the package's solver with default settings, with the
+    aggregate demand ``d = aggregate_demand(p)``. Returns ``(prices,
+    iterations)``, with ``prices`` None when a price or a demand stops being
+    finite and positive or the budget runs out.
     """
     tolerance, max_iters = 1e-10, 200_000
     gamma = min(0.5, 1.0 - float(economy.rho.max()))
     n = economy.n
     p = np.full(n, 1.0 / n)
     for it in range(max_iters + 1):
-        demand = demand_matrix(economy, p).sum(axis=0)
+        demand = aggregate_demand(p)
         if not np.all(np.isfinite(demand)):
             return None, it
         if float(np.abs(demand - 1.0).max()) <= tolerance:

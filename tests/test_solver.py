@@ -1,3 +1,7 @@
+import io
+import json
+import logging
+import re
 from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
@@ -18,6 +22,7 @@ from cesrank import (
     build_economy,
     damped_economy,
     load_fixture,
+    load_problem,
     multistart_probe,
     rank_problem,
     sniff_and_load,
@@ -28,6 +33,7 @@ from cesrank import (
     verify_equilibrium,
     web_economy,
 )
+from cesrank.economy import aggregate_demand
 
 from oracles import (
     SKEWED_GRAPHS,
@@ -37,6 +43,7 @@ from oracles import (
     dense_weights,
     fixed_point_equilibrium,
     out_regular_edges,
+    plain_tatonnement,
     random_strongly_connected_graph,
     skewed_graph,
     with_dangling_vertices,
@@ -322,7 +329,7 @@ class TestSolveTatonnement:
 
     def test_demand_overflow_is_a_convergence_error(self):
         # weights over 600 decades at rho 0.8 drive a price so low that one
-        # trader's budget over its normalizer overflows at iteration 1278: a
+        # trader's budget over its normalizer overflows at iteration 1274: a
         # non-finite demand, reported as such and not as a numpy warning
         graph = DirectedGraph(6, np.repeat([0, 1, 2, 3, 5], 6), np.tile(np.arange(6), 5))
         weights = np.array([
@@ -333,7 +340,7 @@ class TestSolveTatonnement:
             1.61987084e049, 5.01226674e-140, 7.32516117e257, 1.08435321e-05, 3.02356257e105, 4.20093813e-15,
         ])
         economy = damped_economy(graph, weights, 0.8, 1.0)
-        with pytest.raises(ConvergenceError, match="excess demand of good 0 is not finite at iteration 1278"):
+        with pytest.raises(ConvergenceError, match="excess demand of good 0 is not finite at iteration 1274"):
             solve_tatonnement(economy, SolverConfig(max_iters=2000))
 
     def test_disconnected_rejected_before_iterating(self):
@@ -366,30 +373,35 @@ def _random_weighted_problem(seed, rho):
 
 
 class TestTatonnementTrajectory:
-    """The aggregate kernel leaves the iteration where the dense kernel had it."""
+    """The aggregate kernel leaves the iteration where the dense kernel has it, and the plain step's equilibrium in place."""
 
     @staticmethod
-    def assert_same_trajectory(economy):
-        reference, reference_iters = dense_tatonnement(demand_matrix, economy)
-        assert reference is not None  # every case certifies at the derived step
+    def assert_same_trajectory(economy, monkeypatch):
         prices, report = solve_tatonnement(economy)
-        assert np.abs(prices.pi - reference).max() <= 1e-12
-        assert abs(report.iterations - reference_iters) <= 1
+        with monkeypatch.context() as patched:
+            patched.setattr(cesrank.solver, "aggregate_demand", lambda e: lambda p: demand_matrix(e, p).sum(axis=0))
+            dense, dense_report = solve_tatonnement(economy)
+        assert np.abs(prices.pi - dense.pi).max() <= 1e-12
+        assert abs(report.iterations - dense_report.iterations) <= 1
+        plain, plain_iters = dense_tatonnement(demand_matrix, economy)
+        assert plain is not None  # every case certifies at the derived step
+        assert np.abs(prices.pi - plain).max() <= 1e-9
+        assert report.iterations <= plain_iters
 
     @pytest.mark.parametrize("rho", [0.5, -0.5])
     @pytest.mark.parametrize("source", ["nonuniform3", "monotone3", "dangling"])
-    def test_golden_inputs(self, source, rho):
-        self.assert_same_trajectory(build_economy(_golden_problem(source, rho)))
+    def test_golden_inputs(self, source, rho, monkeypatch):
+        self.assert_same_trajectory(build_economy(_golden_problem(source, rho)), monkeypatch)
 
     @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.5, 0.8])
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_weighted_graphs(self, seed, rho):
-        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, rho)))
+    def test_random_weighted_graphs(self, seed, rho, monkeypatch):
+        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, rho)), monkeypatch)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_weighted_graphs_small_step(self, seed):
+    def test_random_weighted_graphs_small_step(self, seed, monkeypatch):
         # the largest accepted rho derives the smallest step, 1 - 0.95
-        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, 0.95)))
+        self.assert_same_trajectory(build_economy(_random_weighted_problem(seed, 0.95)), monkeypatch)
 
 
 class TestTatonnementCertificate:
@@ -426,6 +438,114 @@ class TestTatonnementCertificate:
         monkeypatch.setattr(cesrank.solver, "excess_demand", lambda e, prices: certificate(e, prices) + 1.0)
         with pytest.raises(ConvergenceError, match="did not clear the market"):
             solve_tatonnement(economy, SolverConfig(max_iters=plain.iterations + 5))
+
+
+def _sorted_graph(n, src, dst):
+    """The graph of the edges ``src[k] -> dst[k]``, which it sorts."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    order = np.lexsort((dst, src))
+    return DirectedGraph(n, src[order], dst[order])
+
+
+def _hard_family(name):
+    """A graph of the hard-family grid and its edge weights."""
+    if name == "skewed":  # four random out-edges per vertex, weights 10**U(-150, 150)
+        rng = np.random.default_rng(0)
+        graph = DirectedGraph(50, *zip(*out_regular_edges(rng, 50, 4)))
+        return graph, 10.0 ** rng.uniform(-150, 150, graph.src.size)
+    if name in ("star", "star+chord"):  # 0 <-> every other vertex, and 1 -> 2
+        n = 100 if name == "star" else 101
+        leaves = np.arange(1, n)
+        src, dst = np.r_[0 * leaves, leaves], np.r_[leaves, 0 * leaves]
+        if name == "star+chord":
+            src, dst = np.r_[src, 1], np.r_[dst, 2]
+    elif name == "two-cliques":  # two 30-cliques, joined by 0 <-> 30
+        n = 60
+        a, b = np.nonzero(~np.eye(30, dtype=bool))
+        src, dst = np.r_[a, a + 30, 0, 30], np.r_[b, b + 30, 30, 0]
+    else:  # a 40-path, each edge with its back-edge
+        n = 40
+        src, dst = np.r_[np.arange(n - 1), np.arange(1, n)], np.r_[np.arange(1, n), np.arange(n - 1)]
+    graph = _sorted_graph(n, src, dst)
+    return graph, np.ones(graph.src.size)
+
+
+# At beta 1 the skewed family's shares span hundreds of decades, and the plain
+# step fails on it as well: a price underflows at iterations 0 to 14, or the
+# residual stalls at 1.2e-8 with prices spread over 280 decades.
+_SKEWED_UNDAMPED = pytest.mark.xfail(strict=True, reason="the plain step fails here too: weights over 300 decades at beta 1")
+
+
+def _hard_cases():
+    for family in ("star", "star+chord", "two-cliques", "path", "skewed"):
+        for beta in (0.85, 1.0):
+            for rho in (-1.0, -0.05, 0.5, 0.8):
+                marks = [_SKEWED_UNDAMPED] if (family, beta) == ("skewed", 1.0) else []
+                yield pytest.param(family, beta, rho, marks=marks, id=f"{family}-beta{beta}-rho{rho}")
+
+
+class TestTatonnementExtrapolation:
+    """Extrapolated tatonnement certifies the plain step's equilibrium, in at most 1.2 x its steps + 6."""
+
+    @pytest.mark.parametrize(("family", "beta", "rho"), _hard_cases())
+    def test_hard_family_lands_on_the_plain_equilibrium(self, family, beta, rho):
+        economy = damped_economy(*_hard_family(family), rho, beta)
+        prices, report = solve_tatonnement(economy, SolverConfig(max_iters=20_000))
+        assert verify_equilibrium(economy, prices).passed
+        # the package's kernel, held to the dense one by TestTatonnementTrajectory,
+        # on the plain loop: the dense kernel would take seconds on the path at
+        # beta 1, rho -1, where the plain step needs 115 958 steps
+        plain, plain_steps = plain_tatonnement(aggregate_demand(economy), economy)
+        assert plain is not None
+        assert report.iterations <= 1.2 * plain_steps + 6
+        # within 1e-9 of the plain result, or, where a residual of 1e-10 leaves
+        # the prices farther apart than that (the path at beta 1, rho -1: both
+        # 5.9e-9 from the equilibrium, on either side), no farther from it
+        exact, _ = solve_tatonnement(economy, SolverConfig(tolerance=1e-13))
+        distance = np.abs(prices.pi - exact.pi).max()
+        assert np.abs(prices.pi - plain).max() <= 1e-9 or distance <= 1.1 * np.abs(plain - exact.pi).max()
+
+    @pytest.mark.parametrize(("rho", "beta"), [(0.9, 0.85), (0.5, 1.0)])
+    def test_slow_mixing_cycle_certifies(self, rho, beta):
+        # the 300-cycle with the chord 0 -> 150: the plain step takes
+        # 172 166 and 68 147 steps
+        n = 300
+        graph = _sorted_graph(n, np.r_[np.arange(n), 0], np.r_[(np.arange(n) + 1) % n, n // 2])
+        economy = damped_economy(graph, np.ones(n + 1), rho, beta)
+        prices, _ = solve_tatonnement(economy, SolverConfig(max_iters=20_000))
+        assert verify_equilibrium(economy, prices).passed
+
+    @pytest.mark.parametrize("rho", [0.8, 0.85])
+    def test_extreme_self_loop_equilibrium_certifies(self, rho):
+        # one self-loop, the other rows dangling: the plain step takes
+        # 174 428 steps at rho 0.8 and runs out of its 200 000 at 0.85
+        document = {"format": 1, "agents": ["a", "b", "c", "d"], "alpha": {"triplets": [[0, 0, 1.0]]}, "rho": rho, "beta": 0.95}
+        problem = load_problem(io.StringIO(json.dumps(document)))
+        prices, report = rank_problem(problem, SolverConfig(max_iters=20_000))
+        assert report.method == "tatonnement"
+        assert verify_equilibrium(build_economy(problem), prices).passed
+
+    def test_jumps_are_logged(self, caplog):
+        economy = damped_economy(*_hard_family("path"), 0.5, 0.85)
+        with caplog.at_level(logging.DEBUG, logger="cesrank.solver"):
+            _, report = solve_tatonnement(economy)
+        line = re.fullmatch(r"tatonnement: (\d+) steps, (\d+) jumps accepted, (\d+) undone", caplog.messages[-1])
+        assert line is not None
+        steps, accepted, undone = map(int, line.groups())
+        assert steps == report.iterations
+        assert accepted > 0
+
+    def test_rejected_jump_is_undone(self, monkeypatch):
+        # a jump whose residual does not fall is replaced by the plain image
+        # it stood in for: the same equilibrium, one step later per jump
+        economy = damped_economy(*_hard_family("path"), 0.5, 0.85)
+        plain, plain_steps = plain_tatonnement(aggregate_demand(economy), economy)
+        real = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b: (-1e3 * real(a, b)[0], *real(a, b)[1:]))
+        prices, report = solve_tatonnement(economy)
+        assert np.abs(prices.pi - plain).max() <= 1e-9
+        # each window of plain steps costs one more, the undone jump
+        assert plain_steps <= report.iterations <= plain_steps + plain_steps // cesrank.solver._WINDOW + 1
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.5, 0.8, 0.9, 0.95])
