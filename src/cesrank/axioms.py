@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import CesEconomy, as_price_array, build_economy, damped_economy, excess_demand
+from .diagnostics import SolverReport
+from .economy import CesEconomy, PriceVector, as_price_array, build_economy, damped_economy, excess_demand
 from .problem import DirectedGraph, RankingProblem
 from .solver import rank_problem, solve_equilibrium
 
@@ -61,6 +62,22 @@ def _not_applicable(axiom: str, reason: str, **extra) -> AxiomVerdict:
     return AxiomVerdict(axiom=axiom, status="not_applicable", witness=witness)
 
 
+def _verdict(axiom: str, passed: bool, witness: dict, **tolerances: float) -> AxiomVerdict:
+    """The pass or fail verdict of an applicable check, with its witness and tolerances."""
+    return AxiomVerdict(axiom=axiom, status="pass" if passed else "fail", witness=witness, tolerances=tolerances)
+
+
+def _uniform_verdict(axiom: str, prices: PriceVector, report: SolverReport, tolerance: float) -> AxiomVerdict:
+    """The verdict that a ranking is uniform: every price within ``tolerance`` of 1/n."""
+    deviation = float(np.abs(prices.pi - 1.0 / prices.n).max())
+    witness = {
+        "prices": prices.pi.tolist(),
+        "deviation_from_uniform": deviation,
+        "solver_residual": report.residual,
+    }
+    return _verdict(axiom, deviation <= tolerance, witness, uniform=tolerance)
+
+
 def check_minimal_fairness(n: int, rho_common: float, beta: float = 1.0) -> AxiomVerdict:
     """Agents that express no preferences at all must rank uniformly.
 
@@ -74,19 +91,7 @@ def check_minimal_fairness(n: int, rho_common: float, beta: float = 1.0) -> Axio
     ids = tuple(f"agent{k}" for k in range(n))
     problem = RankingProblem.from_edges(ids, DirectedGraph(n, [], []), [], rho_common, beta=beta)
     prices, report = rank_problem(problem)
-    deviation = float(np.abs(prices.pi - 1.0 / n).max())
-    witness = {
-        "prices": prices.pi.tolist(),
-        "deviation_from_uniform": deviation,
-        "solver_residual": report.residual,
-    }
-    status = "pass" if deviation <= FAIRNESS_TOL else "fail"
-    return AxiomVerdict(
-        axiom="minimal_fairness",
-        status=status,
-        witness=witness,
-        tolerances={"uniform": FAIRNESS_TOL},
-    )
+    return _uniform_verdict("minimal_fairness", prices, report, FAIRNESS_TOL)
 
 
 def _column(economy: CesEconomy, c: int) -> np.ndarray:
@@ -150,13 +155,7 @@ def check_strict_monotonicity(problem: RankingProblem, i: int, j: int) -> AxiomV
         "gap": gap,
         "solver_residual": report.residual,
     }
-    status = "pass" if gap > STRICT_MARGIN else "fail"
-    return AxiomVerdict(
-        axiom="strict_monotonicity",
-        status=status,
-        witness=witness,
-        tolerances={"strict_margin": STRICT_MARGIN},
-    )
+    return _verdict("strict_monotonicity", gap > STRICT_MARGIN, witness, strict_margin=STRICT_MARGIN)
 
 
 def check_invariance(problem: RankingProblem, i: int, lam: float) -> AxiomVerdict:
@@ -184,13 +183,7 @@ def check_invariance(problem: RankingProblem, i: int, lam: float) -> AxiomVerdic
         "scaled_prices": scaled_prices.pi.tolist(),
         "solver_residuals": [base_report.residual, scaled_report.residual],
     }
-    status = "pass" if difference <= INVARIANCE_TOL else "fail"
-    return AxiomVerdict(
-        axiom="invariance",
-        status=status,
-        witness=witness,
-        tolerances={"max_norm": INVARIANCE_TOL},
-    )
+    return _verdict("invariance", difference <= INVARIANCE_TOL, witness, max_norm=INVARIANCE_TOL)
 
 
 def check_uniformity(problem: RankingProblem) -> AxiomVerdict:
@@ -218,19 +211,7 @@ def check_uniformity(problem: RankingProblem) -> AxiomVerdict:
             column_sums=column_sums.tolist(),
         )
     prices, report = solve_equilibrium(economy)
-    deviation = float(np.abs(prices.pi - 1.0 / problem.n).max())
-    witness = {
-        "prices": prices.pi.tolist(),
-        "deviation_from_uniform": deviation,
-        "solver_residual": report.residual,
-    }
-    status = "pass" if deviation <= UNIFORMITY_TOL else "fail"
-    return AxiomVerdict(
-        axiom="uniformity",
-        status=status,
-        witness=witness,
-        tolerances={"uniform": UNIFORMITY_TOL},
-    )
+    return _uniform_verdict("uniformity", prices, report, UNIFORMITY_TOL)
 
 
 def gs_spot_check(
@@ -278,24 +259,16 @@ def gs_spot_check(
         checked += economy.n - 1
         if np.any(flagged):
             j = int(np.argmax(flagged))
-            return AxiomVerdict(
-                axiom="gross_substitutes",
-                status="fail",
-                witness={
-                    "probe": probe_index,
-                    "good": j,
-                    "bumped_good": l,
-                    "delta": float(delta),
-                    "z_before": float(z_before[j]),
-                    "z_after": float(z_after[j]),
-                },
-                tolerances={"strict_margin": STRICT_MARGIN},
-            )
+            witness = {
+                "probe": probe_index,
+                "good": j,
+                "bumped_good": l,
+                "delta": float(delta),
+                "z_before": float(z_before[j]),
+                "z_after": float(z_after[j]),
+            }
+            return _verdict("gross_substitutes", False, witness, strict_margin=STRICT_MARGIN)
     if checked == 0:
         return _not_applicable("gross_substitutes", "no probe prices supplied")
-    return AxiomVerdict(
-        axiom="gross_substitutes",
-        status="pass",
-        witness={"probes": len(probe_prices), "comparisons": checked, "bumped_good": l},
-        tolerances={"strict_margin": STRICT_MARGIN},
-    )
+    witness = {"probes": len(probe_prices), "comparisons": checked, "bumped_good": l}
+    return _verdict("gross_substitutes", True, witness, strict_margin=STRICT_MARGIN)

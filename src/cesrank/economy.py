@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _edge_weights, _rho_array, _validate_alpha, _validate_beta
+from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _edge_weights, _entries_above, _rho_array, _validate_alpha, _validate_beta
 
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -51,10 +51,7 @@ class PriceVector:
         pi = np.array(self.pi, dtype=float)
         if pi.ndim != 1:
             raise ValueError(f"prices must form a vector, got shape {pi.shape}")
-        bad = ~np.isfinite(pi) | (pi <= 0.0)
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"price of good {j} is {float(pi[j])!r}; must be strictly positive")
+        pi = as_price_array(pi, pi.size)
         if abs(pi.sum() - 1.0) > 1e-10:
             raise ValueError(f"prices sum to {float(pi.sum())!r}, not 1")
         pi.flags.writeable = False
@@ -111,7 +108,7 @@ class CesEconomy:
             if w.shape != (n, n) or np.count_nonzero(w) != n or np.any(np.diagonal(w) != 1.0):
                 raise ValueError("endowments must be the identity: trader i owns one unit of good i")
         floor = alpha.min(axis=1)
-        rows, cols = np.nonzero(alpha > floor[:, None])
+        rows, cols = _entries_above(alpha, floor[:, None])
         self._freeze(floor, rows, cols, alpha[rows, cols], rho)
 
     @classmethod

@@ -58,10 +58,15 @@ class DirectedGraph:
         object.__setattr__(self, "dst", dst)
 
 
+def _entries_above(matrix: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a matrix's entries above ``floor``, a scalar or one per row, row-major."""
+    # read flat: numpy's 2-D `np.nonzero` of the same mask costs several times more
+    return np.divmod(np.flatnonzero(matrix > floor), matrix.shape[1])
+
+
 def support_graph(matrix: np.ndarray) -> DirectedGraph:
     """Graph of a square matrix: an edge i -> j wherever ``matrix[i, j] > 0``."""
-    src, dst = np.nonzero(matrix > 0.0)
-    return DirectedGraph(matrix.shape[0], src, dst)
+    return DirectedGraph(matrix.shape[0], *_entries_above(matrix, 0.0))
 
 
 #: Largest accepted rho. Above it the demand exponent 1/(1-rho) exceeds 20 and
@@ -118,9 +123,9 @@ def _validate_beta(beta) -> float:
 def _validate_alpha(alpha: np.ndarray) -> None:
     if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
         raise ValueError(f"alpha must be square, got shape {alpha.shape}")
-    bad = ~np.isfinite(alpha) | (alpha < 0.0)
-    if np.any(bad):
-        i, j = (int(k[0]) for k in np.nonzero(bad))
+    # two reductions clear a valid matrix, as a NaN fails both; ``initial`` lets an empty one through
+    if not (alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=0.0) < np.inf):
+        i, j = (int(k[0]) for k in np.nonzero(~np.isfinite(alpha) | (alpha < 0.0)))
         raise ValueError(f"alpha[{i}][{j}] = {float(alpha[i, j])!r} is negative or not finite")
 
 

@@ -16,7 +16,7 @@ from cesrank import (
     gs_spot_check,
     load_fixture,
 )
-from cesrank.axioms import STRICT_MARGIN, _column_dominance
+from cesrank.axioms import FAIRNESS_TOL, STRICT_MARGIN, UNIFORMITY_TOL, _column_dominance
 from cesrank.economy import damped_economy
 
 from oracles import column_dominance, dense_alpha, dense_weights, is_regular
@@ -36,6 +36,17 @@ class TestAxiomVerdict:
         assert v.passed and v.applicable
         na = AxiomVerdict(axiom="x", status="not_applicable")
         assert not na.passed and not na.applicable
+
+    def test_uniform_ranking_verdicts_keep_their_keys(self):
+        # one rule builds both uniform-ranking verdicts, a pass and a fail here;
+        # they differ only in axiom name and tolerance
+        fairness = check_minimal_fairness(3, 0.5)
+        uniformity = check_uniformity(load_fixture("nonuniform3"))
+        assert (fairness.status, uniformity.status) == ("pass", "fail")
+        for verdict, axiom, tolerance in ((fairness, "minimal_fairness", FAIRNESS_TOL), (uniformity, "uniformity", UNIFORMITY_TOL)):
+            assert verdict.axiom == axiom
+            assert list(verdict.witness) == ["prices", "deviation_from_uniform", "solver_residual"]
+            assert list(verdict.tolerances.items()) == [("uniform", tolerance)]
 
 
 class TestMinimalFairness:

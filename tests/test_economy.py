@@ -519,16 +519,20 @@ def test_damped_economy_rejects_bad_weights(weights, message, rho):
         damped_economy(graph, np.array(weights), rho, 0.85)
 
 
-@given(weighted_edge_lists())
+@given(weighted_edge_lists(), st.sampled_from([0, 4, cesrank.solver._SCALAR_EDGES]))
 @settings(max_examples=200, deadline=None)
-def test_connectivity_check_matches_the_dense_support_graph(case):
+def test_connectivity_check_matches_the_dense_support_graph(case, scalar_edges):
     # undamped, rows with a positive floor (dangling or complete ones) want
-    # every good; the check reads them off the floors
+    # every good; the check reads them off the floors. A search level steps in
+    # scalars or vectorized by its width; the drawn cutoff 0 vectorizes every
+    # level, 4 mixes both steps, and the default is the one the package runs
     graph, weights, rho, _ = case
     economy = damped_economy(graph, weights, rho, 1.0)
     component = economy_component(economy)
     try:
-        cesrank.solver._require_connected_economy(economy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cesrank.solver, "_SCALAR_EDGES", scalar_edges)
+            cesrank.solver._require_connected_economy(economy)
     except ValueError as error:
         assert component != list(range(graph.n))
         assert f"(one component: {component})" in str(error)

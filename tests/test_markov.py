@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cesrank.solver
 from cesrank import (
     ConvergenceError,
     DirectedGraph,
@@ -66,6 +67,11 @@ class TestDirectedGraph:
         g = support_graph(np.array([[0.0, 1.0], [0.5, 0.5]]))
         assert (g.n, g.src.tolist(), g.dst.tolist()) == (2, [0, 1, 1], [1, 0, 1])
 
+    def test_support_graph_of_a_tall_matrix(self):
+        # the flat read splits its indices by the row length, not the row count
+        g = support_graph(np.array([[0.0, 1.0], [0.5, 0.0], [0.0, 0.0]]))
+        assert (g.n, g.src.tolist(), g.dst.tolist()) == (3, [0, 1], [1, 0])
+
 
 def _check_against_oracle(n, edges) -> bool:
     """The solver's verdict on the undamped economy of ``edges``, checked against the oracle.
@@ -101,6 +107,42 @@ class TestConnectivity:
     def test_component_witness(self):
         # the witness is the two-cycle: 2 and 3 are reached from it but never lead back
         assert not _check_against_oracle(4, {(0, 1), (1, 0), (1, 2), (2, 3), (3, 3)})
+
+    def test_long_cycle_searches_in_scalar_steps(self, monkeypatch):
+        # every level of both searches is one vertex with one out-edge, so no
+        # level pays a vectorized level's twenty array calls
+        numpy = _RepeatCounter()
+        monkeypatch.setattr(cesrank.solver, "np", numpy)
+        _require_connected_economy(_long_cycle(20_000))
+        assert numpy.repeats == 0
+
+    def test_cut_long_cycle_names_trader_0s_component(self):
+        # cut after vertex 10 000, which keeps a self-loop, as a dangling vertex
+        # would value every good: 0 reaches 1..10 000, which never lead back
+        with pytest.raises(ValueError, match=r"not strongly connected \(one component: \[0\]\)"):
+            _require_connected_economy(_long_cycle(20_000, cut=10_000))
+
+
+class _RepeatCounter:
+    """numpy, counting the calls of `np.repeat`: each vectorized level of `solver._reached` makes two."""
+
+    def __init__(self):
+        self.repeats = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def repeat(self, *args, **kwargs):
+        self.repeats += 1
+        return np.repeat(*args, **kwargs)
+
+
+def _long_cycle(n, cut=None):
+    """The undamped economy of the directed cycle ``k -> k + 1 mod n``, with ``cut -> cut + 1`` made a self-loop."""
+    dst = (np.arange(n) + 1) % n
+    if cut is not None:
+        dst[cut] = cut
+    return damped_economy(DirectedGraph(n, np.arange(n), dst), np.ones(n), 0.5, 1.0)
 
 
 def _cycle(n):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -257,6 +259,8 @@ _MESSAGE_CASES = {
     "economy alpha": (lambda: CesEconomy(-np.ones((2, 2)), 0.0), "alpha[0][0] = -1.0"),
     "price array": (lambda: excess_demand(CesEconomy(np.ones((2, 2)), 0.0), np.array([0.0, 1.0])), "is 0.0;"),
     "price vector entry": (lambda: PriceVector(np.array([1.0, -1.0])), "is -1.0;"),
+    # one price check: a price vector's entries fail with the message a price array gets
+    "price vector nan": (lambda: PriceVector(np.array([0.5, np.nan])), "price of good 1 is nan; prices must be strictly positive"),
     "price vector sum": (lambda: PriceVector(np.array([0.75, 0.75])), "sum to 1.5"),
     "closed form rho": (lambda: solve_cobb_douglas(CesEconomy(np.ones((2, 2)), 0.5)), "rho = 0.5;"),
 }
@@ -269,3 +273,55 @@ def test_validation_messages_print_plain_floats(case):
         build()
     assert expected in str(info.value)
     assert "np.float64" not in str(info.value)
+
+
+#: Entries of the drawn dense matrices: zero, two subnormals, two neighbours one ulp apart, and the float range's top.
+_ENTRY_PALETTE = (0.0, 5e-324, 1e-310, 0.25, 1.0, 1.0 + 2**-52, 7.5, 1e300)
+
+
+@st.composite
+def dense_matrices(draw, max_n=9):
+    """Square nonnegative matrices with zeros, ties at the row minimum, all-positive rows and subnormals, in either memory order."""
+    n = draw(st.integers(1, max_n))
+    rows = []
+    for _ in range(n):
+        palette = _ENTRY_PALETTE[1:] if draw(st.booleans()) else _ENTRY_PALETTE  # an all-positive row, or any
+        rows.append(draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+    alpha = np.array(rows)
+    return np.asfortranarray(alpha) if draw(st.booleans()) else alpha
+
+
+@given(dense_matrices())
+@settings(max_examples=200, deadline=None)
+def test_dense_constructors_read_the_2d_support(alpha):
+    # both dense constructors read their matrix in one flat pass; the
+    # reference is the 2-D np.nonzero read, in row-major order
+    n = alpha.shape[0]
+    problem = RankingProblem(ids(n), alpha, 0.5)
+    src, dst = np.nonzero(alpha > 0.0)
+    for got, want in ((problem.graph.src, src), (problem.graph.dst, dst), (problem.weights, alpha[src, dst])):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    if alpha.max(axis=1).min() > 0.0:  # every trader wants something
+        economy = CesEconomy(alpha, 0.5)
+        floor = alpha.min(axis=1)
+        rows, cols = np.nonzero(alpha > floor[:, None])
+        for got, want in ((economy.floor, floor), (economy.rows, rows), (economy.cols, cols), (economy.values, alpha[rows, cols])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+@given(dense_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_bad_dense_entry_is_named(alpha, data):
+    # two reductions clear a valid matrix; an invalid one names its first bad entry in row-major order
+    n = alpha.shape[0]
+    index, bad = st.integers(0, n - 1), st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    for i, j, value in data.draw(st.lists(st.tuples(index, index, bad), min_size=1, max_size=3)):
+        alpha[i, j] = value
+    i, j = next((i, j) for i in range(n) for j in range(n) if not 0.0 <= alpha[i, j] < np.inf)
+    message = rf"^alpha\[{i}\]\[{j}\] = {re.escape(repr(float(alpha[i, j])))} is negative or not finite$"
+    with pytest.raises(ValueError, match=message):
+        RankingProblem(ids(n), alpha, 0.0)
+    with pytest.raises(ValueError, match=message):
+        CesEconomy(alpha, 0.0)
