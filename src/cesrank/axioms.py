@@ -88,8 +88,7 @@ def check_minimal_fairness(n: int, rho_common: float, beta: float = 1.0) -> Axio
     """
     if n < 2:
         raise ValueError(f"need at least 2 agents, got {n}")
-    ids = tuple(f"agent{k}" for k in range(n))
-    problem = RankingProblem.from_edges(ids, DirectedGraph(n, [], []), [], rho_common, beta=beta)
+    problem = RankingProblem.from_edges(None, DirectedGraph(n, [], []), [], rho_common, beta=beta)
     prices, report = rank_problem(problem)
     return _uniform_verdict("minimal_fairness", prices, report, FAIRNESS_TOL)
 

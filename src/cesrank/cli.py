@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .axioms import (
-    AxiomVerdict,
     check_invariance,
     check_minimal_fairness,
     check_strict_monotonicity,
@@ -39,7 +38,7 @@ from .diagnostics import ConvergenceError
 from .economy import build_economy, damped_economy, web_economy
 from .fixtures import load_fixture
 from .formats import DocumentError, _row_blocks, dump_problem, json_document, sniff_and_load
-from .problem import DEFAULT_BETA, RHO_MAX, RankingProblem
+from .problem import DEFAULT_BETA, RHO_MAX, RankingProblem, _agent_names
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
 
 #: Scores within this fraction of the higher one are reported as tied.
@@ -150,24 +149,9 @@ def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
         write(piece)
 
 
-def _load_input(path):
-    """``(ids, graph, weights, rho, beta)`` of a problem document or an edge list.
-
-    An edge list has rho 0, beta `DEFAULT_BETA` and no ids: its agents are named by `_agent_names` only as they are written.
-    """
-    problem, loaded_graph = sniff_and_load(path)
-    if problem is None:
-        return None, *loaded_graph, 0.0, DEFAULT_BETA
-    return problem.agent_ids, problem.graph, problem.weights, problem.rho, problem.beta
-
-
-def _agent_names(ids, agents) -> list[str]:
-    """The names of the agents numbered ``agents``: ``ids[k]``, or ``v{k}`` for an edge list, whose ``ids`` is None."""
-    return [ids[k] for k in agents] if ids is not None else [f"v{k}" for k in agents]
-
-
 def _cmd_rank(args) -> int:
-    ids, graph, weights, rho, beta = _load_input(args.input)
+    problem = sniff_and_load(args.input)
+    ids, graph = problem.agent_ids, problem.graph
     if args.format == "tsv":
         _require_tsv_ids(ids)  # before the solve, which may take long
     for flag, method in _METHOD_FLAGS.items():
@@ -179,8 +163,8 @@ def _cmd_rank(args) -> int:
     if args.method == "pagerank":  # the web chain's market, iterated on its edges
         economy, solve = web_economy(graph, args.damping if args.damping is not None else DEFAULT_BETA), solve_power
     elif args.method == "ces":
-        rho, beta = (rho if args.rho is None else args.rho), (beta if args.beta is None else args.beta)
-        economy, solve = damped_economy(graph, weights, rho, beta), solve_equilibrium
+        rho, beta = (problem.rho if args.rho is None else args.rho), (problem.beta if args.beta is None else args.beta)
+        economy, solve = damped_economy(graph, problem.weights, rho, beta), solve_equilibrium
     else:  # invariant: the undamped Cobb-Douglas market, whose solver checks the graph's connectivity
         empty = np.bincount(graph.src, minlength=graph.n) == 0
         if np.any(empty):
@@ -188,77 +172,57 @@ def _cmd_rank(args) -> int:
             # with another vertex, one without out-edges reaches none of them
             need = "one in every row" if graph.n == 1 else "a strongly connected graph, where every agent has one"
             raise ValueError(f"agent {name} has no positive weight; the invariant method needs {need}")
-        economy, solve = damped_economy(graph, weights, 0.0, 1.0), solve_equilibrium
+        economy, solve = damped_economy(graph, problem.weights, 0.0, 1.0), solve_equilibrium
     prices, report = solve(economy, SolverConfig(tolerance=_DEFAULT_TOL[args.method] if args.tol is None else args.tol))
     _emit_ranking(ids, prices.pi, report, args.method, args.format)
     return _EXIT_OK
 
 
-def _verdict_record(verdict: AxiomVerdict, ok: bool, note: str | None = None) -> dict:
-    record = {
-        "axiom": verdict.axiom,
-        "status": verdict.status,
-        "ok": ok,
-        "witness": verdict.witness,
-        "tolerances": verdict.tolerances,
-    }
-    if note:
-        record["note"] = note
-    return record
+#: Each axiom `verify` checks, in the order ``all`` runs them: its bundled fixture, which
+#: ``--input`` replaces (None: the check builds its own problem), and its check under the flags.
+_AXIOMS = {
+    "fairness": (None, lambda problem, args: check_minimal_fairness(args.n, args.rho, beta=args.beta)),
+    "monotone": ("monotone3", lambda problem, args: check_strict_monotonicity(problem, args.i, args.j)),
+    "invariance": ("nonuniform3", lambda problem, args: check_invariance(problem, args.row, args.lam)),
+    "uniformity": ("nonuniform3", lambda problem, args: check_uniformity(problem)),
+    "gs": ("nonuniform3", lambda problem, args: gs_spot_check(build_economy(problem), args.good, args.delta, [np.full(problem.n, 1.0 / problem.n)])),
+}
 
 
 def _cmd_verify(args) -> int:
-    custom = None
-    if args.input is not None:
-        custom, loaded_graph = sniff_and_load(args.input)
-        if custom is None:
-            custom = RankingProblem.from_edges(_agent_names(None, range(loaded_graph[0].n)), *loaded_graph, 0.0, beta=1.0)
-    bundled = custom is None
+    custom = None if args.input is None else sniff_and_load(args.input)
+    if custom is not None and custom.agent_ids is None:  # an edge list is checked undamped
+        custom = RankingProblem.from_edges(None, custom.graph, custom.weights, custom.rho, beta=1.0)
 
-    axioms = ("fairness", "monotone", "invariance", "uniformity", "gs") if args.axiom == "all" else (args.axiom,)
     records = []
-    for axiom in axioms:
-        if axiom == "fairness":
-            verdict = check_minimal_fairness(args.n, args.rho, beta=args.beta)
-            ok, note = verdict.passed, None
-        elif axiom == "monotone":
-            problem = custom if custom is not None else load_fixture("monotone3")
-            verdict = check_strict_monotonicity(problem, args.i, args.j)
-            ok, note = verdict.status != "fail", None
-        elif axiom == "invariance":
-            problem = custom if custom is not None else load_fixture("nonuniform3")
-            verdict = check_invariance(problem, args.row, args.lam)
-            ok, note = verdict.passed, None
-        elif axiom == "uniformity":
-            problem = custom if custom is not None else load_fixture("nonuniform3")
-            verdict = check_uniformity(problem)
-            if not verdict.applicable:
-                ok, note = True, None
-            elif bundled:
-                # the bundled fixture exists to witness non-uniformity
-                ok = not verdict.passed
-                note = "non-uniform, as claimed" if ok else "fixture unexpectedly uniform"
-            else:
-                ok = True
-                note = "uniform" if verdict.passed else "non-uniform"
-        else:  # gs
-            problem = custom if custom is not None else load_fixture("nonuniform3")
-            economy = build_economy(problem)
-            probe = np.full(economy.n, 1.0 / economy.n)
-            verdict = gs_spot_check(economy, args.good, args.delta, [probe])
-            ok, note = verdict.status != "fail", None
+    for axiom in _AXIOMS if args.axiom == "all" else (args.axiom,):
+        fixture, check = _AXIOMS[axiom]
+        verdict = check(custom if custom is not None or fixture is None else load_fixture(fixture), args)
+        record = {
+            "axiom": verdict.axiom,
+            "status": verdict.status,
+            "ok": verdict.status != "fail",  # a check is ok unless it fails
+            "witness": verdict.witness,
+            "tolerances": verdict.tolerances,
+        }
+        if axiom == "uniformity" and verdict.applicable:
+            if custom is None:  # the bundled fixture exists to witness non-uniformity
+                record["ok"] = not verdict.passed
+                record["note"] = "non-uniform, as claimed" if record["ok"] else "fixture unexpectedly uniform"
+            else:  # informational: an input may be either
+                record["ok"] = True
+                record["note"] = "uniform" if verdict.passed else "non-uniform"
         if verdict.status == "not_applicable":
             print(f"warning: {axiom}: not applicable ({verdict.witness.get('reason')})", file=sys.stderr)
-        records.append(_verdict_record(verdict, ok, note))
+        records.append(record)
 
     sys.stdout.write(json.dumps(records, indent=2) + "\n")
     return _EXIT_OK if all(r["ok"] for r in records) else _EXIT_CHECK_FAILED
 
 
 def _cmd_compare(args) -> int:
-    ids, graph, *_ = _load_input(args.input)
-
-    economy = web_economy(graph, c=args.damping)
+    problem = sniff_and_load(args.input)
+    economy = web_economy(problem.graph, c=args.damping)
     # power iteration on the market versus the closed form's GTH elimination:
     # two independent computations of the same vector
     pagerank, power_report = solve_power(economy, SolverConfig(tolerance=POWER_TOL))
@@ -269,7 +233,7 @@ def _cmd_compare(args) -> int:
     doc = {
         "format": 1,
         "damping": args.damping,
-        "agents": _agent_names(ids, range(graph.n)),
+        "agents": _agent_names(problem.agent_ids, range(problem.n)),
         "stationary": pagerank.pi.tolist(),
         "equilibrium": prices.pi.tolist(),
         "max_difference": difference,
@@ -285,10 +249,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _, graph, *_ = _load_input(args.input)
+    graph = sniff_and_load(args.input).graph
     web_economy(graph, c=args.damping)  # rejects a damping outside (0, 1) and self-loops
     # the problem whose damped economy is the chain's: unit weights, rho 0 and beta = damping
-    problem = RankingProblem.from_edges(_agent_names(None, range(graph.n)), graph, np.ones(graph.src.size), 0.0, beta=args.damping)
+    problem = RankingProblem.from_edges(None, graph, np.ones(graph.src.size), 0.0, beta=args.damping)
     text = dump_problem(problem)
     if args.output is None:
         sys.stdout.write(text)
@@ -315,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.set_defaults(func=_cmd_rank)
 
     verify = sub.add_parser("verify", help="run axiom checks against a fixture or your own problem")
-    verify.add_argument("--axiom", choices=("fairness", "monotone", "invariance", "uniformity", "gs", "all"), default="all")
+    verify.add_argument("--axiom", choices=(*_AXIOMS, "all"), default="all")
     verify.add_argument("--input", default=None, help="problem document; bundled fixtures when omitted")
     verify.add_argument("--n", type=int, default=3, help="agent count for the fairness check")
     verify.add_argument("--rho", type=float, default=0.0, help="common rho for the fairness check")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem
+from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _agent_names
 
 FORMAT_VERSION = 1
 
@@ -227,7 +227,7 @@ def dump_problem(problem: RankingProblem) -> str:
     agent shares the value. It is O(n + edges), whatever the problem's size.
     """
     graph, rho, weights = problem.graph, problem.rho, problem.weights
-    head = {"format": FORMAT_VERSION, "agents": list(problem.agent_ids)}
+    head = {"format": FORMAT_VERSION, "agents": _agent_names(problem.agent_ids, range(problem.n))}
     tail = {
         "rho": float(rho[0]) if (rho == rho[0]).all() else [float(r) for r in rho],
         "beta": problem.beta,
@@ -455,14 +455,14 @@ def load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     return _parse_edge_list(_read_text(source))
 
 
-def sniff_and_load(source) -> tuple[RankingProblem | None, tuple[DirectedGraph, np.ndarray] | None]:
-    """Load a path or stream as either document kind, by inspecting content.
+def sniff_and_load(source) -> RankingProblem:
+    """Load a path or stream as either document kind, by inspecting content, into its problem.
 
-    JSON documents start with '{'; anything else is treated as an edge list.
-    Returns ``(problem, None)`` or ``(None, (graph, weights))``, with
-    ``weights`` aligned with the graph's edges as ``load_edge_list`` gives them.
+    JSON documents start with '{'; anything else is treated as an edge list,
+    whose problem has the edges and weights ``load_edge_list`` gives, no
+    ``agent_ids`` (agent k is ``v{k}``), rho 0 and beta `DEFAULT_BETA`.
     """
     text = _read_text(source)
     if text.lstrip().startswith("{"):
-        return _parse_problem(text), None
-    return None, _parse_edge_list(text)
+        return _parse_problem(text)
+    return RankingProblem.from_edges(None, *_parse_edge_list(text), 0.0)

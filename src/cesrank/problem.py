@@ -102,14 +102,12 @@ def _validate_rho(rho: np.ndarray) -> None:
 
 
 def _rho_array(rho, n: int) -> np.ndarray:
-    """``rho`` as a validated array of one value per agent; a scalar is shared by all ``n``."""
+    """``rho`` as a validated array of one value per agent; a scalar is one read-only value broadcast to all ``n``, O(1) in memory."""
     rho = np.array(rho, dtype=float)
-    if rho.ndim == 0:
-        rho = np.full(n, float(rho))
-    if rho.shape != (n,):
+    if rho.ndim and rho.shape != (n,):
         raise ValueError(f"rho must have length {n}, got shape {rho.shape}")
-    _validate_rho(rho)
-    return rho
+    _validate_rho(rho.reshape(-1))
+    return rho if rho.ndim else np.broadcast_to(rho, (n,))
 
 
 def _validate_beta(beta) -> float:
@@ -141,12 +139,18 @@ def _edge_weights(graph: DirectedGraph, weights) -> np.ndarray:
     return w
 
 
+def _agent_names(ids, agents) -> list[str]:
+    """The names of the agents numbered ``agents``: ``ids[k]``, or ``v{k}`` when ``ids`` is None, as for an edge list."""
+    return [ids[k] for k in agents] if ids is not None else [f"v{k}" for k in agents]
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class RankingProblem:
     """A ranking problem over ``n`` agents.
 
     Attributes:
-        agent_ids: ordered distinct string identifiers, one per agent.
+        agent_ids: ordered distinct string identifiers, one per agent, or
+            None for agents named ``v{k}`` by `_agent_names`, as in an edge list.
         graph, weights: the edges i -> j where ``alpha[i][j] > 0``, as a
             `DirectedGraph`, and those entries aligned with its edges.
         rho: per-agent substitution parameter in [-1, RHO_MAX] = [-1, 0.95],
@@ -160,7 +164,7 @@ class RankingProblem:
     Instances are immutable and safe to share across threads.
     """
 
-    agent_ids: tuple[str, ...]
+    agent_ids: tuple[str, ...] | None
     graph: DirectedGraph
     weights: np.ndarray
     rho: np.ndarray
@@ -181,19 +185,18 @@ class RankingProblem:
 
     def _freeze(self, agent_ids, graph, weights, rho, beta) -> None:
         """Check the ids, rho and beta against the graph, and set every field read-only."""
-        ids = tuple(str(a) for a in agent_ids)
-        if len(ids) < 1:
-            raise ValueError("a ranking problem needs at least one agent")
-        if len(set(ids)) != len(ids):
-            raise ValueError("agent_ids must be distinct")
-        if graph.n != len(ids):
-            raise ValueError(f"alpha is {graph.n}x{graph.n} but there are {len(ids)} agents")
-        rho = _rho_array(rho, len(ids))
+        if agent_ids is not None:
+            agent_ids = tuple(str(a) for a in agent_ids)
+            if len(set(agent_ids)) != len(agent_ids):
+                raise ValueError("agent_ids must be distinct")
+            if graph.n != len(agent_ids):
+                raise ValueError(f"alpha is {graph.n}x{graph.n} but there are {len(agent_ids)} agents")
+        rho = _rho_array(rho, graph.n)
         weights.flags.writeable = False
         rho.flags.writeable = False
-        for name, value in (("agent_ids", ids), ("graph", graph), ("weights", weights), ("rho", rho), ("beta", _validate_beta(beta))):
+        for name, value in (("agent_ids", agent_ids), ("graph", graph), ("weights", weights), ("rho", rho), ("beta", _validate_beta(beta))):
             object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.agent_ids)
+        return self.graph.n

@@ -23,6 +23,7 @@ import cesrank.formats
 import cesrank.problem
 import cesrank.solver
 from cesrank import (
+    AxiomVerdict,
     DirectedGraph,
     RankingProblem,
     SolverConfig,
@@ -542,9 +543,9 @@ class TestRankInvariant:
         loaded = []
 
         def load(path):
-            problem, edges = sniff_and_load(path)
+            problem = sniff_and_load(path)
             loaded.append(problem)
-            return problem, edges
+            return problem
 
         monkeypatch.setattr(cesrank.cli, "sniff_and_load", load)
         assert main(["rank", "--input", str(Path(__file__).parent / "golden" / "monotone3-triplets.json")]) == 0
@@ -570,6 +571,14 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_declared_size_beyond_memory(self, graph_file, capsys):
+        # the edge list loads in O(1) memory, and the economy's first array of 10^15 floats cannot be allocated
+        code = main(["rank", "--input", graph_file("format: 1\nn 1000000000000000\n")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_steep_rho_certifies(self, graph_file, capsys):
         # rho 0.9 once overshot at a fixed step of 0.5 until a price
@@ -687,6 +696,15 @@ class TestVerify:
         assert records[0]["status"] == "pass"
         assert records[0]["note"] == "uniform"
 
+    def test_custom_non_uniform_input_is_informational(self, problem_file, capsys):
+        # the bundled fixture's own document, read as an input: non-uniform, and still ok
+        code = main(["verify", "--axiom", "uniformity", "--input", problem_file(load_fixture("nonuniform3"))])
+        records = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert records[0]["status"] == "fail"
+        assert records[0]["ok"] is True
+        assert records[0]["note"] == "non-uniform"
+
     def test_gs_on_custom_document(self, problem_file, capsys):
         code = main(
             ["verify", "--axiom", "gs", "--good", "1", "--delta", "0.1",
@@ -695,6 +713,26 @@ class TestVerify:
         records = json.loads(capsys.readouterr().out)
         assert code == 0
         assert records[0]["status"] == "pass"
+
+    @pytest.mark.parametrize("check, axiom", [("check_minimal_fairness", "fairness"), ("check_invariance", "invariance")])
+    def test_not_applicable_check_is_ok(self, capsys, monkeypatch, check, axiom):
+        # a check is ok unless it fails, whichever axiom it checks
+        verdict = AxiomVerdict(axiom=axiom, status="not_applicable", witness={"reason": "stubbed"})
+        monkeypatch.setattr(cesrank.cli, check, lambda *args, **kwargs: verdict)
+        code = main(["verify", "--axiom", axiom])
+        captured = capsys.readouterr()
+        (record,) = json.loads(captured.out)
+        assert code == 0
+        assert record["status"] == "not_applicable" and record["ok"] is True
+        assert captured.err == f"warning: {axiom}: not applicable (stubbed)\n"
+
+    def test_edge_list_is_checked_undamped(self, capsys):
+        # at beta 0.85 every floor would be positive, and gs would apply
+        code = main(["verify", "--axiom", "gs", "--input", str(Path(__file__).parent / "golden" / "dangling.edges")])
+        (record,) = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert record["status"] == "not_applicable"
+        assert record["witness"]["reason"] == "alpha[0][0] is not strictly positive"
 
     @pytest.mark.parametrize("axiom", ["monotone", "uniformity"])
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys, axiom):

@@ -1,7 +1,8 @@
 """Property tests over hostile documents: the parsers and the CLI fail cleanly.
 
 Every declared size stays at most 64, so no n x n array grows large; a huge
-declared ``n`` is covered by ``test_cli.py::test_unallocatable_declared_size``.
+declared ``n`` is covered by ``test_cli.py::test_unallocatable_declared_size``
+and by ``DECLARED_SIZE``, which loads without building anything of size n.
 """
 
 import contextlib
@@ -21,6 +22,8 @@ NESTED = '{"format": 1, "alpha": ' + "[" * 100_000 + "]" * 100_000 + "}"
 HUGE_ROW = json.dumps({"format": 1, "agents": ["a", "b"], "alpha": [[1e308, 1e308], [1.0, 1.0]], "rho": 0.5})
 BOOL_FORMAT = json.dumps({"format": True, "agents": ["a", "b"], "alpha": [[0.0, 1.0], [1.0, 0.0]], "rho": 0.0})
 LONG_INTEGER = '{"format": 1, "agents": ["a"], "alpha": [[1]], "rho": ' + "9" * 400 + "}"
+# 10^15 agents: one float each would be 7.11 PiB, so loading must build nothing of size n
+DECLARED_SIZE = "format: 1\nn 1000000000000000\n"
 # tatonnement drives five prices below 1e-190, where a buyer's total
 # spending underflows to 0 and the demand kernel divides by it
 ZERO_SPENDING = json.dumps({
@@ -90,6 +93,7 @@ documents = problem_documents() | edge_lists() | st.text(max_size=40)
 @example(text=HUGE_ROW)
 @example(text=BOOL_FORMAT)
 @example(text=LONG_INTEGER)
+@example(text=DECLARED_SIZE)
 def test_sniff_and_load_raises_only_document_errors(text):
     try:
         sniff_and_load(io.StringIO(text))
@@ -120,6 +124,7 @@ COMMANDS = [
 @example(text=HUGE_ROW, command=["rank", "--method", "invariant"])
 @example(text=LONG_INTEGER, command=["rank"])
 @example(text=ZERO_SPENDING, command=["rank"])
+@example(text=DECLARED_SIZE, command=["rank"])
 def test_main_exits_with_a_documented_code(document_path, text, command):
     document_path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()

@@ -596,15 +596,25 @@ class TestProblemFromEdgeList:
 
 class TestSniffAndLoad:
     def test_json_dispatch(self):
-        problem, graph = sniff_and_load(doc())
-        assert problem is not None and graph is None
+        problem = sniff_and_load(doc())
+        assert problem.agent_ids is not None
 
     def test_edge_list_dispatch(self):
-        problem, pair = sniff_and_load(io.StringIO(EDGES))
-        assert problem is None and pair is not None
-        graph, weights = pair
+        # agents v0 .. v{n-1}, rho 0 and the default damping
+        problem = sniff_and_load(io.StringIO(EDGES))
+        assert problem.agent_ids is None
+        graph, weights = problem.graph, problem.weights
         assert graph.n == 3 and weights.shape == graph.src.shape == (3,)
+        assert problem.beta == 0.85
+        np.testing.assert_array_equal(problem.rho, 0.0)
+        assert json.loads(dump_problem(problem))["agents"] == ["v0", "v1", "v2"]
 
     def test_leading_whitespace_still_json(self):
-        problem, _ = sniff_and_load(io.StringIO("\n  " + doc().getvalue()))
-        assert problem is not None
+        problem = sniff_and_load(io.StringIO("\n  " + doc().getvalue()))
+        assert problem.agent_ids is not None
+
+    def test_declared_size_builds_nothing_of_that_size(self):
+        # one float per agent would be 7.11 PiB; a shared rho is one read-only value
+        problem = sniff_and_load(io.StringIO("format: 1\nn 1000000000000000\n"))
+        assert problem.n == 10**15 and problem.rho[-1] == 0.0 and not problem.rho.flags.writeable
+        assert problem.graph.src.size == problem.weights.size == 0

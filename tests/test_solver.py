@@ -357,8 +357,8 @@ def _vertex_problem(weights, rho, beta=0.85):
 
 def _golden_problem(source, rho):
     if source == "dangling":
-        _, (graph, weights) = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
-        return RankingProblem.from_edges(tuple(f"v{k}" for k in range(graph.n)), graph, weights, rho)
+        edges = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
+        return RankingProblem.from_edges(tuple(f"v{k}" for k in range(edges.n)), edges.graph, edges.weights, rho)
     fixture = load_fixture(source)
     return RankingProblem.from_edges(fixture.agent_ids, fixture.graph, fixture.weights, rho, beta=fixture.beta)
 
