@@ -192,7 +192,7 @@ _AXIOMS = {
 def _cmd_verify(args) -> int:
     custom = None if args.input is None else sniff_and_load(args.input)
     if custom is not None and custom.agent_ids is None:  # an edge list is checked undamped
-        custom = RankingProblem.from_edges(None, custom.graph, custom.weights, custom.rho, beta=1.0)
+        custom = RankingProblem._trusted(None, custom.graph, custom.weights, custom.rho, 1.0)
 
     records = []
     for axiom in _AXIOMS if args.axiom == "all" else (args.axiom,):
@@ -252,7 +252,7 @@ def _cmd_convert(args) -> int:
     graph = sniff_and_load(args.input).graph
     web_economy(graph, c=args.damping)  # rejects a damping outside (0, 1) and self-loops
     # the problem whose damped economy is the chain's: unit weights, rho 0 and beta = damping
-    problem = RankingProblem.from_edges(None, graph, np.ones(graph.src.size), 0.0, beta=args.damping)
+    problem = RankingProblem._trusted(None, graph, np.ones(graph.src.size), 0.0, args.damping)
     text = dump_problem(problem)
     if args.output is None:
         sys.stdout.write(text)

@@ -162,20 +162,28 @@ def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
     n = economy.n
     p = as_price_array(prices, n)
     q, rows, cols = economy.q, economy.rows, economy.cols
-    r, group = np.unique(1.0 - q, return_inverse=True)
+    r, group = _groups(economy, 1.0 - q)
     log_p = r[:, None] * np.log(p)  # r_g * log(p_j), one row per group
     top = log_p.max(axis=1)
     with np.errstate(divide="ignore"):  # a zero floor has no term: exp(-inf) = 0
         floor_top = q * np.log(economy.floor) + top[group]
-    t = q[rows] * np.log(economy.values) + log_p[group[rows], cols]
+    entry = group[rows] * n + cols  # flat index into the (G, n) tables
+    t = q[rows] * np.log(economy.values) + log_p.take(entry)
     shift = floor_top.copy()
     np.maximum.at(shift, rows, t)
     a = np.exp(floor_top - shift)
     u = np.exp(log_p - top[:, None])
-    excess = np.exp(t - shift[rows]) - a[rows] * u[group[rows], cols]
+    excess = np.exp(t - shift[rows]) - a[rows] * u.take(entry)
     w = p / (a * u.sum(axis=1)[group] + np.bincount(rows, excess, minlength=n))
     spend = np.bincount(group, a * w, minlength=r.size) @ u + np.bincount(cols, excess * w[rows], minlength=n)
     return spend / p - 1.0
+
+
+def _groups(economy: CesEconomy, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a function of rho; a rho given as one value (a stride-0 view) is one group, unsorted."""
+    if economy.rho.strides == (0,):
+        return values[:1], np.zeros(values.size, dtype=np.intp)
+    return np.unique(values, return_inverse=True)
 
 
 def row_tops(economy: CesEconomy) -> np.ndarray:
@@ -203,7 +211,7 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
     """
     n = economy.n
     q = economy.q
-    q_values, group = np.unique(q, return_inverse=True)
+    q_values, group = _groups(economy, q)
     r = 1.0 - q_values
     rows, cols = economy.rows, economy.cols
     # Shares are invariant to the scale of a row; scaled to [1, 2), alpha**q
@@ -216,13 +224,15 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
     def demand(prices: np.ndarray) -> np.ndarray:
         # p_j**r_g in log space, shifted per group so that its largest value
         # is exp(0) = 1; the shift cancels between T_i and d_j.
-        m = r[:, None] * np.log(prices)
-        powers = np.exp(m - m.max(axis=1, keepdims=True))
-        spend = delta * powers.ravel()[entry]
+        powers = r[:, None] * np.log(prices)
+        powers -= powers.max(axis=1, keepdims=True)
+        spend = delta * np.exp(powers, out=powers).take(entry)
         totals = floor_q * powers.sum(axis=1)[group] + np.bincount(rows, spend, minlength=n)
         w = prices / totals
-        floor_spend = np.bincount(group, floor_q * w, minlength=len(r)) @ powers
-        return (floor_spend + np.bincount(cols, spend * w[rows], minlength=n)) / prices
+        spend *= w.take(rows)
+        d = np.bincount(group, floor_q * w, minlength=len(r)) @ powers
+        d += np.bincount(cols, spend, minlength=n)
+        return np.divide(d, prices, out=d)
 
     return demand
 
@@ -242,10 +252,13 @@ def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) 
     vertex; the edges whose damped value rounds to the floor are dropped, as
     the dense ``alpha > floor`` drops them.
     """
+    rho, beta = _rho_array(rho, graph.n), _validate_beta(beta)
+    return _damped(graph, _edge_weights(graph, weights), rho, beta)
+
+
+def _damped(graph: DirectedGraph, w: np.ndarray, rho: np.ndarray, beta: float) -> CesEconomy:
+    """`damped_economy` of arguments already checked, ``w`` a float64 copy of the weights that it divides in place."""
     n, src, dst = graph.n, graph.src, graph.dst
-    rho = _rho_array(rho, n)
-    beta = _validate_beta(beta)
-    w = _edge_weights(graph, weights)
     sums = np.bincount(src, w, minlength=n)
     huge = ~np.isfinite(sums)
     if np.any(huge):
@@ -282,7 +295,7 @@ def web_economy(graph: DirectedGraph, c: float = DEFAULT_BETA) -> CesEconomy:
     loops = graph.src[graph.src == graph.dst]
     if loops.size:
         raise ValueError(f"self-loop at vertex {int(loops[0])} is not allowed here")
-    return damped_economy(graph, np.ones(graph.src.size), 0.0, c)
+    return _damped(graph, np.ones(graph.src.size), _rho_array(0.0, graph.n), c)
 
 
 def build_economy(problem: RankingProblem) -> CesEconomy:
@@ -292,4 +305,4 @@ def build_economy(problem: RankingProblem) -> CesEconomy:
     ``alpha_hat[i][j] > 0``) to be strongly connected. Damping with
     ``beta < 1`` guarantees this; the solvers check it once, on entry.
     """
-    return damped_economy(problem.graph, problem.weights, problem.rho, problem.beta)
+    return _damped(problem.graph, problem.weights.copy(), problem.rho, problem.beta)

@@ -83,7 +83,7 @@ def _parse_dense_alpha(rows, n: int) -> tuple[DirectedGraph, np.ndarray]:
                 src.append(i)
                 dst.append(j)
                 weights.append(w)
-    return DirectedGraph(n, np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64)), np.frombuffer(weights)
+    return DirectedGraph._trusted(n, np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64)), np.frombuffer(weights)
 
 
 def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
@@ -105,7 +105,7 @@ def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
     weights = np.fromiter(entries.values(), float, len(entries))
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     order = order[weights[order] > 0.0]
-    return DirectedGraph(n, pairs[order, 0], pairs[order, 1]), weights[order]
+    return DirectedGraph._trusted(n, pairs[order, 0], pairs[order, 1]), weights[order]
 
 
 def load_problem(source) -> RankingProblem:
@@ -162,7 +162,7 @@ def _parse_problem(text: str) -> RankingProblem:
     beta = _require_number(doc.get("beta", DEFAULT_BETA), "beta")
 
     try:
-        return RankingProblem.from_edges(tuple(agents), *edges, rho, beta=beta)
+        return RankingProblem._trusted(tuple(agents), *edges, rho, beta)
     except ValueError as e:
         raise DocumentError(str(e)) from e
 
@@ -350,7 +350,7 @@ def _edge_bytes(text: str) -> tuple[DirectedGraph, np.ndarray] | None:
         if ((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])).any():
             return None
     keep = weights > 0
-    return DirectedGraph(n, src[keep], dst[keep]), weights[keep]
+    return DirectedGraph._trusted(n, src[keep], dst[keep]), weights[keep]
 
 
 def _edge_lines(text: str) -> tuple[DirectedGraph, np.ndarray]:
@@ -422,7 +422,7 @@ def _edge_lines(text: str) -> tuple[DirectedGraph, np.ndarray]:
     del first_line
     src, dst, weights = np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64), np.frombuffer(weights)
     order = np.lexsort((dst, src))
-    return DirectedGraph(n, src[order], dst[order]), weights[order]
+    return DirectedGraph._trusted(n, src[order], dst[order]), weights[order]
 
 
 def _parse_edge_list(text: str) -> tuple[DirectedGraph, np.ndarray]:
@@ -465,4 +465,4 @@ def sniff_and_load(source) -> RankingProblem:
     text = _read_text(source)
     if text.lstrip().startswith("{"):
         return _parse_problem(text)
-    return RankingProblem.from_edges(None, *_parse_edge_list(text), 0.0)
+    return RankingProblem._trusted(None, *_parse_edge_list(text), 0.0, DEFAULT_BETA)

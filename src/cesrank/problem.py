@@ -51,11 +51,18 @@ class DirectedGraph:
         if np.any(unsorted):
             k = int(np.argmax(unsorted)) + 1
             raise ValueError(f"edge ({src[k]}, {dst[k]}) follows ({src[k - 1]}, {dst[k - 1]}); edges must be distinct and sorted by (src, dst)")
-        src.flags.writeable = False
-        dst.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
+        self._freeze(n, src, dst)
+
+    @classmethod
+    def _trusted(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "DirectedGraph":
+        """The graph of ``n >= 1`` vertices and int64 edges that its caller owns and has proven in range, sorted and distinct: frozen unchecked."""
+        graph = cls.__new__(cls)
+        graph._freeze(n, src, dst)
+        return graph
+
+    def _freeze(self, n: int, src: np.ndarray, dst: np.ndarray) -> None:
+        src.flags.writeable = dst.flags.writeable = False
+        vars(self).update(n=n, src=src, dst=dst)
 
 
 def _entries_above(matrix: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +73,8 @@ def _entries_above(matrix: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
 
 def support_graph(matrix: np.ndarray) -> DirectedGraph:
     """Graph of a square matrix: an edge i -> j wherever ``matrix[i, j] > 0``."""
-    return DirectedGraph(matrix.shape[0], *_entries_above(matrix, 0.0))
+    proven = matrix.ndim == 2 and 0 < matrix.shape[1] <= matrix.shape[0]  # read row-major: sorted, distinct, and in range
+    return (DirectedGraph._trusted if proven else DirectedGraph)(matrix.shape[0], *_entries_above(matrix, 0.0))
 
 
 #: Largest accepted rho. Above it the demand exponent 1/(1-rho) exceeds 20 and
@@ -106,7 +114,9 @@ def _rho_array(rho, n: int) -> np.ndarray:
     rho = np.array(rho, dtype=float)
     if rho.ndim and rho.shape != (n,):
         raise ValueError(f"rho must have length {n}, got shape {rho.shape}")
-    _validate_rho(rho.reshape(-1))
+    # a scalar is checked by scalar comparisons, and `_validate_rho` words what fails them
+    if rho.ndim or not (-1.0 <= (x := float(rho)) <= RHO_MAX and (x == 0.0 or abs(x) >= RHO_ZERO_BAND)):
+        _validate_rho(rho.reshape(-1))
     return rho if rho.ndim else np.broadcast_to(rho, (n,))
 
 
@@ -179,8 +189,13 @@ class RankingProblem:
     @classmethod
     def from_edges(cls, agent_ids, graph: DirectedGraph, weights, rho, beta: float = DEFAULT_BETA) -> "RankingProblem":
         """The problem with ``weights`` on the edges of ``graph``, as `cesrank.formats.load_edge_list` returns them."""
+        return cls._trusted(agent_ids, graph, _edge_weights(graph, weights), rho, beta)
+
+    @classmethod
+    def _trusted(cls, agent_ids, graph: DirectedGraph, weights: np.ndarray, rho, beta: float) -> "RankingProblem":
+        """`from_edges` of float64 ``weights`` already proven one per edge, positive and finite, which it freezes and keeps unchecked."""
         problem = cls.__new__(cls)
-        problem._freeze(agent_ids, graph, _edge_weights(graph, weights), rho, beta)
+        problem._freeze(agent_ids, graph, weights, rho, beta)
         return problem
 
     def _freeze(self, agent_ids, graph, weights, rho, beta) -> None:

@@ -33,9 +33,9 @@ from .problem import RankingProblem
 
 logger = logging.getLogger(__name__)
 
-#: A price loop's map: prices to their excess demand and the unnormalized next prices.
+#: A price loop's map: prices to their excess demand and the unnormalized next prices, new arrays the loop may overwrite.
 _PriceMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-#: A price loop's next iterate, from the current prices, their map's image and their residual;
+#: A price loop's next iterate, from the current prices, their map's image (renormalized in place) and their residual;
 #: None when the residual is not finite and there is no other iterate to go to.
 _NextPrices = Callable[[np.ndarray, np.ndarray, float], np.ndarray | None]
 
@@ -301,7 +301,9 @@ def _price_adjustment(economy: CesEconomy) -> tuple[_PriceMap, _Extrapolation]:
 
     def advance(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         demand = demand_at(p)
-        return demand - 1.0, p * demand**gamma  # every good's supply is one unit
+        z = demand - 1.0  # every good's supply is one unit
+        demand **= gamma
+        return z, np.multiply(demand, p, out=demand)
 
     return advance, _Extrapolation(economy.n)
 
@@ -359,7 +361,7 @@ class _Extrapolation:
             logs[0] = logs[self.count - 1]
             self.count = 1
         self.previous = residual
-        plain = image / image.sum()
+        plain = np.divide(image, image.sum(), out=image)
         np.log(plain, out=logs[self.count])
         self.count += 1
         if self.count <= _WINDOW:
@@ -374,13 +376,13 @@ class _Extrapolation:
 
     def _jump(self) -> np.ndarray | None:
         """The extrapolated next prices of a full window, or None."""
-        f = np.diff(self.logs, axis=0)
-        df = np.diff(f, axis=0)
+        f = self.logs[1:] - self.logs[:-1]
+        df = f[1:] - f[:-1]
         c, _, rank, _ = np.linalg.lstsq(df.T, f[-1])
         if rank == 0:
             return None
         y = self.logs[_WINDOW] - c @ f[1:]
-        jump = np.exp(y - y.max())
+        jump = np.exp(y - y.max(), out=y)
         jump /= jump.sum()
         return jump if jump.min() > 0.0 else None  # NaN included
 
@@ -391,7 +393,7 @@ _LOOP_TEXTS = {"power": ("power iteration", "did not converge"), "tatonnement": 
 
 def _renormalized(p: np.ndarray, image: np.ndarray, residual: float) -> np.ndarray | None:
     """The plain next iterate: the image on the simplex, or None after a residual that is not finite."""
-    return image / image.sum() if math.isfinite(residual) else None
+    return np.divide(image, image.sum(), out=image) if math.isfinite(residual) else None
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
@@ -421,7 +423,7 @@ def _iterate(
     tail: deque[float] = deque(maxlen=10)
     for it in range(cfg.max_iters + 1):
         z, image = advance(p)
-        residual = float(np.abs(z).max())  # NaN or inf when any z is
+        residual = float(np.abs(z, out=z).max())  # NaN or inf when any z is
         finite = math.isfinite(residual)
         if finite:
             tail.append(residual)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from cesrank.cli import TIE_TOL
 from cesrank.economy import as_price_array
-from cesrank.formats import FORMAT_VERSION, DocumentError, _read_text, _require_index, _require_number
+from cesrank.formats import FORMAT_VERSION, DocumentError, _require_index, _require_number
 from cesrank.problem import DirectedGraph
 
 
@@ -409,7 +410,7 @@ def reference_load_edge_list(source) -> tuple[DirectedGraph, np.ndarray]:
     aligned with ``graph.src`` / ``graph.dst``; a zero-weight line is left out
     of both. Nothing of size n x n is built.
     """
-    text = _read_text(source)
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()

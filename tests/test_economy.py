@@ -398,6 +398,54 @@ class TestBuildEconomy:
         assert np.all(dense_alpha(e) > 0)
 
 
+@st.composite
+def dense_problems(draw):
+    """Dense alphas of 1 to 8 rows, each all zero, sparse or all positive, with a common or a per-agent rho."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = np.array(draw(st.lists(st.sampled_from([0.0, 0.4, 1.0]), min_size=n, max_size=n)))
+    alpha = rng.uniform(0.5, 3.0, (n, n)) * (rng.random((n, n)) < density[:, None])
+    rhos = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 0.95])
+    rho = draw(rhos | st.lists(rhos, min_size=n, max_size=n).map(np.array))
+    return alpha, rho, draw(st.sampled_from([1.0, 0.85]))
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+@given(dense_problems())
+@settings(max_examples=200, deadline=None)
+def test_trusted_paths_build_what_the_checked_constructors_build(case):
+    # the dense read hands its graph on unchecked, and `build_economy` the
+    # problem's fields: both give what the checking constructors give
+    alpha, rho, beta = case
+    n = alpha.shape[0]
+    graph = support_graph(alpha)
+    reference = DirectedGraph(n, *np.nonzero(alpha > 0))
+    assert graph.n == reference.n
+    for mine, theirs in ((graph.src, reference.src), (graph.dst, reference.dst)):
+        assert _bits(mine) == _bits(theirs) and not mine.flags.writeable
+    problem = RankingProblem(None, alpha, rho, beta=beta)
+    weights = problem.weights.copy()
+    economy = build_economy(problem)
+    checked = damped_economy(problem.graph, problem.weights, problem.rho, problem.beta)
+    for field in ("floor", "rows", "cols", "values", "rho"):
+        assert _bits(getattr(economy, field)) == _bits(getattr(checked, field)), field
+    assert _bits(problem.weights) == _bits(weights)
+
+
+@given(damped_economies_and_prices())
+@settings(max_examples=200, deadline=None)
+def test_common_rho_given_once_or_per_agent_gives_the_same_bits(pair):
+    economy, p = pair
+    alpha, rho = dense_alpha(economy), float(economy.rho[0])
+    once, per_agent = CesEconomy(alpha, rho), CesEconomy(alpha, np.full(economy.n, rho))
+    assert once.rho.strides == (0,) and per_agent.rho.strides != (0,)
+    assert _bits(aggregate_demand(once)(p)) == _bits(aggregate_demand(per_agent)(p))
+    assert _bits(excess_demand(once, p)) == _bits(excess_demand(per_agent, p))
+
+
 
 @st.composite
 def weighted_edge_lists(draw):

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cesrank.economy
+import cesrank.problem
 import cesrank.solver
 from cesrank import (
     CesEconomy,
@@ -846,6 +848,25 @@ class TestRankProblem:
         with pytest.raises(ValueError, match=r"component: \[0, 1\]\)"):
             rank_problem(RankingProblem(("x", "y", "z"), alpha, rho, beta=1.0))
         assert search_calls == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("rho", [0.5, [0.5, -0.5, 0.0]])
+    def test_inputs_checked_once(self, rho, monkeypatch):
+        # the problem checks its weights, rho and beta; the economy and the
+        # solver take them as checked
+        alpha, calls = fixture_alpha("nonuniform3"), []
+
+        def counted(name, check):
+            def wrapper(*args):
+                calls.append(name)
+                return check(*args)
+
+            return wrapper
+
+        for module in (cesrank.problem, cesrank.economy):
+            for name in ("_validate_alpha", "_edge_weights", "_rho_array", "_validate_beta"):
+                monkeypatch.setattr(module, name, counted(name, getattr(cesrank.problem, name)))
+        rank_problem(RankingProblem(("a", "b", "c"), alpha, rho, beta=0.85))
+        assert sorted(calls) == ["_rho_array", "_validate_alpha", "_validate_beta"]
 
     @pytest.mark.parametrize("rho", [0.0, 0.5])
     def test_row_sum_overflow_ranks_as_rescaled_row(self, rho):
