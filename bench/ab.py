@@ -104,7 +104,7 @@ def main(argv=None) -> int:
             tree = args.baseline if side == "baseline" else ROOT
             runs[side].append(run_benchmark(tree, args.workload, args.seed, args.seconds))
         pair = {m["name"]: (runs["baseline"][-1].get(m["name"]), runs["change"][-1].get(m["name"])) for m in metrics}
-        print(f"pair {k + 1}/{args.pairs} ({order[0]} first): " + ", ".join(f"{n} {a:.6g} -> {b:.6g}" for n, (a, b) in pair.items() if a is not None), flush=True)
+        print(f"pair {k + 1}/{args.pairs} ({order[0]} first): " + ", ".join(f"{n} {a:.6g} -> {b:.6g}" for n, (a, b) in pair.items() if None not in (a, b)), flush=True)
 
     summary = [
         summarize(m, [r[m["name"]] for r in runs["baseline"]], [r[m["name"]] for r in runs["change"]])

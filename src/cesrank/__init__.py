@@ -17,7 +17,7 @@ from .axioms import (
     check_uniformity,
     gs_spot_check,
 )
-from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
+from .diagnostics import ClearingReport, ConvergenceError, SolverReport
 from .economy import (
     CesEconomy,
     PriceVector,
@@ -37,7 +37,6 @@ from .formats import (
 from .problem import DirectedGraph, RankingProblem, support_graph
 from .solver import (
     SolverConfig,
-    multistart_probe,
     rank_problem,
     solve_cobb_douglas,
     solve_equilibrium,
@@ -56,7 +55,6 @@ __all__ = [
     "DirectedGraph",
     "DocumentError",
     "FIXTURE_NAMES",
-    "MultistartReport",
     "PriceVector",
     "RankingProblem",
     "SolverConfig",
@@ -74,7 +72,6 @@ __all__ = [
     "sniff_and_load",
     "load_fixture",
     "load_problem",
-    "multistart_probe",
     "rank_problem",
     "solve_cobb_douglas",
     "solve_equilibrium",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .problem import _frozen
 
 
 class ConvergenceError(RuntimeError):
@@ -71,22 +73,4 @@ class ClearingReport:
     passed: bool
 
     def __post_init__(self):
-        per_good = np.array(self.per_good, dtype=float)
-        per_good.flags.writeable = False
-        object.__setattr__(self, "per_good", per_good)
-
-
-@dataclass(frozen=True, eq=False)
-class MultistartReport:
-    """Spread of equilibria computed from several random interior starts.
-
-    ``within_bound`` compares the spread against 10x the solver tolerance; it
-    is ``None`` when some trader has a negative elasticity parameter, where
-    uniqueness is not guaranteed and the spread is reported without judgement.
-    """
-
-    spread: float
-    bound: float
-    within_bound: bool | None
-    prices: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
+        _frozen(self, per_good=np.array(self.per_good, dtype=float))

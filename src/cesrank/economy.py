@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _edge_weights, _entries_above, _rho_array, _validate_alpha, _validate_beta
+from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _edge_weights, _entries_above, _frozen, _rho_array, _validate_alpha, _validate_beta
 
 
 def as_price_array(prices, n: int) -> np.ndarray:
@@ -54,8 +54,7 @@ class PriceVector:
         pi = as_price_array(pi, pi.size)
         if abs(pi.sum() - 1.0) > 1e-10:
             raise ValueError(f"prices sum to {float(pi.sum())!r}, not 1")
-        pi.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
+        _frozen(self, pi=pi)
 
     @classmethod
     def from_unnormalized(cls, arr) -> "PriceVector":
@@ -109,25 +108,7 @@ class CesEconomy:
                 raise ValueError("endowments must be the identity: trader i owns one unit of good i")
         floor = alpha.min(axis=1)
         rows, cols = _entries_above(alpha, floor[:, None])
-        self._freeze(floor, rows, cols, alpha[rows, cols], rho)
-
-    @classmethod
-    def _from_entries(cls, floor, rows, cols, values, rho) -> "CesEconomy":
-        """Economy of the alpha matrix with row floors ``floor`` and ``values`` above them at ``(rows, cols)``.
-
-        The entries are sorted by ``(row, col)``, each strictly above its
-        row's floor, every row has a positive floor or an entry, and ``rho``
-        is a validated array; `damped_economy` builds them so. Nothing of
-        size n x n is built.
-        """
-        economy = cls.__new__(cls)
-        economy._freeze(floor, rows, cols, values, rho)
-        return economy
-
-    def _freeze(self, floor, rows, cols, values, rho) -> None:
-        for name, a in (("floor", floor), ("rows", rows), ("cols", cols), ("values", values), ("rho", rho)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        _frozen(self, rho=rho, floor=floor, rows=rows, cols=cols, values=alpha[rows, cols])
 
     @property
     def n(self) -> int:
@@ -257,7 +238,12 @@ def damped_economy(graph: DirectedGraph, weights: np.ndarray, rho, beta: float) 
 
 
 def _damped(graph: DirectedGraph, w: np.ndarray, rho: np.ndarray, beta: float) -> CesEconomy:
-    """`damped_economy` of arguments already checked, ``w`` a float64 copy of the weights that it divides in place."""
+    """`damped_economy` of arguments already checked, ``w`` a float64 copy of the weights that it divides in place.
+
+    It freezes the economy's arrays unchecked: the entries come sorted by
+    ``(row, col)`` from the graph, each strictly above its row's floor, and
+    every row has a positive floor or an entry. Nothing n x n is built.
+    """
     n, src, dst = graph.n, graph.src, graph.dst
     sums = np.bincount(src, w, minlength=n)
     huge = ~np.isfinite(sums)
@@ -277,7 +263,7 @@ def _damped(graph: DirectedGraph, w: np.ndarray, rho: np.ndarray, beta: float) -
         full = np.bincount(src, minlength=n) == n
         floor[full] = w[full[src]].reshape(-1, n).min(axis=1)
     keep = w > floor[src]
-    return CesEconomy._from_entries(floor, src[keep], dst[keep], w[keep], rho)
+    return _frozen(CesEconomy.__new__(CesEconomy), rho=rho, floor=floor, rows=src[keep], cols=dst[keep], values=w[keep])
 
 
 def web_economy(graph: DirectedGraph, c: float = DEFAULT_BETA) -> CesEconomy:

@@ -18,6 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _frozen(record, **fields):
+    """``record`` with ``fields`` set unchecked, each ndarray among them made read-only: how every frozen record gets its fields."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    vars(record).update(fields)
+    return record
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """A directed graph on vertices ``0..n-1`` as two edge index arrays.
@@ -51,18 +60,12 @@ class DirectedGraph:
         if np.any(unsorted):
             k = int(np.argmax(unsorted)) + 1
             raise ValueError(f"edge ({src[k]}, {dst[k]}) follows ({src[k - 1]}, {dst[k - 1]}); edges must be distinct and sorted by (src, dst)")
-        self._freeze(n, src, dst)
+        _frozen(self, n=n, src=src, dst=dst)
 
     @classmethod
     def _trusted(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "DirectedGraph":
         """The graph of ``n >= 1`` vertices and int64 edges that its caller owns and has proven in range, sorted and distinct: frozen unchecked."""
-        graph = cls.__new__(cls)
-        graph._freeze(n, src, dst)
-        return graph
-
-    def _freeze(self, n: int, src: np.ndarray, dst: np.ndarray) -> None:
-        src.flags.writeable = dst.flags.writeable = False
-        vars(self).update(n=n, src=src, dst=dst)
+        return _frozen(cls.__new__(cls), n=n, src=src, dst=dst)
 
 
 def _entries_above(matrix: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +113,13 @@ def _validate_rho(rho: np.ndarray) -> None:
 
 
 def _rho_array(rho, n: int) -> np.ndarray:
-    """``rho`` as a validated array of one value per agent; a scalar is one read-only value broadcast to all ``n``, O(1) in memory."""
+    """``rho`` as a validated array of one value per agent; a scalar is one read-only value broadcast to all ``n``, O(1) in memory.
+
+    So is an (n,) stride-0 view, as a problem keeps a one-value rho: the
+    kernels then take it as one group, as they take the scalar.
+    """
+    if isinstance(rho, np.ndarray) and rho.strides == (0,) and rho.shape == (n,):
+        rho = rho[0]
     rho = np.array(rho, dtype=float)
     if rho.ndim and rho.shape != (n,):
         raise ValueError(f"rho must have length {n}, got shape {rho.shape}")
@@ -184,7 +193,7 @@ class RankingProblem:
         alpha = np.asarray(alpha, dtype=float)
         _validate_alpha(alpha)
         graph = support_graph(alpha)
-        self._freeze(agent_ids, graph, alpha[graph.src, graph.dst], rho, beta)
+        _frozen(self, **_problem_fields(agent_ids, graph, alpha[graph.src, graph.dst], rho, beta))
 
     @classmethod
     def from_edges(cls, agent_ids, graph: DirectedGraph, weights, rho, beta: float = DEFAULT_BETA) -> "RankingProblem":
@@ -194,24 +203,19 @@ class RankingProblem:
     @classmethod
     def _trusted(cls, agent_ids, graph: DirectedGraph, weights: np.ndarray, rho, beta: float) -> "RankingProblem":
         """`from_edges` of float64 ``weights`` already proven one per edge, positive and finite, which it freezes and keeps unchecked."""
-        problem = cls.__new__(cls)
-        problem._freeze(agent_ids, graph, weights, rho, beta)
-        return problem
-
-    def _freeze(self, agent_ids, graph, weights, rho, beta) -> None:
-        """Check the ids, rho and beta against the graph, and set every field read-only."""
-        if agent_ids is not None:
-            agent_ids = tuple(str(a) for a in agent_ids)
-            if len(set(agent_ids)) != len(agent_ids):
-                raise ValueError("agent_ids must be distinct")
-            if graph.n != len(agent_ids):
-                raise ValueError(f"alpha is {graph.n}x{graph.n} but there are {len(agent_ids)} agents")
-        rho = _rho_array(rho, graph.n)
-        weights.flags.writeable = False
-        rho.flags.writeable = False
-        for name, value in (("agent_ids", agent_ids), ("graph", graph), ("weights", weights), ("rho", rho), ("beta", _validate_beta(beta))):
-            object.__setattr__(self, name, value)
+        return _frozen(cls.__new__(cls), **_problem_fields(agent_ids, graph, weights, rho, beta))
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+
+def _problem_fields(agent_ids, graph: DirectedGraph, weights: np.ndarray, rho, beta) -> dict:
+    """The fields of a `RankingProblem`, its ids, rho and beta checked against the graph; the weights as given."""
+    if agent_ids is not None:
+        agent_ids = tuple(str(a) for a in agent_ids)
+        if len(set(agent_ids)) != len(agent_ids):
+            raise ValueError("agent_ids must be distinct")
+        if graph.n != len(agent_ids):
+            raise ValueError(f"alpha is {graph.n}x{graph.n} but there are {len(agent_ids)} agents")
+    return dict(agent_ids=agent_ids, graph=graph, weights=weights, rho=_rho_array(rho, graph.n), beta=_validate_beta(beta))

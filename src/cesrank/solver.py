@@ -1,4 +1,4 @@
-"""Equilibrium computation: closed form, one certified price loop, verification, probing.
+"""Equilibrium computation: closed form, one certified price loop, verification.
 
 All-Cobb-Douglas economies reduce to one linear system (market clearing at
 positive prices reads ``sum_i alpha[i][j] * pi[i] = pi[j]``, the invariant
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import ClearingReport, ConvergenceError, MultistartReport, SolverReport
+from .diagnostics import ClearingReport, ConvergenceError, SolverReport
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand, row_tops
 from .problem import RankingProblem
 
@@ -286,16 +286,6 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     kept and undone.
     """
     _require_connected_economy(economy)
-    advance, extrapolation = _price_adjustment(economy)
-    try:
-        return _iterate(economy, "tatonnement", advance, config, extrapolation)
-    finally:
-        counts = (extrapolation.steps, extrapolation.accepted, extrapolation.undone)
-        logger.debug("tatonnement: %d steps, %d jumps accepted, %d undone", *counts)
-
-
-def _price_adjustment(economy: CesEconomy) -> tuple[_PriceMap, _Extrapolation]:
-    """Tatonnement's map for `_iterate` (excess demand and ``p * demand**gamma``) and its `_Extrapolation`."""
     demand_at = aggregate_demand(economy)
     gamma = min(0.5, 1.0 - float(economy.rho.max()))  # 1 - rho = 1 / q
 
@@ -305,7 +295,12 @@ def _price_adjustment(economy: CesEconomy) -> tuple[_PriceMap, _Extrapolation]:
         demand **= gamma
         return z, np.multiply(demand, p, out=demand)
 
-    return advance, _Extrapolation(economy.n)
+    extrapolation = _Extrapolation(economy.n)
+    try:
+        return _iterate(economy, "tatonnement", advance, config, extrapolation)
+    finally:
+        counts = (extrapolation.steps, extrapolation.accepted, extrapolation.undone)
+        logger.debug("tatonnement: %d steps, %d jumps accepted, %d undone", *counts)
 
 
 #: Iterates in the window that `_Extrapolation` fits; each after the first lowered the residual.
@@ -516,41 +511,4 @@ def verify_equilibrium(economy: CesEconomy, prices, tolerance: float = SolverCon
         per_good=z,
         tolerance=float(tolerance),
         passed=residual <= tolerance,
-    )
-
-
-def multistart_probe(economy: CesEconomy, config: SolverConfig | None = None, k_starts: int = 5) -> MultistartReport:
-    """Solve from ``k_starts`` random interior starts and report the spread.
-
-    Always runs the iterative solver (the closed form ignores its start, so
-    probing it would be vacuous). For economies where every trader has
-    ``rho >= 0`` the equilibrium is unique, and the max pairwise distance
-    between the computed equilibria must land within ten times the solver
-    tolerance; for some negative rho the spread is reported without judgement.
-    The starts come from a fixed seed, so a probe is reproducible. Any
-    non-converging start propagates its error.
-    """
-    cfg = config or SolverConfig()
-    if k_starts < 2:
-        raise ValueError(f"need at least 2 starts to measure a spread, got {k_starts}")
-    rng = np.random.default_rng(0)
-    n = economy.n
-    prices: list[PriceVector] = []
-    reports: list[SolverReport] = []
-    for _ in range(k_starts):
-        raw = rng.dirichlet(np.ones(n))
-        raw = np.clip(raw, 1e-3 / n, None)  # keep starts in the interior
-        start = PriceVector.from_unnormalized(raw)
-        p, rep = solve_tatonnement(economy, replace(cfg, initial_prices=start))
-        prices.append(p)
-        reports.append(rep)
-    spread = float(np.ptp(np.stack([p.pi for p in prices]), axis=0).max())
-    bound = 10.0 * cfg.tolerance
-    unique_regime = bool(np.all(economy.rho >= 0.0))
-    return MultistartReport(
-        spread=spread,
-        bound=bound,
-        within_bound=(spread <= bound) if unique_regime else None,
-        prices=prices,
-        reports=reports,
     )

@@ -4,21 +4,25 @@ Nothing here imports solver internals: the fixed point iteration, the
 grid-search maximizer, and the instance generators are written from the
 defining equations alone, so agreement with the package is meaningful. The
 text formats are checked against the straightforward per-line and per-agent
-code they replaced.
+code they replaced. `multistart_probe` is no reference: it drives the
+package's public `solve_tatonnement` from several starts, to check that the
+equilibrium it finds does not depend on where it starts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from cesrank.cli import TIE_TOL
-from cesrank.economy import as_price_array
+from cesrank.economy import CesEconomy, PriceVector, as_price_array
 from cesrank.formats import FORMAT_VERSION, DocumentError, _require_index, _require_number
 from cesrank.problem import DirectedGraph
+from cesrank.solver import SolverConfig, solve_tatonnement
 
 
 #: Strongly connected weighted edge lists ``(n, [(src, dst, weight), ...])`` with weights
@@ -364,6 +368,59 @@ def plain_tatonnement(aggregate_demand, economy):
         if not np.all(np.isfinite(p) & (p > 0.0)):
             return None, it
     return None, max_iters
+
+
+@dataclass(frozen=True, eq=False)
+class MultistartReport:
+    """Spread of equilibria computed from several random interior starts.
+
+    ``within_bound`` compares the spread against 10x the solver tolerance; it
+    is ``None`` when some trader has a negative elasticity parameter, where
+    uniqueness is not guaranteed and the spread is reported without judgement.
+    """
+
+    spread: float
+    bound: float
+    within_bound: bool | None
+    prices: list = field(default_factory=list)
+    reports: list = field(default_factory=list)
+
+
+def multistart_probe(economy: CesEconomy, config: SolverConfig | None = None, k_starts: int = 5) -> MultistartReport:
+    """Solve from ``k_starts`` random interior starts and report the spread.
+
+    Always runs the iterative solver (the closed form ignores its start, so
+    probing it would be vacuous). For economies where every trader has
+    ``rho >= 0`` the equilibrium is unique, and the max pairwise distance
+    between the computed equilibria must land within ten times the solver
+    tolerance; for some negative rho the spread is reported without judgement.
+    The starts come from a fixed seed, so a probe is reproducible. Any
+    non-converging start propagates its error.
+    """
+    cfg = config or SolverConfig()
+    if k_starts < 2:
+        raise ValueError(f"need at least 2 starts to measure a spread, got {k_starts}")
+    rng = np.random.default_rng(0)
+    n = economy.n
+    prices = []
+    reports = []
+    for _ in range(k_starts):
+        raw = rng.dirichlet(np.ones(n))
+        raw = np.clip(raw, 1e-3 / n, None)  # keep starts in the interior
+        start = PriceVector.from_unnormalized(raw)
+        p, rep = solve_tatonnement(economy, replace(cfg, initial_prices=start))
+        prices.append(p)
+        reports.append(rep)
+    spread = float(np.ptp(np.stack([p.pi for p in prices]), axis=0).max())
+    bound = 10.0 * cfg.tolerance
+    unique_regime = bool(np.all(economy.rho >= 0.0))
+    return MultistartReport(
+        spread=spread,
+        bound=bound,
+        within_bound=(spread <= bound) if unique_regime else None,
+        prices=prices,
+        reports=reports,
+    )
 
 
 def reference_triplet_alpha(spec, n: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from cesrank import (
     excess_demand,
     gs_spot_check,
     load_fixture,
-    multistart_probe,
     rank_problem,
     solve_cobb_douglas,
     solve_power,
@@ -36,6 +35,7 @@ from oracles import (
     dense_alpha,
     dominance_instance,
     grid_search_demand,
+    multistart_probe,
     random_problem_arrays,
     random_strongly_connected_graph,
     with_dangling_vertices,

@@ -25,7 +25,6 @@ from cesrank import (
     damped_economy,
     load_fixture,
     load_problem,
-    multistart_probe,
     rank_problem,
     sniff_and_load,
     solve_cobb_douglas,
@@ -44,6 +43,7 @@ from oracles import (
     dense_tatonnement,
     dense_weights,
     fixed_point_equilibrium,
+    multistart_probe,
     out_regular_edges,
     plain_tatonnement,
     random_strongly_connected_graph,
