@@ -16,11 +16,12 @@ For each end-to-end metric that ``BENCHMARK.json`` declares, it prints
 both sides' medians and quartiles and the pairs the change won (ties count
 for neither). A metric is a gain when the change won at least nine pairs
 in ten and its median is better than the baseline's by more than the
-distance between the baseline's quartiles, the rule of a claimed gain; it
-is a regression when its median is worse by more than the metric's bound;
-otherwise it reads as within noise. ``--out FILE`` also writes every run's
-metrics and the summary as JSON. The script needs the standard library
-only, and imports nothing of cesrank.
+distance between the baseline's quartiles, the rule of a claimed gain,
+which needs at least ten pairs: with fewer, such a metric reads as too few
+pairs. It is a regression when its median is worse by more than the
+metric's bound; otherwise it reads as within noise. ``--out FILE`` also
+writes every run's metrics and the summary as JSON. The script needs the
+standard library only, and imports nothing of cesrank.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GAIN_PAIRS = 10  # the fewest pairs that can show a gain: one or two pairs have no spread to beat
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -64,7 +66,7 @@ def summarize(metric: dict, baseline: list[float], change: list[float]) -> dict:
     losses = sum(1 for a, b in zip(baseline, change) if sign * (b - a) < 0)
     gain = sign * (change_q[1] - base_q[1])  # positive when the change's median is better
     if wins >= 0.9 * len(baseline) and gain > base_q[2] - base_q[0]:
-        verdict = "gain"
+        verdict = "gain" if len(baseline) >= GAIN_PAIRS else "too few pairs"
     elif -gain > metric["bound"] * abs(base_q[1]):
         verdict = "regression"
     else:

@@ -43,6 +43,15 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_median_gap_past_the_iqr():
     assert two_lost["change"]["median"] == 9.0
 
 
+def test_fewer_than_ten_pairs_show_no_gain():
+    # nine pairs, each won by a median gap of twice the IQR: the rule of a gain asks for ten
+    nine = ab.summarize(LOWER, BASELINE[:9], shifted(BASELINE[:9], -1.0))
+    assert (nine["wins"], nine["pairs"], nine["verdict"]) == (9, 9, "too few pairs")
+    assert ab.summarize(LOWER, [3.0], [2.0])["verdict"] == "too few pairs"
+    # the regression rule does not depend on the count
+    assert ab.summarize(LOWER, [3.0], [4.0])["verdict"] == "regression"
+
+
 def test_a_regression_only_beyond_the_bound():
     assert ab.summarize(LOWER, BASELINE, [v * 1.3 for v in BASELINE])["verdict"] == "regression"
     assert ab.summarize(LOWER, BASELINE, [v * 1.2 for v in BASELINE])["verdict"] == "within noise"

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -445,6 +446,22 @@ def test_common_rho_given_once_or_per_agent_gives_the_same_bits(pair):
     assert _bits(aggregate_demand(once)(p)) == _bits(aggregate_demand(per_agent)(p))
     assert _bits(excess_demand(once, p)) == _bits(excess_demand(per_agent, p))
 
+
+def test_one_rho_certificate_keeps_no_edge_sized_index():
+    # the grouped certificate flattens an (G, n) index per entry; one rho indexes by good alone
+    rng = np.random.default_rng(0)
+    n = 20_000
+    key = np.unique(np.repeat(np.arange(n), 5) * n + rng.integers(0, n, 5 * n))
+    graph = DirectedGraph(n, key // n, key % n)
+    once, per_agent = (damped_economy(graph, np.ones(key.size), rho, 0.85) for rho in (0.5, np.full(n, 0.5)))
+    p = np.full(n, 1.0 / n)
+    peaks = []
+    for economy in (once, per_agent):
+        tracemalloc.start()
+        excess_demand(economy, p)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] >= 0.9 * once.rows.size * 8
 
 
 @st.composite

@@ -123,3 +123,20 @@ def test_utf8_comment_output_is_golden(utf8_comment_dangling, method, fmt, capsy
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_line_parser_output_is_golden(plus_index_dangling, method, fmt, capsys):
     _assert_rank_is_golden(plus_index_dangling, method, fmt, capsys)
+
+
+@pytest.fixture(scope="module")
+def per_agent_nonuniform3(tmp_path_factory):
+    """``nonuniform3.json`` with its rho 0.5 written once per agent, which the kernels take as rho groups."""
+    text = Path(INPUTS["nonuniform3"]).read_text()
+    assert text.count('"rho": 0.5') == 1
+    path = tmp_path_factory.mktemp("golden") / "nonuniform3.json"
+    path.write_text(text.replace('"rho": 0.5', '"rho": [0.5, 0.5, 0.5]'), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_per_agent_rho_output_is_golden(per_agent_nonuniform3, fmt, capsys):
+    # the document's own rho, given per agent, ranks to the bytes of `--rho 0.5` given once
+    assert main(["rank", "--input", per_agent_nonuniform3, "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-nonuniform3-ces-rho0.5-{fmt}.out").read_bytes()
