@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import re
+import signal
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -37,7 +38,7 @@ from .axioms import (
 from .diagnostics import ConvergenceError
 from .economy import build_economy, damped_economy, web_economy
 from .fixtures import load_fixture
-from .formats import DocumentError, _row_blocks, dump_problem, json_document, sniff_and_load
+from .formats import _row_blocks, dump_problem, json_document, sniff_and_load
 from .problem import DEFAULT_BETA, RHO_MAX, RankingProblem, _agent_names
 from .solver import SolverConfig, solve_cobb_douglas, solve_equilibrium, solve_power
 
@@ -311,17 +312,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_BAD_INPUT
     except ConvergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_NO_CONVERGENCE
     except (ValueError, OSError, MemoryError) as e:
-        # MemoryError: a declared size too large to allocate is unusable input
+        # ValueError includes DocumentError; MemoryError: a declared size too large to allocate is unusable input
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_BAD_INPUT
 
 
 def entry_point() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process quietly, as it ends a Unix filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

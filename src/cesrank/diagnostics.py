@@ -31,26 +31,28 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SolverReport:
-    """Convergence diagnostics of one solve.
+    """Convergence diagnostics of one certified solve.
 
     ``residual`` is the max-norm of the excess demand at the returned
-    prices, as `cesrank.solver.verify_equilibrium` certifies it.
-    ``converged`` implies ``residual <= tolerance``.
+    prices, as `cesrank.solver.verify_equilibrium` certifies it, and is
+    within ``tolerance``: a solver that cannot certify raises
+    `ConvergenceError` instead of reporting.
     """
 
     method: str
     iterations: int
     residual: float
-    converged: bool
     tolerance: float
     wall_time: float = 0.0
 
     def __post_init__(self):
-        if self.converged and not self.residual <= self.tolerance:
-            raise ValueError(
-                f"inconsistent report: converged but residual {self.residual:g} "
-                f"> tolerance {self.tolerance:g}"
-            )
+        if not self.residual <= self.tolerance:
+            raise ValueError(f"inconsistent report: residual {self.residual:g} > tolerance {self.tolerance:g}")
+
+    @property
+    def converged(self) -> bool:
+        """Always true: a report exists only for certified prices."""
+        return True
 
     def to_dict(self) -> dict:
         """The report's fields without ``wall_time``, so that output of the same input is the same bytes."""
@@ -70,7 +72,11 @@ class ClearingReport:
     residual: float
     per_good: np.ndarray
     tolerance: float
-    passed: bool
 
     def __post_init__(self):
         _frozen(self, per_good=np.array(self.per_good, dtype=float))
+
+    @property
+    def passed(self) -> bool:
+        """Whether every good clears within the tolerance."""
+        return self.residual <= self.tolerance

@@ -139,50 +139,34 @@ def excess_demand(economy: CesEconomy, prices) -> np.ndarray:
     per group, ``u_g[j] * sum_{i in g} a_i * w_i``, plus the entries'
     spending, scattered with one bincount. This shares no arithmetic with
     `aggregate_demand`, the kernel it certifies. A rho given as one value
-    is one group, evaluated with scalar exponents in O(nnz + n).
+    is a group of one, run by the same lines: a scalar ``q``, a scalar group
+    index and entries indexed by good, so that no index as long as the
+    entries is built, in O(nnz + n).
     """
     n = economy.n
     p = as_price_array(prices, n)
+    rows, cols = economy.rows, economy.cols
     if economy.rho.strides == (0,):  # a rho given as one value (a stride-0 view) is one group
-        return _one_rho_excess(economy, p)
-    q, rows, cols = economy.q, economy.rows, economy.cols
-    r, group = np.unique(1.0 - q, return_inverse=True)
+        q = q_entry = 1.0 / (1.0 - economy.rho[0])
+        r, group, entry = np.array([1.0 - q]), 0, cols
+    else:
+        q = economy.q
+        r, group = np.unique(1.0 - q, return_inverse=True)
+        q_entry, entry = q[rows], group[rows] * n + cols  # flat index into the (G, n) tables
     log_p = r[:, None] * np.log(p)  # r_g * log(p_j), one row per group
     top = log_p.max(axis=1)
     with np.errstate(divide="ignore"):  # a zero floor has no term: exp(-inf) = 0
         floor_top = q * np.log(economy.floor) + top[group]
-    entry = group[rows] * n + cols  # flat index into the (G, n) tables
-    t = q[rows] * np.log(economy.values) + log_p.take(entry)
+    t = q_entry * np.log(economy.values) + log_p.take(entry)
     shift = floor_top.copy()
     np.maximum.at(shift, rows, t)
     a = np.exp(floor_top - shift)
     u = np.exp(log_p - top[:, None])
     excess = np.exp(t - shift[rows]) - a[rows] * u.take(entry)
     w = p / (a * u.sum(axis=1)[group] + np.bincount(rows, excess, minlength=n))
-    spend = np.bincount(group, a * w, minlength=r.size) @ u + np.bincount(cols, excess * w[rows], minlength=n)
-    return spend / p - 1.0
-
-
-def _one_rho_excess(economy: CesEconomy, p: np.ndarray) -> np.ndarray:
-    """`excess_demand` of an economy whose every trader has the one rho: its one group's terms, bit for bit.
-
-    The exponents are scalars and ``u`` one vector indexed by good, so no
-    group index or edge-sized index is built, in O(nnz + n).
-    """
-    n, rows, cols = economy.n, economy.rows, economy.cols
-    q = 1.0 / (1.0 - economy.rho[0])
-    log_p = (1.0 - q) * np.log(p)
-    top = np.maximum.reduce(log_p)
-    with np.errstate(divide="ignore"):
-        floor_top = q * np.log(economy.floor) + top
-    t = q * np.log(economy.values) + log_p.take(cols)
-    shift = floor_top.copy()
-    np.maximum.at(shift, rows, t)
-    a = np.exp(floor_top - shift)
-    u = np.exp(log_p - top)
-    excess = np.exp(t - shift[rows]) - a[rows] * u.take(cols)
-    w = p / (a * np.add.reduce(u) + np.bincount(rows, excess, minlength=n))
-    spend = np.add.accumulate(a * w)[-1] * u + np.bincount(cols, excess * w[rows], minlength=n)
+    # a scalar group index: the one group's floor spending, summed in trader order as bincount sums it
+    floor_spend = np.add.accumulate(a * w)[-1:] if isinstance(group, int) else np.bincount(group, a * w, minlength=r.size)
+    spend = floor_spend @ u + np.bincount(cols, excess * w[rows], minlength=n)
     return spend / p - 1.0
 
 

@@ -39,9 +39,9 @@ class DocumentError(ValueError):
 
 
 def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text(encoding="utf-8")
+    """The text of a path or stream, without one leading byte order mark, which RFC 8259 §8.1 lets a reader ignore."""
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def _require_number(value, where: str, minimum: float | None = None) -> float:

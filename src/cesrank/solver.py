@@ -220,7 +220,7 @@ def solve_cobb_douglas(economy: CesEconomy, config: SolverConfig | None = None) 
     check = verify_equilibrium(economy, prices, config.tolerance)
     if not check.passed:
         raise ConvergenceError(f"closed form not certified: residual {check.residual:.3e}", last_iterate=pi, residual=check.residual)
-    return prices, SolverReport("closed_form", 1, check.residual, converged=True, tolerance=config.tolerance)
+    return prices, SolverReport("closed_form", 1, check.residual, config.tolerance)
 
 
 def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +428,7 @@ def _iterate(
             if check.passed:
                 # the report's wall time is set by `_timed`, after this returns
                 logger.debug("%s converged in %d iterations, residual %.3e", name, it, check.residual)
-                return prices, SolverReport(method, it, check.residual, converged=True, tolerance=cfg.tolerance)
+                return prices, SolverReport(method, it, check.residual, cfg.tolerance)
             logger.info("residual %.3e certified as %.3e; iterating on", residual, check.residual)
         if it == cfg.max_iters and finite:
             break
@@ -505,10 +505,4 @@ def verify_equilibrium(economy: CesEconomy, prices, tolerance: float = SolverCon
     more on a slow-mixing economy.
     """
     z = excess_demand(economy, prices)
-    residual = float(np.abs(z).max())
-    return ClearingReport(
-        residual=residual,
-        per_good=z,
-        tolerance=float(tolerance),
-        passed=residual <= tolerance,
-    )
+    return ClearingReport(residual=float(np.abs(z).max()), per_good=z, tolerance=float(tolerance))

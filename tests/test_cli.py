@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -85,6 +86,12 @@ def traced_peak(run):
     finally:
         tracemalloc.stop()
     return peak, result
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports this tree's ``cesrank``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def random_graph(graph_file, n, triplets=False) -> str:
@@ -644,6 +651,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert "residual" in captured.err
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_stdout_ends_the_process_quietly(self, graph_file):
+        # the cycle plus the chords i -> 7i + 3 mod n: its ranking is many
+        # times a pipe's buffer, so the child is still writing when the
+        # reader goes away, as under `| head`; a closed pipe is no bad input
+        n = 20_000
+        edges = sorted({(i, j) for i in range(n) for j in ((i + 1) % n, (7 * i + 3) % n)})
+        path = graph_file(f"format: 1\nn {n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+        argv = [sys.executable, "-m", "cesrank", "rank", "--input", path, "--method", "pagerank"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as child:
+            assert child.stdout.readline() == b"1\tv0\t5e-05\n"
+            child.stdout.close()
+            assert child.stderr.read() == b""
+            assert child.wait(timeout=60) == -signal.SIGPIPE
+
+
+@pytest.mark.parametrize("module", ["cesrank", "cesrank.cli"])
+def test_python_m_runs_the_cli(module):
+    golden = Path(__file__).parent / "golden"
+    argv = [sys.executable, "-m", module, "rank", "--input", str(golden / "dangling.edges"), "--method", "pagerank", "--format", "json"]
+    result = subprocess.run(argv, env=child_env(), capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == (golden / "rank-dangling-pagerank-json.out").read_bytes()
+
 
 class TestVerify:
     def test_all_bundled_checks(self, capsys):
@@ -820,9 +851,7 @@ class TestConvert:
             f"assert main(['convert', '--input', {graph_file(TRIANGLE)!r}, '--output', {str(tmp_path / 'out.json')!r}]) == 0\n"
             "print('numpy.ma' in sys.modules)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        result = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
         assert result.stdout == "False\n"
 
     def test_stdout_document_is_loadable(self, graph_file, capsys):

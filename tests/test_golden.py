@@ -6,11 +6,13 @@ purpose: its two sides are different solvers, so its last digits are not a
 contract.
 """
 
+import codecs
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import cesrank.cli
 from cesrank import formats
 from cesrank.cli import main
 
@@ -140,3 +142,43 @@ def test_per_agent_rho_output_is_golden(per_agent_nonuniform3, fmt, capsys):
     # the document's own rho, given per agent, ranks to the bytes of `--rho 0.5` given once
     assert main(["rank", "--input", per_agent_nonuniform3, "--format", fmt]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"rank-nonuniform3-ces-rho0.5-{fmt}.out").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def bom_copies(tmp_path_factory):
+    """Copies of ``dangling.edges`` and ``monotone3-triplets.json`` that start with a UTF-8 byte order mark."""
+    folder = tmp_path_factory.mktemp("bom")
+    for name in ("dangling.edges", "monotone3-triplets.json"):
+        (folder / name).write_bytes(codecs.BOM_UTF8 + (GOLDEN / name).read_bytes())
+    return folder
+
+
+def _unread(text):
+    raise AssertionError("an ASCII edge list went to the line loop")
+
+
+@pytest.mark.parametrize("as_stream", [False, True], ids=["path", "stream"])
+@pytest.mark.parametrize(
+    "name, flags, golden",
+    [
+        ("dangling.edges", ["--method", "pagerank", "--format", "json"], "rank-dangling-pagerank-json"),
+        ("dangling.edges", ["--rho", "0.5", "--format", "tsv"], "rank-dangling-ces-rho0.5-tsv"),
+        ("monotone3-triplets.json", ["--method", "invariant", "--format", "tsv"], "rank-monotone3-invariant-tsv"),
+        ("monotone3-triplets.json", ["--rho", "-0.5", "--format", "json"], "rank-monotone3-ces-rho-0.5-json"),
+    ],
+)
+def test_byte_order_mark_is_read_as_nothing(bom_copies, monkeypatch, capsys, name, flags, golden, as_stream):
+    # a leading BOM is dropped (RFC 8259 section 8.1) before the kind of the
+    # document is told, from a path or from a stream, which a text file opened
+    # as UTF-8 is: the ASCII edge list is still read from its bytes
+    monkeypatch.setattr(formats, "_edge_lines", _unread)
+    if as_stream:
+        def from_stream(path):
+            with open(path, encoding="utf-8") as stream:
+                assert stream.read(1) == "\ufeff"
+                stream.seek(0)
+                return formats.sniff_and_load(stream)
+
+        monkeypatch.setattr(cesrank.cli, "sniff_and_load", from_stream)
+    assert main(["rank", "--input", str(bom_copies / name), *flags]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{golden}.out").read_bytes()

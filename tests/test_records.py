@@ -76,7 +76,7 @@ DOORS = {
     "web_economy": lambda: web_economy(sniff_and_load(io.StringIO(EDGES)).graph),
     "PriceVector": lambda: PriceVector([0.25, 0.75]),
     "PriceVector.from_unnormalized": lambda: PriceVector.from_unnormalized([1.0, 3.0]),
-    "ClearingReport": lambda: ClearingReport(0.0, [0.0, 0.0], 1e-10, True),
+    "ClearingReport": lambda: ClearingReport(0.0, [0.0, 0.0], 1e-10),
     "verify_equilibrium": lambda: verify_equilibrium(_economy(), np.full(3, 1.0 / 3.0)),
     "solve_equilibrium": lambda: solve_equilibrium(_economy()),
     "SolverConfig": lambda: SolverConfig(initial_prices=PriceVector([0.5, 0.5])),

@@ -16,11 +16,13 @@ import cesrank.problem
 import cesrank.solver
 from cesrank import (
     CesEconomy,
+    ClearingReport,
     ConvergenceError,
     DirectedGraph,
     PriceVector,
     RankingProblem,
     SolverConfig,
+    SolverReport,
     build_economy,
     damped_economy,
     load_fixture,
@@ -527,6 +529,19 @@ class TestTatonnementExtrapolation:
         assert report.method == "tatonnement"
         assert verify_equilibrium(build_economy(problem), prices).passed
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="tatonnement stalls on a nearly decomposable market")
+    def test_nearly_decomposable_damped_market_certifies(self):
+        # 0 <-> 1 and the cycle 1 -> 2 -> 3 -> 1; vertex 4 dangles and no
+        # vertex links to it. At q = 20 the dangling trader spends nearly all
+        # its income on its own good: in log prices the Jacobian of the excess
+        # demand at the last iterate has eigenvalues -20, -1.5 +- 0.5i, -2.3e-7
+        # and homogeneity's zero. The step certifies in 1 293 steps at rho 0.9,
+        # not in 20 000 at 0.93 to 0.95, and leaves 1.1e-8 after 200 000 at 0.95
+        problem = sniff_and_load(io.StringIO("format: 1\nn 5\n0 1\n1 0\n1 2\n2 3\n3 1\n"))
+        economy = damped_economy(problem.graph, problem.weights, 0.95, problem.beta)
+        prices, _ = solve_tatonnement(economy, SolverConfig(max_iters=20_000))
+        assert verify_equilibrium(economy, prices).passed
+
     def test_jumps_are_logged(self, caplog):
         economy = damped_economy(*_hard_family("path"), 0.5, 0.85)
         with caplog.at_level(logging.DEBUG, logger="cesrank.solver"):
@@ -772,6 +787,16 @@ class TestVerifyEquilibrium:
         e = CesEconomy(np.ones((2, 2)), 0.0)
         report = verify_equilibrium(e, np.array([0.5 + 1e-6, 0.5 - 1e-6]), tolerance=1e-3)
         assert report.passed
+
+    def test_verdicts_follow_the_residual(self):
+        # neither report takes a verdict that could disagree with its residual
+        assert ClearingReport(1e-10, [1e-10, -1e-11], 1e-10).passed
+        assert not ClearingReport(2e-10, [2e-10, -1e-11], 1e-10).passed
+        assert not ClearingReport(float("nan"), [float("nan"), 0.0], 1e-10).passed
+        assert SolverReport("tatonnement", 7, 1e-10, 1e-10).converged
+        for residual in (2e-10, float("nan")):
+            with pytest.raises(ValueError, match="inconsistent report"):
+                SolverReport("tatonnement", 7, residual, 1e-10)
 
 
 class TestMultistartProbe:
