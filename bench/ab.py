@@ -9,8 +9,9 @@ commit made with ``git clone`` or ``git archive``. Each pair runs
 ``cesbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 ``DIR`` and once in the tree that holds this script, each in its own child
 process; even pairs run the baseline first and odd pairs the change, so
-that drift on the host falls on both sides alike. Every run must report
-``correct: true``.
+that drift on the host falls on both sides alike. Each run compiles its
+tree from source, in a fresh copy with no bytecode cache, as the
+benchmark's own checkouts do. Every run must report ``correct: true``.
 
 For each end-to-end metric that ``BENCHMARK.json`` declares, it prints
 both sides' medians and quartiles and the pairs the change won (ties count
@@ -28,9 +29,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,9 +42,21 @@ GAIN_PAIRS = 10  # the fewest pairs that can show a gain: one or two pairs have 
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its metric values by name, or SystemExit naming what went wrong."""
+    """One benchmark run in ``tree``: its metric values by name, or SystemExit naming what went wrong.
+
+    The run reads no bytecode cache, as the benchmark's own fresh checkouts
+    do not: the child runs in a temporary copy of the tree's ``src`` and
+    ``cesbench`` without their ``__pycache__`` directories, removed
+    afterwards, with ``PYTHONDONTWRITEBYTECODE`` set so that it writes none.
+    The standard library and numpy load from their installed caches, as
+    they do there.
+    """
     argv = [sys.executable, "cesbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    child = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=30 * seconds + 600)
+    with tempfile.TemporaryDirectory(prefix="ab-") as fresh:
+        for part in ("src", "cesbench"):
+            shutil.copytree(tree / part, Path(fresh, part), ignore=shutil.ignore_patterns("__pycache__", ".work"))
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        child = subprocess.run(argv, cwd=fresh, env=env, capture_output=True, text=True, timeout=30 * seconds + 600)
     lines = child.stdout.strip().splitlines()
     if child.returncode != 0 or not lines:
         raise SystemExit(f"error: {workload} in {tree} exited {child.returncode}:\n{child.stderr[-2000:]}")

@@ -370,6 +370,28 @@ def plain_tatonnement(aggregate_demand, economy):
     return None, max_iters
 
 
+def lstsq_jump(logs):
+    """The extrapolated prices of one window of tatonnement's log prices, by `numpy.linalg.lstsq`, or None.
+
+    ``logs`` holds the log prices ``y[0], ..., y[w]`` of a window, one row
+    each; ``f[k] = y[k + 1] - y[k]`` and ``dF`` holds the differences of
+    consecutive ``f``. The jump is ``exp(y[w] - c @ f[1:])`` on the simplex,
+    with ``c`` the minimum-norm minimizer of ``|f[-1] - dF.T @ c|`` from
+    `numpy.linalg.lstsq` (Anderson type II, Walker & Ni, SIAM J. Numer.
+    Anal. 49(4), 2011). None when ``dF`` has rank 0 or a jumped price is not
+    finite and positive.
+    """
+    f = logs[1:] - logs[:-1]
+    df = f[1:] - f[:-1]
+    c, _, rank, _ = np.linalg.lstsq(df.T, f[-1])
+    if rank == 0:
+        return None
+    y = logs[-1] - c @ f[1:]
+    jump = np.exp(y - y.max())
+    jump /= jump.sum()
+    return jump if jump.min() > 0.0 else None
+
+
 @dataclass(frozen=True, eq=False)
 class MultistartReport:
     """Spread of equilibria computed from several random interior starts.

@@ -98,3 +98,32 @@ def test_a_metric_missing_from_one_side_is_left_out(monkeypatch, tmp_path, capsy
     assert "op_tail_s" not in printed
     names = [s["name"] for s in json.loads(out.read_text())["summary"]]
     assert names == ["setup_s", "op_p50_s", "rankings_per_s", "peak_rss_mb", "success_share"]
+
+
+def test_each_run_compiles_a_fresh_copy_of_its_tree(monkeypatch, tmp_path):
+    # a stale bytecode cache in the tree is neither read nor copied, and the
+    # child writes none: it compiles the tree from source, as a fresh checkout does
+    tree = tmp_path / "tree"
+    for part in ("src/cesrank", "cesbench"):
+        (tree / part / "__pycache__").mkdir(parents=True)
+        (tree / part / "__pycache__" / "stale.cpython-311.pyc").write_bytes(b"stale")
+    (tree / "src" / "cesrank" / "__init__.py").write_text("")
+    (tree / "cesbench" / "run.py").write_text("")
+    (tree / "cesbench" / ".work").mkdir()
+    seen = {}
+
+    def child(argv, cwd, env, **kwargs):
+        fresh = Path(cwd)
+        seen.update(cwd=fresh, env=env, files=sorted(p.relative_to(fresh).as_posix() for p in fresh.rglob("*")))
+        result = {"correct": True, "metrics": {"op_p50_s": {"value": 0.01}}}
+        return ab.subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", child)
+    monkeypatch.setenv("AB_TEST_MARKER", "kept")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert ab.run_benchmark(tree, "ces-small", 1, 1.0) == {"op_p50_s": 0.01}
+    assert seen["files"] == ["cesbench", "cesbench/run.py", "src", "src/cesrank", "src/cesrank/__init__.py"]
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["env"]["AB_TEST_MARKER"] == "kept"
+    assert not seen["cwd"].exists()
+    assert (tree / "src" / "cesrank" / "__pycache__" / "stale.cpython-311.pyc").exists()

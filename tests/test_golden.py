@@ -7,9 +7,12 @@ contract.
 """
 
 import codecs
+import logging
+import re
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cesrank.cli
@@ -40,6 +43,14 @@ CASES = [
     for method, flags in METHODS.items()
     for fmt in ("tsv", "json")
 ] + [
+    # ten goods: the jump solves the normal equations, where every other input
+    # here has at most five and takes least squares. TSV only, on an input
+    # whose 12 significant digits stay the same when the jump's Gram matrix is
+    # perturbed by up to 1e-13 relative: another CPU's BLAS may compute it to
+    # other last bits
+    (f"rank-dangling10-{method}-tsv", ["rank", "--input", str(GOLDEN / "dangling10.edges"), "--format", "tsv", *METHODS[method]], 0)
+    for method in ("ces-rho0.5", "ces-rho-0.5")
+] + [
     ("verify-all", ["verify", "--axiom", "all"], 0),
     ("convert-dangling", ["convert", "--input", INPUTS["dangling"]], 0),
     ("convert-nonuniform3", ["convert", "--input", INPUTS["nonuniform3"]], 2),
@@ -50,6 +61,18 @@ CASES = [
 def test_cli_stdout_is_golden(name, argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("rho", ["0.5", "-0.5"])
+def test_ten_goods_jump_by_the_normal_equations(rho, monkeypatch, caplog):
+    # the golden runs above take the jump's normal equations, and keep a jump
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+    with caplog.at_level(logging.DEBUG, logger="cesrank.solver"):
+        assert main(["rank", "--input", str(GOLDEN / "dangling10.edges"), "--rho", rho, "--format", "tsv"]) == 0
+    assert calls and set(calls) == {(5, 5)}
+    line = re.fullmatch(r"tatonnement: \d+ steps, (\d+) jumps accepted, \d+ undone", caplog.messages[-1])
+    assert line is not None and int(line.group(1)) > 0
 
 
 def _dangling_copy(tmp_path_factory, text, from_bytes):

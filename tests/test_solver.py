@@ -45,6 +45,7 @@ from oracles import (
     dense_tatonnement,
     dense_weights,
     fixed_point_equilibrium,
+    lstsq_jump,
     multistart_probe,
     out_regular_edges,
     plain_tatonnement,
@@ -360,8 +361,8 @@ def _vertex_problem(weights, rho, beta=0.85):
 
 
 def _golden_problem(source, rho):
-    if source == "dangling":
-        edges = sniff_and_load(str(Path(__file__).parent / "golden" / "dangling.edges"))
+    if source.startswith("dangling"):
+        edges = sniff_and_load(str(Path(__file__).parent / "golden" / f"{source}.edges"))
         return RankingProblem.from_edges(tuple(f"v{k}" for k in range(edges.n)), edges.graph, edges.weights, rho)
     fixture = load_fixture(source)
     return RankingProblem.from_edges(fixture.agent_ids, fixture.graph, fixture.weights, rho, beta=fixture.beta)
@@ -542,6 +543,20 @@ class TestTatonnementExtrapolation:
         prices, _ = solve_tatonnement(economy, SolverConfig(max_iters=20_000))
         assert verify_equilibrium(economy, prices).passed
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="the demand kernel's floor power underflows to 0")
+    def test_floor_power_underflow_certifies(self):
+        # 0 <-> 1, the cycle 1 -> 2 -> 3 -> 1 and 4 -> 0, at beta 1 - 2**-53:
+        # every floor is 2.2e-17 and q = 20, so `aggregate_demand`'s
+        # ``(floor / top) ** q`` underflows to 0 in four of the five rows, and
+        # the first step leaves good 4, which no vertex links to and only the
+        # floors buy, at price 0 (`rank --rho 0.95 --beta 0.9999999999999999`
+        # exits 3 at once). At beta 0.99999999999 the same list certifies with
+        # good 4 at 8.3e-13, so the equilibrium fits in floats
+        problem = sniff_and_load(io.StringIO("format: 1\nn 5\n0 1\n1 0\n1 2\n2 3\n3 1\n4 0\n"))
+        economy = damped_economy(problem.graph, problem.weights, 0.95, 0.9999999999999999)
+        prices, _ = solve_tatonnement(economy)
+        assert verify_equilibrium(economy, prices).passed
+
     def test_jumps_are_logged(self, caplog):
         economy = damped_economy(*_hard_family("path"), 0.5, 0.85)
         with caplog.at_level(logging.DEBUG, logger="cesrank.solver"):
@@ -552,17 +567,91 @@ class TestTatonnementExtrapolation:
         assert steps == report.iterations
         assert accepted > 0
 
-    def test_rejected_jump_is_undone(self, monkeypatch):
+    @staticmethod
+    def rejected_jumps_are_undone(economy, monkeypatch):
+        """Assert that jumps aimed 1e3 times too far the other way are undone; return the calls of each solve."""
         # a jump whose residual does not fall is replaced by the plain image
         # it stood in for: the same equilibrium, one step later per jump
-        economy = damped_economy(*_hard_family("path"), 0.5, 0.85)
         plain, plain_steps = plain_tatonnement(aggregate_demand(economy), economy)
-        real = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b: (-1e3 * real(a, b)[0], *real(a, b)[1:]))
+        real_solve, real_lstsq, calls = np.linalg.solve, np.linalg.lstsq, {"solve": 0, "lstsq": 0}
+
+        def solve(a, b):
+            calls["solve"] += 1
+            return -1e3 * real_solve(a, b)
+
+        def lstsq(a, b):
+            calls["lstsq"] += 1
+            c, *rest = real_lstsq(a, b)
+            return (-1e3 * c, *rest)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
         prices, report = solve_tatonnement(economy)
         assert np.abs(prices.pi - plain).max() <= 1e-9
         # each window of plain steps costs one more, the undone jump
         assert plain_steps <= report.iterations <= plain_steps + plain_steps // cesrank.solver._WINDOW + 1
+        return calls
+
+    def test_rejected_jump_is_undone(self, monkeypatch):
+        # 40 goods: the jump solves the window's 5 x 5 normal equations, and
+        # least squares on the windows whose differences are nearly dependent
+        economy = damped_economy(*_hard_family("path"), 0.5, 0.85)
+        assert self.rejected_jumps_are_undone(economy, monkeypatch)["solve"] > 0
+
+    def test_rejected_jump_is_undone_below_the_window(self, monkeypatch):
+        # 5 goods, fewer than the window's 6: every jump takes the minimum-norm least-squares solution
+        economy = build_economy(_golden_problem("dangling", 0.5))
+        calls = self.rejected_jumps_are_undone(economy, monkeypatch)
+        assert calls["lstsq"] > 0 and calls["solve"] == 0
+
+    @pytest.mark.parametrize(
+        "case",
+        [("path", 0.85, 0.5), ("path", 0.85, -1.0), ("skewed", 0.85, 0.5), ("star", 1.0, 0.8), ("dangling10", 0.5), ("dangling10", -0.5)],
+        ids=lambda case: "-".join(map(str, case)),
+    )
+    def test_jump_matches_lstsq(self, monkeypatch, case):
+        # on the windows of real solves above the window's size, the normal
+        # equations give the jump of `np.linalg.lstsq` to 1e-9 relative; the
+        # 100-star's leaves share one price, so its windows are dependent and
+        # take `lstsq` itself
+        economy = build_economy(_golden_problem(*case)) if len(case) == 2 else damped_economy(*_hard_family(case[0]), case[2], case[1])
+        assert economy.n >= cesrank.solver._WINDOW
+        windows = _recorded_windows(economy, monkeypatch)
+        assert windows
+        for logs, jump in windows:
+            expected = lstsq_jump(logs)
+            assert (jump is None) == (expected is None)
+            if jump is not None:
+                assert np.all(np.abs(jump - expected) <= 1e-9 * expected)
+
+    @pytest.mark.parametrize(("family", "beta", "rho"), [("star", 1.0, 0.8), ("two-cliques", 1.0, -1.0), ("star+chord", 1.0, -1.0)])
+    def test_dependent_windows_take_lstsq(self, monkeypatch, family, beta, rho):
+        # symmetry leaves these graphs a few distinct prices, so a window's
+        # differences are dependent to rounding: its Gram matrix is singular,
+        # and solving it would jump by rounding errors (on the star, 12 steps
+        # where least squares takes 6)
+        economy = damped_economy(*_hard_family(family), rho, beta)
+        with monkeypatch.context() as patched:
+            patched.setattr(cesrank.solver, "_normal_solution", lambda d: None)
+            reference, reference_report = solve_tatonnement(economy)
+        prices, report = solve_tatonnement(economy)
+        assert report.iterations == reference_report.iterations
+        assert np.array_equal(prices.pi, reference.pi)
+
+
+def _recorded_windows(economy, monkeypatch):
+    """Each full window of a default tatonnement solve of ``economy``: its log prices and the jump taken from them."""
+    windows = []
+    real = cesrank.solver._Extrapolation._jump
+
+    def recorded(self):
+        logs = self.logs.copy()
+        windows.append((logs, real(self)))
+        return windows[-1][1]
+
+    monkeypatch.setattr(cesrank.solver._Extrapolation, "_jump", recorded)
+    solve_tatonnement(economy)
+    return windows
 
 
 @pytest.mark.parametrize("rho", [-1.0, -0.5, 0.5, 0.8, 0.9, 0.95])
