@@ -20,9 +20,13 @@ in ten and its median is better than the baseline's by more than the
 distance between the baseline's quartiles, the rule of a claimed gain,
 which needs at least ten pairs: with fewer, such a metric reads as too few
 pairs. It is a regression when its median is worse by more than the
-metric's bound; otherwise it reads as within noise. ``--out FILE`` also
-writes every run's metrics and the summary as JSON. The script needs the
-standard library only, and imports nothing of cesrank.
+metric's bound. Otherwise it is unresolved when the baseline's quartiles
+lie further apart than the bound times its median, a spread too wide to
+tell a change within the bound from none, unless every run of the change
+is better than every baseline run; else it reads as within noise.
+``--out FILE`` also writes every run's metrics and the summary as JSON.
+The script needs the standard library only, and imports nothing of
+cesrank.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ def summarize(metric: dict, baseline: list[float], change: list[float]) -> dict:
         verdict = "gain" if len(baseline) >= GAIN_PAIRS else "too few pairs"
     elif -gain > metric["bound"] * abs(base_q[1]):
         verdict = "regression"
+    elif base_q[2] - base_q[0] > metric["bound"] * abs(base_q[1]) and not all(sign * (b - a) > 0 for a in baseline for b in change):
+        verdict = "unresolved"
     else:
         verdict = "within noise"
     return {

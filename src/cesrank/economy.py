@@ -190,6 +190,13 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
         d_j = (sum_g p_j**r_g * sum_{i in g} c_i**q_i * w_i
                + sum_{(i, j) in E} delta_ij * p_j**r_i * w_i) / p_j
 
+    A rho given as one value is a group of one, run by the same lines: a
+    scalar ``r``, price powers as one vector indexed by good and the floor's
+    spending as one sequential sum, so that a call builds no group or
+    edge-sized index, in O(nnz + n). The ufuncs' own reduce and accumulate
+    skip the Python wrappers of ``.max()``, ``.sum()`` and ``np.cumsum``,
+    about a sixth of a call at n <= 200.
+
     Returns a function of a strictly positive price array (not validated:
     this is the solver's inner loop). `excess_demand` certifies its result.
     """
@@ -203,43 +210,25 @@ def aggregate_demand(economy: CesEconomy) -> Callable[[np.ndarray], np.ndarray]:
     floor_q = (economy.floor / top) ** q
     delta = (economy.values / top[rows]) ** q[rows] - floor_q[rows]
     if economy.rho.strides == (0,):  # a rho given as one value (a stride-0 view) is one group
-        return _one_rho_demand(n, 1.0 - q[0], rows, cols, floor_q, delta)
-    q_values, group = np.unique(q, return_inverse=True)
-    r = 1.0 - q_values
-    entry = group[rows] * n + cols  # flat index into the (G, n) table of price powers
+        r, group, entry = 1.0 - q[0], None, cols
+    else:
+        q_values, group = np.unique(q, return_inverse=True)
+        r = (1.0 - q_values)[:, None]
+        entry = group[rows] * n + cols  # flat index into the (G, n) table of price powers
 
     def demand(prices: np.ndarray) -> np.ndarray:
         # p_j**r_g in log space, shifted per group so that its largest value
         # is exp(0) = 1; the shift cancels between T_i and d_j.
-        powers = r[:, None] * np.log(prices)
-        powers -= powers.max(axis=1, keepdims=True)
-        spend = delta * np.exp(powers, out=powers).take(entry)
-        totals = floor_q * powers.sum(axis=1)[group] + np.bincount(rows, spend, minlength=n)
-        w = prices / totals
-        spend *= w.take(rows)
-        d = np.bincount(group, floor_q * w, minlength=len(r)) @ powers
-        d += np.bincount(cols, spend, minlength=n)
-        return np.divide(d, prices, out=d)
-
-    return demand
-
-
-def _one_rho_demand(n: int, r: float, rows, cols, floor_q, delta) -> Callable[[np.ndarray], np.ndarray]:
-    """`aggregate_demand`'s function when every trader has the exponent ``r``: its one group's arithmetic, bit for bit.
-
-    The price powers are one vector indexed by good, so a call builds no
-    group or edge-sized index, in O(nnz + n). The ufuncs' own reduce and
-    accumulate skip the Python wrappers of ``.max()``, ``.sum()`` and
-    ``np.cumsum``, about a sixth of a call at n <= 200.
-    """
-
-    def demand(prices: np.ndarray) -> np.ndarray:
         powers = r * np.log(prices)
-        powers -= np.maximum.reduce(powers)
-        spend = delta * np.exp(powers, out=powers).take(cols)
-        w = prices / (floor_q * np.add.reduce(powers) + np.bincount(rows, spend, minlength=n))
+        powers -= np.maximum.reduce(powers, axis=-1, keepdims=True)
+        spend = delta * np.exp(powers, out=powers).take(entry)
+        sums = np.add.reduce(powers, axis=-1)
+        w = prices / (floor_q * (sums if group is None else sums[group]) + np.bincount(rows, spend, minlength=n))
         spend *= w.take(rows)
-        d = np.add.accumulate(floor_q * w)[-1] * powers  # the floor's spending, summed in bincount's order
+        if group is None:  # the floor's spending, summed in trader order as bincount sums it
+            d = np.add.accumulate(floor_q * w)[-1] * powers
+        else:
+            d = np.bincount(group, floor_q * w, minlength=len(r)) @ powers
         d += np.bincount(cols, spend, minlength=n)
         return np.divide(d, prices, out=d)
 

@@ -439,7 +439,8 @@ def _iterate(
     iterate whose residual is within ``cfg.tolerance`` and that
     `verify_equilibrium` certifies at the renormalized prices it returns;
     the report carries the certificate's residual. A non-finite ``z`` with
-    no next iterate, a next price that is not finite and positive, or
+    no next iterate, a next price that is not finite and positive, a plain
+    step that maps an uncertified iterate to itself bit for bit, or
     ``cfg.max_iters`` steps without a certificate is a `ConvergenceError`
     with the last iterate and the last ten finite residuals.
     """
@@ -451,6 +452,7 @@ def _iterate(
         p = np.full(n, 1.0 / n)
     name, uncleared = _LOOP_TEXTS[method]
     tail: deque[float] = deque(maxlen=10)
+    previous = math.nan
     for it in range(cfg.max_iters + 1):
         z, image = advance(p)
         residual = float(np.abs(z, out=z).max())  # NaN or inf when any z is
@@ -477,7 +479,13 @@ def _iterate(
                 residual=float("nan"),
                 residual_tail=list(tail),
             )
-        p = following
+        # the next iterate is p's own plain image (no jump or undo) and p itself, bit for bit: every later step repeats this one
+        if residual == previous and following is image and np.array_equal(following, p):
+            refused = f", certified as {check.residual:.3e}" if residual <= cfg.tolerance else ""
+            raise ConvergenceError(
+                f"{name} stopped moving at iteration {it}, residual {residual:.3e}{refused}", last_iterate=p, residual=residual, residual_tail=list(tail)
+            )
+        previous, p = residual, following
         # an image entry that is not finite makes the sum, and so a price, NaN
         if not p.min() > 0.0:
             j = int(np.flatnonzero(~np.isfinite(p) | (p <= 0.0))[0])

@@ -57,6 +57,21 @@ def test_a_regression_only_beyond_the_bound():
     assert ab.summarize(LOWER, BASELINE, [v * 1.2 for v in BASELINE])["verdict"] == "within noise"
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # quartiles 7.5 and 12.5 around a median of 10: an IQR of half the median, past the bound of a quarter
+    wide = [5.0, 6.0, 7.5, 7.5, 10.0, 10.0, 12.5, 12.5, 14.0, 15.0]
+    for change in (wide, shifted(wide, 0.5), shifted(wide, -0.5)):
+        assert ab.summarize(LOWER, wide, change)["verdict"] == "unresolved"
+    # a median worse by more than the bound stays a regression, however wide the spread
+    assert ab.summarize(LOWER, wide, shifted(wide, 3.0))["verdict"] == "regression"
+    # quartiles 10 and 15, every run at 9.9 or above: no gain of 0.2 can pass the IQR
+    skewed = [9.9, 9.9, 10.0, 10.0, 10.0, 10.0, 15.0, 15.0, 16.0, 16.0]
+    assert ab.summarize(LOWER, skewed, [9.8] * 9 + [10.5])["verdict"] == "unresolved"
+    # unless every run of the change is better than every baseline run
+    assert ab.summarize(LOWER, skewed, [9.8] * 10)["verdict"] == "within noise"
+    assert ab.summarize(HIGHER, [-v for v in skewed], [-9.8] * 10)["verdict"] == "within noise"
+
+
 def test_the_sign_follows_which_way_is_better():
     higher = shifted(BASELINE, 3.0)
     assert ab.summarize(HIGHER, BASELINE, higher)["verdict"] == "gain"

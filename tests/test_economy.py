@@ -447,8 +447,13 @@ def test_common_rho_given_once_or_per_agent_gives_the_same_bits(pair):
     assert _bits(excess_demand(once, p)) == _bits(excess_demand(per_agent, p))
 
 
-def test_one_rho_certificate_keeps_no_edge_sized_index():
-    # the grouped certificate flattens an (G, n) index per entry; one rho indexes by good alone
+@pytest.mark.parametrize(
+    "evaluate",
+    [excess_demand, lambda economy, p: aggregate_demand(economy)(p)],  # the kernel: its set-up and one call
+    ids=["excess_demand", "aggregate_demand"],
+)
+def test_one_rho_keeps_no_edge_sized_index(evaluate):
+    # a rho per agent flattens an (G, n) index per entry; one rho indexes by good alone
     rng = np.random.default_rng(0)
     n = 20_000
     key = np.unique(np.repeat(np.arange(n), 5) * n + rng.integers(0, n, 5 * n))
@@ -458,7 +463,7 @@ def test_one_rho_certificate_keeps_no_edge_sized_index():
     peaks = []
     for economy in (once, per_agent):
         tracemalloc.start()
-        excess_demand(economy, p)
+        evaluate(economy, p)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] >= 0.9 * once.rows.size * 8

@@ -51,6 +51,11 @@ CASES = [
     (f"rank-dangling10-{method}-tsv", ["rank", "--input", str(GOLDEN / "dangling10.edges"), "--format", "tsv", *METHODS[method]], 0)
     for method in ("ces-rho0.5", "ces-rho-0.5")
 ] + [
+    # a rho per agent with two values: the kernels' grouped branch, whose
+    # JSON holds a tie group
+    (f"rank-nonuniform3-two-rho-{fmt}", ["rank", "--input", str(GOLDEN / "nonuniform3-two-rho.json"), "--format", fmt], 0)
+    for fmt in ("tsv", "json")
+] + [
     ("verify-all", ["verify", "--axiom", "all"], 0),
     ("convert-dangling", ["convert", "--input", INPUTS["dangling"]], 0),
     ("convert-nonuniform3", ["convert", "--input", INPUTS["nonuniform3"]], 2),

@@ -348,6 +348,19 @@ class TestSolveTatonnement:
         with pytest.raises(ConvergenceError, match="excess demand of good 0 is not finite at iteration 1274"):
             solve_tatonnement(economy, SolverConfig(max_iters=2000))
 
+    @pytest.mark.parametrize("rho, refused", [(0.5, ", certified as 2.220e-16"), (-0.5, "")], ids=["rho0.5", "rho-0.5"])
+    def test_prices_that_stop_moving_end_the_loop_at_once(self, rho, refused):
+        # the 3-cycle's uniform prices map to themselves bit for bit, and at a
+        # tolerance below rounding neither the kernel nor the certificate (at
+        # rho 0.5 it reads 2.2e-16 where the kernel reads 0) clears them
+        economy = damped_economy(DirectedGraph(3, [0, 1, 2], [1, 2, 0]), np.ones(3), rho, 0.85)
+        with pytest.raises(ConvergenceError) as info:
+            solve_tatonnement(economy, SolverConfig(tolerance=1e-17))
+        residual = info.value.residual
+        assert str(info.value) == f"tatonnement stopped moving at iteration 1, residual {residual:.3e}{refused}"
+        assert info.value.residual_tail == [residual, residual]
+        assert np.array_equal(info.value.last_iterate, np.full(3, 1.0 / 3))
+
     def test_disconnected_rejected_before_iterating(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
         e = CesEconomy(alpha, 0.5)
