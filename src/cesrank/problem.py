@@ -76,7 +76,9 @@ def _entries_above(matrix: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray]:
 
 def support_graph(matrix: np.ndarray) -> DirectedGraph:
     """Graph of a square matrix: an edge i -> j wherever ``matrix[i, j] > 0``."""
-    proven = matrix.ndim == 2 and 0 < matrix.shape[1] <= matrix.shape[0]  # read row-major: sorted, distinct, and in range
+    if matrix.ndim != 2:
+        raise ValueError(f"support_graph needs a 2-D matrix, got shape {matrix.shape}")
+    proven = 0 < matrix.shape[1] <= matrix.shape[0]  # read row-major: sorted, distinct, and in range
     return (DirectedGraph._trusted if proven else DirectedGraph)(matrix.shape[0], *_entries_above(matrix, 0.0))
 
 

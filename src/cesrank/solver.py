@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import time
 from collections import deque
 from collections.abc import Callable
@@ -35,9 +36,6 @@ logger = logging.getLogger(__name__)
 
 #: A price loop's map: prices to their excess demand and the unnormalized next prices, new arrays the loop may overwrite.
 _PriceMap = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-#: A price loop's next iterate, from the current prices, their map's image (renormalized in place) and their residual;
-#: None when the residual is not finite and there is no other iterate to go to.
-_NextPrices = Callable[[np.ndarray, np.ndarray, float], np.ndarray | None]
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):  # NaN certifies nothing, inf anything
             raise ValueError(f"tolerance must be finite and positive, got {float(self.tolerance)!r}")
+        if not isinstance(self.max_iters, numbers.Integral):  # numpy's integers too; a float fails in `range`
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
@@ -311,7 +311,7 @@ _INDEPENDENT = 1e-10
 
 
 class _Extrapolation:
-    """Tatonnement's next iterate: the plain image, or, after each contracting window, a jump.
+    """Tatonnement's next iterate, from `_iterate`'s plain one: that, a jump after each contracting window, or an undo.
 
     `_WINDOW` consecutive iterates ``p_k``, each after the first with a lower
     residual, and their plain images give the log prices ``y[0] = log p_0``
@@ -335,7 +335,8 @@ class _Extrapolation:
     plain image. A jumped iterate whose residual is not below the residual
     before the jump, or is not finite, is undone: the next iterate is the
     plain image it replaced. Every window starts afresh after a jump, an
-    undo, or a residual that did not fall.
+    undo, or a residual that did not fall. No plain image and no jump to
+    undo is no next iterate.
     """
 
     def __init__(self, n: int):
@@ -345,19 +346,19 @@ class _Extrapolation:
         self.pending: tuple[np.ndarray, float] | None = None  # the image a jump replaced, and the residual at its iterate
         self.steps = self.accepted = self.undone = 0
 
-    def __call__(self, p: np.ndarray, image: np.ndarray, residual: float) -> np.ndarray | None:
+    def __call__(self, p: np.ndarray, plain: np.ndarray | None, residual: float) -> np.ndarray | None:
         self.steps += 1
         logs = self.logs
         if self.pending is not None:
-            plain, before = self.pending
+            replaced, before = self.pending
             self.pending = None
             if not residual < before:  # NaN included
                 self.undone += 1
-                self.count, self.previous = 1, before  # ``logs[0]`` is already the log of ``plain``
-                return plain
+                self.count, self.previous = 1, before  # ``logs[0]`` is already the log of ``replaced``
+                return replaced
             self.accepted += 1
             self.count = 0
-        elif not math.isfinite(residual):
+        elif plain is None:
             return None
         if self.count == 0:
             np.log(p, out=logs[0])
@@ -366,7 +367,6 @@ class _Extrapolation:
             logs[0] = logs[self.count - 1]
             self.count = 1
         self.previous = residual
-        plain = np.divide(image, image.sum(), out=image)
         np.log(plain, out=logs[self.count])
         self.count += 1
         if self.count <= _WINDOW:
@@ -421,26 +421,23 @@ def _normal_solution(d: np.ndarray) -> np.ndarray | None:
 _LOOP_TEXTS = {"power": ("power iteration", "did not converge"), "tatonnement": ("tatonnement", "did not clear the market")}
 
 
-def _renormalized(p: np.ndarray, image: np.ndarray, residual: float) -> np.ndarray | None:
-    """The plain next iterate: the image on the simplex, or None after a residual that is not finite."""
-    return np.divide(image, image.sum(), out=image) if math.isfinite(residual) else None
-
-
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a demand or price gone non-finite is a ConvergenceError below
 def _iterate(
-    economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig, next_prices: _NextPrices = _renormalized
+    economy: CesEconomy, method: str, advance: _PriceMap, cfg: SolverConfig, extrapolation: _Extrapolation | None = None
 ) -> tuple[PriceVector, SolverReport]:
     """The one certified price loop, for ``method`` ``"power"`` or ``"tatonnement"``.
 
     From ``cfg.initial_prices``, renormalized, or the uniform vector,
     ``advance(p)`` gives the excess demand ``z`` at ``p`` and the
-    unnormalized next prices, and ``next_prices`` the next iterate from
-    those and the max-norm residual of ``z``. The loop stops on the first
-    iterate whose residual is within ``cfg.tolerance`` and that
-    `verify_equilibrium` certifies at the renormalized prices it returns;
-    the report carries the certificate's residual. A non-finite ``z`` with
-    no next iterate, a next price that is not finite and positive, a plain
-    step that maps an uncertified iterate to itself bit for bit, or
+    unnormalized next prices, renormalized in place to the plain next
+    iterate when the max-norm residual of ``z`` is finite. An
+    ``extrapolation`` may replace that by a jump, or by the plain iterate
+    its last jump replaced. The loop stops on the first iterate whose
+    residual is within ``cfg.tolerance`` and that `verify_equilibrium`
+    certifies at the renormalized prices it returns; the report carries the
+    certificate's residual. A non-finite ``z`` with no next iterate, a next
+    price that is not finite and positive, a plain step that maps an
+    uncertified iterate to itself bit for bit, or
     ``cfg.max_iters`` steps without a certificate is a `ConvergenceError`
     with the last iterate and the last ten finite residuals.
     """
@@ -470,7 +467,8 @@ def _iterate(
         if it == cfg.max_iters and finite:
             break
         # a residual that is not finite ends the loop unless there is an iterate to go back to
-        following = next_prices(p, image, residual)
+        plain = np.divide(image, image.sum(), out=image) if finite else None
+        following = plain if extrapolation is None else extrapolation(p, plain, residual)
         if following is None:
             j = int(np.flatnonzero(~np.isfinite(z))[0])
             raise ConvergenceError(
@@ -480,7 +478,7 @@ def _iterate(
                 residual_tail=list(tail),
             )
         # the next iterate is p's own plain image (no jump or undo) and p itself, bit for bit: every later step repeats this one
-        if residual == previous and following is image and np.array_equal(following, p):
+        if residual == previous and following is plain and np.array_equal(following, p):
             refused = f", certified as {check.residual:.3e}" if residual <= cfg.tolerance else ""
             raise ConvergenceError(
                 f"{name} stopped moving at iteration {it}, residual {residual:.3e}{refused}", last_iterate=p, residual=residual, residual_tail=list(tail)
@@ -508,20 +506,20 @@ def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -
     """Equilibrium prices, by the method the economy calls for.
 
     When every trader has unit elasticity (rho 0) and every floor is
-    positive, `solve_power` iterates the prices for at most n steps,
-    O(n·(n + nnz)) in all, far below the dense solve's n³/3
-    (``method="power"``). When those steps leave the market uncertified,
-    `solve_cobb_douglas` solves it exactly, and its report's wall time runs
-    from this call's entry, the n steps included; a zero floor (an undamped
-    chain, which may be periodic) goes to it directly. Any other economy
-    runs tatonnement.
+    positive, `solve_power` iterates the prices for at most n steps, or
+    ``config.max_iters`` if fewer, O(n·(n + nnz)) in all, far below the
+    dense solve's n³/3 (``method="power"``). When those steps leave the
+    market uncertified, `solve_cobb_douglas` solves it exactly, and its
+    report's wall time runs from this call's entry, those steps included;
+    a zero floor (an undamped chain, which may be periodic) goes to it
+    directly. Any other economy runs tatonnement.
     """
     if np.any(economy.rho != 0.0):
         return solve_tatonnement(economy, config)
     if economy.floor.min() <= 0.0:
         return solve_cobb_douglas(economy, config)
     try:
-        return solve_power(economy, replace(config, max_iters=economy.n))
+        return solve_power(economy, replace(config, max_iters=min(economy.n, config.max_iters)))
     except ConvergenceError as exc:
         logger.info("%s; solving in closed form", exc)
     return solve_cobb_douglas(economy, config)

@@ -15,6 +15,7 @@ from cesrank import (
     check_uniformity,
     excess_demand,
     solve_cobb_douglas,
+    support_graph,
     web_economy,
 )
 
@@ -325,3 +326,10 @@ def test_first_bad_dense_entry_is_named(alpha, data):
         RankingProblem(ids(n), alpha, 0.0)
     with pytest.raises(ValueError, match=message):
         CesEconomy(alpha, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (2, 2, 2)])
+def test_support_graph_needs_a_matrix(shape):
+    # an array that is not 2-D has no rows and columns to read edges from
+    with pytest.raises(ValueError, match=re.escape(f"support_graph needs a 2-D matrix, got shape {shape}")):
+        support_graph(np.ones(shape))

@@ -106,6 +106,13 @@ class TestSolveCobbDouglas:
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             solve_cobb_douglas(economy, SolverConfig(tolerance=tolerance))
 
+    @pytest.mark.parametrize("max_iters", [1e3, 2.0, "3"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        # a float budget would fail later, in the loop's `range`
+        with pytest.raises(ValueError, match=re.escape(f"max_iters must be an integer, got {max_iters!r}")):
+            SolverConfig(max_iters=max_iters)
+        assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
     def test_plain_chain_equilibrium(self):
         # stationary distribution (0.4, 0.2, 0.4)
         e = CesEconomy(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), 0.0)
@@ -617,6 +624,51 @@ class TestTatonnementExtrapolation:
         calls = self.rejected_jumps_are_undone(economy, monkeypatch)
         assert calls["lstsq"] > 0 and calls["solve"] == 0
 
+    def test_jump_to_non_finite_excess_demand_is_undone(self, monkeypatch, caplog):
+        # the kernel gives NaN at the first jumped iterate: the jump is undone
+        # and the loop goes on from the plain image it replaced, one step
+        # behind a solve that does not take that jump at all, to the same bits
+        economy = damped_economy(*_hard_family("path"), 0.5, 0.85)
+        real_jump, real_kernel = cesrank.solver._Extrapolation._jump, cesrank.solver.aggregate_demand
+        jumps = []
+
+        def recorded(self):
+            jump = real_jump(self)
+            if jump is not None:
+                jumps.append(jump)
+            return jump
+
+        def skipped(self):
+            jump = recorded(self)
+            return None if jump is not None and len(jumps) == 1 else jump
+
+        def poisoned(economy):
+            demand_at = real_kernel(economy)
+
+            def demand(p):
+                out = demand_at(p)
+                if jumps and p is jumps[0]:
+                    out[0] = np.nan
+                return out
+
+            return demand
+
+        def solve_and_count():
+            jumps.clear()
+            with caplog.at_level(logging.DEBUG, logger="cesrank.solver"):
+                prices, report = solve_tatonnement(economy)
+            counts = re.fullmatch(r"tatonnement: (\d+) steps, (\d+) jumps accepted, (\d+) undone", caplog.messages[-1])
+            return prices, report, tuple(map(int, counts.groups()))
+
+        monkeypatch.setattr(cesrank.solver._Extrapolation, "_jump", skipped)
+        reference, reference_report, (steps, accepted, undone) = solve_and_count()
+        monkeypatch.setattr(cesrank.solver._Extrapolation, "_jump", recorded)
+        monkeypatch.setattr(cesrank.solver, "aggregate_demand", poisoned)
+        prices, report, counts = solve_and_count()
+        assert undone == 0 and counts == (steps + 1, accepted, 1)
+        assert report.iterations == reference_report.iterations + 1
+        assert np.array_equal(prices.pi, reference.pi)
+
     @pytest.mark.parametrize(
         "case",
         [("path", 0.85, 0.5), ("path", 0.85, -1.0), ("skewed", 0.85, 0.5), ("star", 1.0, 0.8), ("dangling10", 0.5), ("dangling10", -0.5)],
@@ -729,10 +781,10 @@ def test_undamped_periodic_graph_certifies(edges, rho):
     _assert_certified(_vertex_problem(weights, rho, beta=1.0))
 
 
-def _damped_random_economy(n=300):
-    """rho 0, beta 0.85, five unit out-edges per vertex."""
+def _damped_random_economy(n=300, beta=0.85):
+    """rho 0, five unit out-edges per vertex."""
     graph = DirectedGraph(n, *zip(*out_regular_edges(np.random.default_rng(2), n)))
-    return damped_economy(graph, np.ones(5 * n), 0.0, 0.85)
+    return damped_economy(graph, np.ones(5 * n), 0.0, beta)
 
 
 def _weakly_damped_cycle(n=300):
@@ -771,6 +823,17 @@ class TestSolveEquilibrium:
         prices, report = solve_equilibrium(e)
         assert report.method == "closed_form"
         assert report.converged
+        assert verify_equilibrium(e, prices).passed
+
+    def test_power_phase_keeps_a_smaller_budget(self, caplog):
+        # at beta 0.999 power iteration certifies in 30 steps; a budget of 5
+        # ends it after 5, and the exact solve answers
+        e = _damped_random_economy(n=400, beta=0.999)
+        assert solve_equilibrium(e)[1].method == "power"
+        with caplog.at_level(logging.INFO, logger="cesrank.solver"):
+            prices, report = solve_equilibrium(e, SolverConfig(max_iters=5))
+        assert report.method == "closed_form"
+        assert "power iteration did not converge in 5 iterations" in caplog.text
         assert verify_equilibrium(e, prices).passed
 
     def test_uniform_economy_is_exact_in_one_step(self):
