@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -119,6 +120,8 @@ def main(argv=None) -> int:
         parser.error(f"{args.baseline} holds no cesbench/run.py")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if not (math.isfinite(args.seconds) and args.seconds > 0):  # a child's timeout is 30 times this
+        parser.error(f"--seconds must be finite and positive, got {args.seconds!r}")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs: dict[str, list[dict]] = {"baseline": [], "change": []}

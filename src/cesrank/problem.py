@@ -13,6 +13,7 @@ each row with the uniform row at weight ``1 - beta``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class DirectedGraph:
     dst: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):  # numpy's integers pass; a float is refused, not truncated
+            raise ValueError(f"vertex count must be an integer, got {self.n!r}")
         n = int(self.n)
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")

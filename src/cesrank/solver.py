@@ -53,9 +53,10 @@ class SolverConfig:
     initial_prices: PriceVector | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):  # NaN certifies nothing, inf anything
-            raise ValueError(f"tolerance must be finite and positive, got {float(self.tolerance)!r}")
-        if not isinstance(self.max_iters, numbers.Integral):  # numpy's integers too; a float fails in `range`
+        # NaN certifies nothing, inf anything; bool is an int subclass, and True is no tolerance of 1.0 or budget of one step
+        if isinstance(self.tolerance, bool) or not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):  # numpy's integers pass; a float fails in `range`
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
@@ -441,14 +442,14 @@ def _iterate(
     ``cfg.max_iters`` steps without a certificate is a `ConvergenceError`
     with the last iterate and the last ten finite residuals.
     """
-    n = economy.n
-    if cfg.initial_prices is not None:
-        p = as_price_array(cfg.initial_prices, n)
-        p = p / p.sum()
-    else:
-        p = np.full(n, 1.0 / n)
+    p = np.ones(economy.n) if cfg.initial_prices is None else as_price_array(cfg.initial_prices, economy.n)
+    p = p / p.sum()  # n ones sum to n exactly: the uniform start is 1.0 / n
     name, uncleared = _LOOP_TEXTS[method]
     tail: deque[float] = deque(maxlen=10)
+
+    def failure(message: str, residual: float) -> ConvergenceError:  # with ``p`` as it is when raised
+        return ConvergenceError(message, last_iterate=p, residual=residual, residual_tail=list(tail))
+
     previous = math.nan
     for it in range(cfg.max_iters + 1):
         z, image = advance(p)
@@ -471,34 +472,17 @@ def _iterate(
         following = plain if extrapolation is None else extrapolation(p, plain, residual)
         if following is None:
             j = int(np.flatnonzero(~np.isfinite(z))[0])
-            raise ConvergenceError(
-                f"excess demand of good {j} is not finite at iteration {it}",
-                last_iterate=p,
-                residual=float("nan"),
-                residual_tail=list(tail),
-            )
+            raise failure(f"excess demand of good {j} is not finite at iteration {it}", math.nan)
         # the next iterate is p's own plain image (no jump or undo) and p itself, bit for bit: every later step repeats this one
         if residual == previous and following is plain and np.array_equal(following, p):
             refused = f", certified as {check.residual:.3e}" if residual <= cfg.tolerance else ""
-            raise ConvergenceError(
-                f"{name} stopped moving at iteration {it}, residual {residual:.3e}{refused}", last_iterate=p, residual=residual, residual_tail=list(tail)
-            )
+            raise failure(f"{name} stopped moving at iteration {it}, residual {residual:.3e}{refused}", residual)
         previous, p = residual, following
         # an image entry that is not finite makes the sum, and so a price, NaN
         if not p.min() > 0.0:
             j = int(np.flatnonzero(~np.isfinite(p) | (p <= 0.0))[0])
-            raise ConvergenceError(
-                f"price of good {j} is {float(p[j])!r} after iteration {it}; {name} diverged",
-                last_iterate=p,
-                residual=residual,
-                residual_tail=list(tail),
-            )
-    raise ConvergenceError(
-        f"{name} {uncleared} in {cfg.max_iters} iterations, residual {residual:.3e}",
-        last_iterate=p,
-        residual=residual,
-        residual_tail=list(tail),
-    )
+            raise failure(f"price of good {j} is {float(p[j])!r} after iteration {it}; {name} diverged", residual)
+    raise failure(f"{name} {uncleared} in {cfg.max_iters} iterations, residual {residual:.3e}", residual)
 
 
 @_timed

@@ -115,6 +115,19 @@ def test_a_metric_missing_from_one_side_is_left_out(monkeypatch, tmp_path, capsy
     assert names == ["setup_s", "op_p50_s", "rankings_per_s", "peak_rss_mb", "success_share"]
 
 
+@pytest.mark.parametrize("seconds", ["-100", "0", "nan", "inf"])
+def test_seconds_must_be_finite_and_positive(monkeypatch, tmp_path, capsys, seconds):
+    # a usage error before any run, not a child's timeout traceback
+    (tmp_path / "cesbench").mkdir()
+    (tmp_path / "cesbench" / "run.py").write_text("")
+    started = []
+    monkeypatch.setattr(ab.subprocess, "run", lambda *args, **kwargs: started.append(args))
+    with pytest.raises(SystemExit) as info:
+        ab.main(["--baseline", str(tmp_path), "--workload", "ces-small", "--seconds", seconds])
+    assert info.value.code == 2 and started == []
+    assert "--seconds must be finite and positive" in capsys.readouterr().err
+
+
 def test_each_run_compiles_a_fresh_copy_of_its_tree(monkeypatch, tmp_path):
     # a stale bytecode cache in the tree is neither read nor copied, and the
     # child writes none: it compiles the tree from source, as a fresh checkout does

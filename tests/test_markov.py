@@ -59,9 +59,12 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="one length"):
             DirectedGraph(3, [0, 1], [1])
 
-    def test_needs_a_vertex(self):
+    @pytest.mark.parametrize("n", [0, 2.9, "3", True])
+    def test_needs_a_vertex(self, n):
+        # a count that is not an integer is refused, not truncated; numpy's integers pass
         with pytest.raises(ValueError, match="vertex count"):
-            DirectedGraph(0, [], [])
+            DirectedGraph(n, [0], [1])
+        assert DirectedGraph(np.int64(2), [0], [1]).n == 2
 
     def test_support_graph(self):
         g = support_graph(np.array([[0.0, 1.0], [0.5, 0.5]]))

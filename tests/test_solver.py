@@ -100,15 +100,15 @@ class TestSolveCobbDouglas:
         assert report.method == "closed_form"
         assert report.converged
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, True])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         economy = web_economy(DirectedGraph(3, [0, 1, 2], [1, 2, 0]))
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
             solve_cobb_douglas(economy, SolverConfig(tolerance=tolerance))
 
-    @pytest.mark.parametrize("max_iters", [1e3, 2.0, "3"])
+    @pytest.mark.parametrize("max_iters", [1e3, 2.0, "3", True])
     def test_max_iters_must_be_an_integer(self, max_iters):
-        # a float budget would fail later, in the loop's `range`
+        # a float budget would fail later, in the loop's `range`; True is no budget of one step
         with pytest.raises(ValueError, match=re.escape(f"max_iters must be an integer, got {max_iters!r}")):
             SolverConfig(max_iters=max_iters)
         assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
@@ -352,8 +352,15 @@ class TestSolveTatonnement:
             1.61987084e049, 5.01226674e-140, 7.32516117e257, 1.08435321e-05, 3.02356257e105, 4.20093813e-15,
         ])
         economy = damped_economy(graph, weights, 0.8, 1.0)
-        with pytest.raises(ConvergenceError, match="excess demand of good 0 is not finite at iteration 1274"):
+        with pytest.raises(ConvergenceError, match="excess demand of good 0 is not finite at iteration 1274") as info:
             solve_tatonnement(economy, SolverConfig(max_iters=2000))
+        # the record carries the iterate whose demand was not finite, on the simplex, and the finite residuals before it
+        err = info.value
+        assert err.last_iterate.min() > 0.0 and err.last_iterate.sum() == pytest.approx(1.0, abs=1e-15)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(aggregate_demand(economy)(err.last_iterate)).all()
+        assert np.isnan(err.residual)
+        assert len(err.residual_tail) == 10 and np.isfinite(err.residual_tail).all()
 
     @pytest.mark.parametrize("rho, refused", [(0.5, ", certified as 2.220e-16"), (-0.5, "")], ids=["rho0.5", "rho-0.5"])
     def test_prices_that_stop_moving_end_the_loop_at_once(self, rho, refused):
@@ -461,8 +468,11 @@ class TestTatonnementCertificate:
         _, plain = solve_tatonnement(economy)
         certificate = cesrank.solver.excess_demand
         monkeypatch.setattr(cesrank.solver, "excess_demand", lambda e, prices: certificate(e, prices) + 1.0)
-        with pytest.raises(ConvergenceError, match="did not clear the market"):
+        with pytest.raises(ConvergenceError, match="did not clear the market") as info:
             solve_tatonnement(economy, SolverConfig(max_iters=plain.iterations + 5))
+        # the record of a spent budget: the last iterate, and the residual at it last in the tail
+        err = info.value
+        assert err.residual_tail[-1] == err.residual and err.last_iterate.min() > 0.0
 
 
 def _sorted_graph(n, src, dst):
