@@ -67,6 +67,18 @@ def _require_index(value, where: str, n: int) -> int:
     return value
 
 
+def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> tuple[DirectedGraph, np.ndarray] | None:
+    """The graph and weights of every reader's int64 edges ``src -> dst`` in ``range(n)``, sorted, zero weights left out; None if a pair repeats."""
+    # strictly increasing (src, dst) pairs are sorted and free of duplicates, and keep their order
+    if not ((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))).all():
+        order = np.lexsort((dst, src))
+        src, dst, weights = src[order], dst[order], weights[order]
+        if ((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])).any():
+            return None
+    keep = weights > 0
+    return DirectedGraph._trusted(n, src[keep], dst[keep]), weights[keep]
+
+
 def _parse_dense_alpha(rows, n: int) -> tuple[DirectedGraph, np.ndarray]:
     """The graph and weights of a dense ``alpha``: its positive entries, row by row, as `_parse_triplets` gives them."""
     if len(rows) != n:
@@ -83,7 +95,7 @@ def _parse_dense_alpha(rows, n: int) -> tuple[DirectedGraph, np.ndarray]:
                 src.append(i)
                 dst.append(j)
                 weights.append(w)
-    return DirectedGraph._trusted(n, np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64)), np.frombuffer(weights)
+    return _edge_graph(n, np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64), np.frombuffer(weights))
 
 
 def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
@@ -102,10 +114,7 @@ def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
             raise DocumentError(f"duplicate entry for ({i}, {j})", where)
         entries[i, j] = _require_number(entry[2], where, minimum=0.0)
     pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    weights = np.fromiter(entries.values(), float, len(entries))
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    order = order[weights[order] > 0.0]
-    return DirectedGraph._trusted(n, pairs[order, 0], pairs[order, 1]), weights[order]
+    return _edge_graph(n, pairs[:, 0], pairs[:, 1], np.fromiter(entries.values(), float, len(entries)))
 
 
 def load_problem(source) -> RankingProblem:
@@ -343,14 +352,7 @@ def _edge_bytes(text: str) -> tuple[DirectedGraph, np.ndarray] | None:
         src, dst = src.astype(np.int64), dst.astype(np.int64)
         if not (np.isfinite(weights).all() and (weights >= 0).all()):
             return None
-    # strictly increasing (src, dst) pairs are sorted and free of duplicates
-    if not ((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))).all():
-        order = np.lexsort((dst, src))
-        src, dst, weights = src[order], dst[order], weights[order]
-        if ((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])).any():
-            return None
-    keep = weights > 0
-    return DirectedGraph._trusted(n, src[keep], dst[keep]), weights[keep]
+    return _edge_graph(n, src, dst, weights)
 
 
 def _edge_lines(text: str) -> tuple[DirectedGraph, np.ndarray]:
@@ -392,7 +394,7 @@ def _edge_lines(text: str) -> tuple[DirectedGraph, np.ndarray]:
     if n > np.iinfo(np.int64).max:
         raise DocumentError(f"vertex count {n} does not fit a 64-bit index", f"line {lineno}")
 
-    # the edges of positive weight, as machine numbers
+    # the edges, zero weights included, as machine numbers
     src, dst, weights = array("q"), array("q"), array("d")
     first_line: dict[tuple[int, int], int] = {}
     for lineno, tokens, line in lines:
@@ -415,14 +417,11 @@ def _edge_lines(text: str) -> tuple[DirectedGraph, np.ndarray]:
                 raise DocumentError(f"malformed weight {tokens[2]!r}", f"line {lineno}") from e
             if not (math.isfinite(w) and w >= 0):
                 raise DocumentError(f"weight must be finite and >= 0, got {tokens[2]}", f"line {lineno}")
-        if w > 0:
-            src.append(i)
-            dst.append(j)
-            weights.append(w)
+        src.append(i)
+        dst.append(j)
+        weights.append(w)
     del first_line
-    src, dst, weights = np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64), np.frombuffer(weights)
-    order = np.lexsort((dst, src))
-    return DirectedGraph._trusted(n, src[order], dst[order]), weights[order]
+    return _edge_graph(n, np.frombuffer(src, np.int64), np.frombuffer(dst, np.int64), np.frombuffer(weights))
 
 
 def _parse_edge_list(text: str) -> tuple[DirectedGraph, np.ndarray]:

@@ -94,9 +94,11 @@ RHO_MAX = 0.95
 DEFAULT_BETA = 0.85
 
 #: Smallest nonzero |rho| accepted. rho == 0 is the unit-elasticity
-#: (Cobb-Douglas) sentinel handled in closed form; values closer to zero than
-#: this band would make the exponent 1/(1-rho) indistinguishable from the
-#: limit while still being routed to the general formula.
+#: (Cobb-Douglas) sentinel: an economy all at rho 0 runs power iteration, then
+#: the closed form if that does not certify, or the closed form at once at a
+#: zero floor. Values closer to zero than this band would make the exponent
+#: 1/(1-rho) indistinguishable from the limit while still being routed to the
+#: general formula.
 RHO_ZERO_BAND = 1e-9
 
 

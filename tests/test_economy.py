@@ -47,6 +47,11 @@ class TestPriceVector:
         with pytest.raises(ValueError, match="good 1"):
             PriceVector(np.array([1.0, 0.0]))
 
+    def test_must_be_a_vector(self):
+        with pytest.raises(ValueError) as raised:
+            PriceVector(np.full((2, 2), 0.25))
+        assert str(raised.value) == "prices must form a vector, got shape (2, 2)"
+
     def test_from_unnormalized(self):
         p = PriceVector.from_unnormalized([2.0, 6.0])
         np.testing.assert_allclose(p.pi, [0.25, 0.75])
@@ -200,6 +205,11 @@ class TestDemandMatrixAndExcess:
         e = CesEconomy(np.ones((3, 3)), 0.5)
         z = excess_demand(e, np.full(3, 1 / 3))
         np.testing.assert_allclose(z, 0.0, atol=1e-14)
+
+    def test_excess_demand_needs_one_price_per_good(self):
+        with pytest.raises(ValueError) as raised:
+            excess_demand(CesEconomy(np.ones((3, 3)), 0.5), np.full(2, 0.5))
+        assert str(raised.value) == "expected 3 prices, got shape (2,)"
 
     @pytest.mark.parametrize("rho", [0.5, -1.0, 0.0, 0.9])
     @pytest.mark.parametrize("scale", [1e200, 1e-200])

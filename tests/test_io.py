@@ -15,6 +15,7 @@ from cesrank import (
     damped_economy,
     dump_problem,
     load_edge_list,
+    load_fixture,
     load_problem,
     sniff_and_load,
 )
@@ -86,6 +87,11 @@ class TestLoadProblem:
         with pytest.raises(DocumentError, match="alpha: expected 2 rows"):
             load_problem(doc(alpha=[[0.0, 1.0]]))
 
+    def test_row_must_be_a_list(self):
+        with pytest.raises(DocumentError) as raised:
+            load_problem(doc(alpha=[[0, 1], 5]))
+        assert str(raised.value) == "alpha[1]: expected a list of numbers, got 5"
+
     def test_negative_entry_names_cell(self):
         with pytest.raises(DocumentError, match=r"alpha\[0\]"):
             load_problem(doc(alpha=[[-1.0, 1.0], [1.0, 0.0]]))
@@ -134,6 +140,11 @@ class TestLoadProblem:
         with pytest.raises(DocumentError, match=r"index 5 out of range"):
             load_problem(doc(alpha=bad))
 
+    def test_sparse_alpha_needs_a_triplets_list(self):
+        with pytest.raises(DocumentError) as raised:
+            load_problem(doc(alpha={"entries": []}))
+        assert str(raised.value) == "alpha: sparse alpha must be an object with a 'triplets' list"
+
     def test_triplet_shape(self):
         with pytest.raises(DocumentError, match=r"expected \[i, j, weight\]"):
             load_problem(doc(alpha={"triplets": [[0, 1]]}))
@@ -175,6 +186,11 @@ class TestLoadProblem:
     def test_rho_above_cap_rejected(self):
         with pytest.raises(DocumentError, match=r"rho\[0\] = 0.97 outside \[-1, 0.95\]"):
             load_problem(doc(rho=0.97))
+
+    def test_unknown_fixture_names_the_bundled_ones(self):
+        with pytest.raises(ValueError) as raised:
+            load_fixture("nope")
+        assert str(raised.value) == "unknown fixture 'nope'; available: nonuniform3, monotone3"
 
 
 @st.composite
@@ -555,6 +571,43 @@ class TestBytesPath:
             tracemalloc.stop()
         assert graph.src.size == src.size
         assert peak < 140 * src.size
+
+
+class TestEdgeGraph:
+    """`formats._edge_graph`, the one assembler every reader returns through."""
+
+    @staticmethod
+    def assemble(pairs, weights, n=4):
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return formats._edge_graph(n, pairs[:, 0], pairs[:, 1], np.array(weights, dtype=float))
+
+    def test_sorted_edges_come_back_as_given(self):
+        pairs, weights = [[0, 1], [0, 3], [1, 0], [2, 2], [3, 1]], [2.0, 0.5, 1.0, 3.0, 1e-300]
+        graph, kept = self.assemble(pairs, weights)
+        assert graph.n == 4
+        assert graph.src.dtype == graph.dst.dtype == np.int64
+        assert graph.src.tolist() == [0, 0, 1, 2, 3] and graph.dst.tolist() == [1, 3, 0, 2, 1]
+        assert kept.tobytes() == np.array(weights).tobytes()
+
+    def test_shuffled_edges_are_sorted_with_their_weights(self):
+        graph, kept = self.assemble([[3, 1], [0, 3], [2, 2], [0, 1], [1, 0]], [5.0, 2.0, 4.0, 1.0, 3.0])
+        assert graph.src.tolist() == [0, 0, 1, 2, 3] and graph.dst.tolist() == [1, 3, 0, 2, 1]
+        assert kept.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0, 1.0], [1.0, 2.0, 0.0], [0.0, 2.0, 1.0]])
+    def test_a_repeated_pair_gives_none(self, weights):
+        assert self.assemble([[2, 0], [1, 3], [2, 0]], weights) is None
+
+    def test_zero_weights_are_no_edge(self):
+        graph, kept = self.assemble([[1, 2], [0, 1], [3, 3], [0, 2]], [0.0, 1.5, 0.0, 2.5])
+        assert graph.src.tolist() == [0, 0] and graph.dst.tolist() == [1, 2]
+        assert kept.tolist() == [1.5, 2.5]
+
+    def test_no_edges_give_an_edgeless_graph(self):
+        graph, kept = self.assemble([], [], n=3)
+        assert graph.n == 3
+        assert graph.src.size == graph.dst.size == kept.size == 0
+        assert graph.src.dtype == np.int64 and kept.dtype == np.float64
 
 
 class TestProblemFromEdgeList:

@@ -597,6 +597,28 @@ class TestTatonnementExtrapolation:
         assert steps == report.iterations
         assert accepted > 0
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_window_without_a_difference_keeps_the_plain_image(self, n, monkeypatch):
+        # an iterate that is its own plain image: every difference in the
+        # window is zero and least squares has rank 0, reached directly below
+        # the window's 6 goods and after the zero Gram matrix's Cholesky
+        # factor fails at 8, so no jump is taken
+        real_lstsq, ranks = np.linalg.lstsq, []
+
+        def lstsq(a, b):
+            c, residuals, rank, singular = real_lstsq(a, b)
+            ranks.append(int(rank))
+            return c, residuals, rank, singular
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        extrapolation = cesrank.solver._Extrapolation(n)
+        p = np.full(n, 1.0 / n)
+        for k in range(8):
+            assert extrapolation(p, p, 2.0**-k) is p
+        assert ranks == [0]
+        assert extrapolation.accepted == extrapolation.undone == 0
+        assert extrapolation.pending is None
+
     @staticmethod
     def rejected_jumps_are_undone(economy, monkeypatch):
         """Assert that jumps aimed 1e3 times too far the other way are undone; return the calls of each solve."""
