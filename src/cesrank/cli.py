@@ -21,7 +21,6 @@ import functools
 import json
 import logging
 import os
-import re
 import signal
 import sys
 from json.encoder import encode_basestring_ascii
@@ -101,17 +100,14 @@ def _tie_groups(ids, scores, order) -> list[list[str]]:
 _JSON_ENTRY = '    {{\n      "rank": %d,\n      "agent": {},\n      "score": %r\n    }}'.format
 _TSV_ENTRY = "%d\t{}\t%.12g\n".format
 
-#: What a TSV line cannot hold in an agent id.
-_TSV_BREAKS = re.compile("[\t\n\r]")
-
 
 def _require_tsv_ids(ids) -> None:
-    """Raise ValueError unless every agent id fits a TSV field that stdout can encode."""
+    """Raise ValueError unless every agent id fits a TSV field that stdout can encode: one without a tab or line break."""
     if ids is None:
         return
     text = "".join(ids)
-    if _TSV_BREAKS.search(text):
-        agent = next(filter(_TSV_BREAKS.search, ids))
+    if "\t" in text or "\n" in text or "\r" in text:
+        agent = next(a for a in ids if "\t" in a or "\n" in a or "\r" in a)
         raise ValueError(f"agent {agent!r} holds a tab or line break, which a TSV line cannot hold; use --format json")
     encoding = getattr(sys.stdout, "encoding", None)
     if encoding is not None:
@@ -124,7 +120,7 @@ def _require_tsv_ids(ids) -> None:
 def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
     """Write the ranking to stdout in blocks, best first, each agent named as `_agent_names` names it.
 
-    Everything that can fail runs before the first write, so a failure leaves stdout empty.
+    Everything that can fail runs before the first write, so a failure leaves stdout empty; the caller checks the ids (`_require_tsv_ids`).
     """
     order = np.argsort(-scores, kind="stable")
 
@@ -139,7 +135,6 @@ def _emit_ranking(ids, scores, report, method: str, fmt: str) -> None:
 
     agent = "%s" if ids is not None else ("v%d" if fmt == "tsv" else '"v%d"')
     if fmt == "tsv":
-        _require_tsv_ids(ids)
         pieces = _row_blocks(_TSV_ENTRY(agent), "", scores.size, columns)
     else:
         head = {"format": 1, "method": method}

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _agent_names
+from .problem import DEFAULT_BETA, DirectedGraph, RankingProblem, _agent_names, _out_of_order
 
 FORMAT_VERSION = 1
 
@@ -70,10 +70,10 @@ def _require_index(value, where: str, n: int) -> int:
 def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -> tuple[DirectedGraph, np.ndarray] | None:
     """The graph and weights of every reader's int64 edges ``src -> dst`` in ``range(n)``, sorted, zero weights left out; None if a pair repeats."""
     # strictly increasing (src, dst) pairs are sorted and free of duplicates, and keep their order
-    if not ((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))).all():
+    if _out_of_order(src, dst).any():
         order = np.lexsort((dst, src))
         src, dst, weights = src[order], dst[order], weights[order]
-        if ((src[1:] == src[:-1]) & (dst[1:] == dst[:-1])).any():
+        if _out_of_order(src, dst).any():  # sorted, an edge out of order repeats the one before it
             return None
     keep = weights > 0
     return DirectedGraph._trusted(n, src[keep], dst[keep]), weights[keep]

@@ -28,6 +28,11 @@ def _frozen(record, **fields):
     return record
 
 
+def _out_of_order(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The mask of edges ``1..`` not strictly after the edge before by ``(src, dst)``, compared pairwise: ``src * n + dst`` overflows int64 past n = 3e9."""
+    return (src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """A directed graph on vertices ``0..n-1`` as two edge index arrays.
@@ -58,8 +63,7 @@ class DirectedGraph:
         if np.any(bad):
             k = int(np.argmax(bad))
             raise ValueError(f"edge ({src[k]}, {dst[k]}) has a vertex outside [0, {n})")
-        # compared pairwise, not through src * n + dst, which overflows int64 past n = 3e9
-        unsorted = (src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))
+        unsorted = _out_of_order(src, dst)
         if np.any(unsorted):
             k = int(np.argmax(unsorted)) + 1
             raise ValueError(f"edge ({src[k]}, {dst[k]}) follows ({src[k - 1]}, {dst[k - 1]}); edges must be distinct and sorted by (src, dst)")

@@ -39,7 +39,7 @@ from cesrank import (
     verify_equilibrium,
     web_economy,
 )
-from cesrank.cli import TIE_TOL, _emit_ranking, _tie_groups, main
+from cesrank.cli import TIE_TOL, _emit_ranking, _require_tsv_ids, _tie_groups, main
 
 from oracles import (
     SKEWED_GRAPHS,
@@ -624,6 +624,20 @@ class TestExitCodes:
         assert main(["rank", "--method", method, "--format", "json", "--input", path]) == 0
         assert [entry["agent"] for entry in json.loads(capsys.readouterr().out)["ranking"]] == ["a", agent]
 
+    def test_tsv_checks_the_ids_once(self, problem_file, capsys, monkeypatch):
+        calls = []
+        original = cesrank.cli._require_tsv_ids
+
+        def counted(ids):
+            calls.append(ids)
+            return original(ids)
+
+        monkeypatch.setattr(cesrank.cli, "_require_tsv_ids", counted)
+        path = problem_file(RankingProblem(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0))
+        assert main(["rank", "--format", "tsv", "--input", path]) == 0
+        assert calls == [("a", "b")]
+        assert [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()] == ["a", "b"]
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["rank", "--input", str(tmp_path / "absent.json")])
         assert code == 2
@@ -953,9 +967,9 @@ def test_emitted_bytes_match_the_dict_encoder(ranking, named, fmt, block):
     out = io.StringIO()
     with mock.patch.object(cesrank.formats, "_BLOCK", block), contextlib.redirect_stdout(out):
         if fmt == "tsv" and ids is not None and any(c in a for a in ids for c in "\t\n\r"):
+            # `rank` refuses these ids before the solve, and the writer trusts that check
             with pytest.raises(ValueError, match="use --format json"):
-                _emit_ranking(ids, scores, _Report(), "pagerank", fmt)
-            assert out.getvalue() == ""
+                _require_tsv_ids(ids)
             return
         _emit_ranking(ids, scores, _Report(), "pagerank", fmt)
     assert out.getvalue() == reference_ranking_text(ids, scores, _Report(), "pagerank", fmt)

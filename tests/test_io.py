@@ -555,6 +555,14 @@ class TestBytesPath:
         assert fast is not None
         assert bits(*fast) == parsed(reference_load_edge_list, text)
 
+    def test_a_short_read_is_left_to_the_line_parser(self, monkeypatch):
+        # np.fromstring reading fewer values than there are tokens
+        text = "format: 1\nn 3\n0 1\n1 2 2.5\n2 0\n"
+        fromstring = np.fromstring
+        monkeypatch.setattr(formats.np, "fromstring", lambda *args, **kwargs: fromstring(*args, **kwargs)[:-1])
+        assert formats._edge_bytes(text) is None
+        assert parsed(load_edge_list, text) == bits(*formats._edge_lines(text))
+
     def test_memory_is_linear_in_the_lines(self, tmp_path):
         # 2e5 lines of about 12 bytes; the line loop peaks at 289 bytes a
         # line, holding every line as a str, and the bytes path at 86
@@ -602,6 +610,15 @@ class TestEdgeGraph:
         graph, kept = self.assemble([[1, 2], [0, 1], [3, 3], [0, 2]], [0.0, 1.5, 0.0, 2.5])
         assert graph.src.tolist() == [0, 0] and graph.dst.tolist() == [1, 2]
         assert kept.tolist() == [1.5, 2.5]
+
+    def test_order_past_the_int64_key_range(self):
+        # at n = 2**62, src * n + dst wraps: (n - 1, 0) would key below every
+        # other pair, and (0, n - 1) and (4, n - 1) would key alike
+        n = 2**62
+        graph, kept = self.assemble([[4, n - 1], [n - 1, 0], [0, n - 1], [n - 2, 3]], [1.0, 2.0, 3.0, 4.0], n=n)
+        assert graph.src.tolist() == [0, 4, n - 2, n - 1] and graph.dst.tolist() == [n - 1, n - 1, 3, 0]
+        assert kept.tolist() == [3.0, 1.0, 4.0, 2.0]
+        assert self.assemble([[n - 1, 0], [4, n - 1], [n - 1, 0]], [1.0, 2.0, 3.0], n=n) is None
 
     def test_no_edges_give_an_edgeless_graph(self):
         graph, kept = self.assemble([], [], n=3)
