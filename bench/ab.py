@@ -46,22 +46,27 @@ ROOT = Path(__file__).resolve().parents[1]
 GAIN_PAIRS = 10  # the fewest pairs that can show a gain: one or two pairs have no spread to beat
 
 
-def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its metric values by name, or SystemExit naming what went wrong.
+def run_fresh(tree: Path, argv: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """``argv`` run as a child in a fresh copy of ``tree``, its working directory, with its output captured.
 
-    The run reads no bytecode cache, as the benchmark's own fresh checkouts
-    do not: the child runs in a temporary copy of the tree's ``src`` and
+    The child reads no bytecode cache, as the benchmark's own fresh checkouts
+    do not: it runs in a temporary copy of the tree's ``src`` and
     ``cesbench`` without their ``__pycache__`` directories, removed
     afterwards, with ``PYTHONDONTWRITEBYTECODE`` set so that it writes none.
     The standard library and numpy load from their installed caches, as
     they do there.
     """
-    argv = [sys.executable, "cesbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     with tempfile.TemporaryDirectory(prefix="ab-") as fresh:
         for part in ("src", "cesbench"):
             shutil.copytree(tree / part, Path(fresh, part), ignore=shutil.ignore_patterns("__pycache__", ".work"))
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-        child = subprocess.run(argv, cwd=fresh, env=env, capture_output=True, text=True, timeout=30 * seconds + 600)
+        return subprocess.run(argv, cwd=fresh, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in a fresh copy of ``tree`` (`run_fresh`): its metric values by name, or SystemExit naming what went wrong."""
+    argv = [sys.executable, "cesbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    child = run_fresh(tree, argv, 30 * seconds + 600)
     lines = child.stdout.strip().splitlines()
     if child.returncode != 0 or not lines:
         raise SystemExit(f"error: {workload} in {tree} exited {child.returncode}:\n{child.stderr[-2000:]}")

@@ -17,7 +17,7 @@ from .axioms import (
     check_uniformity,
     gs_spot_check,
 )
-from .diagnostics import ClearingReport, ConvergenceError, SolverReport
+from .diagnostics import ClearingReport, ConvergenceError, Leg, SolverReport
 from .economy import (
     CesEconomy,
     PriceVector,
@@ -55,6 +55,7 @@ __all__ = [
     "DirectedGraph",
     "DocumentError",
     "FIXTURE_NAMES",
+    "Leg",
     "PriceVector",
     "RankingProblem",
     "SolverConfig",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagnostics import SolverReport
 from .economy import CesEconomy, PriceVector, as_price_array, build_economy, damped_economy, excess_demand
-from .problem import DirectedGraph, RankingProblem
+from .problem import DirectedGraph, RankingProblem, _frozen
 from .solver import rank_problem, solve_equilibrium
 
 #: Separation required of "strict" inequalities, so rounding noise never
@@ -171,8 +171,13 @@ def check_invariance(problem: RankingProblem, i: int, lam: float) -> AxiomVerdic
     weights = np.array(problem.weights)
     weights[problem.graph.src == i] *= lam
     scaled = RankingProblem.from_edges(problem.agent_ids, problem.graph, weights, problem.rho, beta=problem.beta)
-    base_prices, base_report = rank_problem(problem)
-    scaled_prices, scaled_report = rank_problem(scaled)
+    economy, scaled_economy = build_economy(problem), build_economy(scaled)
+    base_prices, base_report = solve_equilibrium(economy)
+    # a solve returns only on a strongly connected economy graph, and the scaled
+    # economy has the same one unless a scaled weight rounded to its row's floor
+    if all(np.array_equal(a, b) for a, b in zip(_graph(economy), _graph(scaled_economy))):
+        _frozen(scaled_economy, _connected=True)
+    scaled_prices, scaled_report = solve_equilibrium(scaled_economy)
     difference = float(np.abs(base_prices.pi - scaled_prices.pi).max())
     witness = {
         "i": i,
@@ -183,6 +188,11 @@ def check_invariance(problem: RankingProblem, i: int, lam: float) -> AxiomVerdic
         "solver_residuals": [base_report.residual, scaled_report.residual],
     }
     return _verdict("invariance", difference <= INVARIANCE_TOL, witness, max_norm=INVARIANCE_TOL)
+
+
+def _graph(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The economy graph's arrays: an edge from each row with a positive floor to every good, and one along each entry."""
+    return economy.floor > 0.0, economy.rows, economy.cols
 
 
 def check_uniformity(problem: RankingProblem) -> AxiomVerdict:

@@ -76,7 +76,9 @@ def _edge_graph(n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray) -
         if _out_of_order(src, dst).any():  # sorted, an edge out of order repeats the one before it
             return None
     keep = weights > 0
-    return DirectedGraph._trusted(n, src[keep], dst[keep]), weights[keep]
+    if not keep.all():  # most documents have no zero weight: their arrays, contiguous, are kept as they came
+        src, dst, weights = src[keep], dst[keep], weights[keep]
+    return DirectedGraph._trusted(n, src, dst), weights
 
 
 def _parse_dense_alpha(rows, n: int) -> tuple[DirectedGraph, np.ndarray]:
@@ -113,8 +115,8 @@ def _parse_triplets(spec, n: int) -> tuple[DirectedGraph, np.ndarray]:
         if (i, j) in entries:
             raise DocumentError(f"duplicate entry for ({i}, {j})", where)
         entries[i, j] = _require_number(entry[2], where, minimum=0.0)
-    pairs = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-    return _edge_graph(n, pairs[:, 0], pairs[:, 1], np.fromiter(entries.values(), float, len(entries)))
+    src, dst = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T.copy()  # two contiguous rows, not strided columns
+    return _edge_graph(n, src, dst, np.fromiter(entries.values(), float, len(entries)))
 
 
 def load_problem(source) -> RankingProblem:

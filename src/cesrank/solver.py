@@ -2,17 +2,15 @@
 
 All-Cobb-Douglas economies reduce to one linear system (market clearing at
 positive prices reads ``sum_i alpha[i][j] * pi[i] = pi[j]``, the invariant
-condition of a stochastic matrix), so they are iterated as PageRank is when
-every floor is positive, for at most n steps, and otherwise, or when those
-steps do not clear the market, solved exactly by `stationary_solve`.
-Everything else runs damped multiplicative price adjustment: raise the price
-of over-demanded goods, lower the price of over-supplied ones, renormalize.
-PageRank's step ``p <- S.T @ p`` is that adjustment at full step, so both
-run in one loop, `_iterate`; a non-finite excess demand or a price that is
-no longer positive ends it at once. The result is never trusted on faith:
-every method stops on `verify_equilibrium`, which certifies the
-excess-demand residual independently of how the prices were found. Every
-public solver takes one `SolverConfig`, and `_timed` clocks its report.
+condition of a stochastic matrix), iterated as PageRank is or solved exactly
+by `stationary_solve`. Everything else runs damped multiplicative price
+adjustment: raise the price of over-demanded goods, lower the price of
+over-supplied ones, renormalize. PageRank's step ``p <- S.T @ p`` is that
+adjustment at full step, so both run in one loop, `_iterate`. The result is
+never trusted on faith: every method stops on `verify_equilibrium`, which
+certifies the excess-demand residual independently of how the prices were
+found. `_timed` makes each public solver, and `solve_equilibrium` walks
+their bodies, `_LADDER`, for the method each economy admits.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import ClearingReport, ConvergenceError, SolverReport
+from .diagnostics import ClearingReport, ConvergenceError, Leg, SolverReport
 from .economy import CesEconomy, PriceVector, aggregate_demand, as_price_array, build_economy, excess_demand, row_tops
 from .problem import RankingProblem
 
@@ -44,8 +42,7 @@ class SolverConfig:
 
     ``tolerance`` bounds the max-norm of excess demand at the returned prices.
     ``max_iters`` and ``initial_prices`` are the budget and the start of the
-    one price loop, which tatonnement runs with a step derived from the
-    economy and `solve_power` at full step.
+    one price loop, `_iterate`, which both tatonnement and `solve_power` run.
     """
 
     tolerance: float = 1e-10
@@ -66,22 +63,35 @@ class SolverConfig:
 _Solver = Callable[[CesEconomy, SolverConfig], tuple[PriceVector, SolverReport]]
 
 
-def _timed(solve: _Solver) -> _Solver:
-    """The public solver ``solve``, timed, and called with ``config`` or the default `SolverConfig`.
+def _timed(refusal: Callable[[CesEconomy], str | None] = lambda economy: None) -> Callable[[_Solver], _Solver]:
+    """The public solver of a body: ``refusal``'s reason raised as a `ValueError`, else the body, timed from entry to return: the one clock."""
 
-    A solver it wraps declares ``config=None`` and reads ``config`` as the
-    `SolverConfig` passed here. Its report's ``wall_time`` runs from entry
-    to return, whatever the call does in between: this is the one clock of
-    every solver here.
-    """
+    def public(solve: _Solver) -> _Solver:
+        @functools.wraps(solve)
+        def timed(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
+            start = time.perf_counter()
+            if (reason := refusal(economy)) is not None:
+                raise ValueError(reason)
+            prices, report = solve(economy, config or SolverConfig())
+            return prices, replace(report, wall_time=time.perf_counter() - start)
 
-    @functools.wraps(solve)
-    def timed(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-        start = time.perf_counter()
-        prices, report = solve(economy, config or SolverConfig())
-        return prices, replace(report, wall_time=time.perf_counter() - start)
+        return timed
 
-    return timed
+    return public
+
+
+def _power_refusal(economy: CesEconomy) -> str | None:
+    """Why power iteration does not apply: a trader with a nonzero rho or a zero floor, where the step need not contract."""
+    bad = (economy.rho != 0.0) | (economy.floor <= 0.0)
+    i = int(bad.argmax())
+    rho, floor = float(economy.rho[i]), float(economy.floor[i])
+    return f"trader {i} has rho = {rho!r} and floor {floor!r}; power iteration needs rho 0, floor > 0" if bad[i] else None
+
+
+def _closed_form_refusal(economy: CesEconomy) -> str | None:
+    """Why the closed form does not apply: a trader whose rho is not 0."""
+    i = int((economy.rho != 0.0).argmax())
+    return f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros" if economy.rho[i] != 0.0 else None
 
 
 def _require_connected_economy(economy: CesEconomy) -> None:
@@ -197,7 +207,7 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-@_timed
+@_timed(_closed_form_refusal)
 def solve_cobb_douglas(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Exact equilibrium of an all-unit-elasticity economy, certified or a `ConvergenceError`.
 
@@ -205,13 +215,11 @@ def solve_cobb_douglas(economy: CesEconomy, config: SolverConfig | None = None) 
     array built; the report (``"closed_form"``, 1 iteration) carries the
     residual that `verify_equilibrium` certifies at ``config.tolerance``.
     """
-    if np.any(economy.rho != 0.0):
-        i = int(np.flatnonzero(economy.rho != 0.0)[0])
-        raise ValueError(f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros")
     floor_share, excess_share = _shares(economy)
     # first: a size too large for the dense solve fails before the connectivity check
     shares = np.repeat(floor_share[:, None], economy.n, axis=1)
-    _require_connected_economy(economy)
+    if not economy._connected:
+        _require_connected_economy(economy)
     shares[economy.rows, economy.cols] += excess_share
     pi = stationary_solve(shares)
     if not pi.min() > 0.0:
@@ -239,26 +247,17 @@ def _shares(economy: CesEconomy) -> tuple[np.ndarray, np.ndarray]:
     return floor / totals, excess / totals[rows]
 
 
-@_timed
+@_timed(_power_refusal)
 def solve_power(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Equilibrium of a damped all-unit-elasticity economy by iterating its prices: PageRank.
 
-    At rho 0 trader i spends the share ``S[i][j] = alpha[i][j] / sum_k
-    alpha[i][k]`` of its income ``p[i]`` on good j, so good j's excess demand
-    at prices ``p`` is ``(S.T @ p)_j / p_j - 1`` and the market clears where
-    ``p = S.T @ p``: tatonnement at full step, and it runs in tatonnement's
-    loop, `_iterate`, from ``config.initial_prices`` or the uniform vector.
+    At rho 0 trader i spends the share ``S[i][j]`` (`_shares`) of its income
+    ``p[i]`` on good j, so good j's excess demand at prices ``p`` is
+    ``(S.T @ p)_j / p_j - 1`` and the market clears where ``p = S.T @ p``.
     With every floor positive, ``p <- S.T @ p`` contracts in L1, at rate
     ``c`` on a `cesrank.economy.web_economy` (Langville & Meyer, "Deeper
-    Inside PageRank", 2004), in O(n + nnz) per step on the floors and
-    entries. It returns the first certified iterate or raises
-    `ConvergenceError`.
+    Inside PageRank", 2004), in O(n + nnz) per `_iterate` step.
     """
-    bad = (economy.rho != 0.0) | (economy.floor <= 0.0)
-    if np.any(bad):  # the contraction condition
-        i = int(np.argmax(bad))
-        rho, floor = float(economy.rho[i]), float(economy.floor[i])
-        raise ValueError(f"trader {i} has rho = {rho!r} and floor {floor!r}; power iteration needs rho 0, floor > 0")
     n, rows, cols = economy.n, economy.rows, economy.cols
     floor_share, excess_share = _shares(economy)
 
@@ -269,7 +268,7 @@ def solve_power(economy: CesEconomy, config: SolverConfig | None = None) -> tupl
     return _iterate(economy, "power", advance, config)
 
 
-@_timed
+@_timed()
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Damped multiplicative price adjustment until the market clears.
 
@@ -279,14 +278,12 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     tatonnement (Cole & Fleischer, STOC 2008), and the cap keeps undamped
     periodic graphs at rho <= 0 from cycling. Aggregate demand comes from
     `cesrank.economy.aggregate_demand`, O(nnz) per round on a damped graph.
-    After each window of `_WINDOW` rounds whose residuals fall, the next
-    round is `_Extrapolation`'s jump along their trend in log prices, undone
-    when it does not lower the residual. The rounds run in `_iterate`, which
-    stops on a certified equilibrium or raises a `ConvergenceError`, never
-    returning a wrong answer. One debug line logs the rounds and the jumps
-    kept and undone.
+    Each window of rounds whose residuals fall ends in `_Extrapolation`'s
+    jump along their trend in log prices. The rounds run in `_iterate`. One
+    debug line logs the rounds and the jumps kept and undone.
     """
-    _require_connected_economy(economy)
+    if not economy._connected:
+        _require_connected_economy(economy)
     demand_at = aggregate_demand(economy)
     gamma = min(0.5, 1.0 - float(economy.rho.max()))  # 1 - rho = 1 / q
 
@@ -300,8 +297,7 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     try:
         return _iterate(economy, "tatonnement", advance, config, extrapolation)
     finally:
-        counts = (extrapolation.steps, extrapolation.accepted, extrapolation.undone)
-        logger.debug("tatonnement: %d steps, %d jumps accepted, %d undone", *counts)
+        logger.debug("tatonnement: %d steps, %d jumps accepted, %d undone", extrapolation.steps, extrapolation.accepted, extrapolation.undone)
 
 
 #: Iterates in the window that `_Extrapolation` fits; each after the first lowered the residual.
@@ -438,17 +434,17 @@ def _iterate(
     certifies at the renormalized prices it returns; the report carries the
     certificate's residual. A non-finite ``z`` with no next iterate, a next
     price that is not finite and positive, a plain step that maps an
-    uncertified iterate to itself bit for bit, or
-    ``cfg.max_iters`` steps without a certificate is a `ConvergenceError`
-    with the last iterate and the last ten finite residuals.
+    uncertified iterate to itself bit for bit, or ``cfg.max_iters`` steps
+    without a certificate is a `ConvergenceError` with the last iterate, the
+    last ten finite residuals and the `Leg` it ended.
     """
     p = np.ones(economy.n) if cfg.initial_prices is None else as_price_array(cfg.initial_prices, economy.n)
     p = p / p.sum()  # n ones sum to n exactly: the uniform start is 1.0 / n
     name, uncleared = _LOOP_TEXTS[method]
     tail: deque[float] = deque(maxlen=10)
 
-    def failure(message: str, residual: float) -> ConvergenceError:  # with ``p`` as it is when raised
-        return ConvergenceError(message, last_iterate=p, residual=residual, residual_tail=list(tail))
+    def failure(message: str, residual: float, ended: str) -> ConvergenceError:  # with ``p`` and ``it`` as they are when raised
+        return ConvergenceError(message, last_iterate=p, residual=residual, residual_tail=list(tail), leg=Leg(method, it, ended))
 
     previous = math.nan
     for it in range(cfg.max_iters + 1):
@@ -472,48 +468,52 @@ def _iterate(
         following = plain if extrapolation is None else extrapolation(p, plain, residual)
         if following is None:
             j = int(np.flatnonzero(~np.isfinite(z))[0])
-            raise failure(f"excess demand of good {j} is not finite at iteration {it}", math.nan)
+            raise failure(f"excess demand of good {j} is not finite at iteration {it}", math.nan, "not finite")
         # the next iterate is p's own plain image (no jump or undo) and p itself, bit for bit: every later step repeats this one
         if residual == previous and following is plain and np.array_equal(following, p):
             refused = f", certified as {check.residual:.3e}" if residual <= cfg.tolerance else ""
-            raise failure(f"{name} stopped moving at iteration {it}, residual {residual:.3e}{refused}", residual)
+            raise failure(f"{name} stopped moving at iteration {it}, residual {residual:.3e}{refused}", residual, "stopped moving")
         previous, p = residual, following
         # an image entry that is not finite makes the sum, and so a price, NaN
         if not p.min() > 0.0:
             j = int(np.flatnonzero(~np.isfinite(p) | (p <= 0.0))[0])
-            raise failure(f"price of good {j} is {float(p[j])!r} after iteration {it}; {name} diverged", residual)
-    raise failure(f"{name} {uncleared} in {cfg.max_iters} iterations, residual {residual:.3e}", residual)
+            raise failure(f"price of good {j} is {float(p[j])!r} after iteration {it}; {name} diverged", residual, "diverged")
+    raise failure(f"{name} {uncleared} in {cfg.max_iters} iterations, residual {residual:.3e}", residual, "budget spent")
 
 
-@_timed
-def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Equilibrium prices, by the method the economy calls for.
-
-    When every trader has unit elasticity (rho 0) and every floor is
-    positive, `solve_power` iterates the prices for at most n steps, or
-    ``config.max_iters`` if fewer, O(n·(n + nnz)) in all, far below the
-    dense solve's n³/3 (``method="power"``). When those steps leave the
-    market uncertified, `solve_cobb_douglas` solves it exactly, and its
-    report's wall time runs from this call's entry, those steps included;
-    a zero floor (an undamped chain, which may be periodic) goes to it
-    directly. Any other economy runs tatonnement.
-    """
-    if np.any(economy.rho != 0.0):
-        return solve_tatonnement(economy, config)
-    if economy.floor.min() <= 0.0:
-        return solve_cobb_douglas(economy, config)
+def _power_rung(economy: CesEconomy, config: SolverConfig) -> tuple[PriceVector | None, SolverReport | Leg]:
+    """`solve_power` for at most n steps, O(n·(n + nnz)) below the closed form's n³/3, or ``config.max_iters`` if fewer."""
     try:
-        return solve_power(economy, replace(config, max_iters=min(economy.n, config.max_iters)))
+        return solve_power.__wrapped__(economy, replace(config, max_iters=min(economy.n, config.max_iters)))
     except ConvergenceError as exc:
         logger.info("%s; solving in closed form", exc)
-    return solve_cobb_douglas(economy, config)
+        return None, exc.leg
+
+
+#: `solve_equilibrium`'s rungs: each public solver's refusal, and a run of its body (``__wrapped__``, untimed) that returns
+#: prices and report, hands over (None and its `Leg`) or raises. Tatonnement solves rho 0 too, but the rungs above take it.
+_LADDER = (
+    (_power_refusal, _power_rung),
+    (_closed_form_refusal, solve_cobb_douglas.__wrapped__),
+    (lambda economy: None if _closed_form_refusal(economy) else "every rho is 0", solve_tatonnement.__wrapped__),
+)
+
+
+@_timed()
+def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
+    """Equilibrium prices by the rungs of `_LADDER` that admit the economy, in order, until one certifies; ``path`` lists those that ran."""
+    path: list[Leg] = []
+    for refusal, run in _LADDER:
+        if refusal(economy) is None:
+            prices, report = run(economy, config)
+            if prices is not None:
+                return prices, replace(report, path=(*path, *report.path))
+            path.append(report)
+    raise AssertionError("unreachable: the closed form admits every rho 0, tatonnement every other")
 
 
 def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Full ranking pipeline: normalize, build the economy, solve for prices.
-
-    Strong connectivity of the economy graph is checked once, by the solver.
-    """
+    """Full ranking pipeline: build the problem's economy and solve it; the solver checks strong connectivity once."""
     return solve_equilibrium(build_economy(problem), config)
 
 

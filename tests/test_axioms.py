@@ -145,6 +145,25 @@ class TestInvariance:
         with pytest.raises(ValueError, match="out of range"):
             check_invariance(load_fixture("nonuniform3"), 5, 2.0)
 
+    def test_connectivity_checked_once_per_graph(self, search_calls):
+        # undamped, the problem and its row-scaled copy have one economy graph:
+        # the first solve checks it, forward and backward, and the second
+        # takes its verdict
+        problem = RankingProblem.from_edges(None, DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]), [1.9, 1.0, 1.0, 1.0], 0.5, beta=1.0)
+        assert check_invariance(problem, 0, 1.45).passed
+        assert search_calls == [3, 3]
+
+    def test_a_scaled_row_with_another_graph_is_checked_again(self, search_calls):
+        # the share 5e-324 / 1.9 of edge 0 -> 2 rounds up to the least
+        # subnormal, but scaled by 1.45 it is 5e-324 / 2.755, which rounds to
+        # zero: the scaled economy drops that edge, and its own solve checks
+        # its graph (0 -> 1 -> 2 -> 0, still connected)
+        problem = RankingProblem.from_edges(None, DirectedGraph(3, [0, 0, 1, 2], [1, 2, 2, 0]), [1.9, 5e-324, 1.0, 1.0], 0.5, beta=1.0)
+        economy = build_economy(problem)
+        assert economy.cols.tolist() == [1, 2, 2, 0] and economy.values[1] == 5e-324
+        assert check_invariance(problem, 0, 1.45).passed
+        assert search_calls == [3, 3, 3, 3]
+
 
 class TestUniformity:
     def test_bundled_fixture_is_not_uniform(self):

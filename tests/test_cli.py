@@ -779,6 +779,20 @@ class TestVerify:
         assert record["status"] == "not_applicable"
         assert record["witness"]["reason"] == "alpha[0][0] is not strictly positive"
 
+    @pytest.mark.parametrize("axiom", ["invariance", "all"])
+    def test_connectivity_checked_once_per_graph(self, capsys, monkeypatch, search_calls, axiom):
+        # invariance ranks the list and its row-scaled copy, whose economies
+        # have one graph: the first solve checks it, forward and backward,
+        # and hands its verdict to the second; the other checks of "all"
+        # do not apply undamped or solve no zero-floor economy
+        checks = []
+        check = cesrank.solver._require_connected_economy
+        monkeypatch.setattr(cesrank.solver, "_require_connected_economy", lambda economy: checks.append(economy.n) or check(economy))
+        edges = str(Path(__file__).parent / "golden" / "dangling10.edges")
+        assert main(["verify", "--axiom", axiom, "--input", edges]) == 0
+        assert [r["status"] for r in json.loads(capsys.readouterr().out) if r["axiom"] == "invariance"] == ["pass"]
+        assert checks == [10] and search_calls == [10, 10]
+
     @pytest.mark.parametrize("axiom", ["monotone", "uniformity"])
     def test_memory_is_linear_in_the_edges(self, graph_file, capsys, axiom):
         # both read the economy's floors and entries: on this graph column 0

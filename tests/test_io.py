@@ -586,8 +586,8 @@ class TestEdgeGraph:
 
     @staticmethod
     def assemble(pairs, weights, n=4):
-        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        return formats._edge_graph(n, pairs[:, 0], pairs[:, 1], np.array(weights, dtype=float))
+        src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+        return formats._edge_graph(n, src, dst, np.array(weights, dtype=float))
 
     def test_sorted_edges_come_back_as_given(self):
         pairs, weights = [[0, 1], [0, 3], [1, 0], [2, 2], [3, 1]], [2.0, 0.5, 1.0, 3.0, 1e-300]
@@ -596,6 +596,22 @@ class TestEdgeGraph:
         assert graph.src.dtype == graph.dst.dtype == np.int64
         assert graph.src.tolist() == [0, 0, 1, 2, 3] and graph.dst.tolist() == [1, 3, 0, 2, 1]
         assert kept.tobytes() == np.array(weights).tobytes()
+
+    def test_sorted_edges_without_a_zero_weight_are_not_copied(self):
+        src, dst, weights = np.array([0, 0, 2]), np.array([1, 2, 0]), np.array([1.0, 2.0, 3.0])
+        graph, kept = formats._edge_graph(3, src, dst, weights)
+        assert graph.src is src and graph.dst is dst and kept is weights
+        # with a zero weight the kept edges are new arrays, and the caller's are left as they were
+        weights[1] = 0.0
+        graph, kept = formats._edge_graph(3, src, dst, weights)
+        assert graph.src.tolist() == [0, 2] and kept.tolist() == [1.0, 3.0]
+        assert weights.tolist() == [1.0, 0.0, 3.0]
+
+    def test_triplets_give_contiguous_edges(self):
+        text = json.dumps({"format": 1, "agents": ["a", "b", "c"], "alpha": {"triplets": [[0, 1, 1.0], [1, 2, 2.0], [2, 0, 0.5]]}, "rho": 0.5})
+        problem = load_problem(io.StringIO(text))
+        assert problem.graph.src.flags.c_contiguous and problem.graph.dst.flags.c_contiguous
+        assert problem.graph.src.tolist() == [0, 1, 2] and problem.graph.dst.tolist() == [1, 2, 0]
 
     def test_shuffled_edges_are_sorted_with_their_weights(self):
         graph, kept = self.assemble([[3, 1], [0, 3], [2, 2], [0, 1], [1, 0]], [5.0, 2.0, 4.0, 1.0, 3.0])

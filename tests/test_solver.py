@@ -19,6 +19,7 @@ from cesrank import (
     ClearingReport,
     ConvergenceError,
     DirectedGraph,
+    Leg,
     PriceVector,
     RankingProblem,
     SolverConfig,
@@ -239,6 +240,7 @@ def test_solve_power_stops_on_an_underflowed_price():
         solve_power(e)
     assert info.value.residual_tail == [1.0]
     assert info.value.last_iterate.tolist() == [0.0, 0.5, 0.5]
+    assert info.value.leg == ("power", 0, "diverged")
 
 
 def test_solve_power_budget_error_carries_the_last_iterate_and_residuals():
@@ -250,6 +252,7 @@ def test_solve_power_budget_error_carries_the_last_iterate_and_residuals():
     # the last ten residuals, the last of them the one reported
     assert len(err.residual_tail) == 10
     assert err.residual_tail[-1] == err.residual > 1e-12
+    assert err.leg == ("power", 30, "budget spent")
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,6 +364,7 @@ class TestSolveTatonnement:
             assert not np.isfinite(aggregate_demand(economy)(err.last_iterate)).all()
         assert np.isnan(err.residual)
         assert len(err.residual_tail) == 10 and np.isfinite(err.residual_tail).all()
+        assert err.leg == ("tatonnement", 1274, "not finite")
 
     @pytest.mark.parametrize("rho, refused", [(0.5, ", certified as 2.220e-16"), (-0.5, "")], ids=["rho0.5", "rho-0.5"])
     def test_prices_that_stop_moving_end_the_loop_at_once(self, rho, refused):
@@ -374,6 +378,7 @@ class TestSolveTatonnement:
         assert str(info.value) == f"tatonnement stopped moving at iteration 1, residual {residual:.3e}{refused}"
         assert info.value.residual_tail == [residual, residual]
         assert np.array_equal(info.value.last_iterate, np.full(3, 1.0 / 3))
+        assert info.value.leg == ("tatonnement", 1, "stopped moving")
 
     def test_disconnected_rejected_before_iterating(self):
         alpha = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -866,7 +871,11 @@ class TestSolveEquilibrium:
             prices, report = solve_equilibrium(e, SolverConfig(max_iters=5))
         assert report.method == "closed_form"
         assert "power iteration did not converge in 5 iterations" in caplog.text
+        assert caplog.text.rstrip().endswith("; solving in closed form")
         assert verify_equilibrium(e, prices).passed
+        # the path: the power rung spent its budget of 5 steps, and the closed form certified
+        assert report.path == (Leg("power", 5, "budget spent"), Leg("closed_form", 1, "certified"))
+        assert report.to_dict() == {"method": "closed_form", "iterations": 1, "residual": report.residual, "converged": True, "tolerance": 1e-10}
 
     def test_uniform_economy_is_exact_in_one_step(self):
         # every share is 1/n: the contraction is total and the uniform start is the equilibrium
@@ -893,22 +902,23 @@ class TestSolveEquilibrium:
         assert report.method == "power"
         assert report.iterations == plain.iterations + 2
         # rejected while iterating, the closed form's own prices pass
-        closed_form = cesrank.solver.solve_cobb_douglas
+        eliminate = cesrank.solver.stationary_solve
         rejected = []
 
         def never_while_iterating(economy, prices):
             rejected.append(None)
             return certificate(economy, prices) + 1.0
 
-        def fallback(economy, tolerance):
+        def fallback(shares):
             monkeypatch.setattr(cesrank.solver, "excess_demand", certificate)
-            return closed_form(economy, tolerance)
+            return eliminate(shares)
 
         monkeypatch.setattr(cesrank.solver, "excess_demand", never_while_iterating)
-        monkeypatch.setattr(cesrank.solver, "solve_cobb_douglas", fallback)
+        monkeypatch.setattr(cesrank.solver, "stationary_solve", fallback)
         prices, report = solve_equilibrium(e)
         assert len(rejected) == e.n + 1 - plain.iterations  # every iterate from the first that passes the loop's test
         assert report.method == "closed_form" and report.iterations == 1
+        assert report.path == (("power", e.n, "budget spent"), ("closed_form", 1, "certified"))
         assert verify_equilibrium(e, prices).residual == report.residual <= 1e-10
 
     def test_underflowed_floor_share_falls_back(self):
@@ -950,6 +960,20 @@ class TestSolveEquilibrium:
         e = CesEconomy(np.ones((3, 3)), 0.5)
         _, report = solve_equilibrium(e)
         assert report.method == "tatonnement"
+        # neither rho-0 rung admits the economy, so tatonnement is the whole path
+        assert report.path == (("tatonnement", report.iterations, "certified"),)
+
+    @pytest.mark.parametrize(
+        "economy, method",
+        [(_damped_random_economy(), "power"), (CesEconomy(np.roll(np.eye(3), 1, axis=1), 0.0), "closed_form")],
+        ids=["power", "closed_form"],
+    )
+    def test_a_rung_that_certifies_is_the_whole_path(self, economy, method):
+        _, report = solve_equilibrium(economy)
+        assert report.path == ((method, report.iterations, "certified"),)
+        # a solver called alone reports its own rung
+        alone = {"power": solve_power, "closed_form": solve_cobb_douglas}[method]
+        assert alone(economy)[1].path == report.path
 
     def test_mixed_rho_uses_tatonnement(self):
         e = CesEconomy(np.ones((3, 3)), np.array([0.0, 0.5, 0.0]))
