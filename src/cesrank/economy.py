@@ -92,9 +92,6 @@ class CesEconomy:
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    #: True on an economy whose graph a solve has already proven strongly connected, which
-    #: `cesrank.solver` then does not check again (see `cesrank.axioms.check_invariance`)
-    _connected = False
 
     def __init__(self, alpha, rho, *, endowments=None):
         alpha = np.asarray(alpha, dtype=float)

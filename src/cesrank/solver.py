@@ -9,8 +9,9 @@ over-supplied ones, renormalize. PageRank's step ``p <- S.T @ p`` is that
 adjustment at full step, so both run in one loop, `_iterate`. The result is
 never trusted on faith: every method stops on `verify_equilibrium`, which
 certifies the excess-demand residual independently of how the prices were
-found. `_timed` makes each public solver, and `solve_equilibrium` walks
-their bodies, `_LADDER`, for the method each economy admits.
+found. `_timed` makes each public solver, which checks its preconditions,
+strong connectivity among them, at its door; `solve_equilibrium` walks the
+unchecked bodies, `_LADDER`, for the method each economy admits.
 """
 
 from __future__ import annotations
@@ -63,15 +64,16 @@ class SolverConfig:
 _Solver = Callable[[CesEconomy, SolverConfig], tuple[PriceVector, SolverReport]]
 
 
-def _timed(refusal: Callable[[CesEconomy], str | None] = lambda economy: None) -> Callable[[_Solver], _Solver]:
-    """The public solver of a body: ``refusal``'s reason raised as a `ValueError`, else the body, timed from entry to return: the one clock."""
+def _timed(*refusals: Callable[[CesEconomy], str | None]) -> Callable[[_Solver], _Solver]:
+    """The public solver of a body: the first reason of ``refusals``, in order, raised as a `ValueError`, else the body, timed from entry to return: the one clock."""
 
     def public(solve: _Solver) -> _Solver:
         @functools.wraps(solve)
         def timed(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
             start = time.perf_counter()
-            if (reason := refusal(economy)) is not None:
-                raise ValueError(reason)
+            for refusal in refusals:
+                if (reason := refusal(economy)) is not None:
+                    raise ValueError(reason)
             prices, report = solve(economy, config or SolverConfig())
             return prices, replace(report, wall_time=time.perf_counter() - start)
 
@@ -94,8 +96,11 @@ def _closed_form_refusal(economy: CesEconomy) -> str | None:
     return f"trader {i} has rho = {float(economy.rho[i])!r}; closed form needs all zeros" if economy.rho[i] != 0.0 else None
 
 
-def _require_connected_economy(economy: CesEconomy) -> None:
-    """Raise a `ValueError` naming trader 0's component unless the economy graph is strongly connected.
+_NAMED = 64  # members of trader 0's component that `_connectivity_refusal` lists in full; a larger one is named by its size and first ten
+
+
+def _connectivity_refusal(economy: CesEconomy) -> str | None:
+    """Why no strictly positive equilibrium is guaranteed: an economy graph that is not strongly connected, named by trader 0's component.
 
     Edge i -> j iff ``alpha[i][j] > 0``: to every good from a row with a
     positive floor, along the entries otherwise. Two searches over the
@@ -105,19 +110,21 @@ def _require_connected_economy(economy: CesEconomy) -> None:
     """
     floor, rows, cols = economy.floor, economy.rows, economy.cols
     if floor.min() > 0.0:
-        return  # no zero entry: the graph is complete, with self-loops
+        return None  # no zero entry: the graph is complete, with self-loops
     to_all, start = floor > 0.0, np.arange(economy.n) == 0
     forward = _reached(rows, cols, start)
     if np.any(forward & to_all):
         forward[:] = True
     order = np.argsort(cols, kind="stable")
     backward = _reached(cols[order], rows[order], start | to_all)
-    if not (forward.all() and backward.all()):
-        component = np.flatnonzero(forward & backward).tolist()
-        raise ValueError(
-            f"economy graph is not strongly connected (one component: {component}); "
-            "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it"
-        )
+    if forward.all() and backward.all():
+        return None
+    component = np.flatnonzero(forward & backward)
+    named = component.tolist() if component.size <= _NAMED else f"{component.size} traders, first {component[:10].tolist()}"
+    return (
+        f"economy graph is not strongly connected (one component: {named}); "
+        "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it"
+    )
 
 
 _SCALAR_EDGES = 32  # vertices, and out-edges, below which a level of `_reached` steps in Python scalars
@@ -207,7 +214,7 @@ def stationary_solve(p: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-@_timed(_closed_form_refusal)
+@_timed(_closed_form_refusal, _connectivity_refusal)
 def solve_cobb_douglas(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Exact equilibrium of an all-unit-elasticity economy, certified or a `ConvergenceError`.
 
@@ -216,10 +223,7 @@ def solve_cobb_douglas(economy: CesEconomy, config: SolverConfig | None = None) 
     residual that `verify_equilibrium` certifies at ``config.tolerance``.
     """
     floor_share, excess_share = _shares(economy)
-    # first: a size too large for the dense solve fails before the connectivity check
     shares = np.repeat(floor_share[:, None], economy.n, axis=1)
-    if not economy._connected:
-        _require_connected_economy(economy)
     shares[economy.rows, economy.cols] += excess_share
     pi = stationary_solve(shares)
     if not pi.min() > 0.0:
@@ -268,7 +272,7 @@ def solve_power(economy: CesEconomy, config: SolverConfig | None = None) -> tupl
     return _iterate(economy, "power", advance, config)
 
 
-@_timed()
+@_timed(_connectivity_refusal)
 def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Damped multiplicative price adjustment until the market clears.
 
@@ -282,8 +286,6 @@ def solve_tatonnement(economy: CesEconomy, config: SolverConfig | None = None) -
     jump along their trend in log prices. The rounds run in `_iterate`. One
     debug line logs the rounds and the jumps kept and undone.
     """
-    if not economy._connected:
-        _require_connected_economy(economy)
     demand_at = aggregate_demand(economy)
     gamma = min(0.5, 1.0 - float(economy.rho.max()))  # 1 - rho = 1 / q
 
@@ -490,16 +492,16 @@ def _power_rung(economy: CesEconomy, config: SolverConfig) -> tuple[PriceVector 
         return None, exc.leg
 
 
-#: `solve_equilibrium`'s rungs: each public solver's refusal, and a run of its body (``__wrapped__``, untimed) that returns
-#: prices and report, hands over (None and its `Leg`) or raises. Tatonnement solves rho 0 too, but the rungs above take it.
+#: `solve_equilibrium`'s rungs, past its one connectivity check: each public solver's other refusal, and a run of its unchecked,
+#: untimed body (``__wrapped__``) that returns prices and report, hands over (None and its `Leg`) or raises.
 _LADDER = (
     (_power_refusal, _power_rung),
     (_closed_form_refusal, solve_cobb_douglas.__wrapped__),
-    (lambda economy: None if _closed_form_refusal(economy) else "every rho is 0", solve_tatonnement.__wrapped__),
+    (lambda economy: None, solve_tatonnement.__wrapped__),  # the closed form takes every rho 0 and never hands over
 )
 
 
-@_timed()
+@_timed(_connectivity_refusal)
 def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
     """Equilibrium prices by the rungs of `_LADDER` that admit the economy, in order, until one certifies; ``path`` lists those that ran."""
     path: list[Leg] = []
@@ -509,11 +511,11 @@ def solve_equilibrium(economy: CesEconomy, config: SolverConfig | None = None) -
             if prices is not None:
                 return prices, replace(report, path=(*path, *report.path))
             path.append(report)
-    raise AssertionError("unreachable: the closed form admits every rho 0, tatonnement every other")
+    raise AssertionError("unreachable: tatonnement admits every economy and returns or raises")
 
 
 def rank_problem(problem: RankingProblem, config: SolverConfig | None = None) -> tuple[PriceVector, SolverReport]:
-    """Full ranking pipeline: build the problem's economy and solve it; the solver checks strong connectivity once."""
+    """Full ranking pipeline: build the problem's economy and solve it; `solve_equilibrium` checks strong connectivity once, on entry."""
     return solve_equilibrium(build_economy(problem), config)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import cesrank.solver
@@ -36,3 +38,23 @@ def search_calls(monkeypatch):
 
     monkeypatch.setattr(cesrank.solver, "_reached", counted)
     return calls
+
+
+@pytest.fixture
+def connectivity_checks():
+    """Each economy `solver._connectivity_refusal` checks during the test, by profiling its calls.
+
+    The solvers' doors hold the function itself, so patching the module's
+    name would count nothing.
+    """
+    checks = []
+    code = cesrank.solver._connectivity_refusal.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            checks.append(frame.f_locals["economy"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    yield checks
+    sys.setprofile(previous)

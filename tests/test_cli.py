@@ -321,6 +321,23 @@ class TestRankCes:
             "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it\n"
         )
 
+    @pytest.mark.parametrize("flags", [["--method", "invariant"], ["--rho", "0", "--beta", "1"], ["--rho", "0.5", "--beta", "1"]])
+    def test_a_large_component_gives_a_short_message(self, graph_file, capsys, flags):
+        # the cycle 0 -> 1 -> ... -> 99 999 -> 0, and 100 000 -> 0, which
+        # nothing reaches: refused before the closed form's 74.5 GiB, and
+        # named by the component's size and first members, not its 10^5 ids
+        n = 100_000
+        text = f"format: 1\nn {n + 1}\n" + "".join(f"{k} {(k + 1) % n}\n" for k in range(n)) + f"{n} 0\n"
+        code = main(["rank", *flags, "--input", graph_file(text)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: economy graph is not strongly connected (one component: 100000 traders, first [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]); "
+            "no strictly positive equilibrium is guaranteed; damp with beta < 1 to connect it\n"
+        )
+        assert len(captured.err.encode()) < 1000
+
     def test_rho_above_economy_cap_is_bad_input(self, problem_file, capsys):
         path = problem_file(load_fixture("nonuniform3"))
         code = main(["rank", "--rho", "0.97", "--input", path])
@@ -500,7 +517,7 @@ class TestRankInvariant:
         src, dst = np.divmod(np.unique(src * n + dst), n)
         keep = ~np.isin(src, rng.choice(n, size=n // 10, replace=False))  # a tenth of the vertices dangle
         economy = damped_economy(DirectedGraph(n, src[keep], dst[keep]), np.ones(int(keep.sum())), 0.0, 1.0)
-        peak, _ = traced_peak(lambda: cesrank.solver._require_connected_economy(economy))
+        peak, _ = traced_peak(lambda: cesrank.solver._connectivity_refusal(economy))
         assert peak <= 8 * economy.rows.nbytes
 
     @pytest.mark.parametrize("name", sorted(SKEWED_GRAPHS))
@@ -571,13 +588,26 @@ class TestExitCodes:
 
     def test_unallocatable_declared_size(self, graph_file, capsys):
         # undamped, row 0 has a zero floor, so the solve is the dense closed
-        # form: 10^7 x 10^7 float64 is 728 TiB, and numpy refuses before
-        # touching memory (damped, the same input ranks in O(n))
+        # form. The graph is connected (0 -> 1, and every other row dangles,
+        # valuing every good), so the check at the solver's door passes; then
+        # 10^7 x 10^7 float64 is 728 TiB, and numpy refuses before touching
+        # memory (damped, the same input ranks in O(n))
         code = main(["rank", "--beta", "1", "--input", graph_file("format: 1\nn 10000000\n0 1\n")])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_disconnected_declared_size_is_refused_before_allocating(self, graph_file, capsys):
+        # as above, but 0 <-> 1 reaches no dangling row: the graph is refused
+        # as disconnected before the closed form tries its 728 TiB (--method
+        # invariant needs an out-edge at every vertex; a 10^5-vertex list
+        # gives it 74.5 GiB to refuse in test_a_large_component_gives_a_short_message)
+        code = main(["rank", "--rho", "0", "--beta", "1", "--input", graph_file("format: 1\nn 10000000\n0 1\n1 0\n")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: economy graph is not strongly connected (one component: [0, 1]); ")
 
     def test_declared_size_beyond_memory(self, graph_file, capsys):
         # the edge list loads in O(1) memory, and the economy's first array of 10^15 floats cannot be allocated
@@ -780,17 +810,17 @@ class TestVerify:
         assert record["witness"]["reason"] == "alpha[0][0] is not strictly positive"
 
     @pytest.mark.parametrize("axiom", ["invariance", "all"])
-    def test_connectivity_checked_once_per_graph(self, capsys, monkeypatch, search_calls, axiom):
+    def test_connectivity_checked_once_per_graph(self, capsys, connectivity_checks, search_calls, axiom):
         # invariance ranks the list and its row-scaled copy, whose economies
         # have one graph: the first solve checks it, forward and backward,
         # and hands its verdict to the second; the other checks of "all"
-        # do not apply undamped or solve no zero-floor economy
-        checks = []
-        check = cesrank.solver._require_connected_economy
-        monkeypatch.setattr(cesrank.solver, "_require_connected_economy", lambda economy: checks.append(economy.n) or check(economy))
+        # do not apply undamped or solve no zero-floor economy: fairness's
+        # edgeless one has every floor positive, a complete graph, which the
+        # door of its solve passes without a search
         edges = str(Path(__file__).parent / "golden" / "dangling10.edges")
         assert main(["verify", "--axiom", axiom, "--input", edges]) == 0
         assert [r["status"] for r in json.loads(capsys.readouterr().out) if r["axiom"] == "invariance"] == ["pass"]
+        checks = [economy.n for economy in connectivity_checks if economy.floor.min() <= 0.0]
         assert checks == [10] and search_calls == [10, 10]
 
     @pytest.mark.parametrize("axiom", ["monotone", "uniformity"])

@@ -382,6 +382,13 @@ class TestMarkovToEconomy:
         with pytest.raises(ValueError, match=r"component: \[0\]"):
             solve_cobb_douglas(e)
 
+    def test_disconnected_chain_too_large_to_allocate_is_refused_as_disconnected(self):
+        # the 2-cycle 0 <-> 1 reaches none of the dangling rows: the door
+        # refuses the graph before the shares, 728 TiB of them, are allocated
+        e = damped_economy(DirectedGraph(10**7, [0, 1], [1, 0]), np.ones(2), 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"not strongly connected \(one component: \[0, 1\]\)"):
+            solve_cobb_douglas(e)
+
     def test_connectivity_checked_once(self, search_calls):
         # two searches per check, forward and backward, over the n states alone
         solve_cobb_douglas(_chain_economy([[0.0, 1.0], [1.0, 0.0]]))
@@ -609,12 +616,11 @@ def test_connectivity_check_matches_the_dense_support_graph(case, scalar_edges):
     graph, weights, rho, _ = case
     economy = damped_economy(graph, weights, rho, 1.0)
     component = economy_component(economy)
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cesrank.solver, "_SCALAR_EDGES", scalar_edges)
-            cesrank.solver._require_connected_economy(economy)
-    except ValueError as error:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cesrank.solver, "_SCALAR_EDGES", scalar_edges)
+        reason = cesrank.solver._connectivity_refusal(economy)
+    if reason is not None:
         assert component != list(range(graph.n))
-        assert f"(one component: {component})" in str(error)
+        assert f"(one component: {component})" in reason
     else:
         assert component == list(range(graph.n))

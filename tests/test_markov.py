@@ -14,7 +14,7 @@ from cesrank import (
     support_graph,
     web_economy,
 )
-from cesrank.solver import _require_connected_economy
+from cesrank.solver import _connectivity_refusal
 
 from oracles import dense_alpha, dense_power_iteration, economy_component, random_strongly_connected_graph
 
@@ -86,11 +86,10 @@ def _check_against_oracle(n, edges) -> bool:
     graph = DirectedGraph(n, [i for i, _ in edges], [j for _, j in edges])
     economy = damped_economy(graph, np.ones(len(edges)), 0.0, 1.0)
     component = economy_component(economy)
-    try:
-        _require_connected_economy(economy)
-    except ValueError as error:
+    reason = _connectivity_refusal(economy)
+    if reason is not None:
         assert component != list(range(n))
-        assert f"(one component: {component})" in str(error)
+        assert f"(one component: {component})" in reason
         return False
     assert component == list(range(n))
     return True
@@ -116,14 +115,22 @@ class TestConnectivity:
         # level pays a vectorized level's twenty array calls
         numpy = _RepeatCounter()
         monkeypatch.setattr(cesrank.solver, "np", numpy)
-        _require_connected_economy(_long_cycle(20_000))
+        assert _connectivity_refusal(_long_cycle(20_000)) is None
         assert numpy.repeats == 0
 
     def test_cut_long_cycle_names_trader_0s_component(self):
         # cut after vertex 10 000, which keeps a self-loop, as a dangling vertex
         # would value every good: 0 reaches 1..10 000, which never lead back
-        with pytest.raises(ValueError, match=r"not strongly connected \(one component: \[0\]\)"):
-            _require_connected_economy(_long_cycle(20_000, cut=10_000))
+        assert "not strongly connected (one component: [0])" in _connectivity_refusal(_long_cycle(20_000, cut=10_000))
+
+    def test_a_large_component_is_named_by_its_size(self):
+        # the cycle 0 -> 1 -> ... -> 0 of ``size`` traders, and one more pointing into it that nothing reaches
+        def refusal(size):
+            n = size + 1
+            return _connectivity_refusal(damped_economy(DirectedGraph(n, np.arange(n), (np.arange(n) + 1) % size), np.ones(n), 0.5, 1.0))
+
+        assert f"(one component: {list(range(64))});" in refusal(64)
+        assert "(one component: 65 traders, first [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);" in refusal(65)
 
 
 class _RepeatCounter:
